@@ -213,6 +213,7 @@ def cmd_trials(args) -> int:
                     "f_hat": rec.f_hat,
                     "pp_hat": rec.pp_hat,
                     "n_components": rec.n_components,
+                    "unrefined": rec.unrefined,
                 }
                 for rec in stats.records
             ],

@@ -106,7 +106,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "ratio": "bare",
         "refine": "bool",
         "points_per_period": "int",
-        "method": "str",
     },
     "sweep": {
         "start": "frequency",
@@ -397,7 +396,6 @@ def build_options(cfg: Config, overrides: dict | None = None) -> AnalysisOptions
         "window": cfg.get("analysis", "window", "hann"),
         "refine": cfg.get("analysis", "refine", True),
         "points_per_period": cfg.get("analysis", "points_per_period", 100),
-        "spectrum_method": cfg.get("analysis", "method", "auto"),
     }
     for name, value in (overrides or {}).items():
         if value is not None:

@@ -4,7 +4,9 @@ The pipeline works directly on event times, never on a rate histogram:
 
 1. project both streams onto a uniform frequency grid with a Hann taper
    and combine them as y_f = p_f(C) - ratio * p_f(A), which cancels the
-   common mode (mean flux and accidental background),
+   common mode (mean flux and accidental background); the grid values
+   are the event sums themselves, up to a series truncation below 1e-13
+   of sum |w| / t_exp (see ``project_timestamps``),
 2. threshold |y_f| against a constant-false-alarm level computed from
    the event counts themselves,
 3. collapse contiguous above-threshold bins to candidate frequencies and
@@ -29,7 +31,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.signal import czt
 
 from .core import (
     ClassicalFringeSpec,
@@ -41,15 +42,6 @@ from .errors import AnalysisError, ConfigError, StreamFormatError
 from .simulate import TimestampStream, _trace_samples
 
 GRID_SPACING_FACTOR = 0.6
-
-# Above this many (events x bins) the grid scan switches from direct
-# summation to a chirp-z transform over finely binned event weights.
-_CZT_CUTOFF = 3e7
-
-# Grid-scan bins per period of the top grid frequency on the czt path.
-# The in-bin phase spread attenuates a tone at f_max by sinc(1/32), about
-# 0.16%, and the expected attenuation is divided back out per frequency.
-_CZT_BINS_PER_PERIOD = 32
 
 _WINDOWS = ("hann", "rectangular")
 
@@ -79,8 +71,11 @@ def frequency_grid(t_exp: float, f_max: float) -> np.ndarray:
 def project_timestamps(stream: TimestampStream, frequency, window: str = "hann"):
     """Windowed projection p_f = (1/t_exp) sum_i w(t_i') exp(-2j pi f t_i').
 
-    ``frequency`` may be a scalar or an array; the sum is evaluated
-    exactly (direct summation over events) either way.
+    ``frequency`` may be a scalar or an array. The result is the event
+    sum itself, not an approximation: a scalar or an arbitrary array is
+    summed directly, and a uniform grid k * df starting at 0 goes through
+    a binned Taylor transform whose truncation stays below 1e-13 of
+    sum |w| / t_exp, the same size as the rounding of the event phases.
     """
     t = stream.centered_times()
     w = window_weights(t, stream.t_exp, window)
@@ -88,69 +83,64 @@ def project_timestamps(stream: TimestampStream, frequency, window: str = "hann")
     if freqs.ndim == 0:
         phase = (-2j * math.pi * float(freqs)) * t
         return complex(np.sum(w * np.exp(phase)) / stream.t_exp)
-    return _project_direct(t, w, stream.t_exp, freqs)
+    df = _uniform_from_zero(freqs)
+    if df is None:
+        return _project_direct(t, w, stream.t_exp, freqs)
+    return _project_grid(t, w, stream.t_exp, df, freqs.size)
 
 
 def _project_direct(
     t: np.ndarray, w: np.ndarray, t_exp: float, freqs: np.ndarray
 ) -> np.ndarray:
-    out = np.empty(freqs.shape, dtype=complex)
-    if t.size == 0:
-        out[...] = 0j
-        return out
-    df = _uniform_from_zero(freqs)
-    if df is not None:
-        out[...] = _project_uniform_recursive(t, w, t_exp, df, freqs.size)
-        return out
     chunk = max(1, int(4e6 // max(t.size, 1)))
     flat = freqs.reshape(-1)
     res = np.empty(flat.size, dtype=complex)
     for start in range(0, flat.size, chunk):
         f = flat[start : start + chunk]
         res[start : start + chunk] = np.exp(-2j * math.pi * np.outer(f, t)) @ w
-    out[...] = (res / t_exp).reshape(freqs.shape)
-    return out
+    return (res / t_exp).reshape(freqs.shape)
 
 
-def _project_uniform_recursive(
+def _project_grid(
     t: np.ndarray, w: np.ndarray, t_exp: float, df: float, m: int
 ) -> np.ndarray:
-    """Exact projections on a uniform grid k * df by phasor recursion.
+    """Exact projections on the grid k * df, k < m, from binned moments.
 
-    e^(-2j pi k df t) = step^k with step = e^(-2j pi df t), so each bin
-    costs one complex multiply per event instead of one exponential.
-    The accumulated magnitude drift is about m * eps, far below the
-    1e-6 equivalence budget for any grid the direct path handles.
+    Every grid phasor has period 1/df, so the events are folded onto n
+    bins per period, n the power of two at or above 2m. For an event in
+    bin c at offset u in [-1/2, 1/2) bin widths from the bin centre,
+
+        e^(-2j pi k df t) = e^(-2j pi k (c + 1/2) / n) sum_p (z_k u)^p / p!
+
+    with z_k = -2j pi k / n. Term p is then the rfft of the per-bin
+    moments sum w u^p. Since |z_k u| <= theta = pi (m - 1) / n <= pi / 2,
+    the series stops at the first p with theta^p / p! < 1e-14 (at most
+    20 terms), which bounds the truncation per event by about 1e-14 |w|.
     """
-    step = np.exp(-2j * math.pi * df * t)
-    z = w.astype(complex)
-    out = np.empty(m, dtype=complex)
-    out[0] = z.sum()
-    for k in range(1, m):
-        z *= step
-        out[k] = z.sum()
-    return out / t_exp
-
-
-def _project_czt(
-    t_uncentered: np.ndarray, w: np.ndarray, t_exp: float, df: float, m: int
-) -> np.ndarray:
-    """Grid projection via chirp-z transform of finely binned weights.
-
-    Events are binned at ``_CZT_BINS_PER_PERIOD`` bins per period of the
-    top grid frequency; the transform is exact for the binned series and
-    the expected in-bin dephasing sinc(f * bin) is divided back out.
-    """
-    f_top = (m - 1) * df
-    n_bins = max(int(math.ceil(_CZT_BINS_PER_PERIOD * f_top * t_exp)), 2 * m, 16)
-    bin_width = t_exp / n_bins
-    idx = np.clip((t_uncentered / bin_width).astype(np.int64), 0, n_bins - 1)
-    binned = np.bincount(idx, weights=w, minlength=n_bins)
-    spec = czt(binned, m=m, w=np.exp(-2j * math.pi * df * bin_width))
-    f = np.arange(m) * df
-    # Shift bin centres to exposure-centred times, undo expected dephasing.
-    ramp = np.exp(2j * math.pi * f * (t_exp / 2.0 - bin_width / 2.0))
-    return spec * ramp / (np.sinc(f * bin_width) * t_exp)
+    n = 1 << (2 * m - 1).bit_length()
+    x = t * (df * n)
+    cell = np.floor(x)
+    u = x - cell - 0.5
+    bins = cell.astype(np.int64) % n
+    # Sorted events fill each bin in one run (two or more if the exposure
+    # spans several periods); bincount adds runs that share a bin.
+    starts = np.flatnonzero(np.diff(bins, prepend=-1))
+    occupied = bins[starts]
+    z = (-2j * math.pi / n) * np.arange(m)
+    theta = math.pi * (m - 1) / n
+    out = np.zeros(m, dtype=complex)
+    coef = np.ones(m, dtype=complex)  # z^p / p!
+    moment = np.array(w, dtype=float)  # w u^p
+    p, bound = 0, 1.0  # bound = theta^p / p!
+    while bound >= 1e-14:
+        if p:
+            coef *= z / p
+            moment *= u
+        binned = np.bincount(occupied, np.add.reduceat(moment, starts), minlength=n)
+        out += coef * np.fft.rfft(binned)[:m]
+        p += 1
+        bound *= theta / p
+    return out * np.exp(z / 2.0) / t_exp
 
 
 def _uniform_from_zero(freqs: np.ndarray) -> float | None:
@@ -160,24 +150,11 @@ def _uniform_from_zero(freqs: np.ndarray) -> float | None:
     df = freqs[1]
     if df <= 0:
         return None
-    if np.allclose(freqs, np.arange(freqs.size) * df, rtol=1e-12, atol=df * 1e-9):
+    # The grid transform evaluates at k * df, so accept only rounding-level
+    # departures from it; anything else takes the direct sum.
+    if np.allclose(freqs, np.arange(freqs.size) * df, rtol=1e-15, atol=0.0):
         return float(df)
     return None
-
-
-def _stream_projections(
-    stream: TimestampStream, freqs: np.ndarray, window: str, method: str
-) -> np.ndarray:
-    t = stream.centered_times()
-    w = window_weights(t, stream.t_exp, window)
-    df = _uniform_from_zero(freqs)
-    workload = float(t.size) * freqs.size
-    use_czt = method == "czt" or (method == "auto" and df is not None and workload > _CZT_CUTOFF)
-    if use_czt:
-        if df is None:
-            raise ConfigError("czt grid evaluation needs a uniform grid starting at 0")
-        return _project_czt(stream.times(), w, stream.t_exp, df, freqs.size)
-    return _project_direct(t, w, stream.t_exp, freqs)
 
 
 def _check_compatible(s1: TimestampStream, s2: TimestampStream) -> None:
@@ -191,15 +168,13 @@ def combined_spectrum(
     ratio: float,
     frequencies: np.ndarray,
     window: str = "hann",
-    method: str = "auto",
 ) -> np.ndarray:
     """Common-mode-cancelling spectrum y_f = p_f(C) - ratio * p_f(A)."""
     if not ratio > 0:
         raise ConfigError("ratio must be positive")
     _check_compatible(stream_c, stream_a)
-    freqs = np.asarray(frequencies, dtype=float)
-    pc = _stream_projections(stream_c, freqs, window, method)
-    pa = _stream_projections(stream_a, freqs, window, method)
+    pc = project_timestamps(stream_c, frequencies, window)
+    pa = project_timestamps(stream_a, frequencies, window)
     return pc - ratio * pa
 
 
@@ -317,11 +292,10 @@ def scan_spectrum(
     p_fa: float = 1e-3,
     f_max: float = 50e3,
     window: str = "hann",
-    method: str = "auto",
 ) -> SpectrumEstimate:
     """Full grid scan: spectrum, threshold, and detected candidates."""
     freqs = frequency_grid(stream_c.t_exp, f_max)
-    y = combined_spectrum(stream_c, stream_a, ratio, freqs, window, method)
+    y = combined_spectrum(stream_c, stream_a, ratio, freqs, window)
     kappa = detection_threshold(stream_c, stream_a, ratio, window, p_fa, freqs.size)
     detected = _group_detections(freqs, np.abs(y), kappa)
     return SpectrumEstimate(
@@ -649,13 +623,10 @@ class AnalysisOptions:
     window: str = "hann"
     refine: bool = True
     points_per_period: int = 100
-    spectrum_method: str = "auto"
 
     def __post_init__(self) -> None:
         if self.window not in _WINDOWS:
             raise ConfigError(f"unknown window {self.window!r}")
-        if self.spectrum_method not in ("auto", "direct", "czt"):
-            raise ConfigError(f"unknown spectrum method {self.spectrum_method!r}")
 
 
 @dataclass(frozen=True)
@@ -718,8 +689,7 @@ def quantum_pipeline(
     if v0 is None:
         v0 = pair.visibility_v0
     spectrum = scan_spectrum(
-        stream_c, stream_a, ratio, options.p_fa, options.f_max, options.window,
-        options.spectrum_method,
+        stream_c, stream_a, ratio, options.p_fa, options.f_max, options.window
     )
     comps = _estimate_components(stream_c, stream_a, ratio, spectrum, options)
     if not comps:
@@ -741,8 +711,7 @@ def classical_pipeline(
 ) -> PipelineResult:
     """Identical pipeline on the two singles streams of the classical channel."""
     spectrum = scan_spectrum(
-        stream_1, stream_2, ratio, options.p_fa, options.f_max, options.window,
-        options.spectrum_method,
+        stream_1, stream_2, ratio, options.p_fa, options.f_max, options.window
     )
     comps = _estimate_components(stream_1, stream_2, ratio, spectrum, options)
     if not comps:

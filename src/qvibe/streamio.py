@@ -114,7 +114,14 @@ def read_stream_binary(path: str | Path) -> TimestampStream:
     body = raw[_BIN_HEADER.size:]
     if len(body) % 8:
         raise StreamFormatError(f"{path}: body length {len(body)} is not a multiple of 8")
-    ticks = np.frombuffer(body, dtype="<u8").astype(np.int64)
+    raw_ticks = np.frombuffer(body, dtype="<u8")
+    over = np.flatnonzero(raw_ticks > np.iinfo(np.int64).max)
+    if over.size:
+        i = int(over[0])
+        raise StreamFormatError(
+            f"{path}: tick {int(raw_ticks[i])} of event {i} exceeds the int64 tick range"
+        )
+    ticks = raw_ticks.astype(np.int64)
     try:
         return TimestampStream(
             tag=STREAM_TAGS[tag_code], ticks=ticks, tick_duration=tick_duration, t_exp=t_exp

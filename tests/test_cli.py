@@ -115,6 +115,8 @@ def test_ini_rejects_unknown_and_duplicates():
         parse_config("[volume]\nlevel = 11\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("[pair]\ncolor = red\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config("[analysis]\nmethod = auto\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config("[pair]\nvisibility = 1\nvisibility = 0.9\n")
     with pytest.raises(ConfigError, match="outside"):
@@ -305,6 +307,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     empty2.write_text("qvibe-ts v1 anticoincidence 100 1.0 0\n")
     assert main(["estimate", str(empty1), str(empty2), "-c", str(good_cfg)]) == 4
     capsys.readouterr()
+
+
+def test_cli_trials_writes_records(tmp_path, capsys):
+    cfg = write_tone_config(tmp_path)
+    out = tmp_path / "trials.json"
+    assert main(["trials", "-c", str(cfg), "--trials", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    records = json.loads(out.read_text())["records"]
+    assert len(records) == 2
+    for rec in records:
+        assert isinstance(rec["unrefined"], int) and rec["unrefined"] >= 0
 
 
 def test_cli_qcrb_reports_ratio(capsys):

@@ -27,6 +27,7 @@ from qvibe.estimate import (
     SpectrumEstimate,
     _estimate_components,
     _group_detections,
+    _uniform_from_zero,
     calibrate_ratio,
     classical_pipeline,
     classical_reconstruct,
@@ -138,46 +139,48 @@ def test_projection_matches_binned_count_dft():
     assert np.max(np.abs(got - oracle) / scale) < 1e-6
 
 
-def test_uniform_grid_projection_matches_explicit_matrix():
+def _grid_case(name):
+    """(stream, frequencies) for the grid-projection exactness test."""
     rng = np.random.default_rng(8)
     t_exp = 1.0
-    stream = stream_from_times(rng.uniform(0, t_exp, 3000), t_exp)
-    grid = frequency_grid(t_exp, 150.0)
-    got = project_timestamps(stream, grid, "hann")
-    t = stream.centered_times()
-    w = np.cos(math.pi * t / t_exp) ** 2
-    ref = np.exp(-2j * math.pi * np.outer(grid, t)) @ w / t_exp
-    assert np.max(np.abs(got - ref)) < 1e-9 * np.max(np.abs(ref))
+    if name == "small":
+        return stream_from_times(rng.uniform(0, t_exp, 3000), t_exp), frequency_grid(t_exp, 150.0)
+    if name == "large":
+        return stream_from_times(rng.uniform(0, t_exp, 20_000), t_exp), frequency_grid(t_exp, 110e3)
+    if name == "wrapped":  # df * t_exp > 1: the exposure spans 2.5 grid periods
+        return stream_from_times(rng.uniform(0, t_exp, 3000), t_exp), np.arange(60) * 2.5
+    if name == "four_bins":
+        return stream_from_times(rng.uniform(0, t_exp, 3000), t_exp), frequency_grid(t_exp, 2.0)
+    if name == "near_grid":  # the top bin 2e-12 off k * df: not a grid, summed directly
+        grid = frequency_grid(t_exp, 150.0)
+        grid[-1] *= 1 + 2e-12
+        return stream_from_times(rng.uniform(0, t_exp, 3000), t_exp), grid
+    if name == "single_event":
+        return stream_from_times([0.3141], t_exp), frequency_grid(t_exp, 500.0)
+    last = int(round(t_exp / TICK)) - 1
+    ticks = np.sort(np.concatenate([
+        [0, 0, 0], rng.integers(0, last, 2000), [last, last]
+    ]))
+    return TimestampStream("coincidence", ticks, TICK, t_exp), frequency_grid(t_exp, 300.0)
 
 
-def test_czt_grid_path_agrees_with_direct_within_noise_scale():
-    rng = np.random.default_rng(97)
-    t_exp = 1.0
-    sc = stream_from_times(rng.uniform(0, t_exp, 5000), t_exp)
-    sa = stream_from_times(rng.uniform(0, t_exp, 5000), t_exp, "anticoincidence")
-    grid = frequency_grid(t_exp, 200.0)
-    y_direct = combined_spectrum(sc, sa, 1.0, grid, method="direct")
-    y_czt = combined_spectrum(sc, sa, 1.0, grid, method="czt")
-    wc = np.cos(math.pi * sc.centered_times() / t_exp) ** 2
-    wa = np.cos(math.pi * sa.centered_times() / t_exp) ** 2
-    noise_scale = math.sqrt(float(np.sum(wc**2) + np.sum(wa**2))) / t_exp
-    # After the sinc correction the residual is in-bin dephasing with
-    # per-bin RMS about (2 pi f dt_bin)/sqrt(12) of the noise scale (6%
-    # at 32 bins per period); the max over M bins picks up the usual
-    # sqrt(2 ln M) extreme-value factor. Both sit far below the
-    # detection threshold's ~3.7x noise multiplier.
-    rms = noise_scale * (2.0 * math.pi / 32.0) / math.sqrt(12.0)
-    bound = 1.6 * rms * math.sqrt(2.0 * math.log(grid.size))
-    assert np.max(np.abs(y_czt - y_direct)) < bound
-
-
-def test_czt_requires_uniform_grid():
-    rng = np.random.default_rng(3)
-    t_exp = 1.0
-    sc = stream_from_times(rng.uniform(0, t_exp, 100), t_exp)
-    sa = stream_from_times(rng.uniform(0, t_exp, 100), t_exp, "anticoincidence")
-    with pytest.raises(ConfigError):
-        combined_spectrum(sc, sa, 1.0, np.array([1.0, 2.0, 4.0, 8.0, 16.0]), method="czt")
+def test_uniform_grid_projection_matches_explicit_matrix():
+    # Per-bin error against the explicit event sum, in units of the noise
+    # scale sqrt(sum w^2) / t_exp, on up to 64 bins spread over each grid.
+    cases = ("small", "large", "wrapped", "four_bins", "near_grid", "single_event", "edge_duplicates")
+    for name in cases:
+        stream, grid = _grid_case(name)
+        # Every case but near_grid runs the grid transform.
+        assert (_uniform_from_zero(grid) is None) == (name == "near_grid"), name
+        idx = np.unique(np.linspace(0, grid.size - 1, min(grid.size, 64)).round().astype(int))
+        t = stream.centered_times()
+        for window in ("hann", "rectangular"):
+            got = project_timestamps(stream, grid, window)
+            w = np.cos(math.pi * t / stream.t_exp) ** 2 if window == "hann" else np.ones_like(t)
+            ref = np.exp(-2j * math.pi * np.outer(grid[idx], t)) @ w / stream.t_exp
+            noise_scale = math.sqrt(float(np.sum(w * w))) / stream.t_exp
+            err = np.max(np.abs(got[idx] - ref)) / noise_scale
+            assert err <= 1e-9, (name, window, err)
 
 
 def test_identical_streams_cancel_exactly():
@@ -610,5 +613,3 @@ def test_component_dedup_keeps_the_stronger_refinement():
 def test_analysis_options_validation():
     with pytest.raises(ConfigError):
         AnalysisOptions(window="boxcar")
-    with pytest.raises(ConfigError):
-        AnalysisOptions(spectrum_method="fft")

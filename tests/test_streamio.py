@@ -118,6 +118,10 @@ def test_binary_corruption(tmp_path):
     (tmp_path / "badtag.bin").write_bytes(bytes(bad))
     with pytest.raises(StreamFormatError, match="tag code"):
         read_stream_binary(tmp_path / "badtag.bin")
+    huge = raw[:-8] + (2**63 + 5).to_bytes(8, "little")  # would wrap negative as int64
+    (tmp_path / "huge.bin").write_bytes(huge)
+    with pytest.raises(StreamFormatError, match="tick 9223372036854775813 of event 9"):
+        read_stream_binary(tmp_path / "huge.bin")
 
 
 def test_ground_truth_round_trip(tmp_path):
