@@ -4,17 +4,21 @@ The pipeline works directly on event times, never on a rate histogram:
 
 1. project both streams onto a uniform frequency grid with a Hann taper
    and combine them as y_f = p_f(C) - ratio * p_f(A), which cancels the
-   common mode (mean flux and accidental background); the grid values
-   are the event sums themselves, up to a series truncation below 1e-13
-   of sum |w| / t_exp (see ``project_timestamps``),
+   common mode (mean flux and accidental background); one grid transform
+   bins the moments of both streams, combines them and takes one FFT per
+   series term, and its values are the event sums themselves, up to a
+   truncation below 1e-13 of sum |w| / t_exp (see ``_project_grid``),
 2. threshold |y_f| against a constant-false-alarm level computed from
    the event counts themselves,
 3. collapse contiguous above-threshold bins to candidate frequencies and
-   refine each by maximising the untapered projection magnitude,
+   refine each by maximising the untapered projection magnitude, a power
+   series in the frequency offset whose event moments are summed once
+   per candidate (see ``refine_frequency``),
 4. estimate a phase from the combined projection and per-stream signed
    amplitudes at the refined frequency,
 5. rebuild both flux traces, form the normalised probability trace, and
-   invert the fringe for the delay and displacement waveforms.
+   invert the fringe for the delay and displacement waveforms, block by
+   block, so only the delay trace is held at full length.
 
 Projection convention: event times are shifted by -t_exp/2 before
 projecting, so the Hann taper w(t) = cos^2(pi t / t_exp) actually tapers
@@ -59,12 +63,25 @@ def grid_spacing(t_exp: float) -> float:
     return GRID_SPACING_FACTOR / t_exp
 
 
+_MAX_GRID_BINS = 1 << 23
+
+
 def frequency_grid(t_exp: float, f_max: float) -> np.ndarray:
-    """Uniform scan grid 0, df, 2 df, ... covering [0, f_max]."""
-    if not f_max > 0:
-        raise ConfigError("f_max must be positive")
+    """Uniform scan grid 0, df, 2 df, ... covering [0, f_max].
+
+    At most _MAX_GRID_BINS = 2^23 bins (f_max up to about 5e6 / t_exp).
+    A scan holds about 120 bytes per bin of grid, transform and spectrum
+    arrays, so about 1 GiB at the cap; a larger grid raises ConfigError.
+    """
+    if not 0 < f_max < math.inf:
+        raise ConfigError("f_max must be positive and finite")
     df = grid_spacing(t_exp)
-    m = int(math.floor(f_max / df)) + 1
+    m = math.floor(f_max / df) + 1
+    if m > _MAX_GRID_BINS:
+        raise ConfigError(
+            f"f_max = {f_max} Hz needs {m} scan bins at t_exp = {t_exp} s;"
+            f" at most {_MAX_GRID_BINS} are allowed"
+        )
     return np.arange(m) * df
 
 
@@ -77,8 +94,7 @@ def project_timestamps(stream: TimestampStream, frequency, window: str = "hann")
     a binned Taylor transform whose truncation stays below 1e-13 of
     sum |w| / t_exp, the same size as the rounding of the event phases.
     """
-    t = stream.centered_times()
-    w = window_weights(t, stream.t_exp, window)
+    t, w = _weighted_times(stream, window)
     freqs = np.asarray(frequency, dtype=float)
     if freqs.ndim == 0:
         phase = (-2j * math.pi * float(freqs)) * t
@@ -86,7 +102,12 @@ def project_timestamps(stream: TimestampStream, frequency, window: str = "hann")
     df = _uniform_from_zero(freqs)
     if df is None:
         return _project_direct(t, w, stream.t_exp, freqs)
-    return _project_grid(t, w, stream.t_exp, df, freqs.size)
+    return _project_grid([(t, w, 1.0)], stream.t_exp, df, freqs.size)
+
+
+def _weighted_times(stream: TimestampStream, window: str):
+    t = stream.centered_times()
+    return t, window_weights(t, stream.t_exp, window)
 
 
 def _project_direct(
@@ -101,11 +122,11 @@ def _project_direct(
     return (res / t_exp).reshape(freqs.shape)
 
 
-def _project_grid(
-    t: np.ndarray, w: np.ndarray, t_exp: float, df: float, m: int
-) -> np.ndarray:
-    """Exact projections on the grid k * df, k < m, from binned moments.
+def _project_grid(parts, t_exp: float, df: float, m: int) -> np.ndarray:
+    """Exact sum over parts of scale * projection on the grid k * df, k < m.
 
+    ``parts`` is a sequence of (t, w, scale): centred event times, their
+    window weights and the factor the part's projection enters with.
     Every grid phasor has period 1/df, so the events are folded onto n
     bins per period, n the power of two at or above 2m. For an event in
     bin c at offset u in [-1/2, 1/2) bin widths from the bin centre,
@@ -113,30 +134,33 @@ def _project_grid(
         e^(-2j pi k df t) = e^(-2j pi k (c + 1/2) / n) sum_p (z_k u)^p / p!
 
     with z_k = -2j pi k / n. Term p is then the rfft of the per-bin
-    moments sum w u^p. Since |z_k u| <= theta = pi (m - 1) / n <= pi / 2,
-    the series stops at the first p with theta^p / p! < 1e-14 (at most
-    20 terms), which bounds the truncation per event by about 1e-14 |w|.
+    moments sum scale * w u^p, binned over all parts before the one rfft,
+    so two streams with equal bins and scales +1, -1 cancel to exactly 0.
+    Since |z_k u| <= theta = pi (m - 1) / n <= pi / 2, the series stops
+    at the first p with theta^p / p! < 1e-14 (at most 20 terms), which
+    bounds the truncation per event by about 1e-14 |w|.
     """
     n = 1 << (2 * m - 1).bit_length()
-    x = t * (df * n)
-    cell = np.floor(x)
-    u = x - cell - 0.5
-    bins = cell.astype(np.int64) % n
-    # Sorted events fill each bin in one run (two or more if the exposure
-    # spans several periods); bincount adds runs that share a bin.
-    starts = np.flatnonzero(np.diff(bins, prepend=-1))
-    occupied = bins[starts]
+    folded = []  # (bins, u, w u^p, scale) per part
+    for t, w, scale in parts:
+        x = t * (df * n)
+        cell = np.floor(x)
+        x -= cell
+        x -= 0.5
+        folded.append((cell.astype(np.int64) % n, x, np.array(w, dtype=float), scale))
     z = (-2j * math.pi / n) * np.arange(m)
     theta = math.pi * (m - 1) / n
     out = np.zeros(m, dtype=complex)
     coef = np.ones(m, dtype=complex)  # z^p / p!
-    moment = np.array(w, dtype=float)  # w u^p
     p, bound = 0, 1.0  # bound = theta^p / p!
     while bound >= 1e-14:
         if p:
             coef *= z / p
-            moment *= u
-        binned = np.bincount(occupied, np.add.reduceat(moment, starts), minlength=n)
+        binned = np.zeros(n)
+        for bins, u, moment, scale in folded:
+            if p:
+                moment *= u
+            binned += scale * np.bincount(bins, moment, minlength=n)
         out += coef * np.fft.rfft(binned)[:m]
         p += 1
         bound *= theta / p
@@ -169,13 +193,22 @@ def combined_spectrum(
     frequencies: np.ndarray,
     window: str = "hann",
 ) -> np.ndarray:
-    """Common-mode-cancelling spectrum y_f = p_f(C) - ratio * p_f(A)."""
+    """Common-mode-cancelling spectrum y_f = p_f(C) - ratio * p_f(A).
+
+    On a uniform grid from 0 both streams go through one grid transform,
+    their binned moments combined before each FFT.
+    """
     if not ratio > 0:
         raise ConfigError("ratio must be positive")
     _check_compatible(stream_c, stream_a)
-    pc = project_timestamps(stream_c, frequencies, window)
-    pa = project_timestamps(stream_a, frequencies, window)
-    return pc - ratio * pa
+    freqs = np.asarray(frequencies, dtype=float)
+    df = _uniform_from_zero(freqs)
+    if df is None:
+        pc = project_timestamps(stream_c, freqs, window)
+        pa = project_timestamps(stream_a, freqs, window)
+        return pc - ratio * pa
+    parts = [(*_weighted_times(stream_c, window), 1.0), (*_weighted_times(stream_a, window), -ratio)]
+    return _project_grid(parts, stream_c.t_exp, df, freqs.size)
 
 
 def detection_threshold(
@@ -314,6 +347,54 @@ class RefinedFrequency:
     converged: bool
 
 
+def _offset_series(
+    stream_c: TimestampStream,
+    stream_a: TimestampStream,
+    ratio: float,
+    f_seed: float,
+    delta_f: float,
+):
+    """y(f) = sum_C e^(-2j pi f t) - ratio * sum_A (...) for |f - f_seed| <= delta_f.
+
+    A power series in f - f_seed whose coefficients, the moments
+    M_p = sum_C e^(-2j pi f_seed t) (t/h)^p - ratio * sum_A (...) with
+    h = t_exp / 2, are summed over the events once. With |t| <= h, term p
+    is bounded by (2 pi delta_f h)^p / p! per event; the series stops
+    once that falls below 1e-16 (23 terms at delta_f = 0.6 / t_exp, 29 at
+    1 / t_exp), so y(f) is the event sum to rounding.
+    """
+    h = stream_c.t_exp / 2.0
+    x = 2.0 * math.pi * delta_f * h
+    n_terms, bound = 0, 1.0  # bound = x^p / p! at p = n_terms, the first term left out
+    while bound >= 1e-16:
+        n_terms += 1
+        bound *= x / n_terms
+    moments = np.zeros(n_terms, dtype=complex)
+    for stream, scale in ((stream_c, 1.0), (stream_a, -ratio)):
+        t = stream.centered_times()
+        phasor = np.exp((-2j * math.pi * f_seed) * t)
+        # Real (N, 2) view, so each moment is one matrix-vector product.
+        re_im = phasor.view(float).reshape(-1, 2)
+        s = t / h
+        power = np.ones_like(s)
+        for p in range(n_terms):
+            if p:
+                power *= s
+            re, im = power @ re_im
+            moments[p] += scale * complex(re, im)
+    coefs = moments / np.array([math.factorial(p) for p in range(n_terms)], dtype=float)
+    poly = coefs[::-1].tolist()  # Horner order, highest power first
+
+    def y(f: float) -> complex:
+        z = (-2j * math.pi * h) * (f - f_seed)
+        acc = 0j
+        for c in poly:
+            acc = acc * z + c
+        return acc
+
+    return y
+
+
 def refine_frequency(
     stream_c: TimestampStream,
     stream_a: TimestampStream,
@@ -322,27 +403,31 @@ def refine_frequency(
     delta_f: float | None = None,
     maxiter: int = 100,
 ) -> RefinedFrequency:
-    """Maximise the untapered |y_f| within one grid step of the seed.
+    """Maximise the untapered |y_f| within delta_f of the seed.
 
     Uses bounded derivative-free scalar minimisation of -|y_f| with
-    absolute tolerance 1e-4 of the grid spacing. A seed at or below one
-    grid step from DC cannot be bracketed and raises AnalysisError; an
-    optimiser that fails to converge inside ``maxiter`` returns the seed
-    frequency flagged as unconverged.
+    absolute tolerance 1e-4 of delta_f, which defaults to one grid step
+    and may not exceed 1/t_exp (ConfigError). A seed at or below delta_f
+    from DC cannot be bracketed and raises AnalysisError; an optimiser
+    that fails to converge inside ``maxiter`` returns the seed frequency
+    flagged as unconverged.
+
+    The objective is evaluated through ``_offset_series``, so each
+    optimiser step costs a short polynomial, not a pass over the events;
+    the 1/t_exp bound on delta_f keeps that series at 29 terms or fewer.
     """
     t_exp = stream_c.t_exp
     if delta_f is None:
         delta_f = grid_spacing(t_exp)
+    if delta_f > 1.0 / t_exp:
+        raise ConfigError(f"refinement bracket {delta_f} Hz exceeds 1/t_exp = {1.0 / t_exp} Hz")
     if f_seed <= delta_f:
         raise AnalysisError(f"seed {f_seed} Hz is within one grid step of DC")
     _check_compatible(stream_c, stream_a)
-    tc = stream_c.centered_times()
-    ta = stream_a.centered_times()
+    y = _offset_series(stream_c, stream_a, ratio, f_seed, delta_f)
 
     def neg_magnitude(f: float) -> float:
-        yc = np.exp((-2j * math.pi * f) * tc).sum()
-        ya = np.exp((-2j * math.pi * f) * ta).sum()
-        return -abs(yc - ratio * ya) / t_exp
+        return -abs(y(f)) / t_exp
 
     res = minimize_scalar(
         neg_magnitude,
@@ -474,28 +559,6 @@ class ReconstructedSignal:
         return doc
 
 
-def _flux_traces(
-    components: tuple[ComponentEstimate, ...],
-    a0_c: float,
-    a0_a: float,
-    t_exp: float,
-    points_per_period: int,
-):
-    f_top = max(c.f_hat for c in components)
-    n = _trace_samples(f_top, t_exp, points_per_period)
-    t_centered = np.linspace(0.0, t_exp, n, endpoint=False) - t_exp / 2.0
-    phi_c = np.full(n, a0_c)
-    phi_a = np.full(n, a0_a)
-    for c in components:
-        osc = np.cos(2.0 * math.pi * c.f_hat * t_centered + c.theta_hat)
-        phi_c += c.a_hat_c * osc
-        phi_a += c.a_hat_a * osc
-    clamped = int(np.count_nonzero(phi_c < 0)) + int(np.count_nonzero(phi_a < 0))
-    np.clip(phi_c, 0.0, None, out=phi_c)
-    np.clip(phi_a, 0.0, None, out=phi_a)
-    return phi_c, phi_a, clamped / (2.0 * n), t_exp / n
-
-
 def _common_checks(components, ratio: float, v0: float) -> tuple[ComponentEstimate, ...]:
     components = tuple(components)
     if not components:
@@ -507,11 +570,87 @@ def _common_checks(components, ratio: float, v0: float) -> tuple[ComponentEstima
     return components
 
 
-def _probability_trace(phi_c, phi_a, ratio):
-    denom = phi_c + ratio * phi_a
-    if np.any(denom == 0.0):
-        raise AnalysisError("reconstructed fluxes vanish somewhere; probability undefined")
-    return phi_c / denom
+_TRACE_BLOCK = 1 << 16  # samples evaluated per pass of the blocked trace
+
+
+def _reconstruct(
+    mode: str,
+    stream_c: TimestampStream,
+    stream_a: TimestampStream,
+    ratio: float,
+    v0: float,
+    polarity: float,
+    phase_offset: float,
+    omega: float,
+    geometry: GeometryFactor,
+    components,
+    points_per_period: int,
+) -> ReconstructedSignal:
+    """Invert the fringe P = (1 + polarity v0 cos(omega tau + phase_offset)) / 2.
+
+    Rebuilds the two flux traces from the components, clips them at zero,
+    forms P_hat = phi_c / (phi_c + ratio phi_a) and inverts the fringe,
+    clipping the inverse-cosine argument into [-1, 1]. The samples are
+    evaluated in blocks of _TRACE_BLOCK, so only the delay trace itself is
+    held at full length.
+    """
+    components = _common_checks(components, ratio, v0)
+    _check_compatible(stream_c, stream_a)
+    t_exp = stream_c.t_exp
+    a0_c = len(stream_c) / t_exp
+    a0_a = len(stream_a) / t_exp
+    if a0_c + a0_a == 0:
+        raise AnalysisError("both streams empty, nothing to reconstruct")
+    n = _trace_samples(max(c.f_hat for c in components), t_exp, points_per_period)
+    dt = t_exp / n
+    slope = polarity * v0
+    tau = np.empty(n)
+    flux_clamped = arccos_clamped = 0
+    for start in range(0, n, _TRACE_BLOCK):
+        stop = min(start + _TRACE_BLOCK, n)
+        # The same values as linspace(0, t_exp, n, endpoint=False) - t_exp / 2.
+        t = np.arange(start, stop, dtype=float)
+        t *= dt
+        t -= t_exp / 2.0
+        phi_c = np.full(t.size, a0_c)
+        phi_a = np.full(t.size, a0_a)
+        for c in components:
+            osc = np.cos(2.0 * math.pi * c.f_hat * t + c.theta_hat)
+            phi_c += c.a_hat_c * osc
+            phi_a += c.a_hat_a * osc
+        flux_clamped += int(np.count_nonzero(phi_c < 0)) + int(np.count_nonzero(phi_a < 0))
+        np.clip(phi_c, 0.0, None, out=phi_c)
+        np.clip(phi_a, 0.0, None, out=phi_a)
+        denom = phi_c + ratio * phi_a
+        if np.any(denom == 0.0):
+            raise AnalysisError("reconstructed fluxes vanish somewhere; probability undefined")
+        u = (2.0 * (phi_c / denom) - 1.0) / slope
+        arccos_clamped += int(np.count_nonzero(np.abs(u) > 1.0))
+        np.clip(u, -1.0, 1.0, out=u)
+        block = np.arccos(u, out=tau[start:stop])
+        block -= phase_offset
+        block /= omega
+    # displacement_trace() is SPEED_OF_LIGHT * (tau - mean) / g; each rounded
+    # step is non-decreasing in tau (g > 0), so its max - min comes from
+    # tau's extremes bit for bit.
+    mean = tau.mean()
+    x_max = SPEED_OF_LIGHT * (tau.max() - mean) / geometry.g
+    x_min = SPEED_OF_LIGHT * (tau.min() - mean) / geometry.g
+    return ReconstructedSignal(
+        mode=mode,
+        components=components,
+        a0_c=a0_c,
+        a0_a=a0_a,
+        ratio=ratio,
+        v0=v0,
+        geometry_g=geometry.g,
+        t_exp=t_exp,
+        tau_trace=tau,
+        trace_dt=dt,
+        displacement_pp=float(x_max - x_min),
+        flux_clamp_fraction=flux_clamped / (2.0 * n),
+        arccos_clamp_fraction=arccos_clamped / n,
+    )
 
 
 def reconstruct(
@@ -529,38 +668,13 @@ def reconstruct(
     tau_hat(t) = arccos((1 - 2 P_hat(t)) / v0) / delta_omega, with the
     inverse-cosine argument clipped into [-1, 1] and the clipping rate
     reported. The Gaussian fringe envelope is ignored here; at operating
-    delays near quadrature it rescales the fringe by under 1e-3.
+    delays near quadrature it rescales the fringe by under 1e-3. The
+    trace is evaluated in blocks of 64k samples, so memory beyond the
+    delay trace itself stays fixed however many samples it has.
     """
-    components = _common_checks(components, ratio, v0)
-    _check_compatible(stream_c, stream_a)
-    t_exp = stream_c.t_exp
-    a0_c = len(stream_c) / t_exp
-    a0_a = len(stream_a) / t_exp
-    if a0_c + a0_a == 0:
-        raise AnalysisError("both streams empty, nothing to reconstruct")
-    phi_c, phi_a, flux_clamped, dt = _flux_traces(
-        components, a0_c, a0_a, t_exp, points_per_period
-    )
-    p_hat = _probability_trace(phi_c, phi_a, ratio)
-    u = (1.0 - 2.0 * p_hat) / v0
-    n_clip = int(np.count_nonzero(np.abs(u) > 1.0))
-    np.clip(u, -1.0, 1.0, out=u)
-    tau = np.arccos(u) / pair.delta_omega
-    x = SPEED_OF_LIGHT * (tau - tau.mean()) / geometry.g
-    return ReconstructedSignal(
-        mode="quantum",
-        components=components,
-        a0_c=a0_c,
-        a0_a=a0_a,
-        ratio=ratio,
-        v0=v0,
-        geometry_g=geometry.g,
-        t_exp=t_exp,
-        tau_trace=tau,
-        trace_dt=dt,
-        displacement_pp=float(x.max() - x.min()),
-        flux_clamp_fraction=flux_clamped,
-        arccos_clamp_fraction=n_clip / u.size,
+    return _reconstruct(
+        "quantum", stream_c, stream_a, ratio, v0, -1.0, 0.0, pair.delta_omega,
+        geometry, components, points_per_period,
     )
 
 
@@ -575,41 +689,16 @@ def classical_reconstruct(
 ) -> ReconstructedSignal:
     """Invert the classical fringe using a reference fringe model.
 
-    The reference carries the visibility and phase offset assumed by the
-    analyst (typically those of the clean instrument); if the channel
-    has drifted from the reference, the inversion inherits the mismatch.
+    tau_hat(t) = (arccos((2 P_hat(t) - 1) / v_ref) - phase_offset) / omega,
+    evaluated in blocks as in ``reconstruct``. The reference carries the
+    visibility and phase offset assumed by the analyst (typically those
+    of the clean instrument); if the channel has drifted from the
+    reference, the inversion inherits the mismatch.
     """
-    v_ref = fringe_ref.visibility
-    components = _common_checks(components, ratio, v_ref)
-    _check_compatible(stream_1, stream_2)
-    t_exp = stream_1.t_exp
-    a0_1 = len(stream_1) / t_exp
-    a0_2 = len(stream_2) / t_exp
-    if a0_1 + a0_2 == 0:
-        raise AnalysisError("both streams empty, nothing to reconstruct")
-    phi_1, phi_2, flux_clamped, dt = _flux_traces(
-        components, a0_1, a0_2, t_exp, points_per_period
-    )
-    p_hat = _probability_trace(phi_1, phi_2, ratio)
-    u = (2.0 * p_hat - 1.0) / v_ref
-    n_clip = int(np.count_nonzero(np.abs(u) > 1.0))
-    np.clip(u, -1.0, 1.0, out=u)
-    tau = (np.arccos(u) - fringe_ref.phase_offset) / fringe_ref.omega_optical
-    x = SPEED_OF_LIGHT * (tau - tau.mean()) / geometry.g
-    return ReconstructedSignal(
-        mode="classical",
-        components=components,
-        a0_c=a0_1,
-        a0_a=a0_2,
-        ratio=ratio,
-        v0=v_ref,
-        geometry_g=geometry.g,
-        t_exp=t_exp,
-        tau_trace=tau,
-        trace_dt=dt,
-        displacement_pp=float(x.max() - x.min()),
-        flux_clamp_fraction=flux_clamped,
-        arccos_clamp_fraction=n_clip / u.size,
+    return _reconstruct(
+        "classical", stream_1, stream_2, ratio, fringe_ref.visibility, 1.0,
+        fringe_ref.phase_offset, fringe_ref.omega_optical, geometry, components,
+        points_per_period,
     )
 
 
@@ -627,6 +716,8 @@ class AnalysisOptions:
     def __post_init__(self) -> None:
         if self.window not in _WINDOWS:
             raise ConfigError(f"unknown window {self.window!r}")
+        if not self.points_per_period >= 1:
+            raise ConfigError(f"points_per_period must be >= 1, got {self.points_per_period}")
 
 
 @dataclass(frozen=True)

@@ -309,6 +309,32 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_rejects_unbounded_scan_grid(tmp_path, capsys):
+    # 1e12 Hz over a 1 s exposure is 1.7e12 bins: refused before any allocation.
+    run = tmp_path / "run"
+    assert main(["simulate", "-c", str(write_tone_config(tmp_path)), "--out", str(run)]) == 0
+    huge = tmp_path / "huge.ini"
+    huge.write_text(INI_TEXT.replace("f_max = 200 Hz", "f_max = 1e12 Hz"))
+    streams = [str(run / "coincidence.txt"), str(run / "anticoincidence.txt")]
+    capsys.readouterr()
+    assert main(["estimate", *streams, "-c", str(huge)]) == 2
+    err = capsys.readouterr().err
+    assert "1666666666667 scan bins" in err
+    assert "Traceback" not in err
+
+
+def test_cli_rejects_nonpositive_points_per_period(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["simulate", "-c", str(write_tone_config(tmp_path)), "--out", str(run)]) == 0
+    streams = [str(run / "coincidence.txt"), str(run / "anticoincidence.txt")]
+    for value in ("0", "-3"):
+        cfg = tmp_path / f"ppp{value}.ini"
+        cfg.write_text(INI_TEXT + f"points_per_period = {value}\n")
+        capsys.readouterr()
+        assert main(["estimate", *streams, "-c", str(cfg)]) == 2
+        assert "points_per_period" in capsys.readouterr().err
+
+
 def test_cli_trials_writes_records(tmp_path, capsys):
     cfg = write_tone_config(tmp_path)
     out = tmp_path / "trials.json"

@@ -26,7 +26,10 @@ from qvibe.estimate import (
     ComponentEstimate,
     SpectrumEstimate,
     _estimate_components,
+    _TRACE_BLOCK,
     _group_detections,
+    _offset_series,
+    _project_direct,
     _uniform_from_zero,
     calibrate_ratio,
     classical_pipeline,
@@ -183,6 +186,39 @@ def test_uniform_grid_projection_matches_explicit_matrix():
             assert err <= 1e-9, (name, window, err)
 
 
+def test_combined_grid_path_matches_per_stream_and_direct_sums():
+    # One transform over both streams against two single-stream transforms
+    # and against the explicit event sum, in units of the combined noise
+    # scale sqrt(sum w_C^2 + r^2 sum w_A^2) / t_exp. Against the explicit
+    # sum the bound also admits the rounding of the event phases, about
+    # eps * |2 pi f t| each, which both sums carry (4e-12 rad at m = 10001).
+    rng = np.random.default_rng(31)
+    t_exp = 1.0
+    sc = stream_from_times(rng.uniform(0, t_exp, 5000), t_exp)
+    sa = stream_from_times(rng.uniform(0, t_exp, 4000), t_exp, "anticoincidence")
+    tc, ta = sc.centered_times(), sa.centered_times()
+    for f_max in (2.0, 200.0, 6000.0):  # m = 4, 334, 10001
+        grid = frequency_grid(t_exp, f_max)
+        assert _uniform_from_zero(grid) is not None
+        idx = np.unique(np.linspace(0, grid.size - 1, min(grid.size, 48)).round().astype(int))
+        for window in ("hann", "rectangular"):
+            wc = np.cos(math.pi * tc / t_exp) ** 2 if window == "hann" else np.ones_like(tc)
+            wa = np.cos(math.pi * ta / t_exp) ** 2 if window == "hann" else np.ones_like(ta)
+            for ratio in (1.0, 1.7):
+                got = combined_spectrum(sc, sa, ratio, grid, window)
+                noise = math.sqrt(float(np.sum(wc * wc) + ratio**2 * np.sum(wa * wa))) / t_exp
+                split = project_timestamps(sc, grid, window) - ratio * project_timestamps(
+                    sa, grid, window
+                )
+                direct = _project_direct(tc, wc, t_exp, grid[idx]) - ratio * _project_direct(
+                    ta, wa, t_exp, grid[idx]
+                )
+                phase_rounding = 2.0 * np.finfo(float).eps * math.pi * f_max * t_exp
+                key = (grid.size, window, ratio)
+                assert np.max(np.abs(got - split)) <= 1e-12 * noise, key
+                assert np.max(np.abs(got[idx] - direct)) <= (1e-12 + phase_rounding) * noise, key
+
+
 def test_identical_streams_cancel_exactly():
     rng = np.random.default_rng(55)
     t_exp = 1.0
@@ -307,6 +343,31 @@ def test_refine_frequency_against_golden_section_oracle():
     oracle = golden_section_max(magnitude, 10.2 - df, 10.2 + df)
     assert abs(got.f_hat - oracle) < 1e-3
     assert abs(got.f_hat - f_true) < 1e-3
+
+
+def test_refine_series_matches_direct_event_sum():
+    t_exp = 1.0
+    f_seed = 10.2
+    sc = modulated_stream(20_000, 10.25, 0.5, 0.7, t_exp)
+    sa = modulated_stream(15_000, 10.25, 0.5, 0.7 + math.pi, t_exp, "anticoincidence")
+    tc, ta = sc.centered_times(), sa.centered_times()
+    for delta_f in (grid_spacing(t_exp), 1.0 / t_exp):
+        for ratio in (1.0, 1.7):
+            y = _offset_series(sc, sa, ratio, f_seed, delta_f)
+            for f in np.linspace(f_seed - delta_f, f_seed + delta_f, 21):
+                direct = np.exp((-2j * math.pi * f) * tc).sum() - ratio * np.exp(
+                    (-2j * math.pi * f) * ta
+                ).sum()
+                assert abs(y(f) - direct) <= 1e-12 * abs(direct), (delta_f, ratio, f)
+
+
+def test_refine_rejects_bracket_wider_than_inverse_exposure():
+    t_exp = 2.0
+    sc = modulated_stream(2_000, 10.25, 0.5, 0.0, t_exp)
+    sa = modulated_stream(2_000, 10.25, 0.5, math.pi, t_exp, "anticoincidence")
+    assert refine_frequency(sc, sa, 1.0, 10.2, 1.0 / t_exp).converged
+    with pytest.raises(ConfigError, match="bracket"):
+        refine_frequency(sc, sa, 1.0, 10.2, 1.01 / t_exp)
 
 
 def test_refine_rejects_seed_next_to_dc():
@@ -440,6 +501,72 @@ def test_reconstruction_validation():
     empty_a = TimestampStream("anticoincidence", np.array([], dtype=np.int64), TICK, 1.0)
     with pytest.raises(AnalysisError):
         reconstruct(empty_c, empty_a, 1.0, 1.0, PAIR, GeometryFactor(2), [comp])
+
+
+def _unblocked_reference(mode, sc, sa, ratio, contrast, fringe, g, comps, ppp):
+    """The whole-trace reconstruction, one array per stage, for comparison."""
+    t_exp = sc.t_exp
+    a0_c, a0_a = len(sc) / t_exp, len(sa) / t_exp
+    n = max(1000, math.ceil(ppp * max(c.f_hat for c in comps) * t_exp))
+    t = np.linspace(0.0, t_exp, n, endpoint=False) - t_exp / 2.0
+    phi_c, phi_a = np.full(n, a0_c), np.full(n, a0_a)
+    for c in comps:
+        osc = np.cos(2.0 * math.pi * c.f_hat * t + c.theta_hat)
+        phi_c += c.a_hat_c * osc
+        phi_a += c.a_hat_a * osc
+    flux = (np.count_nonzero(phi_c < 0) + np.count_nonzero(phi_a < 0)) / (2.0 * n)
+    np.clip(phi_c, 0.0, None, out=phi_c)
+    np.clip(phi_a, 0.0, None, out=phi_a)
+    p_hat = phi_c / (phi_c + ratio * phi_a)
+    if mode == "quantum":
+        u = (1.0 - 2.0 * p_hat) / contrast
+    else:
+        u = (2.0 * p_hat - 1.0) / contrast
+    arccos = np.count_nonzero(np.abs(u) > 1.0) / n
+    np.clip(u, -1.0, 1.0, out=u)
+    if mode == "quantum":
+        tau = np.arccos(u) / fringe.delta_omega
+    else:
+        tau = (np.arccos(u) - fringe.phase_offset) / fringe.omega_optical
+    x = SPEED_OF_LIGHT * (tau - tau.mean()) / g
+    return tau, flux, arccos, float(x.max() - x.min())
+
+
+def test_blocked_reconstruction_is_bitwise_the_unblocked_trace():
+    t_exp = 1.0
+    sc, sa = constant_pair_of_streams(10_000, t_exp)
+    a0 = 10_000 / t_exp
+    # Overdriven, so both the flux and the arccos clamps fire; the top
+    # component sits at 1 Hz, so the trace holds points_per_period samples.
+    comps = (
+        ComponentEstimate(f_hat=1.0, theta_hat=0.3, a_hat_c=1.1 * a0, a_hat_a=-0.9 * a0),
+        ComponentEstimate(f_hat=0.37, theta_hat=-1.2, a_hat_c=0.4 * a0, a_hat_a=-0.5 * a0),
+    )
+    fringe = ClassicalFringeSpec(omega_optical=2 * math.pi * SPEED_OF_LIGHT / 1550e-9,
+                                 phase_offset=-math.pi / 2.0, arm_intensity_ratio=0.25)
+    lengths = (1000, _TRACE_BLOCK, _TRACE_BLOCK + 1, 7 * _TRACE_BLOCK // 2)
+    for n in lengths:
+        for ratio in (1.0, 1.7):
+            for g in (1, 2):
+                runs = (
+                    ("quantum", 0.8, PAIR,
+                     reconstruct(sc, sa, ratio, 0.8, PAIR, GeometryFactor(g), comps, n)),
+                    ("classical", fringe.visibility, fringe,
+                     classical_reconstruct(sc, sa, ratio, fringe, GeometryFactor(g), comps, n)),
+                )
+                for mode, contrast, spec, rec in runs:
+                    tau, flux, arccos, pp = _unblocked_reference(
+                        mode, sc, sa, ratio, contrast, spec, g, comps, n
+                    )
+                    key = (n, ratio, g, mode)
+                    assert tau.size == n, key
+                    assert rec.tau_trace.tobytes() == tau.tobytes(), key
+                    assert rec.trace_dt == t_exp / n, key
+                    assert 0.0 < rec.flux_clamp_fraction == flux, key
+                    assert 0.0 < rec.arccos_clamp_fraction == arccos, key
+                    assert rec.displacement_pp == pp, key
+                    trace = rec.displacement_trace()
+                    assert float(trace.max() - trace.min()) == rec.displacement_pp, key
 
 
 def test_classical_reconstruction_closed_form_single_tone():
@@ -613,3 +740,7 @@ def test_component_dedup_keeps_the_stronger_refinement():
 def test_analysis_options_validation():
     with pytest.raises(ConfigError):
         AnalysisOptions(window="boxcar")
+    for bad in (0, -1, -100):
+        with pytest.raises(ConfigError, match="points_per_period"):
+            AnalysisOptions(points_per_period=bad)
+    assert AnalysisOptions(points_per_period=1).points_per_period == 1
