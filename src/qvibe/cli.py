@@ -66,9 +66,10 @@ def _require_mode(mode: str) -> str:
 
 
 def _seed_of(args, cfg: Config, default: int = 0) -> int:
-    if args.seed is not None:
-        return args.seed
-    return cfg.get("run", "seed", default)
+    seed = args.seed if args.seed is not None else cfg.get("run", "seed", default)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _outdir(args) -> Path:

@@ -183,17 +183,21 @@ def parse_quantity(text: str, kind: str, where: str):
     if kind in ("bare", "int"):
         if unit:
             raise ConfigError(f"{where}: dimensionless value must not carry a unit, got {unit!r}")
-        if kind == "int":
-            if num != int(num):
-                raise ConfigError(f"{where}: expected an integer, got {text!r}")
-            return int(num)
-        return num
-    table = _UNIT_TABLES[kind]
-    if unit not in table:
-        raise ConfigError(
-            f"{where}: {kind} value needs a unit in {sorted(table)}, got {text!r}"
-        )
-    return num * table[unit]
+        value = num
+    else:
+        table = _UNIT_TABLES[kind]
+        if unit not in table:
+            raise ConfigError(
+                f"{where}: {kind} value needs a unit in {sorted(table)}, got {text!r}"
+            )
+        value = num * table[unit]
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: {text!r} is not a finite number")
+    if kind == "int":
+        if value != int(value):
+            raise ConfigError(f"{where}: expected an integer, got {text!r}")
+        return int(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -251,7 +255,7 @@ def _parse_ini(text: str, source: str) -> dict[str, dict[str, str]]:
 def _parse_json(text: str, source: str) -> dict[str, dict[str, str]]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise ConfigError(f"{source}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: top level must be an object")

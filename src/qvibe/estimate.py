@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import (
     ClassicalFringeSpec,
@@ -395,6 +394,88 @@ def _offset_series(
     return y
 
 
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _bounded_brent(func, a: float, b: float, xatol: float, maxiter: int) -> tuple[float, bool]:
+    """Minimise func on [a, b] by Brent's bounded golden-section/parabolic search.
+
+    Brent (1973), in the ``fmin`` form of Forsythe, Malcolm & Moler (1977):
+    a golden-mean start, parabolic steps where the parabola is acceptable
+    and golden steps otherwise, stopping once |x - m| <= 2 tol1 - (b - a)/2
+    with m the bracket midpoint and tol1 = sqrt(2.2e-16) |x| + xatol/3.
+    ``maxiter`` counts function evaluations. Returns ``(x, converged)``;
+    running out of evaluations, or a NaN in x or in a function value, is
+    not converged. The tests hold it bit for bit to the widely used
+    library version of the same routine.
+    """
+    fulc = nfc = xf = a + _GOLDEN_MEAN * (b - a)
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    converged = True
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN_MEAN * e
+        step = max(abs(rat), tol1)  # at least tol1, in the direction of rat (+ at 0)
+        x = xf + step if rat >= 0.0 else xf - step
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            converged = False
+            break
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        converged = False
+    return xf, converged
+
+
 def refine_frequency(
     stream_c: TimestampStream,
     stream_a: TimestampStream,
@@ -405,12 +486,13 @@ def refine_frequency(
 ) -> RefinedFrequency:
     """Maximise the untapered |y_f| within delta_f of the seed.
 
-    Uses bounded derivative-free scalar minimisation of -|y_f| with
-    absolute tolerance 1e-4 of delta_f, which defaults to one grid step
-    and may not exceed 1/t_exp (ConfigError). A seed at or below delta_f
-    from DC cannot be bracketed and raises AnalysisError; an optimiser
-    that fails to converge inside ``maxiter`` returns the seed frequency
-    flagged as unconverged.
+    Minimises -|y_f| with the in-module bounded Brent search
+    (``_bounded_brent``) at absolute tolerance 1e-4 of delta_f, which
+    defaults to one grid step and may not exceed 1/t_exp (ConfigError).
+    A seed at or below delta_f from DC cannot be bracketed and raises
+    AnalysisError; a search that does not converge inside ``maxiter``
+    function evaluations returns the seed frequency flagged as
+    unconverged.
 
     The objective is evaluated through ``_offset_series``, so each
     optimiser step costs a short polynomial, not a pass over the events;
@@ -429,15 +511,12 @@ def refine_frequency(
     def neg_magnitude(f: float) -> float:
         return -abs(y(f)) / t_exp
 
-    res = minimize_scalar(
-        neg_magnitude,
-        bounds=(f_seed - delta_f, f_seed + delta_f),
-        method="bounded",
-        options={"xatol": 1e-4 * delta_f, "maxiter": maxiter},
+    f_hat, converged = _bounded_brent(
+        neg_magnitude, f_seed - delta_f, f_seed + delta_f, 1e-4 * delta_f, maxiter
     )
-    if not res.success:
+    if not converged:
         return RefinedFrequency(f_hat=float(f_seed), converged=False)
-    return RefinedFrequency(f_hat=float(res.x), converged=True)
+    return RefinedFrequency(f_hat=float(f_hat), converged=True)
 
 
 def estimate_phase(

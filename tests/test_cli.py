@@ -1,14 +1,20 @@
 """Configuration parsing and command-line behavior tests.
 
 CLI tests drive main() in-process so exit codes and stdout can be
-asserted without spawning interpreters.
+asserted without spawning interpreters; only the import check, which
+needs a fresh interpreter, runs one.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qvibe
 from qvibe.cli import main
 from qvibe.config import (
     Config,
@@ -68,6 +74,23 @@ def test_parse_quantity_rejections():
     for text, kind in cases:
         with pytest.raises(ConfigError):
             parse_quantity(text, kind, "x")
+
+
+def test_parse_quantity_rejects_non_finite_numbers():
+    # 1e999 parses to inf, and 1e308 THz scales to inf: refused by key name,
+    # never passed on as inf (int(inf) would raise OverflowError).
+    cases = [
+        ("1e999", "int"),
+        ("-1e999", "bare"),
+        ("1e999 s", "time"),
+        ("1e308 THz", "frequency"),
+        ("0.5|1e999", "bare_list"),
+        ("1e999 Hz | 20 nm", "component"),
+        ("-1e400 fs", "time_or_quadrature"),
+    ]
+    for text, kind in cases:
+        with pytest.raises(ConfigError, match=r"\[run\] seed: .* is not a finite number"):
+            parse_quantity(text, kind, "[run] seed")
 
 
 # ----- INI / JSON parsing -----
@@ -153,6 +176,12 @@ def test_json_config_rejections():
     # JSON; a bare number is ambiguous and is refused.
     with pytest.raises(ConfigError):
         parse_config(json.dumps({"pair.detuning": 177e12})).get("pair", "detuning")
+    # Integers too long for int() and nesting deeper than the decoder's
+    # recursion limit are invalid JSON, not tracebacks.
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        parse_config('{"run.seed": ' + "1" * 5000 + "}")
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        parse_config('{"run.seed": ' + "[" * 100_000 + "}")
 
 
 # ----- builders -----
@@ -344,6 +373,36 @@ def test_cli_trials_writes_records(tmp_path, capsys):
     assert len(records) == 2
     for rec in records:
         assert isinstance(rec["unrefined"], int) and rec["unrefined"] >= 0
+
+
+def test_cli_rejects_negative_and_non_finite_seeds(tmp_path, capsys):
+    cfg = write_tone_config(tmp_path)
+    assert main(["simulate", "-c", str(cfg), "--out", str(tmp_path / "a"), "--seed", "-3"]) == 2
+    assert "seed must be non-negative, got -3" in capsys.readouterr().err
+    negative = write_tone_config(tmp_path, seed=-1)
+    assert main(["trials", "-c", str(negative), "--trials", "2"]) == 2
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    infinite = write_tone_config(tmp_path, seed="1e999")
+    assert main(["simulate", "-c", str(infinite), "--out", str(tmp_path / "b")]) == 2
+    err = capsys.readouterr().err
+    assert "[run] seed" in err and "not a finite number" in err
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+def test_import_loads_numpy_but_not_scipy():
+    # numpy is the only runtime dependency: importing the package and its
+    # CLI in a fresh interpreter must not pull in scipy.
+    src = str(Path(qvibe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, qvibe, qvibe.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+        "print('numpy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    ).stdout.split("\n")
+    assert out[:2] == ["[]", "True"]
 
 
 def test_cli_qcrb_reports_ratio(capsys):

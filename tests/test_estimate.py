@@ -27,6 +27,7 @@ from qvibe.estimate import (
     SpectrumEstimate,
     _estimate_components,
     _TRACE_BLOCK,
+    _bounded_brent,
     _group_detections,
     _offset_series,
     _project_direct,
@@ -343,6 +344,45 @@ def test_refine_frequency_against_golden_section_oracle():
     oracle = golden_section_max(magnitude, 10.2 - df, 10.2 + df)
     assert abs(got.f_hat - oracle) < 1e-3
     assert abs(got.f_hat - f_true) < 1e-3
+
+
+def test_bounded_brent_matches_library_bounded_minimiser():
+    # The in-module search must take the library routine's steps exactly:
+    # same x to the bit and same success flag, including when it runs out
+    # of evaluations and when the objective returns NaN.
+    from scipy.optimize import minimize_scalar
+
+    shapes = {
+        "parabola": lambda c: lambda x: (x - c) ** 2,
+        "cosine": lambda c: lambda x: -math.cos(3.0 * (x - c)),
+        "flat": lambda c: lambda x: 1.0,
+        "kink": lambda c: lambda x: abs(x - c),
+        "quartic": lambda c: lambda x: (x - c) ** 4,
+        "step": lambda c: lambda x: 0.0 if x < c else 1.0,
+        "nan_right": lambda c: lambda x: math.nan if x > c else (x - c) ** 2,
+        "all_nan": lambda c: lambda x: math.nan,
+    }
+    rng = np.random.default_rng(4)
+    nan_runs = 0
+    for name, make in shapes.items():
+        for width in (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0):
+            for maxiter in (2, 5, 100):
+                for _ in range(4):
+                    a = float(rng.uniform(-1e3, 1e3))
+                    b = a + width
+                    fun = make(float(rng.uniform(a - 0.2 * width, b + 0.2 * width)))
+                    xatol = width * 10.0 ** float(rng.uniform(-6, 0))
+                    with np.errstate(invalid="ignore"):
+                        ref = minimize_scalar(
+                            fun, bounds=(a, b), method="bounded",
+                            options={"xatol": xatol, "maxiter": maxiter},
+                        )
+                    x, converged = _bounded_brent(fun, a, b, xatol, maxiter)
+                    case = (name, width, maxiter, a, xatol)
+                    assert np.float64(x).tobytes() == np.float64(ref.x).tobytes(), case
+                    assert converged == bool(ref.success), case
+                    nan_runs += name == "all_nan" and not converged
+    assert nan_runs == 7 * 3 * 4  # a NaN objective never converges
 
 
 def test_refine_series_matches_direct_event_sum():

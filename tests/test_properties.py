@@ -1,16 +1,20 @@
-"""Property tests for the projection identities.
+"""Property tests for the projection identities and the config parser.
 
 Streams are drawn as arbitrary sorted tick arrays (duplicates, the first
 and the last tick included) and projected on uniform grids from 4 to 600
-bins, which run the binned grid transform. Runs are derandomised, so the
-suite is reproducible.
+bins, which run the binned grid transform. Config values are arbitrary
+text under every schema key. Runs are derandomised, so the suite is
+reproducible.
 """
 
+import json
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from qvibe.config import _SCHEMA, parse_config
+from qvibe.errors import ConfigError
 from qvibe.estimate import combined_spectrum, frequency_grid, project_timestamps
 from qvibe.simulate import TimestampStream
 
@@ -73,3 +77,40 @@ def test_identical_streams_cancel_to_exact_zero(tick_list, m, window):
     sa = stream(tick_list, "anticoincidence")
     y = combined_spectrum(sc, sa, 1.0, grid(m), window)
     assert np.max(np.abs(y)) == 0.0
+
+
+schema_keys = st.one_of(
+    st.sampled_from([(section, key) for section, keys in _SCHEMA.items() for key in keys]),
+    st.integers(0, 10**6).map(lambda n: ("signal", f"component_{n}")),
+)
+# "ini" writes `key = value` under its section; "json" stores the value as a
+# JSON string; "json_literal" splices the text in as a raw JSON value, so
+# numbers, NaN, arrays and malformed documents reach the decoder as well.
+config_forms = st.sampled_from(["ini", "json", "json_literal"])
+
+
+def config_text(section, key, value, form):
+    if form == "ini":
+        return f"[{section}]\n{key} = {value}\n"
+    if form == "json":
+        return json.dumps({f"{section}.{key}": value})
+    return "{" + json.dumps(f"{section}.{key}") + ": " + value + "}"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(schema_keys, st.text(), config_forms)
+@example(("run", "seed"), "-1", "ini")
+@example(("run", "seed"), "1e999", "ini")
+@example(("run", "seed"), "1e999", "json_literal")
+@example(("run", "seed"), "1e999", "json")
+def test_config_values_raise_only_config_error(section_key, value, form):
+    # Any text under any key either parses and types, or is a ConfigError,
+    # which the CLI reports with exit code 2; nothing else may escape.
+    section, key = section_key
+    try:
+        cfg = parse_config(config_text(section, key, value, form))
+        for sec, entries in cfg.raw.items():
+            for k in entries:
+                cfg.get(sec, k)
+    except ConfigError:
+        pass
