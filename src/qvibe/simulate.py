@@ -282,10 +282,12 @@ class TimestampStream:
     def __post_init__(self) -> None:
         if self.tag not in STREAM_TAGS:
             raise ConfigError(f"unknown stream tag {self.tag!r}")
-        if not self.tick_duration > 0:
-            raise ConfigError("tick_duration must be positive")
-        if not self.t_exp > 0:
-            raise ConfigError("t_exp must be positive")
+        if not (self.tick_duration > 0 and math.isfinite(self.tick_duration)):
+            raise ConfigError(
+                f"tick_duration must be positive and finite, got {self.tick_duration}"
+            )
+        if not (self.t_exp > 0 and math.isfinite(self.t_exp)):
+            raise ConfigError(f"t_exp must be positive and finite, got {self.t_exp}")
         ticks = np.asarray(self.ticks, dtype=np.int64)
         object.__setattr__(self, "ticks", ticks)
         if ticks.size:

@@ -429,3 +429,42 @@ def test_cli_spectrum_csv_to_stdout(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "f_hz,re_y,im_y,abs_y,kappa"
     assert len(lines) == 335  # header plus the 334-bin grid
+
+
+@pytest.mark.parametrize("name, content", [
+    ("over_int64.txt", b"qvibe-ts v1 coincidence 100.0 1.0 1\n9223372036854775808\n"),
+    ("negative_count.txt", b"qvibe-ts v1 coincidence 100.0 1.0 -5\n"),
+    ("huge_count.txt", b"qvibe-ts v1 coincidence 100.0 1.0 100000000000000\n1\n"),
+    ("bad_byte_header.txt", b"qvibe-ts v1 coincidence 100.0\xff 1.0 1\n1\n"),
+    ("bad_byte_tick.txt", b"qvibe-ts v1 coincidence 100.0 1.0 1\n1\xff\n"),
+    ("late_junk.txt", b"qvibe-ts v1 coincidence 100.0 1.0 1\n10\n\nfrog\n"),
+])
+def test_cli_malformed_text_stream_exits_3(tmp_path, capsys, name, content):
+    good = tmp_path / "good.txt"
+    good.write_text("qvibe-ts v1 anticoincidence 100.0 1.0 1\n5\n")
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    for streams in ([bad, good], [good, bad]):
+        assert main(["estimate", *map(str, streams)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"stream error: {bad}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tick", ["23 ps", "100 ps", "1000 ps"])
+def test_cli_text_and_binary_runs_agree(tmp_path, capsys, tick):
+    cfg = tmp_path / "tick.ini"
+    cfg.write_text(INI_TEXT.replace("t_exp = 1 s", f"t_exp = 1 s\ntick = {tick}"))
+    outputs = {}
+    for ext, flags in ((".txt", []), (".bin", ["--binary"])):
+        sim, est = tmp_path / f"sim{ext}", tmp_path / f"est{ext}"
+        assert main(["simulate", "-c", str(cfg), "--out", str(sim), *flags]) == 0
+        streams = [str(sim / ("coincidence" + ext)), str(sim / ("anticoincidence" + ext))]
+        assert main(["estimate", *streams, "-c", str(cfg), "--out", str(est)]) == 0
+        outputs[ext] = [(est / n).read_bytes() for n in ("spectrum.csv", "reconstruction.json")]
+    assert outputs[".txt"] == outputs[".bin"]
+    # One stream of each format: they share tick_duration and t_exp.
+    mixed = [str(tmp_path / "sim.txt" / "coincidence.txt"),
+             str(tmp_path / "sim.bin" / "anticoincidence.bin")]
+    assert main(["estimate", *mixed, "-c", str(cfg), "--out", str(tmp_path / "mixed")]) == 0
+    assert (tmp_path / "mixed" / "spectrum.csv").read_bytes() == outputs[".txt"][0]
+    capsys.readouterr()

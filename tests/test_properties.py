@@ -1,22 +1,33 @@
-"""Property tests for the projection identities and the config parser.
+"""Property tests for the projection identities, the config parser and the
+stream files.
 
 Streams are drawn as arbitrary sorted tick arrays (duplicates, the first
 and the last tick included) and projected on uniform grids from 4 to 600
 bins, which run the binned grid transform. Config values are arbitrary
-text under every schema key. Runs are derandomised, so the suite is
-reproducible.
+text under every schema key. Stream files are written from arbitrary
+streams and read from arbitrary or corrupted bytes. Runs are derandomised,
+so the suite is reproducible.
 """
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qvibe.config import _SCHEMA, parse_config
-from qvibe.errors import ConfigError
+from qvibe.errors import ConfigError, StreamFormatError
 from qvibe.estimate import combined_spectrum, frequency_grid, project_timestamps
-from qvibe.simulate import TimestampStream
+from qvibe.simulate import STREAM_TAGS, TimestampStream
+from qvibe.streamio import (
+    read_stream,
+    read_stream_binary,
+    read_stream_text,
+    write_stream_binary,
+    write_stream_text,
+)
 
 TICK = 100e-12
 T_EXP = 1e-3  # 1e7 ticks
@@ -114,3 +125,86 @@ def test_config_values_raise_only_config_error(section_key, value, form):
                 cfg.get(sec, k)
     except ConfigError:
         pass
+
+
+TOP = 2**63 - 1
+stream_ticks = st.lists(
+    st.one_of(st.integers(0, TOP), st.integers(0, 10**6), st.sampled_from([0, 9, 10, TOP])),
+    max_size=60,
+).map(sorted)
+positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def timestamp_streams(draw):
+    ticks = draw(stream_ticks)
+    if ticks and draw(st.booleans()):
+        ticks = sorted(ticks + ticks[: draw(st.integers(1, len(ticks)))])  # duplicates
+    tick = draw(positive_floats)
+    # Any exposure above the last tick; doubling keeps it strictly above.
+    t_exp = (ticks[-1] + 1 if ticks else 1) * tick * draw(st.floats(2.0, 1e6))
+    assume(0 < t_exp < math.inf)
+    return TimestampStream(draw(st.sampled_from(STREAM_TAGS)), ticks, tick, t_exp)
+
+
+def in_tmp(fn):
+    with tempfile.TemporaryDirectory() as tmp:
+        return fn(Path(tmp))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(timestamp_streams())
+@example(TimestampStream("singles2", [], 5e-324, 1e-323))
+@example(TimestampStream("coincidence", [TOP, TOP], 100e-12, 1e300))
+@example(TimestampStream("coincidence", [0, 7], 23 * 1e-12, 1.0))
+def test_stream_files_round_trip_exactly(s):
+    def check(tmp):
+        write_stream_text(s, tmp / "s.txt")
+        write_stream_binary(s, tmp / "s.bin")
+        body = (tmp / "s.txt").read_text().split("\n", 1)[1]
+        # The per-line formatter the text writer replaces, as the oracle.
+        assert body == "".join(f"{t}\n" for t in s.ticks.tolist())
+        for back in (read_stream_text(tmp / "s.txt"), read_stream_binary(tmp / "s.bin")):
+            assert back.tag == s.tag
+            assert back.tick_duration == s.tick_duration and back.t_exp == s.t_exp
+            assert back.ticks.dtype == np.int64 and back.ticks.tolist() == s.ticks.tolist()
+
+    in_tmp(check)
+
+
+def read_outcome(data):
+    # Anything read_stream cannot take must be a StreamFormatError (CLI exit 3).
+    def read(tmp):
+        (tmp / "f").write_bytes(data)
+        try:
+            return read_stream(tmp / "f")
+        except StreamFormatError:
+            return None
+
+    return in_tmp(read)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.binary(max_size=120).map(lambda b: b"qvibe-ts v1 coincidence 100.0 1.0 2\n" + b),
+    st.binary(max_size=120).map(lambda b: b"qvibe-ts\x01" + b),
+))
+@example(b"qvibe-ts v1 coincidence 100.0 1.0 1\n99999999999999999999\n")
+@example(b"qvibe-ts v1 coincidence 1e999 1.0 1\n5\n")
+def test_read_stream_takes_any_bytes(data):
+    read_outcome(data)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(timestamp_streams(), st.booleans(), st.integers(0, 10**9), st.integers(0, 255))
+def test_read_stream_takes_any_one_byte_corruption(s, binary, where, byte):
+    def corrupt(tmp):
+        path = tmp / "s"
+        (write_stream_binary if binary else write_stream_text)(s, path)
+        raw = bytearray(path.read_bytes())
+        raw[where % len(raw)] = byte
+        return bytes(raw)
+
+    back = read_outcome(in_tmp(corrupt))
+    assert back is None or isinstance(back, TimestampStream)

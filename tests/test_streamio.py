@@ -1,8 +1,14 @@
+import math
+import struct
+from decimal import Context, Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from qvibe.config import parse_quantity
 from qvibe.core import GeometryFactor
-from qvibe.errors import StreamFormatError
+from qvibe.errors import ConfigError, StreamFormatError
 from qvibe.simulate import GroundTruth, TimestampStream, VibrationSignal
 from qvibe.streamio import (
     read_ground_truth,
@@ -147,3 +153,132 @@ def test_ground_truth_rejects_junk(tmp_path):
     path.write_text('{"tau_op": 0.0, "g": 2}')
     with pytest.raises(StreamFormatError):
         read_ground_truth(path)
+
+
+def text_file(tmp_path, body, header="qvibe-ts v1 coincidence 100.0 1.0"):
+    """A text stream file: the header fields, then ``body`` from the count on."""
+    path = tmp_path / "s.txt"
+    path.write_bytes(header.encode() + b" " + (body if isinstance(body, bytes) else body.encode()))
+    return path
+
+
+def test_text_accepts_crlf_and_a_missing_final_newline(tmp_path):
+    for body in ("3\r\n0\r\n9\r\n10\r\n", "3\n0\n9\n10", "3\n0\n9\n10\n \t\r\n\n"):
+        assert read_stream_text(text_file(tmp_path, body)).ticks.tolist() == [0, 9, 10]
+
+
+def test_text_tick_lines_are_digits_only(tmp_path):
+    # int() took all of these; the text grammar is what the writer emits.
+    for line in (" 10", "10 ", "+10", "1_0", "1e3", "١", "1\r0", ""):
+        path = text_file(tmp_path, f"2\n5\n{line}\n")
+        with pytest.raises(StreamFormatError, match=r"line 3: not an integer tick"):
+            read_stream_text(path)
+    path = text_file(tmp_path, "2\n5\n" + "0" * 19 + "7\n")  # 20 digits
+    with pytest.raises(StreamFormatError, match="line 3: not an integer tick: '0{19}7'"):
+        read_stream_text(path)
+    path = text_file(tmp_path, b"3\n1\n\xff\n2\n")
+    with pytest.raises(StreamFormatError, match=r"line 3: not an integer tick"):
+        read_stream_text(path)
+
+
+def test_text_reports_the_first_bad_line(tmp_path):
+    path = text_file(tmp_path, "4\n1\n2x\n" + "9" * 25 + "\n4\n")
+    with pytest.raises(StreamFormatError, match="line 3:"):
+        read_stream_text(path)
+    path = text_file(tmp_path, "4\n1\n\n2x\n4\n")
+    with pytest.raises(StreamFormatError, match="line 3:"):
+        read_stream_text(path)
+    path = text_file(tmp_path, "3\n1\n2\nfrog\n")  # before the count check
+    with pytest.raises(StreamFormatError, match="line 4:"):
+        read_stream_text(path)
+
+
+def test_text_int64_range(tmp_path):
+    top = 2**63 - 1
+    back = read_stream_text(text_file(tmp_path, f"2\n0\n{top}\n", "qvibe-ts v1 singles2 1.0 1e300"))
+    assert back.ticks.tolist() == [0, top]
+    path = text_file(tmp_path, f"2\n0\n{top + 1}\n")
+    with pytest.raises(StreamFormatError, match="line 3: tick 9223372036854775808 exceeds"):
+        read_stream_text(path)
+    path = text_file(tmp_path, f"1\n{'9' * 19}\n")
+    with pytest.raises(StreamFormatError, match="line 2: tick 9{19} exceeds"):
+        read_stream_text(path)
+
+
+def test_text_rejects_everything_after_the_ticks_but_whitespace(tmp_path):
+    for tail in ("10\n\nfrog\n", "10\n \n\t\n7", "10\n\x00"):
+        with pytest.raises(StreamFormatError, match="trailing data after 1 ticks"):
+            read_stream_text(text_file(tmp_path, "1\n" + tail))
+
+
+def test_text_header_rejections(tmp_path):
+    with pytest.raises(StreamFormatError, match="negative tick count -2"):
+        read_stream_text(text_file(tmp_path, "-2\n"))
+    # Checked against the lines present, never allocated up front.
+    with pytest.raises(StreamFormatError, match="expected 100000000000000 ticks, file ends at 1"):
+        read_stream_text(text_file(tmp_path, "100000000000000\n5\n"))
+    path = tmp_path / "cr.txt"
+    path.write_bytes(b"qvibe-ts v1 coincidence 100.0 1.0\r0\n")
+    with pytest.raises(StreamFormatError, match="bad header"):
+        read_stream_text(path)
+    path.write_bytes(b"qvibe-ts v1 coincidence\xff 100.0 1.0 0\n")
+    with pytest.raises(StreamFormatError, match="unknown tag"):
+        read_stream_text(path)
+    for tick in ("_100.0", "100._", "1é", "sNaN", "1e999999999999999999999"):
+        path.write_text(f"qvibe-ts v1 coincidence {tick} 1.0 0\n")
+        with pytest.raises(StreamFormatError, match="bad header numbers"):
+            read_stream_text(path)
+
+
+def test_text_writer_matches_the_per_line_format(tmp_path):
+    # Every digit count, with the ticks either side of each power of ten.
+    ticks = sorted({0, 2**63 - 1} | {10**k + d for k in range(1, 19) for d in (-1, 0, 0, 1)})
+    s = TimestampStream("coincidence", ticks, 100e-12, 1e300)
+    path = tmp_path / "s.txt"
+    write_stream_text(s, path)
+    body = "".join(f"{t}\n" for t in ticks)
+    assert path.read_text() == f"qvibe-ts v1 coincidence 100.0 1e+300 {len(ticks)}\n" + body
+    write_stream_text(TimestampStream("singles1", [], 100e-12, 1.0), path)
+    assert path.read_text() == "qvibe-ts v1 singles1 100.0 1.0 0\n"
+
+
+@pytest.mark.parametrize("tick", ["23 ps", "100 ps", "1000 ps", "1 ps", "0.3 ns", "81 fs"])
+def test_text_header_tick_reads_back_exactly(tmp_path, tick):
+    # The binary header stores the float itself, so both files must agree.
+    s = TimestampStream("anticoincidence", [1, 2], parse_quantity(tick, "time", "tick"), 1.0)
+    write_stream_text(s, tmp_path / "s.txt")
+    write_stream_binary(s, tmp_path / "s.bin")
+    text, binary = read_stream(tmp_path / "s.txt"), read_stream(tmp_path / "s.bin")
+    assert text.tick_duration == binary.tick_duration == s.tick_duration
+
+
+def test_text_header_tick_is_the_correctly_rounded_decimal(tmp_path):
+    # Just above the midpoint of 23 ps and the next float up, in 85 digits:
+    # rounding to fewer digits first would land on the midpoint and round down.
+    with localcontext(Context(prec=100)):
+        midpoint = (Decimal(23e-12) + Decimal(math.nextafter(23e-12, 1))) / 2 * 10**12
+    path = tmp_path / "s.txt"
+    for field in ("23", "23.0", "2.3e1", "22.999999999999996", "22.999999999999998",
+                  "0." + "0" * 40 + "1", f"{midpoint:f}00001"):
+        path.write_text(f"qvibe-ts v1 coincidence {field} 1.0 0\n")
+        # int / int division of Fractions rounds correctly: the reference.
+        assert read_stream_text(path).tick_duration == float(Fraction(field) / 10**12)
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+@pytest.mark.parametrize("tick, t_exp", [(math.inf, 1.0), (100e-12, math.inf),
+                                         (math.nan, 1.0), (100e-12, -math.inf)])
+def test_non_finite_tick_or_exposure_is_a_format_error(tmp_path, fmt, tick, t_exp):
+    if fmt == "text":
+        path = tmp_path / "s.txt"
+        path.write_text(f"qvibe-ts v1 coincidence {tick * 1e12!r} {t_exp!r} 1\n5\n")
+    else:
+        path = tmp_path / "s.bin"
+        write_stream_binary(TimestampStream("coincidence", [5], 100e-12, 1.0), path)
+        raw = bytearray(path.read_bytes())
+        raw[16:32] = struct.pack("<dd", tick, t_exp)
+        path.write_bytes(bytes(raw))
+    with pytest.raises(StreamFormatError, match=r"must be positive and finite"):
+        read_stream(path)
+    with pytest.raises(ConfigError, match=r"must be positive and finite"):
+        TimestampStream("coincidence", [5], tick, t_exp)
