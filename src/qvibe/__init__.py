@@ -24,16 +24,13 @@ from .estimate import (
     PipelineResult,
     ReconstructedSignal,
     SpectrumEstimate,
-    calibrate_ratio,
-    classical_pipeline,
-    classical_reconstruct,
     combined_spectrum,
     detection_threshold,
     estimate_amplitudes,
     estimate_phase,
     frequency_grid,
+    pipeline,
     project_timestamps,
-    quantum_pipeline,
     reconstruct,
     refine_frequency,
     scan_spectrum,

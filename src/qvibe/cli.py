@@ -32,7 +32,7 @@ from .config import (
 )
 from .core import GeometryFactor
 from .errors import AnalysisError, ConfigError, StreamFormatError
-from .estimate import classical_pipeline, quantum_pipeline
+from .estimate import pipeline
 from .metrology import (
     TrialScenario,
     background_advantage_setup,
@@ -122,16 +122,10 @@ def cmd_estimate(args) -> int:
     options = build_options(cfg, {"p_fa": args.p_fa, "f_max": args.f_max})
     ratio = args.ratio if args.ratio is not None else cfg.get("analysis", "ratio", 1.0)
     geometry = GeometryFactor(cfg.get("channel", "geometry", 2))
-    if mode == "quantum":
-        result = quantum_pipeline(
-            stream_1, stream_2, pair=build_pair(cfg), geometry=geometry,
-            ratio=ratio, options=options,
-        )
-    else:
-        result = classical_pipeline(
-            stream_1, stream_2, fringe_ref=build_fringe(cfg), geometry=geometry,
-            ratio=ratio, options=options,
-        )
+    fringe = build_pair(cfg) if mode == "quantum" else build_fringe(cfg)
+    result = pipeline(
+        stream_1, stream_2, fringe=fringe, geometry=geometry, ratio=ratio, options=options
+    )
     spectrum, recon = result.spectrum, result.reconstruction
     if args.out:
         out = _outdir(args)

@@ -19,6 +19,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 
 from .core import (
@@ -31,12 +32,14 @@ from .core import (
 from .errors import ConfigError
 from .estimate import AnalysisOptions
 from .simulate import ChannelModel, DEFAULT_TICK, SignalComponent, VibrationSignal
+from .streamio import _EXACT
 
-_TIME_UNITS = {
-    "s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12, "fs": 1e-15, "as": 1e-18,
-}
-_FREQUENCY_UNITS = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9, "THz": 1e12}
-_LENGTH_UNITS = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9, "pm": 1e-12}
+# Time, frequency and length units are decimal exponents: the number is
+# shifted by them exactly, then rounded once, so "23 ps" reads as the double
+# nearest 23e-12. Angle units are float factors, deg being no power of ten.
+_TIME_UNITS = {"s": 0, "ms": -3, "us": -6, "ns": -9, "ps": -12, "fs": -15, "as": -18}
+_FREQUENCY_UNITS = {"Hz": 0, "kHz": 3, "MHz": 6, "GHz": 9, "THz": 12}
+_LENGTH_UNITS = {"m": 0, "mm": -3, "um": -6, "nm": -9, "pm": -12}
 _ANGLE_UNITS = {"rad": 1.0, "deg": math.pi / 180.0}
 
 _UNIT_TABLES = {
@@ -95,7 +98,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "t_exp": "time",
         "seed": "int",
         "trials": "int",
-        "format": "str",
         "tick": "time",
         "binary": "bool",
     },
@@ -104,7 +106,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "f_max": "frequency",
         "window": "str",
         "ratio": "bare",
-        "refine": "bool",
         "points_per_period": "int",
     },
     "sweep": {
@@ -190,7 +191,13 @@ def parse_quantity(text: str, kind: str, where: str):
             raise ConfigError(
                 f"{where}: {kind} value needs a unit in {sorted(table)}, got {text!r}"
             )
-        value = num * table[unit]
+        if kind == "angle":
+            value = num * table[unit]
+        else:
+            try:
+                value = float(Decimal(m.group("num")).scaleb(table[unit], _EXACT))
+            except ArithmeticError:  # an exponent beyond the context's +-10^18
+                raise ConfigError(f"{where}: {text!r} is out of range") from None
     if not math.isfinite(value):
         raise ConfigError(f"{where}: {text!r} is not a finite number")
     if kind == "int":
@@ -398,7 +405,6 @@ def build_options(cfg: Config, overrides: dict | None = None) -> AnalysisOptions
         "p_fa": cfg.get("analysis", "p_fa", 1e-3),
         "f_max": cfg.get("analysis", "f_max", 50e3),
         "window": cfg.get("analysis", "window", "hann"),
-        "refine": cfg.get("analysis", "refine", True),
         "points_per_period": cfg.get("analysis", "points_per_period", 100),
     }
     for name, value in (overrides or {}).items():

@@ -8,6 +8,11 @@ the pair's internal detuning rather than an optical carrier. The classical
 fringe is ordinary single-photon (or intensity) interference with period
 set by the optical frequency.
 
+Both specs expose the one fringe interface the estimator inverts,
+P(tau) = (1 + polarity * contrast * cos(omega * tau + phase_offset)) / 2,
+through the read-only values ``mode``, ``polarity``, ``phase_offset``,
+``contrast`` and ``omega``.
+
 Conventions used throughout the package:
 
 * delays ``tau`` are in seconds, displacements in metres,
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,13 +54,28 @@ class PhotonPairSpec:
         Optional centre wavelengths (metres) of the two photons,
         informational. When both are given they must reproduce
         ``delta_omega`` within 0.1%.
+
+    As a fringe the coincidence channel falls with the cosine of
+    delta_omega * tau at contrast visibility_v0.
     """
+
+    mode: ClassVar[str] = "quantum"
+    polarity: ClassVar[float] = -1.0
+    phase_offset: ClassVar[float] = 0.0
 
     delta_omega: float
     sigma: float = 2 * math.pi * 0.5e12
     visibility_v0: float = 1.0
     lambda_1: float | None = None
     lambda_2: float | None = None
+
+    @property
+    def contrast(self) -> float:
+        return self.visibility_v0
+
+    @property
+    def omega(self) -> float:
+        return self.delta_omega
 
     def __post_init__(self) -> None:
         if not self.delta_omega > 0:
@@ -104,8 +125,13 @@ class ClassicalFringeSpec:
 
     ``arm_intensity_ratio`` is the intensity ratio r of arm b to arm a in
     [0, 1]; an excess loss L on arm b corresponds to r = 1 - L. The fringe
-    visibility follows as 2 sqrt(r) / (1 + r).
+    visibility follows as 2 sqrt(r) / (1 + r). As a fringe, port 1 rises
+    with the cosine of omega_optical * tau + phase_offset at contrast
+    ``visibility``.
     """
+
+    mode: ClassVar[str] = "classical"
+    polarity: ClassVar[float] = 1.0
 
     omega_optical: float
     arm_intensity_ratio: float = 1.0
@@ -121,6 +147,14 @@ class ClassicalFringeSpec:
     def visibility(self) -> float:
         r = self.arm_intensity_ratio
         return 2.0 * math.sqrt(r) / (1.0 + r)
+
+    @property
+    def contrast(self) -> float:
+        return self.visibility
+
+    @property
+    def omega(self) -> float:
+        return self.omega_optical
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,12 @@ The pipeline works directly on event times, never on a rate histogram:
    amplitudes at the refined frequency,
 5. rebuild both flux traces, form the normalised probability trace, and
    invert the fringe for the delay and displacement waveforms, block by
-   block, so only the delay trace is held at full length.
+   block, so only the delay trace is held at full length. One inversion
+   serves both channels: it reads the fringe's polarity, contrast, phase
+   offset and omega from the spec it is given (see ``qvibe.core``).
+
+``pipeline`` runs all five steps on an exposure of either channel; the
+fringe spec, not a second code path, says which channel it is.
 
 Projection convention: event times are shifted by -t_exp/2 before
 projecting, so the Hann taper w(t) = cos^2(pi t / t_exp) actually tapers
@@ -41,7 +46,7 @@ from .core import (
     PhotonPairSpec,
     SPEED_OF_LIGHT,
 )
-from .errors import AnalysisError, ConfigError, StreamFormatError
+from .errors import AnalysisError, ConfigError
 from .simulate import TimestampStream, _trace_samples
 
 GRID_SPACING_FACTOR = 0.6
@@ -289,34 +294,6 @@ class SpectrumEstimate:
         target.write_text("\n".join(lines) + "\n")
 
 
-def read_spectrum_csv(path: str | Path) -> SpectrumEstimate:
-    """Re-parse a spectrum table written by SpectrumEstimate.to_csv."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "f_hz,re_y,im_y,abs_y,kappa":
-        raise StreamFormatError(f"{path}: not a spectrum table")
-    freqs, projs, kappa = [], [], 0.0
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise StreamFormatError(f"{path}: line {i}: expected 5 columns")
-        try:
-            freqs.append(float(parts[0]))
-            projs.append(complex(float(parts[1]), float(parts[2])))
-            kappa = float(parts[4])
-        except ValueError as exc:
-            raise StreamFormatError(f"{path}: line {i}: {exc}") from None
-    f = np.asarray(freqs)
-    y = np.asarray(projs)
-    return SpectrumEstimate(
-        frequencies=f,
-        projections=y,
-        threshold_kappa=kappa,
-        p_fa=math.nan,
-        window="hann",
-        detected=_group_detections(f, np.abs(y), kappa),
-    )
-
-
 def scan_spectrum(
     stream_c: TimestampStream,
     stream_a: TimestampStream,
@@ -544,21 +521,6 @@ def estimate_amplitudes(stream: TimestampStream, f_hat: float, theta_hat: float)
     return a0, a_hat
 
 
-def calibrate_ratio(
-    stream_c: TimestampStream, stream_a: TimestampStream, known_p: float
-) -> float:
-    """Infer rate_c / rate_a from a calibration run at known probability.
-
-    With the fringe held at a known coincidence probability p, the count
-    ratio N_C / N_A estimates ratio * p / (1 - p).
-    """
-    if not 0 < known_p < 1:
-        raise ConfigError("known_p must lie in (0, 1)")
-    if len(stream_a) == 0:
-        raise AnalysisError("calibration needs a non-empty anti-coincidence stream")
-    return (len(stream_c) * (1.0 - known_p)) / (len(stream_a) * known_p)
-
-
 # ----- reconstruction -----
 
 
@@ -638,42 +600,42 @@ class ReconstructedSignal:
         return doc
 
 
-def _common_checks(components, ratio: float, v0: float) -> tuple[ComponentEstimate, ...]:
+_TRACE_BLOCK = 1 << 16  # samples evaluated per pass of the blocked trace
+
+
+def reconstruct(
+    stream_c: TimestampStream,
+    stream_a: TimestampStream,
+    ratio: float,
+    fringe: PhotonPairSpec | ClassicalFringeSpec,
+    geometry: GeometryFactor,
+    components,
+    points_per_period: int = 100,
+) -> ReconstructedSignal:
+    """Invert the fringe P = (1 + polarity contrast cos(omega tau + phase_offset)) / 2.
+
+    Rebuilds the two flux traces from the components, clips them at zero,
+    forms P_hat = phi_c / (phi_c + ratio phi_a) and inverts the fringe,
+
+        tau_hat(t) = (arccos((2 P_hat(t) - 1) / (polarity contrast)) - phase_offset) / omega,
+
+    clipping the inverse-cosine argument into [-1, 1] and reporting both
+    clipping rates. ``fringe`` supplies the five values: a PhotonPairSpec
+    for the pair channel (its Gaussian envelope is ignored, which near
+    quadrature rescales the fringe by under 1e-3), or the analyst's
+    reference ClassicalFringeSpec for the classical channel (if the
+    channel has drifted from the reference, the inversion inherits the
+    mismatch). The samples are evaluated in blocks of _TRACE_BLOCK, so
+    only the delay trace itself is held at full length.
+    """
     components = tuple(components)
     if not components:
         raise ValueError("reconstruction needs at least one component")
     if not ratio > 0:
         raise ConfigError("ratio must be positive")
-    if not 0 < v0 <= 1:
+    contrast = fringe.contrast
+    if not 0 < contrast <= 1:
         raise ConfigError("fringe contrast must lie in (0, 1]")
-    return components
-
-
-_TRACE_BLOCK = 1 << 16  # samples evaluated per pass of the blocked trace
-
-
-def _reconstruct(
-    mode: str,
-    stream_c: TimestampStream,
-    stream_a: TimestampStream,
-    ratio: float,
-    v0: float,
-    polarity: float,
-    phase_offset: float,
-    omega: float,
-    geometry: GeometryFactor,
-    components,
-    points_per_period: int,
-) -> ReconstructedSignal:
-    """Invert the fringe P = (1 + polarity v0 cos(omega tau + phase_offset)) / 2.
-
-    Rebuilds the two flux traces from the components, clips them at zero,
-    forms P_hat = phi_c / (phi_c + ratio phi_a) and inverts the fringe,
-    clipping the inverse-cosine argument into [-1, 1]. The samples are
-    evaluated in blocks of _TRACE_BLOCK, so only the delay trace itself is
-    held at full length.
-    """
-    components = _common_checks(components, ratio, v0)
     _check_compatible(stream_c, stream_a)
     t_exp = stream_c.t_exp
     a0_c = len(stream_c) / t_exp
@@ -682,7 +644,8 @@ def _reconstruct(
         raise AnalysisError("both streams empty, nothing to reconstruct")
     n = _trace_samples(max(c.f_hat for c in components), t_exp, points_per_period)
     dt = t_exp / n
-    slope = polarity * v0
+    slope = fringe.polarity * contrast
+    phase_offset, omega = fringe.phase_offset, fringe.omega
     tau = np.empty(n)
     flux_clamped = arccos_clamped = 0
     for start in range(0, n, _TRACE_BLOCK):
@@ -716,12 +679,12 @@ def _reconstruct(
     x_max = SPEED_OF_LIGHT * (tau.max() - mean) / geometry.g
     x_min = SPEED_OF_LIGHT * (tau.min() - mean) / geometry.g
     return ReconstructedSignal(
-        mode=mode,
+        mode=fringe.mode,
         components=components,
         a0_c=a0_c,
         a0_a=a0_a,
         ratio=ratio,
-        v0=v0,
+        v0=contrast,
         geometry_g=geometry.g,
         t_exp=t_exp,
         tau_trace=tau,
@@ -729,55 +692,6 @@ def _reconstruct(
         displacement_pp=float(x_max - x_min),
         flux_clamp_fraction=flux_clamped / (2.0 * n),
         arccos_clamp_fraction=arccos_clamped / n,
-    )
-
-
-def reconstruct(
-    stream_c: TimestampStream,
-    stream_a: TimestampStream,
-    ratio: float,
-    v0: float,
-    pair: PhotonPairSpec,
-    geometry: GeometryFactor,
-    components,
-    points_per_period: int = 100,
-) -> ReconstructedSignal:
-    """Invert the quantum fringe for the delay waveform.
-
-    tau_hat(t) = arccos((1 - 2 P_hat(t)) / v0) / delta_omega, with the
-    inverse-cosine argument clipped into [-1, 1] and the clipping rate
-    reported. The Gaussian fringe envelope is ignored here; at operating
-    delays near quadrature it rescales the fringe by under 1e-3. The
-    trace is evaluated in blocks of 64k samples, so memory beyond the
-    delay trace itself stays fixed however many samples it has.
-    """
-    return _reconstruct(
-        "quantum", stream_c, stream_a, ratio, v0, -1.0, 0.0, pair.delta_omega,
-        geometry, components, points_per_period,
-    )
-
-
-def classical_reconstruct(
-    stream_1: TimestampStream,
-    stream_2: TimestampStream,
-    ratio: float,
-    fringe_ref: ClassicalFringeSpec,
-    geometry: GeometryFactor,
-    components,
-    points_per_period: int = 100,
-) -> ReconstructedSignal:
-    """Invert the classical fringe using a reference fringe model.
-
-    tau_hat(t) = (arccos((2 P_hat(t) - 1) / v_ref) - phase_offset) / omega,
-    evaluated in blocks as in ``reconstruct``. The reference carries the
-    visibility and phase offset assumed by the analyst (typically those
-    of the clean instrument); if the channel has drifted from the
-    reference, the inversion inherits the mismatch.
-    """
-    return _reconstruct(
-        "classical", stream_1, stream_2, ratio, fringe_ref.visibility, 1.0,
-        fringe_ref.phase_offset, fringe_ref.omega_optical, geometry, components,
-        points_per_period,
     )
 
 
@@ -789,7 +703,6 @@ class AnalysisOptions:
     p_fa: float = 1e-3
     f_max: float = 50e3
     window: str = "hann"
-    refine: bool = True
     points_per_period: int = 100
 
     def __post_init__(self) -> None:
@@ -814,19 +727,15 @@ def _estimate_components(
     stream_a: TimestampStream,
     ratio: float,
     spectrum: SpectrumEstimate,
-    options: AnalysisOptions,
 ) -> tuple[ComponentEstimate, ...]:
     df = grid_spacing(stream_c.t_exp)
     estimates: list[ComponentEstimate] = []
     for f_seed in spectrum.detected:
-        refined = False
-        f_hat = f_seed
-        if options.refine:
-            try:
-                r = refine_frequency(stream_c, stream_a, ratio, f_seed, df)
-                f_hat, refined = r.f_hat, r.converged
-            except AnalysisError:
-                pass  # seed too close to DC, keep it unrefined
+        try:
+            r = refine_frequency(stream_c, stream_a, ratio, f_seed, df)
+            f_hat, refined = r.f_hat, r.converged
+        except AnalysisError:
+            f_hat, refined = f_seed, False  # seed too close to DC, keep it unrefined
         theta = estimate_phase(stream_c, stream_a, ratio, f_hat)
         _, a_c = estimate_amplitudes(stream_c, f_hat, theta)
         _, a_a = estimate_amplitudes(stream_a, f_hat, theta)
@@ -845,48 +754,29 @@ def _estimate_components(
     return tuple(deduped)
 
 
-def quantum_pipeline(
+def pipeline(
     stream_c: TimestampStream,
     stream_a: TimestampStream,
     *,
-    pair: PhotonPairSpec,
+    fringe: PhotonPairSpec | ClassicalFringeSpec,
     geometry: GeometryFactor,
     ratio: float = 1.0,
-    v0: float | None = None,
     options: AnalysisOptions = AnalysisOptions(),
 ) -> PipelineResult:
-    """Scan, refine, and reconstruct an entangled-channel exposure."""
-    if v0 is None:
-        v0 = pair.visibility_v0
+    """Scan, refine and reconstruct one exposure of either channel.
+
+    The streams are the coincidence and anti-coincidence streams with a
+    PhotonPairSpec ``fringe``, or the port-1 and port-2 streams with the
+    reference ClassicalFringeSpec; everything but the fringe inversion is
+    the same analysis.
+    """
     spectrum = scan_spectrum(
         stream_c, stream_a, ratio, options.p_fa, options.f_max, options.window
     )
-    comps = _estimate_components(stream_c, stream_a, ratio, spectrum, options)
+    comps = _estimate_components(stream_c, stream_a, ratio, spectrum)
     if not comps:
         return PipelineResult(spectrum=spectrum, reconstruction=None)
     recon = reconstruct(
-        stream_c, stream_a, ratio, v0, pair, geometry, comps, options.points_per_period
-    )
-    return PipelineResult(spectrum=spectrum, reconstruction=recon)
-
-
-def classical_pipeline(
-    stream_1: TimestampStream,
-    stream_2: TimestampStream,
-    *,
-    fringe_ref: ClassicalFringeSpec,
-    geometry: GeometryFactor,
-    ratio: float = 1.0,
-    options: AnalysisOptions = AnalysisOptions(),
-) -> PipelineResult:
-    """Identical pipeline on the two singles streams of the classical channel."""
-    spectrum = scan_spectrum(
-        stream_1, stream_2, ratio, options.p_fa, options.f_max, options.window
-    )
-    comps = _estimate_components(stream_1, stream_2, ratio, spectrum, options)
-    if not comps:
-        return PipelineResult(spectrum=spectrum, reconstruction=None)
-    recon = classical_reconstruct(
-        stream_1, stream_2, ratio, fringe_ref, geometry, comps, options.points_per_period
+        stream_c, stream_a, ratio, fringe, geometry, comps, options.points_per_period
     )
     return PipelineResult(spectrum=spectrum, reconstruction=recon)

@@ -30,12 +30,7 @@ from .core import (
     quantum_coincidence_probability,
 )
 from .errors import AnalysisError, ConfigError
-from .estimate import (
-    AnalysisOptions,
-    PipelineResult,
-    classical_pipeline,
-    quantum_pipeline,
-)
+from .estimate import AnalysisOptions, PipelineResult, pipeline
 from .simulate import (
     DEFAULT_TICK,
     ChannelModel,
@@ -218,10 +213,10 @@ def run_amplitude_trials(
             scenario.pair, scenario.signal, scenario.channel, scenario.t_exp,
             seed, scenario.tick_duration,
         )
-        result = quantum_pipeline(
+        result = pipeline(
             run.coincidences,
             run.anticoincidences,
-            pair=scenario.pair,
+            fringe=scenario.pair,
             geometry=scenario.channel.geometry,
             ratio=ratio,
             options=scenario.options,
@@ -306,10 +301,10 @@ def run_frequency_sweep(
         run = simulate_quantum_run(
             pair, signal, channel, t_exp, base_seed + i, tick_duration
         )
-        result = quantum_pipeline(
+        result = pipeline(
             run.coincidences,
             run.anticoincidences,
-            pair=pair,
+            fringe=pair,
             geometry=channel.geometry,
             ratio=ratio,
             options=options,
@@ -436,18 +431,23 @@ def run_advantage_experiment(
     signal_q = replace(setup.signal, dc_offset_delay=quadrature_delay(setup.pair))
     signal_c = replace(setup.signal, dc_offset_delay=0.0)
 
+    def analyse(stream_1, stream_2, fringe, channel: ChannelModel, ratio: float):
+        """Recovered displacement_pp (0 when nothing is detected) and odd harmonics."""
+        result = pipeline(
+            stream_1, stream_2, fringe=fringe, geometry=channel.geometry, ratio=ratio,
+            options=setup.options,
+        )
+        if not result.detected:
+            return 0.0, ()
+        recon = result.reconstruction
+        f_hats = [c.f_hat for c in recon.components]
+        return recon.displacement_pp, match_odd_harmonics(f_hats, fundamental)
+
     def one(i: int) -> AdvantageOutcome:
         cond = setup.conditions[i]
-        ch_q = replace(
-            setup.channel_quantum,
-            loss_b=cond.loss_b,
-            background_fraction=cond.background_fraction,
-        )
-        ch_c = replace(
-            setup.channel_classical,
-            loss_b=cond.loss_b,
-            background_fraction=cond.background_fraction,
-        )
+        degradation = {"loss_b": cond.loss_b, "background_fraction": cond.background_fraction}
+        ch_q = replace(setup.channel_quantum, **degradation)
+        ch_c = replace(setup.channel_classical, **degradation)
         run_q = simulate_quantum_run(
             setup.pair, signal_q, ch_q, cond.t_exp_quantum, base_seed + 2 * i
         )
@@ -455,32 +455,10 @@ def run_advantage_experiment(
             setup.fringe, signal_c, ch_c, cond.t_exp_classical, base_seed + 2 * i + 1
         )
         truth_pp = run_q.truth.displacement_pp(cond.t_exp_quantum)
-        res_q = quantum_pipeline(
-            run_q.coincidences,
-            run_q.anticoincidences,
-            pair=setup.pair,
-            geometry=ch_q.geometry,
-            ratio=ch_q.rate_c / ch_q.rate_a,
-            options=setup.options,
+        pp_q, harm_q = analyse(
+            run_q.coincidences, run_q.anticoincidences, setup.pair, ch_q, ch_q.rate_c / ch_q.rate_a
         )
-        res_c = classical_pipeline(
-            run_c.port1,
-            run_c.port2,
-            fringe_ref=setup.fringe,
-            geometry=ch_c.geometry,
-            ratio=1.0,
-            options=setup.options,
-        )
-        pp_q = res_q.reconstruction.displacement_pp if res_q.detected else 0.0
-        pp_c = res_c.reconstruction.displacement_pp if res_c.detected else 0.0
-        harm_q = match_odd_harmonics(
-            [c.f_hat for c in res_q.reconstruction.components] if res_q.detected else [],
-            fundamental,
-        )
-        harm_c = match_odd_harmonics(
-            [c.f_hat for c in res_c.reconstruction.components] if res_c.detected else [],
-            fundamental,
-        )
+        pp_c, harm_c = analyse(run_c.port1, run_c.port2, setup.fringe, ch_c, 1.0)
         return AdvantageOutcome(
             condition=cond,
             truth_pp=truth_pp,

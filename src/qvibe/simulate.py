@@ -309,13 +309,6 @@ class TimestampStream:
         """Event times shifted so the exposure midpoint is zero."""
         return self.ticks * self.tick_duration - self.t_exp / 2.0
 
-    def merged(self, other: "TimestampStream") -> "TimestampStream":
-        """Union of two streams over the same exposure and tick grid."""
-        if other.tick_duration != self.tick_duration or other.t_exp != self.t_exp:
-            raise ConfigError("streams must share tick_duration and t_exp to merge")
-        ticks = np.sort(np.concatenate([self.ticks, other.ticks]))
-        return TimestampStream(self.tag, ticks, self.tick_duration, self.t_exp)
-
 
 # ----- flux construction -----
 

@@ -48,7 +48,8 @@ _TEXT_MAGIC = "qvibe-ts"
 _TEXT_VERSION = "v1"
 _MAX_TICK_DIGITS = 19  # 2^63 - 1 has 19 digits, and 19 digits fit in uint64
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
-# Shifting a decimal by 12 places is exact in this context, whatever its length.
+# Shifting a decimal by a power of ten is exact in this context, whatever its
+# length; the header tick and the config units (qvibe.config) both use it.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _BIN_HEADER = struct.Struct("<8sBB6sdd")
 _BIN_MAGIC = b"qvibe-ts"

@@ -40,6 +40,9 @@ def test_parse_quantity_accepts_units():
     assert parse_quantity("10 ms", "time", "t") == 0.01
     assert parse_quantity("100 ps", "time", "t") == 100e-12
     assert parse_quantity("1.55 um", "length", "l") == 1.55e-6
+    # Correctly rounded: 23 * 1e-12 and 1550 * 1e-9 are each one ulp off.
+    assert parse_quantity("23 ps", "time", "t") == 2.3e-11
+    assert parse_quantity("1550 nm", "length", "l") == 1.55e-06
     assert parse_quantity("177 THz", "frequency", "f") == 177e12
     assert abs(parse_quantity("-90 deg", "angle", "a") + math.pi / 2) < 1e-15
     assert parse_quantity("2.5 rad", "angle", "a") == 2.5
@@ -140,6 +143,10 @@ def test_ini_rejects_unknown_and_duplicates():
         parse_config("[pair]\ncolor = red\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("[analysis]\nmethod = auto\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config("[analysis]\nrefine = true\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config("[run]\nformat = text\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config("[pair]\nvisibility = 1\nvisibility = 0.9\n")
     with pytest.raises(ConfigError, match="outside"):
@@ -448,6 +455,23 @@ def test_cli_malformed_text_stream_exits_3(tmp_path, capsys, name, content):
         assert main(["estimate", *map(str, streams)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"stream error: {bad}: ") and "Traceback" not in err
+
+
+def test_cli_classical_mode_text_and_binary(tmp_path, capsys):
+    cfg = write_tone_config(tmp_path)
+    outputs = {}
+    for ext, flags in ((".txt", []), (".bin", ["--binary"])):
+        sim, est = tmp_path / f"sim{ext}", tmp_path / f"est{ext}"
+        classical = ["-c", str(cfg), "--mode", "classical"]
+        assert main(["simulate", *classical, "--out", str(sim), *flags]) == 0
+        streams = [str(sim / ("port1" + ext)), str(sim / ("port2" + ext))]
+        assert main(["estimate", *streams, *classical, "--out", str(est)]) == 0
+        recon = json.loads((est / "reconstruction.json").read_text())
+        assert recon["mode"] == "classical"
+        assert any(abs(c["f_hat"] - 10.0) < 0.6 for c in recon["components"])
+        outputs[ext] = [(est / n).read_bytes() for n in ("spectrum.csv", "reconstruction.json")]
+    assert outputs[".txt"] == outputs[".bin"]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("tick", ["23 ps", "100 ps", "1000 ps"])

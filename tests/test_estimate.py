@@ -9,6 +9,7 @@ Monte-Carlo slack.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from qvibe.core import (
     SPEED_OF_LIGHT,
     quadrature_delay,
 )
-from qvibe.errors import AnalysisError, ConfigError, StreamFormatError
+from qvibe.errors import AnalysisError, ConfigError
 from qvibe.estimate import (
     AnalysisOptions,
     ComponentEstimate,
@@ -32,18 +33,14 @@ from qvibe.estimate import (
     _offset_series,
     _project_direct,
     _uniform_from_zero,
-    calibrate_ratio,
-    classical_pipeline,
-    classical_reconstruct,
     combined_spectrum,
     detection_threshold,
     estimate_amplitudes,
     estimate_phase,
     frequency_grid,
     grid_spacing,
+    pipeline,
     project_timestamps,
-    quantum_pipeline,
-    read_spectrum_csv,
     reconstruct,
     refine_frequency,
     scan_spectrum,
@@ -115,7 +112,8 @@ def test_projection_linearity_under_merge():
     t_exp = 1.0
     s1 = stream_from_times(rng.uniform(0, t_exp, 4000), t_exp)
     s2 = stream_from_times(rng.uniform(0, t_exp, 6000), t_exp)
-    merged = s1.merged(s2)
+    union = np.sort(np.concatenate([s1.ticks, s2.ticks]))
+    merged = TimestampStream("coincidence", union, TICK, t_exp)
     freqs = np.array([3.0, 17.0, 41.5, 99.0])
     for window in ("hann", "rectangular"):
         p1 = project_timestamps(s1, freqs, window)
@@ -470,18 +468,6 @@ def test_amplitude_estimates_recover_construction():
     assert abs(a1_a + depth * a0_a) < 0.01 * depth * a0_a
 
 
-def test_calibrate_ratio_from_known_probability():
-    rng = np.random.default_rng(41)
-    sc = stream_from_times(rng.uniform(0, 1, 3000), 1.0)
-    sa = stream_from_times(rng.uniform(0, 1, 1000), 1.0, "anticoincidence")
-    assert abs(calibrate_ratio(sc, sa, 0.75) - 1.0) < 1e-12
-    with pytest.raises(ConfigError):
-        calibrate_ratio(sc, sa, 0.0)
-    empty = TimestampStream("anticoincidence", np.array([], dtype=np.int64), TICK, 1.0)
-    with pytest.raises(AnalysisError):
-        calibrate_ratio(sc, empty, 0.5)
-
-
 # ----- reconstruction -----
 
 
@@ -506,7 +492,7 @@ def test_quantum_reconstruction_closed_form_single_tone():
     a0 = n / t_exp
     comp = ComponentEstimate(f_hat=1.0, theta_hat=0.0, a_hat_c=m * a0, a_hat_a=-m * a0)
     for g in (1, 2):
-        rec = reconstruct(sc, sa, 1.0, 1.0, PAIR, GeometryFactor(g), [comp])
+        rec = reconstruct(sc, sa, 1.0, PAIR, GeometryFactor(g), [comp])
         expected_pp = SPEED_OF_LIGHT * 2.0 * math.asin(m) / (PAIR.delta_omega * g)
         assert abs(rec.displacement_pp - expected_pp) < 1e-10 * expected_pp
         assert rec.flux_clamp_fraction == 0.0
@@ -523,7 +509,7 @@ def test_reconstruction_reports_clamp_activity():
     a0 = n / t_exp
     # Overdriven modulation: negative fluxes and |arccos argument| > 1.
     comp = ComponentEstimate(f_hat=1.0, theta_hat=0.0, a_hat_c=1.3 * a0, a_hat_a=-1.3 * a0)
-    rec = reconstruct(sc, sa, 1.0, 0.8, PAIR, GeometryFactor(2), [comp])
+    rec = reconstruct(sc, sa, 1.0, replace(PAIR, visibility_v0=0.8), GeometryFactor(2), [comp])
     assert 0.0 < rec.flux_clamp_fraction < 1.0
     assert 0.0 < rec.arccos_clamp_fraction < 1.0
 
@@ -532,15 +518,16 @@ def test_reconstruction_validation():
     sc, sa = constant_pair_of_streams(100, 1.0)
     comp = ComponentEstimate(1.0, 0.0, 10.0, -10.0)
     with pytest.raises(ValueError):
-        reconstruct(sc, sa, 1.0, 1.0, PAIR, GeometryFactor(2), [])
+        reconstruct(sc, sa, 1.0, PAIR, GeometryFactor(2), [])
     with pytest.raises(ConfigError):
-        reconstruct(sc, sa, -1.0, 1.0, PAIR, GeometryFactor(2), [comp])
-    with pytest.raises(ConfigError):
-        reconstruct(sc, sa, 1.0, 1.5, PAIR, GeometryFactor(2), [comp])
+        reconstruct(sc, sa, -1.0, PAIR, GeometryFactor(2), [comp])
+    no_contrast = ClassicalFringeSpec(omega_optical=1e15, arm_intensity_ratio=0.0)
+    with pytest.raises(ConfigError, match="contrast"):
+        reconstruct(sc, sa, 1.0, no_contrast, GeometryFactor(2), [comp])
     empty_c = TimestampStream("coincidence", np.array([], dtype=np.int64), TICK, 1.0)
     empty_a = TimestampStream("anticoincidence", np.array([], dtype=np.int64), TICK, 1.0)
     with pytest.raises(AnalysisError):
-        reconstruct(empty_c, empty_a, 1.0, 1.0, PAIR, GeometryFactor(2), [comp])
+        reconstruct(empty_c, empty_a, 1.0, PAIR, GeometryFactor(2), [comp])
 
 
 def _unblocked_reference(mode, sc, sa, ratio, contrast, fringe, g, comps, ppp):
@@ -584,15 +571,16 @@ def test_blocked_reconstruction_is_bitwise_the_unblocked_trace():
     )
     fringe = ClassicalFringeSpec(omega_optical=2 * math.pi * SPEED_OF_LIGHT / 1550e-9,
                                  phase_offset=-math.pi / 2.0, arm_intensity_ratio=0.25)
+    pair = replace(PAIR, visibility_v0=0.8)
     lengths = (1000, _TRACE_BLOCK, _TRACE_BLOCK + 1, 7 * _TRACE_BLOCK // 2)
     for n in lengths:
         for ratio in (1.0, 1.7):
             for g in (1, 2):
                 runs = (
-                    ("quantum", 0.8, PAIR,
-                     reconstruct(sc, sa, ratio, 0.8, PAIR, GeometryFactor(g), comps, n)),
+                    ("quantum", 0.8, pair,
+                     reconstruct(sc, sa, ratio, pair, GeometryFactor(g), comps, n)),
                     ("classical", fringe.visibility, fringe,
-                     classical_reconstruct(sc, sa, ratio, fringe, GeometryFactor(g), comps, n)),
+                     reconstruct(sc, sa, ratio, fringe, GeometryFactor(g), comps, n)),
                 )
                 for mode, contrast, spec, rec in runs:
                     tau, flux, arccos, pp = _unblocked_reference(
@@ -620,7 +608,7 @@ def test_classical_reconstruction_closed_form_single_tone():
     comp = ComponentEstimate(f_hat=1.0, theta_hat=0.0, a_hat_c=m * a0, a_hat_a=-m * a0)
     fringe = ClassicalFringeSpec(omega_optical=2 * math.pi * SPEED_OF_LIGHT / 1550e-9,
                                  phase_offset=-math.pi / 2.0)
-    rec = classical_reconstruct(s1, s2, 1.0, fringe, GeometryFactor(2), [comp])
+    rec = reconstruct(s1, s2, 1.0, fringe, GeometryFactor(2), [comp])
     expected_pp = SPEED_OF_LIGHT * 2.0 * math.asin(m) / (fringe.omega_optical * 2)
     assert abs(rec.displacement_pp - expected_pp) < 1e-10 * expected_pp
     assert rec.mode == "classical"
@@ -642,29 +630,15 @@ def test_spectrum_csv_round_trip(tmp_path):
     est = scan_spectrum(run.coincidences, run.anticoincidences, 1.0, f_max=120.0)
     path = tmp_path / "spectrum.csv"
     est.to_csv(path)
-    back = read_spectrum_csv(path)
-    assert np.array_equal(back.frequencies, est.frequencies)
-    assert np.array_equal(back.projections, est.projections)
-    assert back.threshold_kappa == est.threshold_kappa
-    assert back.detected == est.detected
-
-
-def test_spectrum_csv_rejects_malformed_tables(tmp_path):
-    good = tmp_path / "s.csv"
-    good.write_text("f_hz,re_y,im_y,abs_y,kappa\n1.0,0.0,0.0,0.0,1.0\n")
-    read_spectrum_csv(good)  # sanity: the happy path parses
-    bad_header = tmp_path / "h.csv"
-    bad_header.write_text("frequency,re,im\n")
-    with pytest.raises(StreamFormatError):
-        read_spectrum_csv(bad_header)
-    bad_cols = tmp_path / "c.csv"
-    bad_cols.write_text("f_hz,re_y,im_y,abs_y,kappa\n1.0,0.0\n")
-    with pytest.raises(StreamFormatError, match="line 2"):
-        read_spectrum_csv(bad_cols)
-    bad_float = tmp_path / "f.csv"
-    bad_float.write_text("f_hz,re_y,im_y,abs_y,kappa\n1.0,x,0.0,0.0,1.0\n")
-    with pytest.raises(StreamFormatError, match="line 2"):
-        read_spectrum_csv(bad_float)
+    header, *rows = path.read_text().splitlines()
+    assert header == "f_hz,re_y,im_y,abs_y,kappa"
+    table = np.array([[float(v) for v in line.split(",")] for line in rows])
+    freqs, y = table[:, 0], table[:, 1] + 1j * table[:, 2]
+    assert np.array_equal(freqs, est.frequencies)
+    assert np.array_equal(table[:, 1], est.projections.real)
+    assert np.array_equal(table[:, 2], est.projections.imag)
+    assert np.all(table[:, 4] == est.threshold_kappa)
+    assert _group_detections(freqs, np.abs(y), table[0, 4]) == est.detected
 
 
 def test_reconstruction_json_trace_stride(tmp_path):
@@ -675,7 +649,7 @@ def test_reconstruction_json_trace_stride(tmp_path):
     sa = stream_from_times(rng.uniform(0, t_exp, n), t_exp, "anticoincidence")
     a0 = n / t_exp
     comp = ComponentEstimate(10.0, 0.0, 0.1 * a0, -0.1 * a0)
-    rec = reconstruct(sc, sa, 1.0, 1.0, PAIR, GeometryFactor(2), [comp])
+    rec = reconstruct(sc, sa, 1.0, PAIR, GeometryFactor(2), [comp])
     assert rec.tau_trace.size == 10_000
     path = tmp_path / "recon.json"
     doc = rec.to_json(path)
@@ -696,10 +670,10 @@ def test_quantum_pipeline_recovers_tone_and_is_deterministic():
     results = []
     for _ in range(2):
         run = seeded_quantum_run(seed=611)
-        out = quantum_pipeline(
+        out = pipeline(
             run.coincidences,
             run.anticoincidences,
-            pair=PAIR,
+            fringe=PAIR,
             geometry=GeometryFactor(2),
             options=AnalysisOptions(f_max=200.0),
         )
@@ -721,10 +695,10 @@ def test_quantum_pipeline_reports_no_detection_when_silent():
     signal = VibrationSignal(components=(), dc_offset_delay=quadrature_delay(PAIR))
     channel = ChannelModel(rate_c=2000.0, rate_a=2000.0)
     run = simulate_quantum_run(PAIR, signal, channel, t_exp=1.0, seed=90210)
-    out = quantum_pipeline(
+    out = pipeline(
         run.coincidences,
         run.anticoincidences,
-        pair=PAIR,
+        fringe=PAIR,
         geometry=GeometryFactor(2),
         options=AnalysisOptions(f_max=200.0),
     )
@@ -740,10 +714,10 @@ def test_classical_pipeline_recovers_tone():
     signal = VibrationSignal.pure_tone(frequency=truth_f, amplitude_pp=truth_pp)
     channel = ChannelModel(singles_rate=300e3)
     run = simulate_classical_run(fringe, signal, channel, t_exp=1.0, seed=77)
-    out = classical_pipeline(
+    out = pipeline(
         run.port1,
         run.port2,
-        fringe_ref=fringe,
+        fringe=fringe,
         geometry=GeometryFactor(2),
         options=AnalysisOptions(f_max=200.0),
     )
@@ -769,7 +743,7 @@ def test_component_dedup_keeps_the_stronger_refinement():
         window="hann",
         detected=(9.6, 10.8),  # two seeds straddling the same line
     )
-    comps = _estimate_components(sc, sa, 1.0, fake, AnalysisOptions())
+    comps = _estimate_components(sc, sa, 1.0, fake)
     assert len(comps) == 1
     # The untapered objective carries a small negative-frequency-image
     # bias (order 1/(2 pi f0 t_exp) of a bin), so the check is looser

@@ -3,8 +3,9 @@ stream files.
 
 Streams are drawn as arbitrary sorted tick arrays (duplicates, the first
 and the last tick included) and projected on uniform grids from 4 to 600
-bins, which run the binned grid transform. Config values are arbitrary
-text under every schema key. Stream files are written from arbitrary
+bins, which run the binned grid transform, or on arbitrary frequency
+arrays, which run the direct sum. Config values are arbitrary text under
+every schema key, and arbitrary decimals under every power-of-ten unit. Stream files are written from arbitrary
 streams and read from arbitrary or corrupted bytes. Runs are derandomised,
 so the suite is reproducible.
 """
@@ -12,12 +13,13 @@ so the suite is reproducible.
 import json
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qvibe.config import _SCHEMA, parse_config
+from qvibe.config import _SCHEMA, _UNIT_TABLES, parse_config, parse_quantity
 from qvibe.errors import ConfigError, StreamFormatError
 from qvibe.estimate import combined_spectrum, frequency_grid, project_timestamps
 from qvibe.simulate import STREAM_TAGS, TimestampStream
@@ -61,9 +63,10 @@ def test_projection_is_linear_under_merge(t1, t2, m, window):
     s1, s2 = stream(t1), stream(t2)
     freqs = grid(m)
     assert freqs.size == m
-    merged = project_timestamps(s1.merged(s2), freqs, window)
+    union = stream(np.sort(np.concatenate([s1.ticks, s2.ticks])))
+    merged = project_timestamps(union, freqs, window)
     parts = project_timestamps(s1, freqs, window) + project_timestamps(s2, freqs, window)
-    assert np.max(np.abs(merged - parts)) <= 1e-12 * scale(s1.merged(s2))
+    assert np.max(np.abs(merged - parts)) <= 1e-12 * scale(union)
 
 
 @PROPERTY
@@ -88,6 +91,56 @@ def test_identical_streams_cancel_to_exact_zero(tick_list, m, window):
     sa = stream(tick_list, "anticoincidence")
     y = combined_spectrum(sc, sa, 1.0, grid(m), window)
     assert np.max(np.abs(y)) == 0.0
+
+
+@PROPERTY
+@given(ticks, st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20), windows)
+def test_negative_frequencies_project_to_conjugates(tick_list, f, window):
+    # Real weights: p_-f = conj(p_f), here on the direct sum (a +-f array).
+    s = stream(tick_list)
+    f = np.asarray(f)
+    p = project_timestamps(s, np.concatenate([f, -f]), window)
+    assert np.max(np.abs(p[f.size:] - np.conj(p[: f.size]))) <= 1e-12 * scale(s)
+
+
+@PROPERTY
+@given(ticks, ticks, bins, windows, st.floats(0.1, 10.0))
+def test_combined_spectrum_is_conjugate_symmetric(t1, t2, m, window, ratio):
+    # The grid transform at +f against the direct sum at -f.
+    sc, sa = stream(t1), stream(t2, "anticoincidence")
+    freqs = grid(m)
+    y = combined_spectrum(sc, sa, ratio, freqs, window)
+    y_neg = combined_spectrum(sc, sa, ratio, -freqs, window)
+    assert np.max(np.abs(y_neg - np.conj(y))) <= 1e-12 * (scale(sc) + ratio * scale(sa))
+
+
+POWER_OF_TEN_UNITS = {
+    "time": {"s": 0, "ms": -3, "us": -6, "ns": -9, "ps": -12, "fs": -15, "as": -18},
+    "frequency": {"Hz": 0, "kHz": 3, "MHz": 6, "GHz": 9, "THz": 12},
+    "length": {"m": 0, "mm": -3, "um": -6, "nm": -9, "pm": -12},
+}
+decimals = st.builds(
+    "{}{}.{}e{}".format,
+    st.sampled_from(["", "-", "+"]),
+    st.integers(0, 10**20),
+    st.integers(0, 10**12).map(lambda n: str(n).rjust(12, "0")),
+    st.integers(-320, 270),
+)
+
+
+@PROPERTY
+@given(decimals)
+@example("23")
+@example("1550")
+def test_power_of_ten_units_are_correctly_rounded(num):
+    # Each unit shifts the decimal exactly; the one rounding is to the double.
+    assert {k: set(t) for k, t in POWER_OF_TEN_UNITS.items()} == {
+        k: set(t) for k, t in _UNIT_TABLES.items() if k != "angle"
+    }
+    for kind, table in POWER_OF_TEN_UNITS.items():
+        for unit, exp in table.items():
+            value = parse_quantity(f"{num} {unit}", kind, "x")
+            assert value == float(Fraction(num) * Fraction(10) ** exp), (num, unit)
 
 
 schema_keys = st.one_of(

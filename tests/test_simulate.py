@@ -186,15 +186,6 @@ def test_stream_times_and_centering():
     assert len(s) == 2
 
 
-def test_stream_merge():
-    a = TimestampStream("coincidence", [1, 5], 1e-10, 1.0)
-    b = TimestampStream("coincidence", [2, 5], 1e-10, 1.0)
-    m = a.merged(b)
-    assert list(m.ticks) == [1, 2, 5, 5]  # duplicates kept
-    with pytest.raises(ConfigError):
-        a.merged(TimestampStream("coincidence", [1], 2e-10, 1.0))
-
-
 # ----- sampling -----
 
 
