@@ -26,13 +26,11 @@ from .estimate import (
     SpectrumEstimate,
     combined_spectrum,
     detection_threshold,
-    estimate_amplitudes,
-    estimate_phase,
+    estimate_component,
     frequency_grid,
     pipeline,
     project_timestamps,
     reconstruct,
-    refine_frequency,
     scan_spectrum,
 )
 from .metrology import (

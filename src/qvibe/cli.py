@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import (
@@ -201,17 +202,7 @@ def cmd_trials(args) -> int:
             "pp_mean": stats.pp_mean,
             "pp_std": stats.pp_std,
             "detection_rate": stats.detection_rate,
-            "records": [
-                {
-                    "seed": rec.seed,
-                    "detected": rec.detected,
-                    "f_hat": rec.f_hat,
-                    "pp_hat": rec.pp_hat,
-                    "n_components": rec.n_components,
-                    "unrefined": rec.unrefined,
-                }
-                for rec in stats.records
-            ],
+            "records": [asdict(rec) for rec in stats.records],
         }
         Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")
@@ -291,22 +282,9 @@ def cmd_advantage(args) -> int:
             f"  classical pp={_fmt(o.classical_pp)} recovery={_fmt(o.classical_recovery)}"
             f" harmonics={len(o.classical_harmonics)}"
         )
-        doc.append(
-            {
-                "label": o.condition.label,
-                "loss_b": o.condition.loss_b,
-                "background_fraction": o.condition.background_fraction,
-                "t_exp_quantum": o.condition.t_exp_quantum,
-                "t_exp_classical": o.condition.t_exp_classical,
-                "truth_pp": o.truth_pp,
-                "quantum_pp": o.quantum_pp,
-                "classical_pp": o.classical_pp,
-                "quantum_events": o.quantum_events,
-                "classical_events": o.classical_events,
-                "quantum_harmonics": list(o.quantum_harmonics),
-                "classical_harmonics": list(o.classical_harmonics),
-            }
-        )
+        record = asdict(o)
+        record.update(record.pop("condition"))  # condition fields sit beside the results
+        doc.append(record)
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")
@@ -331,7 +309,7 @@ def cmd_qcrb(args) -> int:
     for i, n in enumerate(n_list):
         cal = int(factor * n) if factor > 0 else None
         mc = monte_carlo_delay_std(
-            int(n), trials, seed + i, pair, v0=pair.visibility_v0, calibration_pairs=cal
+            int(n), trials, seed + i, pair, calibration_pairs=cal
         )
         print(
             f"n_pairs={int(n)} bound_tau={_fmt(mc.bound)} s"

@@ -104,7 +104,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
     "analysis": {
         "p_fa": "bare",
         "f_max": "frequency",
-        "window": "str",
         "ratio": "bare",
         "points_per_period": "int",
     },
@@ -404,7 +403,6 @@ def build_options(cfg: Config, overrides: dict | None = None) -> AnalysisOptions
     values = {
         "p_fa": cfg.get("analysis", "p_fa", 1e-3),
         "f_max": cfg.get("analysis", "f_max", 50e3),
-        "window": cfg.get("analysis", "window", "hann"),
         "points_per_period": cfg.get("analysis", "points_per_period", 100),
     }
     for name, value in (overrides or {}).items():

@@ -13,9 +13,10 @@ The pipeline works directly on event times, never on a rate histogram:
 3. collapse contiguous above-threshold bins to candidate frequencies and
    refine each by maximising the untapered projection magnitude, a power
    series in the frequency offset whose event moments are summed once
-   per candidate (see ``refine_frequency``),
-4. estimate a phase from the combined projection and per-stream signed
-   amplitudes at the refined frequency,
+   per stream and candidate (see ``estimate_component``),
+4. read the phase of the combined projection and each stream's signed
+   amplitude at the refined frequency from the same two series, with no
+   further pass over the events,
 5. rebuild both flux traces, form the normalised probability trace, and
    invert the fringe for the delay and displacement waveforms, block by
    block, so only the delay trace is held at full length. One inversion
@@ -33,9 +34,10 @@ midpoint.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +52,6 @@ from .errors import AnalysisError, ConfigError
 from .simulate import TimestampStream, _trace_samples
 
 GRID_SPACING_FACTOR = 0.6
-
-_WINDOWS = ("hann", "rectangular")
 
 
 def window_weights(t_centered: np.ndarray, t_exp: float, window: str) -> np.ndarray:
@@ -100,12 +100,10 @@ def project_timestamps(stream: TimestampStream, frequency, window: str = "hann")
     """
     t, w = _weighted_times(stream, window)
     freqs = np.asarray(frequency, dtype=float)
-    if freqs.ndim == 0:
-        phase = (-2j * math.pi * float(freqs)) * t
-        return complex(np.sum(w * np.exp(phase)) / stream.t_exp)
     df = _uniform_from_zero(freqs)
     if df is None:
-        return _project_direct(t, w, stream.t_exp, freqs)
+        p = _project_direct(t, w, stream.t_exp, freqs)
+        return complex(p) if freqs.ndim == 0 else p
     return _project_grid([(t, w, 1.0)], stream.t_exp, df, freqs.size)
 
 
@@ -279,7 +277,6 @@ class SpectrumEstimate:
     projections: np.ndarray
     threshold_kappa: float
     p_fa: float
-    window: str
     detected: tuple[float, ...]
 
     def to_csv(self, path) -> None:
@@ -300,75 +297,70 @@ def scan_spectrum(
     ratio: float,
     p_fa: float = 1e-3,
     f_max: float = 50e3,
-    window: str = "hann",
 ) -> SpectrumEstimate:
-    """Full grid scan: spectrum, threshold, and detected candidates."""
+    """Full Hann-tapered grid scan: spectrum, threshold, and detected candidates."""
     freqs = frequency_grid(stream_c.t_exp, f_max)
-    y = combined_spectrum(stream_c, stream_a, ratio, freqs, window)
-    kappa = detection_threshold(stream_c, stream_a, ratio, window, p_fa, freqs.size)
+    y = combined_spectrum(stream_c, stream_a, ratio, freqs, "hann")
+    kappa = detection_threshold(stream_c, stream_a, ratio, "hann", p_fa, freqs.size)
     detected = _group_detections(freqs, np.abs(y), kappa)
     return SpectrumEstimate(
         frequencies=freqs,
         projections=y,
         threshold_kappa=kappa,
         p_fa=p_fa,
-        window=window,
         detected=detected,
     )
 
 
-@dataclass(frozen=True)
-class RefinedFrequency:
-    f_hat: float
-    converged: bool
+def _offset_moments(stream: TimestampStream, f_seed: float, delta_f: float) -> np.ndarray:
+    """Moments M_p = sum_i e^(-2j pi f_seed t_i) (t_i/h)^p of one stream, h = t_exp / 2.
 
-
-def _offset_series(
-    stream_c: TimestampStream,
-    stream_a: TimestampStream,
-    ratio: float,
-    f_seed: float,
-    delta_f: float,
-):
-    """y(f) = sum_C e^(-2j pi f t) - ratio * sum_A (...) for |f - f_seed| <= delta_f.
-
-    A power series in f - f_seed whose coefficients, the moments
-    M_p = sum_C e^(-2j pi f_seed t) (t/h)^p - ratio * sum_A (...) with
-    h = t_exp / 2, are summed over the events once. With |t| <= h, term p
-    is bounded by (2 pi delta_f h)^p / p! per event; the series stops
-    once that falls below 1e-16 (23 terms at delta_f = 0.6 / t_exp, 29 at
-    1 / t_exp), so y(f) is the event sum to rounding.
+    They are the coefficients, times p!, of the power series in f - f_seed
+    of the untapered event sum S(f) = sum_i e^(-2j pi f t_i) (see
+    ``_offset_series``). With |t| <= h, term p is bounded by
+    (2 pi delta_f h)^p / p! per event for |f - f_seed| <= delta_f; the
+    moments stop once that falls below 1e-16 (23 terms at delta_f =
+    0.6 / t_exp, 29 at 1 / t_exp), so the series is the event sum to
+    rounding. Each moment is one pass of a matrix-vector product.
     """
-    h = stream_c.t_exp / 2.0
+    h = stream.t_exp / 2.0
     x = 2.0 * math.pi * delta_f * h
     n_terms, bound = 0, 1.0  # bound = x^p / p! at p = n_terms, the first term left out
     while bound >= 1e-16:
         n_terms += 1
         bound *= x / n_terms
-    moments = np.zeros(n_terms, dtype=complex)
-    for stream, scale in ((stream_c, 1.0), (stream_a, -ratio)):
-        t = stream.centered_times()
-        phasor = np.exp((-2j * math.pi * f_seed) * t)
-        # Real (N, 2) view, so each moment is one matrix-vector product.
-        re_im = phasor.view(float).reshape(-1, 2)
-        s = t / h
-        power = np.ones_like(s)
-        for p in range(n_terms):
-            if p:
-                power *= s
-            re, im = power @ re_im
-            moments[p] += scale * complex(re, im)
-    coefs = moments / np.array([math.factorial(p) for p in range(n_terms)], dtype=float)
+    moments = np.empty(n_terms, dtype=complex)
+    t = stream.centered_times()
+    phasor = np.exp((-2j * math.pi * f_seed) * t)
+    # Real (N, 2) view, so each moment is one matrix-vector product.
+    re_im = phasor.view(float).reshape(-1, 2)
+    s = t / h
+    power = np.ones_like(s)
+    for p in range(n_terms):
+        if p:
+            power *= s
+        re, im = power @ re_im
+        moments[p] = complex(re, im)
+    return moments
+
+
+def _offset_series(moments: np.ndarray, f_seed: float, h: float):
+    """S(f) = sum_p M_p / p! (-2j pi h (f - f_seed))^p, by Horner's rule.
+
+    ``moments`` are one stream's ``_offset_moments``, or a linear
+    combination of two streams' moments for the combined projection.
+    """
+    coefs = moments / np.array([math.factorial(p) for p in range(moments.size)], dtype=float)
     poly = coefs[::-1].tolist()  # Horner order, highest power first
 
-    def y(f: float) -> complex:
+    def series(f: float) -> complex:
         z = (-2j * math.pi * h) * (f - f_seed)
         acc = 0j
         for c in poly:
             acc = acc * z + c
         return acc
 
-    return y
+    return series
 
 
 _SQRT_EPS = math.sqrt(2.2e-16)
@@ -453,77 +445,6 @@ def _bounded_brent(func, a: float, b: float, xatol: float, maxiter: int) -> tupl
     return xf, converged
 
 
-def refine_frequency(
-    stream_c: TimestampStream,
-    stream_a: TimestampStream,
-    ratio: float,
-    f_seed: float,
-    delta_f: float | None = None,
-    maxiter: int = 100,
-) -> RefinedFrequency:
-    """Maximise the untapered |y_f| within delta_f of the seed.
-
-    Minimises -|y_f| with the in-module bounded Brent search
-    (``_bounded_brent``) at absolute tolerance 1e-4 of delta_f, which
-    defaults to one grid step and may not exceed 1/t_exp (ConfigError).
-    A seed at or below delta_f from DC cannot be bracketed and raises
-    AnalysisError; a search that does not converge inside ``maxiter``
-    function evaluations returns the seed frequency flagged as
-    unconverged.
-
-    The objective is evaluated through ``_offset_series``, so each
-    optimiser step costs a short polynomial, not a pass over the events;
-    the 1/t_exp bound on delta_f keeps that series at 29 terms or fewer.
-    """
-    t_exp = stream_c.t_exp
-    if delta_f is None:
-        delta_f = grid_spacing(t_exp)
-    if delta_f > 1.0 / t_exp:
-        raise ConfigError(f"refinement bracket {delta_f} Hz exceeds 1/t_exp = {1.0 / t_exp} Hz")
-    if f_seed <= delta_f:
-        raise AnalysisError(f"seed {f_seed} Hz is within one grid step of DC")
-    _check_compatible(stream_c, stream_a)
-    y = _offset_series(stream_c, stream_a, ratio, f_seed, delta_f)
-
-    def neg_magnitude(f: float) -> float:
-        return -abs(y(f)) / t_exp
-
-    f_hat, converged = _bounded_brent(
-        neg_magnitude, f_seed - delta_f, f_seed + delta_f, 1e-4 * delta_f, maxiter
-    )
-    if not converged:
-        return RefinedFrequency(f_hat=float(f_seed), converged=False)
-    return RefinedFrequency(f_hat=float(f_hat), converged=True)
-
-
-def estimate_phase(
-    stream_c: TimestampStream, stream_a: TimestampStream, ratio: float, f_hat: float
-) -> float:
-    """Phase of the combined untapered projection at f_hat, in (-pi, pi]."""
-    y = project_timestamps(stream_c, f_hat, "rectangular") - ratio * project_timestamps(
-        stream_a, f_hat, "rectangular"
-    )
-    if y == 0:
-        raise AnalysisError("zero combined projection, phase undefined")
-    return float(np.angle(y))
-
-
-def estimate_amplitudes(stream: TimestampStream, f_hat: float, theta_hat: float) -> tuple[float, float]:
-    """Mean flux a0 and signed modulation amplitude a_hat of one stream.
-
-    a0 = N / t_exp; a_hat = (2 / t_exp) sum_i cos(2 pi f_hat t_i' + theta_hat).
-    The sign of a_hat carries the stream's modulation polarity relative
-    to the combined phase estimate.
-    """
-    t = stream.centered_times()
-    a0 = t.size / stream.t_exp
-    a_hat = 2.0 * float(np.sum(np.cos(2.0 * math.pi * f_hat * t + theta_hat))) / stream.t_exp
-    return a0, a_hat
-
-
-# ----- reconstruction -----
-
-
 @dataclass(frozen=True)
 class ComponentEstimate:
     f_hat: float
@@ -531,6 +452,70 @@ class ComponentEstimate:
     a_hat_c: float
     a_hat_a: float
     refined: bool = True
+
+
+def estimate_component(
+    stream_c: TimestampStream,
+    stream_a: TimestampStream,
+    ratio: float,
+    f_seed: float,
+    delta_f: float | None = None,
+    maxiter: int = 100,
+) -> ComponentEstimate:
+    """Refined frequency, phase and signed amplitudes of the line near f_seed.
+
+    Each stream's moment series (``_offset_moments``) is summed once; the
+    rest costs no pass over the events:
+
+    * refinement maximises the untapered combined magnitude
+      |S_C(f) - ratio S_A(f)| within delta_f of the seed with the
+      in-module bounded Brent search (``_bounded_brent``) at absolute
+      tolerance 1e-4 of delta_f, which defaults to one grid step and may
+      not exceed 1/t_exp (ConfigError). A seed at or below delta_f from
+      DC cannot be bracketed, and a search that does not converge inside
+      ``maxiter`` function evaluations keeps the seed; either way
+      ``refined`` is False and f_hat = f_seed.
+    * at f_hat, theta_hat = arg(S_C - ratio S_A), in (-pi, pi]; a zero
+      combined projection leaves it undefined (AnalysisError).
+    * each stream's signed amplitude is
+      a_hat = (2 / t_exp) Re(e^(i theta_hat) conj S(f_hat))
+      = (2 / t_exp) sum_i cos(2 pi f_hat t_i' + theta_hat); its sign
+      carries the stream's modulation polarity relative to theta_hat.
+    """
+    t_exp = stream_c.t_exp
+    if delta_f is None:
+        delta_f = grid_spacing(t_exp)
+    if delta_f > 1.0 / t_exp:
+        raise ConfigError(f"refinement bracket {delta_f} Hz exceeds 1/t_exp = {1.0 / t_exp} Hz")
+    _check_compatible(stream_c, stream_a)
+    h = t_exp / 2.0
+    m_c = _offset_moments(stream_c, f_seed, delta_f)
+    m_a = _offset_moments(stream_a, f_seed, delta_f)
+    f_hat, refined = f_seed, False
+    if f_seed > delta_f:
+        y = _offset_series(m_c - ratio * m_a, f_seed, h)
+
+        def neg_magnitude(f: float) -> float:
+            return -abs(y(f)) / t_exp
+
+        f_min, converged = _bounded_brent(
+            neg_magnitude, f_seed - delta_f, f_seed + delta_f, 1e-4 * delta_f, maxiter
+        )
+        if converged:
+            f_hat, refined = float(f_min), True
+    s_c = _offset_series(m_c, f_seed, h)(f_hat)
+    s_a = _offset_series(m_a, f_seed, h)(f_hat)
+    y_hat = s_c - ratio * s_a
+    if y_hat == 0:
+        raise AnalysisError("zero combined projection, phase undefined")
+    theta = cmath.phase(y_hat)
+    rotation = cmath.exp(1j * theta)
+    a_c = 2.0 * (rotation * s_c.conjugate()).real / t_exp
+    a_a = 2.0 * (rotation * s_a.conjugate()).real / t_exp
+    return ComponentEstimate(float(f_hat), theta, a_c, a_a, refined)
+
+
+# ----- reconstruction -----
 
 
 @dataclass(frozen=True, eq=False)
@@ -579,16 +564,7 @@ class ReconstructedSignal:
             "displacement_pp": self.displacement_pp,
             "flux_clamp_fraction": self.flux_clamp_fraction,
             "arccos_clamp_fraction": self.arccos_clamp_fraction,
-            "components": [
-                {
-                    "f_hat": c.f_hat,
-                    "theta_hat": c.theta_hat,
-                    "a_hat_c": c.a_hat_c,
-                    "a_hat_a": c.a_hat_a,
-                    "refined": c.refined,
-                }
-                for c in self.components
-            ],
+            "components": [asdict(c) for c in self.components],
             "trace": {
                 "dt": self.trace_dt * stride,
                 "stride": stride,
@@ -702,12 +678,9 @@ def reconstruct(
 class AnalysisOptions:
     p_fa: float = 1e-3
     f_max: float = 50e3
-    window: str = "hann"
     points_per_period: int = 100
 
     def __post_init__(self) -> None:
-        if self.window not in _WINDOWS:
-            raise ConfigError(f"unknown window {self.window!r}")
         if not self.points_per_period >= 1:
             raise ConfigError(f"points_per_period must be >= 1, got {self.points_per_period}")
 
@@ -729,17 +702,9 @@ def _estimate_components(
     spectrum: SpectrumEstimate,
 ) -> tuple[ComponentEstimate, ...]:
     df = grid_spacing(stream_c.t_exp)
-    estimates: list[ComponentEstimate] = []
-    for f_seed in spectrum.detected:
-        try:
-            r = refine_frequency(stream_c, stream_a, ratio, f_seed, df)
-            f_hat, refined = r.f_hat, r.converged
-        except AnalysisError:
-            f_hat, refined = f_seed, False  # seed too close to DC, keep it unrefined
-        theta = estimate_phase(stream_c, stream_a, ratio, f_hat)
-        _, a_c = estimate_amplitudes(stream_c, f_hat, theta)
-        _, a_a = estimate_amplitudes(stream_a, f_hat, theta)
-        estimates.append(ComponentEstimate(f_hat, theta, a_c, a_a, refined))
+    estimates = [
+        estimate_component(stream_c, stream_a, ratio, f_seed, df) for f_seed in spectrum.detected
+    ]
     # Two seeds occasionally refine onto the same line; keep the stronger.
     estimates.sort(key=lambda c: c.f_hat)
     deduped: list[ComponentEstimate] = []
@@ -770,9 +735,7 @@ def pipeline(
     reference ClassicalFringeSpec; everything but the fringe inversion is
     the same analysis.
     """
-    spectrum = scan_spectrum(
-        stream_c, stream_a, ratio, options.p_fa, options.f_max, options.window
-    )
+    spectrum = scan_spectrum(stream_c, stream_a, ratio, options.p_fa, options.f_max)
     comps = _estimate_components(stream_c, stream_a, ratio, spectrum)
     if not comps:
         return PipelineResult(spectrum=spectrum, reconstruction=None)

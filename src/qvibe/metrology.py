@@ -15,7 +15,6 @@ Three layers live here:
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -83,13 +82,13 @@ def monte_carlo_delay_std(
     n_trials: int,
     seed: int,
     pair: PhotonPairSpec,
-    v0: float = 1.0,
     calibration_pairs: int | None = None,
 ) -> DelayStdResult:
     """Simulate repeated static-delay estimation at quadrature.
 
     Each trial splits n_pairs detections between the two outputs at the
-    quadrature point and inverts the fringe for the delay. When
+    quadrature point and inverts the fringe, at the pair's visibility
+    ``visibility_v0``, for the delay. When
     ``calibration_pairs`` is given, the output-rate ratio is first
     estimated from a separate calibration draw at known probability 1/2,
     as a deployed instrument must, which adds a known variance share
@@ -99,13 +98,10 @@ def monte_carlo_delay_std(
     """
     if n_trials < 2:
         raise ConfigError("n_trials must be >= 2")
-    if not 0 < v0 <= 1:
-        raise ConfigError("v0 must lie in (0, 1]")
+    v0 = pair.visibility_v0
     rng = np.random.default_rng(seed)
     tau_op = quadrature_delay(pair)
-    p_true = quantum_coincidence_probability(
-        replace(pair, visibility_v0=v0), tau_op
-    )
+    p_true = quantum_coincidence_probability(pair, tau_op)
     k = rng.binomial(n_pairs, p_true, size=n_trials)
     if calibration_pairs is not None:
         if calibration_pairs < 4:
@@ -133,10 +129,7 @@ def monte_carlo_delay_std(
 
 
 def _worker_count(max_workers: int | None) -> int:
-    if max_workers is not None:
-        return max(1, int(max_workers))
-    env = os.environ.get("QVIBE_THREADS", "")
-    return max(1, int(env)) if env.strip() else 1
+    return 1 if max_workers is None else max(1, int(max_workers))
 
 
 def _map_indexed(fn, n: int, max_workers: int | None) -> list:

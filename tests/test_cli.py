@@ -147,6 +147,8 @@ def test_ini_rejects_unknown_and_duplicates():
         parse_config("[analysis]\nrefine = true\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("[run]\nformat = text\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config("[analysis]\nwindow = hann\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config("[pair]\nvisibility = 1\nvisibility = 0.9\n")
     with pytest.raises(ConfigError, match="outside"):

@@ -2,8 +2,8 @@
 
 The deterministic streams used here are built by inverting the
 cumulative intensity of a modulated rate function, so their projections
-carry a noise-free tone. That gives sharp oracles for the frequency
-refiner, the phase estimator, and the amplitude estimator without any
+carry a noise-free tone. That gives sharp oracles for the refined
+frequency, phase and amplitudes of ``estimate_component`` without any
 Monte-Carlo slack.
 """
 
@@ -30,19 +30,18 @@ from qvibe.estimate import (
     _TRACE_BLOCK,
     _bounded_brent,
     _group_detections,
+    _offset_moments,
     _offset_series,
     _project_direct,
     _uniform_from_zero,
     combined_spectrum,
     detection_threshold,
-    estimate_amplitudes,
-    estimate_phase,
+    estimate_component,
     frequency_grid,
     grid_spacing,
     pipeline,
     project_timestamps,
     reconstruct,
-    refine_frequency,
     scan_spectrum,
 )
 from qvibe.simulate import (
@@ -328,8 +327,8 @@ def test_refine_frequency_against_golden_section_oracle():
     sc = modulated_stream(20_000, f_true, 0.5, 0.7, t_exp)
     sa = modulated_stream(20_000, f_true, 0.5, 0.7 + math.pi, t_exp, "anticoincidence")
     df = grid_spacing(t_exp)
-    got = refine_frequency(sc, sa, 1.0, 10.2, df)
-    assert got.converged
+    got = estimate_component(sc, sa, 1.0, 10.2, df)
+    assert got.refined
 
     tc = sc.centered_times()
     ta = sa.centered_times()
@@ -389,13 +388,20 @@ def test_refine_series_matches_direct_event_sum():
     sc = modulated_stream(20_000, 10.25, 0.5, 0.7, t_exp)
     sa = modulated_stream(15_000, 10.25, 0.5, 0.7 + math.pi, t_exp, "anticoincidence")
     tc, ta = sc.centered_times(), sa.centered_times()
+    h = t_exp / 2.0
     for delta_f in (grid_spacing(t_exp), 1.0 / t_exp):
-        for ratio in (1.0, 1.7):
-            y = _offset_series(sc, sa, ratio, f_seed, delta_f)
-            for f in np.linspace(f_seed - delta_f, f_seed + delta_f, 21):
-                direct = np.exp((-2j * math.pi * f) * tc).sum() - ratio * np.exp(
-                    (-2j * math.pi * f) * ta
-                ).sum()
+        m_c = _offset_moments(sc, f_seed, delta_f)
+        m_a = _offset_moments(sa, f_seed, delta_f)
+        s_c = _offset_series(m_c, f_seed, h)
+        s_a = _offset_series(m_a, f_seed, h)
+        for f in np.linspace(f_seed - delta_f, f_seed + delta_f, 21):
+            direct_c = np.exp((-2j * math.pi * f) * tc).sum()
+            direct_a = np.exp((-2j * math.pi * f) * ta).sum()
+            assert abs(s_c(f) - direct_c) <= 1e-12 * abs(direct_c), (delta_f, f)
+            assert abs(s_a(f) - direct_a) <= 1e-12 * abs(direct_a), (delta_f, f)
+            for ratio in (1.0, 1.7):
+                y = _offset_series(m_c - ratio * m_a, f_seed, h)
+                direct = direct_c - ratio * direct_a
                 assert abs(y(f) - direct) <= 1e-12 * abs(direct), (delta_f, ratio, f)
 
 
@@ -403,25 +409,17 @@ def test_refine_rejects_bracket_wider_than_inverse_exposure():
     t_exp = 2.0
     sc = modulated_stream(2_000, 10.25, 0.5, 0.0, t_exp)
     sa = modulated_stream(2_000, 10.25, 0.5, math.pi, t_exp, "anticoincidence")
-    assert refine_frequency(sc, sa, 1.0, 10.2, 1.0 / t_exp).converged
+    assert estimate_component(sc, sa, 1.0, 10.2, 1.0 / t_exp).refined
     with pytest.raises(ConfigError, match="bracket"):
-        refine_frequency(sc, sa, 1.0, 10.2, 1.01 / t_exp)
-
-
-def test_refine_rejects_seed_next_to_dc():
-    rng = np.random.default_rng(21)
-    sc = stream_from_times(rng.uniform(0, 1, 500), 1.0)
-    sa = stream_from_times(rng.uniform(0, 1, 500), 1.0, "anticoincidence")
-    with pytest.raises(AnalysisError):
-        refine_frequency(sc, sa, 1.0, 0.5)
+        estimate_component(sc, sa, 1.0, 10.2, 1.01 / t_exp)
 
 
 def test_refine_iteration_cap_keeps_seed():
     t_exp = 1.0
     sc = modulated_stream(2_000, 10.25, 0.5, 0.0, t_exp)
     sa = modulated_stream(2_000, 10.25, 0.5, math.pi, t_exp, "anticoincidence")
-    got = refine_frequency(sc, sa, 1.0, 10.2, maxiter=2)
-    assert not got.converged
+    got = estimate_component(sc, sa, 1.0, 10.2, maxiter=2)
+    assert not got.refined
     assert got.f_hat == 10.2
 
 
@@ -431,7 +429,7 @@ def test_phase_construction_oracle():
     for theta in (0.0, 1.1, -2.4):
         sc = modulated_stream(40_000, f0, 0.5, theta, t_exp)
         sa = modulated_stream(40_000, f0, 0.5, theta + math.pi, t_exp, "anticoincidence")
-        got = estimate_phase(sc, sa, 1.0, f0)
+        got = estimate_component(sc, sa, 1.0, f0).theta_hat
         err = (got - theta + math.pi) % (2.0 * math.pi) - math.pi
         assert abs(err) < 0.01
 
@@ -441,8 +439,8 @@ def test_phase_flips_by_pi_for_antiphase_construction():
     f0 = 10.0
     sc = modulated_stream(40_000, f0, 0.5, 0.3, t_exp)
     sa = modulated_stream(40_000, f0, 0.5, 0.3 + math.pi, t_exp, "anticoincidence")
-    th_c = estimate_phase(sc, sa, 1.0, f0)
-    th_a = estimate_phase(sa, sc, 1.0, f0)
+    th_c = estimate_component(sc, sa, 1.0, f0).theta_hat
+    th_a = estimate_component(sa, sc, 1.0, f0).theta_hat
     diff = (th_c - th_a + math.pi) % (2.0 * math.pi) - math.pi
     assert abs(abs(diff) - math.pi) < 0.02
 
@@ -451,8 +449,8 @@ def test_phase_undefined_for_cancelled_projection():
     rng = np.random.default_rng(31)
     s = stream_from_times(rng.uniform(0, 1, 300), 1.0)
     s2 = TimestampStream("anticoincidence", s.ticks, TICK, 1.0)
-    with pytest.raises(AnalysisError):
-        estimate_phase(s, s2, 1.0, 10.0)
+    with pytest.raises(AnalysisError, match="zero combined projection"):
+        estimate_component(s, s2, 1.0, 10.0)
 
 
 def test_amplitude_estimates_recover_construction():
@@ -460,12 +458,34 @@ def test_amplitude_estimates_recover_construction():
     f0, depth, theta, n = 10.0, 0.5, 0.3, 50_000
     sc = modulated_stream(n, f0, depth, theta, t_exp)
     sa = modulated_stream(n, f0, depth, theta + math.pi, t_exp, "anticoincidence")
-    a0_c, a1_c = estimate_amplitudes(sc, f0, theta)
-    a0_a, a1_a = estimate_amplitudes(sa, f0, theta)
-    assert a0_c == n / t_exp
-    assert abs(a1_c - depth * a0_c) < 0.01 * depth * a0_c
+    comp = estimate_component(sc, sa, 1.0, f0)
+    a0 = n / t_exp
+    assert abs(comp.theta_hat - theta) < 0.01
+    assert abs(comp.a_hat_c - depth * a0) < 0.01 * depth * a0
     # Anti-phase stream keeps the shared phase and flips the sign.
-    assert abs(a1_a + depth * a0_a) < 0.01 * depth * a0_a
+    assert abs(comp.a_hat_a + depth * a0) < 0.01 * depth * a0
+
+
+def test_component_matches_direct_event_sums_refined_and_next_to_dc():
+    # theta_hat and both amplitudes come from the moment series; they must
+    # be the direct event sums at f_hat, for a refined seed and for a seed
+    # within delta_f of DC, which keeps its frequency unrefined.
+    t_exp = 1.0
+    sc = modulated_stream(20_000, 10.25, 0.5, 0.7, t_exp)
+    sa = modulated_stream(15_000, 10.25, 0.5, 0.7 + math.pi, t_exp, "anticoincidence")
+    tc, ta = sc.centered_times(), sa.centered_times()
+    df = grid_spacing(t_exp)
+    for f_seed, ratio, refined in ((10.2, 1.7, True), (0.5, 1.0, False), (df, 1.3, False)):
+        comp = estimate_component(sc, sa, ratio, f_seed, df)
+        assert comp.refined is refined
+        if not refined:
+            assert comp.f_hat == f_seed
+        f = comp.f_hat
+        y = np.exp((-2j * math.pi * f) * tc).sum() - ratio * np.exp((-2j * math.pi * f) * ta).sum()
+        assert abs(comp.theta_hat - np.angle(y)) <= 1e-12 * abs(np.angle(y)), f_seed
+        for got, t in ((comp.a_hat_c, tc), (comp.a_hat_a, ta)):
+            direct = 2.0 * np.cos(2.0 * math.pi * f * t + comp.theta_hat).sum() / t_exp
+            assert abs(got - direct) <= 1e-12 * abs(direct), (f_seed, got, direct)
 
 
 # ----- reconstruction -----
@@ -740,7 +760,6 @@ def test_component_dedup_keeps_the_stronger_refinement():
         projections=y,
         threshold_kappa=0.0,
         p_fa=1e-3,
-        window="hann",
         detected=(9.6, 10.8),  # two seeds straddling the same line
     )
     comps = _estimate_components(sc, sa, 1.0, fake)
@@ -752,8 +771,6 @@ def test_component_dedup_keeps_the_stronger_refinement():
 
 
 def test_analysis_options_validation():
-    with pytest.raises(ConfigError):
-        AnalysisOptions(window="boxcar")
     for bad in (0, -1, -100):
         with pytest.raises(ConfigError, match="points_per_period"):
             AnalysisOptions(points_per_period=bad)
