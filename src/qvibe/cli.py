@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -209,6 +210,9 @@ def cmd_trials(args) -> int:
     return 0
 
 
+_MAX_SWEEP_POINTS = 10_000  # each point is one simulated exposure
+
+
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     start = cfg.get("sweep", "start")
@@ -216,11 +220,12 @@ def cmd_sweep(args) -> int:
     step = cfg.get("sweep", "step")
     if step <= 0 or stop < start:
         raise ConfigError("[sweep] needs stop >= start and step > 0")
-    freqs = []
-    f = start
-    while f <= stop * (1.0 + 1e-12):
-        freqs.append(f)
-        f += step
+    span = (stop * (1.0 + 1e-12) - start) / step
+    if not span < _MAX_SWEEP_POINTS:
+        raise ConfigError(
+            f"[sweep] start, stop and step give more than {_MAX_SWEEP_POINTS} points"
+        )
+    freqs = [start + i * step for i in range(math.floor(span) + 1)]
     points = run_frequency_sweep(
         freqs,
         build_pair(cfg),
@@ -305,6 +310,8 @@ def cmd_qcrb(args) -> int:
         if args.calibration_factor is not None
         else cfg.get("qcrb", "calibration_factor", 0.0)
     )
+    if not math.isfinite(factor):
+        raise ConfigError(f"calibration_factor must be finite, got {factor}")
     seed = _seed_of(args, cfg)
     for i, n in enumerate(n_list):
         cal = int(factor * n) if factor > 0 else None

@@ -13,7 +13,11 @@ The pipeline works directly on event times, never on a rate histogram:
 3. collapse contiguous above-threshold bins to candidate frequencies and
    refine each by maximising the untapered projection magnitude, a power
    series in the frequency offset whose event moments are summed once
-   per stream and candidate (see ``estimate_component``),
+   per stream and candidate: a zooming grid search scores the series on
+   65-point grids of the bracket until the step is at most 1e-4 of a
+   grid step, so the refined frequency holds that tolerance at every
+   frequency and the search has no iteration count to run out of (see
+   ``estimate_component``),
 4. read the phase of the combined projection and each stream's signed
    amplitude at the refined frequency from the same two series, with no
    further pass over the events,
@@ -349,100 +353,44 @@ def _offset_series(moments: np.ndarray, f_seed: float, h: float):
 
     ``moments`` are one stream's ``_offset_moments``, or a linear
     combination of two streams' moments for the combined projection.
+    The returned series takes a scalar or an array of frequencies.
     """
     coefs = moments / np.array([math.factorial(p) for p in range(moments.size)], dtype=float)
-    poly = coefs[::-1].tolist()  # Horner order, highest power first
+    poly = coefs[::-1]  # highest power first
 
-    def series(f: float) -> complex:
-        z = (-2j * math.pi * h) * (f - f_seed)
-        acc = 0j
-        for c in poly:
-            acc = acc * z + c
-        return acc
+    def series(f):
+        return np.polyval(poly, (-2j * math.pi * h) * (np.asarray(f, dtype=float) - f_seed))
 
     return series
 
 
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+_SEARCH_POINTS = 65
 
 
-def _bounded_brent(func, a: float, b: float, xatol: float, maxiter: int) -> tuple[float, bool]:
-    """Minimise func on [a, b] by Brent's bounded golden-section/parabolic search.
+def _argmax_on_bracket(magnitude, lo: float, hi: float, tol: float) -> float:
+    """Point of largest ``magnitude`` in [lo, hi], found on a grid of step <= tol.
 
-    Brent (1973), in the ``fmin`` form of Forsythe, Malcolm & Moler (1977):
-    a golden-mean start, parabolic steps where the parabola is acceptable
-    and golden steps otherwise, stopping once |x - m| <= 2 tol1 - (b - a)/2
-    with m the bracket midpoint and tol1 = sqrt(2.2e-16) |x| + xatol/3.
-    ``maxiter`` counts function evaluations. Returns ``(x, converged)``;
-    running out of evaluations, or a NaN in x or in a function value, is
-    not converged. The tests hold it bit for bit to the widely used
-    library version of the same routine.
+    ``magnitude`` scores an array of frequencies at once. It is evaluated
+    on _SEARCH_POINTS evenly spaced points of the bracket; the search then
+    zooms onto the two grid steps around the best point, which shrinks
+    the step at least 32-fold, and repeats until the step is at most tol.
+    The first grid covers the whole bracket, so the result is its global
+    maximum, not the nearest local one, as long as that grid's step
+    resolves the peaks (refinement uses 1/32 of delta_f <= 1/t_exp, far
+    finer than a line's 1/t_exp-wide main lobe). There is no iteration
+    count to run out of: for tol > 0 the number of grids is fixed by
+    (hi - lo) / tol, three at tol = 1e-4 (hi - lo) / 2.
     """
-    fulc = nfc = xf = a + _GOLDEN_MEAN * (b - a)
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    fu = math.inf
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    converged = True
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = p / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = _GOLDEN_MEAN * e
-        step = max(abs(rat), tol1)  # at least tol1, in the direction of rat (+ at 0)
-        x = xf + step if rat >= 0.0 else xf - step
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxiter:
-            converged = False
-            break
-    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
-        converged = False
-    return xf, converged
+    intervals = _SEARCH_POINTS - 1
+    step = (hi - lo) / intervals
+    while True:
+        f = np.linspace(lo, hi, _SEARCH_POINTS)
+        k = int(np.argmax(magnitude(f)))
+        if step <= tol:
+            return float(f[k])
+        lo, hi = f[max(k - 1, 0)], f[min(k + 1, intervals)]
+        # The nominal step, not (hi - lo) / intervals, so rounding cannot stall the zoom.
+        step *= 2.0 / intervals
 
 
 @dataclass(frozen=True)
@@ -460,7 +408,6 @@ def estimate_component(
     ratio: float,
     f_seed: float,
     delta_f: float | None = None,
-    maxiter: int = 100,
 ) -> ComponentEstimate:
     """Refined frequency, phase and signed amplitudes of the line near f_seed.
 
@@ -468,13 +415,16 @@ def estimate_component(
     rest costs no pass over the events:
 
     * refinement maximises the untapered combined magnitude
-      |S_C(f) - ratio S_A(f)| within delta_f of the seed with the
-      in-module bounded Brent search (``_bounded_brent``) at absolute
-      tolerance 1e-4 of delta_f, which defaults to one grid step and may
-      not exceed 1/t_exp (ConfigError). A seed at or below delta_f from
-      DC cannot be bracketed, and a search that does not converge inside
-      ``maxiter`` function evaluations keeps the seed; either way
-      ``refined`` is False and f_hat = f_seed.
+      |S_C(f) - ratio S_A(f)| over [f_seed - delta_f, f_seed + delta_f]
+      by a zooming grid search on the series (``_argmax_on_bracket``):
+      three grids of 65 points, the last with a step of at most
+      delta_f / 32768, so f_hat is within 1e-4 delta_f of the frequency
+      of the bracket's largest value, at any line frequency. delta_f
+      defaults to one grid step and must lie in (0, 1/t_exp]
+      (ConfigError). The search has no iteration count and cannot fail
+      to converge. A seed at or below delta_f from DC cannot
+      be bracketed and keeps its frequency: ``refined`` is False and
+      f_hat = f_seed; every other seed is refined.
     * at f_hat, theta_hat = arg(S_C - ratio S_A), in (-pi, pi]; a zero
       combined projection leaves it undefined (AnalysisError).
     * each stream's signed amplitude is
@@ -485,26 +435,23 @@ def estimate_component(
     t_exp = stream_c.t_exp
     if delta_f is None:
         delta_f = grid_spacing(t_exp)
-    if delta_f > 1.0 / t_exp:
-        raise ConfigError(f"refinement bracket {delta_f} Hz exceeds 1/t_exp = {1.0 / t_exp} Hz")
+    if not 0 < delta_f <= 1.0 / t_exp:
+        raise ConfigError(
+            f"refinement bracket {delta_f} Hz must lie in (0, 1/t_exp = {1.0 / t_exp} Hz]"
+        )
     _check_compatible(stream_c, stream_a)
     h = t_exp / 2.0
     m_c = _offset_moments(stream_c, f_seed, delta_f)
     m_a = _offset_moments(stream_a, f_seed, delta_f)
-    f_hat, refined = f_seed, False
-    if f_seed > delta_f:
+    refined = f_seed > delta_f
+    f_hat = f_seed
+    if refined:
         y = _offset_series(m_c - ratio * m_a, f_seed, h)
-
-        def neg_magnitude(f: float) -> float:
-            return -abs(y(f)) / t_exp
-
-        f_min, converged = _bounded_brent(
-            neg_magnitude, f_seed - delta_f, f_seed + delta_f, 1e-4 * delta_f, maxiter
+        f_hat = _argmax_on_bracket(
+            lambda f: np.abs(y(f)), f_seed - delta_f, f_seed + delta_f, 1e-4 * delta_f
         )
-        if converged:
-            f_hat, refined = float(f_min), True
-    s_c = _offset_series(m_c, f_seed, h)(f_hat)
-    s_a = _offset_series(m_a, f_seed, h)(f_hat)
+    s_c = complex(_offset_series(m_c, f_seed, h)(f_hat))
+    s_a = complex(_offset_series(m_a, f_seed, h)(f_hat))
     y_hat = s_c - ratio * s_a
     if y_hat == 0:
         raise AnalysisError("zero combined projection, phase undefined")
@@ -547,9 +494,6 @@ class ReconstructedSignal:
         """Mean-removed displacement in metres at the trace sampling."""
         tau = self.tau_trace
         return SPEED_OF_LIGHT * (tau - tau.mean()) / self.geometry_g
-
-    def trace_times(self) -> np.ndarray:
-        return np.arange(self.tau_trace.size) * self.trace_dt
 
     def to_json(self, path: str | Path | None = None, max_trace_points: int = 4096):
         stride = max(1, -(-self.tau_trace.size // max_trace_points))

@@ -77,6 +77,10 @@ class DelayStdResult:
         return self.sigma_tau / self.bound
 
 
+_MAX_PAIRS = (1 << 63) - 1  # the largest count a binomial draw takes
+_MAX_TRIALS = 1 << 24
+
+
 def monte_carlo_delay_std(
     n_pairs: int,
     n_trials: int,
@@ -94,18 +98,26 @@ def monte_carlo_delay_std(
     as a deployed instrument must, which adds a known variance share
     (1 + n_pairs / calibration_pairs) to the estimator.
 
-    Returns the root-mean-square deviation from the true delay.
+    Returns the root-mean-square deviation from the true delay. Every
+    input is checked before the first draw: n_pairs and calibration_pairs
+    must fit the binomial draw's int64 count, and n_trials is at most
+    _MAX_TRIALS = 2^24, since a trial holds about 64 bytes of draw arrays
+    (about 1 GiB at the cap); anything else raises ConfigError.
     """
-    if n_trials < 2:
-        raise ConfigError("n_trials must be >= 2")
+    if not 1 <= n_pairs <= _MAX_PAIRS:
+        raise ConfigError(f"n_pairs must lie in [1, {_MAX_PAIRS}], got {n_pairs}")
+    if not 2 <= n_trials <= _MAX_TRIALS:
+        raise ConfigError(f"n_trials must lie in [2, {_MAX_TRIALS}], got {n_trials}")
+    if calibration_pairs is not None and not 4 <= calibration_pairs <= _MAX_PAIRS:
+        raise ConfigError(
+            f"calibration_pairs must lie in [4, {_MAX_PAIRS}], got {calibration_pairs}"
+        )
     v0 = pair.visibility_v0
     rng = np.random.default_rng(seed)
     tau_op = quadrature_delay(pair)
     p_true = quantum_coincidence_probability(pair, tau_op)
     k = rng.binomial(n_pairs, p_true, size=n_trials)
     if calibration_pairs is not None:
-        if calibration_pairs < 4:
-            raise ConfigError("calibration_pairs must be >= 4")
         k_cal = rng.binomial(calibration_pairs, 0.5, size=n_trials)
         k_cal = np.clip(k_cal, 1, calibration_pairs - 1)
         ratio_hat = k_cal / (calibration_pairs - k_cal)

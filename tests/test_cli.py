@@ -1,15 +1,18 @@
 """Configuration parsing and command-line behavior tests.
 
 CLI tests drive main() in-process so exit codes and stdout can be
-asserted without spawning interpreters; only the import check, which
-needs a fresh interpreter, runs one.
+asserted without spawning interpreters. Two checks run a child: the
+import check, which needs a fresh interpreter, and the sweep point cap,
+whose failure mode is a run that never ends.
 """
 
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -398,11 +401,16 @@ def test_cli_rejects_negative_and_non_finite_seeds(tmp_path, capsys):
     assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
+def _child_env():
+    """Environment for a fresh interpreter that imports this checkout's qvibe."""
+    src = str(Path(qvibe.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_import_loads_numpy_but_not_scipy():
     # numpy is the only runtime dependency: importing the package and its
     # CLI in a fresh interpreter must not pull in scipy.
-    src = str(Path(qvibe.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = _child_env()
     code = (
         "import sys, qvibe, qvibe.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
@@ -420,6 +428,75 @@ def test_cli_qcrb_reports_ratio(capsys):
     assert code == 0
     assert "n_pairs=10000" in out
     assert "ratio=" in out
+
+
+def test_cli_qcrb_rejects_bad_counts_before_drawing(capsys):
+    # Drawn first, these would give a numpy traceback (negative or
+    # oversized pair count, non-finite calibration factor), a
+    # RuntimeWarning (zero pairs) or a 745 GiB allocation (1e11 trials).
+    # Each must be a config error, raised before any draw.
+    cases = (
+        ["--n-pairs", "-5"],
+        ["--n-pairs", "0"],
+        ["--n-pairs", str(10**30)],
+        ["--trials", "100000000000"],
+        ["--calibration-factor", "inf"],
+    )
+    for args in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["qcrb", *args]) == 2, args
+        assert capsys.readouterr().err.startswith("config error"), args
+
+
+SWEEP_INI = INI_TEXT + """
+[sweep]
+start = 10 Hz
+stop = 30 Hz
+step = 10 Hz
+amplitude_pp = 20 nm
+exposure = 1 s
+"""
+
+
+def _limit_child_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_cli_sweep_table_and_point_cap(tmp_path, capsys):
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(SWEEP_INI)
+    table = tmp_path / "sweep.csv"
+    assert main(["sweep", "-c", str(cfg), "--out", str(table)]) == 0
+    lines = table.read_text().splitlines()
+    assert capsys.readouterr().out.startswith("\n".join(lines))
+    assert lines[0] == "f_nominal,f_true,detected,f_hat,rel_offset,pp_hat"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == ["10.0", "20.0", "30.0"]
+    assert all(row[2] == "1" and abs(float(row[3]) - float(row[0])) < 0.05 for row in rows)
+
+    # 10001 points, one more than the cap, and a step below the float
+    # resolution at 1 MHz, where stepping f by adding step never advances
+    # it and the point list grows without bound. Both must be refused
+    # before any exposure. They run in a child with a deadline and a
+    # memory limit, so a regression fails the test instead of hanging the
+    # suite.
+    over = SWEEP_INI.replace("stop = 30 Hz", "stop = 100010 Hz")
+    hang = (
+        SWEEP_INI.replace("start = 10 Hz", "start = 1 MHz")
+        .replace("stop = 30 Hz", "stop = 1 MHz")
+        .replace("step = 10 Hz", "step = 1e-12 Hz")
+    )
+    for name, text in (("over", over), ("hang", hang)):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qvibe.cli", "sweep", "-c", str(path)],
+            env=_child_env(), capture_output=True, text=True, timeout=30,
+            preexec_fn=_limit_child_memory,
+        )
+        assert proc.returncode == 2, (name, proc.stderr[-500:])
+        assert "more than 10000 points" in proc.stderr, name
 
 
 def test_cli_spectrum_csv_to_stdout(tmp_path, capsys):

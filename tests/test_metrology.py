@@ -6,6 +6,7 @@ cannot silently re-derive them.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -101,6 +102,18 @@ def test_monte_carlo_validation():
         monte_carlo_delay_std(100, 1, seed=0, pair=PAIR)
     with pytest.raises(ConfigError):
         monte_carlo_delay_std(100, 10, seed=0, pair=PAIR, calibration_pairs=2)
+    # Counts the binomial draw cannot take, and a trial count whose draw
+    # arrays would pass the cap (about 64 bytes a trial), are refused before
+    # any draw, so no numpy error or warning comes first.
+    for n_pairs in (-5, 0, 1 << 63):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="n_pairs"):
+                monte_carlo_delay_std(n_pairs, 10, seed=0, pair=PAIR)
+    with pytest.raises(ConfigError, match="n_trials"):
+        monte_carlo_delay_std(100, (1 << 24) + 1, seed=0, pair=PAIR)
+    with pytest.raises(ConfigError, match="calibration_pairs"):
+        monte_carlo_delay_std(100, 10, seed=0, pair=PAIR, calibration_pairs=1 << 63)
 
 
 # ----- repeated exposure trials -----
