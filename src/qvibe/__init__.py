@@ -12,8 +12,6 @@ from .core import (
     PhotonPairSpec,
     SPEED_OF_LIGHT,
     classical_port_probability,
-    delay_to_displacement,
-    displacement_to_delay,
     quadrature_delay,
     quantum_coincidence_probability,
 )
@@ -63,7 +61,6 @@ from .simulate import (
     simulate_quantum_run,
 )
 from .streamio import (
-    read_ground_truth,
     read_stream,
     write_ground_truth,
     write_stream_binary,

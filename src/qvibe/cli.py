@@ -131,13 +131,13 @@ def cmd_estimate(args) -> int:
     spectrum, recon = result.spectrum, result.reconstruction
     if args.out:
         out = _outdir(args)
-        spectrum.to_csv(out / "spectrum.csv")
+        (out / "spectrum.csv").write_text(spectrum.to_csv())
         print(f"wrote {out / 'spectrum.csv'}")
         if recon is not None:
             recon.to_json(out / "reconstruction.json")
             print(f"wrote {out / 'reconstruction.json'}")
     if args.format == "csv":
-        spectrum.to_csv(_StdoutPath())
+        sys.stdout.write(spectrum.to_csv())
         return 0
     if args.format == "json":
         doc = recon.to_json() if recon is not None else {"detected": False}
@@ -162,13 +162,6 @@ def cmd_estimate(args) -> int:
         f" arccos={_fmt(recon.arccos_clamp_fraction)}"
     )
     return 0
-
-
-class _StdoutPath:
-    """Minimal Path stand-in so table writers can target stdout."""
-
-    def write_text(self, text: str) -> None:
-        sys.stdout.write(text)
 
 
 def cmd_trials(args) -> int:
@@ -310,8 +303,10 @@ def cmd_qcrb(args) -> int:
         if args.calibration_factor is not None
         else cfg.get("qcrb", "calibration_factor", 0.0)
     )
-    if not math.isfinite(factor):
-        raise ConfigError(f"calibration_factor must be finite, got {factor}")
+    if not 0 <= factor < math.inf:
+        raise ConfigError(
+            f"calibration_factor must be finite and non-negative (0 = known ratio), got {factor}"
+        )
     seed = _seed_of(args, cfg)
     for i, n in enumerate(n_list):
         cal = int(factor * n) if factor > 0 else None
@@ -333,10 +328,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
+    def common(p, config_required=True, threads=False):
         p.add_argument("--config", "-c", required=config_required, help="configuration file")
         p.add_argument("--seed", type=int, default=None, help="override [run] seed")
-        p.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
+        if threads:
+            p.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
 
     p = sub.add_parser("simulate", help="generate timestamp streams for one exposure")
     common(p)
@@ -358,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("trials", help="repeat one scenario and report spread statistics")
-    common(p)
+    common(p, threads=True)
     p.add_argument("--out", "-o", default=None, help="write statistics JSON here")
     p.add_argument("--trials", type=int, default=None, help="override [run] trials")
     p.add_argument("--p-fa", type=float, default=None)
@@ -366,14 +362,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trials)
 
     p = sub.add_parser("sweep", help="step a tone across frequencies")
-    common(p)
+    common(p, threads=True)
     p.add_argument("--out", "-o", default=None, help="write the sweep table here")
     p.add_argument("--p-fa", type=float, default=None)
     p.add_argument("--f-max", type=float, default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("advantage", help="compare channels under loss or background")
-    common(p)
+    common(p, threads=True)
     p.add_argument("--out", "-o", default=None, help="write outcome JSON here")
     p.set_defaults(func=cmd_advantage)
 

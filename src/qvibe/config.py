@@ -6,10 +6,11 @@ Two on-disk shapes share one parser:
   lines, comments starting with ``#``,
 * a JSON object whose keys are flattened ``"section.key"`` strings.
 
-Every value is typed by a fixed schema. Physical quantities must carry a
-unit suffix from the tables below (``t_exp = 5 s``, ``f_max = 22 kHz``,
-``amplitude_pp = 20 nm``, ``phase_offset = -90 deg``); dimensionless
-numbers must not carry one. Unknown sections, unknown keys, duplicate
+Every value is typed by a fixed schema when the file is loaded, so a
+malformed value is rejected whichever command loads the file. Physical
+quantities must carry a unit suffix from the tables below (``t_exp = 5 s``,
+``f_max = 22 kHz``, ``amplitude_pp = 20 nm``, ``phase_offset = -90 deg``);
+dimensionless numbers must not carry one. Unknown sections, unknown keys, duplicate
 keys, and missing or wrong units are configuration errors.
 """
 
@@ -105,7 +106,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "p_fa": "bare",
         "f_max": "frequency",
         "ratio": "bare",
-        "points_per_period": "int",
     },
     "sweep": {
         "start": "frequency",
@@ -208,33 +208,29 @@ def parse_quantity(text: str, kind: str, where: str):
 
 @dataclass(frozen=True)
 class Config:
-    """Parsed, schema-checked configuration; values stay as raw text
-    until a typed accessor materialises them."""
+    """Parsed configuration: every value already typed by the schema."""
 
-    raw: dict[str, dict[str, str]]
+    values: dict[str, dict[str, object]]
     source: str = "<memory>"
 
     def get(self, section: str, key: str, default=_MISSING):
-        text = self.raw.get(section, {}).get(key)
-        if text is None:
-            if default is _MISSING:
-                raise ConfigError(f"{self.source}: missing required key [{section}] {key}")
-            return default
-        return parse_quantity(text, _kind_of(section, key), f"[{section}] {key}")
+        value = self.values.get(section, {}).get(key, default)
+        if value is _MISSING:
+            raise ConfigError(f"{self.source}: missing required key [{section}] {key}")
+        return value
 
     def has(self, section: str, key: str) -> bool:
-        return key in self.raw.get(section, {})
+        return key in self.values.get(section, {})
 
     def signal_components(self) -> tuple[SignalComponent, ...]:
-        comps = []
-        for key in sorted(self.raw.get("signal", {})):
-            if re.fullmatch(r"component_\d+", key):
-                comps.append(self.get("signal", key))
-        return tuple(comps)
+        signal = self.values.get("signal", {})
+        return tuple(
+            signal[key] for key in sorted(signal) if re.fullmatch(r"component_\d+", key)
+        )
 
 
-def _parse_ini(text: str, source: str) -> dict[str, dict[str, str]]:
-    sections: dict[str, dict[str, str]] = {}
+def _parse_ini(text: str, source: str) -> dict[str, dict[str, object]]:
+    sections: dict[str, dict[str, object]] = {}
     current: str | None = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -251,26 +247,27 @@ def _parse_ini(text: str, source: str) -> dict[str, dict[str, str]]:
         if current is None:
             raise ConfigError(f"{source}:{lineno}: key outside any [section]")
         key, value = (part.strip() for part in line.split("=", 1))
-        _kind_of(current, key)  # reject unknown keys early
+        kind = _kind_of(current, key)
         if key in sections[current]:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} in [{current}]")
-        sections[current][key] = value
+        where = f"{source}:{lineno}: [{current}] {key}"
+        sections[current][key] = parse_quantity(value, kind, where)
     return sections
 
 
-def _parse_json(text: str, source: str) -> dict[str, dict[str, str]]:
+def _parse_json(text: str, source: str) -> dict[str, dict[str, object]]:
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise ConfigError(f"{source}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: top level must be an object")
-    sections: dict[str, dict[str, str]] = {}
+    sections: dict[str, dict[str, object]] = {}
     for flat_key, value in doc.items():
         if "." not in flat_key:
             raise ConfigError(f"{source}: key {flat_key!r} must look like 'section.key'")
         section, key = flat_key.split(".", 1)
-        _kind_of(section, key)
+        kind = _kind_of(section, key)
         if isinstance(value, bool):
             value = "true" if value else "false"
         elif isinstance(value, (int, float)):
@@ -280,7 +277,7 @@ def _parse_json(text: str, source: str) -> dict[str, dict[str, str]]:
         sections.setdefault(section, {})
         if key in sections[section]:
             raise ConfigError(f"{source}: duplicate key {flat_key!r}")
-        sections[section][key] = value
+        sections[section][key] = parse_quantity(value, kind, f"{source}: [{section}] {key}")
     return sections
 
 
@@ -403,7 +400,6 @@ def build_options(cfg: Config, overrides: dict | None = None) -> AnalysisOptions
     values = {
         "p_fa": cfg.get("analysis", "p_fa", 1e-3),
         "f_max": cfg.get("analysis", "f_max", 50e3),
-        "points_per_period": cfg.get("analysis", "points_per_period", 100),
     }
     for name, value in (overrides or {}).items():
         if value is not None:

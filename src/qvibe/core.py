@@ -1,4 +1,4 @@
-"""Interferometer fringe models and delay/displacement conversions.
+"""Interferometer fringe models and the delay/displacement convention.
 
 Two detection models share a common geometry: a relative optical delay
 ``tau`` between two interferometer arms maps to a detection probability
@@ -194,20 +194,6 @@ def classical_port_probability(spec: ClassicalFringeSpec, tau, port: int):
     fringe = spec.visibility * np.cos(spec.omega_optical * tau + spec.phase_offset)
     p = 0.5 * (1.0 + fringe) if port == 1 else 0.5 * (1.0 - fringe)
     return p if p.ndim else float(p)
-
-
-def delay_to_displacement(tau, geometry: GeometryFactor):
-    """Convert a relative delay (s) to mirror displacement (m)."""
-    tau = np.asarray(tau, dtype=float)
-    x = SPEED_OF_LIGHT * tau / geometry.g
-    return x if x.ndim else float(x)
-
-
-def displacement_to_delay(x, geometry: GeometryFactor):
-    """Convert a mirror displacement (m) to relative delay (s)."""
-    x = np.asarray(x, dtype=float)
-    tau = geometry.g * x / SPEED_OF_LIGHT
-    return tau if tau.ndim else float(tau)
 
 
 def quadrature_delay(spec: PhotonPairSpec) -> float:

@@ -10,7 +10,7 @@ class ConfigError(ValueError):
 
 
 class StreamFormatError(ValueError):
-    """A timestamp or ground-truth file does not match its declared format."""
+    """A timestamp stream file does not match its declared format."""
 
 
 class AnalysisError(RuntimeError):

@@ -192,6 +192,11 @@ def _check_compatible(s1: TimestampStream, s2: TimestampStream) -> None:
         raise ConfigError("streams must share t_exp and tick_duration")
 
 
+def _check_ratio(ratio: float) -> None:
+    if not 0 < ratio < math.inf:
+        raise ConfigError(f"ratio must be positive and finite, got {ratio}")
+
+
 def combined_spectrum(
     stream_c: TimestampStream,
     stream_a: TimestampStream,
@@ -204,8 +209,7 @@ def combined_spectrum(
     On a uniform grid from 0 both streams go through one grid transform,
     their binned moments combined before each FFT.
     """
-    if not ratio > 0:
-        raise ConfigError("ratio must be positive")
+    _check_ratio(ratio)
     _check_compatible(stream_c, stream_a)
     freqs = np.asarray(frequencies, dtype=float)
     df = _uniform_from_zero(freqs)
@@ -238,8 +242,7 @@ def detection_threshold(
         raise ConfigError("p_fa must lie in (0, 1)")
     if n_bins < 1:
         raise ConfigError("n_bins must be >= 1")
-    if not ratio > 0:
-        raise ConfigError("ratio must be positive")
+    _check_ratio(ratio)
     _check_compatible(stream_c, stream_a)
     if len(stream_c) == 0 and len(stream_a) == 0:
         raise AnalysisError("cannot set a threshold from two empty streams")
@@ -283,16 +286,15 @@ class SpectrumEstimate:
     p_fa: float
     detected: tuple[float, ...]
 
-    def to_csv(self, path) -> None:
-        """Write the table to a path, or to anything with write_text."""
+    def to_csv(self) -> str:
+        """The table as CSV text, one line per grid bin after the header."""
         lines = ["f_hz,re_y,im_y,abs_y,kappa"]
         kappa = repr(float(self.threshold_kappa))
         for f, y in zip(self.frequencies, self.projections):
             lines.append(
                 "%r,%r,%r,%r,%s" % (float(f), float(y.real), float(y.imag), abs(complex(y)), kappa)
             )
-        target = path if hasattr(path, "write_text") else Path(path)
-        target.write_text("\n".join(lines) + "\n")
+        return "\n".join(lines) + "\n"
 
 
 def scan_spectrum(
@@ -376,7 +378,7 @@ def _argmax_on_bracket(magnitude, lo: float, hi: float, tol: float) -> float:
     the step at least 32-fold, and repeats until the step is at most tol.
     The first grid covers the whole bracket, so the result is its global
     maximum, not the nearest local one, as long as that grid's step
-    resolves the peaks (refinement uses 1/32 of delta_f <= 1/t_exp, far
+    resolves the peaks (refinement uses 1/32 of delta_f = 0.6/t_exp, far
     finer than a line's 1/t_exp-wide main lobe). There is no iteration
     count to run out of: for tol > 0 the number of grids is fixed by
     (hi - lo) / tol, three at tol = 1e-4 (hi - lo) / 2.
@@ -407,7 +409,6 @@ def estimate_component(
     stream_a: TimestampStream,
     ratio: float,
     f_seed: float,
-    delta_f: float | None = None,
 ) -> ComponentEstimate:
     """Refined frequency, phase and signed amplitudes of the line near f_seed.
 
@@ -415,16 +416,15 @@ def estimate_component(
     rest costs no pass over the events:
 
     * refinement maximises the untapered combined magnitude
-      |S_C(f) - ratio S_A(f)| over [f_seed - delta_f, f_seed + delta_f]
-      by a zooming grid search on the series (``_argmax_on_bracket``):
-      three grids of 65 points, the last with a step of at most
-      delta_f / 32768, so f_hat is within 1e-4 delta_f of the frequency
-      of the bracket's largest value, at any line frequency. delta_f
-      defaults to one grid step and must lie in (0, 1/t_exp]
-      (ConfigError). The search has no iteration count and cannot fail
-      to converge. A seed at or below delta_f from DC cannot
-      be bracketed and keeps its frequency: ``refined`` is False and
-      f_hat = f_seed; every other seed is refined.
+      |S_C(f) - ratio S_A(f)| over [f_seed - delta_f, f_seed + delta_f],
+      delta_f = ``grid_spacing(t_exp)``, one scan-grid step, by a zooming
+      grid search on the series (``_argmax_on_bracket``): three grids of
+      65 points, the last with a step of at most delta_f / 32768, so
+      f_hat is within 1e-4 delta_f of the frequency of the bracket's
+      largest value, at any line frequency. The search has no iteration
+      count and cannot fail to converge. A seed at or below delta_f from
+      DC cannot be bracketed and keeps its frequency: ``refined`` is
+      False and f_hat = f_seed; every other seed is refined.
     * at f_hat, theta_hat = arg(S_C - ratio S_A), in (-pi, pi]; a zero
       combined projection leaves it undefined (AnalysisError).
     * each stream's signed amplitude is
@@ -433,12 +433,8 @@ def estimate_component(
       carries the stream's modulation polarity relative to theta_hat.
     """
     t_exp = stream_c.t_exp
-    if delta_f is None:
-        delta_f = grid_spacing(t_exp)
-    if not 0 < delta_f <= 1.0 / t_exp:
-        raise ConfigError(
-            f"refinement bracket {delta_f} Hz must lie in (0, 1/t_exp = {1.0 / t_exp} Hz]"
-        )
+    delta_f = grid_spacing(t_exp)
+    _check_ratio(ratio)
     _check_compatible(stream_c, stream_a)
     h = t_exp / 2.0
     m_c = _offset_moments(stream_c, f_seed, delta_f)
@@ -495,8 +491,13 @@ class ReconstructedSignal:
         tau = self.tau_trace
         return SPEED_OF_LIGHT * (tau - tau.mean()) / self.geometry_g
 
-    def to_json(self, path: str | Path | None = None, max_trace_points: int = 4096):
-        stride = max(1, -(-self.tau_trace.size // max_trace_points))
+    def to_json(self, path: str | Path | None = None):
+        """The record as a JSON-ready dict, also written to ``path`` if given.
+
+        The delay trace is decimated to at most _MAX_JSON_TRACE_POINTS
+        samples by a whole-number stride.
+        """
+        stride = max(1, -(-self.tau_trace.size // _MAX_JSON_TRACE_POINTS))
         doc = {
             "mode": self.mode,
             "g": self.geometry_g,
@@ -521,6 +522,7 @@ class ReconstructedSignal:
 
 
 _TRACE_BLOCK = 1 << 16  # samples evaluated per pass of the blocked trace
+_MAX_JSON_TRACE_POINTS = 4096
 
 
 def reconstruct(
@@ -530,7 +532,6 @@ def reconstruct(
     fringe: PhotonPairSpec | ClassicalFringeSpec,
     geometry: GeometryFactor,
     components,
-    points_per_period: int = 100,
 ) -> ReconstructedSignal:
     """Invert the fringe P = (1 + polarity contrast cos(omega tau + phase_offset)) / 2.
 
@@ -545,14 +546,15 @@ def reconstruct(
     quadrature rescales the fringe by under 1e-3), or the analyst's
     reference ClassicalFringeSpec for the classical channel (if the
     channel has drifted from the reference, the inversion inherits the
-    mismatch). The samples are evaluated in blocks of _TRACE_BLOCK, so
+    mismatch). The trace holds 100 samples per period of the highest
+    component, as ``qvibe.simulate._trace_samples`` sets for the true
+    waveform too. The samples are evaluated in blocks of _TRACE_BLOCK, so
     only the delay trace itself is held at full length.
     """
     components = tuple(components)
     if not components:
         raise ValueError("reconstruction needs at least one component")
-    if not ratio > 0:
-        raise ConfigError("ratio must be positive")
+    _check_ratio(ratio)
     contrast = fringe.contrast
     if not 0 < contrast <= 1:
         raise ConfigError("fringe contrast must lie in (0, 1]")
@@ -562,7 +564,7 @@ def reconstruct(
     a0_a = len(stream_a) / t_exp
     if a0_c + a0_a == 0:
         raise AnalysisError("both streams empty, nothing to reconstruct")
-    n = _trace_samples(max(c.f_hat for c in components), t_exp, points_per_period)
+    n = _trace_samples(max(c.f_hat for c in components), t_exp)
     dt = t_exp / n
     slope = fringe.polarity * contrast
     phase_offset, omega = fringe.phase_offset, fringe.omega
@@ -622,11 +624,6 @@ def reconstruct(
 class AnalysisOptions:
     p_fa: float = 1e-3
     f_max: float = 50e3
-    points_per_period: int = 100
-
-    def __post_init__(self) -> None:
-        if not self.points_per_period >= 1:
-            raise ConfigError(f"points_per_period must be >= 1, got {self.points_per_period}")
 
 
 @dataclass(frozen=True)
@@ -646,9 +643,7 @@ def _estimate_components(
     spectrum: SpectrumEstimate,
 ) -> tuple[ComponentEstimate, ...]:
     df = grid_spacing(stream_c.t_exp)
-    estimates = [
-        estimate_component(stream_c, stream_a, ratio, f_seed, df) for f_seed in spectrum.detected
-    ]
+    estimates = [estimate_component(stream_c, stream_a, ratio, f) for f in spectrum.detected]
     # Two seeds occasionally refine onto the same line; keep the stronger.
     estimates.sort(key=lambda c: c.f_hat)
     deduped: list[ComponentEstimate] = []
@@ -683,7 +678,5 @@ def pipeline(
     comps = _estimate_components(stream_c, stream_a, ratio, spectrum)
     if not comps:
         return PipelineResult(spectrum=spectrum, reconstruction=None)
-    recon = reconstruct(
-        stream_c, stream_a, ratio, fringe, geometry, comps, options.points_per_period
-    )
+    recon = reconstruct(stream_c, stream_a, ratio, fringe, geometry, comps)
     return PipelineResult(spectrum=spectrum, reconstruction=recon)

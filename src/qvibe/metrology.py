@@ -389,7 +389,11 @@ def matched_exposures(
     two-port rate singles_rate * (1 + r(1 - L)) / 2 integrates to
     2 * target_pairs events (a pair feeds two detectors). Both exposures
     are rounded to two significant figures so they read like a lab log.
+    ``loss_b`` must lie in [0, 1) (ConfigError): at full loss no pair is
+    detected and no exposure reaches the budget.
     """
+    if not 0 <= loss_b < 1:
+        raise ConfigError(f"loss must lie in [0, 1), got {loss_b}")
     t_q = target_pairs / ((1.0 - loss_b) * rate_c)
     r_eff = arm_ratio * (1.0 - loss_b)
     t_c = 2.0 * target_pairs / (singles_rate * (1.0 + r_eff) / 2.0)

@@ -86,13 +86,11 @@ class VibrationSignal:
     """Sparse-sinusoid displacement waveform plus a static delay offset.
 
     ``dc_offset_delay`` is the interferometer operating point in seconds;
-    the waveform rides on top of it. ``kind`` records which constructor
-    produced the signal and is informational.
+    the waveform rides on top of it.
     """
 
     components: tuple[SignalComponent, ...]
     dc_offset_delay: float = 0.0
-    kind: str = "multi-tone"
 
     def __post_init__(self) -> None:
         if not isinstance(self.components, tuple):
@@ -107,7 +105,7 @@ class VibrationSignal:
         cls, frequency: float, amplitude_pp: float, phase: float = 0.0, dc_offset_delay: float = 0.0
     ) -> "VibrationSignal":
         comp = SignalComponent(frequency, amplitude_pp, phase)
-        return cls(components=(comp,), dc_offset_delay=dc_offset_delay, kind="pure-tone")
+        return cls(components=(comp,), dc_offset_delay=dc_offset_delay)
 
     @classmethod
     def multi_tone(
@@ -116,7 +114,7 @@ class VibrationSignal:
         comps = tuple(sorted(components, key=lambda c: c.frequency))
         if not comps:
             raise ConfigError("multi_tone needs at least one component")
-        return cls(components=comps, dc_offset_delay=dc_offset_delay, kind="multi-tone")
+        return cls(components=comps, dc_offset_delay=dc_offset_delay)
 
     @classmethod
     def square_wave(
@@ -140,11 +138,7 @@ class VibrationSignal:
         phasors: dict[float, complex] = {}
         for k in range(1, n_harmonics + 1, 2):
             _add_sin(phasors, k * frequency, (2.0 / math.pi) * amplitude_pp / k, k * phase)
-        return cls(
-            components=_components_from_phasors(phasors),
-            dc_offset_delay=dc_offset_delay,
-            kind="square-wave",
-        )
+        return cls(components=_components_from_phasors(phasors), dc_offset_delay=dc_offset_delay)
 
     @classmethod
     def alternating_tones(
@@ -184,11 +178,7 @@ class VibrationSignal:
                 c = sign * amp / (math.pi * k)
                 _add_sin(phasors, k * switch_frequency + freq, c, ph)
                 _add_sin(phasors, k * switch_frequency - freq, c, -ph)
-        return cls(
-            components=_components_from_phasors(phasors),
-            dc_offset_delay=dc_offset_delay,
-            kind="am-tone",
-        )
+        return cls(components=_components_from_phasors(phasors), dc_offset_delay=dc_offset_delay)
 
     # ----- evaluation -----
 
@@ -208,19 +198,28 @@ class VibrationSignal:
         """Interferometer delay tau(t) = dc_offset_delay + g * x(t) / c."""
         return self.dc_offset_delay + geometry.g * self.displacement(t) / SPEED_OF_LIGHT
 
-    def peak_to_peak(self, duration: float, points_per_period: int = 100) -> float:
-        """Dense-sampled displacement excursion over the given duration."""
-        n = _trace_samples(self.max_frequency, duration, points_per_period)
+    def peak_to_peak(self, duration: float) -> float:
+        """Displacement excursion over the given duration, sampled as ``_trace_samples`` says."""
+        n = _trace_samples(self.max_frequency, duration)
         t = np.linspace(0.0, duration, n, endpoint=False)
         x = self.displacement(t)
         return float(x.max() - x.min())
 
 
-def _trace_samples(
-    max_frequency: float, duration: float, points_per_period: int, cap: int = 20_000_000
-) -> int:
-    n = int(math.ceil(points_per_period * max(max_frequency, 1.0 / duration) * duration))
-    return max(1000, min(n, cap))
+_TRACE_POINTS_PER_PERIOD = 100
+_MAX_TRACE_SAMPLES = 20_000_000
+
+
+def _trace_samples(max_frequency: float, duration: float) -> int:
+    """Samples of a dense waveform trace over ``duration``.
+
+    _TRACE_POINTS_PER_PERIOD = 100 per period of the highest line (or of
+    the whole duration, if longer), kept within [1000, _MAX_TRACE_SAMPLES].
+    The true peak-to-peak and the reconstructed trace both use it, so they
+    are sampled alike.
+    """
+    n = int(math.ceil(_TRACE_POINTS_PER_PERIOD * max(max_frequency, 1.0 / duration) * duration))
+    return max(1000, min(n, _MAX_TRACE_SAMPLES))
 
 
 @dataclass(frozen=True)
@@ -442,8 +441,8 @@ class GroundTruth:
     signal: VibrationSignal
     geometry: GeometryFactor
 
-    def displacement_pp(self, duration: float, points_per_period: int = 100) -> float:
-        return self.signal.peak_to_peak(duration, points_per_period)
+    def displacement_pp(self, duration: float) -> float:
+        return self.signal.peak_to_peak(duration)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""File formats for timestamp streams and ground-truth records.
+"""File formats for timestamp streams, and the ground-truth record a simulation writes.
 
 Text stream format, one event per line::
 
@@ -25,8 +25,8 @@ tag byte, reserved padding, then tick duration and exposure as
 little-endian float64 seconds) followed by the ticks as little-endian
 uint64. The event count is implied by the file size.
 
-Ground truth is JSON with the waveform component list, the operating
-delay, and the geometry factor.
+Ground truth is written as JSON with the waveform component list, the
+operating delay, and the geometry factor; the package never reads it back.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ from typing import NoReturn
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import GeometryFactor
 from .errors import StreamFormatError
-from .simulate import STREAM_TAGS, GroundTruth, SignalComponent, TimestampStream, VibrationSignal
+from .simulate import STREAM_TAGS, GroundTruth, TimestampStream
 
 _TEXT_MAGIC = "qvibe-ts"
 _TEXT_VERSION = "v1"
@@ -261,20 +260,3 @@ def write_ground_truth(truth: GroundTruth, path: str | Path) -> None:
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
-
-def read_ground_truth(path: str | Path) -> GroundTruth:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise StreamFormatError(f"{path}: invalid JSON: {exc}") from None
-    try:
-        comps = tuple(
-            SignalComponent(frequency=c["f"], amplitude_pp=c["app"], phase=c["phase"])
-            for c in doc["components"]
-        )
-        signal = VibrationSignal(components=comps, dc_offset_delay=doc["tau_op"])
-        geometry = GeometryFactor(doc["g"])
-    except (KeyError, TypeError) as exc:
-        raise StreamFormatError(f"{path}: missing or malformed field: {exc}") from None
-    return GroundTruth(signal=signal, geometry=geometry)

@@ -152,6 +152,8 @@ def test_ini_rejects_unknown_and_duplicates():
         parse_config("[run]\nformat = text\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("[analysis]\nwindow = hann\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config("[analysis]\npoints_per_period = 100\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config("[pair]\nvisibility = 1\nvisibility = 0.9\n")
     with pytest.raises(ConfigError, match="outside"):
@@ -364,16 +366,32 @@ def test_cli_rejects_unbounded_scan_grid(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_cli_rejects_nonpositive_points_per_period(tmp_path, capsys):
-    run = tmp_path / "run"
-    assert main(["simulate", "-c", str(write_tone_config(tmp_path)), "--out", str(run)]) == 0
-    streams = [str(run / "coincidence.txt"), str(run / "anticoincidence.txt")]
-    for value in ("0", "-3"):
-        cfg = tmp_path / f"ppp{value}.ini"
-        cfg.write_text(INI_TEXT + f"points_per_period = {value}\n")
-        capsys.readouterr()
-        assert main(["estimate", *streams, "-c", str(cfg)]) == 2
-        assert "points_per_period" in capsys.readouterr().err
+def test_every_subcommand_rejects_a_malformed_key(tmp_path, capsys):
+    # Values are typed when the file is loaded, so an f_max without its
+    # unit fails every subcommand, not just the ones that read [analysis].
+    cfg = tmp_path / "nounit.ini"
+    cfg.write_text(INI_TEXT.replace("f_max = 200 Hz", "f_max = 200"))
+    commands = (
+        ["simulate", "--out", str(tmp_path / "sim")],
+        ["estimate", str(tmp_path / "c.txt"), str(tmp_path / "a.txt")],
+        ["trials"],
+        ["sweep"],
+        ["advantage"],
+        ["qcrb"],
+    )
+    for command in commands:
+        assert main([*command, "-c", str(cfg)]) == 2, command
+        err = capsys.readouterr().err
+        assert "[analysis] f_max" in err and "needs a unit" in err, command
+    assert not (tmp_path / "sim").exists()
+
+
+def test_threads_only_on_the_subcommands_that_use_it(capsys):
+    for command in (["simulate", "-c", "x.ini"], ["estimate", "a", "b"], ["qcrb"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--threads", "2"])
+        assert exc.value.code == 2, command
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_cli_trials_writes_records(tmp_path, capsys):
@@ -434,19 +452,46 @@ def test_cli_qcrb_rejects_bad_counts_before_drawing(capsys):
     # Drawn first, these would give a numpy traceback (negative or
     # oversized pair count, non-finite calibration factor), a
     # RuntimeWarning (zero pairs) or a 745 GiB allocation (1e11 trials).
-    # Each must be a config error, raised before any draw.
+    # A negative calibration factor is no multiple of n_pairs (0 means a
+    # known ratio). Each must be a config error, raised before any draw.
     cases = (
         ["--n-pairs", "-5"],
         ["--n-pairs", "0"],
         ["--n-pairs", str(10**30)],
         ["--trials", "100000000000"],
         ["--calibration-factor", "inf"],
+        ["--calibration-factor", "-1"],
     )
     for args in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["qcrb", *args]) == 2, args
         assert capsys.readouterr().err.startswith("config error"), args
+
+
+def test_cli_estimate_rejects_non_finite_ratio(tmp_path, capsys):
+    run = tmp_path / "run"
+    cfg = write_tone_config(tmp_path)
+    assert main(["simulate", "-c", str(cfg), "--out", str(run)]) == 0
+    streams = [str(run / "coincidence.txt"), str(run / "anticoincidence.txt")]
+    capsys.readouterr()
+    for ratio in ("inf", "nan", "0", "-1"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", *streams, "-c", str(cfg), "--ratio", ratio]) == 2, ratio
+        captured = capsys.readouterr()
+        assert captured.out == "", ratio
+        assert captured.err.startswith("config error: ratio must be positive and finite"), ratio
+
+
+def test_cli_advantage_rejects_full_loss(tmp_path, capsys):
+    # At 100% loss no pair arrives, so no exposure matches the budget.
+    for values in ("0 | 1", "0 | 1.5"):
+        cfg = tmp_path / "loss.ini"
+        cfg.write_text(f"[advantage]\nexperiment = loss\nvalues = {values}\n")
+        assert main(["advantage", "-c", str(cfg)]) == 2, values
+        err = capsys.readouterr().err
+        assert err.startswith("config error: loss must lie in [0, 1)"), (values, err)
 
 
 SWEEP_INI = INI_TEXT + """

@@ -9,8 +9,6 @@ from qvibe.core import (
     PhotonPairSpec,
     SPEED_OF_LIGHT,
     classical_port_probability,
-    delay_to_displacement,
-    displacement_to_delay,
     quadrature_delay,
     quantum_coincidence_probability,
 )
@@ -81,24 +79,6 @@ def test_classical_port_validation():
     fringe = ClassicalFringeSpec(omega_optical=1.2e15)
     with pytest.raises(ValueError):
         classical_port_probability(fringe, 0.0, 3)
-
-
-def test_delay_displacement_conversion_values():
-    # 4.2 as of delay reads as 1.2591 nm of path length
-    assert delay_to_displacement(4.2e-18, GeometryFactor(1)) == pytest.approx(
-        1.2591e-9, rel=1e-4
-    )
-    # 55 nm of mirror motion at g=2 is 0.367 fs of delay
-    assert displacement_to_delay(55e-9, GeometryFactor(2)) == pytest.approx(
-        3.6692e-16, rel=1e-4
-    )
-
-
-def test_delay_displacement_round_trip():
-    g = GeometryFactor(2)
-    x = np.linspace(-1e-7, 1e-7, 41)
-    back = delay_to_displacement(displacement_to_delay(x, g), g)
-    assert np.allclose(back, x, rtol=1e-12, atol=0)
 
 
 def test_pair_spec_validation():

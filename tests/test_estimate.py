@@ -330,7 +330,7 @@ def test_refine_frequency_against_golden_section_oracle():
         f_seed = f_true - 0.05
         sc = modulated_stream(20_000, f_true, 0.5, 0.7, t_exp)
         sa = modulated_stream(20_000, f_true, 0.5, 0.7 + math.pi, t_exp, "anticoincidence")
-        got = estimate_component(sc, sa, 1.0, f_seed, df)
+        got = estimate_component(sc, sa, 1.0, f_seed)
         assert got.refined
 
         tc = sc.centered_times()
@@ -367,16 +367,6 @@ def test_refine_series_matches_direct_event_sum():
                 y = _offset_series(m_c - ratio * m_a, f_seed, h)
                 direct = direct_c - ratio * direct_a
                 assert abs(y(f) - direct) <= 1e-12 * abs(direct), (delta_f, ratio, f)
-
-
-def test_refine_rejects_bracket_wider_than_inverse_exposure():
-    t_exp = 2.0
-    sc = modulated_stream(2_000, 10.25, 0.5, 0.0, t_exp)
-    sa = modulated_stream(2_000, 10.25, 0.5, math.pi, t_exp, "anticoincidence")
-    assert estimate_component(sc, sa, 1.0, 10.2, 1.0 / t_exp).refined
-    for delta_f in (1.01 / t_exp, 0.0, -0.3, math.nan):
-        with pytest.raises(ConfigError, match="bracket"):
-            estimate_component(sc, sa, 1.0, 10.2, delta_f)
 
 
 def test_phase_construction_oracle():
@@ -432,7 +422,7 @@ def test_component_matches_direct_event_sums_refined_and_next_to_dc():
     tc, ta = sc.centered_times(), sa.centered_times()
     df = grid_spacing(t_exp)
     for f_seed, ratio, refined in ((10.2, 1.7, True), (0.5, 1.0, False), (df, 1.3, False)):
-        comp = estimate_component(sc, sa, ratio, f_seed, df)
+        comp = estimate_component(sc, sa, ratio, f_seed)
         assert comp.refined is refined
         if not refined:
             assert comp.f_hat == f_seed
@@ -506,11 +496,25 @@ def test_reconstruction_validation():
         reconstruct(empty_c, empty_a, 1.0, PAIR, GeometryFactor(2), [comp])
 
 
-def _unblocked_reference(mode, sc, sa, ratio, contrast, fringe, g, comps, ppp):
-    """The whole-trace reconstruction, one array per stage, for comparison."""
+def test_ratio_must_be_positive_and_finite():
+    sc, sa = constant_pair_of_streams(100, 1.0)
+    comp = ComponentEstimate(1.0, 0.0, 10.0, -10.0)
+    freqs = frequency_grid(1.0, 10.0)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="ratio"):
+            combined_spectrum(sc, sa, bad, freqs)
+        with pytest.raises(ConfigError, match="ratio"):
+            detection_threshold(sc, sa, bad, "hann", 1e-3, freqs.size)
+        with pytest.raises(ConfigError, match="ratio"):
+            reconstruct(sc, sa, bad, PAIR, GeometryFactor(2), [comp])
+        with pytest.raises(ConfigError, match="ratio"):
+            estimate_component(sc, sa, bad, 5.0)
+
+
+def _unblocked_reference(mode, sc, sa, ratio, contrast, fringe, g, comps, n):
+    """The whole n-sample reconstruction, one array per stage, for comparison."""
     t_exp = sc.t_exp
     a0_c, a0_a = len(sc) / t_exp, len(sa) / t_exp
-    n = max(1000, math.ceil(ppp * max(c.f_hat for c in comps) * t_exp))
     t = np.linspace(0.0, t_exp, n, endpoint=False) - t_exp / 2.0
     phi_c, phi_a = np.full(n, a0_c), np.full(n, a0_a)
     for c in comps:
@@ -539,31 +543,33 @@ def test_blocked_reconstruction_is_bitwise_the_unblocked_trace():
     t_exp = 1.0
     sc, sa = constant_pair_of_streams(10_000, t_exp)
     a0 = 10_000 / t_exp
-    # Overdriven, so both the flux and the arccos clamps fire; the top
-    # component sits at 1 Hz, so the trace holds points_per_period samples.
-    comps = (
-        ComponentEstimate(f_hat=1.0, theta_hat=0.3, a_hat_c=1.1 * a0, a_hat_a=-0.9 * a0),
-        ComponentEstimate(f_hat=0.37, theta_hat=-1.2, a_hat_c=0.4 * a0, a_hat_a=-0.5 * a0),
-    )
     fringe = ClassicalFringeSpec(omega_optical=2 * math.pi * SPEED_OF_LIGHT / 1550e-9,
                                  phase_offset=-math.pi / 2.0, arm_intensity_ratio=0.25)
     pair = replace(PAIR, visibility_v0=0.8)
     lengths = (1000, _TRACE_BLOCK, _TRACE_BLOCK + 1, 7 * _TRACE_BLOCK // 2)
     for n in lengths:
+        # Overdriven, so both the flux and the arccos clamps fire; the top
+        # component sits just under n / 100 Hz, so at 100 samples per
+        # period the trace holds n samples.
+        comps = (
+            ComponentEstimate(f_hat=(n - 0.5) / 100, theta_hat=0.3, a_hat_c=1.1 * a0,
+                              a_hat_a=-0.9 * a0),
+            ComponentEstimate(f_hat=0.37, theta_hat=-1.2, a_hat_c=0.4 * a0, a_hat_a=-0.5 * a0),
+        )
         for ratio in (1.0, 1.7):
             for g in (1, 2):
                 runs = (
                     ("quantum", 0.8, pair,
-                     reconstruct(sc, sa, ratio, pair, GeometryFactor(g), comps, n)),
+                     reconstruct(sc, sa, ratio, pair, GeometryFactor(g), comps)),
                     ("classical", fringe.visibility, fringe,
-                     reconstruct(sc, sa, ratio, fringe, GeometryFactor(g), comps, n)),
+                     reconstruct(sc, sa, ratio, fringe, GeometryFactor(g), comps)),
                 )
                 for mode, contrast, spec, rec in runs:
                     tau, flux, arccos, pp = _unblocked_reference(
                         mode, sc, sa, ratio, contrast, spec, g, comps, n
                     )
                     key = (n, ratio, g, mode)
-                    assert tau.size == n, key
+                    assert rec.tau_trace.size == n, key
                     assert rec.tau_trace.tobytes() == tau.tobytes(), key
                     assert rec.trace_dt == t_exp / n, key
                     assert 0.0 < rec.flux_clamp_fraction == flux, key
@@ -601,12 +607,10 @@ def seeded_quantum_run(seed=500, t_exp=1.0):
     return simulate_quantum_run(PAIR, signal, channel, t_exp=t_exp, seed=seed)
 
 
-def test_spectrum_csv_round_trip(tmp_path):
+def test_spectrum_csv_round_trip():
     run = seeded_quantum_run()
     est = scan_spectrum(run.coincidences, run.anticoincidences, 1.0, f_max=120.0)
-    path = tmp_path / "spectrum.csv"
-    est.to_csv(path)
-    header, *rows = path.read_text().splitlines()
+    header, *rows = est.to_csv().splitlines()
     assert header == "f_hz,re_y,im_y,abs_y,kappa"
     table = np.array([[float(v) for v in line.split(",")] for line in rows])
     freqs, y = table[:, 0], table[:, 1] + 1j * table[:, 2]
@@ -724,10 +728,3 @@ def test_component_dedup_keeps_the_stronger_refinement():
     # bias (order 1/(2 pi f0 t_exp) of a bin), so the check is looser
     # than the optimizer tolerance itself.
     assert abs(comps[0].f_hat - f_true) < 2e-3
-
-
-def test_analysis_options_validation():
-    for bad in (0, -1, -100):
-        with pytest.raises(ConfigError, match="points_per_period"):
-            AnalysisOptions(points_per_period=bad)
-    assert AnalysisOptions(points_per_period=1).points_per_period == 1

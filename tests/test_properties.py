@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qvibe.config import _SCHEMA, _UNIT_TABLES, parse_config, parse_quantity
+from qvibe.config import _SCHEMA, _UNIT_TABLES, _kind_of, parse_config, parse_quantity
 from qvibe.errors import ConfigError, StreamFormatError
 from qvibe.estimate import combined_spectrum, frequency_grid, project_timestamps
 from qvibe.simulate import STREAM_TAGS, TimestampStream
@@ -170,14 +170,17 @@ def config_text(section, key, value, form):
 def test_config_values_raise_only_config_error(section_key, value, form):
     # Any text under any key either parses and types, or is a ConfigError,
     # which the CLI reports with exit code 2; nothing else may escape.
+    # Every value is typed when the text is parsed, so a lookup only reads.
     section, key = section_key
     try:
         cfg = parse_config(config_text(section, key, value, form))
-        for sec, entries in cfg.raw.items():
-            for k in entries:
-                cfg.get(sec, k)
     except ConfigError:
-        pass
+        return
+    for sec, entries in cfg.values.items():
+        for k, typed in entries.items():
+            assert cfg.get(sec, k) is typed
+            if isinstance(typed, str):  # only a text kind stays text
+                assert _kind_of(sec, k) in ("str", "time_or_quadrature"), (sec, k)
 
 
 TOP = 2**63 - 1
