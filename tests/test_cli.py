@@ -394,6 +394,20 @@ def test_threads_only_on_the_subcommands_that_use_it(capsys):
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
+def test_cli_rejects_nonpositive_points_per_period(tmp_path, capsys):
+    # Traces are fixed at 100 samples per period, so the key is refused
+    # whatever its value.
+    run = tmp_path / "run"
+    assert main(["simulate", "-c", str(write_tone_config(tmp_path)), "--out", str(run)]) == 0
+    streams = [str(run / "coincidence.txt"), str(run / "anticoincidence.txt")]
+    for value in ("0", "-3"):
+        cfg = tmp_path / f"ppp{value}.ini"
+        cfg.write_text(INI_TEXT + f"points_per_period = {value}\n")
+        capsys.readouterr()
+        assert main(["estimate", *streams, "-c", str(cfg)]) == 2
+        assert "points_per_period" in capsys.readouterr().err
+
+
 def test_cli_trials_writes_records(tmp_path, capsys):
     cfg = write_tone_config(tmp_path)
     out = tmp_path / "trials.json"
