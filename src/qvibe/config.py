@@ -257,13 +257,15 @@ def _parse_ini(text: str, source: str) -> dict[str, dict[str, object]]:
 
 def _parse_json(text: str, source: str) -> dict[str, dict[str, object]]:
     try:
-        doc = json.loads(text)
+        # Objects decode to tuples of their (key, value) pairs, so a repeated
+        # key reaches the duplicate check below instead of overwriting the first.
+        doc = json.loads(text, object_pairs_hook=tuple)
     except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise ConfigError(f"{source}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
+    if not isinstance(doc, tuple):
         raise ConfigError(f"{source}: top level must be an object")
     sections: dict[str, dict[str, object]] = {}
-    for flat_key, value in doc.items():
+    for flat_key, value in doc:
         if "." not in flat_key:
             raise ConfigError(f"{source}: key {flat_key!r} must look like 'section.key'")
         section, key = flat_key.split(".", 1)

@@ -9,7 +9,7 @@ The pipeline works directly on event times, never on a rate histogram:
    series term, and its values are the event sums themselves, up to a
    truncation below 1e-13 of sum |w| / t_exp (see ``_project_grid``),
 2. threshold |y_f| against a constant-false-alarm level computed from
-   the event counts themselves,
+   the events themselves, from the window weights the projection used,
 3. collapse contiguous above-threshold bins to candidate frequencies and
    refine each by maximising the untapered projection magnitude, a power
    series in the frequency offset whose event moments are summed once
@@ -23,9 +23,13 @@ The pipeline works directly on event times, never on a rate histogram:
    further pass over the events,
 5. rebuild both flux traces, form the normalised probability trace, and
    invert the fringe for the delay and displacement waveforms, block by
-   block, so only the delay trace is held at full length. One inversion
-   serves both channels: it reads the fringe's polarity, contrast, phase
-   offset and omega from the spec it is given (see ``qvibe.core``).
+   block, so only the delay trace is held at full length. Each
+   component's oscillator is a rotating phasor: one table of its in-block
+   phase advance, turned by the cosine and sine of one start phase per
+   block, so the trace takes no cosine per sample (see ``reconstruct``).
+   One inversion serves both channels: it reads the fringe's polarity,
+   contrast, phase offset and omega from the spec it is given (see
+   ``qvibe.core``).
 
 ``pipeline`` runs all five steps on an exposure of either channel; the
 fringe spec, not a second code path, says which channel it is.
@@ -142,35 +146,56 @@ def _project_grid(parts, t_exp: float, df: float, m: int) -> np.ndarray:
     with z_k = -2j pi k / n. Term p is then the rfft of the per-bin
     moments sum scale * w u^p, binned over all parts before the one rfft,
     so two streams with equal bins and scales +1, -1 cancel to exactly 0.
+    z_k is purely imaginary, so z_k^p / p! is s_k for even p and -i s_k
+    for odd p, with s_k real: each term adds s_k times the rfft's real and
+    imaginary parts to the real and imaginary sums (swapped, and one
+    negated, for odd p), and no complex coefficient is formed.
     Since |z_k u| <= theta = pi (m - 1) / n <= pi / 2, the series stops
     at the first p with theta^p / p! < 1e-14 (at most 20 terms), which
     bounds the truncation per event by about 1e-14 |w|.
     """
     n = 1 << (2 * m - 1).bit_length()
-    folded = []  # (bins, u, w u^p, scale) per part
+    folded = []  # (bins, u, w, scale) per part
     for t, w, scale in parts:
         x = t * (df * n)
         cell = np.floor(x)
         x -= cell
         x -= 0.5
-        folded.append((cell.astype(np.int64) % n, x, np.array(w, dtype=float), scale))
-    z = (-2j * math.pi / n) * np.arange(m)
+        # n is a power of two, so & (n - 1) is mod n, negative cells included.
+        folded.append((cell.astype(np.int64) & (n - 1), x, np.asarray(w, dtype=float), scale))
+    moments = [np.empty(u.size) for _, u, _, _ in folded]  # w u^p per part, p >= 1
+    rate = (2.0 * math.pi / n) * np.arange(m)  # |z_k|
     theta = math.pi * (m - 1) / n
     out = np.zeros(m, dtype=complex)
-    coef = np.ones(m, dtype=complex)  # z^p / p!
+    re, im = out.real, out.imag
+    s = np.ones(m)  # z_k^p / p! = s_k for even p, -i s_k for odd p
+    step, term = np.empty(m), np.empty(m)
+    binned = np.empty(n)
     p, bound = 0, 1.0  # bound = theta^p / p!
     while bound >= 1e-14:
+        odd = p % 2
         if p:
-            coef *= z / p
-        binned = np.zeros(n)
-        for bins, u, moment, scale in folded:
+            # Times z_k / p = -i rate_k / p: -i (-i s) = -s, so s flips sign on even p.
+            np.multiply(rate, (1.0 if odd else -1.0) / p, out=step)
+            s *= step
+        binned.fill(0.0)
+        for (bins, u, w, scale), moment in zip(folded, moments):
             if p:
-                moment *= u
-            binned += scale * np.bincount(bins, moment, minlength=n)
-        out += coef * np.fft.rfft(binned)[:m]
+                np.multiply(w if p == 1 else moment, u, out=moment)
+            binned += scale * np.bincount(bins, moment if p else w, minlength=n)
+        spectrum = np.fft.rfft(binned)[:m]
+        # s (a + ib) = s a + i s b; -i s (a + ib) = s b - i s a.
+        np.multiply(s, spectrum.imag if odd else spectrum.real, out=term)
+        re += term
+        np.multiply(s, spectrum.real if odd else spectrum.imag, out=term)
+        del spectrum  # the rfft output is not held while the next term is binned
+        if odd:
+            im -= term
+        else:
+            im += term
         p += 1
         bound *= theta / p
-    return out * np.exp(z / 2.0) / t_exp
+    return out * np.exp((-1j * math.pi / n) * np.arange(m)) / t_exp
 
 
 def _uniform_from_zero(freqs: np.ndarray) -> float | None:
@@ -238,19 +263,24 @@ def detection_threshold(
     For a rectangular window that power estimate reduces to the plain
     counts N_C + ratio^2 N_A.
     """
+    _check_ratio(ratio)
+    _check_compatible(stream_c, stream_a)
+    weights = [window_weights(s.centered_times(), s.t_exp, window) for s in (stream_c, stream_a)]
+    return _threshold(zip(weights, (1.0, ratio)), stream_c.t_exp, p_fa, n_bins)
+
+
+def _threshold(weighted, t_exp: float, p_fa: float, n_bins: int) -> float:
+    """``detection_threshold`` for streams given as (window weights, scale) pairs."""
     if not 0 < p_fa < 1:
         raise ConfigError("p_fa must lie in (0, 1)")
     if n_bins < 1:
         raise ConfigError("n_bins must be >= 1")
-    _check_ratio(ratio)
-    _check_compatible(stream_c, stream_a)
-    if len(stream_c) == 0 and len(stream_a) == 0:
-        raise AnalysisError("cannot set a threshold from two empty streams")
-    t_exp = stream_c.t_exp
-    power = 0.0
-    for stream, scale in ((stream_c, 1.0), (stream_a, ratio)):
-        w = window_weights(stream.centered_times(), t_exp, window)
+    power, events = 0.0, 0
+    for w, scale in weighted:
         power += scale * scale * float(np.sum(w * w))
+        events += w.size
+    if events == 0:
+        raise AnalysisError("cannot set a threshold from two empty streams")
     # Per-bin false-alarm level, computed in log space for small p_fa.
     alpha_1 = -math.expm1(math.log1p(-p_fa) / n_bins)
     return math.sqrt(-math.log(alpha_1)) * math.sqrt(power) / t_exp
@@ -304,10 +334,19 @@ def scan_spectrum(
     p_fa: float = 1e-3,
     f_max: float = 50e3,
 ) -> SpectrumEstimate:
-    """Full Hann-tapered grid scan: spectrum, threshold, and detected candidates."""
-    freqs = frequency_grid(stream_c.t_exp, f_max)
-    y = combined_spectrum(stream_c, stream_a, ratio, freqs, "hann")
-    kappa = detection_threshold(stream_c, stream_a, ratio, "hann", p_fa, freqs.size)
+    """Full Hann-tapered grid scan: spectrum, threshold, and detected candidates.
+
+    The spectrum is ``combined_spectrum`` on ``frequency_grid(t_exp, f_max)``
+    and the threshold ``detection_threshold`` for that grid, both with the
+    Hann window; each stream's window weights are computed once for both.
+    """
+    t_exp = stream_c.t_exp
+    freqs = frequency_grid(t_exp, f_max)
+    _check_ratio(ratio)
+    _check_compatible(stream_c, stream_a)
+    parts = [(*_weighted_times(stream_c, "hann"), 1.0), (*_weighted_times(stream_a, "hann"), -ratio)]
+    kappa = _threshold([(w, scale) for _, w, scale in parts], t_exp, p_fa, freqs.size)
+    y = _project_grid(parts, t_exp, grid_spacing(t_exp), freqs.size)
     detected = _group_detections(freqs, np.abs(y), kappa)
     return SpectrumEstimate(
         frequencies=freqs,
@@ -549,7 +588,17 @@ def reconstruct(
     mismatch). The trace holds 100 samples per period of the highest
     component, as ``qvibe.simulate._trace_samples`` sets for the true
     waveform too. The samples are evaluated in blocks of _TRACE_BLOCK, so
-    only the delay trace itself is held at full length.
+    only the delay trace itself is held at full length. Within a block,
+    sample j of a component's oscillator is
+
+        cos(phase0 + 2 pi f_hat j dt)
+            = cos(phase0) cos(2 pi f_hat j dt) - sin(phase0) sin(2 pi f_hat j dt),
+
+    phase0 = 2 pi f_hat t0 + theta_hat at the block's first sample t0: the
+    cos and sin tables are built once per component, and each block costs
+    two scalar trig calls per component instead of one cosine per sample.
+    Both forms round the phase, which reaches 2 pi f_hat t_exp / 2, by a
+    few eps times it; the oscillators agree to that.
     """
     components = tuple(components)
     if not components:
@@ -568,30 +617,53 @@ def reconstruct(
     dt = t_exp / n
     slope = fringe.polarity * contrast
     phase_offset, omega = fringe.phase_offset, fringe.omega
+    size = min(n, _TRACE_BLOCK)
+    # Per component, cos and sin of 2 pi f_hat j dt for j < size: the phase
+    # advance within a block, the same for every block.
+    j = np.arange(size, dtype=float)
+    rotations = []
+    for c in components:
+        advance = (2.0 * math.pi * c.f_hat * dt) * j
+        rotations.append((c, np.cos(advance), np.sin(advance)))
     tau = np.empty(n)
+    phi_c, phi_a, osc, tmp = (np.empty(size) for _ in range(4))
     flux_clamped = arccos_clamped = 0
-    for start in range(0, n, _TRACE_BLOCK):
-        stop = min(start + _TRACE_BLOCK, n)
-        # The same values as linspace(0, t_exp, n, endpoint=False) - t_exp / 2.
-        t = np.arange(start, stop, dtype=float)
-        t *= dt
-        t -= t_exp / 2.0
-        phi_c = np.full(t.size, a0_c)
-        phi_a = np.full(t.size, a0_a)
-        for c in components:
-            osc = np.cos(2.0 * math.pi * c.f_hat * t + c.theta_hat)
-            phi_c += c.a_hat_c * osc
-            phi_a += c.a_hat_a * osc
-        flux_clamped += int(np.count_nonzero(phi_c < 0)) + int(np.count_nonzero(phi_a < 0))
-        np.clip(phi_c, 0.0, None, out=phi_c)
-        np.clip(phi_a, 0.0, None, out=phi_a)
-        denom = phi_c + ratio * phi_a
+    for start in range(0, n, size):
+        k = min(size, n - start)
+        pc, pa, o, tm = phi_c[:k], phi_a[:k], osc[:k], tmp[:k]
+        # The block's first sample, as linspace(0, t_exp, n, endpoint=False) - t_exp / 2 has it.
+        t0 = start * dt - t_exp / 2.0
+        pc.fill(a0_c)
+        pa.fill(a0_a)
+        for c, cos_j, sin_j in rotations:
+            # cos(phase0 + 2 pi f_hat j dt), one scalar phase per block and component.
+            phase0 = 2.0 * math.pi * c.f_hat * t0 + c.theta_hat
+            np.multiply(cos_j[:k], math.cos(phase0), out=o)
+            np.multiply(sin_j[:k], math.sin(phase0), out=tm)
+            o -= tm
+            np.multiply(o, c.a_hat_c, out=tm)
+            pc += tm
+            np.multiply(o, c.a_hat_a, out=tm)
+            pa += tm
+        # Clipping a block with nothing out of range would change no value.
+        for phi in (pc, pa):
+            negative = int(np.count_nonzero(phi < 0))
+            if negative:
+                flux_clamped += negative
+                np.clip(phi, 0.0, None, out=phi)
+        denom = np.multiply(pa, ratio, out=tm)
+        denom += pc
         if np.any(denom == 0.0):
             raise AnalysisError("reconstructed fluxes vanish somewhere; probability undefined")
-        u = (2.0 * (phi_c / denom) - 1.0) / slope
-        arccos_clamped += int(np.count_nonzero(np.abs(u) > 1.0))
-        np.clip(u, -1.0, 1.0, out=u)
-        block = np.arccos(u, out=tau[start:stop])
+        u = np.divide(pc, denom, out=pc)  # P_hat, then the inverse-cosine argument
+        u *= 2.0
+        u -= 1.0
+        u /= slope
+        outside = int(np.count_nonzero(np.abs(u, out=tm) > 1.0))
+        if outside:
+            arccos_clamped += outside
+            np.clip(u, -1.0, 1.0, out=u)
+        block = np.arccos(u, out=tau[start : start + k])
         block -= phase_offset
         block /= omega
     # displacement_trace() is SPEED_OF_LIGHT * (tau - mean) / g; each rounded

@@ -177,7 +177,7 @@ def test_json_config_equivalent_to_ini():
     assert cfg_json.get("run", "seed") == 611
 
 
-def test_json_config_rejections():
+def test_json_config_rejections(tmp_path, capsys):
     with pytest.raises(ConfigError, match="invalid JSON"):
         parse_config("{broken")
     with pytest.raises(ConfigError, match="section.key"):
@@ -196,6 +196,16 @@ def test_json_config_rejections():
         parse_config('{"run.seed": ' + "1" * 5000 + "}")
     with pytest.raises(ConfigError, match="invalid JSON"):
         parse_config('{"run.seed": ' + "[" * 100_000 + "}")
+    # A repeated key is refused, as in the INI form, not overwritten by
+    # its last value.
+    duplicate = '{"pair.visibility": 1, "pair.visibility": 0.5}'
+    with pytest.raises(ConfigError, match="duplicate key 'pair.visibility'"):
+        parse_config(duplicate)
+    cfg = tmp_path / "duplicate.json"
+    cfg.write_text(duplicate)
+    capsys.readouterr()
+    assert main(["qcrb", "-c", str(cfg)]) == 2
+    assert "duplicate key 'pair.visibility'" in capsys.readouterr().err
 
 
 # ----- builders -----

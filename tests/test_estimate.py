@@ -289,6 +289,18 @@ def test_threshold_validation():
         detection_threshold(empty_c, empty_a, 1.0, "hann", 1e-3, 100)
 
 
+def test_scan_threshold_is_bitwise_detection_threshold():
+    # The scan reuses its projection's window weights for the threshold;
+    # the result must be the standalone threshold's, bit for bit.
+    sc, sa = constant_pair_of_streams(5_000, 2.0)
+    empty = TimestampStream("anticoincidence", np.array([], dtype=np.int64), TICK, 2.0)
+    cases = [(sc, sa, ratio) for ratio in (0.3, 1.0, 1.7)] + [(sc, empty, 1.0)]
+    for stream_c, stream_a, ratio in cases:
+        est = scan_spectrum(stream_c, stream_a, ratio, p_fa=1e-3, f_max=400.0)
+        kappa = detection_threshold(stream_c, stream_a, ratio, "hann", 1e-3, est.frequencies.size)
+        assert est.threshold_kappa.hex() == kappa.hex(), (len(stream_a), ratio)
+
+
 def test_group_detections_collapses_runs_and_skips_dc():
     freqs = np.arange(8) * 0.6
     mags = np.array([9.0, 0.1, 2.0, 3.0, 2.5, 0.1, 4.0, 0.2])
@@ -511,14 +523,35 @@ def test_ratio_must_be_positive_and_finite():
             estimate_component(sc, sa, bad, 5.0)
 
 
-def _unblocked_reference(mode, sc, sa, ratio, contrast, fringe, g, comps, n):
+def _direct_oscillator(c, n, t_exp):
+    """cos(2 pi f_hat t + theta_hat) on the n-sample trace, one np.cos per sample."""
+    t = np.linspace(0.0, t_exp, n, endpoint=False) - t_exp / 2.0
+    return np.cos(2.0 * math.pi * c.f_hat * t + c.theta_hat)
+
+
+def _rotated_oscillator(c, n, t_exp):
+    """The same oscillator built as ``reconstruct`` builds it: per _TRACE_BLOCK
+    block, the cos and sin of the block's start phase rotate one table of
+    in-block phase advances 2 pi f_hat j dt."""
+    dt = t_exp / n
+    size = min(n, _TRACE_BLOCK)
+    advance = (2.0 * math.pi * c.f_hat * dt) * np.arange(size, dtype=float)
+    cos_j, sin_j = np.cos(advance), np.sin(advance)
+    blocks = []
+    for start in range(0, n, size):
+        k = min(size, n - start)
+        phase0 = 2.0 * math.pi * c.f_hat * (start * dt - t_exp / 2.0) + c.theta_hat
+        blocks.append(cos_j[:k] * math.cos(phase0) - sin_j[:k] * math.sin(phase0))
+    return np.concatenate(blocks)
+
+
+def _unblocked_reference(mode, sc, sa, ratio, contrast, fringe, g, comps, n, oscillator):
     """The whole n-sample reconstruction, one array per stage, for comparison."""
     t_exp = sc.t_exp
     a0_c, a0_a = len(sc) / t_exp, len(sa) / t_exp
-    t = np.linspace(0.0, t_exp, n, endpoint=False) - t_exp / 2.0
     phi_c, phi_a = np.full(n, a0_c), np.full(n, a0_a)
     for c in comps:
-        osc = np.cos(2.0 * math.pi * c.f_hat * t + c.theta_hat)
+        osc = oscillator(c, n, t_exp)
         phi_c += c.a_hat_c * osc
         phi_a += c.a_hat_a * osc
     flux = (np.count_nonzero(phi_c < 0) + np.count_nonzero(phi_a < 0)) / (2.0 * n)
@@ -540,6 +573,9 @@ def _unblocked_reference(mode, sc, sa, ratio, contrast, fringe, g, comps, n):
 
 
 def test_blocked_reconstruction_is_bitwise_the_unblocked_trace():
+    # The reference builds each oscillator block by block as reconstruct
+    # does, then clips, inverts and counts clamps on the whole trace at
+    # once; the blocked stages must give the same bits.
     t_exp = 1.0
     sc, sa = constant_pair_of_streams(10_000, t_exp)
     a0 = 10_000 / t_exp
@@ -566,7 +602,7 @@ def test_blocked_reconstruction_is_bitwise_the_unblocked_trace():
                 )
                 for mode, contrast, spec, rec in runs:
                     tau, flux, arccos, pp = _unblocked_reference(
-                        mode, sc, sa, ratio, contrast, spec, g, comps, n
+                        mode, sc, sa, ratio, contrast, spec, g, comps, n, _rotated_oscillator
                     )
                     key = (n, ratio, g, mode)
                     assert rec.tau_trace.size == n, key
@@ -577,6 +613,42 @@ def test_blocked_reconstruction_is_bitwise_the_unblocked_trace():
                     assert rec.displacement_pp == pp, key
                     trace = rec.displacement_trace()
                     assert float(trace.max() - trace.min()) == rec.displacement_pp, key
+
+
+def test_rotated_trace_matches_direct_cosine():
+    # Three components over two and a half blocks, so the trace holds a
+    # final partial block. Either way of forming an oscillator rounds its
+    # phase, which reaches 2 pi f_hat t_exp / 2 at the trace ends, by a few
+    # eps * 2 pi f_hat t_exp; the bound allows 4 of those per component.
+    # With equal streams and a_c = -a_a = m a0 the inversion is
+    # tau = arccos(-S / V) / delta_omega of S = sum m cos(phase), so a
+    # phase error moves tau by at most |d tau / d S| times sum m * 4 eps
+    # 2 pi f_hat t_exp, plus rounding of tau itself (8 eps pi / delta_omega).
+    eps = np.finfo(float).eps
+    t_exp = 1.0
+    n = 5 * _TRACE_BLOCK // 2 + 321
+    sc, sa = constant_pair_of_streams(10_000, t_exp)
+    a0 = 10_000 / t_exp
+    pair = replace(PAIR, visibility_v0=0.8)
+    depths = (0.12, 0.1, 0.08)
+    freqs = ((n - 0.5) / 100, 377.3, 0.37)
+    comps = tuple(
+        ComponentEstimate(f_hat=f, theta_hat=theta, a_hat_c=m * a0, a_hat_a=-m * a0)
+        for f, theta, m in zip(freqs, (0.3, -2.9, 1.7), depths)
+    )
+    rec = reconstruct(sc, sa, 1.0, pair, GeometryFactor(2), comps)
+    tau, flux, arccos, pp = _unblocked_reference(
+        "quantum", sc, sa, 1.0, 0.8, pair, 2, comps, n, _direct_oscillator
+    )
+    assert rec.tau_trace.size == n
+    assert flux == arccos == rec.flux_clamp_fraction == rec.arccos_clamp_fraction == 0.0
+    s_max = sum(depths) / 0.8
+    slope = 1.0 / (0.8 * pair.delta_omega * math.sqrt(1.0 - s_max**2))
+    phase_error = sum(m * 4.0 * eps * 2.0 * math.pi * f * t_exp for f, m in zip(freqs, depths))
+    bound = slope * phase_error + 8.0 * eps * math.pi / pair.delta_omega
+    assert np.max(np.abs(rec.tau_trace - tau)) <= bound
+    # Both extremes and the mean move by at most bound: pp by 2 c bound / g.
+    assert abs(rec.displacement_pp - pp) <= 2.0 * SPEED_OF_LIGHT * bound / 2
 
 
 def test_classical_reconstruction_closed_form_single_tone():
