@@ -74,6 +74,12 @@ def _seed_of(args, cfg: Config, default: int = 0) -> int:
     return seed
 
 
+def _threads_of(args) -> int | None:
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+    return args.threads
+
+
 def _outdir(args) -> Path:
     out = Path(args.out if args.out else ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -178,7 +184,7 @@ def cmd_trials(args) -> int:
         tick_duration=cfg.get("run", "tick", DEFAULT_TICK),
     )
     n_trials = args.trials if args.trials is not None else cfg.get("run", "trials", 10)
-    stats = run_amplitude_trials(scenario, n_trials, _seed_of(args, cfg), args.threads)
+    stats = run_amplitude_trials(scenario, n_trials, _seed_of(args, cfg), _threads_of(args))
     for rec in stats.records:
         if rec.detected:
             print(f"trial seed={rec.seed} f_hat={_fmt(rec.f_hat)} pp_hat={_fmt(rec.pp_hat)}")
@@ -228,7 +234,7 @@ def cmd_sweep(args) -> int:
         build_options(cfg, {"p_fa": args.p_fa, "f_max": args.f_max}),
         playback_scale=cfg.get("sweep", "playback_scale", 0.0),
         base_seed=_seed_of(args, cfg),
-        max_workers=args.threads,
+        max_workers=_threads_of(args),
     )
     header = "f_nominal,f_true,detected,f_hat,rel_offset,pp_hat"
     lines = [header]
@@ -265,7 +271,7 @@ def cmd_advantage(args) -> int:
         setup = background_advantage_setup(**kwargs)
     else:
         raise ConfigError(f"[advantage] experiment must be loss or background, got {experiment!r}")
-    outcomes = run_advantage_experiment(setup, _seed_of(args, cfg), args.threads)
+    outcomes = run_advantage_experiment(setup, _seed_of(args, cfg), _threads_of(args))
     doc = []
     for o in outcomes:
         print(

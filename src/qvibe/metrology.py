@@ -10,6 +10,12 @@ Three layers live here:
 * paired quantum/classical experiments that equalise the event budget
   across channel conditions (loss, background) and compare how much of
   the waveform each channel recovers.
+
+Trials, sweep points and the quantum half of each advantage condition
+repeat one exposure step, ``_exposure``: simulate a quantum run from a
+``TrialScenario`` and seed, then analyse it with ``pipeline`` at the
+scenario's true output-rate ratio. ``_trial`` scores that step against
+the component nearest a reference frequency.
 """
 
 from __future__ import annotations
@@ -29,10 +35,11 @@ from .core import (
     quantum_coincidence_probability,
 )
 from .errors import AnalysisError, ConfigError
-from .estimate import AnalysisOptions, PipelineResult, pipeline
+from .estimate import AnalysisOptions, ReconstructedSignal, pipeline
 from .simulate import (
     DEFAULT_TICK,
     ChannelModel,
+    QuantumRun,
     VibrationSignal,
     simulate_classical_run,
     simulate_quantum_run,
@@ -189,9 +196,38 @@ class TrialStatistics:
     detection_rate: float
 
 
-def _nearest_component(result: PipelineResult, f_ref: float):
-    recon = result.reconstruction
-    return min(recon.components, key=lambda c: abs(c.f_hat - f_ref))
+def _exposure(
+    scenario: TrialScenario, seed: int
+) -> tuple[QuantumRun, ReconstructedSignal | None]:
+    """Simulate and analyse one quantum exposure.
+
+    Returns the run and its reconstruction, None when nothing is detected.
+    """
+    run = simulate_quantum_run(
+        scenario.pair, scenario.signal, scenario.channel, scenario.t_exp,
+        seed, scenario.tick_duration,
+    )
+    result = pipeline(
+        run.coincidences,
+        run.anticoincidences,
+        fringe=scenario.pair,
+        geometry=scenario.channel.geometry,
+        ratio=scenario.true_ratio(),
+        options=scenario.options,
+    )
+    return run, result.reconstruction
+
+
+def _trial(scenario: TrialScenario, seed: int, f_ref: float) -> TrialRecord:
+    """One exposure scored on the detected component nearest f_ref."""
+    _, recon = _exposure(scenario, seed)
+    if recon is None:
+        return TrialRecord(seed, False, math.nan, math.nan, 0, 0)
+    comp = min(recon.components, key=lambda c: abs(c.f_hat - f_ref))
+    unrefined = sum(1 for c in recon.components if not c.refined)
+    return TrialRecord(
+        seed, True, comp.f_hat, recon.displacement_pp, len(recon.components), unrefined
+    )
 
 
 def run_amplitude_trials(
@@ -210,36 +246,9 @@ def run_amplitude_trials(
         raise ConfigError("n_trials must be >= 1")
     truth_f = scenario.signal.components[0].frequency
     truth_pp = scenario.signal.peak_to_peak(scenario.t_exp)
-    ratio = scenario.true_ratio()
-
-    def one(i: int) -> TrialRecord:
-        seed = base_seed + i
-        run = simulate_quantum_run(
-            scenario.pair, scenario.signal, scenario.channel, scenario.t_exp,
-            seed, scenario.tick_duration,
-        )
-        result = pipeline(
-            run.coincidences,
-            run.anticoincidences,
-            fringe=scenario.pair,
-            geometry=scenario.channel.geometry,
-            ratio=ratio,
-            options=scenario.options,
-        )
-        if result.reconstruction is None:
-            return TrialRecord(seed, False, math.nan, math.nan, 0, 0)
-        comp = _nearest_component(result, truth_f)
-        unrefined = sum(1 for c in result.reconstruction.components if not c.refined)
-        return TrialRecord(
-            seed,
-            True,
-            comp.f_hat,
-            result.reconstruction.displacement_pp,
-            len(result.reconstruction.components),
-            unrefined,
-        )
-
-    records = tuple(_map_indexed(one, n_trials, max_workers))
+    records = tuple(
+        _map_indexed(lambda i: _trial(scenario, base_seed + i, truth_f), n_trials, max_workers)
+    )
     hits = [r for r in records if r.detected]
     if len(hits) < 2:
         raise AnalysisError(
@@ -282,7 +291,6 @@ def run_frequency_sweep(
     options: AnalysisOptions,
     playback_scale: float = 0.0,
     base_seed: int = 0,
-    tick_duration: float = DEFAULT_TICK,
     max_workers: int | None = None,
 ) -> tuple[SweepPoint, ...]:
     """Step a pure tone across nominal frequencies, one exposure each.
@@ -295,7 +303,6 @@ def run_frequency_sweep(
     nominal = [float(f) for f in frequencies]
     if not nominal:
         raise ConfigError("sweep needs at least one frequency")
-    ratio = channel.rate_c / channel.rate_a
 
     def one(i: int) -> SweepPoint:
         f_nom = nominal[i]
@@ -303,28 +310,10 @@ def run_frequency_sweep(
         signal = VibrationSignal.pure_tone(
             f_true, amplitude_pp, dc_offset_delay=quadrature_delay(pair)
         )
-        run = simulate_quantum_run(
-            pair, signal, channel, t_exp, base_seed + i, tick_duration
-        )
-        result = pipeline(
-            run.coincidences,
-            run.anticoincidences,
-            fringe=pair,
-            geometry=channel.geometry,
-            ratio=ratio,
-            options=options,
-        )
-        if result.reconstruction is None:
-            return SweepPoint(f_nom, f_true, False, math.nan, math.nan, math.nan, 0)
-        comp = _nearest_component(result, f_true)
+        rec = _trial(TrialScenario(pair, signal, channel, t_exp, options), base_seed + i, f_true)
         return SweepPoint(
-            f_nom,
-            f_true,
-            True,
-            comp.f_hat,
-            comp.f_hat / f_nom - 1.0,
-            result.reconstruction.displacement_pp,
-            len(result.reconstruction.components),
+            f_nom, f_true, rec.detected, rec.f_hat, rec.f_hat / f_nom - 1.0, rec.pp_hat,
+            rec.n_components,
         )
 
     return tuple(_map_indexed(one, len(nominal), max_workers))
@@ -381,22 +370,21 @@ def matched_exposures(
     rate_c: float,
     singles_rate: float,
     loss_b: float,
-    arm_ratio: float = 1.0,
 ) -> tuple[float, float]:
     """Exposures giving both channels the same detected-event budget.
 
-    Quantum: (1 - L) * rate_c * t = target_pairs. Classical: the summed
-    two-port rate singles_rate * (1 + r(1 - L)) / 2 integrates to
-    2 * target_pairs events (a pair feeds two detectors). Both exposures
-    are rounded to two significant figures so they read like a lab log.
+    Quantum: (1 - L) * rate_c * t = target_pairs. Classical: with equal
+    arm intensities the summed two-port rate singles_rate * (2 - L) / 2
+    integrates to 2 * target_pairs events (a pair feeds two detectors).
+    Both exposures are rounded to two significant figures so they read
+    like a lab log.
     ``loss_b`` must lie in [0, 1) (ConfigError): at full loss no pair is
     detected and no exposure reaches the budget.
     """
     if not 0 <= loss_b < 1:
         raise ConfigError(f"loss must lie in [0, 1), got {loss_b}")
     t_q = target_pairs / ((1.0 - loss_b) * rate_c)
-    r_eff = arm_ratio * (1.0 - loss_b)
-    t_c = 2.0 * target_pairs / (singles_rate * (1.0 + r_eff) / 2.0)
+    t_c = 2.0 * target_pairs / (singles_rate * (1.0 + (1.0 - loss_b)) / 2.0)
     return _round_sig(t_q, 2), _round_sig(t_c, 2)
 
 
@@ -440,15 +428,10 @@ def run_advantage_experiment(
     signal_q = replace(setup.signal, dc_offset_delay=quadrature_delay(setup.pair))
     signal_c = replace(setup.signal, dc_offset_delay=0.0)
 
-    def analyse(stream_1, stream_2, fringe, channel: ChannelModel, ratio: float):
+    def score(recon):
         """Recovered displacement_pp (0 when nothing is detected) and odd harmonics."""
-        result = pipeline(
-            stream_1, stream_2, fringe=fringe, geometry=channel.geometry, ratio=ratio,
-            options=setup.options,
-        )
-        if not result.detected:
+        if recon is None:
             return 0.0, ()
-        recon = result.reconstruction
         f_hats = [c.f_hat for c in recon.components]
         return recon.displacement_pp, match_odd_harmonics(f_hats, fundamental)
 
@@ -457,20 +440,20 @@ def run_advantage_experiment(
         degradation = {"loss_b": cond.loss_b, "background_fraction": cond.background_fraction}
         ch_q = replace(setup.channel_quantum, **degradation)
         ch_c = replace(setup.channel_classical, **degradation)
-        run_q = simulate_quantum_run(
-            setup.pair, signal_q, ch_q, cond.t_exp_quantum, base_seed + 2 * i
-        )
+        scenario_q = TrialScenario(setup.pair, signal_q, ch_q, cond.t_exp_quantum, setup.options)
+        run_q, recon_q = _exposure(scenario_q, base_seed + 2 * i)
         run_c = simulate_classical_run(
             setup.fringe, signal_c, ch_c, cond.t_exp_classical, base_seed + 2 * i + 1
         )
-        truth_pp = run_q.truth.displacement_pp(cond.t_exp_quantum)
-        pp_q, harm_q = analyse(
-            run_q.coincidences, run_q.anticoincidences, setup.pair, ch_q, ch_q.rate_c / ch_q.rate_a
-        )
-        pp_c, harm_c = analyse(run_c.port1, run_c.port2, setup.fringe, ch_c, 1.0)
+        recon_c = pipeline(
+            run_c.port1, run_c.port2, fringe=setup.fringe, geometry=ch_c.geometry, ratio=1.0,
+            options=setup.options,
+        ).reconstruction
+        pp_q, harm_q = score(recon_q)
+        pp_c, harm_c = score(recon_c)
         return AdvantageOutcome(
             condition=cond,
-            truth_pp=truth_pp,
+            truth_pp=run_q.truth.displacement_pp(cond.t_exp_quantum),
             quantum_pp=pp_q,
             classical_pp=pp_c,
             quantum_events=len(run_q.coincidences) + len(run_q.anticoincidences),
@@ -480,6 +463,28 @@ def run_advantage_experiment(
         )
 
     return tuple(_map_indexed(one, len(setup.conditions), max_workers))
+
+
+def _square_wave_setup(
+    fundamental: float,
+    amplitude_pp: float,
+    channel_quantum: ChannelModel,
+    channel_classical: ChannelModel,
+    conditions,
+) -> AdvantageSetup:
+    """The pair, 1550 nm fringe, square wave and analysis band both
+    advantage experiments share; the band reaches the 19th harmonic."""
+    return AdvantageSetup(
+        signal=VibrationSignal.square_wave(fundamental, amplitude_pp),
+        pair=PhotonPairSpec(delta_omega=2.0 * math.pi * 177e12),
+        fringe=ClassicalFringeSpec(
+            omega_optical=2.0 * math.pi * SPEED_OF_LIGHT / 1550e-9, phase_offset=-math.pi / 2
+        ),
+        channel_quantum=channel_quantum,
+        channel_classical=channel_classical,
+        conditions=tuple(conditions),
+        options=AnalysisOptions(f_max=20.0 * fundamental),
+    )
 
 
 def loss_advantage_setup(
@@ -495,13 +500,8 @@ def loss_advantage_setup(
     2 sqrt(1 - L) / (2 - L) and the clean-reference inversion
     under-reads the waveform by the same factor.
     """
-    pair = PhotonPairSpec(delta_omega=2.0 * math.pi * 177e12)
-    fringe = ClassicalFringeSpec(
-        omega_optical=2.0 * math.pi * SPEED_OF_LIGHT / 1550e-9, phase_offset=-math.pi / 2
-    )
     channel_q = ChannelModel(rate_c=200e3, rate_a=200e3)
     channel_c = ChannelModel(singles_rate=1.2e6)
-    signal = VibrationSignal.square_wave(fundamental, amplitude_pp)
     conditions = []
     for loss in loss_values:
         t_q, t_c = matched_exposures(
@@ -516,16 +516,7 @@ def loss_advantage_setup(
                 t_exp_classical=t_c,
             )
         )
-    options = AnalysisOptions(f_max=20.0 * fundamental)
-    return AdvantageSetup(
-        signal=signal,
-        pair=pair,
-        fringe=fringe,
-        channel_quantum=channel_q,
-        channel_classical=channel_c,
-        conditions=tuple(conditions),
-        options=options,
-    )
+    return _square_wave_setup(fundamental, amplitude_pp, channel_q, channel_c, conditions)
 
 
 def background_advantage_setup(
@@ -547,17 +538,12 @@ def background_advantage_setup(
     The accidental inflation of the pair rate is per-mille level at
     these singles rates, so the quantum exposure stays put.
     """
-    pair = PhotonPairSpec(delta_omega=2.0 * math.pi * 177e12)
-    fringe = ClassicalFringeSpec(
-        omega_optical=2.0 * math.pi * SPEED_OF_LIGHT / 1550e-9, phase_offset=-math.pi / 2
-    )
     channel_q = ChannelModel(rate_c=7.5e3, rate_a=7.5e3, singles_rate=100e3)
     channel_c = ChannelModel(singles_rate=150e3)
-    signal = VibrationSignal.square_wave(fundamental, amplitude_pp)
     t_q, t_c = matched_exposures(
         target_pairs, channel_q.rate_c, channel_c.singles_rate, 0.0
     )
-    conditions = tuple(
+    conditions = (
         AdvantageCondition(
             label=f"background={b:g}",
             loss_b=0.0,
@@ -567,13 +553,4 @@ def background_advantage_setup(
         )
         for b in background_values
     )
-    options = AnalysisOptions(f_max=20.0 * fundamental)
-    return AdvantageSetup(
-        signal=signal,
-        pair=pair,
-        fringe=fringe,
-        channel_quantum=channel_q,
-        channel_classical=channel_c,
-        conditions=conditions,
-        options=options,
-    )
+    return _square_wave_setup(fundamental, amplitude_pp, channel_q, channel_c, conditions)

@@ -40,8 +40,11 @@ STREAM_TAGS = ("coincidence", "anticoincidence", "singles1", "singles2")
 
 DEFAULT_TICK = 100e-12
 
-# Hard cap on expected thinning candidates, to protect memory.
-_MAX_CANDIDATES = 2e8
+# Hard cap on expected thinning candidates, to protect memory. A draw
+# peaks at about 48 bytes per candidate (tracemalloc on 2M and 4M
+# candidates, pure tone and square wave), so the cap keeps one draw
+# within about 1 GiB.
+_MAX_CANDIDATES = 2.2e7
 
 
 @dataclass(frozen=True)

@@ -404,6 +404,24 @@ def test_threads_only_on_the_subcommands_that_use_it(capsys):
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
+def test_cli_rejects_threads_below_one(tmp_path, capsys):
+    # Zero or negative worker counts are refused before any exposure runs,
+    # with the flag named, instead of quietly running one worker.
+    tone = write_tone_config(tmp_path)
+    sweep = tmp_path / "sweep.ini"
+    sweep.write_text(SWEEP_INI)
+    loss = tmp_path / "loss.ini"
+    loss.write_text("[advantage]\nexperiment = loss\n")
+    for command, cfg in (("trials", tone), ("sweep", sweep), ("advantage", loss)):
+        for threads in ("0", "-2"):
+            assert main([command, "-c", str(cfg), "--threads", threads]) == 2, (command, threads)
+            captured = capsys.readouterr()
+            assert captured.out == "", (command, threads)
+            assert captured.err == (
+                f"config error: --threads must be at least 1, got {threads}\n"
+            ), (command, threads)
+
+
 def test_cli_rejects_nonpositive_points_per_period(tmp_path, capsys):
     # Traces are fixed at 100 samples per period, so the key is refused
     # whatever its value.

@@ -182,6 +182,49 @@ def test_frequency_sweep_recovers_playback_offset():
         run_frequency_sweep([], PAIR, channel, 20e-9, 1.0, AnalysisOptions())
 
 
+# ----- the shared exposure step -----
+
+
+def test_campaigns_match_across_worker_counts():
+    channel = ChannelModel(rate_c=100e3, rate_a=100e3)
+    options = AnalysisOptions(f_max=200.0)
+    scenario = TrialScenario(PAIR, quadrature_tone(20e-9), channel, 1.0, options)
+    serial = run_amplitude_trials(scenario, 3, base_seed=7100, max_workers=1)
+    assert repr(run_amplitude_trials(scenario, 3, base_seed=7100, max_workers=2)) == repr(serial)
+    sweep = [
+        run_frequency_sweep(
+            [10.0, 30.0], PAIR, channel, 20e-9, 1.0, options,
+            playback_scale=0.001, base_seed=7150, max_workers=workers,
+        )
+        for workers in (1, 2)
+    ]
+    assert repr(sweep[0]) == repr(sweep[1])
+
+
+def test_sweep_point_is_the_trial_record_of_its_tone():
+    # A sweep point and a trial run the same exposure step: the same tone,
+    # channel and seed give the same f_hat, pp_hat and component count.
+    channel = ChannelModel(rate_c=100e3, rate_a=100e3)
+    options = AnalysisOptions(f_max=200.0)
+    points = run_frequency_sweep(
+        [10.0, 10.0], PAIR, channel, 20e-9, 1.0, options, playback_scale=0.001, base_seed=7200
+    )
+    scenario = TrialScenario(PAIR, quadrature_tone(20e-9, 10.0 * (1.0 + 0.001)), channel, 1.0, options)
+    records = run_amplitude_trials(scenario, 2, base_seed=7200).records
+    for point, record in zip(points, records):
+        assert point.detected and record.detected
+        assert (point.f_hat, point.pp_hat, point.n_components) == (
+            record.f_hat, record.pp_hat, record.n_components
+        )
+        assert point.rel_offset == point.f_hat / point.f_nominal - 1.0
+    # An undetected point passes NaN through to its offset.
+    (missed,) = run_frequency_sweep(
+        [50.0], PAIR, ChannelModel(rate_c=2e3, rate_a=2e3), 1e-11, 1.0, options, base_seed=5
+    )
+    assert not missed.detected and missed.n_components == 0
+    assert all(math.isnan(v) for v in (missed.f_hat, missed.rel_offset, missed.pp_hat))
+
+
 # ----- advantage experiment plumbing -----
 
 

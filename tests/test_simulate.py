@@ -223,6 +223,10 @@ def test_sampler_rejects_bound_violation():
 def test_sampler_candidate_cap():
     with pytest.raises(ConfigError):
         sample_inhomogeneous_poisson(flat_flux(1e9), 1e9, 1.0, rng=1)
+    # Just above the 2.2e7 cap: at about 48 bytes a candidate this draw
+    # would pass 1 GiB, so it is refused before anything is allocated.
+    with pytest.raises(ConfigError, match="too large to sample"):
+        sample_inhomogeneous_poisson(flat_flux(2.3e7), 2.3e7, 1.0, rng=1)
 
 
 def test_tick_quantisation():
