@@ -24,6 +24,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .config import (
+    MODES,
     Config,
     build_channel,
     build_fringe,
@@ -54,17 +55,9 @@ from .streamio import (
     write_stream_text,
 )
 
-_MODES = ("quantum", "classical")
-
 
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-def _require_mode(mode: str) -> str:
-    if mode not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
-    return mode
 
 
 def _seed_of(args, cfg: Config, default: int = 0) -> int:
@@ -88,7 +81,7 @@ def _outdir(args) -> Path:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    mode = _require_mode(args.mode or cfg.get("run", "mode", "quantum"))
+    mode = args.mode or cfg.get("run", "mode", "quantum")
     pair = build_pair(cfg)
     channel = build_channel(cfg)
     signal = build_signal(cfg, pair, mode)
@@ -124,13 +117,19 @@ def _load_optional_config(args) -> Config:
 
 def cmd_estimate(args) -> int:
     cfg = _load_optional_config(args)
-    mode = _require_mode(args.mode or cfg.get("run", "mode", "quantum"))
-    stream_1 = read_stream(args.stream1)
-    stream_2 = read_stream(args.stream2)
+    mode = args.mode or cfg.get("run", "mode", "quantum")
+    fringe = build_pair(cfg) if mode == "quantum" else build_fringe(cfg)
+    geometry = build_channel(cfg).geometry
     options = build_options(cfg, {"p_fa": args.p_fa, "f_max": args.f_max})
     ratio = args.ratio if args.ratio is not None else cfg.get("analysis", "ratio", 1.0)
-    geometry = GeometryFactor(cfg.get("channel", "geometry", 2))
-    fringe = build_pair(cfg) if mode == "quantum" else build_fringe(cfg)
+    stream_1 = read_stream(args.stream1)
+    stream_2 = read_stream(args.stream2)
+    tags = fringe.stream_tags
+    if (stream_1.tag, stream_2.tag) != tags:
+        raise ConfigError(
+            f"mode {mode} reads streams tagged {tags[0]} then {tags[1]},"
+            f" got {stream_1.tag} then {stream_2.tag}"
+        )
     result = pipeline(
         stream_1, stream_2, fringe=fringe, geometry=geometry, ratio=ratio, options=options
     )
@@ -214,6 +213,10 @@ _MAX_SWEEP_POINTS = 10_000  # each point is one simulated exposure
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
+    if cfg.has("run", "tick"):
+        raise ConfigError(
+            f"[run] tick is not read by sweep, which samples at the {_fmt(DEFAULT_TICK)} s tick"
+        )
     start = cfg.get("sweep", "start")
     stop = cfg.get("sweep", "stop")
     step = cfg.get("sweep", "step")
@@ -265,12 +268,7 @@ def cmd_advantage(args) -> int:
         kwargs["fundamental"] = cfg.get("advantage", "fundamental")
     if cfg.has("advantage", "amplitude_pp"):
         kwargs["amplitude_pp"] = cfg.get("advantage", "amplitude_pp")
-    if experiment == "loss":
-        setup = loss_advantage_setup(**kwargs)
-    elif experiment == "background":
-        setup = background_advantage_setup(**kwargs)
-    else:
-        raise ConfigError(f"[advantage] experiment must be loss or background, got {experiment!r}")
+    setup = (loss_advantage_setup if experiment == "loss" else background_advantage_setup)(**kwargs)
     outcomes = run_advantage_experiment(setup, _seed_of(args, cfg), _threads_of(args))
     doc = []
     for o in outcomes:
@@ -343,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate timestamp streams for one exposure")
     common(p)
     p.add_argument("--out", "-o", default=".", help="output directory")
-    p.add_argument("--mode", choices=_MODES, default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--binary", action="store_true", help="write binary streams")
     p.set_defaults(func=cmd_simulate)
 
@@ -352,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("stream2", help="anti-coincidence (or port-2) stream file")
     common(p, config_required=False)
     p.add_argument("--out", "-o", default=None, help="output directory")
-    p.add_argument("--mode", choices=_MODES, default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--p-fa", type=float, default=None, help="override [analysis] p_fa")
     p.add_argument("--f-max", type=float, default=None, help="override [analysis] f_max in Hz")
     p.add_argument("--ratio", type=float, default=None, help="override [analysis] ratio")

@@ -11,7 +11,8 @@ malformed value is rejected whichever command loads the file. Physical
 quantities must carry a unit suffix from the tables below (``t_exp = 5 s``,
 ``f_max = 22 kHz``, ``amplitude_pp = 20 nm``, ``phase_offset = -90 deg``);
 dimensionless numbers must not carry one. Unknown sections, unknown keys, duplicate
-keys, and missing or wrong units are configuration errors.
+keys, missing or wrong units, and a text key outside its allowed values are
+configuration errors.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .core import (
 )
 from .errors import ConfigError
 from .estimate import AnalysisOptions
-from .simulate import ChannelModel, DEFAULT_TICK, SignalComponent, VibrationSignal
+from .simulate import ChannelModel, SignalComponent, VibrationSignal
 from .streamio import _EXACT
 
 # Time, frequency and length units are decimal exponents: the number is
@@ -129,6 +130,15 @@ _SCHEMA: dict[str, dict[str, str]] = {
     },
 }
 
+MODES = ("quantum", "classical")
+
+# The values each text ("str") key accepts, checked when the file is parsed.
+_CHOICES = {
+    ("run", "mode"): MODES,
+    ("signal", "kind"): ("pure_tone", "multi_tone", "square_wave", "alternating_tones"),
+    ("advantage", "experiment"): ("loss", "background"),
+}
+
 _MISSING = object()
 
 
@@ -206,6 +216,15 @@ def parse_quantity(text: str, kind: str, where: str):
     return value
 
 
+def _parse_value(section: str, key: str, text: str, where: str):
+    """Type one value by the schema; a text key must hold one of its choices."""
+    value = parse_quantity(text, _kind_of(section, key), where)
+    choices = _CHOICES.get((section, key))
+    if choices is not None and value not in choices:
+        raise ConfigError(f"{where}: expected one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Config:
     """Parsed configuration: every value already typed by the schema."""
@@ -247,11 +266,10 @@ def _parse_ini(text: str, source: str) -> dict[str, dict[str, object]]:
         if current is None:
             raise ConfigError(f"{source}:{lineno}: key outside any [section]")
         key, value = (part.strip() for part in line.split("=", 1))
-        kind = _kind_of(current, key)
         if key in sections[current]:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} in [{current}]")
         where = f"{source}:{lineno}: [{current}] {key}"
-        sections[current][key] = parse_quantity(value, kind, where)
+        sections[current][key] = _parse_value(current, key, value, where)
     return sections
 
 
@@ -269,7 +287,6 @@ def _parse_json(text: str, source: str) -> dict[str, dict[str, object]]:
         if "." not in flat_key:
             raise ConfigError(f"{source}: key {flat_key!r} must look like 'section.key'")
         section, key = flat_key.split(".", 1)
-        kind = _kind_of(section, key)
         if isinstance(value, bool):
             value = "true" if value else "false"
         elif isinstance(value, (int, float)):
@@ -279,7 +296,7 @@ def _parse_json(text: str, source: str) -> dict[str, dict[str, object]]:
         sections.setdefault(section, {})
         if key in sections[section]:
             raise ConfigError(f"{source}: duplicate key {flat_key!r}")
-        sections[section][key] = parse_quantity(value, kind, f"{source}: [{section}] {key}")
+        sections[section][key] = _parse_value(section, key, value, f"{source}: [{section}] {key}")
     return sections
 
 
@@ -298,56 +315,65 @@ def load_config(path: str | Path) -> Config:
 # ----- builders -----
 
 
+def _set_keys(cfg: Config, section: str, names: dict[str, str]) -> dict[str, object]:
+    """Keyword arguments for the keys of ``section`` the file sets, by library name."""
+    return {name: cfg.get(section, key) for key, name in names.items() if cfg.has(section, key)}
+
+
 def build_pair(cfg: Config) -> PhotonPairSpec:
-    sigma = 2.0 * math.pi * cfg.get("pair", "sigma", 0.5e12)
-    visibility = cfg.get("pair", "visibility", 1.0)
+    """The pair spec. Its detuning is ``detuning`` (default 177 THz) or the
+    beat of ``lambda_1`` and ``lambda_2``; given both ways, they must agree
+    within 0.1%."""
+    kwargs = _set_keys(cfg, "pair", {"visibility": "visibility_v0"})
+    if cfg.has("pair", "sigma"):
+        kwargs["sigma"] = 2.0 * math.pi * cfg.get("pair", "sigma")
+    delta_omega = 2.0 * math.pi * cfg.get("pair", "detuning", 177e12)
     has_l1, has_l2 = cfg.has("pair", "lambda_1"), cfg.has("pair", "lambda_2")
     if has_l1 != has_l2:
         raise ConfigError("[pair] give both lambda_1 and lambda_2 or neither")
-    try:
-        if has_l1 and not cfg.has("pair", "detuning"):
-            return PhotonPairSpec.from_wavelengths(
-                cfg.get("pair", "lambda_1"),
-                cfg.get("pair", "lambda_2"),
-                sigma=sigma,
-                visibility_v0=visibility,
+    if has_l1:
+        lambda_1, lambda_2 = cfg.get("pair", "lambda_1"), cfg.get("pair", "lambda_2")
+        if not (lambda_1 > 0 and lambda_2 > 0):
+            raise ConfigError("[pair] lambda_1 and lambda_2 must be positive")
+        implied = abs(2 * math.pi * SPEED_OF_LIGHT * (1 / lambda_1 - 1 / lambda_2))
+        if not cfg.has("pair", "detuning"):
+            delta_omega = implied
+        elif abs(implied - delta_omega) > 1e-3 * delta_omega:
+            raise ConfigError(
+                "[pair] lambda_1 and lambda_2 imply a detuning of %.6g Hz, which differs"
+                " from detuning = %.6g Hz by more than 0.1%%"
+                % (implied / (2.0 * math.pi), delta_omega / (2.0 * math.pi))
             )
-        detuning = cfg.get("pair", "detuning", 177e12)
-        return PhotonPairSpec(
-            delta_omega=2.0 * math.pi * detuning,
-            sigma=sigma,
-            visibility_v0=visibility,
-            lambda_1=cfg.get("pair", "lambda_1", None),
-            lambda_2=cfg.get("pair", "lambda_2", None),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[pair]: {exc}") from None
+    return PhotonPairSpec(delta_omega=delta_omega, **kwargs)
 
 
 def build_fringe(cfg: Config) -> ClassicalFringeSpec:
     wavelength = cfg.get("classical", "wavelength", 1550e-9)
     if not wavelength > 0:
         raise ConfigError("[classical] wavelength must be positive")
-    try:
-        return ClassicalFringeSpec(
-            omega_optical=2.0 * math.pi * SPEED_OF_LIGHT / wavelength,
-            arm_intensity_ratio=cfg.get("classical", "arm_ratio", 1.0),
-            phase_offset=cfg.get("classical", "phase_offset", -math.pi / 2.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[classical]: {exc}") from None
+    return ClassicalFringeSpec(
+        omega_optical=2.0 * math.pi * SPEED_OF_LIGHT / wavelength,
+        phase_offset=cfg.get("classical", "phase_offset", -math.pi / 2.0),
+        **_set_keys(cfg, "classical", {"arm_ratio": "arm_intensity_ratio"}),
+    )
+
+
+_CHANNEL_FIELDS = {
+    "loss": "loss_b",
+    "background": "background_fraction",
+    "coincidence_window": "coincidence_window",
+    "rate_c": "rate_c",
+    "rate_a": "rate_a",
+    "singles_rate": "singles_rate",
+    "geometry": "geometry",
+}
 
 
 def build_channel(cfg: Config) -> ChannelModel:
-    return ChannelModel(
-        loss_b=cfg.get("channel", "loss", 0.0),
-        background_fraction=cfg.get("channel", "background", 0.0),
-        coincidence_window=cfg.get("channel", "coincidence_window", DEFAULT_TICK),
-        rate_c=cfg.get("channel", "rate_c", 200e3),
-        rate_a=cfg.get("channel", "rate_a", 200e3),
-        singles_rate=cfg.get("channel", "singles_rate", 100e3),
-        geometry=GeometryFactor(cfg.get("channel", "geometry", 2)),
-    )
+    kwargs = _set_keys(cfg, "channel", _CHANNEL_FIELDS)
+    if "geometry" in kwargs:
+        kwargs["geometry"] = GeometryFactor(kwargs["geometry"])
+    return ChannelModel(**kwargs)
 
 
 def resolve_operating_delay(cfg: Config, pair: PhotonPairSpec, mode: str) -> float:
@@ -383,29 +409,21 @@ def build_signal(cfg: Config, pair: PhotonPairSpec, mode: str) -> VibrationSigna
             phase=cfg.get("signal", "phase", 0.0),
             dc_offset_delay=tau_op,
         )
-    if kind == "alternating_tones":
-        return VibrationSignal.alternating_tones(
-            cfg.get("signal", "switch_frequency"),
-            cfg.get("signal", "frequency_a"),
-            cfg.get("signal", "amplitude_pp_a"),
-            cfg.get("signal", "frequency_b"),
-            cfg.get("signal", "amplitude_pp_b"),
-            phase_a=cfg.get("signal", "phase_a", 0.0),
-            phase_b=cfg.get("signal", "phase_b", 0.0),
-            n_gate_harmonics=cfg.get("signal", "gate_harmonics", 7),
-            dc_offset_delay=tau_op,
-        )
-    raise ConfigError(f"[signal] unknown kind {kind!r}")
+    return VibrationSignal.alternating_tones(
+        cfg.get("signal", "switch_frequency"),
+        cfg.get("signal", "frequency_a"),
+        cfg.get("signal", "amplitude_pp_a"),
+        cfg.get("signal", "frequency_b"),
+        cfg.get("signal", "amplitude_pp_b"),
+        phase_a=cfg.get("signal", "phase_a", 0.0),
+        phase_b=cfg.get("signal", "phase_b", 0.0),
+        n_gate_harmonics=cfg.get("signal", "gate_harmonics", 7),
+        dc_offset_delay=tau_op,
+    )
 
 
 def build_options(cfg: Config, overrides: dict | None = None) -> AnalysisOptions:
-    values = {
-        "p_fa": cfg.get("analysis", "p_fa", 1e-3),
-        "f_max": cfg.get("analysis", "f_max", 50e3),
-    }
-    for name, value in (overrides or {}).items():
-        if value is not None:
-            values[name] = value
-    if not 0 < values["p_fa"] < 1:
-        raise ConfigError("[analysis] p_fa must lie in (0, 1)")
+    """Options from [analysis]; an override that is not None wins over the file."""
+    values = _set_keys(cfg, "analysis", {"p_fa": "p_fa", "f_max": "f_max"})
+    values.update((name, value) for name, value in (overrides or {}).items() if value is not None)
     return AnalysisOptions(**values)

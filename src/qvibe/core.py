@@ -11,7 +11,8 @@ set by the optical frequency.
 Both specs expose the one fringe interface the estimator inverts,
 P(tau) = (1 + polarity * contrast * cos(omega * tau + phase_offset)) / 2,
 through the read-only values ``mode``, ``polarity``, ``phase_offset``,
-``contrast`` and ``omega``.
+``contrast`` and ``omega``. ``stream_tags`` names the two streams of the
+channel, in the order the simulator writes and the estimator reads them.
 
 Conventions used throughout the package:
 
@@ -30,11 +31,10 @@ from typing import ClassVar
 
 import numpy as np
 
+from .errors import ConfigError
+
 # Exact SI definition.
 SPEED_OF_LIGHT = 299_792_458.0
-
-# Relative tolerance for the optional wavelength/detuning cross-check.
-_WAVELENGTH_CONSISTENCY_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -50,24 +50,19 @@ class PhotonPairSpec:
         the Gaussian envelope of the coincidence fringe.
     visibility_v0 : float
         Baseline fringe visibility in (0, 1].
-    lambda_1, lambda_2 : float or None
-        Optional centre wavelengths (metres) of the two photons,
-        informational. When both are given they must reproduce
-        ``delta_omega`` within 0.1%.
 
     As a fringe the coincidence channel falls with the cosine of
     delta_omega * tau at contrast visibility_v0.
     """
 
     mode: ClassVar[str] = "quantum"
+    stream_tags: ClassVar[tuple[str, str]] = ("coincidence", "anticoincidence")
     polarity: ClassVar[float] = -1.0
     phase_offset: ClassVar[float] = 0.0
 
     delta_omega: float
     sigma: float = 2 * math.pi * 0.5e12
     visibility_v0: float = 1.0
-    lambda_1: float | None = None
-    lambda_2: float | None = None
 
     @property
     def contrast(self) -> float:
@@ -79,44 +74,11 @@ class PhotonPairSpec:
 
     def __post_init__(self) -> None:
         if not self.delta_omega > 0:
-            raise ValueError("delta_omega must be positive")
+            raise ConfigError("delta_omega must be positive")
         if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+            raise ConfigError("sigma must be non-negative")
         if not 0 < self.visibility_v0 <= 1:
-            raise ValueError("visibility_v0 must lie in (0, 1]")
-        if (self.lambda_1 is None) != (self.lambda_2 is None):
-            raise ValueError("give both wavelengths or neither")
-        if self.lambda_1 is not None and self.lambda_2 is not None:
-            if self.lambda_1 <= 0 or self.lambda_2 <= 0:
-                raise ValueError("wavelengths must be positive")
-            implied = abs(
-                2 * math.pi * SPEED_OF_LIGHT * (1 / self.lambda_1 - 1 / self.lambda_2)
-            )
-            if abs(implied - self.delta_omega) > _WAVELENGTH_CONSISTENCY_RTOL * self.delta_omega:
-                raise ValueError(
-                    "wavelengths imply a detuning of %.6g rad/s, which differs from "
-                    "delta_omega=%.6g rad/s by more than 0.1%%" % (implied, self.delta_omega)
-                )
-
-    @classmethod
-    def from_wavelengths(
-        cls,
-        lambda_1: float,
-        lambda_2: float,
-        sigma: float = 2 * math.pi * 0.5e12,
-        visibility_v0: float = 1.0,
-    ) -> "PhotonPairSpec":
-        """Build a spec whose detuning is computed exactly from wavelengths."""
-        if lambda_1 <= 0 or lambda_2 <= 0:
-            raise ValueError("wavelengths must be positive")
-        delta_omega = abs(2 * math.pi * SPEED_OF_LIGHT * (1 / lambda_1 - 1 / lambda_2))
-        return cls(
-            delta_omega=delta_omega,
-            sigma=sigma,
-            visibility_v0=visibility_v0,
-            lambda_1=lambda_1,
-            lambda_2=lambda_2,
-        )
+            raise ConfigError("visibility_v0 must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -131,6 +93,7 @@ class ClassicalFringeSpec:
     """
 
     mode: ClassVar[str] = "classical"
+    stream_tags: ClassVar[tuple[str, str]] = ("singles1", "singles2")
     polarity: ClassVar[float] = 1.0
 
     omega_optical: float
@@ -139,9 +102,9 @@ class ClassicalFringeSpec:
 
     def __post_init__(self) -> None:
         if not self.omega_optical > 0:
-            raise ValueError("omega_optical must be positive")
+            raise ConfigError("omega_optical must be positive")
         if not 0 <= self.arm_intensity_ratio <= 1:
-            raise ValueError("arm_intensity_ratio must lie in [0, 1]")
+            raise ConfigError("arm_intensity_ratio must lie in [0, 1]")
 
     @property
     def visibility(self) -> float:
@@ -165,7 +128,7 @@ class GeometryFactor:
 
     def __post_init__(self) -> None:
         if self.g not in (1, 2):
-            raise ValueError("geometry factor must be 1 or 2")
+            raise ConfigError(f"geometry factor must be 1 or 2, got {self.g!r}")
 
 
 def quantum_coincidence_probability(spec: PhotonPairSpec, tau):

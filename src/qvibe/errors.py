@@ -1,7 +1,11 @@
 """Exception types shared across the package.
 
 The CLI maps these to distinct exit codes, so library code should raise
-the most specific one that applies.
+the most specific one that applies. Library constructors (the fringe
+specs, ``GeometryFactor``, ``ChannelModel``, ``SignalComponent``,
+``VibrationSignal``, ``TimestampStream``, ``AnalysisOptions``) raise
+``ConfigError`` on a bad parameter, so a config builder passes them its
+values unwrapped.
 """
 
 

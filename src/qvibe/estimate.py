@@ -697,6 +697,10 @@ class AnalysisOptions:
     p_fa: float = 1e-3
     f_max: float = 50e3
 
+    def __post_init__(self) -> None:
+        if not 0 < self.p_fa < 1:
+            raise ConfigError(f"p_fa must lie in (0, 1), got {self.p_fa}")
+
 
 @dataclass(frozen=True)
 class PipelineResult:

@@ -134,8 +134,14 @@ class VibrationSignal:
         amplitude (4/pi) * amplitude_pp / k, up to k = n_harmonics. Note
         that the truncated waveform overshoots the nominal amplitude near
         the transitions, so its actual peak-to-peak excursion exceeds
-        ``amplitude_pp`` (about 18% for the default truncation).
+        ``amplitude_pp`` (about 18% for the default truncation). A
+        non-positive frequency or amplitude, which would leave no
+        component, is a ConfigError.
         """
+        if not frequency > 0:
+            raise ConfigError(f"square wave frequency must be positive, got {frequency} Hz")
+        if not amplitude_pp > 0:
+            raise ConfigError(f"square wave amplitude_pp must be positive, got {amplitude_pp} m")
         if n_harmonics < 1:
             raise ConfigError("n_harmonics must be >= 1")
         phasors: dict[float, complex] = {}
@@ -478,11 +484,12 @@ def simulate_quantum_run(
     """
     fx = quantum_fluxes(pair, signal, channel)
     seq_c, seq_a = np.random.SeedSequence(seed).spawn(2)
+    tag_c, tag_a = pair.stream_tags
     c = sample_inhomogeneous_poisson(
-        fx.flux_1, fx.bound_1, t_exp, np.random.default_rng(seq_c), tick_duration, "coincidence"
+        fx.flux_1, fx.bound_1, t_exp, np.random.default_rng(seq_c), tick_duration, tag_c
     )
     a = sample_inhomogeneous_poisson(
-        fx.flux_2, fx.bound_2, t_exp, np.random.default_rng(seq_a), tick_duration, "anticoincidence"
+        fx.flux_2, fx.bound_2, t_exp, np.random.default_rng(seq_a), tick_duration, tag_a
     )
     return QuantumRun(c, a, GroundTruth(signal, channel.geometry))
 
@@ -498,10 +505,11 @@ def simulate_classical_run(
     """Simulate one exposure of the classical reference channel."""
     fx = classical_fluxes(fringe, signal, channel)
     seq_1, seq_2 = np.random.SeedSequence(seed).spawn(2)
+    tag_1, tag_2 = fringe.stream_tags
     p1 = sample_inhomogeneous_poisson(
-        fx.flux_1, fx.bound_1, t_exp, np.random.default_rng(seq_1), tick_duration, "singles1"
+        fx.flux_1, fx.bound_1, t_exp, np.random.default_rng(seq_1), tick_duration, tag_1
     )
     p2 = sample_inhomogeneous_poisson(
-        fx.flux_2, fx.bound_2, t_exp, np.random.default_rng(seq_2), tick_duration, "singles2"
+        fx.flux_2, fx.bound_2, t_exp, np.random.default_rng(seq_2), tick_duration, tag_2
     )
     return ClassicalRun(p1, p2, GroundTruth(signal, channel.geometry))

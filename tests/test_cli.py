@@ -9,6 +9,7 @@ whose failure mode is a run that never ends.
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -221,6 +222,39 @@ def test_build_pair_default_and_wavelengths():
     assert abs(pair_wl.delta_omega - expected) < 1e-3 * expected
     with pytest.raises(ConfigError, match="both lambda_1 and lambda_2"):
         build_pair(parse_config("[pair]\nlambda_1 = 810 nm\n"))
+
+
+WAVELENGTHS = "[pair]\nlambda_1 = 810 nm\nlambda_2 = 1550 nm\n"
+
+
+def test_build_pair_wavelength_rules(tmp_path, capsys):
+    # Round 810/1550 nm wavelengths imply a 176.70 THz beat: the detuning is
+    # that beat, exactly, when no detuning is given; a detuning within 0.1%
+    # of it is kept; 177 THz is 0.17% away and refused, as is one
+    # wavelength without the other.
+    pair = build_pair(parse_config(WAVELENGTHS))
+    assert pair.delta_omega == abs(2 * math.pi * SPEED_OF_LIGHT * (1 / 810e-9 - 1 / 1550e-9))
+    assert pair.delta_omega == pytest.approx(2 * math.pi * 176.70e12, rel=1e-3)
+    agreeing = build_pair(parse_config(WAVELENGTHS + "detuning = 176.7 THz\n"))
+    assert agreeing.delta_omega == 2 * math.pi * 176.7e12
+    refused = (
+        (
+            WAVELENGTHS + "detuning = 177 THz\n",
+            "differs from detuning = 1.77e+14 Hz by more than 0.1%",
+        ),
+        ("[pair]\nlambda_1 = 810 nm\n", "give both lambda_1 and lambda_2 or neither"),
+        ("[pair]\ndetuning = 177 THz\nlambda_2 = 1550 nm\n", "give both lambda_1 and lambda_2"),
+        ("[pair]\nlambda_1 = -810 nm\nlambda_2 = 1550 nm\n", "must be positive"),
+    )
+    for text, message in refused:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_pair(parse_config(text))
+        cfg = tmp_path / "pair.ini"
+        cfg.write_text(text)
+        assert main(["qcrb", "-c", str(cfg), "--n-pairs", "100", "--trials", "10"]) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("config error: [pair] "), text
+        assert message in captured.err, text
 
 
 def test_build_fringe_defaults():
@@ -526,6 +560,33 @@ def test_cli_estimate_rejects_non_finite_ratio(tmp_path, capsys):
         assert captured.err.startswith("config error: ratio must be positive and finite"), ratio
 
 
+SQUARE_WAVE = "[signal]\nkind = square_wave\nfrequency = 10 Hz\namplitude_pp = 20 nm\n"
+ZERO_HZ = "frequency must be positive, got 0.0 Hz"
+ZERO_NM = "amplitude_pp must be positive, got 0.0 m"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("advantage", "[advantage]\nexperiment = loss\nfundamental = 0 Hz\n", ZERO_HZ),
+    ("advantage", "[advantage]\nexperiment = background\nfundamental = 0 Hz\n", ZERO_HZ),
+    ("advantage", "[advantage]\nexperiment = loss\nfundamental = -10 Hz\n",
+     "frequency must be positive, got -10.0 Hz"),
+    ("advantage", "[advantage]\nexperiment = loss\namplitude_pp = 0 nm\n", ZERO_NM),
+    ("advantage", "[advantage]\nexperiment = background\namplitude_pp = 0 nm\n", ZERO_NM),
+    ("simulate", SQUARE_WAVE.replace("10 Hz", "0 Hz"), ZERO_HZ),
+    ("simulate", SQUARE_WAVE.replace("20 nm", "0 nm"), ZERO_NM),
+])
+def test_cli_rejects_empty_square_wave(tmp_path, capsys, command, text, message):
+    # A zero fundamental or amplitude leaves the square wave without a
+    # component; it is refused before any exposure runs.
+    cfg = tmp_path / "square.ini"
+    cfg.write_text(text)
+    assert main([command, "-c", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: square wave {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_advantage_rejects_full_loss(tmp_path, capsys):
     # At 100% loss no pair arrives, so no exposure matches the budget.
     for values in ("0 | 1", "0 | 1.5"):
@@ -584,6 +645,18 @@ def test_cli_sweep_table_and_point_cap(tmp_path, capsys):
         )
         assert proc.returncode == 2, (name, proc.stderr[-500:])
         assert "more than 10000 points" in proc.stderr, name
+
+
+def test_cli_sweep_refuses_tick(tmp_path, capsys):
+    # Every sweep point samples at the default tick, so a [run] tick that
+    # sweep would not honour is refused instead of ignored.
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(SWEEP_INI.replace("t_exp = 1 s", "t_exp = 1 s\ntick = 23 ps"))
+    assert main(["sweep", "-c", str(cfg), "--out", str(tmp_path / "sweep.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: [run] tick is not read by sweep")
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_cli_spectrum_csv_to_stdout(tmp_path, capsys):
@@ -658,3 +731,93 @@ def test_cli_text_and_binary_runs_agree(tmp_path, capsys, tick):
     assert main(["estimate", *mixed, "-c", str(cfg), "--out", str(tmp_path / "mixed")]) == 0
     assert (tmp_path / "mixed" / "spectrum.csv").read_bytes() == outputs[".txt"][0]
     capsys.readouterr()
+
+
+def _stream_file(path, tag):
+    path.write_text(f"qvibe-ts v1 {tag} 100 1.0 1\n5\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("mode, tags", [
+    ("quantum", ("anticoincidence", "coincidence")),
+    ("quantum", ("singles1", "singles2")),
+    ("quantum", ("coincidence", "singles2")),
+    ("classical", ("singles2", "singles1")),
+    ("classical", ("coincidence", "anticoincidence")),
+])
+def test_cli_estimate_refuses_streams_of_another_mode(tmp_path, capsys, mode, tags):
+    # Quantum mode reads coincidence then anticoincidence streams, classical
+    # mode singles1 then singles2; swapped or cross-mode streams would be
+    # analysed as the wrong fringe.
+    streams = [_stream_file(tmp_path / f"s{i}.txt", tag) for i, tag in enumerate(tags)]
+    assert main(["estimate", *streams, "--mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = ("coincidence", "anticoincidence") if mode == "quantum" else ("singles1", "singles2")
+    assert captured.err == (
+        f"config error: mode {mode} reads streams tagged {expected[0]} then {expected[1]},"
+        f" got {tags[0]} then {tags[1]}\n"
+    )
+
+
+# Valid for every subcommand: a tone scenario, a sweep and an advantage run.
+ALL_COMMANDS_INI = SWEEP_INI + "\n[advantage]\nexperiment = loss\n"
+
+
+def _all_commands(tmp_path):
+    streams = [
+        _stream_file(tmp_path / "c.txt", "coincidence"),
+        _stream_file(tmp_path / "a.txt", "anticoincidence"),
+    ]
+    return {
+        "simulate": ["simulate", "--out", str(tmp_path / "sim")],
+        "estimate": ["estimate", *streams],
+        "trials": ["trials", "--trials", "2"],
+        "sweep": ["sweep"],
+        "advantage": ["advantage"],
+        "qcrb": ["qcrb", "--n-pairs", "100", "--trials", "10"],
+    }
+
+
+# Each bad value, the edit of ALL_COMMANDS_INI that makes it and the end
+# of its error line. [channel] geometry is range-checked by GeometryFactor;
+# the text keys are checked against their allowed values at load.
+BAD_VALUES = {
+    "geometry": (
+        ("[run]", "[channel]\ngeometry = 3\n\n[run]"),
+        "geometry factor must be 1 or 2, got 3",
+    ),
+    "mode": (
+        ("mode = quantum", "mode = sideways"),
+        "[run] mode: expected one of quantum, classical, got 'sideways'",
+    ),
+    "kind": (
+        ("kind = pure_tone", "kind = chirp"),
+        "[signal] kind: expected one of pure_tone, multi_tone, square_wave,"
+        " alternating_tones, got 'chirp'",
+    ),
+    "experiment": (
+        ("experiment = loss", "experiment = wind"),
+        "[advantage] experiment: expected one of loss, background, got 'wind'",
+    ),
+}
+ALL_COMMANDS = ("simulate", "estimate", "trials", "sweep", "advantage", "qcrb")
+
+
+@pytest.mark.parametrize("bad, command", [
+    *(("geometry", c) for c in ALL_COMMANDS if c != "advantage"),  # advantage reads no [channel]
+    *((bad, c) for bad in ("mode", "kind", "experiment") for c in ALL_COMMANDS),
+])
+def test_every_reader_rejects_a_bad_value(tmp_path, capsys, bad, command):
+    # Exit 2 with one config error line, no traceback and no output, on every
+    # command that loads the value, not only the one that uses it.
+    (old, new), message = BAD_VALUES[bad]
+    cfg = tmp_path / "bad.ini"
+    assert ALL_COMMANDS_INI.count(old) == 1
+    cfg.write_text(ALL_COMMANDS_INI.replace(old, new))
+    assert main([*_all_commands(tmp_path)[command], "-c", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and captured.err.endswith(message + "\n")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "sim").exists()

@@ -12,6 +12,7 @@ from qvibe.core import (
     quadrature_delay,
     quantum_coincidence_probability,
 )
+from qvibe.errors import ConfigError
 
 DETUNING = 2 * math.pi * 177e12
 
@@ -82,33 +83,27 @@ def test_classical_port_validation():
 
 
 def test_pair_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         PhotonPairSpec(delta_omega=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         PhotonPairSpec(delta_omega=DETUNING, sigma=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         PhotonPairSpec(delta_omega=DETUNING, visibility_v0=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         PhotonPairSpec(delta_omega=DETUNING, visibility_v0=1.2)
-    with pytest.raises(ValueError):
-        PhotonPairSpec(delta_omega=DETUNING, lambda_1=810e-9)
 
 
-def test_wavelength_consistency_check():
-    # Round 810/1550 nm wavelengths imply a 176.70 THz beat, 0.17% away
-    # from a 177 THz detuning, so the cross-check must reject the combo.
-    with pytest.raises(ValueError):
-        PhotonPairSpec(delta_omega=DETUNING, lambda_1=810e-9, lambda_2=1550e-9)
-    pair = PhotonPairSpec.from_wavelengths(810e-9, 1550e-9)
-    implied = abs(2 * math.pi * SPEED_OF_LIGHT * (1 / 810e-9 - 1 / 1550e-9))
-    assert pair.delta_omega == pytest.approx(implied, rel=1e-12)
-    assert pair.delta_omega == pytest.approx(2 * math.pi * 176.70e12, rel=1e-3)
+def test_classical_fringe_validation():
+    with pytest.raises(ConfigError):
+        ClassicalFringeSpec(omega_optical=0.0)
+    with pytest.raises(ConfigError):
+        ClassicalFringeSpec(omega_optical=1.2e15, arm_intensity_ratio=1.5)
 
 
 def test_geometry_factor_validation():
     assert GeometryFactor(1).g == 1
     assert GeometryFactor(2).g == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         GeometryFactor(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         GeometryFactor(0)
