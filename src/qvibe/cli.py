@@ -348,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="run the estimation pipeline on two stream files")
     p.add_argument("stream1", help="coincidence (or port-1) stream file")
     p.add_argument("stream2", help="anti-coincidence (or port-2) stream file")
-    common(p, config_required=False)
+    p.add_argument("--config", "-c", help="configuration file")
     p.add_argument("--out", "-o", default=None, help="output directory")
     p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--p-fa", type=float, default=None, help="override [analysis] p_fa")

@@ -4,7 +4,8 @@ A vibration waveform is modelled as a sparse set of sinusoids. The
 waveform modulates the interferometer delay around an operating point,
 the fringe model converts the delay into detection-rate modulation, and
 detector clicks are drawn as an inhomogeneous Poisson process which is
-then quantised onto a discrete timestamp grid.
+then quantised onto a discrete timestamp grid. Each flux is evaluated once
+per draw, at the thinning candidates, and checked against its bound there.
 
 Two detection channels are supported:
 
@@ -168,8 +169,11 @@ class VibrationSignal:
         ``n_gate_harmonics``) and multiplied through, which keeps the
         waveform inside the sparse-sinusoid model. The result carries
         half-amplitude lines at the two tone frequencies plus mixing
-        sidebands at |k * switch_frequency +/- tone frequency|.
+        sidebands at |k * switch_frequency +/- tone frequency|. A
+        non-positive or non-finite switch frequency is a ConfigError.
         """
+        if not (math.isfinite(switch_frequency) and switch_frequency > 0):
+            raise ConfigError(f"switch_frequency must be positive, got {switch_frequency} Hz")
         if n_gate_harmonics < 1:
             raise ConfigError("n_gate_harmonics must be >= 1")
         phasors: dict[float, complex] = {}
@@ -388,25 +392,6 @@ def classical_fluxes(
 # ----- sampling -----
 
 
-def _check_flux_bound(flux, bound: float, t_exp: float) -> None:
-    """Spot-check flux(t) in [0, bound] on dense grids before sampling."""
-    n_global = int(min(65536, max(4096, bound * t_exp / 8.0)))
-    grids = [np.linspace(0.0, t_exp, n_global, endpoint=False)]
-    if n_global == 65536:
-        # Long exposures: also look closely at the start of the span.
-        grids.append(np.linspace(0.0, t_exp / 64.0, 16384, endpoint=False))
-    for grid in grids:
-        values = np.asarray(flux(grid), dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise ConfigError("flux is not finite over the exposure")
-        if values.min() < 0:
-            raise ConfigError("flux is negative over the exposure")
-        if values.max() > bound * (1.0 + 1e-12):
-            raise ConfigError(
-                "flux exceeds its bound (%.6g > %.6g events/s)" % (values.max(), bound)
-            )
-
-
 def sample_inhomogeneous_poisson(
     flux: Callable[[np.ndarray], np.ndarray],
     bound: float,
@@ -422,6 +407,10 @@ def sample_inhomogeneous_poisson(
     process), and each candidate at time t survives with probability
     flux(t)/bound. Surviving times are quantised to the tick grid with
     floor, keeping duplicates.
+
+    The flux is evaluated once, at the sorted candidates, and those values
+    are thinned. One that is not finite, negative or above the bound is a
+    ConfigError; a violation between candidates goes unseen.
     """
     if not bound > 0:
         raise ConfigError("bound must be positive")
@@ -431,11 +420,19 @@ def sample_inhomogeneous_poisson(
         raise ConfigError("bound * t_exp too large to sample (%.3g candidates)" % (bound * t_exp))
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    _check_flux_bound(flux, bound, t_exp)
     n_cand = rng.poisson(bound * t_exp)
     times = rng.random(n_cand) * t_exp
     times.sort()
-    keep = rng.random(n_cand) * bound < np.asarray(flux(times), dtype=float)
+    # The flux draws no random numbers, so reading it before the thinning
+    # uniforms leaves every draw where it was.
+    rates = np.asarray(flux(times), dtype=float)
+    if not np.all(np.isfinite(rates)):
+        raise ConfigError("flux is not finite over the exposure")
+    if np.any(rates < 0):
+        raise ConfigError("flux is negative over the exposure")
+    if np.any(rates > bound * (1.0 + 1e-12)):
+        raise ConfigError("flux exceeds its bound (%.6g > %.6g events/s)" % (rates.max(), bound))
+    keep = rng.random(n_cand) * bound < rates
     ticks = np.floor(times[keep] / tick_duration).astype(np.int64)
     return TimestampStream(tag=tag, ticks=ticks, tick_duration=tick_duration, t_exp=t_exp)
 
@@ -468,6 +465,25 @@ class ClassicalRun:
     truth: GroundTruth
 
 
+def _simulate_run(run_type, fluxes, fringe, signal, channel, t_exp, seed, tick):
+    """Draw ``fluxes(fringe, signal, channel)`` as ``run_type(stream_1, stream_2, truth)``.
+
+    Each stream gets its own child generator of the run seed and its tag from
+    ``fringe.stream_tags``, so a run is reproducible from (configuration, seed).
+    """
+    fx = fluxes(fringe, signal, channel)
+    s1, s2 = (
+        sample_inhomogeneous_poisson(flux, bound, t_exp, np.random.default_rng(seq), tick, tag)
+        for flux, bound, seq, tag in zip(
+            (fx.flux_1, fx.flux_2),
+            (fx.bound_1, fx.bound_2),
+            np.random.SeedSequence(seed).spawn(2),
+            fringe.stream_tags,
+        )
+    )
+    return run_type(s1, s2, GroundTruth(signal, channel.geometry))
+
+
 def simulate_quantum_run(
     pair: PhotonPairSpec,
     signal: VibrationSignal,
@@ -476,22 +492,10 @@ def simulate_quantum_run(
     seed: int,
     tick_duration: float = DEFAULT_TICK,
 ) -> QuantumRun:
-    """Simulate one exposure of the entangled channel.
-
-    The two streams are statistically independent given the shared flux
-    model; each gets its own child generator of the run seed, so a run is
-    fully reproducible from (configuration, seed).
-    """
-    fx = quantum_fluxes(pair, signal, channel)
-    seq_c, seq_a = np.random.SeedSequence(seed).spawn(2)
-    tag_c, tag_a = pair.stream_tags
-    c = sample_inhomogeneous_poisson(
-        fx.flux_1, fx.bound_1, t_exp, np.random.default_rng(seq_c), tick_duration, tag_c
+    """Simulate one exposure of the entangled channel."""
+    return _simulate_run(
+        QuantumRun, quantum_fluxes, pair, signal, channel, t_exp, seed, tick_duration
     )
-    a = sample_inhomogeneous_poisson(
-        fx.flux_2, fx.bound_2, t_exp, np.random.default_rng(seq_a), tick_duration, tag_a
-    )
-    return QuantumRun(c, a, GroundTruth(signal, channel.geometry))
 
 
 def simulate_classical_run(
@@ -503,13 +507,6 @@ def simulate_classical_run(
     tick_duration: float = DEFAULT_TICK,
 ) -> ClassicalRun:
     """Simulate one exposure of the classical reference channel."""
-    fx = classical_fluxes(fringe, signal, channel)
-    seq_1, seq_2 = np.random.SeedSequence(seed).spawn(2)
-    tag_1, tag_2 = fringe.stream_tags
-    p1 = sample_inhomogeneous_poisson(
-        fx.flux_1, fx.bound_1, t_exp, np.random.default_rng(seq_1), tick_duration, tag_1
+    return _simulate_run(
+        ClassicalRun, classical_fluxes, fringe, signal, channel, t_exp, seed, tick_duration
     )
-    p2 = sample_inhomogeneous_poisson(
-        fx.flux_2, fx.bound_2, t_exp, np.random.default_rng(seq_2), tick_duration, tag_2
-    )
-    return ClassicalRun(p1, p2, GroundTruth(signal, channel.geometry))

@@ -438,6 +438,14 @@ def test_threads_only_on_the_subcommands_that_use_it(capsys):
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
+def test_estimate_takes_no_seed(capsys):
+    # estimate draws nothing, so a seed it would ignore is refused.
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "a", "b", "--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+
 def test_cli_rejects_threads_below_one(tmp_path, capsys):
     # Zero or negative worker counts are refused before any exposure runs,
     # with the flag named, instead of quietly running one worker.
@@ -584,6 +592,30 @@ def test_cli_rejects_empty_square_wave(tmp_path, capsys, command, text, message)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: square wave {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+ALTERNATING_TONES = """
+[signal]
+kind = alternating_tones
+switch_frequency = {switch}
+frequency_a = 10 Hz
+amplitude_pp_a = 20 nm
+frequency_b = 10 Hz
+amplitude_pp_b = 20 nm
+"""
+
+
+@pytest.mark.parametrize("switch, shown", [("0 Hz", "0.0"), ("-5 Hz", "-5.0")])
+def test_cli_rejects_nonpositive_switch_frequency(tmp_path, capsys, switch, shown):
+    # 0 Hz would play one steady line and a negative rate would swap the
+    # gate's halves; both are refused before any exposure runs.
+    cfg = tmp_path / "alternating.ini"
+    cfg.write_text(ALTERNATING_TONES.format(switch=switch))
+    assert main(["simulate", "-c", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: switch_frequency must be positive, got {shown} Hz\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -220,6 +220,27 @@ def test_sampler_rejects_bound_violation():
         sample_inhomogeneous_poisson(lambda t: 5.0 - 10 * t, 5.0, 1.0, rng=1)  # negative
 
 
+def test_sampler_reads_the_flux_once_at_the_candidates():
+    # The bound check reads the very values the thinning uses: one flux
+    # call per draw, at the sorted candidate times.
+    calls = []
+
+    def flux(t):
+        calls.append(np.array(t, copy=True))
+        return np.full_like(t, 500.0)
+
+    s = sample_inhomogeneous_poisson(flux, 1000.0, 2.0, rng=3)
+    assert len(calls) == 1
+    (t,) = calls
+    assert np.all(np.diff(t) >= 0) and t[0] >= 0.0 and t[-1] < 2.0
+    assert t.size == np.random.default_rng(3).poisson(1000.0 * 2.0)
+    assert 0 < len(s) < t.size
+    assert np.all(np.isin(s.ticks, np.floor(t / s.tick_duration).astype(np.int64)))
+    # A flux that turns NaN in the second half of the exposure is refused.
+    with pytest.raises(ConfigError, match="flux is not finite"):
+        sample_inhomogeneous_poisson(lambda t: np.where(t > 0.5, np.nan, 1.0), 5.0, 1.0, rng=1)
+
+
 def test_sampler_candidate_cap():
     with pytest.raises(ConfigError):
         sample_inhomogeneous_poisson(flat_flux(1e9), 1e9, 1.0, rng=1)
