@@ -28,12 +28,12 @@ from .config import (
     Config,
     build_channel,
     build_fringe,
+    build_geometry,
     build_options,
     build_pair,
     build_signal,
     load_config,
 )
-from .core import GeometryFactor
 from .errors import AnalysisError, ConfigError, StreamFormatError
 from .estimate import pipeline
 from .metrology import (
@@ -296,7 +296,7 @@ def cmd_advantage(args) -> int:
 def cmd_qcrb(args) -> int:
     cfg = _load_optional_config(args)
     pair = build_pair(cfg)
-    geometry = GeometryFactor(cfg.get("channel", "geometry", 1))
+    geometry = build_geometry(cfg, default=1)
     if args.n_pairs:
         n_list = tuple(args.n_pairs)
     else:

@@ -315,19 +315,50 @@ def load_config(path: str | Path) -> Config:
 # ----- builders -----
 
 
-def _set_keys(cfg: Config, section: str, names: dict[str, str]) -> dict[str, object]:
-    """Keyword arguments for the keys of ``section`` the file sets, by library name."""
-    return {name: cfg.get(section, key) for key, name in names.items() if cfg.has(section, key)}
+def _set_keys(cfg: Config, section: str, names: dict[str, str]) -> dict[str, tuple[str, object]]:
+    """(library name, value) for each key of ``section`` in ``names`` that the file sets."""
+    return {
+        key: (name, cfg.get(section, key)) for key, name in names.items() if cfg.has(section, key)
+    }
+
+
+def _refuses(build, kwargs: dict) -> bool:
+    try:
+        build(**kwargs)
+    except ConfigError:
+        return True
+    return False
+
+
+def _construct(cfg: Config, section: str, build, base: dict, fields: dict):
+    """``build`` called with ``base`` updated by ``fields``, its refusals named by key.
+
+    ``fields`` maps each key of ``section`` the file sets to its (library
+    name, value); ``base`` holds the library values that stand for keys the
+    file leaves unset. A ConfigError from ``build`` is raised again as
+    ``<file>: [section] key: <message>`` for the first key whose value
+    ``build`` refuses on ``base`` alone; a refusal no single key explains
+    (a bad ``base``) is raised unchanged.
+    """
+    try:
+        return build(**{**base, **dict(fields.values())})
+    except ConfigError as exc:
+        if not _refuses(build, base):
+            for key, (name, value) in fields.items():
+                if _refuses(build, {**base, name: value}):
+                    raise ConfigError(f"{cfg.source}: [{section}] {key}: {exc}") from None
+        raise
 
 
 def build_pair(cfg: Config) -> PhotonPairSpec:
     """The pair spec. Its detuning is ``detuning`` (default 177 THz) or the
     beat of ``lambda_1`` and ``lambda_2``; given both ways, they must agree
     within 0.1%."""
-    kwargs = _set_keys(cfg, "pair", {"visibility": "visibility_v0"})
+    fields = _set_keys(cfg, "pair", {"visibility": "visibility_v0"})
     if cfg.has("pair", "sigma"):
-        kwargs["sigma"] = 2.0 * math.pi * cfg.get("pair", "sigma")
-    delta_omega = 2.0 * math.pi * cfg.get("pair", "detuning", 177e12)
+        fields["sigma"] = ("sigma", 2.0 * math.pi * cfg.get("pair", "sigma"))
+    if cfg.has("pair", "detuning"):
+        fields["detuning"] = ("delta_omega", 2.0 * math.pi * cfg.get("pair", "detuning"))
     has_l1, has_l2 = cfg.has("pair", "lambda_1"), cfg.has("pair", "lambda_2")
     if has_l1 != has_l2:
         raise ConfigError("[pair] give both lambda_1 and lambda_2 or neither")
@@ -336,26 +367,31 @@ def build_pair(cfg: Config) -> PhotonPairSpec:
         if not (lambda_1 > 0 and lambda_2 > 0):
             raise ConfigError("[pair] lambda_1 and lambda_2 must be positive")
         implied = abs(2 * math.pi * SPEED_OF_LIGHT * (1 / lambda_1 - 1 / lambda_2))
-        if not cfg.has("pair", "detuning"):
-            delta_omega = implied
-        elif abs(implied - delta_omega) > 1e-3 * delta_omega:
+        if "detuning" not in fields:
+            fields["lambda_1 and lambda_2"] = ("delta_omega", implied)
+        elif abs(implied - fields["detuning"][1]) > 1e-3 * fields["detuning"][1]:
             raise ConfigError(
                 "[pair] lambda_1 and lambda_2 imply a detuning of %.6g Hz, which differs"
                 " from detuning = %.6g Hz by more than 0.1%%"
-                % (implied / (2.0 * math.pi), delta_omega / (2.0 * math.pi))
+                % (implied / (2.0 * math.pi), fields["detuning"][1] / (2.0 * math.pi))
             )
-    return PhotonPairSpec(delta_omega=delta_omega, **kwargs)
+    return _construct(cfg, "pair", PhotonPairSpec, {"delta_omega": 2.0 * math.pi * 177e12}, fields)
 
 
 def build_fringe(cfg: Config) -> ClassicalFringeSpec:
-    wavelength = cfg.get("classical", "wavelength", 1550e-9)
-    if not wavelength > 0:
-        raise ConfigError("[classical] wavelength must be positive")
-    return ClassicalFringeSpec(
-        omega_optical=2.0 * math.pi * SPEED_OF_LIGHT / wavelength,
-        phase_offset=cfg.get("classical", "phase_offset", -math.pi / 2.0),
-        **_set_keys(cfg, "classical", {"arm_ratio": "arm_intensity_ratio"}),
+    fields = _set_keys(
+        cfg, "classical", {"arm_ratio": "arm_intensity_ratio", "phase_offset": "phase_offset"}
     )
+    if cfg.has("classical", "wavelength"):
+        wavelength = cfg.get("classical", "wavelength")
+        if not wavelength > 0:
+            raise ConfigError("[classical] wavelength must be positive")
+        fields["wavelength"] = ("omega_optical", 2.0 * math.pi * SPEED_OF_LIGHT / wavelength)
+    base = {
+        "omega_optical": 2.0 * math.pi * SPEED_OF_LIGHT / 1550e-9,
+        "phase_offset": -math.pi / 2.0,
+    }
+    return _construct(cfg, "classical", ClassicalFringeSpec, base, fields)
 
 
 _CHANNEL_FIELDS = {
@@ -365,15 +401,18 @@ _CHANNEL_FIELDS = {
     "rate_c": "rate_c",
     "rate_a": "rate_a",
     "singles_rate": "singles_rate",
-    "geometry": "geometry",
 }
 
 
+def build_geometry(cfg: Config, default: int = 2) -> GeometryFactor:
+    """The [channel] geometry factor, ``default`` where the file sets none."""
+    g = _set_keys(cfg, "channel", {"geometry": "g"})
+    return _construct(cfg, "channel", GeometryFactor, {"g": default}, g)
+
+
 def build_channel(cfg: Config) -> ChannelModel:
-    kwargs = _set_keys(cfg, "channel", _CHANNEL_FIELDS)
-    if "geometry" in kwargs:
-        kwargs["geometry"] = GeometryFactor(kwargs["geometry"])
-    return ChannelModel(**kwargs)
+    fields = _set_keys(cfg, "channel", _CHANNEL_FIELDS)
+    return _construct(cfg, "channel", ChannelModel, {"geometry": build_geometry(cfg)}, fields)
 
 
 def resolve_operating_delay(cfg: Config, pair: PhotonPairSpec, mode: str) -> float:
@@ -424,6 +463,6 @@ def build_signal(cfg: Config, pair: PhotonPairSpec, mode: str) -> VibrationSigna
 
 def build_options(cfg: Config, overrides: dict | None = None) -> AnalysisOptions:
     """Options from [analysis]; an override that is not None wins over the file."""
-    values = _set_keys(cfg, "analysis", {"p_fa": "p_fa", "f_max": "f_max"})
-    values.update((name, value) for name, value in (overrides or {}).items() if value is not None)
-    return AnalysisOptions(**values)
+    base = {name: value for name, value in (overrides or {}).items() if value is not None}
+    fields = _set_keys(cfg, "analysis", {key: key for key in ("p_fa", "f_max") if key not in base})
+    return _construct(cfg, "analysis", AnalysisOptions, base, fields)

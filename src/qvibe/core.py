@@ -140,8 +140,18 @@ def quantum_coincidence_probability(spec: PhotonPairSpec, tau):
     is an exact probability in [0, 1] for any visibility in (0, 1].
     """
     tau = np.asarray(tau, dtype=float)
-    envelope = np.exp(-2.0 * (spec.sigma * tau) ** 2)
-    p = 0.5 * (1.0 - spec.visibility_v0 * np.cos(spec.delta_omega * tau) * envelope)
+    # The expression above, step by step in two buffers; a 0-d tau gets 0-d
+    # buffers, since a ufunc cannot write into a numpy scalar.
+    envelope = np.multiply(spec.sigma, tau, out=np.empty_like(tau))
+    np.square(envelope, out=envelope)
+    np.multiply(-2.0, envelope, out=envelope)
+    np.exp(envelope, out=envelope)
+    p = np.multiply(spec.delta_omega, tau, out=np.empty_like(tau))
+    np.cos(p, out=p)
+    np.multiply(spec.visibility_v0, p, out=p)
+    p *= envelope
+    np.subtract(1.0, p, out=p)
+    p *= 0.5
     return p if p.ndim else float(p)
 
 
@@ -154,8 +164,17 @@ def classical_port_probability(spec: ClassicalFringeSpec, tau, port: int):
     if port not in (1, 2):
         raise ValueError("port must be 1 or 2")
     tau = np.asarray(tau, dtype=float)
-    fringe = spec.visibility * np.cos(spec.omega_optical * tau + spec.phase_offset)
-    p = 0.5 * (1.0 + fringe) if port == 1 else 0.5 * (1.0 - fringe)
+    # visibility * cos(omega_optical * tau + phase_offset), then 0.5 * (1 +- that),
+    # evaluated in one buffer.
+    p = np.multiply(spec.omega_optical, tau, out=np.empty_like(tau))
+    p += spec.phase_offset
+    np.cos(p, out=p)
+    np.multiply(spec.visibility, p, out=p)
+    if port == 1:
+        np.add(1.0, p, out=p)
+    else:
+        np.subtract(1.0, p, out=p)
+    p *= 0.5
     return p if p.ndim else float(p)
 
 

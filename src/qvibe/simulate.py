@@ -203,13 +203,23 @@ class VibrationSignal:
         """Waveform displacement x(t) in metres, vectorised over t."""
         t = np.asarray(t, dtype=float)
         x = np.zeros_like(t)
+        term = np.empty_like(t)
         for c in self.components:
-            x += (c.amplitude_pp / 2.0) * np.cos(2.0 * math.pi * c.frequency * t + c.phase)
+            # x += (amplitude_pp / 2) * cos(2 pi f t + phase), in one buffer.
+            np.multiply(2.0 * math.pi * c.frequency, t, out=term)
+            term += c.phase
+            np.cos(term, out=term)
+            np.multiply(c.amplitude_pp / 2.0, term, out=term)
+            x += term
         return x
 
     def delay(self, t, geometry: GeometryFactor) -> np.ndarray:
         """Interferometer delay tau(t) = dc_offset_delay + g * x(t) / c."""
-        return self.dc_offset_delay + geometry.g * self.displacement(t) / SPEED_OF_LIGHT
+        tau = self.displacement(t)
+        np.multiply(geometry.g, tau, out=tau)
+        tau /= SPEED_OF_LIGHT
+        np.add(self.dc_offset_delay, tau, out=tau)
+        return tau if tau.ndim else tau[()]
 
     def peak_to_peak(self, duration: float) -> float:
         """Displacement excursion over the given duration, sampled as ``_trace_samples`` says."""
@@ -348,11 +358,18 @@ def quantum_fluxes(pair: PhotonPairSpec, signal: VibrationSignal, channel: Chann
 
     def flux_c(t):
         p = quantum_coincidence_probability(pair, signal.delay(t, g))
-        return survival * channel.rate_c * p + acc
+        p *= survival * channel.rate_c
+        p += acc
+        return p
 
     def flux_a(t):
+        # (p - 1) * -k is (1 - p) * k exactly, since negation is exact and
+        # subtraction rounds symmetrically; unlike 1 - p it works in place.
         p = quantum_coincidence_probability(pair, signal.delay(t, g))
-        return survival * channel.rate_a * (1.0 - p) + acc
+        p -= 1.0
+        p *= -(survival * channel.rate_a)
+        p += acc
+        return p
 
     return FluxPair(
         flux_1=flux_c,
@@ -381,10 +398,16 @@ def classical_fluxes(
     g = channel.geometry
 
     def flux_1(t):
-        return scale * classical_port_probability(eff, signal.delay(t, g), 1) + bg
+        p = classical_port_probability(eff, signal.delay(t, g), 1)
+        p *= scale
+        p += bg
+        return p
 
     def flux_2(t):
-        return scale * classical_port_probability(eff, signal.delay(t, g), 2) + bg
+        p = classical_port_probability(eff, signal.delay(t, g), 2)
+        p *= scale
+        p += bg
+        return p
 
     return FluxPair(flux_1=flux_1, flux_2=flux_2, bound_1=scale + bg, bound_2=scale + bg)
 
@@ -409,8 +432,10 @@ def sample_inhomogeneous_poisson(
     floor, keeping duplicates.
 
     The flux is evaluated once, at the sorted candidates, and those values
-    are thinned. One that is not finite, negative or above the bound is a
-    ConfigError; a violation between candidates goes unseen.
+    are thinned. One min/max pass over them clears a valid flux; only when
+    it fails do three checks, in turn, name a value that is not finite,
+    negative or above the bound, as a ConfigError. A violation between
+    candidates goes unseen.
     """
     if not bound > 0:
         raise ConfigError("bound must be positive")
@@ -421,19 +446,27 @@ def sample_inhomogeneous_poisson(
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     n_cand = rng.poisson(bound * t_exp)
-    times = rng.random(n_cand) * t_exp
+    times = rng.random(n_cand)
+    times *= t_exp
     times.sort()
     # The flux draws no random numbers, so reading it before the thinning
     # uniforms leaves every draw where it was.
     rates = np.asarray(flux(times), dtype=float)
-    if not np.all(np.isfinite(rates)):
-        raise ConfigError("flux is not finite over the exposure")
-    if np.any(rates < 0):
-        raise ConfigError("flux is negative over the exposure")
-    if np.any(rates > bound * (1.0 + 1e-12)):
+    limit = bound * (1.0 + 1e-12)
+    # A NaN fails both comparisons, so one min/max pass clears a valid flux.
+    if rates.size and not (rates.min() >= 0 and rates.max() <= limit):
+        if not np.all(np.isfinite(rates)):
+            raise ConfigError("flux is not finite over the exposure")
+        if np.any(rates < 0):
+            raise ConfigError("flux is negative over the exposure")
         raise ConfigError("flux exceeds its bound (%.6g > %.6g events/s)" % (rates.max(), bound))
-    keep = rng.random(n_cand) * bound < rates
-    ticks = np.floor(times[keep] / tick_duration).astype(np.int64)
+    u = rng.random(n_cand)
+    u *= bound
+    kept = times[u < rates]
+    del times, rates, u  # the candidates are not held while the survivors are cast and checked
+    kept /= tick_duration
+    np.floor(kept, out=kept)
+    ticks = kept.astype(np.int64)
     return TimestampStream(tag=tag, ticks=ticks, tick_duration=tick_duration, t_exp=t_exp)
 
 

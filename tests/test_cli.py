@@ -274,6 +274,40 @@ def test_build_channel_reads_degradations():
     assert ch.geometry.g == 1
 
 
+LIBRARY_REFUSALS = [
+    ("quantum", "[channel]\ngeometry = 3\n",
+     "[channel] geometry: geometry factor must be 1 or 2, got 3"),
+    ("quantum", "[pair]\nvisibility = 1.5\n", "[pair] visibility: visibility_v0 must lie in (0, 1]"),
+    ("quantum", "[pair]\ndetuning = 0 Hz\n", "[pair] detuning: delta_omega must be positive"),
+    ("quantum", "[channel]\nrate_c = 190 kHz\nloss = 1\n", "[channel] loss: loss_b must lie in [0, 1)"),
+    ("classical", "[classical]\narm_ratio = 2\n",
+     "[classical] arm_ratio: arm_intensity_ratio must lie in [0, 1]"),
+    ("quantum", "[analysis]\np_fa = 2\n", "[analysis] p_fa: p_fa must lie in (0, 1), got 2.0"),
+]
+
+
+@pytest.mark.parametrize("mode, text, message", LIBRARY_REFUSALS)
+def test_library_refusals_name_the_file_and_the_key(tmp_path, monkeypatch, capsys, mode, text,
+                                                    message):
+    # A value a library constructor refuses is reported against the file and
+    # the key that set it, the library's own words after them; exit code 2.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tone.ini").write_text(text)
+    assert main(["estimate", "c.txt", "a.txt", "-c", "tone.ini", "--mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: tone.ini: {message}\n"
+
+
+def test_refusal_of_a_command_line_override_names_no_key(tmp_path, capsys):
+    # --p-fa is not in the file, so its refusal is not blamed on a key there.
+    cfg = write_tone_config(tmp_path)
+    assert main(["estimate", "c.txt", "a.txt", "-c", str(cfg), "--p-fa", "3"]) == 2
+    assert capsys.readouterr().err == "config error: p_fa must lie in (0, 1), got 3.0\n"
+    with pytest.raises(ConfigError, match=r"^<memory>: \[analysis\] p_fa: "):
+        build_options(parse_config("[analysis]\np_fa = 0\n"), {"f_max": 10.0})
+
+
 def test_resolve_operating_delay_modes():
     pair = build_pair(Config({}))
     assert resolve_operating_delay(Config({}), pair, "quantum") == quadrature_delay(pair)

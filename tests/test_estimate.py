@@ -27,6 +27,7 @@ from qvibe.estimate import (
     ComponentEstimate,
     SpectrumEstimate,
     _estimate_components,
+    _fold_size,
     _TRACE_BLOCK,
     _group_detections,
     _offset_moments,
@@ -247,6 +248,23 @@ def test_frequency_grid_frozen_sizes():
     assert abs(grid_spacing(5.0) - 0.12) < 1e-15
     with pytest.raises(ConfigError):
         frequency_grid(1.0, 0.0)
+
+
+def test_fold_rule_stays_in_range_and_keeps_the_benchmark_folds():
+    # A power of two from 2m rounded up to max(that, 2^16), whatever the count.
+    for m in (4, 5, 334, 1001, 4096, 40_000, 183_334):
+        smallest = 1 << (2 * m - 1).bit_length()
+        for events in (0, 2, 2_000, 190_000, 10**7):
+            n = _fold_size(m, events)
+            assert n & (n - 1) == 0 and smallest <= n <= max(smallest, 1 << 16), (m, events)
+    # Signal-free 1 s exposures (2k to 4k events on 334 bins) and the 5 s
+    # sweep (1M events on 183,334 bins) keep the smallest fold, so their
+    # spectra are unchanged; the quick-start exposure (190k events) folds wider.
+    quick, sweep = frequency_grid(1.0, 200.0).size, frequency_grid(5.0, 22e3).size
+    for events in (1_500, 2_000, 4_000):
+        assert _fold_size(quick, events) == 1024
+    assert _fold_size(sweep, 1_000_000) == 1 << 19
+    assert _fold_size(quick, 190_000) > 1024
 
 
 def test_threshold_rectangular_closed_form():

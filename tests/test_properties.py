@@ -22,6 +22,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from qvibe.config import _SCHEMA, _UNIT_TABLES, _kind_of, parse_config, parse_quantity
 from qvibe.errors import ConfigError, StreamFormatError
 from qvibe.estimate import (
+    _fold_size,
     _project_grid,
     combined_spectrum,
     frequency_grid,
@@ -121,32 +122,73 @@ def test_combined_spectrum_is_conjugate_symmetric(t1, t2, m, window, ratio):
     assert np.max(np.abs(y_neg - np.conj(y))) <= 1e-12 * (scale(sc) + ratio * scale(sa))
 
 
-@PROPERTY
-@given(ticks, ticks, st.integers(4, 4096), windows, st.floats(0.1, 10.0))
-def test_grid_transform_matches_the_event_sum(t1, t2, m, window, ratio):
-    # _project_grid rounds each event's phase once, to x = t df n bins of
-    # its n-point FFT; at 4k bins that rounding alone reaches 1e-12 of
-    # sum |w|, so the oracle sums over the same x, with the phase
-    # e^(-2j pi k x / n) reduced exactly: k floor(x) mod n in integers plus
-    # k (x - floor(x)). What is left is the transform's own error, the
-    # series truncation and the FFT rounding: under 1e-13 sum |w| / t_exp.
-    df = grid_spacing(T_EXP)
-    n = 1 << (2 * m - 1).bit_length()
-    k = np.arange(m)
-    parts = []
-    for tick_list, scale in ((t1, 1.0), (t2, -ratio)):
-        t = stream(tick_list).centered_times()
-        parts.append((t, window_weights(t, T_EXP, window), scale))
-    y = _project_grid(parts, T_EXP, df, m)
+def folded_event_sum(parts, t_exp, df, m, n):
+    """The event sum on the grid k * df, k < m, over the phases of an n-bin fold.
+
+    _project_grid rounds each event's phase once, to x = t df n bins of its
+    n-point FFT; at 4k bins that rounding alone reaches 1e-12 of sum |w|,
+    so this oracle sums over the same x, with the phase e^(-2j pi k x / n)
+    reduced exactly: k floor(x) mod n in integers plus k (x - floor(x)).
+    Returns the sum and its scale, sum |scale w| / t_exp.
+    """
     exact = np.zeros(m, dtype=complex)
     total = 0.0
     for t, w, scale in parts:
         x = t * (df * n)
         cell = np.floor(x)
-        turns = (np.outer(k, cell.astype(np.int64)) % n + np.outer(k, x - cell)) / n
-        exact += scale * (np.exp(-2j * math.pi * turns) @ w) / T_EXP
-        total += abs(scale) * np.sum(np.abs(w)) / T_EXP
+        whole, frac = cell.astype(np.int64), x - cell
+        rows = max(1, (1 << 20) // max(t.size, 1))  # a few MB of phases at a time
+        for k0 in range(0, m, rows):
+            k = np.arange(k0, min(m, k0 + rows))
+            phase = (np.outer(k, whole) % n + np.outer(k, frac)) * (-2.0 * math.pi / n)
+            exact[k] += scale * (np.cos(phase) @ w + 1j * (np.sin(phase) @ w)) / t_exp
+        total += abs(scale) * np.sum(np.abs(w)) / t_exp
+    return exact, total
+
+
+@PROPERTY
+@given(ticks, ticks, st.integers(4, 4096), windows, st.floats(0.1, 10.0))
+def test_grid_transform_matches_the_event_sum(t1, t2, m, window, ratio):
+    # What is left against the oracle is the transform's own error, the
+    # series truncation and the FFT rounding: under 1e-13 sum |w| / t_exp.
+    df = grid_spacing(T_EXP)
+    parts = []
+    for tick_list, scale in ((t1, 1.0), (t2, -ratio)):
+        t = stream(tick_list).centered_times()
+        parts.append((t, window_weights(t, T_EXP, window), scale))
+    n = _fold_size(m, sum(t.size for t, _, _ in parts))  # the fold _project_grid takes
+    y = _project_grid(parts, T_EXP, df, m)
+    exact, total = folded_event_sum(parts, T_EXP, df, m, n)
     assert np.max(np.abs(y - exact)) <= 1e-13 * total
+
+
+def test_grid_transform_matches_the_event_sum_on_an_event_heavy_grid(monkeypatch):
+    # 200k events on the 334-bin quick-start grid: the rule folds far above
+    # 2m = 668 there, so the series is short. The transform is checked at
+    # that fold, and on every tenth event at the largest fold the rule takes
+    # on this grid, the one it picks as the event count grows without bound.
+    t_exp, m = 1.0, 334
+    df = grid_spacing(t_exp)
+    rng = np.random.default_rng(14)
+    parts = []
+    for size, scale in ((100_000, 1.0), (100_000, -0.8)):
+        t = np.sort(rng.integers(0, 10**10, size)) * 1e-10 - t_exp / 2
+        parts.append((t, window_weights(t, t_exp, "hann"), scale))
+    picked, largest = _fold_size(m, 200_000), _fold_size(m, 10**12)
+    assert 1024 < picked <= largest
+    for n, every in ((picked, 1), (largest, 10)):
+        asked = []  # _project_grid asks the rule for its fold, with its bins and events
+
+        def fold(*shape, n=n):
+            asked.append(shape)
+            return n
+
+        monkeypatch.setattr("qvibe.estimate._fold_size", fold)
+        some = [(t[::every], w[::every], scale) for t, w, scale in parts]
+        y = _project_grid(some, t_exp, df, m)
+        assert asked == [(m, 200_000 // every)]
+        exact, total = folded_event_sum(some, t_exp, df, m, n)
+        assert np.max(np.abs(y - exact)) <= 1e-13 * total
 
 
 POWER_OF_TEN_UNITS = {

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qvibe.core import ClassicalFringeSpec, GeometryFactor, PhotonPairSpec
+from qvibe.core import (
+    SPEED_OF_LIGHT,
+    ClassicalFringeSpec,
+    GeometryFactor,
+    PhotonPairSpec,
+    classical_port_probability,
+    quantum_coincidence_probability,
+)
 from qvibe.errors import ConfigError
 from qvibe.simulate import (
     ChannelModel,
@@ -165,6 +172,73 @@ def test_classical_background_adds_flat_flux():
     assert np.allclose(total_dirty, 2 * total_clean, rtol=1e-12)
 
 
+def test_in_place_fluxes_match_the_one_expression_forms_bit_for_bit():
+    # The waveform, fringes and fluxes are evaluated step by step in place;
+    # each step is the operation of the one-expression form written out
+    # here, in its order, so every value and every seeded draw is unchanged.
+    pair = PhotonPairSpec(delta_omega=DETUNING, visibility_v0=0.9)
+    fringe = ClassicalFringeSpec(omega_optical=1.2153e15, phase_offset=-math.pi / 2,
+                                 arm_intensity_ratio=0.6)
+    sig = VibrationSignal.square_wave(10.0, 55e-9, dc_offset_delay=1.4124293785310734e-15)
+    ch = ChannelModel(loss_b=0.3, background_fraction=0.2, singles_rate=1.2e6)
+    g = ch.geometry
+
+    def displacement(t):
+        t = np.asarray(t, dtype=float)
+        x = np.zeros_like(t)
+        for c in sig.components:
+            x += (c.amplitude_pp / 2.0) * np.cos(2.0 * math.pi * c.frequency * t + c.phase)
+        return x
+
+    def delay(t):
+        return sig.dc_offset_delay + g.g * displacement(t) / SPEED_OF_LIGHT
+
+    def p_quantum(tau):
+        tau = np.asarray(tau, dtype=float)
+        envelope = np.exp(-2.0 * (pair.sigma * tau) ** 2)
+        p = 0.5 * (1.0 - pair.visibility_v0 * np.cos(pair.delta_omega * tau) * envelope)
+        return p if p.ndim else float(p)
+
+    def p_port(spec, tau, port):
+        tau = np.asarray(tau, dtype=float)
+        f = spec.visibility * np.cos(spec.omega_optical * tau + spec.phase_offset)
+        p = 0.5 * (1.0 + f) if port == 1 else 0.5 * (1.0 - f)
+        return p if p.ndim else float(p)
+
+    survival, acc = 1.0 - ch.loss_b, ch.accidental_flux
+    eff = ClassicalFringeSpec(omega_optical=fringe.omega_optical, phase_offset=fringe.phase_offset,
+                              arm_intensity_ratio=0.6 * survival)
+    scale = ch.singles_rate * (1.0 + eff.arm_intensity_ratio) / 2.0
+    bg = (ch.background_fraction / (1.0 - ch.background_fraction)) * scale / 2.0
+    expected = {
+        "quantum": (lambda t: survival * ch.rate_c * p_quantum(delay(t)) + acc,
+                    lambda t: survival * ch.rate_a * (1.0 - p_quantum(delay(t))) + acc),
+        "classical": (lambda t: scale * p_port(eff, delay(t), 1) + bg,
+                      lambda t: scale * p_port(eff, delay(t), 2) + bg),
+    }
+    actual = {
+        "quantum": quantum_fluxes(pair, sig, ch),
+        "classical": classical_fluxes(fringe, sig, ch),
+    }
+
+    def same(a, b):
+        assert type(a) is type(b)
+        assert np.shape(a) == np.shape(b) and np.array_equal(a, b)
+
+    times = np.sort(np.random.default_rng(14).random(20_000)) * 1.8
+    for t in (times, np.empty(0), 0.3, np.float64(0.7)):
+        same(sig.displacement(t), displacement(t))
+        same(sig.delay(t, g), delay(t))
+        for tau in (delay(t), np.asarray(delay(t)), -2.0e-15):
+            same(quantum_coincidence_probability(pair, tau), p_quantum(tau))
+            for port in (1, 2):
+                same(classical_port_probability(eff, tau, port), p_port(eff, tau, port))
+        if np.ndim(t):
+            for mode, fx in actual.items():
+                same(fx.flux_1(t), expected[mode][0](t))
+                same(fx.flux_2(t), expected[mode][1](t))
+
+
 # ----- timestamp streams -----
 
 
@@ -239,6 +313,40 @@ def test_sampler_reads_the_flux_once_at_the_candidates():
     # A flux that turns NaN in the second half of the exposure is refused.
     with pytest.raises(ConfigError, match="flux is not finite"):
         sample_inhomogeneous_poisson(lambda t: np.where(t > 0.5, np.nan, 1.0), 5.0, 1.0, rng=1)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.nan, "flux is not finite"),
+        (np.inf, "flux is not finite"),
+        (-np.inf, "flux is not finite"),
+        (-1e-9, "flux is negative"),
+        (5.0 * (1.0 + 1e-11), r"flux exceeds its bound \(5 > 5 events/s\)"),
+    ],
+)
+def test_sampler_refuses_a_bad_flux_value_with_its_message(bad, message):
+    # One bad value among valid ones fails the min/max pass; the three
+    # checks behind it then name what is wrong. A negative value next to a
+    # NaN is reported as not finite, the first check.
+    def flux(t):
+        f = np.full_like(t, 2.5)
+        f[t.size // 2] = bad
+        return f
+
+    with pytest.raises(ConfigError, match=message):
+        sample_inhomogeneous_poisson(flux, 5.0, 1.0, rng=1)
+    with pytest.raises(ConfigError, match="flux is not finite"):
+        sample_inhomogeneous_poisson(lambda t: np.where(t < 0.5, -1.0, np.nan), 5.0, 1.0, rng=1)
+
+
+def test_sampler_accepts_zero_candidates_and_the_bound_itself():
+    assert np.random.default_rng(2).poisson(1e-3) == 0
+    s = sample_inhomogeneous_poisson(flat_flux(1e-3), 1e-3, 1.0, rng=2)
+    assert len(s) == 0 and s.ticks.dtype == np.int64
+    # The bound, and a rounding-level excess over it, are not violations.
+    for rate in (5.0, 5.0 * (1.0 + 1e-13)):
+        assert len(sample_inhomogeneous_poisson(flat_flux(rate), 5.0, 100.0, rng=4)) > 0
 
 
 def test_sampler_candidate_cap():
