@@ -83,18 +83,19 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     mode = args.mode or cfg.get("run", "mode", "quantum")
     pair = build_pair(cfg)
+    fringe = pair if mode == "quantum" else build_fringe(cfg)
     channel = build_channel(cfg)
     signal = build_signal(cfg, pair, mode)
     t_exp = cfg.get("run", "t_exp", 1.0)
     seed = _seed_of(args, cfg)
     tick = cfg.get("run", "tick", DEFAULT_TICK)
     binary = args.binary or cfg.get("run", "binary", False)
-    out = _outdir(args)
+    out = _outdir(args)  # only once every setting has been accepted
     if mode == "quantum":
-        run = simulate_quantum_run(pair, signal, channel, t_exp, seed, tick)
+        run = simulate_quantum_run(fringe, signal, channel, t_exp, seed, tick)
         streams = ((run.coincidences, "coincidence"), (run.anticoincidences, "anticoincidence"))
     else:
-        run = simulate_classical_run(build_fringe(cfg), signal, channel, t_exp, seed, tick)
+        run = simulate_classical_run(fringe, signal, channel, t_exp, seed, tick)
         streams = ((run.port1, "port1"), (run.port2, "port2"))
     write = write_stream_binary if binary else write_stream_text
     ext = ".bin" if binary else ".txt"

@@ -180,7 +180,10 @@ def parse_quantity(text: str, kind: str, where: str):
         freq = parse_quantity(parts[0], "frequency", where)
         amp = parse_quantity(parts[1], "length", where)
         phase = parse_quantity(parts[2], "angle", where) if len(parts) == 3 else 0.0
-        return SignalComponent(freq, amp, phase)
+        try:
+            return SignalComponent(freq, amp, phase)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     if kind.endswith("_list"):
         element = kind[: -len("_list")]
         return tuple(parse_quantity(p, element, where) for p in text.split("|"))

@@ -6,16 +6,19 @@ The pipeline works directly on event times, never on a rate histogram:
    and combine them as y_f = p_f(C) - ratio * p_f(A), which cancels the
    common mode (mean flux and accidental background); one grid transform
    folds both streams onto a power-of-two number of bins per grid period,
-   chosen by cost from the grid size and the event count, bins their
-   moments, combines them and takes one FFT per series term, and its
-   values are the event sums themselves, up to a truncation below 1e-13
-   of sum |w| / t_exp (see ``_project_grid`` and ``_fold_size``),
+   from the grid size rounded up, chosen by cost from the grid size and
+   the event count, bins their moments, combines them and takes one real
+   FFT per series term, whose mirror image gives the grid bins above half
+   the fold; its values are the event sums themselves, up to a truncation
+   below 1e-13 of sum |w| / t_exp (see ``_project_grid`` and ``_fold_size``),
 2. threshold |y_f| against a constant-false-alarm level computed from
    the events themselves, from the window weights the projection used,
 3. collapse contiguous above-threshold bins to candidate frequencies and
    refine each by maximising the untapered projection magnitude, a power
    series in the frequency offset whose event moments are summed once
-   per stream and candidate: a zooming grid search scores the series on
+   per stream and candidate, per time segment about the segment's centre,
+   so each pass over a long stream stays in cache (see ``_offset_moments``):
+   a zooming grid search scores the series on
    65-point grids of the bracket until the step is at most 1e-4 of a
    grid step, so the refined frequency holds that tolerance at every
    frequency and the search has no iteration count to run out of (see
@@ -141,61 +144,79 @@ def _project_grid(parts, t_exp: float, df: float, m: int) -> np.ndarray:
     ``parts`` is a sequence of (t, w, scale): centred event times, their
     window weights and the factor the part's projection enters with.
     Every grid phasor has period 1/df, so the events are folded onto n
-    bins per period, n a power of two from 2m rounded up to
-    max(that, 2^16) that ``_fold_size`` picks by cost from m and the event
-    count. For an event in bin c at offset u in [-1/2, 1/2) bin widths from
-    the bin centre,
+    bins per period, a power of two from m rounded up that ``_fold_size``
+    picks by cost from m and the event count. For an event in bin c at
+    offset u in [-1/2, 1/2) bin widths from the bin centre,
 
         e^(-2j pi k df t) = e^(-2j pi k (c + 1/2) / n) sum_p (z_k u)^p / p!
 
-    with z_k = -2j pi k / n. Term p is then the rfft of the per-bin
+    with z_k = -2j pi k / n. Term p is then the rfft X_p of the per-bin
     moments sum scale * w u^p, binned over all parts before the one rfft,
     so two streams with equal bins and scales +1, -1 cancel to exactly 0.
+    The moments are real, so a bin n/2 < k < m past the rfft's last one
+    reads X_p[k] = conj(X_p[n - k]): the rfft writes the head of one
+    buffer, and those bins are mirrored into its tail; a grid of at most
+    n/2 + 1 bins has no tail and reads the rfft's bins in place.
     z_k is purely imaginary, so z_k^p / p! is s_k for even p and -i s_k
     for odd p, with s_k real: each term adds s_k times the rfft's real and
     imaginary parts to the real and imaginary sums (swapped, and one
     negated, for odd p), and no complex coefficient is formed.
-    Since |z_k u| <= theta = pi (m - 1) / n, the series stops at the
+    Since |z_k u| <= theta = pi (m - 1) / n < pi, the series stops at the
     first p with theta^p / p! < 1e-14, which bounds the truncation per
-    event by about 1e-14 |w|. At the smallest fold theta <= pi / 2 and the
-    series runs to at most 20 terms (17 at m = 334, n = 2^10); every wider
-    fold halves theta and shortens it (8 terms at n = 2^14), at the price
-    of a longer rfft per term.
+    event by about 1e-14 |w|: at most 27 terms at the smallest fold
+    (theta near pi), 20 at the next (theta <= pi / 2; 17 at m = 334,
+    n = 2^10), and every wider fold halves theta and shortens it (8 terms
+    at n = 2^14), at the price of a longer rfft per term.
     """
     n = _fold_size(m, sum(t.size for t, _, _ in parts))
-    folded = []  # (bins, u, w, scale) per part
+    folded = []  # (bins, u, w, scale) per part with events
     for t, w, scale in parts:
+        if not t.size:
+            continue  # it adds nothing, and np.bincount would bin it as integers
         x = t * (df * n)
         cell = np.floor(x)
         x -= cell
         x -= 0.5
         # n is a power of two, so & (n - 1) is mod n, negative cells included.
         folded.append((cell.astype(np.int64) & (n - 1), x, np.asarray(w, dtype=float), scale))
+    out = np.zeros(m, dtype=complex)
+    if not folded:
+        return out
     moments = [np.empty(u.size) for _, u, _, _ in folded]  # w u^p per part, p >= 1
     rate = (2.0 * math.pi / n) * np.arange(m)  # |z_k|
     theta = math.pi * (m - 1) / n
-    out = np.zeros(m, dtype=complex)
     re, im = out.real, out.imag
     s = np.ones(m)  # z_k^p / p! = s_k for even p, -i s_k for odd p
     step, term = np.empty(m), np.empty(m)
-    binned = np.empty(n)
+    half = n // 2 + 1  # rfft bins
+    spectrum = np.empty(max(m, half), dtype=complex)
+    # Bins half..m-1 of the tail are conj of bins n-half down to n-m+1.
+    head, tail, mirror = spectrum[:half], spectrum[half:m], spectrum[n - half : n - m : -1]
+    mirrored = m > half
+    real, imag = spectrum.real[:m], spectrum.imag[:m]
     for p in range(_series_terms(theta)):
         odd = p % 2
         if p:
             # Times z_k / p = -i rate_k / p: -i (-i s) = -s, so s flips sign on even p.
             np.multiply(rate, (1.0 if odd else -1.0) / p, out=step)
             s *= step
-        binned.fill(0.0)
+        binned = None
         for (bins, u, w, scale), moment in zip(folded, moments):
             if p:
                 np.multiply(w if p == 1 else moment, u, out=moment)
-            binned += scale * np.bincount(bins, moment if p else w, minlength=n)
-        spectrum = np.fft.rfft(binned)[:m]
+            part = np.bincount(bins, moment if p else w, minlength=n)
+            part *= scale
+            if binned is None:
+                binned = part
+            else:
+                binned += part
+        np.fft.rfft(binned, out=head)
+        if mirrored:
+            np.conjugate(mirror, out=tail)
         # s (a + ib) = s a + i s b; -i s (a + ib) = s b - i s a.
-        np.multiply(s, spectrum.imag if odd else spectrum.real, out=term)
+        np.multiply(s, imag if odd else real, out=term)
         re += term
-        np.multiply(s, spectrum.real if odd else spectrum.imag, out=term)
-        del spectrum  # the rfft output is not held while the next term is binned
+        np.multiply(s, real if odd else imag, out=term)
         if odd:
             im -= term
         else:
@@ -221,7 +242,9 @@ def _series_terms(theta: float) -> int:
 # 600k, 4000 bins with 50k. For example 334 bins and 190k events took
 # 17.3 ms at n = 2^10 (17 terms) and 9.9 ms at 2^14 (8 terms); with 2k
 # events 0.47 ms at 2^10 and 1.42 ms at 2^14. Only the ratios of the three
-# constants steer the choice.
+# constants steer the choice. They rank a large grid's folds as timed too:
+# 183,334 bins with 1M events took 369 ms at 2^18 (23 terms), 434 ms at
+# 2^19 (18 terms) and 770 ms at 2^20 (14 terms).
 _TERM_S, _TERM_EVENT_S, _TERM_FFT_S = 4.0e-6, 4.6e-9, 7.0e-10
 _MAX_COST_FOLD = 1 << 16
 
@@ -229,9 +252,9 @@ _MAX_COST_FOLD = 1 << 16
 @functools.lru_cache(maxsize=256)
 def _fold_table(m: int) -> tuple[tuple[int, int, float], ...]:
     """(n, terms(n), _TERM_FFT_S * n log2 n) for each fold weighed at m bins."""
-    smallest = 1 << (2 * m - 1).bit_length()
+    smallest = 1 << (m - 1).bit_length()
     folds = [smallest]
-    while folds[-1] < _MAX_COST_FOLD:
+    while folds[-1] < max(2 * smallest, _MAX_COST_FOLD):
         folds.append(2 * folds[-1])
     return tuple(
         (n, _series_terms(math.pi * (m - 1) / n), _TERM_FFT_S * n * math.log2(n)) for n in folds
@@ -241,11 +264,13 @@ def _fold_table(m: int) -> tuple[tuple[int, int, float], ...]:
 def _fold_size(m: int, events: int) -> int:
     """Bins per grid period for an m-bin grid transform over ``events`` events.
 
-    The power of two n at or above 2m, and at most max(that, 2^16), that
-    minimises terms(n) * (_TERM_S + _TERM_EVENT_S * events + _TERM_FFT_S * n log2 n),
+    The power of two n at or above m, and at most max(2 n_m, 2^16) with n_m
+    the smallest, that minimises
+    terms(n) * (_TERM_S + _TERM_EVENT_S * events + _TERM_FFT_S * n log2 n),
     terms(n) being the series length at theta = pi (m - 1) / n; of equal
     costs the smaller fold wins. A larger fold costs a longer rfft per term
-    but needs fewer terms, which pays off when the events outnumber the bins.
+    but needs fewer terms, which pays off when the events outnumber the
+    bins; the smallest fold, below 2m, pays off when the rfft dominates.
     """
     per_term = _TERM_S + _TERM_EVENT_S * events
     return min(_fold_table(m), key=lambda fold: fold[1] * (per_term + fold[2]))[0]
@@ -410,50 +435,105 @@ def scan_spectrum(
     )
 
 
-def _offset_moments(stream: TimestampStream, f_seed: float, delta_f: float) -> np.ndarray:
-    """Moments M_p = sum_i e^(-2j pi f_seed t_i) (t_i/h)^p of one stream, h = t_exp / 2.
+_SEGMENT_EVENTS = 1 << 15
 
-    They are the coefficients, times p!, of the power series in f - f_seed
-    of the untapered event sum S(f) = sum_i e^(-2j pi f t_i) (see
-    ``_offset_series``). With |t| <= h, term p is bounded by
-    (2 pi delta_f h)^p / p! per event for |f - f_seed| <= delta_f; the
-    moments stop once that falls below 1e-16 (23 terms at delta_f =
-    0.6 / t_exp, 29 at 1 / t_exp), so the series is the event sum to
-    rounding. Each moment is one pass of a matrix-vector product.
+
+def _segment_count(events: int) -> int:
+    """Time segments for the refinement moments of streams of up to ``events`` events.
+
+    One segment per 2^15 events or part of it, so what one segment's
+    moment passes read (times, phasors and two buffers, 40 bytes an event,
+    1.3 MB) stays in a 4 MiB L2 cache; a stream of up to 2^15 events keeps
+    one segment. A 500k-event stream's moments took 34 ms at 2^14 or 2^15
+    events a segment, 37 ms at 2^13, 39 ms at 2^16 and 50 ms as one segment
+    (best of 8, the phasor's cosine and sine included).
+    """
+    return max(1, -(-events // _SEGMENT_EVENTS))
+
+
+def _segment_centres(h: float, segments: int) -> np.ndarray:
+    """Centres (2j + 1 - segments) g of ``segments`` equal parts of [-h, h], g = h / segments."""
+    return (2.0 * np.arange(segments) + (1 - segments)) * (h / segments)
+
+
+def _offset_moments(
+    stream: TimestampStream, f_seed: float, delta_f: float, segments: int
+) -> np.ndarray:
+    """Moments M_jp = sum_i e^(-2j pi f_seed t_i) ((t_i - c_j)/g)^p of one stream, per segment.
+
+    The exposure [-h, h), h = t_exp / 2, is cut into ``segments`` equal
+    parts of half-width g = h / segments and centre c_j, and row j sums
+    over the events of part j. The moments are the coefficients, times p!,
+    of the power series in f - f_seed of the untapered event sum
+    S(f) = sum_i e^(-2j pi f t_i) (see ``_offset_series``). With
+    |t - c_j| <= g, term p is bounded by (2 pi delta_f g)^p / p! per event
+    for |f - f_seed| <= delta_f; the moments stop once that falls below
+    1e-16, so the series is the event sum to rounding. One segment is the
+    series about the exposure midpoint (23 terms at delta_f = 0.6 / t_exp,
+    29 at 1 / t_exp); 16 segments need 11 terms at 0.6 / t_exp. Each
+    moment is one pass of a matrix-vector product over one segment's
+    events, so a segment of ``_segment_count``'s size is read from cache
+    once per term instead of the whole stream from memory.
     """
     h = stream.t_exp / 2.0
-    x = 2.0 * math.pi * delta_f * h
+    g = h / segments
+    x = 2.0 * math.pi * delta_f * g
     n_terms, bound = 0, 1.0  # bound = x^p / p! at p = n_terms, the first term left out
     while bound >= 1e-16:
         n_terms += 1
         bound *= x / n_terms
-    moments = np.empty(n_terms, dtype=complex)
+    moments = np.empty((segments, n_terms), dtype=complex)
+    # Real (N, 2) view of the phasor e^(-2j pi f_seed t), so each moment is
+    # one matrix-vector product.
     t = stream.centered_times()
-    phasor = np.exp((-2j * math.pi * f_seed) * t)
-    # Real (N, 2) view, so each moment is one matrix-vector product.
-    re_im = phasor.view(float).reshape(-1, 2)
-    s = t / h
-    power = np.ones_like(s)
-    for p in range(n_terms):
-        if p:
-            power *= s
-        re, im = power @ re_im
-        moments[p] = complex(re, im)
+    phase = (-2.0 * math.pi * f_seed) * t
+    re_im = np.empty((t.size, 2))
+    np.cos(phase, out=re_im[:, 0])
+    np.sin(phase, out=re_im[:, 1])
+    del phase
+    # Times are sorted; part j holds (2j - segments) g <= t < (2j + 2 - segments) g.
+    edges = np.searchsorted(t, (2.0 * np.arange(1, segments) - segments) * g)
+    bounds = [0, *edges.tolist(), t.size]
+    longest = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+    s_buf, power_buf = np.empty(longest), np.empty(longest)
+    rows = moments.view(float).reshape(segments, n_terms, 2)
+    for j, (c, lo, hi) in enumerate(zip(_segment_centres(h, segments), bounds, bounds[1:])):
+        s = np.subtract(t[lo:hi], c, out=s_buf[: hi - lo])
+        s /= g
+        power = power_buf[: hi - lo]
+        power.fill(1.0)
+        phasor = re_im[lo:hi]
+        for p in range(n_terms):
+            if p:
+                power *= s
+            rows[j, p] = power @ phasor
     return moments
 
 
 def _offset_series(moments: np.ndarray, f_seed: float, h: float):
-    """S(f) = sum_p M_p / p! (-2j pi h (f - f_seed))^p, by Horner's rule.
+    """S(f) = sum_j e^(-2j pi (f - f_seed) c_j) sum_p M_jp / p! (-2j pi g (f - f_seed))^p.
 
     ``moments`` are one stream's ``_offset_moments``, or a linear
-    combination of two streams' moments for the combined projection.
-    The returned series takes a scalar or an array of frequencies.
+    combination of two streams' moments over the same segments for the
+    combined projection; g = h / segments and c_j are the segments'
+    half-width and centres. Each segment's polynomial is evaluated by
+    Horner's rule. The returned series takes a scalar or an array of
+    frequencies.
     """
-    coefs = moments / np.array([math.factorial(p) for p in range(moments.size)], dtype=float)
-    poly = coefs[::-1]  # highest power first
+    segments, n_terms = moments.shape
+    g = h / segments
+    centres = _segment_centres(h, segments)
+    coefs = moments / np.array([math.factorial(p) for p in range(n_terms)], dtype=float)
 
     def series(f):
-        return np.polyval(poly, (-2j * math.pi * h) * (np.asarray(f, dtype=float) - f_seed))
+        d = np.asarray(f, dtype=float) - f_seed
+        column = (segments,) + (1,) * d.ndim
+        z = (-2j * math.pi * g) * d
+        y = np.zeros(column, dtype=complex)
+        for p in range(n_terms - 1, -1, -1):  # highest power first
+            y = y * z + coefs[:, p].reshape(column)
+        shift = np.exp((-2j * math.pi) * np.multiply.outer(centres, d))
+        return np.sum(y * shift, axis=0)
 
     return series
 
@@ -529,8 +609,9 @@ def estimate_component(
     _check_ratio(ratio)
     _check_compatible(stream_c, stream_a)
     h = t_exp / 2.0
-    m_c = _offset_moments(stream_c, f_seed, delta_f)
-    m_a = _offset_moments(stream_a, f_seed, delta_f)
+    segments = _segment_count(max(len(stream_c), len(stream_a)))
+    m_c = _offset_moments(stream_c, f_seed, delta_f, segments)
+    m_a = _offset_moments(stream_a, f_seed, delta_f, segments)
     refined = f_seed > delta_f
     f_hat = f_seed
     if refined:

@@ -299,6 +299,26 @@ def test_library_refusals_name_the_file_and_the_key(tmp_path, monkeypatch, capsy
     assert captured.err == f"config error: tone.ini: {message}\n"
 
 
+def test_refused_classical_simulate_leaves_no_output_directory(tmp_path, monkeypatch, capsys):
+    # The classical fringe is built before the output directory is made.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tone.ini").write_text(INI_TEXT + "\n[classical]\narm_ratio = 2\n")
+    assert main(["simulate", "-c", "tone.ini", "--mode", "classical", "--out", "y"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: tone.ini: [classical] arm_ratio: arm_intensity_ratio must lie in [0, 1]\n"
+    )
+    assert not (tmp_path / "y").exists()
+
+
+def test_signal_component_refusal_names_the_line_and_the_key():
+    text = "[signal]\nkind = multi_tone\ncomponent_1 = 0 Hz | 20 nm\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text, "tone.ini")
+    assert str(exc.value) == (
+        "tone.ini:3: [signal] component_1: component frequency must be positive and finite"
+    )
+
+
 def test_refusal_of_a_command_line_override_names_no_key(tmp_path, capsys):
     # --p-fa is not in the file, so its refusal is not blamed on a key there.
     cfg = write_tone_config(tmp_path)

@@ -33,6 +33,7 @@ from qvibe.estimate import (
     _offset_moments,
     _offset_series,
     _project_direct,
+    _segment_count,
     _uniform_from_zero,
     combined_spectrum,
     detection_threshold,
@@ -251,20 +252,21 @@ def test_frequency_grid_frozen_sizes():
 
 
 def test_fold_rule_stays_in_range_and_keeps_the_benchmark_folds():
-    # A power of two from 2m rounded up to max(that, 2^16), whatever the count.
+    # A power of two from m rounded up to max(2m rounded up, 2^16), whatever the count.
     for m in (4, 5, 334, 1001, 4096, 40_000, 183_334):
-        smallest = 1 << (2 * m - 1).bit_length()
+        smallest = 1 << (m - 1).bit_length()
         for events in (0, 2, 2_000, 190_000, 10**7):
             n = _fold_size(m, events)
-            assert n & (n - 1) == 0 and smallest <= n <= max(smallest, 1 << 16), (m, events)
-    # Signal-free 1 s exposures (2k to 4k events on 334 bins) and the 5 s
-    # sweep (1M events on 183,334 bins) keep the smallest fold, so their
-    # spectra are unchanged; the quick-start exposure (190k events) folds wider.
+            assert n & (n - 1) == 0 and smallest <= n <= max(2 * smallest, 1 << 16), (m, events)
+    # Signal-free 1 s exposures (2k to 4k events on 334 bins) keep 2m rounded
+    # up, so their spectra are unchanged; the 5 s sweep (1M events on 183,334
+    # bins) takes the smallest fold, where its rfft costs half; the quick-start
+    # exposure (190k events) folds wider.
     quick, sweep = frequency_grid(1.0, 200.0).size, frequency_grid(5.0, 22e3).size
     for events in (1_500, 2_000, 4_000):
         assert _fold_size(quick, events) == 1024
-    assert _fold_size(sweep, 1_000_000) == 1 << 19
-    assert _fold_size(quick, 190_000) > 1024
+    assert _fold_size(sweep, 1_000_000) == 1 << 18
+    assert _fold_size(quick, 190_000) == 1 << 14
 
 
 def test_threshold_rectangular_closed_form():
@@ -384,19 +386,45 @@ def test_refine_series_matches_direct_event_sum():
     tc, ta = sc.centered_times(), sa.centered_times()
     h = t_exp / 2.0
     for delta_f in (grid_spacing(t_exp), 1.0 / t_exp):
-        m_c = _offset_moments(sc, f_seed, delta_f)
-        m_a = _offset_moments(sa, f_seed, delta_f)
-        s_c = _offset_series(m_c, f_seed, h)
-        s_a = _offset_series(m_a, f_seed, h)
-        for f in np.linspace(f_seed - delta_f, f_seed + delta_f, 21):
-            direct_c = np.exp((-2j * math.pi * f) * tc).sum()
-            direct_a = np.exp((-2j * math.pi * f) * ta).sum()
-            assert abs(s_c(f) - direct_c) <= 1e-12 * abs(direct_c), (delta_f, f)
-            assert abs(s_a(f) - direct_a) <= 1e-12 * abs(direct_a), (delta_f, f)
-            for ratio in (1.0, 1.7):
-                y = _offset_series(m_c - ratio * m_a, f_seed, h)
-                direct = direct_c - ratio * direct_a
-                assert abs(y(f) - direct) <= 1e-12 * abs(direct), (delta_f, ratio, f)
+        freqs = np.linspace(f_seed - delta_f, f_seed + delta_f, 21)
+        direct_c = [np.exp((-2j * math.pi * f) * tc).sum() for f in freqs]
+        direct_a = [np.exp((-2j * math.pi * f) * ta).sum() for f in freqs]
+        for segments in (1, 16):
+            m_c = _offset_moments(sc, f_seed, delta_f, segments)
+            m_a = _offset_moments(sa, f_seed, delta_f, segments)
+            s_c = _offset_series(m_c, f_seed, h)
+            s_a = _offset_series(m_a, f_seed, h)
+            for f, d_c, d_a in zip(freqs, direct_c, direct_a):
+                assert abs(s_c(f) - d_c) <= 1e-12 * abs(d_c), (delta_f, segments, f)
+                assert abs(s_a(f) - d_a) <= 1e-12 * abs(d_a), (delta_f, segments, f)
+                for ratio in (1.0, 1.7):
+                    y = _offset_series(m_c - ratio * m_a, f_seed, h)
+                    direct = d_c - ratio * d_a
+                    assert abs(y(f) - direct) <= 1e-12 * abs(direct), (delta_f, segments, ratio, f)
+
+
+def test_refine_segments_with_no_events_and_with_all_of_them():
+    # Events only in the first and last eighth of the exposure leave the
+    # middle segments empty; events inside one segment leave all others
+    # empty. The segmented series is still the event sum.
+    t_exp, f_seed, segments = 2.0, 35.0, 16
+    rng = np.random.default_rng(15)
+    edges = np.concatenate(
+        [rng.uniform(0.0, t_exp / 8, 3_000), rng.uniform(7 * t_exp / 8, t_exp, 3_000)]
+    )
+    lone = rng.uniform(0.26 * t_exp, 0.31 * t_exp, 4_000)  # segment 4 is [0.25, 0.3125) t_exp
+    delta_f = grid_spacing(t_exp)
+    for times, filled in ((edges, [0, 1, 14, 15]), (lone, [4])):
+        s = stream_from_times(times, t_exp)
+        moments = _offset_moments(s, f_seed, delta_f, segments)
+        assert np.flatnonzero(np.any(moments != 0, axis=1)).tolist() == filled
+        series = _offset_series(moments, f_seed, t_exp / 2.0)
+        t = s.centered_times()
+        for f in np.linspace(f_seed - delta_f, f_seed + delta_f, 11):
+            direct = np.exp((-2j * math.pi * f) * t).sum()
+            assert abs(series(f) - direct) <= 1e-12 * abs(direct), (filled, f)
+    # Up to 2^15 events a stream is one segment: one series about the midpoint.
+    assert [_segment_count(n) for n in (0, 1, 1 << 15, (1 << 15) + 1, 500_000)] == [1, 1, 1, 2, 16]
 
 
 def test_phase_construction_oracle():

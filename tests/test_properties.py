@@ -24,6 +24,7 @@ from qvibe.errors import ConfigError, StreamFormatError
 from qvibe.estimate import (
     _fold_size,
     _project_grid,
+    _series_terms,
     combined_spectrum,
     frequency_grid,
     grid_spacing,
@@ -189,6 +190,28 @@ def test_grid_transform_matches_the_event_sum_on_an_event_heavy_grid(monkeypatch
         assert asked == [(m, 200_000 // every)]
         exact, total = folded_event_sum(some, t_exp, df, m, n)
         assert np.max(np.abs(y - exact)) <= 1e-13 * total
+
+
+def test_grid_transform_reads_the_mirrored_bins_at_the_smallest_fold(monkeypatch):
+    # At n = m rounded up to a power of two, bins n/2 < k < m are read from
+    # the rfft's mirror image: at m = n (theta near pi, the longest series,
+    # 27 terms), at m = n/2 + 2 (one mirrored bin), and with one stream
+    # empty, which bins nothing.
+    t_exp, n = 1.0, 1024
+    df = grid_spacing(t_exp)
+    rng = np.random.default_rng(15)
+    parts = []
+    for size, scale in ((3_000, 1.0), (2_000, -0.7)):
+        t = np.sort(rng.integers(0, 10**10, size)) * 1e-10 - t_exp / 2
+        parts.append((t, window_weights(t, t_exp, "hann"), scale))
+    empty = (np.array([]), np.array([]), -0.7)
+    assert _series_terms(math.pi * (n - 1) / n) == 27
+    monkeypatch.setattr("qvibe.estimate._fold_size", lambda m, events: n)
+    for m in (n, n // 2 + 2):
+        for some in (parts, [parts[0], empty], [empty, parts[1]]):
+            y = _project_grid(some, t_exp, df, m)
+            exact, total = folded_event_sum(some, t_exp, df, m, n)
+            assert np.max(np.abs(y - exact)) <= 1e-13 * total, (m, [t.size for t, _, _ in some])
 
 
 POWER_OF_TEN_UNITS = {
