@@ -428,40 +428,46 @@ def resolve_operating_delay(cfg: Config, pair: PhotonPairSpec, mode: str) -> flo
     return float(tau_op)
 
 
+# Per signal kind: its constructor, the [signal] keys it reads with their
+# library names, and how many of those keys, from the first, it requires.
+_SIGNAL_KINDS = {
+    "pure_tone": (
+        VibrationSignal.pure_tone,
+        {"frequency": "frequency", "amplitude_pp": "amplitude_pp", "phase": "phase"},
+        2,
+    ),
+    "square_wave": (
+        VibrationSignal.square_wave,
+        {"frequency": "frequency", "amplitude_pp": "amplitude_pp", "harmonics": "n_harmonics",
+         "phase": "phase"},
+        2,
+    ),
+    "alternating_tones": (
+        VibrationSignal.alternating_tones,
+        {"switch_frequency": "switch_frequency", "frequency_a": "freq_a",
+         "amplitude_pp_a": "amplitude_pp_a", "frequency_b": "freq_b",
+         "amplitude_pp_b": "amplitude_pp_b", "phase_a": "phase_a", "phase_b": "phase_b",
+         "gate_harmonics": "n_gate_harmonics"},
+        5,
+    ),
+}
+
+
 def build_signal(cfg: Config, pair: PhotonPairSpec, mode: str) -> VibrationSignal:
+    """The [signal] waveform; a value its constructor refuses is named by key."""
     kind = cfg.get("signal", "kind", "pure_tone")
     tau_op = resolve_operating_delay(cfg, pair, mode)
-    if kind == "pure_tone":
-        return VibrationSignal.pure_tone(
-            cfg.get("signal", "frequency"),
-            cfg.get("signal", "amplitude_pp"),
-            cfg.get("signal", "phase", 0.0),
-            dc_offset_delay=tau_op,
-        )
     if kind == "multi_tone":
         comps = cfg.signal_components()
         if not comps:
             raise ConfigError("[signal] multi_tone needs component_<n> entries")
         return VibrationSignal.multi_tone(comps, dc_offset_delay=tau_op)
-    if kind == "square_wave":
-        return VibrationSignal.square_wave(
-            cfg.get("signal", "frequency"),
-            cfg.get("signal", "amplitude_pp"),
-            n_harmonics=cfg.get("signal", "harmonics", 7),
-            phase=cfg.get("signal", "phase", 0.0),
-            dc_offset_delay=tau_op,
-        )
-    return VibrationSignal.alternating_tones(
-        cfg.get("signal", "switch_frequency"),
-        cfg.get("signal", "frequency_a"),
-        cfg.get("signal", "amplitude_pp_a"),
-        cfg.get("signal", "frequency_b"),
-        cfg.get("signal", "amplitude_pp_b"),
-        phase_a=cfg.get("signal", "phase_a", 0.0),
-        phase_b=cfg.get("signal", "phase_b", 0.0),
-        n_gate_harmonics=cfg.get("signal", "gate_harmonics", 7),
-        dc_offset_delay=tau_op,
-    )
+    build, names, required = _SIGNAL_KINDS[kind]
+    base = {"dc_offset_delay": tau_op}
+    for key in list(names)[:required]:
+        cfg.get("signal", key)  # a missing required key is an error here
+        base[names[key]] = 1.0  # 1 Hz or 1 m: a value every constructor accepts
+    return _construct(cfg, "signal", build, base, _set_keys(cfg, "signal", names))
 
 
 def build_options(cfg: Config, overrides: dict | None = None) -> AnalysisOptions:

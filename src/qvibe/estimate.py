@@ -9,8 +9,12 @@ The pipeline works directly on event times, never on a rate histogram:
    from the grid size rounded up, chosen by cost from the grid size and
    the event count, bins their moments, combines them and takes one real
    FFT per series term, whose mirror image gives the grid bins above half
-   the fold; its values are the event sums themselves, up to a truncation
-   below 1e-13 of sum |w| / t_exp (see ``_project_grid`` and ``_fold_size``),
+   the fold; the series is the phasor's Taylor series economised onto
+   Chebyshev polynomials, so it needs fewer terms for the same accuracy,
+   and its coefficient table is cached per grid and fold; its values are
+   the event sums themselves, up to a truncation below 1e-13 of
+   sum |w| / t_exp (see ``_project_grid``, ``_series_table`` and
+   ``_fold_size``),
 2. threshold |y_f| against a constant-false-alarm level computed from
    the events themselves, from the window weights the projection used,
 3. collapse contiguous above-threshold bins to candidate frequencies and
@@ -27,11 +31,14 @@ The pipeline works directly on event times, never on a rate histogram:
    amplitude at the refined frequency from the same two series, with no
    further pass over the events,
 5. rebuild both flux traces, form the normalised probability trace, and
-   invert the fringe for the delay and displacement waveforms, block by
-   block, so only the delay trace is held at full length. Each
-   component's oscillator is a rotating phasor: one table of its in-block
-   phase advance, turned by the cosine and sine of one start phase per
-   block, so the trace takes no cosine per sample (see ``reconstruct``).
+   invert the fringe for the delay waveform, block by block, holding no
+   array of the trace's length: the delay is monotone in the inverse-cosine
+   argument, so the displacement's peak-to-peak comes from that argument's
+   two extremes, and only those and the delay samples the result keeps
+   are inverted. Each component's oscillator is a rotating phasor: one
+   table of its in-block phase advance, turned by the cosine and sine of
+   one start phase per block, so the trace takes no cosine per sample
+   (see ``reconstruct``).
    One inversion serves both channels: it reads the fringe's polarity,
    contrast, phase offset and omega from the spec it is given (see
    ``qvibe.core``).
@@ -51,6 +58,8 @@ import cmath
 import functools
 import json
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -81,15 +90,18 @@ def grid_spacing(t_exp: float) -> float:
     return GRID_SPACING_FACTOR / t_exp
 
 
-_MAX_GRID_BINS = 1 << 23
+_MAX_GRID_BINS = 1 << 21
 
 
 def frequency_grid(t_exp: float, f_max: float) -> np.ndarray:
     """Uniform scan grid 0, df, 2 df, ... covering [0, f_max].
 
-    At most _MAX_GRID_BINS = 2^23 bins (f_max up to about 5e6 / t_exp).
-    A scan holds about 120 bytes per bin of grid, transform and spectrum
-    arrays, so about 1 GiB at the cap; a larger grid raises ConfigError.
+    At most _MAX_GRID_BINS = 2^21 bins (f_max up to about 1.26e6 / t_exp).
+    A scan holds about 290 bytes per bin (tracemalloc, a few thousand
+    events): about 130 of grid, transform and spectrum arrays and 160 of
+    series table, 20 rows at the smallest fold (``_series_table``). That
+    is about 580 MiB at the cap, which is the largest power of two that
+    stays within 1 GiB; a larger grid raises ConfigError.
     """
     if not 0 < f_max < math.inf:
         raise ConfigError("f_max must be positive and finite")
@@ -148,25 +160,20 @@ def _project_grid(parts, t_exp: float, df: float, m: int) -> np.ndarray:
     picks by cost from m and the event count. For an event in bin c at
     offset u in [-1/2, 1/2) bin widths from the bin centre,
 
-        e^(-2j pi k df t) = e^(-2j pi k (c + 1/2) / n) sum_p (z_k u)^p / p!
+        e^(-2j pi k df t) = e^(-2j pi k (c + 1/2) / n) sum_p c_kp u^p,
 
-    with z_k = -2j pi k / n. Term p is then the rfft X_p of the per-bin
-    moments sum scale * w u^p, binned over all parts before the one rfft,
-    so two streams with equal bins and scales +1, -1 cancel to exactly 0.
-    The moments are real, so a bin n/2 < k < m past the rfft's last one
-    reads X_p[k] = conj(X_p[n - k]): the rfft writes the head of one
-    buffer, and those bins are mirrored into its tail; a grid of at most
-    n/2 + 1 bins has no tail and reads the rfft's bins in place.
-    z_k is purely imaginary, so z_k^p / p! is s_k for even p and -i s_k
-    for odd p, with s_k real: each term adds s_k times the rfft's real and
+    a polynomial in u of ``_series_table``'s Q terms, within about 1e-14
+    of the phasor for every k < m. Term p is then the rfft X_p of the
+    per-bin moments sum scale * w u^p, binned over all parts before the
+    one rfft, so two streams with equal bins and scales +1, -1 cancel to
+    exactly 0. The moments are real, so a bin n/2 < k < m past the rfft's
+    last one reads X_p[k] = conj(X_p[n - k]): the rfft writes the head of
+    one buffer, and those bins are mirrored into its tail; a grid of at
+    most n/2 + 1 bins has no tail and reads the rfft's bins in place.
+    c_kp is s_kp for even p and -i s_kp for odd p, with s_kp real (row p
+    of the table): each term adds s_kp times the rfft's real and
     imaginary parts to the real and imaginary sums (swapped, and one
     negated, for odd p), and no complex coefficient is formed.
-    Since |z_k u| <= theta = pi (m - 1) / n < pi, the series stops at the
-    first p with theta^p / p! < 1e-14, which bounds the truncation per
-    event by about 1e-14 |w|: at most 27 terms at the smallest fold
-    (theta near pi), 20 at the next (theta <= pi / 2; 17 at m = 334,
-    n = 2^10), and every wider fold halves theta and shortens it (8 terms
-    at n = 2^14), at the price of a longer rfft per term.
     """
     n = _fold_size(m, sum(t.size for t, _, _ in parts))
     folded = []  # (bins, u, w, scale) per part with events
@@ -183,23 +190,16 @@ def _project_grid(parts, t_exp: float, df: float, m: int) -> np.ndarray:
     if not folded:
         return out
     moments = [np.empty(u.size) for _, u, _, _ in folded]  # w u^p per part, p >= 1
-    rate = (2.0 * math.pi / n) * np.arange(m)  # |z_k|
-    theta = math.pi * (m - 1) / n
     re, im = out.real, out.imag
-    s = np.ones(m)  # z_k^p / p! = s_k for even p, -i s_k for odd p
-    step, term = np.empty(m), np.empty(m)
+    term = np.empty(m)
     half = n // 2 + 1  # rfft bins
     spectrum = np.empty(max(m, half), dtype=complex)
     # Bins half..m-1 of the tail are conj of bins n-half down to n-m+1.
     head, tail, mirror = spectrum[:half], spectrum[half:m], spectrum[n - half : n - m : -1]
     mirrored = m > half
     real, imag = spectrum.real[:m], spectrum.imag[:m]
-    for p in range(_series_terms(theta)):
+    for p, s in enumerate(_series_table(m, n)):
         odd = p % 2
-        if p:
-            # Times z_k / p = -i rate_k / p: -i (-i s) = -s, so s flips sign on even p.
-            np.multiply(rate, (1.0 if odd else -1.0) / p, out=step)
-            s *= step
         binned = None
         for (bins, u, w, scale), moment in zip(folded, moments):
             if p:
@@ -224,28 +224,133 @@ def _project_grid(parts, t_exp: float, df: float, m: int) -> np.ndarray:
     return out * np.exp((-1j * math.pi / n) * np.arange(m)) / t_exp
 
 
-def _series_terms(theta: float) -> int:
-    """Terms of the grid series at reach theta: the first p with theta^p / p! < 1e-14."""
-    p, bound = 0, 1.0  # bound = theta^p / p!
+def _series_terms(theta: float, lead: float = 1.0) -> int:
+    """The first p with lead * theta^p / p! < 1e-14."""
+    p, bound = 0, lead  # bound = lead * theta^p / p!
     while bound >= 1e-14:
         p += 1
         bound *= theta / p
     return p
 
 
+def _economised_terms(theta: float) -> int:
+    """Economised grid series terms at reach theta: the first p with 2 (theta/2)^p / p! < 1e-14."""
+    return _series_terms(theta / 2.0, 2.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _economisation(kept: int, terms: int) -> np.ndarray:
+    """The (kept, terms - kept) matrix that folds u^d, kept <= d < terms, into u^q, q < kept.
+
+    With t = 2u in [-1, 1], t^d = 2^(-d) sum_j w_j C(d, j) T_(d-2j)(t),
+    w_j = 2 except w_j = 1 for the T_0 term. Dropping every T_q with
+    q >= kept and writing the rest back in monomials (T_q's integer
+    coefficients, from T_(q+1) = 2t T_q - T_(q-1)) gives
+    t^d ~ 2^(-d) sum_q N_qd t^q with integers N_qd, so
+    u^d ~ sum_q N_qd / 2^(2d - q) u^q: entry (q, d - kept) is that
+    fraction, rounded once. N_qd is 0 unless q and d have one parity.
+    """
+    cheb = [[1], [0, 1]]  # monomial coefficients of T_0, T_1, ...
+    while len(cheb) < kept:
+        a, b = cheb[-1], cheb[-2]
+        cheb.append([2 * c for c in [0, *a]])
+        for i, c in enumerate(b):
+            cheb[-1][i] -= c
+    fold = np.zeros((kept, terms - kept))
+    for d in range(kept, terms):
+        numer = [0] * kept
+        for j in range(d // 2 + 1):
+            q = d - 2 * j
+            if q < kept:
+                weight = math.comb(d, j) * (2 if q else 1)
+                for i, c in enumerate(cheb[q]):
+                    numer[i] += weight * c
+        for q, c in enumerate(numer):
+            fold[q, d - kept] = c / (1 << (2 * d - q))  # exact integers, one rounding
+    fold.flags.writeable = False  # one array for every caller
+    return fold
+
+
+_TABLE_BYTES = 32 << 20
+_tables: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()  # least recently used first
+_tables_lock = threading.Lock()
+
+
+def _series_table(m: int, n: int) -> np.ndarray:
+    """Signed series coefficients of the m-bin grid transform at fold n: a (Q, m) array.
+
+    Row p holds s_kp, with c_kp = s_kp for even p and -i s_kp for odd p the
+    coefficient of u^p in a polynomial of degree Q - 1 that stays within
+    about 1e-14 of e^(-2j pi k u / n) on |u| <= 1/2, for every k < m.
+    The Taylor series z_k^p / p!, z_k = -2j pi k / n, needs
+    D = ``_series_terms(theta)`` terms for that, theta = pi (m - 1) / n
+    being the largest |z_k u|; it is computed by the recurrence
+    s_kp = s_k(p-1) * (+-2 pi k / n) / p. Its terms p >= Q are then folded
+    into the first Q by ``_economisation`` (Lanczos economisation), which
+    leaves the truncated Chebyshev series of that polynomial in t = 2u. A
+    Chebyshev series of e^(-i x t), |x| <= theta, converges like
+    2 (theta/2)^p / p! (its coefficients are Bessel values J_p(x); see
+    Ruiz-Antolin & Townsend, SIAM J. Sci. Comput. 40, 2018), so
+    Q = ``_economised_terms(theta)``: 18 terms instead of 23 at
+    theta = 2.2, 14 instead of 17 at 1.02, and at most 20 instead of 27
+    (theta near pi). Where Q = D nothing is folded, and the rows are the
+    recurrence's Taylor coefficients bit for bit.
+
+    Tables are cached by (m, n) while their sizes sum to at most
+    _TABLE_BYTES, the least recently used dropped first; a larger table
+    is built for each call and not kept.
+    """
+    key = (m, n)
+    with _tables_lock:
+        table = _tables.get(key)
+        if table is not None:
+            _tables.move_to_end(key)
+            return table
+    theta = math.pi * (m - 1) / n
+    terms, kept = _series_terms(theta), _economised_terms(theta)
+    table, dropped = np.empty((kept, m)), np.empty((terms - kept, m))
+    rows = [*table, *dropped]
+    rate = (2.0 * math.pi / n) * np.arange(m)  # |z_k|
+    step = np.empty(m)
+    rows[0].fill(1.0)
+    for p in range(1, terms):
+        # Times z_k / p = -i rate_k / p: -i (-i s) = -s, so s flips sign on even p.
+        np.multiply(rate, (1.0 if p % 2 else -1.0) / p, out=step)
+        np.multiply(rows[p - 1], step, out=rows[p])
+    # Scaled row additions, not a matrix product: BLAS would allocate its
+    # buffers for a few multiply-adds per entry.
+    for row, fold in zip(table, _economisation(kept, terms)):
+        for c, degree in zip(fold, dropped):
+            if c:
+                np.multiply(degree, c, out=step)
+                row += step
+    table.flags.writeable = False
+    if table.nbytes <= _TABLE_BYTES:
+        with _tables_lock:
+            _tables[key] = table
+            _tables.move_to_end(key)
+            held = sum(t.nbytes for t in _tables.values())
+            while held > _TABLE_BYTES:
+                held -= _tables.popitem(last=False)[1].nbytes
+    return table
+
+
 # Cost of one series term of _project_grid, in seconds: a fixed per-term
 # cost, one per event (the moment update and bincount) and one per
 # n log2 n (the rfft and the n-bin buffers). Fitted by relative least
-# squares to best-of-3+ times of _project_grid (two streams, Hann weights)
-# at every fold from 2m rounded up to 2^16, on 2 cores with Python 3.11
-# and numpy 2.4: 334 bins with 2k, 20k and 190k events, 1001 bins with
-# 600k, 4000 bins with 50k. For example 334 bins and 190k events took
-# 17.3 ms at n = 2^10 (17 terms) and 9.9 ms at 2^14 (8 terms); with 2k
-# events 0.47 ms at 2^10 and 1.42 ms at 2^14. Only the ratios of the three
+# squares to best-of-3+ times of _project_grid (two streams, Hann weights,
+# warm series tables) at every fold from m rounded up to 2^15, on 2 cores
+# with Python 3.11 and numpy 2.4: 334 bins with 1.5k, 2k, 4k, 20k and 190k
+# events, 1001 bins with 600k, 4000 bins with 10k and 50k, 183,334 bins
+# with 1M. Folds of 2^16 bins were timed too but left out of the fit:
+# their n-bin buffers outgrow the cache and cost more than n log2 n says.
+# For example 334 bins and 2k events took 0.38 ms at n = 2^10 (14 terms)
+# and 0.52 ms at 2^9 (17 terms, mirrored); with 190k events 18.9 ms at
+# 2^10 and 11.2 ms at 2^14 (8 terms). Only the ratios of the three
 # constants steer the choice. They rank a large grid's folds as timed too:
-# 183,334 bins with 1M events took 369 ms at 2^18 (23 terms), 434 ms at
-# 2^19 (18 terms) and 770 ms at 2^20 (14 terms).
-_TERM_S, _TERM_EVENT_S, _TERM_FFT_S = 4.0e-6, 4.6e-9, 7.0e-10
+# 183,334 bins with 1M events took 306 ms at 2^18 (18 terms) and 333 ms
+# at 2^19 (14 terms).
+_TERM_S, _TERM_EVENT_S, _TERM_FFT_S = 7.5e-6, 5.6e-9, 7.3e-10
 _MAX_COST_FOLD = 1 << 16
 
 
@@ -257,7 +362,8 @@ def _fold_table(m: int) -> tuple[tuple[int, int, float], ...]:
     while folds[-1] < max(2 * smallest, _MAX_COST_FOLD):
         folds.append(2 * folds[-1])
     return tuple(
-        (n, _series_terms(math.pi * (m - 1) / n), _TERM_FFT_S * n * math.log2(n)) for n in folds
+        (n, _economised_terms(math.pi * (m - 1) / n), _TERM_FFT_S * n * math.log2(n))
+        for n in folds
     )
 
 
@@ -267,7 +373,8 @@ def _fold_size(m: int, events: int) -> int:
     The power of two n at or above m, and at most max(2 n_m, 2^16) with n_m
     the smallest, that minimises
     terms(n) * (_TERM_S + _TERM_EVENT_S * events + _TERM_FFT_S * n log2 n),
-    terms(n) being the series length at theta = pi (m - 1) / n; of equal
+    terms(n) being the economised series length at theta = pi (m - 1) / n
+    (``_economised_terms``, the row count of ``_series_table``); of equal
     costs the smaller fold wins. A larger fold costs a longer rfft per term
     but needs fewer terms, which pays off when the events outnumber the
     bins; the smallest fold, below 2m, pays off when the rfft dominates.
@@ -642,7 +749,10 @@ class ReconstructedSignal:
     visibility in quantum mode, the reference-fringe visibility in
     classical mode. Clamp fractions record how often the flux traces or
     the inverse-cosine argument had to be clipped into range; they stay
-    well below 1% in sane operating regimes.
+    well below 1% in sane operating regimes. ``tau_trace`` holds every
+    ``trace_stride``-th sample of the delay trace, at most
+    _MAX_JSON_TRACE_POINTS of them, ``trace_dt`` apart; the full trace is
+    never held (see ``reconstruct``).
     """
 
     mode: str
@@ -655,22 +765,13 @@ class ReconstructedSignal:
     t_exp: float
     tau_trace: np.ndarray
     trace_dt: float
+    trace_stride: int
     displacement_pp: float
     flux_clamp_fraction: float
     arccos_clamp_fraction: float
 
-    def displacement_trace(self) -> np.ndarray:
-        """Mean-removed displacement in metres at the trace sampling."""
-        tau = self.tau_trace
-        return SPEED_OF_LIGHT * (tau - tau.mean()) / self.geometry_g
-
     def to_json(self, path: str | Path | None = None):
-        """The record as a JSON-ready dict, also written to ``path`` if given.
-
-        The delay trace is decimated to at most _MAX_JSON_TRACE_POINTS
-        samples by a whole-number stride.
-        """
-        stride = max(1, -(-self.tau_trace.size // _MAX_JSON_TRACE_POINTS))
+        """The record as a JSON-ready dict, also written to ``path`` if given."""
         doc = {
             "mode": self.mode,
             "g": self.geometry_g,
@@ -684,9 +785,9 @@ class ReconstructedSignal:
             "arccos_clamp_fraction": self.arccos_clamp_fraction,
             "components": [asdict(c) for c in self.components],
             "trace": {
-                "dt": self.trace_dt * stride,
-                "stride": stride,
-                "tau": [float(v) for v in self.tau_trace[::stride]],
+                "dt": self.trace_dt,
+                "stride": self.trace_stride,
+                "tau": [float(v) for v in self.tau_trace],
             },
         }
         if path is not None:
@@ -721,9 +822,14 @@ def reconstruct(
     channel has drifted from the reference, the inversion inherits the
     mismatch). The trace holds 100 samples per period of the highest
     component, as ``qvibe.simulate._trace_samples`` sets for the true
-    waveform too. The samples are evaluated in blocks of _TRACE_BLOCK, so
-    only the delay trace itself is held at full length. Within a block,
-    sample j of a component's oscillator is
+    waveform too. The samples are evaluated in blocks of _TRACE_BLOCK up
+    to the clipped inverse-cosine argument u, so no array of the trace's
+    length is held. tau is a monotone function of u (arccos falls,
+    omega > 0), so its extremes are the images of u's smallest and
+    largest values: only those two and the samples the result keeps
+    (every stride-th, at most _MAX_JSON_TRACE_POINTS) are inverted, and
+    displacement_pp = c (tau_max - tau_min) / g. Within a block, sample j
+    of a component's oscillator is
 
         cos(phase0 + 2 pi f_hat j dt)
             = cos(phase0) cos(2 pi f_hat j dt) - sin(phase0) sin(2 pi f_hat j dt),
@@ -749,8 +855,8 @@ def reconstruct(
         raise AnalysisError("both streams empty, nothing to reconstruct")
     n = _trace_samples(max(c.f_hat for c in components), t_exp)
     dt = t_exp / n
+    stride = max(1, -(-n // _MAX_JSON_TRACE_POINTS))
     slope = fringe.polarity * contrast
-    phase_offset, omega = fringe.phase_offset, fringe.omega
     size = min(n, _TRACE_BLOCK)
     # Per component, cos and sin of 2 pi f_hat j dt for j < size: the phase
     # advance within a block, the same for every block.
@@ -759,9 +865,10 @@ def reconstruct(
     for c in components:
         advance = (2.0 * math.pi * c.f_hat * dt) * j
         rotations.append((c, np.cos(advance), np.sin(advance)))
-    tau = np.empty(n)
+    kept = np.empty(-(-n // stride))  # u at samples 0, stride, 2 stride, ...
     phi_c, phi_a, osc, tmp = (np.empty(size) for _ in range(4))
     flux_clamped = arccos_clamped = 0
+    u_min, u_max = math.inf, -math.inf
     for start in range(0, n, size):
         k = min(size, n - start)
         pc, pa, o, tm = phi_c[:k], phi_a[:k], osc[:k], tmp[:k]
@@ -797,15 +904,16 @@ def reconstruct(
         if outside:
             arccos_clamped += outside
             np.clip(u, -1.0, 1.0, out=u)
-        block = np.arccos(u, out=tau[start : start + k])
-        block -= phase_offset
-        block /= omega
-    # displacement_trace() is SPEED_OF_LIGHT * (tau - mean) / g; each rounded
-    # step is non-decreasing in tau (g > 0), so its max - min comes from
-    # tau's extremes bit for bit.
-    mean = tau.mean()
-    x_max = SPEED_OF_LIGHT * (tau.max() - mean) / geometry.g
-    x_min = SPEED_OF_LIGHT * (tau.min() - mean) / geometry.g
+        u_min, u_max = min(u_min, u.min()), max(u_max, u.max())
+        first = -(-start // stride)  # the first kept sample at or after start
+        kept[first : -(-(start + k) // stride)] = u[first * stride - start :: stride]
+    # The kept samples and both extremes go through the same contiguous
+    # element-wise steps, so each is the value a full-length inversion gives.
+    ends = np.array([u_max, u_min])
+    for values in (kept, ends):
+        np.arccos(values, out=values)
+        values -= fringe.phase_offset
+        values /= fringe.omega
     return ReconstructedSignal(
         mode=fringe.mode,
         components=components,
@@ -815,9 +923,10 @@ def reconstruct(
         v0=contrast,
         geometry_g=geometry.g,
         t_exp=t_exp,
-        tau_trace=tau,
-        trace_dt=dt,
-        displacement_pp=float(x_max - x_min),
+        tau_trace=kept,
+        trace_dt=dt * stride,
+        trace_stride=stride,
+        displacement_pp=float(SPEED_OF_LIGHT * (ends[1] - ends[0]) / geometry.g),
         flux_clamp_fraction=flux_clamped / (2.0 * n),
         arccos_clamp_fraction=arccos_clamped / n,
     )

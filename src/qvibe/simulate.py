@@ -222,14 +222,25 @@ class VibrationSignal:
         return tau if tau.ndim else tau[()]
 
     def peak_to_peak(self, duration: float) -> float:
-        """Displacement excursion over the given duration, sampled as ``_trace_samples`` says."""
+        """Displacement excursion over the given duration, sampled as ``_trace_samples`` says.
+
+        The samples are t_i = i * (duration / n), as
+        ``np.linspace(0, duration, n, endpoint=False)`` has them, taken
+        _PEAK_BLOCK at a time, so no array of the trace's length is held.
+        """
         n = _trace_samples(self.max_frequency, duration)
-        t = np.linspace(0.0, duration, n, endpoint=False)
-        x = self.displacement(t)
-        return float(x.max() - x.min())
+        step = duration / n
+        x_min, x_max = math.inf, -math.inf
+        for start in range(0, n, _PEAK_BLOCK):
+            t = np.arange(start, min(n, start + _PEAK_BLOCK), dtype=float)
+            t *= step
+            x = self.displacement(t)
+            x_min, x_max = min(x_min, x.min()), max(x_max, x.max())
+        return float(x_max - x_min)
 
 
 _TRACE_POINTS_PER_PERIOD = 100
+_PEAK_BLOCK = 1 << 16  # samples per pass of ``VibrationSignal.peak_to_peak``
 _MAX_TRACE_SAMPLES = 20_000_000
 
 

@@ -565,17 +565,19 @@ def _child_env():
 
 def test_import_loads_numpy_but_not_scipy():
     # numpy is the only runtime dependency: importing the package and its
-    # CLI in a fresh interpreter must not pull in scipy.
+    # CLI in a fresh interpreter must not pull in scipy, nor numpy.polynomial
+    # (the grid series table is built without it).
     env = _child_env()
     code = (
         "import sys, qvibe, qvibe.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-        "print('numpy' in sys.modules)"
+        "print('numpy' in sys.modules); "
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
     ).stdout.split("\n")
-    assert out[:2] == ["[]", "True"]
+    assert out[:3] == ["[]", "True", "[]"]
 
 
 def test_cli_qcrb_reports_ratio(capsys):
@@ -639,13 +641,15 @@ ZERO_NM = "amplitude_pp must be positive, got 0.0 m"
 ])
 def test_cli_rejects_empty_square_wave(tmp_path, capsys, command, text, message):
     # A zero fundamental or amplitude leaves the square wave without a
-    # component; it is refused before any exposure runs.
+    # component; it is refused before any exposure runs. A [signal] value
+    # is named by file and key, as every config builder names it.
     cfg = tmp_path / "square.ini"
     cfg.write_text(text)
     assert main([command, "-c", str(cfg), "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"config error: square wave {message}\n"
+    where = f"{cfg}: [signal] {message.split()[0]}: " if command == "simulate" else ""
+    assert captured.err == f"config error: {where}square wave {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -669,7 +673,40 @@ def test_cli_rejects_nonpositive_switch_frequency(tmp_path, capsys, switch, show
     assert main(["simulate", "-c", str(cfg), "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"config error: switch_frequency must be positive, got {shown} Hz\n"
+    assert captured.err == (
+        f"config error: {cfg}: [signal] switch_frequency:"
+        f" switch_frequency must be positive, got {shown} Hz\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+TONES = "frequency_a = 10 Hz\namplitude_pp_a = 20 nm\nfrequency_b = 10 Hz\namplitude_pp_b = 20 nm"
+
+
+@pytest.mark.parametrize("kind, keys, key, message", [
+    ("square_wave", "frequency = 10 Hz\namplitude_pp = 20 nm\nharmonics = 0",
+     "harmonics", "n_harmonics must be >= 1"),
+    ("square_wave", "frequency = 10 Hz\namplitude_pp = 20 nm\nharmonics = -1\nphase = 10 deg",
+     "harmonics", "n_harmonics must be >= 1"),
+    ("alternating_tones", f"switch_frequency = 2 Hz\n{TONES}\ngate_harmonics = 0",
+     "gate_harmonics", "n_gate_harmonics must be >= 1"),
+    ("alternating_tones", "switch_frequency = 2 Hz\n" + TONES.replace("a = 10 Hz", "a = 0 Hz"),
+     "frequency_a", "component frequency must be positive and finite"),
+    ("pure_tone", "frequency = 0 Hz\namplitude_pp = 20 nm",
+     "frequency", "component frequency must be positive and finite"),
+    ("pure_tone", "frequency = 10 Hz\namplitude_pp = -20 nm",
+     "amplitude_pp", "component amplitude_pp must be non-negative"),
+])
+def test_signal_refusals_name_the_file_and_the_key(tmp_path, monkeypatch, capsys, kind, keys,
+                                                   key, message):
+    # The waveform constructors' own words, after the file and the key that
+    # set the refused value; exit 2, and no output directory.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "signal.ini").write_text(f"[signal]\nkind = {kind}\n{keys}\n")
+    assert main(["simulate", "-c", "signal.ini", "--out", "out"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: signal.ini: [signal] {key}: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

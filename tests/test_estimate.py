@@ -9,11 +9,17 @@ Monte-Carlo slack.
 
 import json
 import math
+import sys
+import tracemalloc
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import qvibe.estimate
 from qvibe.core import (
     ClassicalFringeSpec,
     GeometryFactor,
@@ -26,14 +32,20 @@ from qvibe.estimate import (
     AnalysisOptions,
     ComponentEstimate,
     SpectrumEstimate,
+    _economisation,
+    _economised_terms,
     _estimate_components,
     _fold_size,
+    _fold_table,
+    _MAX_GRID_BINS,
     _TRACE_BLOCK,
     _group_detections,
     _offset_moments,
     _offset_series,
     _project_direct,
     _segment_count,
+    _series_table,
+    _series_terms,
     _uniform_from_zero,
     combined_spectrum,
     detection_threshold,
@@ -251,6 +263,31 @@ def test_frequency_grid_frozen_sizes():
         frequency_grid(1.0, 0.0)
 
 
+def test_scan_memory_at_the_grid_cap_stays_within_1_gib():
+    # The scan's peak grows with its bins. Measured on 2^16 bins at the
+    # smallest fold (20 table rows, as at the cap with few events) and
+    # scaled up, the cap stays within 1 GiB and twice the cap would not.
+    t_exp, m = 1.0, 1 << 16
+    rng = np.random.default_rng(16)
+    sc = stream_from_times(rng.uniform(0, t_exp, 1000), t_exp)
+    sa = stream_from_times(rng.uniform(0, t_exp, 1000), t_exp, "anticoincidence")
+    f_max = (m - 0.5) * grid_spacing(t_exp)
+    assert _fold_size(m, 2000) == m
+    tracemalloc.start()
+    try:
+        spectrum = scan_spectrum(sc, sa, 1.0, f_max=f_max)
+        per_bin = tracemalloc.get_traced_memory()[1] / m
+    finally:
+        tracemalloc.stop()
+    assert spectrum.frequencies.size == m
+    assert per_bin * _MAX_GRID_BINS <= 1 << 30 < per_bin * 2 * _MAX_GRID_BINS, per_bin
+    assert frequency_grid(t_exp, (_MAX_GRID_BINS - 0.5) * grid_spacing(t_exp)).size == (
+        _MAX_GRID_BINS
+    )
+    with pytest.raises(ConfigError, match=f"{_MAX_GRID_BINS + 1} scan bins"):
+        frequency_grid(t_exp, (_MAX_GRID_BINS + 0.5) * grid_spacing(t_exp))
+
+
 def test_fold_rule_stays_in_range_and_keeps_the_benchmark_folds():
     # A power of two from m rounded up to max(2m rounded up, 2^16), whatever the count.
     for m in (4, 5, 334, 1001, 4096, 40_000, 183_334):
@@ -267,6 +304,133 @@ def test_fold_rule_stays_in_range_and_keeps_the_benchmark_folds():
         assert _fold_size(quick, events) == 1024
     assert _fold_size(sweep, 1_000_000) == 1 << 18
     assert _fold_size(quick, 190_000) == 1 << 14
+
+
+def _exact_economisation(kept, terms):
+    """The folding matrix of u^d into u^q, q < kept <= d < terms, in Fractions.
+
+    Built another way than the package builds it: the Chebyshev
+    coefficients of t^d come from d products with t, using
+    t T_0 = T_1 and t T_q = (T_(q+1) + T_(q-1)) / 2.
+    """
+    cheb = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+    while len(cheb) < kept:
+        c = [Fraction(0)] + [2 * x for x in cheb[-1]]
+        for i, x in enumerate(cheb[-2]):
+            c[i] -= x
+        cheb.append(c)
+    fold = [[Fraction(0)] * (terms - kept) for _ in range(kept)]
+    for d in range(kept, terms):
+        coefs = [Fraction(1)]  # of t^0 in T_0, T_1, ...
+        for _ in range(d):
+            times_t = [Fraction(0)] * (len(coefs) + 1)
+            for q, c in enumerate(coefs):
+                if q == 0:
+                    times_t[1] += c
+                else:
+                    times_t[q + 1] += c / 2
+                    times_t[q - 1] += c / 2
+            coefs = times_t
+        for q, c in enumerate(coefs[:kept]):
+            for i, x in enumerate(cheb[q]):
+                fold[i][d - kept] += c * x * Fraction(2) ** (i - d)  # t^i = 2^i u^i
+    return fold
+
+
+def test_economisation_constants_are_the_exact_fractions_rounded_once():
+    # Every (kept, terms) pair the term rules give for theta in (0, pi).
+    pairs = {
+        (_economised_terms(theta), _series_terms(theta))
+        for theta in np.linspace(1e-3, math.pi, 400)
+    }
+    assert (20, 27) in pairs and (18, 23) in pairs and (14, 17) in pairs
+    for kept, terms in sorted(pairs):
+        exact = _exact_economisation(kept, terms)
+        got = _economisation(kept, terms)
+        assert got.shape == (kept, terms - kept)
+        for q in range(kept):
+            for j in range(terms - kept):
+                assert got[q, j] == float(exact[q][j]), (kept, terms, q, j)
+
+
+def _taylor_rows(m, n, terms):
+    """z_k^p / p! as signed reals by the recurrence s *= rate_k * (+-1) / p."""
+    rate = (2.0 * math.pi / n) * np.arange(m)
+    s, rows = np.ones(m), [np.ones(m)]
+    for p in range(1, terms):
+        s *= rate * ((1.0 if p % 2 else -1.0) / p)
+        rows.append(s.copy())
+    return np.array(rows)
+
+
+def test_series_table_is_the_taylor_recurrence_when_no_degree_is_dropped():
+    # The quick-start grid at its fold (8 terms either way) and a tiny one.
+    for m, n in ((334, 1 << 14), (5, 1 << 16)):
+        theta = math.pi * (m - 1) / n
+        assert _economised_terms(theta) == _series_terms(theta)
+        table = _series_table(m, n)
+        assert table.tobytes() == _taylor_rows(m, n, _series_terms(theta)).tobytes()
+    # Where degrees are dropped, the table is the Taylor rows folded by the
+    # matrix, to rounding in the sum of the folded terms.
+    for m, n in ((334, 1 << 10), (1024, 1024), (183_334, 1 << 18)):
+        theta = math.pi * (m - 1) / n
+        kept, terms = _economised_terms(theta), _series_terms(theta)
+        assert kept < terms
+        taylor = _taylor_rows(m, n, terms)
+        fold = _economisation(kept, terms)
+        folded = taylor[:kept] + fold @ taylor[kept:]
+        scale = np.abs(taylor[:kept]) + np.abs(fold) @ np.abs(taylor[kept:])
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(_series_table(m, n) - folded) <= 4 * terms * eps * scale)
+    # At every fold the rule can take, the table's polynomial stays within
+    # 1e-14 of the phasor e^(-2j pi k u / n) on |u| <= 1/2.
+    u = np.linspace(-0.5, 0.5, 257)
+    for m in (4, 5, 334, 1001, 4096, 183_334):
+        for n, _, _ in _fold_table(m):
+            table = _series_table(m, n)
+            k = np.linspace(0, m - 1, 64).astype(int)
+            poly = sum(
+                np.outer(row[k] * (-1j if p % 2 else 1.0), u**p) for p, row in enumerate(table)
+            )
+            error = np.max(np.abs(poly - np.exp(-2j * math.pi * np.outer(k, u) / n)))
+            assert error < 1e-14, (m, n, error)
+
+
+def test_series_tables_kept_within_the_byte_budget(monkeypatch):
+    monkeypatch.setattr("qvibe.estimate._tables", OrderedDict())
+    tables = qvibe.estimate._tables
+    budget = qvibe.estimate._TABLE_BYTES
+    sweep = _series_table(183_334, 1 << 18)  # 18 x 183,334 doubles, 25.2 MiB
+    assert list(tables) == [(183_334, 1 << 18)] and sweep.nbytes <= budget
+    assert _series_table(183_334, 1 << 18) is sweep
+    assert not sweep.flags.writeable
+    # Two more tables overflow the budget: the least recently used goes.
+    small = _series_table(334, 1 << 10)
+    _series_table(60_000, 1 << 16)
+    assert sum(t.nbytes for t in tables.values()) <= budget
+    assert list(tables) == [(334, 1 << 10), (60_000, 1 << 16)]
+    assert _series_table(334, 1 << 10) is small
+    # A table over the budget by itself is built but not kept.
+    big = _series_table(300_000, 1 << 19)
+    assert big.nbytes > budget and (300_000, 1 << 19) not in tables
+    assert list(tables) == [(60_000, 1 << 16), (334, 1 << 10)]
+    # More threads than cores, switching often, share the cache: each gets
+    # the table of its shape, and the cache ends within budget.
+    monkeypatch.setattr("qvibe.estimate._tables", OrderedDict())
+    shapes = [(183_334, 1 << 18), (60_000, 1 << 16), (334, 1 << 10), (4000, 1 << 13)] * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(_series_table, *shape) for shape in shapes]
+            got = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for shape, table in zip(shapes, got):
+        assert table.shape[1] == shape[0]
+        assert np.array_equal(table, got[shapes.index(shape)]), shape
+    held = qvibe.estimate._tables
+    assert sum(t.nbytes for t in held.values()) <= budget
 
 
 def test_threshold_rectangular_closed_form():
@@ -521,9 +685,13 @@ def test_quantum_reconstruction_closed_form_single_tone():
         assert abs(rec.displacement_pp - expected_pp) < 1e-10 * expected_pp
         assert rec.flux_clamp_fraction == 0.0
         assert rec.arccos_clamp_fraction == 0.0
-        trace = rec.displacement_trace()
-        assert abs(float(np.max(trace) - np.min(trace)) - rec.displacement_pp) == 0.0
-        assert abs(float(np.mean(trace))) < 1e-20
+        # 1000 samples, all kept, and pp from the full trace's extremes.
+        tau, _, _, pp = _unblocked_reference(
+            "quantum", sc, sa, 1.0, PAIR.visibility_v0, PAIR, g, [comp], 1000, _rotated_oscillator
+        )
+        assert rec.trace_stride == 1
+        assert rec.tau_trace.tobytes() == tau.tobytes()
+        assert rec.displacement_pp == pp
 
 
 def test_reconstruction_reports_clamp_activity():
@@ -592,7 +760,11 @@ def _rotated_oscillator(c, n, t_exp):
 
 
 def _unblocked_reference(mode, sc, sa, ratio, contrast, fringe, g, comps, n, oscillator):
-    """The whole n-sample reconstruction, one array per stage, for comparison."""
+    """The whole n-sample reconstruction, one array per stage, for comparison.
+
+    Returns the full delay trace, both clamp fractions and the
+    peak-to-peak displacement c (tau.max() - tau.min()) / g.
+    """
     t_exp = sc.t_exp
     a0_c, a0_a = len(sc) / t_exp, len(sa) / t_exp
     phi_c, phi_a = np.full(n, a0_c), np.full(n, a0_a)
@@ -614,14 +786,21 @@ def _unblocked_reference(mode, sc, sa, ratio, contrast, fringe, g, comps, n, osc
         tau = np.arccos(u) / fringe.delta_omega
     else:
         tau = (np.arccos(u) - fringe.phase_offset) / fringe.omega_optical
-    x = SPEED_OF_LIGHT * (tau - tau.mean()) / g
-    return tau, flux, arccos, float(x.max() - x.min())
+    return tau, flux, arccos, float(SPEED_OF_LIGHT * (tau.max() - tau.min()) / g)
+
+
+def _kept_samples(tau):
+    """The samples of a full trace that ``reconstruct`` keeps, and their stride."""
+    stride = -(-tau.size // 4096)
+    return tau[::stride], stride
 
 
 def test_blocked_reconstruction_is_bitwise_the_unblocked_trace():
     # The reference builds each oscillator block by block as reconstruct
     # does, then clips, inverts and counts clamps on the whole trace at
-    # once; the blocked stages must give the same bits.
+    # once; the blocked stages must give the same bits, in the kept samples
+    # (strides 1, 16, 17 and 56, so kept samples fall at every offset in a
+    # block) and in the peak-to-peak taken from the trace's extremes.
     t_exp = 1.0
     sc, sa = constant_pair_of_streams(10_000, t_exp)
     a0 = 10_000 / t_exp
@@ -651,14 +830,13 @@ def test_blocked_reconstruction_is_bitwise_the_unblocked_trace():
                         mode, sc, sa, ratio, contrast, spec, g, comps, n, _rotated_oscillator
                     )
                     key = (n, ratio, g, mode)
-                    assert rec.tau_trace.size == n, key
-                    assert rec.tau_trace.tobytes() == tau.tobytes(), key
-                    assert rec.trace_dt == t_exp / n, key
+                    kept, stride = _kept_samples(tau)
+                    assert rec.trace_stride == stride, key
+                    assert rec.tau_trace.tobytes() == kept.tobytes(), key
+                    assert rec.trace_dt == t_exp / n * stride, key
                     assert 0.0 < rec.flux_clamp_fraction == flux, key
                     assert 0.0 < rec.arccos_clamp_fraction == arccos, key
                     assert rec.displacement_pp == pp, key
-                    trace = rec.displacement_trace()
-                    assert float(trace.max() - trace.min()) == rec.displacement_pp, key
 
 
 def test_rotated_trace_matches_direct_cosine():
@@ -686,15 +864,36 @@ def test_rotated_trace_matches_direct_cosine():
     tau, flux, arccos, pp = _unblocked_reference(
         "quantum", sc, sa, 1.0, 0.8, pair, 2, comps, n, _direct_oscillator
     )
-    assert rec.tau_trace.size == n
+    kept, stride = _kept_samples(tau)
+    assert rec.trace_stride == stride
     assert flux == arccos == rec.flux_clamp_fraction == rec.arccos_clamp_fraction == 0.0
     s_max = sum(depths) / 0.8
     slope = 1.0 / (0.8 * pair.delta_omega * math.sqrt(1.0 - s_max**2))
     phase_error = sum(m * 4.0 * eps * 2.0 * math.pi * f * t_exp for f, m in zip(freqs, depths))
     bound = slope * phase_error + 8.0 * eps * math.pi / pair.delta_omega
-    assert np.max(np.abs(rec.tau_trace - tau)) <= bound
-    # Both extremes and the mean move by at most bound: pp by 2 c bound / g.
+    assert np.max(np.abs(rec.tau_trace - kept)) <= bound
+    # Both extremes move by at most bound: pp by 2 c bound / g.
     assert abs(rec.displacement_pp - pp) <= 2.0 * SPEED_OF_LIGHT * bound / 2
+
+
+def test_reconstruction_holds_no_array_of_the_trace_length():
+    # A 2^22-sample trace (64 blocks) peaks under a quarter of the 8n bytes
+    # a full-length float64 trace takes: the block buffers, the rotation
+    # tables and the 4096 kept samples are all it holds.
+    t_exp = 1.0
+    n = 1 << 22
+    sc, sa = constant_pair_of_streams(10_000, t_exp)
+    a0 = 10_000 / t_exp
+    comp = ComponentEstimate(f_hat=(n - 0.5) / 100, theta_hat=0.3, a_hat_c=0.1 * a0,
+                             a_hat_a=-0.1 * a0)
+    tracemalloc.start()
+    try:
+        rec = reconstruct(sc, sa, 1.0, PAIR, GeometryFactor(2), [comp])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.trace_stride == 1024 and rec.tau_trace.size == 4096
+    assert peak < 8 * n / 4, peak
 
 
 def test_classical_reconstruction_closed_form_single_tone():
@@ -748,13 +947,15 @@ def test_reconstruction_json_trace_stride(tmp_path):
     a0 = n / t_exp
     comp = ComponentEstimate(10.0, 0.0, 0.1 * a0, -0.1 * a0)
     rec = reconstruct(sc, sa, 1.0, PAIR, GeometryFactor(2), [comp])
-    assert rec.tau_trace.size == 10_000
+    # 10,000 trace samples, every third kept: ceil(10000 / 4096) = 3.
+    assert rec.trace_stride == 3
+    assert rec.tau_trace.size == 3334
+    assert rec.trace_dt == t_exp / 10_000 * 3
     path = tmp_path / "recon.json"
     doc = rec.to_json(path)
-    stride = doc["trace"]["stride"]
-    assert stride == 3  # ceil(10000 / 4096)
-    assert len(doc["trace"]["tau"]) == len(rec.tau_trace[::stride])
-    assert doc["trace"]["dt"] == rec.trace_dt * stride
+    assert doc["trace"]["stride"] == 3
+    assert doc["trace"]["tau"] == rec.tau_trace.tolist()
+    assert doc["trace"]["dt"] == rec.trace_dt
     parsed = json.loads(path.read_text())
     assert parsed["mode"] == "quantum"
     assert parsed["components"][0]["f_hat"] == 10.0

@@ -22,8 +22,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from qvibe.config import _SCHEMA, _UNIT_TABLES, _kind_of, parse_config, parse_quantity
 from qvibe.errors import ConfigError, StreamFormatError
 from qvibe.estimate import (
+    _economised_terms,
     _fold_size,
     _project_grid,
+    _series_table,
     _series_terms,
     combined_spectrum,
     frequency_grid,
@@ -195,8 +197,8 @@ def test_grid_transform_matches_the_event_sum_on_an_event_heavy_grid(monkeypatch
 def test_grid_transform_reads_the_mirrored_bins_at_the_smallest_fold(monkeypatch):
     # At n = m rounded up to a power of two, bins n/2 < k < m are read from
     # the rfft's mirror image: at m = n (theta near pi, the longest series,
-    # 27 terms), at m = n/2 + 2 (one mirrored bin), and with one stream
-    # empty, which bins nothing.
+    # 20 economised terms in place of 27 Taylor terms), at m = n/2 + 2 (one
+    # mirrored bin), and with one stream empty, which bins nothing.
     t_exp, n = 1.0, 1024
     df = grid_spacing(t_exp)
     rng = np.random.default_rng(15)
@@ -206,6 +208,8 @@ def test_grid_transform_reads_the_mirrored_bins_at_the_smallest_fold(monkeypatch
         parts.append((t, window_weights(t, t_exp, "hann"), scale))
     empty = (np.array([]), np.array([]), -0.7)
     assert _series_terms(math.pi * (n - 1) / n) == 27
+    assert _economised_terms(math.pi * (n - 1) / n) == 20
+    assert _series_table(n, n).shape == (20, n)
     monkeypatch.setattr("qvibe.estimate._fold_size", lambda m, events: n)
     for m in (n, n // 2 + 2):
         for some in (parts, [parts[0], empty], [empty, parts[1]]):

@@ -18,6 +18,8 @@ from qvibe.simulate import (
     SignalComponent,
     TimestampStream,
     VibrationSignal,
+    _PEAK_BLOCK,
+    _trace_samples,
     classical_fluxes,
     quantum_fluxes,
     sample_inhomogeneous_poisson,
@@ -95,6 +97,40 @@ def test_alternating_tones_match_gated_product():
     # sidebands appear at |k*fs +/- f| around both tones
     freqs = {round(c.frequency, 6) for c in alt.components}
     assert {265.0, 295.0, 300.0, 305.0, 335.0, 665.0, 700.0, 735.0} <= freqs
+
+
+def test_peak_to_peak_is_the_full_trace_excursion_bit_for_bit(monkeypatch):
+    # Taken block by block, on the samples of one linspace over the whole
+    # duration: part of one block (1000 samples), one block and a part
+    # (70,000), and over three blocks, for a tone, a square wave and
+    # alternating tones.
+    cases = (
+        (VibrationSignal.pure_tone(3.7, 20e-9, 0.3), 1.0),
+        (VibrationSignal.pure_tone(3000.3, 20e-9, 1.1), 0.7),
+        (VibrationSignal.square_wave(100.0, 55e-9, phase=0.2), 1.0),
+        (VibrationSignal.alternating_tones(5.0, 300.0, 10e-9, 700.0, 6e-9, phase_b=0.4), 0.4),
+    )
+    for sig, duration in cases:
+        n = _trace_samples(sig.max_frequency, duration)
+        x = sig.displacement(np.linspace(0.0, duration, n, endpoint=False))
+        assert sig.peak_to_peak(duration) == float(x.max() - x.min()), (sig, duration)
+    assert _trace_samples(3000.3, 0.7) > 3 * _PEAK_BLOCK
+    assert _PEAK_BLOCK < _trace_samples(700.0, 1.0) < 2 * _PEAK_BLOCK
+    # The blocks' sample times, put end to end, are the linspace itself.
+    blocks = []
+    displacement = VibrationSignal.displacement
+
+    def recorded(self, t):
+        blocks.append(np.array(t))
+        return displacement(self, t)
+
+    monkeypatch.setattr(VibrationSignal, "displacement", recorded)
+    sig, duration = cases[1]
+    sig.peak_to_peak(duration)
+    n = _trace_samples(sig.max_frequency, duration)
+    assert len(blocks) == 4
+    times = np.concatenate(blocks)
+    assert times.tobytes() == np.linspace(0.0, duration, n, endpoint=False).tobytes()
 
 
 def test_multi_tone_sorts_and_rejects_empty():
