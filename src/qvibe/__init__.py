@@ -11,9 +11,8 @@ from .core import (
     GeometryFactor,
     PhotonPairSpec,
     SPEED_OF_LIGHT,
-    classical_port_probability,
+    fringe_probability,
     quadrature_delay,
-    quantum_coincidence_probability,
 )
 from .errors import AnalysisError, ConfigError, StreamFormatError
 from .estimate import (

@@ -26,6 +26,7 @@ from pathlib import Path
 from .config import (
     MODES,
     Config,
+    build_advantage,
     build_channel,
     build_fringe,
     build_geometry,
@@ -37,9 +38,8 @@ from .config import (
 from .errors import AnalysisError, ConfigError, StreamFormatError
 from .estimate import pipeline
 from .metrology import (
+    _MAX_PAIRS,
     TrialScenario,
-    background_advantage_setup,
-    loss_advantage_setup,
     monte_carlo_delay_std,
     qcrb_delay_std,
     qcrb_displacement_std,
@@ -90,13 +90,13 @@ def cmd_simulate(args) -> int:
     seed = _seed_of(args, cfg)
     tick = cfg.get("run", "tick", DEFAULT_TICK)
     binary = args.binary or cfg.get("run", "binary", False)
-    out = _outdir(args)  # only once every setting has been accepted
     if mode == "quantum":
         run = simulate_quantum_run(fringe, signal, channel, t_exp, seed, tick)
         streams = ((run.coincidences, "coincidence"), (run.anticoincidences, "anticoincidence"))
     else:
         run = simulate_classical_run(fringe, signal, channel, t_exp, seed, tick)
         streams = ((run.port1, "port1"), (run.port2, "port2"))
+    out = _outdir(args)  # only once both streams are drawn, so a refusal leaves none
     write = write_stream_binary if binary else write_stream_text
     ext = ".bin" if binary else ".txt"
     for stream, name in streams:
@@ -257,19 +257,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_advantage(args) -> int:
     cfg = load_config(args.config)
-    experiment = cfg.get("advantage", "experiment", "loss")
-    kwargs = {}
-    if cfg.has("advantage", "values"):
-        kwargs["loss_values" if experiment == "loss" else "background_values"] = cfg.get(
-            "advantage", "values"
-        )
-    if cfg.has("advantage", "target_pairs"):
-        kwargs["target_pairs"] = cfg.get("advantage", "target_pairs")
-    if cfg.has("advantage", "fundamental"):
-        kwargs["fundamental"] = cfg.get("advantage", "fundamental")
-    if cfg.has("advantage", "amplitude_pp"):
-        kwargs["amplitude_pp"] = cfg.get("advantage", "amplitude_pp")
-    setup = (loss_advantage_setup if experiment == "loss" else background_advantage_setup)(**kwargs)
+    setup = build_advantage(cfg)
     outcomes = run_advantage_experiment(setup, _seed_of(args, cfg), _threads_of(args))
     doc = []
     for o in outcomes:
@@ -311,6 +299,12 @@ def cmd_qcrb(args) -> int:
     if not 0 <= factor < math.inf:
         raise ConfigError(
             f"calibration_factor must be finite and non-negative (0 = known ratio), got {factor}"
+        )
+    n_max = max(n_list)  # one above _MAX_PAIRS is refused as n_pairs, at its draw
+    if factor > 0 and n_max <= _MAX_PAIRS and not factor * n_max < _MAX_PAIRS:
+        raise ConfigError(
+            f"calibration_factor {factor} times n_pairs {n_max} exceeds the"
+            f" {_MAX_PAIRS} calibration pairs a draw can count"
         )
     seed = _seed_of(args, cfg)
     for i, n in enumerate(n_list):

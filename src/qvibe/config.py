@@ -33,6 +33,7 @@ from .core import (
 )
 from .errors import ConfigError
 from .estimate import AnalysisOptions
+from .metrology import AdvantageSetup, background_advantage_setup, loss_advantage_setup
 from .simulate import ChannelModel, SignalComponent, VibrationSignal
 from .streamio import _EXACT
 
@@ -475,3 +476,16 @@ def build_options(cfg: Config, overrides: dict | None = None) -> AnalysisOptions
     base = {name: value for name, value in (overrides or {}).items() if value is not None}
     fields = _set_keys(cfg, "analysis", {key: key for key in ("p_fa", "f_max") if key not in base})
     return _construct(cfg, "analysis", AnalysisOptions, base, fields)
+
+
+def build_advantage(cfg: Config) -> AdvantageSetup:
+    """The [advantage] setup of its ``experiment``; ``values`` lists its losses or backgrounds."""
+    experiment = cfg.get("advantage", "experiment", "loss")
+    names = {
+        "values": f"{experiment}_values",
+        "target_pairs": "target_pairs",
+        "fundamental": "fundamental",
+        "amplitude_pp": "amplitude_pp",
+    }
+    build = loss_advantage_setup if experiment == "loss" else background_advantage_setup
+    return _construct(cfg, "advantage", build, {}, _set_keys(cfg, "advantage", names))

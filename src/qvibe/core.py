@@ -8,11 +8,14 @@ the pair's internal detuning rather than an optical carrier. The classical
 fringe is ordinary single-photon (or intensity) interference with period
 set by the optical frequency.
 
-Both specs expose the one fringe interface the estimator inverts,
-P(tau) = (1 + polarity * contrast * cos(omega * tau + phase_offset)) / 2,
-through the read-only values ``mode``, ``polarity``, ``phase_offset``,
-``contrast`` and ``omega``. ``stream_tags`` names the two streams of the
-channel, in the order the simulator writes and the estimator reads them.
+Both specs expose one fringe law through the read-only values ``mode``,
+``polarity``, ``phase_offset``, ``contrast``, ``omega`` and ``sigma``:
+P(tau) = (1 + polarity * contrast * cos(omega * tau + phase_offset)
+* exp(-2 sigma^2 tau^2)) / 2 for the first stream and 1 - P for the
+second. One function, ``fringe_probability``, implements it for both
+specs, and the estimator inverts it with the envelope taken as one.
+``stream_tags`` names the two streams of the channel, in the order the
+simulator writes and the estimator reads them.
 
 Conventions used throughout the package:
 
@@ -89,12 +92,13 @@ class ClassicalFringeSpec:
     [0, 1]; an excess loss L on arm b corresponds to r = 1 - L. The fringe
     visibility follows as 2 sqrt(r) / (1 + r). As a fringe, port 1 rises
     with the cosine of omega_optical * tau + phase_offset at contrast
-    ``visibility``.
+    ``visibility``, with no envelope (``sigma`` is 0).
     """
 
     mode: ClassVar[str] = "classical"
     stream_tags: ClassVar[tuple[str, str]] = ("singles1", "singles2")
     polarity: ClassVar[float] = 1.0
+    sigma: ClassVar[float] = 0.0
 
     omega_optical: float
     arm_intensity_ratio: float = 1.0
@@ -131,46 +135,29 @@ class GeometryFactor:
             raise ConfigError(f"geometry factor must be 1 or 2, got {self.g!r}")
 
 
-def quantum_coincidence_probability(spec: PhotonPairSpec, tau):
-    """Coincidence probability of the entangled pair at relative delay tau.
+def fringe_probability(fringe: PhotonPairSpec | ClassicalFringeSpec, tau):
+    """Probability of the first stream of either fringe at relative delay tau.
 
-    P(tau) = (1/2) * (1 - V0 * cos(delta_omega * tau) * exp(-2 sigma^2 tau^2))
-
-    Accepts a scalar or ndarray delay; returns the same shape. The value
-    is an exact probability in [0, 1] for any visibility in (0, 1].
+    P(tau) = (1/2) * (1 + polarity * contrast * cos(omega * tau + phase_offset)
+    * exp(-2 sigma^2 tau^2)), the envelope applied only where sigma is not
+    zero. The second stream's probability is 1 - P. Accepts a scalar or
+    ndarray delay; returns the same shape. The value is an exact
+    probability in [0, 1], never clipped.
     """
     tau = np.asarray(tau, dtype=float)
-    # The expression above, step by step in two buffers; a 0-d tau gets 0-d
+    # The expression above, step by step in place; a 0-d tau gets 0-d
     # buffers, since a ufunc cannot write into a numpy scalar.
-    envelope = np.multiply(spec.sigma, tau, out=np.empty_like(tau))
-    np.square(envelope, out=envelope)
-    np.multiply(-2.0, envelope, out=envelope)
-    np.exp(envelope, out=envelope)
-    p = np.multiply(spec.delta_omega, tau, out=np.empty_like(tau))
+    p = np.multiply(fringe.omega, tau, out=np.empty_like(tau))
+    p += fringe.phase_offset
     np.cos(p, out=p)
-    np.multiply(spec.visibility_v0, p, out=p)
-    p *= envelope
-    np.subtract(1.0, p, out=p)
-    p *= 0.5
-    return p if p.ndim else float(p)
-
-
-def classical_port_probability(spec: ClassicalFringeSpec, tau, port: int):
-    """Probability that a photon exits the given beamsplitter port (1 or 2).
-
-    Port 1 carries the +cos fringe, port 2 the complement; the two ports
-    sum to one for every delay regardless of the arm intensity ratio.
-    """
-    if port not in (1, 2):
-        raise ValueError("port must be 1 or 2")
-    tau = np.asarray(tau, dtype=float)
-    # visibility * cos(omega_optical * tau + phase_offset), then 0.5 * (1 +- that),
-    # evaluated in one buffer.
-    p = np.multiply(spec.omega_optical, tau, out=np.empty_like(tau))
-    p += spec.phase_offset
-    np.cos(p, out=p)
-    np.multiply(spec.visibility, p, out=p)
-    if port == 1:
+    np.multiply(fringe.contrast, p, out=p)
+    if fringe.sigma:
+        envelope = np.multiply(fringe.sigma, tau, out=np.empty_like(tau))
+        np.square(envelope, out=envelope)
+        np.multiply(-2.0, envelope, out=envelope)
+        np.exp(envelope, out=envelope)
+        p *= envelope
+    if fringe.polarity > 0:
         np.add(1.0, p, out=p)
     else:
         np.subtract(1.0, p, out=p)

@@ -31,8 +31,8 @@ from .core import (
     GeometryFactor,
     PhotonPairSpec,
     SPEED_OF_LIGHT,
+    fringe_probability,
     quadrature_delay,
-    quantum_coincidence_probability,
 )
 from .errors import AnalysisError, ConfigError
 from .estimate import AnalysisOptions, ReconstructedSignal, pipeline
@@ -122,7 +122,7 @@ def monte_carlo_delay_std(
     v0 = pair.visibility_v0
     rng = np.random.default_rng(seed)
     tau_op = quadrature_delay(pair)
-    p_true = quantum_coincidence_probability(pair, tau_op)
+    p_true = fringe_probability(pair, tau_op)
     k = rng.binomial(n_pairs, p_true, size=n_trials)
     if calibration_pairs is not None:
         k_cal = rng.binomial(calibration_pairs, 0.5, size=n_trials)
@@ -325,13 +325,27 @@ def run_frequency_sweep(
 @dataclass(frozen=True)
 class AdvantageCondition:
     """One channel state plus the per-channel exposures that equalise
-    the detected-event budget against the reference condition."""
+    the detected-event budget against the reference condition.
+
+    A loss or background outside [0, 1), or an exposure that is not
+    positive and finite, is a ConfigError.
+    """
 
     label: str
     loss_b: float
     background_fraction: float
     t_exp_quantum: float
     t_exp_classical: float
+
+    def __post_init__(self) -> None:
+        for name in ("loss_b", "background_fraction"):
+            value = getattr(self, name)
+            if not 0 <= value < 1:
+                raise ConfigError(f"{name} must lie in [0, 1), got {value}")
+        for name in ("t_exp_quantum", "t_exp_classical"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,7 @@ from .core import (
     GeometryFactor,
     PhotonPairSpec,
     SPEED_OF_LIGHT,
-    classical_port_probability,
-    quantum_coincidence_probability,
+    fringe_probability,
 )
 from .errors import ConfigError
 
@@ -46,6 +45,9 @@ DEFAULT_TICK = 100e-12
 # candidates, pure tone and square wave), so the cap keeps one draw
 # within about 1 GiB.
 _MAX_CANDIDATES = 2.2e7
+
+# Ticks are int64, so an exposure spans fewer than 2^63 of them.
+_MAX_TICKS = 2.0**63
 
 
 @dataclass(frozen=True)
@@ -326,7 +328,8 @@ class TimestampStream:
         if ticks.size:
             if ticks[0] < 0:
                 raise ConfigError("ticks must be non-negative")
-            if np.any(np.diff(ticks) < 0):
+            # np.diff would wrap across the int64 range; a comparison cannot.
+            if np.any(ticks[1:] < ticks[:-1]):
                 raise ConfigError("ticks must be sorted ascending")
             if ticks[-1] * self.tick_duration >= self.t_exp:
                 raise ConfigError("ticks must fall inside [0, t_exp)")
@@ -356,6 +359,34 @@ class FluxPair:
     bound_2: float
 
 
+def _fringe_fluxes(
+    fringe: PhotonPairSpec | ClassicalFringeSpec,
+    signal: VibrationSignal,
+    geometry: GeometryFactor,
+    scale_1: float,
+    scale_2: float,
+    offset: float,
+) -> FluxPair:
+    """Fluxes scale_1 * P + offset and scale_2 * (1 - P) + offset, P the fringe at the delay."""
+
+    def flux_1(t):
+        p = fringe_probability(fringe, signal.delay(t, geometry))
+        p *= scale_1
+        p += offset
+        return p
+
+    def flux_2(t):
+        # (p - 1) * -k is (1 - p) * k exactly, since negation is exact and
+        # subtraction rounds symmetrically; unlike 1 - p it works in place.
+        p = fringe_probability(fringe, signal.delay(t, geometry))
+        p -= 1.0
+        p *= -scale_2
+        p += offset
+        return p
+
+    return FluxPair(flux_1, flux_2, bound_1=scale_1 + offset, bound_2=scale_2 + offset)
+
+
 def quantum_fluxes(pair: PhotonPairSpec, signal: VibrationSignal, channel: ChannelModel) -> FluxPair:
     """Coincidence / anti-coincidence fluxes for the entangled channel.
 
@@ -364,29 +395,9 @@ def quantum_fluxes(pair: PhotonPairSpec, signal: VibrationSignal, channel: Chann
     The accidental flux rides on both streams.
     """
     survival = 1.0 - channel.loss_b
-    acc = channel.accidental_flux
-    g = channel.geometry
-
-    def flux_c(t):
-        p = quantum_coincidence_probability(pair, signal.delay(t, g))
-        p *= survival * channel.rate_c
-        p += acc
-        return p
-
-    def flux_a(t):
-        # (p - 1) * -k is (1 - p) * k exactly, since negation is exact and
-        # subtraction rounds symmetrically; unlike 1 - p it works in place.
-        p = quantum_coincidence_probability(pair, signal.delay(t, g))
-        p -= 1.0
-        p *= -(survival * channel.rate_a)
-        p += acc
-        return p
-
-    return FluxPair(
-        flux_1=flux_c,
-        flux_2=flux_a,
-        bound_1=survival * channel.rate_c + acc,
-        bound_2=survival * channel.rate_a + acc,
+    return _fringe_fluxes(
+        pair, signal, channel.geometry,
+        survival * channel.rate_c, survival * channel.rate_a, channel.accidental_flux,
     )
 
 
@@ -406,21 +417,7 @@ def classical_fluxes(
     scale = channel.singles_rate * (1.0 + r_eff) / 2.0
     b = channel.background_fraction
     bg = (b / (1.0 - b)) * scale / 2.0  # flat flux per port
-    g = channel.geometry
-
-    def flux_1(t):
-        p = classical_port_probability(eff, signal.delay(t, g), 1)
-        p *= scale
-        p += bg
-        return p
-
-    def flux_2(t):
-        p = classical_port_probability(eff, signal.delay(t, g), 2)
-        p *= scale
-        p += bg
-        return p
-
-    return FluxPair(flux_1=flux_1, flux_2=flux_2, bound_1=scale + bg, bound_2=scale + bg)
+    return _fringe_fluxes(eff, signal, channel.geometry, scale, scale, bg)
 
 
 # ----- sampling -----
@@ -446,12 +443,20 @@ def sample_inhomogeneous_poisson(
     are thinned. One min/max pass over them clears a valid flux; only when
     it fails do three checks, in turn, name a value that is not finite,
     negative or above the bound, as a ConfigError. A violation between
-    candidates goes unseen.
+    candidates goes unseen. A tick that is not positive and finite, or
+    that leaves t_exp / tick_duration at or above 2^63 (no int64 tick
+    count), is a ConfigError before any draw.
     """
     if not bound > 0:
         raise ConfigError("bound must be positive")
     if not t_exp > 0:
         raise ConfigError("t_exp must be positive")
+    if not (tick_duration > 0 and math.isfinite(tick_duration)):
+        raise ConfigError(f"tick_duration must be positive and finite, got {tick_duration}")
+    if not t_exp / tick_duration < _MAX_TICKS:
+        raise ConfigError(
+            f"t_exp / tick_duration must stay below 2^63 ticks, got {t_exp / tick_duration:.3g}"
+        )
     if bound * t_exp > _MAX_CANDIDATES:
         raise ConfigError("bound * t_exp too large to sample (%.3g candidates)" % (bound * t_exp))
     if isinstance(rng, (int, np.integer)):

@@ -310,6 +310,25 @@ def test_refused_classical_simulate_leaves_no_output_directory(tmp_path, monkeyp
     assert not (tmp_path / "y").exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    # 100 s at 1 as is 1e20 ticks, past what an int64 tick can count.
+    ("t_exp = 100 s\ntick = 1 as",
+     "t_exp / tick_duration must stay below 2^63 ticks, got 1e+20"),
+    ("t_exp = 1000 s", "bound * t_exp too large to sample (1.9e+08 candidates)"),
+])
+def test_refused_draw_leaves_no_output_directory(tmp_path, monkeypatch, capsys, edit, message):
+    # The output directory is made once both streams are drawn.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tone.ini").write_text(INI_TEXT.replace("t_exp = 1 s", edit))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "-c", "tone.ini", "--out", "y"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+    assert not (tmp_path / "y").exists()
+
+
 def test_signal_component_refusal_names_the_line_and_the_key():
     text = "[signal]\nkind = multi_tone\ncomponent_1 = 0 Hz | 20 nm\n"
     with pytest.raises(ConfigError) as exc:
@@ -593,7 +612,8 @@ def test_cli_qcrb_rejects_bad_counts_before_drawing(capsys):
     # oversized pair count, non-finite calibration factor), a
     # RuntimeWarning (zero pairs) or a 745 GiB allocation (1e11 trials).
     # A negative calibration factor is no multiple of n_pairs (0 means a
-    # known ratio). Each must be a config error, raised before any draw.
+    # known ratio); 1e308 or 1e15 of the 10000 default pairs is no int64
+    # count. Each must be a config error, raised before any draw.
     cases = (
         ["--n-pairs", "-5"],
         ["--n-pairs", "0"],
@@ -601,12 +621,17 @@ def test_cli_qcrb_rejects_bad_counts_before_drawing(capsys):
         ["--trials", "100000000000"],
         ["--calibration-factor", "inf"],
         ["--calibration-factor", "-1"],
+        ["--calibration-factor", "1e308"],
+        ["--calibration-factor", "1e15"],
     )
     for args in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["qcrb", *args]) == 2, args
-        assert capsys.readouterr().err.startswith("config error"), args
+        err = capsys.readouterr().err
+        assert err.startswith("config error"), args
+        if args[0] == "--calibration-factor":
+            assert "calibration_factor" in err, args
 
 
 def test_cli_estimate_rejects_non_finite_ratio(tmp_path, capsys):
@@ -641,15 +666,18 @@ ZERO_NM = "amplitude_pp must be positive, got 0.0 m"
 ])
 def test_cli_rejects_empty_square_wave(tmp_path, capsys, command, text, message):
     # A zero fundamental or amplitude leaves the square wave without a
-    # component; it is refused before any exposure runs. A [signal] value
-    # is named by file and key, as every config builder names it.
+    # component; it is refused before any exposure runs. The value is named
+    # by file and key, as every config builder names it.
     cfg = tmp_path / "square.ini"
     cfg.write_text(text)
     assert main([command, "-c", str(cfg), "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    where = f"{cfg}: [signal] {message.split()[0]}: " if command == "simulate" else ""
-    assert captured.err == f"config error: {where}square wave {message}\n"
+    key = message.split()[0]
+    where = f"[signal] {key}" if command == "simulate" else (
+        f"[advantage] {key.replace('frequency', 'fundamental')}"
+    )
+    assert captured.err == f"config error: {cfg}: {where}: square wave {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -717,7 +745,26 @@ def test_cli_advantage_rejects_full_loss(tmp_path, capsys):
         cfg.write_text(f"[advantage]\nexperiment = loss\nvalues = {values}\n")
         assert main(["advantage", "-c", str(cfg)]) == 2, values
         err = capsys.readouterr().err
-        assert err.startswith("config error: loss must lie in [0, 1)"), (values, err)
+        prefix = f"config error: {cfg}: [advantage] values: loss must lie in [0, 1)"
+        assert err.startswith(prefix), (values, err)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("experiment = background\nvalues = 0 | 1",
+     "values: background_fraction must lie in [0, 1), got 1.0"),
+    ("experiment = loss\ntarget_pairs = 0",
+     "target_pairs: t_exp_quantum must be positive and finite, got 0.0"),
+])
+def test_advantage_refusals_name_the_file_and_the_key(tmp_path, monkeypatch, capsys, text,
+                                                      message):
+    # Refused before any exposure is drawn, as every other builder's values are.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adv.ini").write_text(f"[advantage]\n{text}\n")
+    assert main(["advantage", "-c", "adv.ini", "--out", "adv.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: adv.ini: [advantage] {message}\n"
+    assert not (tmp_path / "adv.json").exists()
 
 
 SWEEP_INI = INI_TEXT + """

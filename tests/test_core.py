@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +9,8 @@ from qvibe.core import (
     GeometryFactor,
     PhotonPairSpec,
     SPEED_OF_LIGHT,
-    classical_port_probability,
+    fringe_probability,
     quadrature_delay,
-    quantum_coincidence_probability,
 )
 from qvibe.errors import ConfigError
 
@@ -27,22 +27,22 @@ def test_quadrature_delay_and_fringe_period():
 
 def test_probability_at_quadrature_is_half():
     pair = PhotonPairSpec(delta_omega=DETUNING, visibility_v0=0.93)
-    p = quantum_coincidence_probability(pair, quadrature_delay(pair))
+    p = fringe_probability(pair, quadrature_delay(pair))
     assert abs(p - 0.5) < 1e-12
 
 
 def test_probability_extremes_at_zero_delay():
     pair = PhotonPairSpec(delta_omega=DETUNING, visibility_v0=1.0, sigma=0.0)
-    assert quantum_coincidence_probability(pair, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert fringe_probability(pair, 0.0) == pytest.approx(0.0, abs=1e-15)
     half_period = math.pi / pair.delta_omega
-    assert quantum_coincidence_probability(pair, half_period) == pytest.approx(1.0, abs=1e-12)
+    assert fringe_probability(pair, half_period) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_envelope_bounds_fringe_contrast():
     pair = PhotonPairSpec(delta_omega=DETUNING, visibility_v0=0.9)
     rng = np.random.default_rng(3)
     tau = rng.uniform(-5e-13, 5e-13, 200)
-    p = quantum_coincidence_probability(pair, tau)
+    p = fringe_probability(pair, tau)
     envelope = 0.5 * 0.9 * np.exp(-2.0 * (pair.sigma * tau) ** 2)
     assert np.all(np.abs(p - 0.5) <= envelope + 1e-15)
     assert np.all((p >= 0) & (p <= 1))
@@ -64,22 +64,31 @@ def test_classical_visibility_value():
 
 
 def test_classical_ports_sum_to_one():
+    # Port 1 is the fringe's first stream, (1 + V cos(omega tau + phi)) / 2 with
+    # no envelope; port 2 is its complement, so the two sum to one at any delay.
     fringe = ClassicalFringeSpec(
         omega_optical=2 * math.pi * SPEED_OF_LIGHT / 1550e-9,
         arm_intensity_ratio=0.4,
         phase_offset=-math.pi / 2,
     )
     tau = np.linspace(-2e-15, 2e-15, 101)
-    p1 = classical_port_probability(fringe, tau, 1)
-    p2 = classical_port_probability(fringe, tau, 2)
-    assert np.allclose(p1 + p2, 1.0, atol=1e-12)
-    assert np.all((p1 >= 0) & (p1 <= 1))
+    p1 = fringe_probability(fringe, tau)
+    p2 = 1.0 - p1
+    closed = 0.5 * (1.0 + fringe.visibility * np.cos(fringe.omega_optical * tau - math.pi / 2))
+    assert np.allclose(p1, closed, rtol=0, atol=1e-15)
+    assert np.all((p1 >= 0) & (p1 <= 1) & (p2 >= 0) & (p2 <= 1))
+    assert p1.max() - p1.min() == pytest.approx(fringe.visibility, rel=1e-3)
 
 
-def test_classical_port_validation():
+def test_classical_fringe_has_no_envelope():
+    # sigma is a class value of the classical spec, like its polarity, not a field.
     fringe = ClassicalFringeSpec(omega_optical=1.2e15)
-    with pytest.raises(ValueError):
-        classical_port_probability(fringe, 0.0, 3)
+    assert fringe.sigma == 0.0
+    assert "sigma" not in {f.name for f in dataclasses.fields(fringe)}
+    with pytest.raises(TypeError):
+        ClassicalFringeSpec(omega_optical=1.2e15, sigma=1.0)
+    period = 2 * math.pi / fringe.omega
+    assert fringe_probability(fringe, 1e6 * period) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_pair_spec_validation():

@@ -16,6 +16,7 @@ from qvibe.core import GeometryFactor, PhotonPairSpec, quadrature_delay
 from qvibe.errors import AnalysisError, ConfigError
 from qvibe.estimate import AnalysisOptions
 from qvibe.metrology import (
+    AdvantageCondition,
     TrialScenario,
     _map_indexed,
     _worker_count,
@@ -232,6 +233,17 @@ def test_matched_exposures_frozen():
     assert matched_exposures(600_000, 200e3, 1.2e6, 0.0) == (3.0, 1.0)
     assert matched_exposures(600_000, 200e3, 1.2e6, 0.87) == (23.0, 1.8)
     assert matched_exposures(300_000, 7.5e3, 150e3, 0.0) == (40.0, 4.0)
+
+
+def test_advantage_conditions_refuse_what_no_exposure_runs():
+    good = dict(label="x", loss_b=0.0, background_fraction=0.0, t_exp_quantum=1.0,
+                t_exp_classical=1.0)
+    AdvantageCondition(**good)
+    for name, value in (("loss_b", 1.0), ("loss_b", -0.1), ("background_fraction", 1.0),
+                        ("t_exp_quantum", 0.0), ("t_exp_classical", math.inf),
+                        ("t_exp_classical", math.nan)):
+        with pytest.raises(ConfigError, match=f"^{name} must "):
+            AdvantageCondition(**{**good, name: value})
 
 
 def test_match_odd_harmonics_filters_even_and_excess():

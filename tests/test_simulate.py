@@ -9,8 +9,7 @@ from qvibe.core import (
     ClassicalFringeSpec,
     GeometryFactor,
     PhotonPairSpec,
-    classical_port_probability,
-    quantum_coincidence_probability,
+    fringe_probability,
 )
 from qvibe.errors import ConfigError
 from qvibe.simulate import (
@@ -235,10 +234,9 @@ def test_in_place_fluxes_match_the_one_expression_forms_bit_for_bit():
         p = 0.5 * (1.0 - pair.visibility_v0 * np.cos(pair.delta_omega * tau) * envelope)
         return p if p.ndim else float(p)
 
-    def p_port(spec, tau, port):
+    def p_port(spec, tau):
         tau = np.asarray(tau, dtype=float)
-        f = spec.visibility * np.cos(spec.omega_optical * tau + spec.phase_offset)
-        p = 0.5 * (1.0 + f) if port == 1 else 0.5 * (1.0 - f)
+        p = 0.5 * (1.0 + spec.visibility * np.cos(spec.omega_optical * tau + spec.phase_offset))
         return p if p.ndim else float(p)
 
     survival, acc = 1.0 - ch.loss_b, ch.accidental_flux
@@ -249,8 +247,8 @@ def test_in_place_fluxes_match_the_one_expression_forms_bit_for_bit():
     expected = {
         "quantum": (lambda t: survival * ch.rate_c * p_quantum(delay(t)) + acc,
                     lambda t: survival * ch.rate_a * (1.0 - p_quantum(delay(t))) + acc),
-        "classical": (lambda t: scale * p_port(eff, delay(t), 1) + bg,
-                      lambda t: scale * p_port(eff, delay(t), 2) + bg),
+        "classical": (lambda t: scale * p_port(eff, delay(t)) + bg,
+                      lambda t: scale * (1.0 - p_port(eff, delay(t))) + bg),
     }
     actual = {
         "quantum": quantum_fluxes(pair, sig, ch),
@@ -266,9 +264,8 @@ def test_in_place_fluxes_match_the_one_expression_forms_bit_for_bit():
         same(sig.displacement(t), displacement(t))
         same(sig.delay(t, g), delay(t))
         for tau in (delay(t), np.asarray(delay(t)), -2.0e-15):
-            same(quantum_coincidence_probability(pair, tau), p_quantum(tau))
-            for port in (1, 2):
-                same(classical_port_probability(eff, tau, port), p_port(eff, tau, port))
+            same(fringe_probability(pair, tau), p_quantum(tau))
+            same(fringe_probability(eff, tau), p_port(eff, tau))
         if np.ndim(t):
             for mode, fx in actual.items():
                 same(fx.flux_1(t), expected[mode][0](t))
@@ -287,6 +284,14 @@ def test_stream_validation():
         TimestampStream("coincidence", [-1], 1e-10, 1.0)
     with pytest.raises(ConfigError):
         TimestampStream("coincidence", [10**10], 1e-10, 1.0)  # tick lands at t_exp
+
+
+def test_stream_order_check_does_not_wrap():
+    # np.diff of these ticks wraps to non-negative steps on int64; a wrapped
+    # cast from an over-fine tick looks like this.
+    ticks = [0, 2**63 - 1, -(2**63)]
+    with pytest.raises(ConfigError, match="sorted ascending"):
+        TimestampStream("coincidence", ticks, 1e-18, 100.0)
 
 
 def test_stream_times_and_centering():
@@ -392,6 +397,31 @@ def test_sampler_candidate_cap():
     # would pass 1 GiB, so it is refused before anything is allocated.
     with pytest.raises(ConfigError, match="too large to sample"):
         sample_inhomogeneous_poisson(flat_flux(2.3e7), 2.3e7, 1.0, rng=1)
+
+
+@pytest.mark.parametrize("tick, t_exp, message", [
+    (0.0, 1.0, "tick_duration must be positive and finite"),
+    (-1e-10, 1.0, "tick_duration must be positive and finite"),
+    (math.nan, 1.0, "tick_duration must be positive and finite"),
+    (math.inf, 1.0, "tick_duration must be positive and finite"),
+    (1e-18, 100.0, "below 2\\^63 ticks, got 1e\\+20"),
+    (1.0, 2.0**63, "below 2\\^63 ticks"),
+])
+def test_sampler_refuses_a_tick_without_an_int64_count(tick, t_exp, message):
+    # 100 s at 1 as is 1e20 ticks, past int64: cast, the ticks would wrap to
+    # -2^63. The tick is refused before the flux is read or a number drawn.
+    rng = np.random.default_rng(9)
+    state = rng.bit_generator.state
+
+    def flux(t):
+        raise AssertionError("flux read")
+
+    with pytest.raises(ConfigError, match=message):
+        sample_inhomogeneous_poisson(flux, 1e-3, t_exp, rng, tick_duration=tick)
+    assert rng.bit_generator.state == state
+    # Just below 2^63 ticks the exposure is drawn.
+    t_exp = float(np.nextafter(2.0**63, 0.0)) * 1e-18
+    assert sample_inhomogeneous_poisson(flat_flux(1e-3), 1e-3, t_exp, 9, 1e-18).t_exp == t_exp
 
 
 def test_tick_quantisation():
