@@ -48,7 +48,6 @@ from .metrology import (
 from .simulate import (
     ChannelModel,
     ClassicalRun,
-    GroundTruth,
     QuantumRun,
     SignalComponent,
     TimestampStream,

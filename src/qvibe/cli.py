@@ -12,6 +12,8 @@ Subcommands map one-to-one onto the library drivers:
 Exit codes: 0 success, 2 configuration problem, 3 file/stream problem,
 4 analysis could not proceed. All output is deterministic for a fixed
 configuration and seed: floats print via repr and JSON keys are sorted.
+``estimate --format json|csv`` and ``sweep`` print only the record or the
+table on stdout; their ``wrote ...`` notices go to stderr.
 """
 
 from __future__ import annotations
@@ -91,20 +93,19 @@ def cmd_simulate(args) -> int:
     tick = cfg.get("run", "tick", DEFAULT_TICK)
     binary = args.binary or cfg.get("run", "binary", False)
     if mode == "quantum":
-        run = simulate_quantum_run(fringe, signal, channel, t_exp, seed, tick)
-        streams = ((run.coincidences, "coincidence"), (run.anticoincidences, "anticoincidence"))
+        simulate, names = simulate_quantum_run, ("coincidence", "anticoincidence")
     else:
-        run = simulate_classical_run(fringe, signal, channel, t_exp, seed, tick)
-        streams = ((run.port1, "port1"), (run.port2, "port2"))
+        simulate, names = simulate_classical_run, ("port1", "port2")
+    run = simulate(fringe, signal, channel, t_exp, seed, tick)
     out = _outdir(args)  # only once both streams are drawn, so a refusal leaves none
     write = write_stream_binary if binary else write_stream_text
     ext = ".bin" if binary else ".txt"
-    for stream, name in streams:
+    for stream, name in zip(run, names):
         path = out / (name + ext)
         write(stream, path)
         print(f"wrote {path} ({len(stream)} events)")
     truth_path = out / "ground_truth.json"
-    write_ground_truth(run.truth, truth_path)
+    write_ground_truth(signal, channel.geometry, truth_path)
     print(f"wrote {truth_path}")
     print(f"mode={mode} t_exp={_fmt(t_exp)} seed={seed}")
     return 0
@@ -136,12 +137,14 @@ def cmd_estimate(args) -> int:
     )
     spectrum, recon = result.spectrum, result.reconstruction
     if args.out:
+        # A json or csv stdout carries only the record or the table.
+        notices = sys.stdout if args.format == "human" else sys.stderr
         out = _outdir(args)
         (out / "spectrum.csv").write_text(spectrum.to_csv())
-        print(f"wrote {out / 'spectrum.csv'}")
+        print(f"wrote {out / 'spectrum.csv'}", file=notices)
         if recon is not None:
             recon.to_json(out / "reconstruction.json")
-            print(f"wrote {out / 'reconstruction.json'}")
+            print(f"wrote {out / 'reconstruction.json'}", file=notices)
     if args.format == "csv":
         sys.stdout.write(spectrum.to_csv())
         return 0
@@ -251,7 +254,7 @@ def cmd_sweep(args) -> int:
     sys.stdout.write(table)
     if args.out:
         Path(args.out).write_text(table)
-        print(f"wrote {args.out}")
+        print(f"wrote {args.out}", file=sys.stderr)  # stdout carries only the table
     return 0
 
 

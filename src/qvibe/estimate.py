@@ -124,18 +124,35 @@ def project_timestamps(stream: TimestampStream, frequency, window: str = "hann")
     a binned Taylor transform whose truncation stays below 1e-13 of
     sum |w| / t_exp, the same size as the rounding of the event phases.
     """
-    t, w = _weighted_times(stream, window)
     freqs = np.asarray(frequency, dtype=float)
-    df = _uniform_from_zero(freqs)
-    if df is None:
-        p = _project_direct(t, w, stream.t_exp, freqs)
-        return complex(p) if freqs.ndim == 0 else p
-    return _project_grid([(t, w, 1.0)], stream.t_exp, df, freqs.size)
+    p = _project([(*_weighted_times(stream, window), 1.0)], stream.t_exp, freqs)
+    return complex(p) if freqs.ndim == 0 else p
 
 
 def _weighted_times(stream: TimestampStream, window: str):
     t = stream.centered_times()
     return t, window_weights(t, stream.t_exp, window)
+
+
+def _weighted_parts(stream_c, stream_a, ratio: float, window: str) -> list:
+    """The checked pair as projection parts (t, w, scale), with scales 1 and -ratio."""
+    _check_pair(stream_c, stream_a, ratio)
+    pair = ((stream_c, 1.0), (stream_a, -ratio))
+    return [(*_weighted_times(stream, window), scale) for stream, scale in pair]
+
+
+def _project(parts, t_exp: float, freqs: np.ndarray) -> np.ndarray:
+    """Sum over ``parts`` (t, w, scale) of scale times the projection at ``freqs``.
+
+    A uniform grid k * df from 0 goes through one grid transform over all
+    parts (``_project_grid``); any other frequencies take the direct event
+    sum of each part.
+    """
+    df = _uniform_from_zero(freqs)
+    if df is not None:
+        return _project_grid(parts, t_exp, df, freqs.size)
+    direct = [scale * _project_direct(t, w, t_exp, freqs) for t, w, scale in parts]
+    return sum(direct[1:], direct[0])
 
 
 def _project_direct(
@@ -224,10 +241,10 @@ def _project_grid(parts, t_exp: float, df: float, m: int) -> np.ndarray:
     return out * np.exp((-1j * math.pi / n) * np.arange(m)) / t_exp
 
 
-def _series_terms(theta: float, lead: float = 1.0) -> int:
-    """The first p with lead * theta^p / p! < 1e-14."""
+def _series_terms(theta: float, lead: float = 1.0, tol: float = 1e-14) -> int:
+    """The first p with lead * theta^p / p! < tol."""
     p, bound = 0, lead  # bound = lead * theta^p / p!
-    while bound >= 1e-14:
+    while bound >= tol:
         p += 1
         bound *= theta / p
     return p
@@ -238,7 +255,6 @@ def _economised_terms(theta: float) -> int:
     return _series_terms(theta / 2.0, 2.0)
 
 
-@functools.lru_cache(maxsize=None)
 def _economisation(kept: int, terms: int) -> np.ndarray:
     """The (kept, terms - kept) matrix that folds u^d, kept <= d < terms, into u^q, q < kept.
 
@@ -267,7 +283,6 @@ def _economisation(kept: int, terms: int) -> np.ndarray:
                     numer[i] += weight * c
         for q, c in enumerate(numer):
             fold[q, d - kept] = c / (1 << (2 * d - q))  # exact integers, one rounding
-    fold.flags.writeable = False  # one array for every caller
     return fold
 
 
@@ -391,20 +406,18 @@ def _uniform_from_zero(freqs: np.ndarray) -> float | None:
     if df <= 0:
         return None
     # The grid transform evaluates at k * df, so accept only rounding-level
-    # departures from it; anything else takes the direct sum.
-    if np.allclose(freqs, np.arange(freqs.size) * df, rtol=1e-15, atol=0.0):
+    # departures from it; anything else, NaN included, takes the direct sum.
+    k_df = np.arange(freqs.size) * df
+    if np.all(np.abs(freqs - k_df) <= 1e-15 * k_df):  # df > 0, so k_df >= 0
         return float(df)
     return None
 
 
-def _check_compatible(s1: TimestampStream, s2: TimestampStream) -> None:
-    if s1.t_exp != s2.t_exp or s1.tick_duration != s2.tick_duration:
-        raise ConfigError("streams must share t_exp and tick_duration")
-
-
-def _check_ratio(ratio: float) -> None:
+def _check_pair(stream_c: TimestampStream, stream_a: TimestampStream, ratio: float) -> None:
     if not 0 < ratio < math.inf:
         raise ConfigError(f"ratio must be positive and finite, got {ratio}")
+    if stream_c.t_exp != stream_a.t_exp or stream_c.tick_duration != stream_a.tick_duration:
+        raise ConfigError("streams must share t_exp and tick_duration")
 
 
 def combined_spectrum(
@@ -419,16 +432,8 @@ def combined_spectrum(
     On a uniform grid from 0 both streams go through one grid transform,
     their binned moments combined before each FFT.
     """
-    _check_ratio(ratio)
-    _check_compatible(stream_c, stream_a)
-    freqs = np.asarray(frequencies, dtype=float)
-    df = _uniform_from_zero(freqs)
-    if df is None:
-        pc = project_timestamps(stream_c, freqs, window)
-        pa = project_timestamps(stream_a, freqs, window)
-        return pc - ratio * pa
-    parts = [(*_weighted_times(stream_c, window), 1.0), (*_weighted_times(stream_a, window), -ratio)]
-    return _project_grid(parts, stream_c.t_exp, df, freqs.size)
+    parts = _weighted_parts(stream_c, stream_a, ratio, window)
+    return _project(parts, stream_c.t_exp, np.asarray(frequencies, dtype=float))
 
 
 def detection_threshold(
@@ -448,20 +453,18 @@ def detection_threshold(
     For a rectangular window that power estimate reduces to the plain
     counts N_C + ratio^2 N_A.
     """
-    _check_ratio(ratio)
-    _check_compatible(stream_c, stream_a)
-    weights = [window_weights(s.centered_times(), s.t_exp, window) for s in (stream_c, stream_a)]
-    return _threshold(zip(weights, (1.0, ratio)), stream_c.t_exp, p_fa, n_bins)
+    parts = _weighted_parts(stream_c, stream_a, ratio, window)
+    return _threshold(parts, stream_c.t_exp, p_fa, n_bins)
 
 
-def _threshold(weighted, t_exp: float, p_fa: float, n_bins: int) -> float:
-    """``detection_threshold`` for streams given as (window weights, scale) pairs."""
+def _threshold(parts, t_exp: float, p_fa: float, n_bins: int) -> float:
+    """``detection_threshold`` for streams given as ``_weighted_parts`` (t, w, scale)."""
     if not 0 < p_fa < 1:
         raise ConfigError("p_fa must lie in (0, 1)")
     if n_bins < 1:
         raise ConfigError("n_bins must be >= 1")
     power, events = 0.0, 0
-    for w, scale in weighted:
+    for _, w, scale in parts:
         power += scale * scale * float(np.sum(w * w))
         events += w.size
     if events == 0:
@@ -523,15 +526,15 @@ def scan_spectrum(
 
     The spectrum is ``combined_spectrum`` on ``frequency_grid(t_exp, f_max)``
     and the threshold ``detection_threshold`` for that grid, both with the
-    Hann window; each stream's window weights are computed once for both.
+    Hann window: the scan makes the calls those two make (``_weighted_parts``,
+    then ``_project`` and ``_threshold``), with each stream's window weights
+    computed once for both.
     """
     t_exp = stream_c.t_exp
     freqs = frequency_grid(t_exp, f_max)
-    _check_ratio(ratio)
-    _check_compatible(stream_c, stream_a)
-    parts = [(*_weighted_times(stream_c, "hann"), 1.0), (*_weighted_times(stream_a, "hann"), -ratio)]
-    kappa = _threshold([(w, scale) for _, w, scale in parts], t_exp, p_fa, freqs.size)
-    y = _project_grid(parts, t_exp, grid_spacing(t_exp), freqs.size)
+    parts = _weighted_parts(stream_c, stream_a, ratio, "hann")
+    kappa = _threshold(parts, t_exp, p_fa, freqs.size)
+    y = _project(parts, t_exp, freqs)
     detected = _group_detections(freqs, np.abs(y), kappa)
     return SpectrumEstimate(
         frequencies=freqs,
@@ -584,11 +587,7 @@ def _offset_moments(
     """
     h = stream.t_exp / 2.0
     g = h / segments
-    x = 2.0 * math.pi * delta_f * g
-    n_terms, bound = 0, 1.0  # bound = x^p / p! at p = n_terms, the first term left out
-    while bound >= 1e-16:
-        n_terms += 1
-        bound *= x / n_terms
+    n_terms = _series_terms(2.0 * math.pi * delta_f * g, tol=1e-16)
     moments = np.empty((segments, n_terms), dtype=complex)
     # Real (N, 2) view of the phasor e^(-2j pi f_seed t), so each moment is
     # one matrix-vector product.
@@ -713,8 +712,7 @@ def estimate_component(
     """
     t_exp = stream_c.t_exp
     delta_f = grid_spacing(t_exp)
-    _check_ratio(ratio)
-    _check_compatible(stream_c, stream_a)
+    _check_pair(stream_c, stream_a, ratio)
     h = t_exp / 2.0
     segments = _segment_count(max(len(stream_c), len(stream_a)))
     m_c = _offset_moments(stream_c, f_seed, delta_f, segments)
@@ -843,11 +841,10 @@ def reconstruct(
     components = tuple(components)
     if not components:
         raise ValueError("reconstruction needs at least one component")
-    _check_ratio(ratio)
+    _check_pair(stream_c, stream_a, ratio)
     contrast = fringe.contrast
     if not 0 < contrast <= 1:
         raise ConfigError("fringe contrast must lie in (0, 1]")
-    _check_compatible(stream_c, stream_a)
     t_exp = stream_c.t_exp
     a0_c = len(stream_c) / t_exp
     a0_a = len(stream_a) / t_exp

@@ -208,8 +208,7 @@ def _exposure(
         seed, scenario.tick_duration,
     )
     result = pipeline(
-        run.coincidences,
-        run.anticoincidences,
+        *run,
         fringe=scenario.pair,
         geometry=scenario.channel.geometry,
         ratio=scenario.true_ratio(),
@@ -460,18 +459,17 @@ def run_advantage_experiment(
             setup.fringe, signal_c, ch_c, cond.t_exp_classical, base_seed + 2 * i + 1
         )
         recon_c = pipeline(
-            run_c.port1, run_c.port2, fringe=setup.fringe, geometry=ch_c.geometry, ratio=1.0,
-            options=setup.options,
+            *run_c, fringe=setup.fringe, geometry=ch_c.geometry, ratio=1.0, options=setup.options
         ).reconstruction
         pp_q, harm_q = score(recon_q)
         pp_c, harm_c = score(recon_c)
         return AdvantageOutcome(
             condition=cond,
-            truth_pp=run_q.truth.displacement_pp(cond.t_exp_quantum),
+            truth_pp=signal_q.peak_to_peak(cond.t_exp_quantum),
             quantum_pp=pp_q,
             classical_pp=pp_c,
-            quantum_events=len(run_q.coincidences) + len(run_q.anticoincidences),
-            classical_events=len(run_c.port1) + len(run_c.port2),
+            quantum_events=sum(map(len, run_q)),
+            classical_events=sum(map(len, run_c)),
             quantum_harmonics=harm_q,
             classical_harmonics=harm_c,
         )

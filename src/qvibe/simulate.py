@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -489,39 +489,24 @@ def sample_inhomogeneous_poisson(
 # ----- run drivers -----
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """What the simulator actually played, kept for accuracy scoring."""
-
-    signal: VibrationSignal
-    geometry: GeometryFactor
-
-    def displacement_pp(self, duration: float) -> float:
-        return self.signal.peak_to_peak(duration)
-
-
-@dataclass(frozen=True)
-class QuantumRun:
+class QuantumRun(NamedTuple):
     coincidences: TimestampStream
     anticoincidences: TimestampStream
-    truth: GroundTruth
 
 
-@dataclass(frozen=True)
-class ClassicalRun:
+class ClassicalRun(NamedTuple):
     port1: TimestampStream
     port2: TimestampStream
-    truth: GroundTruth
 
 
 def _simulate_run(run_type, fluxes, fringe, signal, channel, t_exp, seed, tick):
-    """Draw ``fluxes(fringe, signal, channel)`` as ``run_type(stream_1, stream_2, truth)``.
+    """Draw ``fluxes(fringe, signal, channel)`` as ``run_type(stream_1, stream_2)``.
 
     Each stream gets its own child generator of the run seed and its tag from
     ``fringe.stream_tags``, so a run is reproducible from (configuration, seed).
     """
     fx = fluxes(fringe, signal, channel)
-    s1, s2 = (
+    return run_type(*(
         sample_inhomogeneous_poisson(flux, bound, t_exp, np.random.default_rng(seq), tick, tag)
         for flux, bound, seq, tag in zip(
             (fx.flux_1, fx.flux_2),
@@ -529,8 +514,7 @@ def _simulate_run(run_type, fluxes, fringe, signal, channel, t_exp, seed, tick):
             np.random.SeedSequence(seed).spawn(2),
             fringe.stream_tags,
         )
-    )
-    return run_type(s1, s2, GroundTruth(signal, channel.geometry))
+    ))
 
 
 def simulate_quantum_run(

@@ -25,8 +25,9 @@ tag byte, reserved padding, then tick duration and exposure as
 little-endian float64 seconds) followed by the ticks as little-endian
 uint64. The event count is implied by the file size.
 
-Ground truth is written as JSON with the waveform component list, the
-operating delay, and the geometry factor; the package never reads it back.
+Ground truth is written as JSON from the signal a run played and its
+geometry factor: the waveform component list, the operating delay, and g.
+The package never reads it back.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ from typing import NoReturn
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .core import GeometryFactor
 from .errors import StreamFormatError
-from .simulate import STREAM_TAGS, GroundTruth, TimestampStream
+from .simulate import STREAM_TAGS, TimestampStream, VibrationSignal
 
 _TEXT_MAGIC = "qvibe-ts"
 _TEXT_VERSION = "v1"
@@ -249,14 +251,14 @@ def read_stream(path: str | Path) -> TimestampStream:
     return read_stream_text(path)
 
 
-def write_ground_truth(truth: GroundTruth, path: str | Path) -> None:
+def write_ground_truth(signal: VibrationSignal, geometry: GeometryFactor, path: str | Path) -> None:
     doc = {
         "components": [
             {"f": c.frequency, "app": c.amplitude_pp, "phase": c.phase}
-            for c in truth.signal.components
+            for c in signal.components
         ],
-        "tau_op": truth.signal.dc_offset_delay,
-        "g": truth.geometry.g,
+        "tau_op": signal.dc_offset_delay,
+        "g": geometry.g,
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 

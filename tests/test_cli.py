@@ -787,7 +787,9 @@ def test_cli_sweep_table_and_point_cap(tmp_path, capsys):
     table = tmp_path / "sweep.csv"
     assert main(["sweep", "-c", str(cfg), "--out", str(table)]) == 0
     lines = table.read_text().splitlines()
-    assert capsys.readouterr().out.startswith("\n".join(lines))
+    captured = capsys.readouterr()
+    assert captured.out == table.read_text()  # the notice goes to stderr, not into the table
+    assert captured.err == f"wrote {table}\n"
     assert lines[0] == "f_nominal,f_true,detected,f_hat,rel_offset,pp_hat"
     rows = [line.split(",") for line in lines[1:]]
     assert [row[0] for row in rows] == ["10.0", "20.0", "30.0"]
@@ -845,6 +847,30 @@ def test_cli_spectrum_csv_to_stdout(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "f_hz,re_y,im_y,abs_y,kappa"
     assert len(lines) == 335  # header plus the 334-bin grid
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_machine_readable_estimate_keeps_notices_off_stdout(tmp_path, capsys, fmt):
+    cfg = write_tone_config(tmp_path, seed=614)
+    out = tmp_path / "s"
+    assert main(["simulate", "-c", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main([
+        "estimate",
+        str(out / "coincidence.txt"),
+        str(out / "anticoincidence.txt"),
+        "-c", str(cfg),
+        "--out", str(out),
+        "--format", fmt,
+    ])
+    assert code == 0
+    captured = capsys.readouterr()
+    if fmt == "json":
+        assert json.loads(captured.out) == json.loads((out / "reconstruction.json").read_text())
+    else:
+        assert captured.out == (out / "spectrum.csv").read_text()
+        assert len(captured.out.splitlines()) == 335  # header plus the 334-bin grid
+    assert captured.err == f"wrote {out / 'spectrum.csv'}\nwrote {out / 'reconstruction.json'}\n"
 
 
 @pytest.mark.parametrize("name, content", [

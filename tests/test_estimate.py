@@ -473,16 +473,29 @@ def test_threshold_validation():
         detection_threshold(empty_c, empty_a, 1.0, "hann", 1e-3, 100)
 
 
+def _scan_cases():
+    """(stream_c, stream_a, ratio) at three ratios, and with an empty A stream."""
+    sc, sa = constant_pair_of_streams(5_000, 2.0)
+    empty = TimestampStream("anticoincidence", np.array([], dtype=np.int64), TICK, 2.0)
+    return [(sc, sa, ratio) for ratio in (0.3, 1.0, 1.7)] + [(sc, empty, 1.0)]
+
+
 def test_scan_threshold_is_bitwise_detection_threshold():
     # The scan reuses its projection's window weights for the threshold;
     # the result must be the standalone threshold's, bit for bit.
-    sc, sa = constant_pair_of_streams(5_000, 2.0)
-    empty = TimestampStream("anticoincidence", np.array([], dtype=np.int64), TICK, 2.0)
-    cases = [(sc, sa, ratio) for ratio in (0.3, 1.0, 1.7)] + [(sc, empty, 1.0)]
-    for stream_c, stream_a, ratio in cases:
+    for stream_c, stream_a, ratio in _scan_cases():
         est = scan_spectrum(stream_c, stream_a, ratio, p_fa=1e-3, f_max=400.0)
         kappa = detection_threshold(stream_c, stream_a, ratio, "hann", 1e-3, est.frequencies.size)
         assert est.threshold_kappa.hex() == kappa.hex(), (len(stream_a), ratio)
+
+
+def test_scan_projections_are_bitwise_combined_spectrum():
+    # The benchmark's oracle checks combined_spectrum on the scan grid, so
+    # that call must give the scan's own projections, bit for bit.
+    for stream_c, stream_a, ratio in _scan_cases():
+        est = scan_spectrum(stream_c, stream_a, ratio, p_fa=1e-3, f_max=400.0)
+        y = combined_spectrum(stream_c, stream_a, ratio, frequency_grid(stream_c.t_exp, 400.0))
+        assert est.projections.tobytes() == y.tobytes(), (len(stream_a), ratio)
 
 
 def test_group_detections_collapses_runs_and_skips_dc():

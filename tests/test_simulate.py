@@ -447,7 +447,7 @@ def test_quantum_run_determinism_and_rates():
     for stream, rate in ((run1.coincidences, 50e3), (run1.anticoincidences, 50e3)):
         n = len(stream)
         assert abs(n - 0.5 * rate * 0.5) < 5 * math.sqrt(0.5 * rate * 0.5)
-    assert run1.truth.displacement_pp(0.5) == pytest.approx(20e-9, rel=1e-3)
+    assert sig.peak_to_peak(0.5) == pytest.approx(20e-9, rel=1e-3)
 
 
 def test_classical_run_port_rates():

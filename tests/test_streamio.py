@@ -10,7 +10,7 @@ import pytest
 from qvibe.config import parse_quantity
 from qvibe.core import GeometryFactor
 from qvibe.errors import ConfigError, StreamFormatError
-from qvibe.simulate import GroundTruth, TimestampStream, VibrationSignal
+from qvibe.simulate import TimestampStream, VibrationSignal
 from qvibe.streamio import (
     read_stream,
     read_stream_binary,
@@ -133,7 +133,7 @@ def test_binary_corruption(tmp_path):
 def test_ground_truth_round_trip(tmp_path):
     sig = VibrationSignal.square_wave(10.0, 55e-9, dc_offset_delay=1.41e-15)
     path = tmp_path / "truth.json"
-    write_ground_truth(GroundTruth(sig, GeometryFactor(2)), path)
+    write_ground_truth(sig, GeometryFactor(2), path)
     doc = json.loads(path.read_text())
     assert doc["g"] == 2
     assert doc["tau_op"] == 1.41e-15
