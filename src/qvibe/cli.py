@@ -219,17 +219,18 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if cfg.has("run", "tick"):
         raise ConfigError(
-            f"[run] tick is not read by sweep, which samples at the {_fmt(DEFAULT_TICK)} s tick"
+            f"{cfg.source}: [run] tick is not read by sweep,"
+            f" which samples at the {_fmt(DEFAULT_TICK)} s tick"
         )
     start = cfg.get("sweep", "start")
     stop = cfg.get("sweep", "stop")
     step = cfg.get("sweep", "step")
     if step <= 0 or stop < start:
-        raise ConfigError("[sweep] needs stop >= start and step > 0")
+        raise ConfigError(f"{cfg.source}: [sweep] needs stop >= start and step > 0")
     span = (stop * (1.0 + 1e-12) - start) / step
     if not span < _MAX_SWEEP_POINTS:
         raise ConfigError(
-            f"[sweep] start, stop and step give more than {_MAX_SWEEP_POINTS} points"
+            f"{cfg.source}: [sweep] start, stop and step give more than {_MAX_SWEEP_POINTS} points"
         )
     freqs = [start + i * step for i in range(math.floor(span) + 1)]
     points = run_frequency_sweep(

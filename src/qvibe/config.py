@@ -284,8 +284,6 @@ def _parse_json(text: str, source: str) -> dict[str, dict[str, object]]:
         doc = json.loads(text, object_pairs_hook=tuple)
     except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise ConfigError(f"{source}: invalid JSON: {exc}") from None
-    if not isinstance(doc, tuple):
-        raise ConfigError(f"{source}: top level must be an object")
     sections: dict[str, dict[str, object]] = {}
     for flat_key, value in doc:
         if "." not in flat_key:

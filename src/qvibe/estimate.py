@@ -11,10 +11,11 @@ The pipeline works directly on event times, never on a rate histogram:
    FFT per series term, whose mirror image gives the grid bins above half
    the fold; the series is the phasor's Taylor series economised onto
    Chebyshev polynomials, so it needs fewer terms for the same accuracy,
-   and its coefficient table is cached per grid and fold; its values are
-   the event sums themselves, up to a truncation below 1e-13 of
-   sum |w| / t_exp (see ``_project_grid``, ``_series_table`` and
-   ``_fold_size``),
+   and the last grid's coefficient table is kept; each stream is one part
+   (t, w) of event times and signed weights, A's window weights times
+   -ratio, and the transform's values are the event sums themselves, up
+   to a truncation below 1e-13 of sum |w| / t_exp (see ``_project_grid``,
+   ``_series_table`` and ``_fold_size``),
 2. threshold |y_f| against a constant-false-alarm level computed from
    the events themselves, from the window weights the projection used,
 3. collapse contiguous above-threshold bins to candidate frequencies and
@@ -58,8 +59,6 @@ import cmath
 import functools
 import json
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -125,7 +124,7 @@ def project_timestamps(stream: TimestampStream, frequency, window: str = "hann")
     sum |w| / t_exp, the same size as the rounding of the event phases.
     """
     freqs = np.asarray(frequency, dtype=float)
-    p = _project([(*_weighted_times(stream, window), 1.0)], stream.t_exp, freqs)
+    p = _project([_weighted_times(stream, window)], stream.t_exp, freqs)
     return complex(p) if freqs.ndim == 0 else p
 
 
@@ -135,14 +134,15 @@ def _weighted_times(stream: TimestampStream, window: str):
 
 
 def _weighted_parts(stream_c, stream_a, ratio: float, window: str) -> list:
-    """The checked pair as projection parts (t, w, scale), with scales 1 and -ratio."""
+    """The checked pair as projection parts (t, w): C's window weights, A's times -ratio."""
     _check_pair(stream_c, stream_a, ratio)
-    pair = ((stream_c, 1.0), (stream_a, -ratio))
-    return [(*_weighted_times(stream, window), scale) for stream, scale in pair]
+    (t_c, w_c), (t_a, w_a) = (_weighted_times(s, window) for s in (stream_c, stream_a))
+    w_a *= -ratio
+    return [(t_c, w_c), (t_a, w_a)]
 
 
 def _project(parts, t_exp: float, freqs: np.ndarray) -> np.ndarray:
-    """Sum over ``parts`` (t, w, scale) of scale times the projection at ``freqs``.
+    """Sum over ``parts`` (t, w) of the projection of times t, weights w, at ``freqs``.
 
     A uniform grid k * df from 0 goes through one grid transform over all
     parts (``_project_grid``); any other frequencies take the direct event
@@ -151,7 +151,7 @@ def _project(parts, t_exp: float, freqs: np.ndarray) -> np.ndarray:
     df = _uniform_from_zero(freqs)
     if df is not None:
         return _project_grid(parts, t_exp, df, freqs.size)
-    direct = [scale * _project_direct(t, w, t_exp, freqs) for t, w, scale in parts]
+    direct = [_project_direct(t, w, t_exp, freqs) for t, w in parts]
     return sum(direct[1:], direct[0])
 
 
@@ -168,10 +168,10 @@ def _project_direct(
 
 
 def _project_grid(parts, t_exp: float, df: float, m: int) -> np.ndarray:
-    """Exact sum over parts of scale * projection on the grid k * df, k < m.
+    """Exact sum over parts of the projection on the grid k * df, k < m.
 
-    ``parts`` is a sequence of (t, w, scale): centred event times, their
-    window weights and the factor the part's projection enters with.
+    ``parts`` is a sequence of (t, w): centred event times and their signed
+    weights, the window weights times the factor the part enters with.
     Every grid phasor has period 1/df, so the events are folded onto n
     bins per period, a power of two from m rounded up that ``_fold_size``
     picks by cost from m and the event count. For an event in bin c at
@@ -181,20 +181,20 @@ def _project_grid(parts, t_exp: float, df: float, m: int) -> np.ndarray:
 
     a polynomial in u of ``_series_table``'s Q terms, within about 1e-14
     of the phasor for every k < m. Term p is then the rfft X_p of the
-    per-bin moments sum scale * w u^p, binned over all parts before the
-    one rfft, so two streams with equal bins and scales +1, -1 cancel to
-    exactly 0. The moments are real, so a bin n/2 < k < m past the rfft's
-    last one reads X_p[k] = conj(X_p[n - k]): the rfft writes the head of
-    one buffer, and those bins are mirrored into its tail; a grid of at
-    most n/2 + 1 bins has no tail and reads the rfft's bins in place.
+    per-bin moments sum w u^p, binned over all parts before the one rfft,
+    so two streams with equal bins and weights w, -w cancel to exactly 0.
+    The moments are real, so a bin n/2 < k < m past the rfft's last one
+    reads X_p[k] = conj(X_p[n - k]): the rfft writes the head of one
+    buffer, and those bins are mirrored into its tail; a grid of at most
+    n/2 + 1 bins has no tail and reads the rfft's bins in place.
     c_kp is s_kp for even p and -i s_kp for odd p, with s_kp real (row p
     of the table): each term adds s_kp times the rfft's real and
     imaginary parts to the real and imaginary sums (swapped, and one
     negated, for odd p), and no complex coefficient is formed.
     """
-    n = _fold_size(m, sum(t.size for t, _, _ in parts))
-    folded = []  # (bins, u, w, scale) per part with events
-    for t, w, scale in parts:
+    n = _fold_size(m, sum(t.size for t, _ in parts))
+    folded = []  # (bins, u, w) per part with events
+    for t, w in parts:
         if not t.size:
             continue  # it adds nothing, and np.bincount would bin it as integers
         x = t * (df * n)
@@ -202,11 +202,11 @@ def _project_grid(parts, t_exp: float, df: float, m: int) -> np.ndarray:
         x -= cell
         x -= 0.5
         # n is a power of two, so & (n - 1) is mod n, negative cells included.
-        folded.append((cell.astype(np.int64) & (n - 1), x, np.asarray(w, dtype=float), scale))
+        folded.append((cell.astype(np.int64) & (n - 1), x, np.asarray(w, dtype=float)))
     out = np.zeros(m, dtype=complex)
     if not folded:
         return out
-    moments = [np.empty(u.size) for _, u, _, _ in folded]  # w u^p per part, p >= 1
+    moments = [np.empty(u.size) for _, u, _ in folded]  # w u^p per part, p >= 1
     re, im = out.real, out.imag
     term = np.empty(m)
     half = n // 2 + 1  # rfft bins
@@ -218,11 +218,10 @@ def _project_grid(parts, t_exp: float, df: float, m: int) -> np.ndarray:
     for p, s in enumerate(_series_table(m, n)):
         odd = p % 2
         binned = None
-        for (bins, u, w, scale), moment in zip(folded, moments):
+        for (bins, u, w), moment in zip(folded, moments):
             if p:
                 np.multiply(w if p == 1 else moment, u, out=moment)
             part = np.bincount(bins, moment if p else w, minlength=n)
-            part *= scale
             if binned is None:
                 binned = part
             else:
@@ -287,8 +286,7 @@ def _economisation(kept: int, terms: int) -> np.ndarray:
 
 
 _TABLE_BYTES = 32 << 20
-_tables: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()  # least recently used first
-_tables_lock = threading.Lock()
+_table: tuple[tuple[int, int], np.ndarray | None] = ((0, 0), None)  # the last kept (m, n) table
 
 
 def _series_table(m: int, n: int) -> np.ndarray:
@@ -311,16 +309,14 @@ def _series_table(m: int, n: int) -> np.ndarray:
     (theta near pi). Where Q = D nothing is folded, and the rows are the
     recurrence's Taylor coefficients bit for bit.
 
-    Tables are cached by (m, n) while their sizes sum to at most
-    _TABLE_BYTES, the least recently used dropped first; a larger table
-    is built for each call and not kept.
+    One table is kept, the last one built of at most _TABLE_BYTES, and one
+    assignment replaces it, so threads need no lock: a scan keeps one grid,
+    and a table over _TABLE_BYTES is built for each call.
     """
-    key = (m, n)
-    with _tables_lock:
-        table = _tables.get(key)
-        if table is not None:
-            _tables.move_to_end(key)
-            return table
+    global _table
+    key, table = _table
+    if key == (m, n):
+        return table
     theta = math.pi * (m - 1) / n
     terms, kept = _series_terms(theta), _economised_terms(theta)
     table, dropped = np.empty((kept, m)), np.empty((terms - kept, m))
@@ -341,12 +337,7 @@ def _series_table(m: int, n: int) -> np.ndarray:
                 row += step
     table.flags.writeable = False
     if table.nbytes <= _TABLE_BYTES:
-        with _tables_lock:
-            _tables[key] = table
-            _tables.move_to_end(key)
-            held = sum(t.nbytes for t in _tables.values())
-            while held > _TABLE_BYTES:
-                held -= _tables.popitem(last=False)[1].nbytes
+        _table = ((m, n), table)
     return table
 
 
@@ -458,16 +449,13 @@ def detection_threshold(
 
 
 def _threshold(parts, t_exp: float, p_fa: float, n_bins: int) -> float:
-    """``detection_threshold`` for streams given as ``_weighted_parts`` (t, w, scale)."""
+    """``detection_threshold`` for ``_weighted_parts`` (t, w): noise power sum w^2 over both."""
     if not 0 < p_fa < 1:
         raise ConfigError("p_fa must lie in (0, 1)")
     if n_bins < 1:
         raise ConfigError("n_bins must be >= 1")
-    power, events = 0.0, 0
-    for _, w, scale in parts:
-        power += scale * scale * float(np.sum(w * w))
-        events += w.size
-    if events == 0:
+    power = sum(float(np.sum(w * w)) for _, w in parts)
+    if not sum(w.size for _, w in parts):
         raise AnalysisError("cannot set a threshold from two empty streams")
     # Per-bin false-alarm level, computed in log space for small p_fa.
     alpha_1 = -math.expm1(math.log1p(-p_fa) / n_bins)

@@ -147,15 +147,13 @@ def monte_carlo_delay_std(
 # ----- repeated trials on one scenario -----
 
 
-def _worker_count(max_workers: int | None) -> int:
-    return 1 if max_workers is None else max(1, int(max_workers))
-
-
 def _map_indexed(fn, n: int, max_workers: int | None) -> list:
-    workers = _worker_count(max_workers)
-    if workers == 1:
+    """[fn(0), ..., fn(n - 1)] on max_workers threads; None runs serially."""
+    if max_workers is None or max_workers == 1:
         return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    if max_workers < 1:
+        raise ConfigError(f"max_workers must be at least 1, got {max_workers}")
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(fn, range(n)))
 
 

@@ -16,6 +16,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qvibe
@@ -34,7 +35,8 @@ from qvibe.config import (
 )
 from qvibe.core import SPEED_OF_LIGHT, quadrature_delay
 from qvibe.errors import ConfigError
-from qvibe.simulate import SignalComponent
+from qvibe.simulate import SignalComponent, TimestampStream
+from qvibe.streamio import write_stream_text
 
 
 # ----- quantity parsing -----
@@ -176,6 +178,9 @@ def test_json_config_equivalent_to_ini():
     cfg_ini = parse_config(INI_TEXT)
     assert build_pair(cfg_json) == build_pair(cfg_ini)
     assert cfg_json.get("run", "seed") == 611
+    # A JSON boolean reads as the INI's true or false.
+    for flag in (True, False):
+        assert parse_config(json.dumps({"run.binary": flag})).get("run", "binary") is flag
 
 
 def test_json_config_rejections(tmp_path, capsys):
@@ -185,8 +190,13 @@ def test_json_config_rejections(tmp_path, capsys):
         parse_config(json.dumps({"seed": 1}))
     # A JSON array does not sniff as JSON (no leading brace); it falls
     # through to the INI parser and is rejected there.
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"unknown section \[1, 2\]"):
         parse_config("[1, 2]")
+    # A list value, and a key of an unknown section, are refused.
+    with pytest.raises(ConfigError, match=r"run\.seed: value must be a string or number"):
+        parse_config(json.dumps({"run.seed": [1, 2]}))
+    with pytest.raises(ConfigError, match=r"unknown section \[volume\]"):
+        parse_config(json.dumps({"volume.level": 11}))
     # Dimensioned quantities must be strings carrying their unit even in
     # JSON; a bare number is ambiguous and is refused.
     with pytest.raises(ConfigError):
@@ -216,6 +226,8 @@ def test_build_pair_default_and_wavelengths():
     pair = build_pair(Config({}))
     assert abs(pair.delta_omega - 2 * math.pi * 177e12) < 1e-3
     assert pair.visibility_v0 == 1.0
+    # sigma is a bandwidth in Hz, kept as an angular frequency.
+    assert build_pair(parse_config("[pair]\nsigma = 1 THz\n")).sigma == 2 * math.pi * 1e12
     cfg = parse_config("[pair]\nlambda_1 = 810 nm\nlambda_2 = 1550 nm\n")
     pair_wl = build_pair(cfg)
     expected = 2 * math.pi * SPEED_OF_LIGHT * abs(1 / 810e-9 - 1 / 1550e-9)
@@ -279,6 +291,7 @@ LIBRARY_REFUSALS = [
      "[channel] geometry: geometry factor must be 1 or 2, got 3"),
     ("quantum", "[pair]\nvisibility = 1.5\n", "[pair] visibility: visibility_v0 must lie in (0, 1]"),
     ("quantum", "[pair]\ndetuning = 0 Hz\n", "[pair] detuning: delta_omega must be positive"),
+    ("quantum", "[pair]\nsigma = -1 THz\n", "[pair] sigma: sigma must be non-negative"),
     ("quantum", "[channel]\nrate_c = 190 kHz\nloss = 1\n", "[channel] loss: loss_b must lie in [0, 1)"),
     ("classical", "[classical]\narm_ratio = 2\n",
      "[classical] arm_ratio: arm_intensity_ratio must lie in [0, 1]"),
@@ -467,6 +480,43 @@ def test_cli_exit_codes(tmp_path, capsys):
     empty2.write_text("qvibe-ts v1 anticoincidence 100 1.0 0\n")
     assert main(["estimate", str(empty1), str(empty2), "-c", str(good_cfg)]) == 4
     capsys.readouterr()
+
+
+def _write_uniform_streams(tmp_path, t_exps=(1.0, 1.0)):
+    """Signal-free coincidence and anticoincidence text streams of 2000 events each."""
+    rng = np.random.default_rng(5)
+    paths = []
+    for tag, t_exp in zip(("coincidence", "anticoincidence"), t_exps):
+        ticks = np.sort(rng.integers(0, round(t_exp / 1e-10), 2000))
+        path = tmp_path / f"{tag}.txt"
+        write_stream_text(TimestampStream(tag, ticks, 1e-10, t_exp), path)
+        paths.append(str(path))
+    return paths
+
+
+def test_cli_estimate_without_detection(tmp_path, capsys):
+    # Signal-free streams: the scan reports no component, and no
+    # reconstruction.json is written, in either format.
+    cfg = write_tone_config(tmp_path)
+    streams = _write_uniform_streams(tmp_path)
+    out = tmp_path / "est"
+    assert main(["estimate", *streams, "-c", str(cfg), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"wrote {out / 'spectrum.csv'}"
+    assert lines[1].startswith("scanned 334 bins up to 199.79999999999998 Hz, threshold ")
+    assert lines[2:] == ["no components detected"]
+    assert main(["estimate", *streams, "-c", str(cfg), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"detected": False}
+    assert sorted(path.name for path in out.iterdir()) == ["spectrum.csv"]
+
+
+def test_cli_estimate_refuses_streams_of_different_exposures(tmp_path, capsys):
+    cfg = write_tone_config(tmp_path)
+    streams = _write_uniform_streams(tmp_path, t_exps=(1.0, 2.0))
+    assert main(["estimate", *streams, "-c", str(cfg), "--out", str(tmp_path / "est")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: streams must share t_exp and tick_duration\n"
 
 
 def test_cli_rejects_unbounded_scan_grid(tmp_path, capsys):
@@ -767,6 +817,38 @@ def test_advantage_refusals_name_the_file_and_the_key(tmp_path, monkeypatch, cap
     assert not (tmp_path / "adv.json").exists()
 
 
+def test_cli_advantage_prints_and_writes_each_condition(tmp_path, capsys):
+    cfg = tmp_path / "loss.ini"
+    cfg.write_text("[advantage]\nexperiment = loss\ntarget_pairs = 100000\n")
+    out = tmp_path / "loss.json"
+    assert main(["advantage", "-c", str(cfg), "--out", str(out)]) == 0
+    records = json.loads(out.read_text())
+    # Each record holds its condition's fields beside the two channels' results.
+    assert [r["label"] for r in records] == ["loss=0", "loss=0.87"]
+    assert [r["loss_b"] for r in records] == [0.0, 0.87]
+    condition = {"label", "loss_b", "background_fraction", "t_exp_quantum", "t_exp_classical"}
+    for r in records:
+        assert set(r) == condition | {
+            "truth_pp", "quantum_pp", "classical_pp", "quantum_events", "classical_events",
+            "quantum_harmonics", "classical_harmonics",
+        }
+        assert r["background_fraction"] == 0.0
+        assert abs(r["quantum_events"] - 100_000) < 4 * math.sqrt(100_000)
+    # stdout is one three-line block per condition, then the notice.
+    expected = []
+    for r in records:
+        expected += [
+            f"{r['label']}: events q={r['quantum_events']} c={r['classical_events']}"
+            f" truth_pp={r['truth_pp']!r}",
+            f"  quantum pp={r['quantum_pp']!r} recovery={r['quantum_pp'] / r['truth_pp']!r}"
+            f" harmonics={len(r['quantum_harmonics'])}",
+            f"  classical pp={r['classical_pp']!r}"
+            f" recovery={r['classical_pp'] / r['truth_pp']!r}"
+            f" harmonics={len(r['classical_harmonics'])}",
+        ]
+    assert capsys.readouterr().out.splitlines() == expected + [f"wrote {out}"]
+
+
 SWEEP_INI = INI_TEXT + """
 [sweep]
 start = 10 Hz
@@ -827,7 +909,24 @@ def test_cli_sweep_refuses_tick(tmp_path, capsys):
     assert main(["sweep", "-c", str(cfg), "--out", str(tmp_path / "sweep.csv")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("config error: [run] tick is not read by sweep")
+    assert captured.err.startswith(f"config error: {cfg}: [run] tick is not read by sweep")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("stop = 30 Hz", "stop = 5 Hz"), "[sweep] needs stop >= start and step > 0"),
+    (("step = 10 Hz", "step = 0 Hz"), "[sweep] needs stop >= start and step > 0"),
+    (("stop = 30 Hz", "stop = 100010 Hz"),
+     "[sweep] start, stop and step give more than 10000 points"),
+])
+def test_cli_sweep_refuses_bad_ranges(tmp_path, capsys, edit, message):
+    # Refused before any exposure, naming the file as every section does.
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(SWEEP_INI.replace(*edit))
+    assert main(["sweep", "-c", str(cfg), "--out", str(tmp_path / "sweep.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {cfg}: {message}\n"
     assert not (tmp_path / "sweep.csv").exists()
 
 

@@ -11,7 +11,6 @@ import json
 import math
 import sys
 import tracemalloc
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
@@ -397,26 +396,27 @@ def test_series_table_is_the_taylor_recurrence_when_no_degree_is_dropped():
 
 
 def test_series_tables_kept_within_the_byte_budget(monkeypatch):
-    monkeypatch.setattr("qvibe.estimate._tables", OrderedDict())
-    tables = qvibe.estimate._tables
+    monkeypatch.setattr("qvibe.estimate._table", ((0, 0), None))
     budget = qvibe.estimate._TABLE_BYTES
     sweep = _series_table(183_334, 1 << 18)  # 18 x 183,334 doubles, 25.2 MiB
-    assert list(tables) == [(183_334, 1 << 18)] and sweep.nbytes <= budget
+    key, kept = qvibe.estimate._table
+    assert key == (183_334, 1 << 18) and kept is sweep and sweep.nbytes <= budget
     assert _series_table(183_334, 1 << 18) is sweep
     assert not sweep.flags.writeable
-    # Two more tables overflow the budget: the least recently used goes.
+    # Another shape takes the one slot; the first is then built anew.
     small = _series_table(334, 1 << 10)
-    _series_table(60_000, 1 << 16)
-    assert sum(t.nbytes for t in tables.values()) <= budget
-    assert list(tables) == [(334, 1 << 10), (60_000, 1 << 16)]
+    key, kept = qvibe.estimate._table
+    assert key == (334, 1 << 10) and kept is small
     assert _series_table(334, 1 << 10) is small
     # A table over the budget by itself is built but not kept.
     big = _series_table(300_000, 1 << 19)
-    assert big.nbytes > budget and (300_000, 1 << 19) not in tables
-    assert list(tables) == [(60_000, 1 << 16), (334, 1 << 10)]
-    # More threads than cores, switching often, share the cache: each gets
-    # the table of its shape, and the cache ends within budget.
-    monkeypatch.setattr("qvibe.estimate._tables", OrderedDict())
+    assert big.nbytes > budget and not big.flags.writeable
+    assert qvibe.estimate._table[1] is small
+    again = _series_table(183_334, 1 << 18)
+    assert again is not sweep and np.array_equal(again, sweep)
+    # More threads than cores, switching often, share the one slot: each
+    # gets the table of its shape, and the slot ends holding one of them.
+    monkeypatch.setattr("qvibe.estimate._table", ((0, 0), None))
     shapes = [(183_334, 1 << 18), (60_000, 1 << 16), (334, 1 << 10), (4000, 1 << 13)] * 4
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -429,8 +429,9 @@ def test_series_tables_kept_within_the_byte_budget(monkeypatch):
     for shape, table in zip(shapes, got):
         assert table.shape[1] == shape[0]
         assert np.array_equal(table, got[shapes.index(shape)]), shape
-    held = qvibe.estimate._tables
-    assert sum(t.nbytes for t in held.values()) <= budget
+    (m, n), held = qvibe.estimate._table
+    assert (m, n) in shapes and held.nbytes <= budget
+    assert held.shape == (_economised_terms(math.pi * (m - 1) / n), m)
 
 
 def test_threshold_rectangular_closed_form():

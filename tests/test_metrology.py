@@ -19,7 +19,6 @@ from qvibe.metrology import (
     AdvantageCondition,
     TrialScenario,
     _map_indexed,
-    _worker_count,
     background_advantage_setup,
     loss_advantage_setup,
     match_odd_harmonics,
@@ -279,10 +278,21 @@ def test_advantage_experiment_smoke():
 # ----- worker plumbing -----
 
 
-def test_worker_count_override():
-    assert _worker_count(None) == 1
-    assert _worker_count(2) == 2
-    assert _worker_count(0) == 1
+def test_worker_count_below_one_is_refused():
+    # None runs serially; a count below 1 is refused before any work, by
+    # the library as by the CLI's --threads.
+    assert _map_indexed(lambda i: i * i, 3, None) == [0, 1, 4]
+    calls = []
+    scenario = TrialScenario(
+        PAIR, quadrature_tone(20e-9), ChannelModel(rate_c=2e3, rate_a=2e3), 1.0,
+        AnalysisOptions(f_max=200.0),
+    )
+    for workers in (0, -3):
+        with pytest.raises(ConfigError, match=f"max_workers must be at least 1, got {workers}"):
+            _map_indexed(calls.append, 3, workers)
+        with pytest.raises(ConfigError, match="max_workers must be at least 1"):
+            run_amplitude_trials(scenario, 3, base_seed=7000, max_workers=workers)
+    assert calls == []
 
 
 def test_map_indexed_parallel_matches_serial():

@@ -132,11 +132,11 @@ def folded_event_sum(parts, t_exp, df, m, n):
     n-point FFT; at 4k bins that rounding alone reaches 1e-12 of sum |w|,
     so this oracle sums over the same x, with the phase e^(-2j pi k x / n)
     reduced exactly: k floor(x) mod n in integers plus k (x - floor(x)).
-    Returns the sum and its scale, sum |scale w| / t_exp.
+    Returns the sum and its scale, sum |w| / t_exp.
     """
     exact = np.zeros(m, dtype=complex)
     total = 0.0
-    for t, w, scale in parts:
+    for t, w in parts:
         x = t * (df * n)
         cell = np.floor(x)
         whole, frac = cell.astype(np.int64), x - cell
@@ -144,8 +144,8 @@ def folded_event_sum(parts, t_exp, df, m, n):
         for k0 in range(0, m, rows):
             k = np.arange(k0, min(m, k0 + rows))
             phase = (np.outer(k, whole) % n + np.outer(k, frac)) * (-2.0 * math.pi / n)
-            exact[k] += scale * (np.cos(phase) @ w + 1j * (np.sin(phase) @ w)) / t_exp
-        total += abs(scale) * np.sum(np.abs(w)) / t_exp
+            exact[k] += (np.cos(phase) @ w + 1j * (np.sin(phase) @ w)) / t_exp
+        total += np.sum(np.abs(w)) / t_exp
     return exact, total
 
 
@@ -158,8 +158,8 @@ def test_grid_transform_matches_the_event_sum(t1, t2, m, window, ratio):
     parts = []
     for tick_list, scale in ((t1, 1.0), (t2, -ratio)):
         t = stream(tick_list).centered_times()
-        parts.append((t, window_weights(t, T_EXP, window), scale))
-    n = _fold_size(m, sum(t.size for t, _, _ in parts))  # the fold _project_grid takes
+        parts.append((t, scale * window_weights(t, T_EXP, window)))
+    n = _fold_size(m, sum(t.size for t, _ in parts))  # the fold _project_grid takes
     y = _project_grid(parts, T_EXP, df, m)
     exact, total = folded_event_sum(parts, T_EXP, df, m, n)
     assert np.max(np.abs(y - exact)) <= 1e-13 * total
@@ -176,7 +176,7 @@ def test_grid_transform_matches_the_event_sum_on_an_event_heavy_grid(monkeypatch
     parts = []
     for size, scale in ((100_000, 1.0), (100_000, -0.8)):
         t = np.sort(rng.integers(0, 10**10, size)) * 1e-10 - t_exp / 2
-        parts.append((t, window_weights(t, t_exp, "hann"), scale))
+        parts.append((t, scale * window_weights(t, t_exp, "hann")))
     picked, largest = _fold_size(m, 200_000), _fold_size(m, 10**12)
     assert 1024 < picked <= largest
     for n, every in ((picked, 1), (largest, 10)):
@@ -187,7 +187,7 @@ def test_grid_transform_matches_the_event_sum_on_an_event_heavy_grid(monkeypatch
             return n
 
         monkeypatch.setattr("qvibe.estimate._fold_size", fold)
-        some = [(t[::every], w[::every], scale) for t, w, scale in parts]
+        some = [(t[::every], w[::every]) for t, w in parts]
         y = _project_grid(some, t_exp, df, m)
         assert asked == [(m, 200_000 // every)]
         exact, total = folded_event_sum(some, t_exp, df, m, n)
@@ -205,8 +205,8 @@ def test_grid_transform_reads_the_mirrored_bins_at_the_smallest_fold(monkeypatch
     parts = []
     for size, scale in ((3_000, 1.0), (2_000, -0.7)):
         t = np.sort(rng.integers(0, 10**10, size)) * 1e-10 - t_exp / 2
-        parts.append((t, window_weights(t, t_exp, "hann"), scale))
-    empty = (np.array([]), np.array([]), -0.7)
+        parts.append((t, scale * window_weights(t, t_exp, "hann")))
+    empty = (np.array([]), np.array([]))
     assert _series_terms(math.pi * (n - 1) / n) == 27
     assert _economised_terms(math.pi * (n - 1) / n) == 20
     assert _series_table(n, n).shape == (20, n)
@@ -215,7 +215,7 @@ def test_grid_transform_reads_the_mirrored_bins_at_the_smallest_fold(monkeypatch
         for some in (parts, [parts[0], empty], [empty, parts[1]]):
             y = _project_grid(some, t_exp, df, m)
             exact, total = folded_event_sum(some, t_exp, df, m, n)
-            assert np.max(np.abs(y - exact)) <= 1e-13 * total, (m, [t.size for t, _, _ in some])
+            assert np.max(np.abs(y - exact)) <= 1e-13 * total, (m, [t.size for t, _ in some])
 
 
 POWER_OF_TEN_UNITS = {
