@@ -35,6 +35,7 @@ from .config import (
     build_options,
     build_pair,
     build_signal,
+    build_tick,
     load_config,
 )
 from .errors import AnalysisError, ConfigError, StreamFormatError
@@ -90,7 +91,7 @@ def cmd_simulate(args) -> int:
     signal = build_signal(cfg, pair, mode)
     t_exp = cfg.get("run", "t_exp", 1.0)
     seed = _seed_of(args, cfg)
-    tick = cfg.get("run", "tick", DEFAULT_TICK)
+    tick = build_tick(cfg, t_exp)  # refused before the draw, by key
     binary = args.binary or cfg.get("run", "binary", False)
     if mode == "quantum":
         simulate, names = simulate_quantum_run, ("coincidence", "anticoincidence")
@@ -178,13 +179,14 @@ def cmd_trials(args) -> int:
     pair = build_pair(cfg)
     channel = build_channel(cfg)
     signal = build_signal(cfg, pair, "quantum")
+    t_exp = cfg.get("run", "t_exp", 1.0)
     scenario = TrialScenario(
         pair=pair,
         signal=signal,
         channel=channel,
-        t_exp=cfg.get("run", "t_exp", 1.0),
+        t_exp=t_exp,
         options=build_options(cfg, {"p_fa": args.p_fa, "f_max": args.f_max}),
-        tick_duration=cfg.get("run", "tick", DEFAULT_TICK),
+        tick_duration=build_tick(cfg, t_exp),
     )
     n_trials = args.trials if args.trials is not None else cfg.get("run", "trials", 10)
     stats = run_amplitude_trials(scenario, n_trials, _seed_of(args, cfg), _threads_of(args))

@@ -34,7 +34,7 @@ from .core import (
 from .errors import ConfigError
 from .estimate import AnalysisOptions
 from .metrology import AdvantageSetup, background_advantage_setup, loss_advantage_setup
-from .simulate import ChannelModel, SignalComponent, VibrationSignal
+from .simulate import DEFAULT_TICK, ChannelModel, SignalComponent, VibrationSignal, _check_tick
 from .streamio import _EXACT
 
 # Time, frequency and length units are decimal exponents: the number is
@@ -143,17 +143,17 @@ _CHOICES = {
 _MISSING = object()
 
 
-def _kind_of(section: str, key: str) -> str:
+def _kind_of(section: str, key: str, where: str) -> str:
     try:
         keys = _SCHEMA[section]
     except KeyError:
-        raise ConfigError(f"unknown section [{section}]") from None
+        raise ConfigError(f"{where}: unknown section [{section}]") from None
     if section == "signal" and re.fullmatch(r"component_\d+", key):
         return "component"
     try:
         return keys[key]
     except KeyError:
-        raise ConfigError(f"unknown key {key!r} in section [{section}]") from None
+        raise ConfigError(f"{where}: unknown key {key!r} in section [{section}]") from None
 
 
 def parse_quantity(text: str, kind: str, where: str):
@@ -222,7 +222,7 @@ def parse_quantity(text: str, kind: str, where: str):
 
 def _parse_value(section: str, key: str, text: str, where: str):
     """Type one value by the schema; a text key must hold one of its choices."""
-    value = parse_quantity(text, _kind_of(section, key), where)
+    value = parse_quantity(text, _kind_of(section, key, where), where)
     choices = _CHOICES.get((section, key))
     if choices is not None and value not in choices:
         raise ConfigError(f"{where}: expected one of {', '.join(choices)}, got {value!r}")
@@ -415,6 +415,20 @@ def build_geometry(cfg: Config, default: int = 2) -> GeometryFactor:
 def build_channel(cfg: Config) -> ChannelModel:
     fields = _set_keys(cfg, "channel", _CHANNEL_FIELDS)
     return _construct(cfg, "channel", ChannelModel, {"geometry": build_geometry(cfg)}, fields)
+
+
+def build_tick(cfg: Config, t_exp: float) -> float:
+    """The [run] tick (default 100 ps), refused by key if no int64 tick count spans t_exp.
+
+    The key named is ``tick``, or ``t_exp`` when the file sets no tick.
+    """
+    tick = cfg.get("run", "tick", DEFAULT_TICK)
+    try:
+        _check_tick(tick, t_exp)
+    except ConfigError as exc:
+        key = "tick" if cfg.has("run", "tick") else "t_exp"
+        raise ConfigError(f"{cfg.source}: [run] {key}: {exc}") from None
+    return tick
 
 
 def resolve_operating_delay(cfg: Config, pair: PhotonPairSpec, mode: str) -> float:

@@ -423,6 +423,16 @@ def classical_fluxes(
 # ----- sampling -----
 
 
+def _check_tick(tick_duration: float, t_exp: float) -> None:
+    """Refuse a tick that is not positive and finite, or too fine for an int64 count of t_exp."""
+    if not (tick_duration > 0 and math.isfinite(tick_duration)):
+        raise ConfigError(f"tick_duration must be positive and finite, got {tick_duration}")
+    if not t_exp / tick_duration < _MAX_TICKS:
+        raise ConfigError(
+            f"t_exp / tick_duration must stay below 2^63 ticks, got {t_exp / tick_duration:.3g}"
+        )
+
+
 def sample_inhomogeneous_poisson(
     flux: Callable[[np.ndarray], np.ndarray],
     bound: float,
@@ -451,12 +461,7 @@ def sample_inhomogeneous_poisson(
         raise ConfigError("bound must be positive")
     if not t_exp > 0:
         raise ConfigError("t_exp must be positive")
-    if not (tick_duration > 0 and math.isfinite(tick_duration)):
-        raise ConfigError(f"tick_duration must be positive and finite, got {tick_duration}")
-    if not t_exp / tick_duration < _MAX_TICKS:
-        raise ConfigError(
-            f"t_exp / tick_duration must stay below 2^63 ticks, got {t_exp / tick_duration:.3g}"
-        )
+    _check_tick(tick_duration, t_exp)
     if bound * t_exp > _MAX_CANDIDATES:
         raise ConfigError("bound * t_exp too large to sample (%.3g candidates)" % (bound * t_exp))
     if isinstance(rng, (int, np.integer)):

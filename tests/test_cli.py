@@ -183,6 +183,25 @@ def test_json_config_equivalent_to_ini():
         assert parse_config(json.dumps({"run.binary": flag})).get("run", "binary") is flag
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[pair]\nvisibility = 0.9\ncolor = red\n",
+     "u.ini:3: [pair] color: unknown key 'color' in section [pair]"),
+    ("[volume]\nlevel = 11\n", "u.ini:1: unknown section [volume]"),
+    ('{"pair.color": "red"}', "u.json: [pair] color: unknown key 'color' in section [pair]"),
+    ('{"volume.level": 11}', "u.json: [volume] level: unknown section [volume]"),
+])
+def test_unknown_section_or_key_names_the_file_and_the_location(
+    tmp_path, monkeypatch, capsys, text, message
+):
+    monkeypatch.chdir(tmp_path)
+    name = "u.json" if text.startswith("{") else "u.ini"
+    (tmp_path / name).write_text(text)
+    assert main(["qcrb", "-c", name]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+
+
 def test_json_config_rejections(tmp_path, capsys):
     with pytest.raises(ConfigError, match="invalid JSON"):
         parse_config("{broken")
@@ -330,7 +349,8 @@ def test_refused_classical_simulate_leaves_no_output_directory(tmp_path, monkeyp
     ("t_exp = 1000 s", "bound * t_exp too large to sample (1.9e+08 candidates)"),
 ])
 def test_refused_draw_leaves_no_output_directory(tmp_path, monkeypatch, capsys, edit, message):
-    # The output directory is made once both streams are drawn.
+    # The output directory is made once both streams are drawn. A tick too
+    # fine for the exposure is refused before the draw, and named by key.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "tone.ini").write_text(INI_TEXT.replace("t_exp = 1 s", edit))
     with warnings.catch_warnings():
@@ -338,7 +358,32 @@ def test_refused_draw_leaves_no_output_directory(tmp_path, monkeypatch, capsys, 
         assert main(["simulate", "-c", "tone.ini", "--out", "y"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"config error: {message}\n"
+    where = "tone.ini: [run] tick: " if "tick" in edit else ""
+    assert captured.err == f"config error: {where}{message}\n"
+    assert not (tmp_path / "y").exists()
+
+
+@pytest.mark.parametrize("edit, refusal", [
+    ("t_exp = 100 s\ntick = 1 as", "[run] tick: t_exp / tick_duration must stay below 2^63"),
+    ("t_exp = 1 s\ntick = -1 ps", "[run] tick: tick_duration must be positive and finite"),
+    # With no tick set, the default 100 ps counts past int64 over 1e9 s.
+    ("t_exp = 1e9 s", "[run] t_exp: t_exp / tick_duration must stay below 2^63"),
+])
+def test_simulate_and_trials_refuse_a_tick_too_fine_before_the_draw(
+    tmp_path, monkeypatch, capsys, edit, refusal
+):
+    def draw(*args, **kwargs):
+        raise AssertionError("drew a stream")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("qvibe.simulate.sample_inhomogeneous_poisson", draw)
+    (tmp_path / "tone.ini").write_text(INI_TEXT.replace("t_exp = 1 s", edit))
+    for command in (["simulate", "-c", "tone.ini", "--out", "y"],
+                    ["trials", "-c", "tone.ini", "--trials", "2"]):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: tone.ini: {refusal}")
     assert not (tmp_path / "y").exists()
 
 

@@ -499,6 +499,83 @@ def test_scan_projections_are_bitwise_combined_spectrum():
         assert est.projections.tobytes() == y.tobytes(), (len(stream_a), ratio)
 
 
+@pytest.fixture(scope="module")
+def overlapped_pair():
+    # About 200k events and a 66,667-bin grid (f_max = 40 kHz at t_exp = 1 s):
+    # above both gates, so the scan bins on a worker thread and refinement
+    # sums stream A's moments on one.
+    pair = PhotonPairSpec(delta_omega=2 * math.pi * 177e12, visibility_v0=0.9)
+    signal = VibrationSignal.pure_tone(5e3, 20e-9, dc_offset_delay=quadrature_delay(pair))
+    channel = ChannelModel(rate_c=200e3, rate_a=200e3)
+    return simulate_quantum_run(pair, signal, channel, t_exp=1.0, seed=20)
+
+
+def test_overlapped_scan_and_refinement_are_bitwise_the_serial_path(monkeypatch, overlapped_pair):
+    stream_c, stream_a = overlapped_pair
+    ratio, f_max = 1.1, 40e3
+    started = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr("qvibe.estimate.ThreadPoolExecutor", CountingPool)
+    scan = scan_spectrum(stream_c, stream_a, ratio, f_max=f_max)
+    assert scan.frequencies.size >= 1 << 16 and scan.detected
+    comps = [estimate_component(stream_c, stream_a, ratio, f) for f in scan.detected]
+    assert started == [1] * (1 + len(scan.detected))  # one worker a scan and a seed
+    monkeypatch.setattr("qvibe.estimate._OVERLAP_S", math.inf)
+    monkeypatch.setattr("qvibe.estimate._OVERLAP_EVENTS", math.inf)
+    serial = scan_spectrum(stream_c, stream_a, ratio, f_max=f_max)
+    serial_comps = [estimate_component(stream_c, stream_a, ratio, f) for f in serial.detected]
+    assert len(started) == 1 + len(scan.detected)  # the serial path started none
+    assert serial.projections.tobytes() == scan.projections.tobytes()
+    assert serial.threshold_kappa.hex() == scan.threshold_kappa.hex()
+    assert serial.detected == scan.detected
+    assert repr(serial_comps) == repr(comps)  # float repr round-trips every bit
+
+
+def test_concurrent_overlapped_scans_are_bitwise_one_scan(overlapped_pair):
+    # Each call opens and closes its own worker, so calls from more threads
+    # than cores, switching often, share no state but the kept series table.
+    stream_c, stream_a = overlapped_pair
+    one = scan_spectrum(stream_c, stream_a, 1.1, f_max=40e3)
+    seed = one.detected[-1]
+    comp = estimate_component(stream_c, stream_a, 1.1, seed)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            scans = [pool.submit(scan_spectrum, stream_c, stream_a, 1.1, 1e-3, 40e3)
+                     for _ in range(3)]
+            comps = [pool.submit(estimate_component, stream_c, stream_a, 1.1, seed)
+                     for _ in range(3)]
+            scans = [future.result(timeout=120) for future in scans]
+            comps = [future.result(timeout=120) for future in comps]
+    finally:
+        sys.setswitchinterval(interval)
+    for scan in scans:
+        assert scan.projections.tobytes() == one.projections.tobytes()
+    assert [repr(c) for c in comps] == [repr(comp)] * 3
+
+
+def test_a_false_alarm_sized_exposure_starts_no_thread(monkeypatch):
+    # 2k events a stream and 334 bins, as the signal-free benchmark runs:
+    # below both gates, where a thread's start would cost more than it saves.
+    def refuse(max_workers):
+        raise AssertionError("started a thread")
+
+    monkeypatch.setattr("qvibe.estimate.ThreadPoolExecutor", refuse)
+    pair = PhotonPairSpec(delta_omega=2 * math.pi * 177e12)
+    signal = VibrationSignal.pure_tone(50.0, 20e-9, dc_offset_delay=quadrature_delay(pair))
+    channel = ChannelModel(rate_c=2000.0, rate_a=2000.0)
+    stream_c, stream_a = simulate_quantum_run(pair, signal, channel, t_exp=1.0, seed=6)
+    scan = scan_spectrum(stream_c, stream_a, 1.0, f_max=200.0)
+    assert scan.frequencies.size == 334
+    estimate_component(stream_c, stream_a, 1.0, 50.0)
+
+
 def test_group_detections_collapses_runs_and_skips_dc():
     freqs = np.arange(8) * 0.6
     mags = np.array([9.0, 0.1, 2.0, 3.0, 2.5, 0.1, 4.0, 0.2])
