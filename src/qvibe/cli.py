@@ -64,9 +64,13 @@ def _fmt(x: float) -> str:
 
 
 def _seed_of(args, cfg: Config, default: int = 0) -> int:
-    seed = args.seed if args.seed is not None else cfg.get("run", "seed", default)
+    if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+        return args.seed
+    seed = cfg.get("run", "seed", default)
     if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+        raise cfg.refusal("run", "seed", f"seed must be non-negative, got {seed}")
     return seed
 
 
@@ -82,8 +86,7 @@ def _outdir(args) -> Path:
     return out
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
+def cmd_simulate(args, cfg: Config) -> int:
     mode = args.mode or cfg.get("run", "mode", "quantum")
     pair = build_pair(cfg)
     fringe = pair if mode == "quantum" else build_fringe(cfg)
@@ -112,14 +115,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_optional_config(args) -> Config:
-    if args.config:
-        return load_config(args.config)
-    return Config({}, "<defaults>")
-
-
-def cmd_estimate(args) -> int:
-    cfg = _load_optional_config(args)
+def cmd_estimate(args, cfg: Config) -> int:
     mode = args.mode or cfg.get("run", "mode", "quantum")
     fringe = build_pair(cfg) if mode == "quantum" else build_fringe(cfg)
     geometry = build_channel(cfg).geometry
@@ -174,8 +170,7 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def cmd_trials(args) -> int:
-    cfg = load_config(args.config)
+def cmd_trials(args, cfg: Config) -> int:
     pair = build_pair(cfg)
     channel = build_channel(cfg)
     signal = build_signal(cfg, pair, "quantum")
@@ -217,8 +212,7 @@ def cmd_trials(args) -> int:
 _MAX_SWEEP_POINTS = 10_000  # each point is one simulated exposure
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
+def cmd_sweep(args, cfg: Config) -> int:
     if cfg.has("run", "tick"):
         raise ConfigError(
             f"{cfg.source}: [run] tick is not read by sweep,"
@@ -261,8 +255,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_advantage(args) -> int:
-    cfg = load_config(args.config)
+def cmd_advantage(args, cfg: Config) -> int:
     setup = build_advantage(cfg)
     outcomes = run_advantage_experiment(setup, _seed_of(args, cfg), _threads_of(args))
     doc = []
@@ -288,8 +281,7 @@ def cmd_advantage(args) -> int:
     return 0
 
 
-def cmd_qcrb(args) -> int:
-    cfg = _load_optional_config(args)
+def cmd_qcrb(args, cfg: Config) -> int:
     pair = build_pair(cfg)
     geometry = build_geometry(cfg, default=1)
     if args.n_pairs:
@@ -339,6 +331,10 @@ def _build_parser() -> argparse.ArgumentParser:
         if threads:
             p.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
 
+    def analysis(p):
+        p.add_argument("--p-fa", type=float, default=None, help="override [analysis] p_fa")
+        p.add_argument("--f-max", type=float, default=None, help="override [analysis] f_max in Hz")
+
     p = sub.add_parser("simulate", help="generate timestamp streams for one exposure")
     common(p)
     p.add_argument("--out", "-o", default=".", help="output directory")
@@ -352,8 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", "-c", help="configuration file")
     p.add_argument("--out", "-o", default=None, help="output directory")
     p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--p-fa", type=float, default=None, help="override [analysis] p_fa")
-    p.add_argument("--f-max", type=float, default=None, help="override [analysis] f_max in Hz")
+    analysis(p)
     p.add_argument("--ratio", type=float, default=None, help="override [analysis] ratio")
     p.add_argument("--format", choices=("human", "json", "csv"), default="human")
     p.set_defaults(func=cmd_estimate)
@@ -362,15 +357,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, threads=True)
     p.add_argument("--out", "-o", default=None, help="write statistics JSON here")
     p.add_argument("--trials", type=int, default=None, help="override [run] trials")
-    p.add_argument("--p-fa", type=float, default=None)
-    p.add_argument("--f-max", type=float, default=None)
+    analysis(p)
     p.set_defaults(func=cmd_trials)
 
     p = sub.add_parser("sweep", help="step a tone across frequencies")
     common(p, threads=True)
     p.add_argument("--out", "-o", default=None, help="write the sweep table here")
-    p.add_argument("--p-fa", type=float, default=None)
-    p.add_argument("--f-max", type=float, default=None)
+    analysis(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("advantage", help="compare channels under loss or background")
@@ -395,7 +388,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = load_config(args.config) if args.config else Config({}, "<defaults>")
+        return args.func(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -245,6 +245,10 @@ class Config:
     def has(self, section: str, key: str) -> bool:
         return key in self.values.get(section, {})
 
+    def refusal(self, section: str, key: str, message) -> ConfigError:
+        """The error ``<file>: [section] key: message`` for a value this file sets."""
+        return ConfigError(f"{self.source}: [{section}] {key}: {message}")
+
     def signal_components(self) -> tuple[SignalComponent, ...]:
         signal = self.values.get("signal", {})
         return tuple(
@@ -348,7 +352,7 @@ def _construct(cfg: Config, section: str, build, base: dict, fields: dict):
         if not _refuses(build, base):
             for key, (name, value) in fields.items():
                 if _refuses(build, {**base, name: value}):
-                    raise ConfigError(f"{cfg.source}: [{section}] {key}: {exc}") from None
+                    raise cfg.refusal(section, key, exc) from None
         raise
 
 
@@ -361,21 +365,23 @@ def build_pair(cfg: Config) -> PhotonPairSpec:
         fields["sigma"] = ("sigma", 2.0 * math.pi * cfg.get("pair", "sigma"))
     if cfg.has("pair", "detuning"):
         fields["detuning"] = ("delta_omega", 2.0 * math.pi * cfg.get("pair", "detuning"))
-    has_l1, has_l2 = cfg.has("pair", "lambda_1"), cfg.has("pair", "lambda_2")
-    if has_l1 != has_l2:
-        raise ConfigError("[pair] give both lambda_1 and lambda_2 or neither")
-    if has_l1:
-        lambda_1, lambda_2 = cfg.get("pair", "lambda_1"), cfg.get("pair", "lambda_2")
-        if not (lambda_1 > 0 and lambda_2 > 0):
-            raise ConfigError("[pair] lambda_1 and lambda_2 must be positive")
+    given = [key for key in ("lambda_1", "lambda_2") if cfg.has("pair", key)]
+    if len(given) == 1:
+        raise cfg.refusal("pair", given[0], "give both lambda_1 and lambda_2 or neither")
+    if given:
+        for key in given:
+            if not cfg.get("pair", key) > 0:
+                raise cfg.refusal("pair", key, "lambda_1 and lambda_2 must be positive")
+        lambda_1, lambda_2 = (cfg.get("pair", key) for key in given)
         implied = abs(2 * math.pi * SPEED_OF_LIGHT * (1 / lambda_1 - 1 / lambda_2))
         if "detuning" not in fields:
             fields["lambda_1 and lambda_2"] = ("delta_omega", implied)
         elif abs(implied - fields["detuning"][1]) > 1e-3 * fields["detuning"][1]:
-            raise ConfigError(
-                "[pair] lambda_1 and lambda_2 imply a detuning of %.6g Hz, which differs"
+            raise cfg.refusal(
+                "pair", "detuning",
+                "lambda_1 and lambda_2 imply a detuning of %.6g Hz, which differs"
                 " from detuning = %.6g Hz by more than 0.1%%"
-                % (implied / (2.0 * math.pi), fields["detuning"][1] / (2.0 * math.pi))
+                % (implied / (2.0 * math.pi), fields["detuning"][1] / (2.0 * math.pi)),
             )
     return _construct(cfg, "pair", PhotonPairSpec, {"delta_omega": 2.0 * math.pi * 177e12}, fields)
 
@@ -387,7 +393,7 @@ def build_fringe(cfg: Config) -> ClassicalFringeSpec:
     if cfg.has("classical", "wavelength"):
         wavelength = cfg.get("classical", "wavelength")
         if not wavelength > 0:
-            raise ConfigError("[classical] wavelength must be positive")
+            raise cfg.refusal("classical", "wavelength", "wavelength must be positive")
         fields["wavelength"] = ("omega_optical", 2.0 * math.pi * SPEED_OF_LIGHT / wavelength)
     base = {
         "omega_optical": 2.0 * math.pi * SPEED_OF_LIGHT / 1550e-9,
@@ -426,8 +432,7 @@ def build_tick(cfg: Config, t_exp: float) -> float:
     try:
         _check_tick(tick, t_exp)
     except ConfigError as exc:
-        key = "tick" if cfg.has("run", "tick") else "t_exp"
-        raise ConfigError(f"{cfg.source}: [run] {key}: {exc}") from None
+        raise cfg.refusal("run", "tick" if cfg.has("run", "tick") else "t_exp", exc) from None
     return tick
 
 
@@ -436,7 +441,7 @@ def resolve_operating_delay(cfg: Config, pair: PhotonPairSpec, mode: str) -> flo
     tau_op = cfg.get("signal", "tau_op", "quadrature" if mode == "quantum" else 0.0)
     if tau_op == "quadrature":
         if mode != "quantum":
-            raise ConfigError("[signal] tau_op = quadrature only applies to quantum mode")
+            raise cfg.refusal("signal", "tau_op", "quadrature only applies to quantum mode")
         return quadrature_delay(pair)
     return float(tau_op)
 
@@ -473,7 +478,7 @@ def build_signal(cfg: Config, pair: PhotonPairSpec, mode: str) -> VibrationSigna
     if kind == "multi_tone":
         comps = cfg.signal_components()
         if not comps:
-            raise ConfigError("[signal] multi_tone needs component_<n> entries")
+            raise cfg.refusal("signal", "kind", "multi_tone needs component_<n> entries")
         return VibrationSignal.multi_tone(comps, dc_offset_delay=tau_op)
     build, names, required = _SIGNAL_KINDS[kind]
     base = {"dc_offset_delay": tau_op}

@@ -9,9 +9,11 @@ The pipeline works directly on event times, never on a rate histogram:
    from the grid size rounded up, chosen by cost from the grid size and
    the event count, bins their moments, combines them and takes one real
    FFT per series term, whose mirror image gives the grid bins above half
-   the fold; the series is the phasor's Taylor series economised onto
-   Chebyshev polynomials, so it needs fewer terms for the same accuracy,
-   and the last grid's coefficient table is kept; each stream is one part
+   the fold; each term's FFT is multiplied by its real row of series
+   coefficients, and an odd term then by -i, before it is added; the
+   series is the phasor's Taylor series economised onto Chebyshev
+   polynomials, so it needs fewer terms for the same accuracy, and the
+   last grid's coefficient table is kept; each stream is one part
    (t, w) of event times and signed weights, A's window weights times
    -ratio, and the transform's values are the event sums themselves, up
    to a truncation below 1e-13 of sum |w| / t_exp (see ``_project_grid``,
@@ -63,6 +65,7 @@ import contextlib
 import functools
 import json
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -232,33 +235,30 @@ def _grid_terms(folded, m: int, n: int, overlap: bool) -> np.ndarray:
     buffer, and those bins are mirrored into its tail; a grid of at most
     n/2 + 1 bins has no tail and reads the rfft's bins in place.
     c_kp is s_kp for even p and -i s_kp for odd p, with s_kp real (row p
-    of the table): each term adds s_kp times the rfft's real and
-    imaginary parts to the real and imaginary sums (swapped, and one
-    negated, for odd p), and no complex coefficient is formed.
+    of the table): each term's bins are multiplied by s_kp in one complex
+    multiply, an odd term's then by -i, which is exact (it swaps the real
+    and imaginary parts and negates one), and no complex coefficient is
+    formed.
     """
     moments = [np.empty(u.size) for _, u, _ in folded]  # w u^p per part, p >= 1
 
     def binned(p: int) -> np.ndarray:
-        total = None
-        for (bins, u, w), moment in zip(folded, moments):
-            if p:
+        if p:
+            for (_, u, w), moment in zip(folded, moments):
                 np.multiply(w if p == 1 else moment, u, out=moment)
-            part = np.bincount(bins, moment if p else w, minlength=n)
-            if total is None:
-                total = part
-            else:
-                total += part
-        return total
+        weights = moments if p else [w for _, _, w in folded]
+        return functools.reduce(
+            operator.iadd,
+            [np.bincount(bins, x, minlength=n) for (bins, _, _), x in zip(folded, weights)],
+        )
 
     out = np.zeros(m, dtype=complex)
-    re, im = out.real, out.imag
-    term = np.empty(m)
+    term = np.empty(m, dtype=complex)
     half = n // 2 + 1  # rfft bins
     spectrum = np.empty(max(m, half), dtype=complex)
     # Bins half..m-1 of the tail are conj of bins n-half down to n-m+1.
     head, tail, mirror = spectrum[:half], spectrum[half:m], spectrum[n - half : n - m : -1]
     mirrored = m > half
-    real, imag = spectrum.real[:m], spectrum.imag[:m]
     table = _series_table(m, n)
     with _worker(overlap) as pool:
         ahead = pool.submit(binned, 0) if pool else None
@@ -269,18 +269,13 @@ def _grid_terms(folded, m: int, n: int, overlap: bool) -> np.ndarray:
                 moments_binned = ahead.result()
                 if p + 1 < len(table):
                     ahead = pool.submit(binned, p + 1)
-            odd = p % 2
             np.fft.rfft(moments_binned, out=head)
             if mirrored:
                 np.conjugate(mirror, out=tail)
-            # s (a + ib) = s a + i s b; -i s (a + ib) = s b - i s a.
-            np.multiply(s, imag if odd else real, out=term)
-            re += term
-            np.multiply(s, real if odd else imag, out=term)
-            if odd:
-                im -= term
-            else:
-                im += term
+            np.multiply(spectrum[:m], s, out=term)
+            if p % 2:
+                term *= -1j  # (a + ib)(-i) = b - ia, exactly
+            out += term
     return out
 
 
@@ -341,9 +336,10 @@ _table: tuple[tuple[int, int], np.ndarray | None] = ((0, 0), None)  # the last k
 def _series_table(m: int, n: int) -> np.ndarray:
     """Signed series coefficients of the m-bin grid transform at fold n: a (Q, m) array.
 
-    Row p holds s_kp, with c_kp = s_kp for even p and -i s_kp for odd p the
-    coefficient of u^p in a polynomial of degree Q - 1 that stays within
-    about 1e-14 of e^(-2j pi k u / n) on |u| <= 1/2, for every k < m.
+    Row p holds the real s_kp; c_kp, the coefficient of u^p in a polynomial
+    of degree Q - 1 that stays within about 1e-14 of e^(-2j pi k u / n) on
+    |u| <= 1/2 for every k < m, is s_kp for even p and -i s_kp for odd p,
+    so the grid transform multiplies an odd term by -i after its row.
     The Taylor series z_k^p / p!, z_k = -2j pi k / n, needs
     D = ``_series_terms(theta)`` terms for that, theta = pi (m - 1) / n
     being the largest |z_k u|; it is computed by the recurrence
@@ -531,16 +527,8 @@ def _group_detections(
     if freqs.size and freqs[0] == 0.0:
         mask[0] = False  # DC carries the mean flux, never a candidate
     hits = np.flatnonzero(mask)
-    if hits.size == 0:
-        return ()
-    seeds = []
-    run_start = 0
-    for i in range(1, hits.size + 1):
-        if i == hits.size or hits[i] != hits[i - 1] + 1:
-            run = hits[run_start:i]
-            seeds.append(float(freqs[run[np.argmax(magnitude[run])]]))
-            run_start = i
-    return tuple(seeds)
+    runs = np.split(hits, np.flatnonzero(np.diff(hits) != 1) + 1)
+    return tuple(float(freqs[run[np.argmax(magnitude[run])]]) for run in runs if run.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1025,15 +1013,12 @@ def _estimate_components(
 ) -> tuple[ComponentEstimate, ...]:
     df = grid_spacing(stream_c.t_exp)
     estimates = [estimate_component(stream_c, stream_a, ratio, f) for f in spectrum.detected]
-    # Two seeds occasionally refine onto the same line; keep the stronger.
-    estimates.sort(key=lambda c: c.f_hat)
+    # Two seeds occasionally refine onto the same line; keep the stronger,
+    # the earlier of two equally strong (max returns its first argument).
     deduped: list[ComponentEstimate] = []
-    for est in estimates:
+    for est in sorted(estimates, key=lambda c: c.f_hat):
         if deduped and abs(est.f_hat - deduped[-1].f_hat) < 0.25 * df:
-            if abs(est.a_hat_c) + abs(est.a_hat_a) > abs(deduped[-1].a_hat_c) + abs(
-                deduped[-1].a_hat_a
-            ):
-                deduped[-1] = est
+            deduped[-1] = max(deduped[-1], est, key=lambda c: abs(c.a_hat_c) + abs(c.a_hat_a))
         else:
             deduped.append(est)
     return tuple(deduped)

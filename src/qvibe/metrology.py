@@ -41,6 +41,9 @@ from .simulate import (
     ChannelModel,
     QuantumRun,
     VibrationSignal,
+    _check_candidates,
+    classical_fluxes,
+    quantum_fluxes,
     simulate_classical_run,
     simulate_quantum_run,
 )
@@ -375,6 +378,25 @@ class AdvantageSetup:
     conditions: tuple[AdvantageCondition, ...]
     options: AnalysisOptions
 
+    def __post_init__(self) -> None:
+        """Refuse a condition whose draws the sampler would refuse, before any is made."""
+        for cond in self.conditions:
+            ch_q, ch_c = self._channels(cond)
+            for fx, t_exp in (
+                (quantum_fluxes(self.pair, self.signal, ch_q), cond.t_exp_quantum),
+                (classical_fluxes(self.fringe, self.signal, ch_c), cond.t_exp_classical),
+            ):
+                for bound in (fx.bound_1, fx.bound_2):
+                    _check_candidates(bound, t_exp)
+
+    def _channels(self, cond: AdvantageCondition) -> tuple[ChannelModel, ChannelModel]:
+        """The quantum and classical channels degraded as ``cond`` says."""
+        degradation = {"loss_b": cond.loss_b, "background_fraction": cond.background_fraction}
+        return (
+            replace(self.channel_quantum, **degradation),
+            replace(self.channel_classical, **degradation),
+        )
+
 
 def matched_exposures(
     target_pairs: float,
@@ -448,9 +470,7 @@ def run_advantage_experiment(
 
     def one(i: int) -> AdvantageOutcome:
         cond = setup.conditions[i]
-        degradation = {"loss_b": cond.loss_b, "background_fraction": cond.background_fraction}
-        ch_q = replace(setup.channel_quantum, **degradation)
-        ch_c = replace(setup.channel_classical, **degradation)
+        ch_q, ch_c = setup._channels(cond)
         scenario_q = TrialScenario(setup.pair, signal_q, ch_q, cond.t_exp_quantum, setup.options)
         run_q, recon_q = _exposure(scenario_q, base_seed + 2 * i)
         run_c = simulate_classical_run(

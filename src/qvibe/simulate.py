@@ -433,6 +433,12 @@ def _check_tick(tick_duration: float, t_exp: float) -> None:
         )
 
 
+def _check_candidates(bound: float, t_exp: float) -> None:
+    """Refuse a draw of more than _MAX_CANDIDATES expected thinning candidates."""
+    if bound * t_exp > _MAX_CANDIDATES:
+        raise ConfigError("bound * t_exp too large to sample (%.3g candidates)" % (bound * t_exp))
+
+
 def sample_inhomogeneous_poisson(
     flux: Callable[[np.ndarray], np.ndarray],
     bound: float,
@@ -462,8 +468,7 @@ def sample_inhomogeneous_poisson(
     if not t_exp > 0:
         raise ConfigError("t_exp must be positive")
     _check_tick(tick_duration, t_exp)
-    if bound * t_exp > _MAX_CANDIDATES:
-        raise ConfigError("bound * t_exp too large to sample (%.3g candidates)" % (bound * t_exp))
+    _check_candidates(bound, t_exp)
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     n_cand = rng.poisson(bound * t_exp)

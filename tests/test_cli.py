@@ -35,6 +35,7 @@ from qvibe.config import (
 )
 from qvibe.core import SPEED_OF_LIGHT, quadrature_delay
 from qvibe.errors import ConfigError
+from qvibe.metrology import background_advantage_setup, loss_advantage_setup
 from qvibe.simulate import SignalComponent, TimestampStream
 from qvibe.streamio import write_stream_text
 
@@ -262,7 +263,7 @@ def test_build_pair_wavelength_rules(tmp_path, capsys):
     # Round 810/1550 nm wavelengths imply a 176.70 THz beat: the detuning is
     # that beat, exactly, when no detuning is given; a detuning within 0.1%
     # of it is kept; 177 THz is 0.17% away and refused, as is one
-    # wavelength without the other.
+    # wavelength without the other. Each refusal names the file and the key.
     pair = build_pair(parse_config(WAVELENGTHS))
     assert pair.delta_omega == abs(2 * math.pi * SPEED_OF_LIGHT * (1 / 810e-9 - 1 / 1550e-9))
     assert pair.delta_omega == pytest.approx(2 * math.pi * 176.70e12, rel=1e-3)
@@ -271,20 +272,27 @@ def test_build_pair_wavelength_rules(tmp_path, capsys):
     refused = (
         (
             WAVELENGTHS + "detuning = 177 THz\n",
+            "detuning",
             "differs from detuning = 1.77e+14 Hz by more than 0.1%",
         ),
-        ("[pair]\nlambda_1 = 810 nm\n", "give both lambda_1 and lambda_2 or neither"),
-        ("[pair]\ndetuning = 177 THz\nlambda_2 = 1550 nm\n", "give both lambda_1 and lambda_2"),
-        ("[pair]\nlambda_1 = -810 nm\nlambda_2 = 1550 nm\n", "must be positive"),
+        ("[pair]\nlambda_1 = 810 nm\n", "lambda_1", "give both lambda_1 and lambda_2 or neither"),
+        (
+            "[pair]\ndetuning = 177 THz\nlambda_2 = 1550 nm\n",
+            "lambda_2",
+            "give both lambda_1 and lambda_2",
+        ),
+        ("[pair]\nlambda_1 = -810 nm\nlambda_2 = 1550 nm\n", "lambda_1", "must be positive"),
+        ("[pair]\nlambda_1 = 810 nm\nlambda_2 = 0 nm\n", "lambda_2", "must be positive"),
     )
-    for text, message in refused:
+    for text, key, message in refused:
         with pytest.raises(ConfigError, match=re.escape(message)):
             build_pair(parse_config(text))
         cfg = tmp_path / "pair.ini"
         cfg.write_text(text)
         assert main(["qcrb", "-c", str(cfg), "--n-pairs", "100", "--trials", "10"]) == 2, text
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("config error: [pair] "), text
+        assert captured.out == "", text
+        assert captured.err.startswith(f"config error: {cfg}: [pair] {key}: "), text
         assert message in captured.err, text
 
 
@@ -860,6 +868,119 @@ def test_advantage_refusals_name_the_file_and_the_key(tmp_path, monkeypatch, cap
     assert captured.out == ""
     assert captured.err == f"config error: adv.ini: [advantage] {message}\n"
     assert not (tmp_path / "adv.json").exists()
+
+
+def _refuse_draws(monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("drew a stream")
+
+    monkeypatch.setattr("qvibe.simulate.sample_inhomogeneous_poisson", draw)
+
+
+def _write_config(path, values: dict):
+    """``values`` ({"section.key": text}) as an INI file, or as JSON for a .json path."""
+    if path.suffix == ".json":
+        path.write_text(json.dumps(values))
+        return
+    sections = {}
+    for flat, value in values.items():
+        section, key = flat.split(".")
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    path.write_text("".join(f"[{s}]\n" + "\n".join(lines) + "\n" for s, lines in sections.items()))
+
+
+QCRB = ["qcrb", "--n-pairs", "100", "--trials", "10"]
+SIMULATE = ["simulate", "--out", "out"]
+TONE = {"signal.frequency": "10 Hz", "signal.amplitude_pp": "20 nm"}
+
+
+@pytest.mark.parametrize("suffix", [".ini", ".json"])
+@pytest.mark.parametrize("command, values, where, message", [
+    (QCRB, {"pair.lambda_1": "810 nm"}, "[pair] lambda_1",
+     "give both lambda_1 and lambda_2 or neither"),
+    (QCRB, {"pair.lambda_2": "1550 nm"}, "[pair] lambda_2",
+     "give both lambda_1 and lambda_2 or neither"),
+    (QCRB, {"pair.lambda_1": "810 nm", "pair.lambda_2": "-1550 nm"}, "[pair] lambda_2",
+     "lambda_1 and lambda_2 must be positive"),
+    (QCRB, {"pair.detuning": "177 THz", "pair.lambda_1": "810 nm", "pair.lambda_2": "1550 nm"},
+     "[pair] detuning", "lambda_1 and lambda_2 imply a detuning of 1.767e+14 Hz, which differs"
+     " from detuning = 1.77e+14 Hz by more than 0.1%"),
+    (SIMULATE + ["--mode", "classical"], {**TONE, "classical.wavelength": "0 nm"},
+     "[classical] wavelength", "wavelength must be positive"),
+    (SIMULATE + ["--mode", "classical"], {**TONE, "signal.tau_op": "quadrature"},
+     "[signal] tau_op", "quadrature only applies to quantum mode"),
+    (SIMULATE, {"signal.kind": "multi_tone"}, "[signal] kind",
+     "multi_tone needs component_<n> entries"),
+    (QCRB, {"run.seed": "-1"}, "[run] seed", "seed must be non-negative, got -1"),
+    (["advantage"], {"advantage.target_pairs": "1e12"}, "[advantage] target_pairs",
+     "bound * t_exp too large to sample (1e+12 candidates)"),
+    (["advantage"], {"advantage.experiment": "background", "advantage.target_pairs": "1e12"},
+     "[advantage] target_pairs", "bound * t_exp too large to sample (9.75e+11 candidates)"),
+])
+def test_config_refusals_name_the_file_and_the_key(tmp_path, monkeypatch, capsys, suffix, command,
+                                                   values, where, message):
+    # Refused with exit 2 before any stream is drawn, from INI as from JSON.
+    monkeypatch.chdir(tmp_path)
+    _refuse_draws(monkeypatch)
+    cfg = tmp_path / f"bad{suffix}"
+    _write_config(cfg, values)
+    assert main([*command, "-c", cfg.name]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {cfg.name}: {where}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_advantage_setup_refuses_a_draw_the_sampler_would_refuse(monkeypatch):
+    # The setup applies the sampler's own candidate check to each condition's
+    # four streams, so a setup the sampler would refuse is never built.
+    _refuse_draws(monkeypatch)
+    with pytest.raises(ConfigError, match=r"^bound \* t_exp too large to sample"):
+        loss_advantage_setup(target_pairs=1e12)
+    with pytest.raises(ConfigError, match=r"^bound \* t_exp too large to sample"):
+        background_advantage_setup(background_values=(0.5,), target_pairs=1e11)
+
+
+def test_a_negative_seed_flag_names_the_flag(tmp_path, capsys):
+    cfg = write_tone_config(tmp_path)
+    for command in (["simulate", "-c", str(cfg), "--out", str(tmp_path / "out")],
+                    ["trials", "-c", str(cfg), "--trials", "2"], QCRB):
+        assert main([*command, "--seed", "-2"]) == 2, command
+        assert capsys.readouterr().err == "config error: --seed must be non-negative, got -2\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--out", "out"],
+    ["estimate", "c.txt", "a.txt"],
+    ["trials"],
+    ["sweep"],
+    ["advantage"],
+    ["qcrb"],
+])
+def test_every_subcommand_exits_3_on_a_missing_config(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "-c", "missing.ini"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("io error: ") and "missing.ini" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_estimate_and_qcrb_run_on_the_defaults_without_a_config(tmp_path, capsys):
+    # No -c reads as an empty file: the same output, every key at its default.
+    empty = tmp_path / "empty.ini"
+    empty.write_text("")
+    streams = _write_uniform_streams(tmp_path)
+    for command in (["estimate", *streams], QCRB):
+        assert main(command) == 0, command
+        defaults = capsys.readouterr()
+        assert main([*command, "-c", str(empty)]) == 0, command
+        assert capsys.readouterr() == defaults
+        assert defaults.err == ""
+    assert main(["estimate", *streams]) == 0
+    # The default band is 50 kHz: 83,334 bins of 0.6 Hz over a 1 s exposure.
+    assert capsys.readouterr().out.startswith("scanned 83334 bins up to ")
 
 
 def test_cli_advantage_prints_and_writes_each_condition(tmp_path, capsys):

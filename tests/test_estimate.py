@@ -586,6 +586,15 @@ def test_group_detections_collapses_runs_and_skips_dc():
     assert _group_detections(freqs, np.zeros(8), 1.0) == ()
 
 
+def test_group_detections_takes_a_tie_at_its_first_bin_and_a_run_at_the_last_bin():
+    freqs = np.arange(9) * 0.6
+    # Bins 2-4 tie at 3.0 (the first, bin 2, is the seed); bins 6-8 end the grid.
+    mags = np.array([0.0, 0.5, 3.0, 3.0, 2.0, 0.5, 2.0, 4.0, 5.0])
+    assert _group_detections(freqs, mags, 1.0) == (freqs[2], freqs[8])
+    # A single bin over the threshold, the last one, is a run of its own.
+    assert _group_detections(freqs, np.eye(9)[8] * 2.0, 1.0) == (freqs[8],)
+
+
 # ----- refinement, phase, amplitudes -----
 
 
@@ -1138,3 +1147,25 @@ def test_component_dedup_keeps_the_stronger_refinement():
     # bias (order 1/(2 pi f0 t_exp) of a bin), so the check is looser
     # than the optimizer tolerance itself.
     assert abs(comps[0].f_hat - f_true) < 2e-3
+
+
+@pytest.mark.parametrize("strengths, kept", [
+    ((1.0, 3.0, 2.0), (10.1,)),  # the middle seed beats both neighbours
+    ((3.0, 2.0, 1.0), (10.0, 10.2)),  # the first is kept; the third is not near it
+    ((1.0, 2.0, 3.0), (10.2,)),  # each seed replaces the one before it
+    ((2.0, 2.0, 2.0), (10.0, 10.2)),  # a tie keeps the earlier seed
+])
+def test_component_dedup_walks_a_chain_of_close_seeds(monkeypatch, strengths, kept):
+    # Three seeds 0.1 Hz apart, each within 0.25 df = 0.15 Hz of the next but
+    # the first and third 0.2 Hz apart. Each refinement is compared with the
+    # last one kept, and the stronger by |a_hat_c| + |a_hat_a| stays.
+    stream = TimestampStream("coincidence", np.zeros(0, dtype=np.int64), TICK, 1.0)
+    by_seed = {
+        f: ComponentEstimate(f, 0.0, 0.5 * a, -0.5 * a)
+        for f, a in zip((10.0, 10.1, 10.2), strengths)
+    }
+    monkeypatch.setattr(qvibe.estimate, "estimate_component", lambda c, a, r, f: by_seed[f])
+    grid = frequency_grid(1.0, 20.0)
+    fake = SpectrumEstimate(grid, np.zeros(grid.size, complex), 0.0, 1e-3, (10.2, 10.0, 10.1))
+    comps = _estimate_components(stream, stream, 1.0, fake)
+    assert tuple(c.f_hat for c in comps) == kept
