@@ -36,6 +36,7 @@ from .config import (
     build_pair,
     build_signal,
     build_tick,
+    check_draw,
     load_config,
 )
 from .errors import AnalysisError, ConfigError, StreamFormatError
@@ -95,6 +96,7 @@ def cmd_simulate(args, cfg: Config) -> int:
     t_exp = cfg.get("run", "t_exp", 1.0)
     seed = _seed_of(args, cfg)
     tick = build_tick(cfg, t_exp)  # refused before the draw, by key
+    check_draw(cfg, fringe, signal, channel, t_exp)  # likewise
     binary = args.binary or cfg.get("run", "binary", False)
     if mode == "quantum":
         simulate, names = simulate_quantum_run, ("coincidence", "anticoincidence")
@@ -175,14 +177,10 @@ def cmd_trials(args, cfg: Config) -> int:
     channel = build_channel(cfg)
     signal = build_signal(cfg, pair, "quantum")
     t_exp = cfg.get("run", "t_exp", 1.0)
-    scenario = TrialScenario(
-        pair=pair,
-        signal=signal,
-        channel=channel,
-        t_exp=t_exp,
-        options=build_options(cfg, {"p_fa": args.p_fa, "f_max": args.f_max}),
-        tick_duration=build_tick(cfg, t_exp),
-    )
+    options = build_options(cfg, {"p_fa": args.p_fa, "f_max": args.f_max})
+    tick = build_tick(cfg, t_exp)  # refused before the draw, by key
+    check_draw(cfg, pair, signal, channel, t_exp)  # likewise
+    scenario = TrialScenario(pair, signal, channel, t_exp, options, tick)
     n_trials = args.trials if args.trials is not None else cfg.get("run", "trials", 10)
     stats = run_amplitude_trials(scenario, n_trials, _seed_of(args, cfg), _threads_of(args))
     for rec in stats.records:

@@ -34,7 +34,16 @@ from .core import (
 from .errors import ConfigError
 from .estimate import AnalysisOptions
 from .metrology import AdvantageSetup, background_advantage_setup, loss_advantage_setup
-from .simulate import DEFAULT_TICK, ChannelModel, SignalComponent, VibrationSignal, _check_tick
+from .simulate import (
+    DEFAULT_TICK,
+    ChannelModel,
+    SignalComponent,
+    VibrationSignal,
+    _check_draws,
+    _check_tick,
+    classical_fluxes,
+    quantum_fluxes,
+)
 from .streamio import _EXACT
 
 # Time, frequency and length units are decimal exponents: the number is
@@ -434,6 +443,25 @@ def build_tick(cfg: Config, t_exp: float) -> float:
     except ConfigError as exc:
         raise cfg.refusal("run", "tick" if cfg.has("run", "tick") else "t_exp", exc) from None
     return tick
+
+
+def check_draw(
+    cfg: Config,
+    fringe: PhotonPairSpec | ClassicalFringeSpec,
+    signal: VibrationSignal,
+    channel: ChannelModel,
+    t_exp: float,
+) -> None:
+    """Refuse by the [run] t_exp key, before the draw, a run either of whose streams is too large.
+
+    The streams are the fringe's channel's, with their flux bounds, and a
+    stream is too large when the sampler's candidate cap would refuse it.
+    """
+    fluxes = quantum_fluxes if fringe.mode == "quantum" else classical_fluxes
+    try:
+        _check_draws(fluxes(fringe, signal, channel), t_exp)
+    except ConfigError as exc:
+        raise cfg.refusal("run", "t_exp", exc) from None
 
 
 def resolve_operating_delay(cfg: Config, pair: PhotonPairSpec, mode: str) -> float:

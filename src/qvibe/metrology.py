@@ -41,7 +41,7 @@ from .simulate import (
     ChannelModel,
     QuantumRun,
     VibrationSignal,
-    _check_candidates,
+    _check_draws,
     classical_fluxes,
     quantum_fluxes,
     simulate_classical_run,
@@ -386,8 +386,7 @@ class AdvantageSetup:
                 (quantum_fluxes(self.pair, self.signal, ch_q), cond.t_exp_quantum),
                 (classical_fluxes(self.fringe, self.signal, ch_c), cond.t_exp_classical),
             ):
-                for bound in (fx.bound_1, fx.bound_2):
-                    _check_candidates(bound, t_exp)
+                _check_draws(fx, t_exp)
 
     def _channels(self, cond: AdvantageCondition) -> tuple[ChannelModel, ChannelModel]:
         """The quantum and classical channels degraded as ``cond`` says."""

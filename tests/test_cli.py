@@ -358,7 +358,8 @@ def test_refused_classical_simulate_leaves_no_output_directory(tmp_path, monkeyp
 ])
 def test_refused_draw_leaves_no_output_directory(tmp_path, monkeypatch, capsys, edit, message):
     # The output directory is made once both streams are drawn. A tick too
-    # fine for the exposure is refused before the draw, and named by key.
+    # fine for the exposure, or a draw too large for the candidate cap, is
+    # refused before the draw, and named by key.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "tone.ini").write_text(INI_TEXT.replace("t_exp = 1 s", edit))
     with warnings.catch_warnings():
@@ -366,7 +367,7 @@ def test_refused_draw_leaves_no_output_directory(tmp_path, monkeypatch, capsys, 
         assert main(["simulate", "-c", "tone.ini", "--out", "y"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    where = "tone.ini: [run] tick: " if "tick" in edit else ""
+    where = "tone.ini: [run] tick: " if "tick" in edit else "tone.ini: [run] t_exp: "
     assert captured.err == f"config error: {where}{message}\n"
     assert not (tmp_path / "y").exists()
 
@@ -392,6 +393,31 @@ def test_simulate_and_trials_refuse_a_tick_too_fine_before_the_draw(
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"config error: tone.ini: {refusal}")
+    assert not (tmp_path / "y").exists()
+
+
+@pytest.mark.parametrize("mode", ["quantum", "classical"])
+def test_simulate_and_trials_refuse_a_draw_too_large_before_the_draw(
+    tmp_path, monkeypatch, capsys, mode
+):
+    # 1000 s of the quick start's 190 kHz streams is 1.9e8 candidates, past
+    # the 2.2e7 cap; the classical ports at 100 kHz singles, 5e7 each.
+    def draw(*args, **kwargs):
+        raise AssertionError("drew a stream")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("qvibe.simulate.sample_inhomogeneous_poisson", draw)
+    (tmp_path / "tone.ini").write_text(INI_TEXT.replace("t_exp = 1 s", "t_exp = 1000 s"))
+    commands = [["simulate", "-c", "tone.ini", "--mode", mode, "--out", "y"]]
+    if mode == "quantum":
+        commands.append(["trials", "-c", "tone.ini", "--trials", "2"])
+    for command in commands:
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "config error: tone.ini: [run] t_exp: bound * t_exp too large to sample ("
+        )
     assert not (tmp_path / "y").exists()
 
 

@@ -10,6 +10,7 @@ Monte-Carlo slack.
 import json
 import math
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -520,7 +521,7 @@ def test_overlapped_scan_and_refinement_are_bitwise_the_serial_path(monkeypatch,
             started.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr("qvibe.estimate.ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr("qvibe.simulate.ThreadPoolExecutor", CountingPool)  # the one pool name
     scan = scan_spectrum(stream_c, stream_a, ratio, f_max=f_max)
     assert scan.frequencies.size >= 1 << 16 and scan.detected
     comps = [estimate_component(stream_c, stream_a, ratio, f) for f in scan.detected]
@@ -562,18 +563,23 @@ def test_concurrent_overlapped_scans_are_bitwise_one_scan(overlapped_pair):
 
 def test_a_false_alarm_sized_exposure_starts_no_thread(monkeypatch):
     # 2k events a stream and 334 bins, as the signal-free benchmark runs:
-    # below both gates, where a thread's start would cost more than it saves.
+    # below every gate, where a thread's start would cost more than it saves.
+    # The draws, the scan and the refinement start none, nor does a trace
+    # the size of the README quick start's (a 10 Hz line over 1 s, 1,000
+    # samples in one block).
     def refuse(max_workers):
         raise AssertionError("started a thread")
 
-    monkeypatch.setattr("qvibe.estimate.ThreadPoolExecutor", refuse)
+    monkeypatch.setattr("qvibe.simulate.ThreadPoolExecutor", refuse)  # the one pool name
     pair = PhotonPairSpec(delta_omega=2 * math.pi * 177e12)
     signal = VibrationSignal.pure_tone(50.0, 20e-9, dc_offset_delay=quadrature_delay(pair))
     channel = ChannelModel(rate_c=2000.0, rate_a=2000.0)
     stream_c, stream_a = simulate_quantum_run(pair, signal, channel, t_exp=1.0, seed=6)
     scan = scan_spectrum(stream_c, stream_a, 1.0, f_max=200.0)
     assert scan.frequencies.size == 334
-    estimate_component(stream_c, stream_a, 1.0, 50.0)
+    comp = estimate_component(stream_c, stream_a, 1.0, 50.0)
+    rec = reconstruct(stream_c, stream_a, 1.0, pair, GeometryFactor(), [replace(comp, f_hat=10.0)])
+    assert rec.tau_trace.size == 1000
 
 
 def test_group_detections_collapses_runs_and_skips_dc():
@@ -978,8 +984,8 @@ def test_rotated_trace_matches_direct_cosine():
 
 def test_reconstruction_holds_no_array_of_the_trace_length():
     # A 2^22-sample trace (64 blocks) peaks under a quarter of the 8n bytes
-    # a full-length float64 trace takes: the block buffers, the rotation
-    # tables and the 4096 kept samples are all it holds.
+    # a full-length float64 trace takes: the block buffers of its two
+    # halves, the rotation tables and the 4096 kept samples are all it holds.
     t_exp = 1.0
     n = 1 << 22
     sc, sa = constant_pair_of_streams(10_000, t_exp)
@@ -994,6 +1000,81 @@ def test_reconstruction_holds_no_array_of_the_trace_length():
         tracemalloc.stop()
     assert rec.trace_stride == 1024 and rec.tau_trace.size == 4096
     assert peak < 8 * n / 4, peak
+
+
+@pytest.mark.parametrize("f_slow, theta_slow, depth", [(0.3, -0.5, 0.1), (3.7, -1.2, 1.3)])
+def test_split_trace_is_bitwise_the_serial_trace(monkeypatch, f_slow, theta_slow, depth):
+    # Seven blocks, the last one short: the caller runs four and the worker
+    # three. The stride, 112, does not divide the split point, so the
+    # worker's first kept sample sits inside its first block. At depth 0.1
+    # nothing is clamped and the slow line peaks at t = 0.27 t_exp, in the
+    # second half, and is lowest at the start, in the first, so each half
+    # holds one of the trace's extremes. At depth 1.3 both fluxes and the
+    # inverse-cosine argument are clamped in both halves, so the halves'
+    # clamp counts are added.
+    t_exp = 1.0
+    n = 7 * _TRACE_BLOCK - 1000
+    sc, sa = constant_pair_of_streams(10_000, t_exp)
+    a0 = 10_000 / t_exp
+    comps = (
+        ComponentEstimate(f_hat=(n - 0.5) / 100, theta_hat=0.3, a_hat_c=0.2 * depth * a0,
+                          a_hat_a=-0.2 * depth * a0),
+        ComponentEstimate(f_hat=f_slow, theta_hat=theta_slow, a_hat_c=0.8 * depth * a0,
+                          a_hat_a=-0.7 * depth * a0),
+    )
+    pair = replace(PAIR, visibility_v0=0.8)
+    started = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr("qvibe.simulate.ThreadPoolExecutor", CountingPool)
+    recs = {}
+    for gate in (0, math.inf):
+        monkeypatch.setattr("qvibe.estimate._SPLIT_BLOCKS", gate)
+        recs[gate] = reconstruct(sc, sa, 1.3, pair, GeometryFactor(2), comps)
+    assert started == [1]  # the open gate split the trace, the shut one did not
+    split, serial = recs[0], recs[math.inf]
+    assert serial.trace_stride == 112 and (4 * _TRACE_BLOCK) % serial.trace_stride
+    assert split.tau_trace.tobytes() == serial.tau_trace.tobytes()
+    assert split.displacement_pp.hex() == serial.displacement_pp.hex()
+    assert split.flux_clamp_fraction == serial.flux_clamp_fraction
+    assert split.arccos_clamp_fraction == serial.arccos_clamp_fraction
+    if depth > 1:
+        assert serial.flux_clamp_fraction > 0 and serial.arccos_clamp_fraction > 0
+        # Stream C's flux is clamped on both sides of the split; where it is,
+        # A's is positive, so P_hat = 0 and the argument 1 / 0.8 is clamped too.
+        phi_c = a0 + sum(c.a_hat_c * _rotated_oscillator(c, n, t_exp) for c in comps)
+        assert np.any(phi_c[: 4 * _TRACE_BLOCK] < 0) and np.any(phi_c[4 * _TRACE_BLOCK :] < 0)
+    else:
+        assert serial.flux_clamp_fraction == serial.arccos_clamp_fraction == 0.0
+
+
+def test_a_trace_refused_in_its_second_half_raises_the_same_error_split_or_not(monkeypatch):
+    # Over four blocks, the slow component drives both fluxes below zero
+    # from t = 0.18 t_exp on, inside the second half of the blocks only, so
+    # on the open gate the worker refuses the trace and the caller raises
+    # its error once the pool is closed.
+    t_exp = 1.0
+    n = 4 * _TRACE_BLOCK
+    sc, sa = constant_pair_of_streams(10_000, t_exp)
+    a0 = 10_000 / t_exp
+    comps = (
+        ComponentEstimate(f_hat=(n - 0.5) / 100, theta_hat=0.0, a_hat_c=0.0, a_hat_a=0.0),
+        # -1.9 a0 sin(pi t / t_exp): below -a0 where sin > 1 / 1.9, t > 0.18.
+        ComponentEstimate(f_hat=0.5, theta_hat=math.pi / 2, a_hat_c=1.9 * a0, a_hat_a=1.9 * a0),
+    )
+    threads = threading.active_count()
+    messages = []
+    for gate in (0, math.inf):
+        monkeypatch.setattr("qvibe.estimate._SPLIT_BLOCKS", gate)
+        with pytest.raises(AnalysisError, match="fluxes vanish") as exc:
+            reconstruct(sc, sa, 1.0, PAIR, GeometryFactor(2), comps)
+        messages.append(str(exc.value))
+        assert threading.active_count() == threads
+    assert messages[0] == messages[1]
 
 
 def test_classical_reconstruction_closed_form_single_tone():

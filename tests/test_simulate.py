@@ -1,4 +1,6 @@
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,14 +12,18 @@ from qvibe.core import (
     GeometryFactor,
     PhotonPairSpec,
     fringe_probability,
+    quadrature_delay,
 )
 from qvibe.errors import ConfigError
 from qvibe.simulate import (
     ChannelModel,
+    FluxPair,
+    QuantumRun,
     SignalComponent,
     TimestampStream,
     VibrationSignal,
     _PEAK_BLOCK,
+    _simulate_run,
     _trace_samples,
     classical_fluxes,
     quantum_fluxes,
@@ -460,3 +466,81 @@ def test_classical_run_port_rates():
     assert abs(n2 - 25e3) < 5 * math.sqrt(25e3)
     assert run.port1.tag == "singles1"
     assert run.port2.tag == "singles2"
+
+
+# ----- concurrent draws -----
+
+
+def counting_pools(monkeypatch):
+    """Patch the package's one pool name; the returned list gains an entry per pool made."""
+    started = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr("qvibe.simulate.ThreadPoolExecutor", CountingPool)
+    return started
+
+
+def test_concurrent_draws_are_bitwise_the_serial_draws(monkeypatch):
+    # 60k candidates a stream (the quantum pair with its accidentals, the
+    # classical ports at half the singles rate each), drawn with the gate
+    # forced open and shut: each stream reads only its own child generator.
+    pair = PhotonPairSpec(delta_omega=DETUNING, visibility_v0=0.9)
+    fringe = ClassicalFringeSpec(omega_optical=1.2153e15, phase_offset=-math.pi / 2)
+    signal = VibrationSignal.square_wave(37.0, 30e-9, phase=0.4)
+    signal_q = VibrationSignal(signal.components, dc_offset_delay=quadrature_delay(pair))
+    channel = ChannelModel(rate_c=60e3, rate_a=55e3, singles_rate=120e3)
+    runs = {}
+    started = counting_pools(monkeypatch)
+    for gate in (0, math.inf):
+        monkeypatch.setattr("qvibe.simulate._CONCURRENT_CANDIDATES", gate)
+        runs[gate] = (
+            simulate_quantum_run(pair, signal_q, channel, 1.0, seed=5),
+            simulate_classical_run(fringe, signal, channel, 1.0, seed=5, tick_duration=23e-12),
+        )
+    assert started == [1, 1]  # one worker for each run on the open gate, none on the shut
+    for serial, concurrent in zip(runs[math.inf], runs[0]):
+        for a, b in zip(serial, concurrent):
+            assert (a.tag, a.tick_duration, a.t_exp) == (b.tag, b.tick_duration, b.t_exp)
+            assert len(a) > 20_000
+            assert a.ticks.tobytes() == b.ticks.tobytes()
+
+
+def test_two_draws_over_the_cap_together_start_no_thread(monkeypatch):
+    # Each stream expects 1e5 candidates, under a cap of 1.5e5 and over the
+    # concurrency gate, but the two together pass the cap, so they are drawn
+    # one after the other and never peak together.
+    def refuse(max_workers):
+        raise AssertionError("started a thread")
+
+    monkeypatch.setattr("qvibe.simulate.ThreadPoolExecutor", refuse)
+    monkeypatch.setattr("qvibe.simulate._MAX_CANDIDATES", 1.5e5)
+    pair = PhotonPairSpec(delta_omega=DETUNING)
+    signal = VibrationSignal.pure_tone(10.0, 20e-9, dc_offset_delay=quadrature_delay(pair))
+    channel = ChannelModel(rate_c=1e5, rate_a=1e5, singles_rate=1e3)
+    assert 1e5 <= quantum_fluxes(pair, signal, channel).bound_1 < 1.0001e5
+    run = simulate_quantum_run(pair, signal, channel, 1.0, seed=3)
+    assert min(len(run.coincidences), len(run.anticoincidences)) > 40_000
+
+
+def test_a_refused_second_draw_raises_the_same_error_with_the_gate_open_or_shut(monkeypatch):
+    # Stream 2's flux exceeds its bound; on the open gate it is drawn, and
+    # refused, on the worker thread, whose error the caller raises once
+    # the pool is closed.
+    def fluxes(fringe, signal, channel):
+        return FluxPair(flat_flux(4e4), lambda t: np.linspace(0.0, 5e4, np.size(t)), 4e4, 4e4)
+
+    pair = PhotonPairSpec(delta_omega=DETUNING)
+    signal = VibrationSignal.pure_tone(10.0, 20e-9)
+    threads = threading.active_count()
+    messages = []
+    for gate in (0, math.inf):
+        monkeypatch.setattr("qvibe.simulate._CONCURRENT_CANDIDATES", gate)
+        with pytest.raises(ConfigError, match="flux exceeds its bound") as exc:
+            _simulate_run(QuantumRun, fluxes, pair, signal, ChannelModel(), 1.0, 8, 1e-10)
+        messages.append(str(exc.value))
+        assert threading.active_count() == threads
+    assert messages[0] == messages[1]
