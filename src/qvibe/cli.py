@@ -45,13 +45,12 @@ from .metrology import (
     _MAX_PAIRS,
     TrialScenario,
     monte_carlo_delay_std,
-    qcrb_delay_std,
     qcrb_displacement_std,
     run_advantage_experiment,
     run_amplitude_trials,
     run_frequency_sweep,
 )
-from .simulate import DEFAULT_TICK, simulate_classical_run, simulate_quantum_run
+from .simulate import DEFAULT_TICK, VibrationSignal, _simulate
 from .streamio import (
     read_stream,
     write_ground_truth,
@@ -98,11 +97,8 @@ def cmd_simulate(args, cfg: Config) -> int:
     tick = build_tick(cfg, t_exp)  # refused before the draw, by key
     check_draw(cfg, fringe, signal, channel, t_exp)  # likewise
     binary = args.binary or cfg.get("run", "binary", False)
-    if mode == "quantum":
-        simulate, names = simulate_quantum_run, ("coincidence", "anticoincidence")
-    else:
-        simulate, names = simulate_classical_run, ("port1", "port2")
-    run = simulate(fringe, signal, channel, t_exp, seed, tick)
+    run = _simulate(fringe, signal, channel, t_exp, seed, tick)
+    names = ("coincidence", "anticoincidence") if mode == "quantum" else ("port1", "port2")
     out = _outdir(args)  # only once both streams are drawn, so a refusal leaves none
     write = write_stream_binary if binary else write_stream_text
     ext = ".bin" if binary else ".txt"
@@ -181,7 +177,11 @@ def cmd_trials(args, cfg: Config) -> int:
     tick = build_tick(cfg, t_exp)  # refused before the draw, by key
     check_draw(cfg, pair, signal, channel, t_exp)  # likewise
     scenario = TrialScenario(pair, signal, channel, t_exp, options, tick)
+    if args.trials is not None and args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     n_trials = args.trials if args.trials is not None else cfg.get("run", "trials", 10)
+    if n_trials < 1:
+        raise cfg.refusal("run", "trials", f"trials must be at least 1, got {n_trials}")
     stats = run_amplitude_trials(scenario, n_trials, _seed_of(args, cfg), _threads_of(args))
     for rec in stats.records:
         if rec.detected:
@@ -227,14 +227,31 @@ def cmd_sweep(args, cfg: Config) -> int:
             f"{cfg.source}: [sweep] start, stop and step give more than {_MAX_SWEEP_POINTS} points"
         )
     freqs = [start + i * step for i in range(math.floor(span) + 1)]
+    pair, channel = build_pair(cfg), build_channel(cfg)
+    amplitude_pp = cfg.get("sweep", "amplitude_pp")
+    exposure = cfg.get("sweep", "exposure")
+    playback_scale = cfg.get("sweep", "playback_scale", 0.0)
+    # A point's tone, f * (1 + playback_scale), and its draw are refused by key before any point.
+    for key, ok, message in (
+        ("start", start > 0, f"start must be positive, got {_fmt(start)} Hz"),
+        ("amplitude_pp", amplitude_pp >= 0,
+         f"amplitude_pp must be non-negative, got {_fmt(amplitude_pp)} m"),
+        ("playback_scale", playback_scale > -1,
+         f"playback_scale must exceed -1, got {_fmt(playback_scale)}"),
+        ("exposure", exposure > 0, f"exposure must be positive, got {_fmt(exposure)} s"),
+    ):
+        if not ok:
+            raise cfg.refusal("sweep", key, message)
+    # The flux bounds the draw cap reads do not depend on the waveform.
+    check_draw(cfg, pair, VibrationSignal(()), channel, exposure, "sweep", "exposure")
     points = run_frequency_sweep(
         freqs,
-        build_pair(cfg),
-        build_channel(cfg),
-        cfg.get("sweep", "amplitude_pp"),
-        cfg.get("sweep", "exposure"),
+        pair,
+        channel,
+        amplitude_pp,
+        exposure,
         build_options(cfg, {"p_fa": args.p_fa, "f_max": args.f_max}),
-        playback_scale=cfg.get("sweep", "playback_scale", 0.0),
+        playback_scale=playback_scale,
         base_seed=_seed_of(args, cfg),
         max_workers=_threads_of(args),
     )

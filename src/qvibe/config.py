@@ -41,8 +41,7 @@ from .simulate import (
     VibrationSignal,
     _check_draws,
     _check_tick,
-    classical_fluxes,
-    quantum_fluxes,
+    _fluxes,
 )
 from .streamio import _EXACT
 
@@ -451,17 +450,19 @@ def check_draw(
     signal: VibrationSignal,
     channel: ChannelModel,
     t_exp: float,
+    section: str = "run",
+    key: str = "t_exp",
 ) -> None:
-    """Refuse by the [run] t_exp key, before the draw, a run either of whose streams is too large.
+    """Refuse by ``[section] key``, the exposure's key, before the draw, a run either
+    of whose streams is too large.
 
     The streams are the fringe's channel's, with their flux bounds, and a
     stream is too large when the sampler's candidate cap would refuse it.
     """
-    fluxes = quantum_fluxes if fringe.mode == "quantum" else classical_fluxes
     try:
-        _check_draws(fluxes(fringe, signal, channel), t_exp)
+        _check_draws(_fluxes(fringe, signal, channel), t_exp)
     except ConfigError as exc:
-        raise cfg.refusal("run", "t_exp", exc) from None
+        raise cfg.refusal(section, key, exc) from None
 
 
 def resolve_operating_delay(cfg: Config, pair: PhotonPairSpec, mode: str) -> float:

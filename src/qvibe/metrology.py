@@ -11,11 +11,12 @@ Three layers live here:
   across channel conditions (loss, background) and compare how much of
   the waveform each channel recovers.
 
-Trials, sweep points and the quantum half of each advantage condition
-repeat one exposure step, ``_exposure``: simulate a quantum run from a
-``TrialScenario`` and seed, then analyse it with ``pipeline`` at the
-scenario's true output-rate ratio. ``_trial`` scores that step against
-the component nearest a reference frequency.
+Trials, sweep points and both halves of each advantage condition repeat
+one exposure step, ``_exposure``: simulate a run of the fringe's channel
+from a seed, then analyse it with ``pipeline`` at the channel's true
+output-rate ratio (rate_c / rate_a for the pair streams, 1 for the
+classical ports). ``_trial`` scores that step against the component
+nearest a reference frequency.
 """
 
 from __future__ import annotations
@@ -35,17 +36,14 @@ from .core import (
     quadrature_delay,
 )
 from .errors import AnalysisError, ConfigError
-from .estimate import AnalysisOptions, ReconstructedSignal, pipeline
+from .estimate import AnalysisOptions, pipeline
 from .simulate import (
     DEFAULT_TICK,
     ChannelModel,
-    QuantumRun,
     VibrationSignal,
     _check_draws,
-    classical_fluxes,
-    quantum_fluxes,
-    simulate_classical_run,
-    simulate_quantum_run,
+    _fluxes,
+    _simulate,
 )
 
 
@@ -197,30 +195,22 @@ class TrialStatistics:
     detection_rate: float
 
 
-def _exposure(
-    scenario: TrialScenario, seed: int
-) -> tuple[QuantumRun, ReconstructedSignal | None]:
-    """Simulate and analyse one quantum exposure.
+def _exposure(fringe, signal, channel, t_exp, options, ratio, seed, tick):
+    """Simulate one exposure of the fringe's channel and analyse it at output-rate ``ratio``.
 
     Returns the run and its reconstruction, None when nothing is detected.
     """
-    run = simulate_quantum_run(
-        scenario.pair, scenario.signal, scenario.channel, scenario.t_exp,
-        seed, scenario.tick_duration,
-    )
-    result = pipeline(
-        *run,
-        fringe=scenario.pair,
-        geometry=scenario.channel.geometry,
-        ratio=scenario.true_ratio(),
-        options=scenario.options,
-    )
+    run = _simulate(fringe, signal, channel, t_exp, seed, tick)
+    result = pipeline(*run, fringe=fringe, geometry=channel.geometry, ratio=ratio, options=options)
     return run, result.reconstruction
 
 
 def _trial(scenario: TrialScenario, seed: int, f_ref: float) -> TrialRecord:
     """One exposure scored on the detected component nearest f_ref."""
-    _, recon = _exposure(scenario, seed)
+    _, recon = _exposure(
+        scenario.pair, scenario.signal, scenario.channel, scenario.t_exp, scenario.options,
+        scenario.true_ratio(), seed, scenario.tick_duration,
+    )
     if recon is None:
         return TrialRecord(seed, False, math.nan, math.nan, 0, 0)
     comp = min(recon.components, key=lambda c: abs(c.f_hat - f_ref))
@@ -381,19 +371,26 @@ class AdvantageSetup:
     def __post_init__(self) -> None:
         """Refuse a condition whose draws the sampler would refuse, before any is made."""
         for cond in self.conditions:
-            ch_q, ch_c = self._channels(cond)
-            for fx, t_exp in (
-                (quantum_fluxes(self.pair, self.signal, ch_q), cond.t_exp_quantum),
-                (classical_fluxes(self.fringe, self.signal, ch_c), cond.t_exp_classical),
-            ):
-                _check_draws(fx, t_exp)
+            for fringe, signal, channel, t_exp, _ in self._halves(cond):
+                _check_draws(_fluxes(fringe, signal, channel), t_exp)
 
-    def _channels(self, cond: AdvantageCondition) -> tuple[ChannelModel, ChannelModel]:
-        """The quantum and classical channels degraded as ``cond`` says."""
+    def _halves(self, cond: AdvantageCondition) -> tuple[tuple, tuple]:
+        """(fringe, signal, channel, t_exp, ratio) of the quantum, then the classical, exposure.
+
+        Both channels are degraded as ``cond`` says, and each is driven at its
+        own quadrature: the pair fringe at quadrature_delay(pair), the
+        classical fringe at zero static delay, where its -pi/2 phase offset
+        already sits mid-fringe. Each is analysed at its true output-rate
+        ratio, rate_c / rate_a for the pair streams and 1 for the ports.
+        """
         degradation = {"loss_b": cond.loss_b, "background_fraction": cond.background_fraction}
+        ch_q = replace(self.channel_quantum, **degradation)
+        ch_c = replace(self.channel_classical, **degradation)
         return (
-            replace(self.channel_quantum, **degradation),
-            replace(self.channel_classical, **degradation),
+            (self.pair, replace(self.signal, dc_offset_delay=quadrature_delay(self.pair)), ch_q,
+             cond.t_exp_quantum, ch_q.rate_c / ch_q.rate_a),
+            (self.fringe, replace(self.signal, dc_offset_delay=0.0), ch_c,
+             cond.t_exp_classical, 1.0),
         )
 
 
@@ -450,15 +447,14 @@ def run_advantage_experiment(
     undegraded reference fringe. Whatever the degradation does to the
     reconstruction then shows up as a recovery shortfall.
 
-    Each channel is driven at its own quadrature operating point: the
-    pair fringe at quadrature_delay(pair), the classical fringe at zero
-    static delay where its -pi/2 phase offset already sits mid-fringe.
-    The waveform components of ``setup.signal`` are shared; its dc
-    offset is overridden per channel.
+    Both halves of a condition are one ``_exposure`` each, of the
+    arguments ``AdvantageSetup._halves`` gives them: each channel is driven
+    at its own quadrature operating point, and the waveform components of
+    ``setup.signal`` are shared while its dc offset is set per channel.
+    Condition i draws the quantum half on seed base_seed + 2i and the
+    classical half on base_seed + 2i + 1.
     """
     fundamental = setup.signal.components[0].frequency
-    signal_q = replace(setup.signal, dc_offset_delay=quadrature_delay(setup.pair))
-    signal_c = replace(setup.signal, dc_offset_delay=0.0)
 
     def score(recon):
         """Recovered displacement_pp (0 when nothing is detected) and odd harmonics."""
@@ -469,20 +465,16 @@ def run_advantage_experiment(
 
     def one(i: int) -> AdvantageOutcome:
         cond = setup.conditions[i]
-        ch_q, ch_c = setup._channels(cond)
-        scenario_q = TrialScenario(setup.pair, signal_q, ch_q, cond.t_exp_quantum, setup.options)
-        run_q, recon_q = _exposure(scenario_q, base_seed + 2 * i)
-        run_c = simulate_classical_run(
-            setup.fringe, signal_c, ch_c, cond.t_exp_classical, base_seed + 2 * i + 1
-        )
-        recon_c = pipeline(
-            *run_c, fringe=setup.fringe, geometry=ch_c.geometry, ratio=1.0, options=setup.options
-        ).reconstruction
+        (run_q, recon_q), (run_c, recon_c) = [
+            _exposure(fringe, signal, channel, t_exp, setup.options, ratio, base_seed + 2 * i + k,
+                      DEFAULT_TICK)
+            for k, (fringe, signal, channel, t_exp, ratio) in enumerate(setup._halves(cond))
+        ]
         pp_q, harm_q = score(recon_q)
         pp_c, harm_c = score(recon_c)
         return AdvantageOutcome(
             condition=cond,
-            truth_pp=signal_q.peak_to_peak(cond.t_exp_quantum),
+            truth_pp=setup.signal.peak_to_peak(cond.t_exp_quantum),  # the dc offset moves no x(t)
             quantum_pp=pp_q,
             classical_pp=pp_c,
             quantum_events=sum(map(len, run_q)),

@@ -437,6 +437,13 @@ def classical_fluxes(
     return _fringe_fluxes(eff, signal, channel.geometry, scale, scale, bg)
 
 
+def _fluxes(fringe, signal, channel) -> FluxPair:
+    """The flux pair of the fringe's channel: ``quantum_fluxes`` for a pair spec,
+    else ``classical_fluxes``."""
+    fluxes = quantum_fluxes if fringe.mode == "quantum" else classical_fluxes
+    return fluxes(fringe, signal, channel)
+
+
 # ----- sampling -----
 
 
@@ -591,3 +598,14 @@ def simulate_classical_run(
     return _simulate_run(
         ClassicalRun, classical_fluxes, fringe, signal, channel, t_exp, seed, tick_duration
     )
+
+
+def _simulate(fringe, signal, channel, t_exp, seed, tick):
+    """One exposure of the fringe's channel: ``simulate_quantum_run`` for a pair spec,
+    else ``simulate_classical_run``.
+
+    Both are looked up as module globals at call time, not kept in a table,
+    so a wrapper put on either (by a tracer, say) sees every run drawn here.
+    """
+    simulate = simulate_quantum_run if fringe.mode == "quantum" else simulate_classical_run
+    return simulate(fringe, signal, channel, t_exp, seed, tick)

@@ -1122,6 +1122,48 @@ def test_cli_sweep_refuses_bad_ranges(tmp_path, capsys, edit, message):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("command, edit, where, message", [
+    # 1000 s of the 190 kHz streams is 1.9e8 candidates, past the 2.2e7 cap.
+    ("sweep", ("exposure = 1 s", "exposure = 1000 s"), "[sweep] exposure",
+     "bound * t_exp too large to sample (1.9e+08 candidates)"),
+    ("sweep", ("exposure = 1 s", "exposure = 0 s"), "[sweep] exposure",
+     "exposure must be positive, got 0.0 s"),
+    ("sweep", ("exposure = 1 s", "exposure = -2 s"), "[sweep] exposure",
+     "exposure must be positive, got -2.0 s"),
+    ("sweep", ("amplitude_pp = 20 nm\nexposure", "amplitude_pp = -20 nm\nexposure"),
+     "[sweep] amplitude_pp", "amplitude_pp must be non-negative, got -2e-08 m"),
+    ("sweep", ("exposure = 1 s", "exposure = 1 s\nplayback_scale = -1"), "[sweep] playback_scale",
+     "playback_scale must exceed -1, got -1.0"),
+    ("sweep", ("exposure = 1 s", "exposure = 1 s\nplayback_scale = -1.5"),
+     "[sweep] playback_scale", "playback_scale must exceed -1, got -1.5"),
+    ("sweep", ("start = 10 Hz", "start = 0 Hz"), "[sweep] start",
+     "start must be positive, got 0.0 Hz"),
+    ("trials", ("seed = 611", "seed = 611\ntrials = 0"), "[run] trials",
+     "trials must be at least 1, got 0"),
+])
+def test_sweep_and_trials_refusals_name_the_file_and_the_key(
+    tmp_path, monkeypatch, capsys, command, edit, where, message
+):
+    # Refused with exit 2 before any point or trial is drawn, and nothing written.
+    monkeypatch.chdir(tmp_path)
+    _refuse_draws(monkeypatch)
+    (tmp_path / "bad.ini").write_text(SWEEP_INI.replace(*edit))
+    assert main([command, "-c", "bad.ini", "--out", "out"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: bad.ini: {where}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_trials_flag_below_one_names_the_flag(tmp_path, monkeypatch, capsys):
+    _refuse_draws(monkeypatch)
+    cfg = write_tone_config(tmp_path)
+    out = tmp_path / "trials.json"
+    assert main(["trials", "-c", str(cfg), "--trials", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: --trials must be at least 1, got 0\n"
+    assert not out.exists()
+
+
 def test_cli_spectrum_csv_to_stdout(tmp_path, capsys):
     cfg = write_tone_config(tmp_path, seed=613)
     out = tmp_path / "s"

@@ -14,7 +14,7 @@ import pytest
 
 from qvibe.core import GeometryFactor, PhotonPairSpec, quadrature_delay
 from qvibe.errors import AnalysisError, ConfigError
-from qvibe.estimate import AnalysisOptions
+from qvibe.estimate import AnalysisOptions, pipeline
 from qvibe.metrology import (
     AdvantageCondition,
     TrialScenario,
@@ -30,7 +30,12 @@ from qvibe.metrology import (
     run_amplitude_trials,
     run_frequency_sweep,
 )
-from qvibe.simulate import ChannelModel, VibrationSignal
+from qvibe.simulate import (
+    ChannelModel,
+    VibrationSignal,
+    simulate_classical_run,
+    simulate_quantum_run,
+)
 
 PAIR = PhotonPairSpec(delta_omega=2 * math.pi * 177e12)
 
@@ -273,6 +278,43 @@ def test_advantage_experiment_smoke():
     assert 0.85 < out.quantum_recovery < 1.15
     assert 10.0 in {round(h) for h in out.quantum_harmonics}
     assert out.classical_harmonics  # clean channel sees the wave too
+
+
+def test_each_advantage_half_is_analysed_at_its_own_channels_ratio():
+    # Both channels have rate_c != rate_a. The quantum half reads its pair
+    # streams at rate_c / rate_a = 2; the classical half reads its ports at 1,
+    # whatever its channel's (unused) pair rates say, bit for bit as a run
+    # drawn and analysed by hand on the same seed.
+    setup = loss_advantage_setup(loss_values=(0.0, 0.5), target_pairs=100_000)
+    setup = replace(
+        setup,
+        channel_quantum=replace(setup.channel_quantum, rate_a=100e3),
+        channel_classical=replace(setup.channel_classical, rate_c=300e3, rate_a=100e3),
+    )
+    outcomes = run_advantage_experiment(setup, base_seed=520)
+    for i, (cond, out) in enumerate(zip(setup.conditions, outcomes)):
+        ch_q = replace(setup.channel_quantum, loss_b=cond.loss_b)
+        ch_c = replace(setup.channel_classical, loss_b=cond.loss_b)
+        signal_q = replace(setup.signal, dc_offset_delay=quadrature_delay(setup.pair))
+        signal_c = replace(setup.signal, dc_offset_delay=0.0)
+        run_q = simulate_quantum_run(setup.pair, signal_q, ch_q, cond.t_exp_quantum, 520 + 2 * i)
+        run_c = simulate_classical_run(
+            setup.fringe, signal_c, ch_c, cond.t_exp_classical, 520 + 2 * i + 1
+        )
+
+        def pp(run, fringe, channel, ratio):
+            recon = pipeline(
+                *run, fringe=fringe, geometry=channel.geometry, ratio=ratio, options=setup.options
+            ).reconstruction
+            return recon.displacement_pp
+
+        assert out.quantum_pp == pp(run_q, setup.pair, ch_q, 2.0)
+        assert out.classical_pp == pp(run_c, setup.fringe, ch_c, 1.0)
+        # Read at its channel's rate_c / rate_a, the classical half would differ.
+        assert out.classical_pp != pp(run_c, setup.fringe, ch_c, 3.0)
+        assert (out.quantum_events, out.classical_events) == (
+            sum(map(len, run_q)), sum(map(len, run_c))
+        )
 
 
 # ----- worker plumbing -----
