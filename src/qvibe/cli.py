@@ -10,8 +10,11 @@ Subcommands map one-to-one onto the library drivers:
 * ``qcrb``       closed-form precision bound vs Monte Carlo estimator
 
 Exit codes: 0 success, 2 configuration problem, 3 file/stream problem,
-4 analysis could not proceed. All output is deterministic for a fixed
-configuration and seed: floats print via repr and JSON keys are sorted.
+4 analysis could not proceed. A refused setting exits 2 before any draw,
+naming its flag (``--trials must lie in [2, 16777216], got 1``) or its
+file and key (``tone.ini: [run] t_exp: t_exp must be positive, got 0.0 s``).
+All output is deterministic for a fixed configuration and seed: floats
+print via repr and JSON keys are sorted.
 ``estimate --format json|csv`` and ``sweep`` print only the record or the
 table on stdout; their ``wrote ...`` notices go to stderr.
 """
@@ -30,19 +33,19 @@ from .config import (
     Config,
     build_advantage,
     build_channel,
+    build_exposure,
     build_fringe,
     build_geometry,
     build_options,
     build_pair,
     build_signal,
-    build_tick,
-    check_draw,
     load_config,
 )
 from .errors import AnalysisError, ConfigError, StreamFormatError
 from .estimate import pipeline
 from .metrology import (
     _MAX_PAIRS,
+    _MAX_TRIALS,
     TrialScenario,
     monte_carlo_delay_std,
     qcrb_displacement_std,
@@ -50,7 +53,7 @@ from .metrology import (
     run_amplitude_trials,
     run_frequency_sweep,
 )
-from .simulate import DEFAULT_TICK, VibrationSignal, _simulate
+from .simulate import DEFAULT_TICK, _simulate
 from .streamio import (
     read_stream,
     write_ground_truth,
@@ -63,15 +66,22 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _seed_of(args, cfg: Config, default: int = 0) -> int:
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-        return args.seed
-    seed = cfg.get("run", "seed", default)
-    if seed < 0:
-        raise cfg.refusal("run", "seed", f"seed must be non-negative, got {seed}")
-    return seed
+def _setting(args, flag: str, cfg: Config, section: str, key: str, default, ok, need: str):
+    """``--flag`` if it was given, else ``[section] key`` (``default`` where unset).
+
+    Either is refused where ``ok`` rejects it: the flag as ``--flag <need>,
+    got <value>``, the key as ``Config.checked`` refuses it.
+    """
+    value = getattr(args, flag[2:].replace("-", "_"))
+    if value is None:
+        return cfg.checked(section, key, default, ok=ok, need=need)
+    if not ok(value):
+        raise ConfigError(f"{flag} {need}, got {value!r}")
+    return value
+
+
+def _seed_of(args, cfg: Config) -> int:
+    return _setting(args, "--seed", cfg, "run", "seed", 0, lambda n: n >= 0, "must be non-negative")
 
 
 def _threads_of(args) -> int | None:
@@ -92,10 +102,8 @@ def cmd_simulate(args, cfg: Config) -> int:
     fringe = pair if mode == "quantum" else build_fringe(cfg)
     channel = build_channel(cfg)
     signal = build_signal(cfg, pair, mode)
-    t_exp = cfg.get("run", "t_exp", 1.0)
     seed = _seed_of(args, cfg)
-    tick = build_tick(cfg, t_exp)  # refused before the draw, by key
-    check_draw(cfg, fringe, signal, channel, t_exp)  # likewise
+    t_exp, tick = build_exposure(cfg, fringe, channel, default=1.0)  # refused before the draw
     binary = args.binary or cfg.get("run", "binary", False)
     run = _simulate(fringe, signal, channel, t_exp, seed, tick)
     names = ("coincidence", "anticoincidence") if mode == "quantum" else ("port1", "port2")
@@ -172,16 +180,11 @@ def cmd_trials(args, cfg: Config) -> int:
     pair = build_pair(cfg)
     channel = build_channel(cfg)
     signal = build_signal(cfg, pair, "quantum")
-    t_exp = cfg.get("run", "t_exp", 1.0)
     options = build_options(cfg, {"p_fa": args.p_fa, "f_max": args.f_max})
-    tick = build_tick(cfg, t_exp)  # refused before the draw, by key
-    check_draw(cfg, pair, signal, channel, t_exp)  # likewise
+    t_exp, tick = build_exposure(cfg, pair, channel, default=1.0)  # refused before the draw
     scenario = TrialScenario(pair, signal, channel, t_exp, options, tick)
-    if args.trials is not None and args.trials < 1:
-        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
-    n_trials = args.trials if args.trials is not None else cfg.get("run", "trials", 10)
-    if n_trials < 1:
-        raise cfg.refusal("run", "trials", f"trials must be at least 1, got {n_trials}")
+    n_trials = _setting(args, "--trials", cfg, "run", "trials", 10, lambda n: n >= 1,
+                        "must be at least 1")
     stats = run_amplitude_trials(scenario, n_trials, _seed_of(args, cfg), _threads_of(args))
     for rec in stats.records:
         if rec.detected:
@@ -216,7 +219,8 @@ def cmd_sweep(args, cfg: Config) -> int:
             f"{cfg.source}: [run] tick is not read by sweep,"
             f" which samples at the {_fmt(DEFAULT_TICK)} s tick"
         )
-    start = cfg.get("sweep", "start")
+    # A point's tone, f * (1 + playback_scale), and its draw are refused by key before any point.
+    start = cfg.checked("sweep", "start", ok=lambda f: f > 0, need="must be positive", unit=" Hz")
     stop = cfg.get("sweep", "stop")
     step = cfg.get("sweep", "step")
     if step <= 0 or stop < start:
@@ -228,22 +232,13 @@ def cmd_sweep(args, cfg: Config) -> int:
         )
     freqs = [start + i * step for i in range(math.floor(span) + 1)]
     pair, channel = build_pair(cfg), build_channel(cfg)
-    amplitude_pp = cfg.get("sweep", "amplitude_pp")
-    exposure = cfg.get("sweep", "exposure")
-    playback_scale = cfg.get("sweep", "playback_scale", 0.0)
-    # A point's tone, f * (1 + playback_scale), and its draw are refused by key before any point.
-    for key, ok, message in (
-        ("start", start > 0, f"start must be positive, got {_fmt(start)} Hz"),
-        ("amplitude_pp", amplitude_pp >= 0,
-         f"amplitude_pp must be non-negative, got {_fmt(amplitude_pp)} m"),
-        ("playback_scale", playback_scale > -1,
-         f"playback_scale must exceed -1, got {_fmt(playback_scale)}"),
-        ("exposure", exposure > 0, f"exposure must be positive, got {_fmt(exposure)} s"),
-    ):
-        if not ok:
-            raise cfg.refusal("sweep", key, message)
-    # The flux bounds the draw cap reads do not depend on the waveform.
-    check_draw(cfg, pair, VibrationSignal(()), channel, exposure, "sweep", "exposure")
+    amplitude_pp = cfg.checked(
+        "sweep", "amplitude_pp", ok=lambda a: a >= 0, need="must be non-negative", unit=" m"
+    )
+    playback_scale = cfg.checked(
+        "sweep", "playback_scale", 0.0, ok=lambda s: s > -1, need="must exceed -1"
+    )
+    exposure, _ = build_exposure(cfg, pair, channel, "sweep", "exposure")
     points = run_frequency_sweep(
         freqs,
         pair,
@@ -299,11 +294,11 @@ def cmd_advantage(args, cfg: Config) -> int:
 def cmd_qcrb(args, cfg: Config) -> int:
     pair = build_pair(cfg)
     geometry = build_geometry(cfg, default=1)
-    if args.n_pairs:
-        n_list = tuple(args.n_pairs)
-    else:
-        n_list = cfg.get("qcrb", "n_pairs", (10_000,))
-    trials = args.trials if args.trials is not None else cfg.get("qcrb", "trials", 1000)
+    n_list = _setting(args, "--n-pairs", cfg, "qcrb", "n_pairs", (10_000,),
+                      lambda ns: all(1 <= n <= _MAX_PAIRS for n in ns),
+                      f"must each lie in [1, {_MAX_PAIRS}]")
+    trials = _setting(args, "--trials", cfg, "qcrb", "trials", 1000,
+                      lambda n: 2 <= n <= _MAX_TRIALS, f"must lie in [2, {_MAX_TRIALS}]")
     factor = (
         args.calibration_factor
         if args.calibration_factor is not None
@@ -313,8 +308,8 @@ def cmd_qcrb(args, cfg: Config) -> int:
         raise ConfigError(
             f"calibration_factor must be finite and non-negative (0 = known ratio), got {factor}"
         )
-    n_max = max(n_list)  # one above _MAX_PAIRS is refused as n_pairs, at its draw
-    if factor > 0 and n_max <= _MAX_PAIRS and not factor * n_max < _MAX_PAIRS:
+    n_max = max(n_list)
+    if factor > 0 and not factor * n_max < _MAX_PAIRS:
         raise ConfigError(
             f"calibration_factor {factor} times n_pairs {n_max} exceeds the"
             f" {_MAX_PAIRS} calibration pairs a draw can count"

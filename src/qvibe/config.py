@@ -257,6 +257,14 @@ class Config:
         """The error ``<file>: [section] key: message`` for a value this file sets."""
         return ConfigError(f"{self.source}: [{section}] {key}: {message}")
 
+    def checked(self, section: str, key: str, default=_MISSING, *, ok, need: str, unit: str = ""):
+        """``get(section, key, default)``, refused where ``ok`` rejects it, as
+        ``<file>: [section] key: <key> <need>, got <value><unit>``."""
+        value = self.get(section, key, default)
+        if not ok(value):
+            raise self.refusal(section, key, f"{key} {need}, got {value!r}{unit}")
+        return value
+
     def signal_components(self) -> tuple[SignalComponent, ...]:
         signal = self.values.get("signal", {})
         return tuple(
@@ -431,38 +439,32 @@ def build_channel(cfg: Config) -> ChannelModel:
     return _construct(cfg, "channel", ChannelModel, {"geometry": build_geometry(cfg)}, fields)
 
 
-def build_tick(cfg: Config, t_exp: float) -> float:
-    """The [run] tick (default 100 ps), refused by key if no int64 tick count spans t_exp.
+def build_exposure(
+    cfg: Config, fringe: PhotonPairSpec | ClassicalFringeSpec, channel: ChannelModel,
+    section: str = "run", key: str = "t_exp", default=_MISSING,
+) -> tuple[float, float]:
+    """The exposure ``[section] key`` and the [run] tick (default 100 ps), refused
+    by key before any draw.
 
-    The key named is ``tick``, or ``t_exp`` when the file sets no tick.
+    Refused are an exposure that is not positive, a tick with no int64 count
+    of the exposure (named ``[run] tick``, or the exposure's key when the file
+    sets no tick) and a run either of whose streams, those of the fringe's
+    channel, the sampler's candidate cap would refuse. The flux bounds the cap
+    reads do not depend on the waveform, so no signal is taken.
     """
+    t_exp = cfg.checked(section, key, default, ok=lambda t: t > 0, need="must be positive",
+                        unit=" s")
     tick = cfg.get("run", "tick", DEFAULT_TICK)
     try:
         _check_tick(tick, t_exp)
     except ConfigError as exc:
-        raise cfg.refusal("run", "tick" if cfg.has("run", "tick") else "t_exp", exc) from None
-    return tick
-
-
-def check_draw(
-    cfg: Config,
-    fringe: PhotonPairSpec | ClassicalFringeSpec,
-    signal: VibrationSignal,
-    channel: ChannelModel,
-    t_exp: float,
-    section: str = "run",
-    key: str = "t_exp",
-) -> None:
-    """Refuse by ``[section] key``, the exposure's key, before the draw, a run either
-    of whose streams is too large.
-
-    The streams are the fringe's channel's, with their flux bounds, and a
-    stream is too large when the sampler's candidate cap would refuse it.
-    """
+        where = ("run", "tick") if cfg.has("run", "tick") else (section, key)
+        raise cfg.refusal(*where, exc) from None
     try:
-        _check_draws(_fluxes(fringe, signal, channel), t_exp)
+        _check_draws(_fluxes(fringe, VibrationSignal(()), channel), t_exp)
     except ConfigError as exc:
         raise cfg.refusal(section, key, exc) from None
+    return t_exp, tick
 
 
 def resolve_operating_delay(cfg: Config, pair: PhotonPairSpec, mode: str) -> float:

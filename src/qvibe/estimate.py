@@ -1020,6 +1020,8 @@ class AnalysisOptions:
     def __post_init__(self) -> None:
         if not 0 < self.p_fa < 1:
             raise ConfigError(f"p_fa must lie in (0, 1), got {self.p_fa}")
+        if not 0 < self.f_max < math.inf:
+            raise ConfigError(f"f_max must be positive and finite, got {self.f_max}")
 
 
 @dataclass(frozen=True)

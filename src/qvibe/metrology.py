@@ -160,7 +160,10 @@ def _map_indexed(fn, n: int, max_workers: int | None) -> list:
 
 @dataclass(frozen=True)
 class TrialScenario:
-    """One fully specified quantum exposure to repeat."""
+    """One fully specified quantum exposure to repeat.
+
+    An exposure that is not positive and finite is a ConfigError.
+    """
 
     pair: PhotonPairSpec
     signal: VibrationSignal
@@ -168,6 +171,10 @@ class TrialScenario:
     t_exp: float
     options: AnalysisOptions = AnalysisOptions()
     tick_duration: float = DEFAULT_TICK
+
+    def __post_init__(self) -> None:
+        if not (self.t_exp > 0 and math.isfinite(self.t_exp)):
+            raise ConfigError(f"t_exp must be positive and finite, got {self.t_exp}")
 
     def true_ratio(self) -> float:
         return self.channel.rate_c / self.channel.rate_a

@@ -1164,6 +1164,46 @@ def test_a_trials_flag_below_one_names_the_flag(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+TRIALS = ["trials", "--trials", "2", "--out", "out"]
+ZERO_T_EXP = "bad.ini: [run] t_exp: t_exp must be positive, got 0.0 s"
+NEGATIVE_T_EXP = "bad.ini: [run] t_exp: t_exp must be positive, got -1.0 s"
+ZERO_F_MAX = "bad.ini: [analysis] f_max: f_max must be positive and finite, got 0.0"
+
+
+@pytest.mark.parametrize("command, edit, refusal", [
+    (SIMULATE, ("t_exp = 1 s", "t_exp = 0 s"), ZERO_T_EXP),
+    (SIMULATE, ("t_exp = 1 s", "t_exp = -1 s"), NEGATIVE_T_EXP),
+    (TRIALS, ("t_exp = 1 s", "t_exp = 0 s"), ZERO_T_EXP),
+    (TRIALS, ("t_exp = 1 s", "t_exp = -1 s"), NEGATIVE_T_EXP),
+    (["qcrb", "--n-pairs", "100", "--trials", "1"], None,
+     "--trials must lie in [2, 16777216], got 1"),
+    (["qcrb", "--n-pairs", "100"], ("seed = 611", "seed = 611\n\n[qcrb]\ntrials = 1"),
+     "bad.ini: [qcrb] trials: trials must lie in [2, 16777216], got 1"),
+    (["qcrb", "--n-pairs", "100", "0"], None,
+     "--n-pairs must each lie in [1, 9223372036854775807], got [100, 0]"),
+    (["qcrb"], ("seed = 611", "seed = 611\n\n[qcrb]\nn_pairs = 100 | 0"),
+     "bad.ini: [qcrb] n_pairs: n_pairs must each lie in [1, 9223372036854775807], got (100, 0)"),
+    (TRIALS, ("f_max = 200 Hz", "f_max = 0 Hz"), ZERO_F_MAX),
+    (["sweep", "--out", "out"], ("f_max = 200 Hz", "f_max = 0 Hz"), ZERO_F_MAX),
+])
+def test_exposure_trial_count_and_band_refusals_name_their_flag_or_key(
+    tmp_path, monkeypatch, capsys, command, edit, refusal
+):
+    # Refused with exit 2 before any stream or Monte Carlo trial is drawn, and nothing written.
+    def draw(*args, **kwargs):
+        raise AssertionError("drew Monte Carlo trials")
+
+    monkeypatch.chdir(tmp_path)
+    _refuse_draws(monkeypatch)
+    monkeypatch.setattr("qvibe.cli.monte_carlo_delay_std", draw)
+    (tmp_path / "bad.ini").write_text(SWEEP_INI.replace(*edit) if edit else SWEEP_INI)
+    assert main([*command, "-c", "bad.ini"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {refusal}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_spectrum_csv_to_stdout(tmp_path, capsys):
     cfg = write_tone_config(tmp_path, seed=613)
     out = tmp_path / "s"

@@ -164,6 +164,15 @@ def test_amplitude_trials_need_two_detections():
         run_amplitude_trials(scenario, n_trials=0, base_seed=41)
 
 
+def test_trial_scenario_refuses_an_exposure_no_trial_runs():
+    # A zero exposure reached the true peak-to-peak as a ZeroDivisionError.
+    channel = ChannelModel(rate_c=2e3, rate_a=2e3)
+    TrialScenario(PAIR, quadrature_tone(20e-9), channel, 1.0)
+    for t_exp in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match=r"^t_exp must be positive and finite, got "):
+            TrialScenario(PAIR, quadrature_tone(20e-9), channel, t_exp)
+
+
 def test_frequency_sweep_recovers_playback_offset():
     channel = ChannelModel(rate_c=200e3, rate_a=200e3)
     pts = run_frequency_sweep(
