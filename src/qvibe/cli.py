@@ -9,10 +9,15 @@ Subcommands map one-to-one onto the library drivers:
 * ``advantage``  paired quantum/classical runs under channel degradation
 * ``qcrb``       closed-form precision bound vs Monte Carlo estimator
 
+Each override flag is one more config value: its argparse ``dest`` is the
+``section.key`` it sets, and ``main`` lays the flags given over the loaded
+config, so a command reads every setting from the config alone. Only
+``--config``, ``--out``, ``--format`` and ``--threads`` set no key.
+
 Exit codes: 0 success, 2 configuration problem, 3 file/stream problem,
 4 analysis could not proceed. A refused setting exits 2 before any draw,
-naming its flag (``--trials must lie in [2, 16777216], got 1``) or its
-file and key (``tone.ini: [run] t_exp: t_exp must be positive, got 0.0 s``).
+naming its flag (``--trials: trials must lie in [2, 16777216], got 1``) or
+its file and key (``tone.ini: [run] t_exp: t_exp must be positive, got 0.0 s``).
 All output is deterministic for a fixed configuration and seed: floats
 print via repr and JSON keys are sorted.
 ``estimate --format json|csv`` and ``sweep`` print only the record or the
@@ -66,22 +71,8 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _setting(args, flag: str, cfg: Config, section: str, key: str, default, ok, need: str):
-    """``--flag`` if it was given, else ``[section] key`` (``default`` where unset).
-
-    Either is refused where ``ok`` rejects it: the flag as ``--flag <need>,
-    got <value>``, the key as ``Config.checked`` refuses it.
-    """
-    value = getattr(args, flag[2:].replace("-", "_"))
-    if value is None:
-        return cfg.checked(section, key, default, ok=ok, need=need)
-    if not ok(value):
-        raise ConfigError(f"{flag} {need}, got {value!r}")
-    return value
-
-
-def _seed_of(args, cfg: Config) -> int:
-    return _setting(args, "--seed", cfg, "run", "seed", 0, lambda n: n >= 0, "must be non-negative")
+def _seed_of(cfg: Config) -> int:
+    return cfg.checked("run", "seed", 0, ok=lambda n: n >= 0, need="must be non-negative")
 
 
 def _threads_of(args) -> int | None:
@@ -97,14 +88,14 @@ def _outdir(args) -> Path:
 
 
 def cmd_simulate(args, cfg: Config) -> int:
-    mode = args.mode or cfg.get("run", "mode", "quantum")
+    mode = cfg.get("run", "mode", "quantum")
     pair = build_pair(cfg)
     fringe = pair if mode == "quantum" else build_fringe(cfg)
     channel = build_channel(cfg)
     signal = build_signal(cfg, pair, mode)
-    seed = _seed_of(args, cfg)
+    seed = _seed_of(cfg)
     t_exp, tick = build_exposure(cfg, fringe, channel, default=1.0)  # refused before the draw
-    binary = args.binary or cfg.get("run", "binary", False)
+    binary = cfg.get("run", "binary", False)
     run = _simulate(fringe, signal, channel, t_exp, seed, tick)
     names = ("coincidence", "anticoincidence") if mode == "quantum" else ("port1", "port2")
     out = _outdir(args)  # only once both streams are drawn, so a refusal leaves none
@@ -122,11 +113,12 @@ def cmd_simulate(args, cfg: Config) -> int:
 
 
 def cmd_estimate(args, cfg: Config) -> int:
-    mode = args.mode or cfg.get("run", "mode", "quantum")
+    mode = cfg.get("run", "mode", "quantum")
     fringe = build_pair(cfg) if mode == "quantum" else build_fringe(cfg)
     geometry = build_channel(cfg).geometry
-    options = build_options(cfg, {"p_fa": args.p_fa, "f_max": args.f_max})
-    ratio = args.ratio if args.ratio is not None else cfg.get("analysis", "ratio", 1.0)
+    options = build_options(cfg)
+    ratio = cfg.checked("analysis", "ratio", 1.0, ok=lambda r: 0 < r < math.inf,
+                        need="must be positive and finite")  # refused before either read
     stream_1 = read_stream(args.stream1)
     stream_2 = read_stream(args.stream2)
     tags = fringe.stream_tags
@@ -180,12 +172,11 @@ def cmd_trials(args, cfg: Config) -> int:
     pair = build_pair(cfg)
     channel = build_channel(cfg)
     signal = build_signal(cfg, pair, "quantum")
-    options = build_options(cfg, {"p_fa": args.p_fa, "f_max": args.f_max})
+    options = build_options(cfg)
     t_exp, tick = build_exposure(cfg, pair, channel, default=1.0)  # refused before the draw
     scenario = TrialScenario(pair, signal, channel, t_exp, options, tick)
-    n_trials = _setting(args, "--trials", cfg, "run", "trials", 10, lambda n: n >= 1,
-                        "must be at least 1")
-    stats = run_amplitude_trials(scenario, n_trials, _seed_of(args, cfg), _threads_of(args))
+    n_trials = cfg.checked("run", "trials", 10, ok=lambda n: n >= 1, need="must be at least 1")
+    stats = run_amplitude_trials(scenario, n_trials, _seed_of(cfg), _threads_of(args))
     for rec in stats.records:
         if rec.detected:
             print(f"trial seed={rec.seed} f_hat={_fmt(rec.f_hat)} pp_hat={_fmt(rec.pp_hat)}")
@@ -245,9 +236,9 @@ def cmd_sweep(args, cfg: Config) -> int:
         channel,
         amplitude_pp,
         exposure,
-        build_options(cfg, {"p_fa": args.p_fa, "f_max": args.f_max}),
+        build_options(cfg),
         playback_scale=playback_scale,
-        base_seed=_seed_of(args, cfg),
+        base_seed=_seed_of(cfg),
         max_workers=_threads_of(args),
     )
     header = "f_nominal,f_true,detected,f_hat,rel_offset,pp_hat"
@@ -267,7 +258,7 @@ def cmd_sweep(args, cfg: Config) -> int:
 
 def cmd_advantage(args, cfg: Config) -> int:
     setup = build_advantage(cfg)
-    outcomes = run_advantage_experiment(setup, _seed_of(args, cfg), _threads_of(args))
+    outcomes = run_advantage_experiment(setup, _seed_of(cfg), _threads_of(args))
     doc = []
     for o in outcomes:
         print(
@@ -294,27 +285,18 @@ def cmd_advantage(args, cfg: Config) -> int:
 def cmd_qcrb(args, cfg: Config) -> int:
     pair = build_pair(cfg)
     geometry = build_geometry(cfg, default=1)
-    n_list = _setting(args, "--n-pairs", cfg, "qcrb", "n_pairs", (10_000,),
-                      lambda ns: all(1 <= n <= _MAX_PAIRS for n in ns),
-                      f"must each lie in [1, {_MAX_PAIRS}]")
-    trials = _setting(args, "--trials", cfg, "qcrb", "trials", 1000,
-                      lambda n: 2 <= n <= _MAX_TRIALS, f"must lie in [2, {_MAX_TRIALS}]")
-    factor = (
-        args.calibration_factor
-        if args.calibration_factor is not None
-        else cfg.get("qcrb", "calibration_factor", 0.0)
+    n_list = cfg.checked("qcrb", "n_pairs", (10_000,),
+                         ok=lambda ns: all(1 <= n <= _MAX_PAIRS for n in ns),
+                         need=f"must each lie in [1, {_MAX_PAIRS}]")
+    trials = cfg.checked("qcrb", "trials", 1000, ok=lambda n: 2 <= n <= _MAX_TRIALS,
+                         need=f"must lie in [2, {_MAX_TRIALS}]")
+    # Line n draws int(factor * n) calibration pairs, all checked before the first line.
+    factor = cfg.checked(
+        "qcrb", "calibration_factor", 0.0,
+        ok=lambda f: f == 0 or 0 < f < math.inf and all(4 <= f * n < _MAX_PAIRS for n in n_list),
+        need=f"must be 0 (a known ratio) or times each n_pairs lie in [4, {_MAX_PAIRS}]",
     )
-    if not 0 <= factor < math.inf:
-        raise ConfigError(
-            f"calibration_factor must be finite and non-negative (0 = known ratio), got {factor}"
-        )
-    n_max = max(n_list)
-    if factor > 0 and not factor * n_max < _MAX_PAIRS:
-        raise ConfigError(
-            f"calibration_factor {factor} times n_pairs {n_max} exceeds the"
-            f" {_MAX_PAIRS} calibration pairs a draw can count"
-        )
-    seed = _seed_of(args, cfg)
+    seed = _seed_of(cfg)
     for i, n in enumerate(n_list):
         cal = int(factor * n) if factor > 0 else None
         mc = monte_carlo_delay_std(
@@ -337,19 +319,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, config_required=True, threads=False):
         p.add_argument("--config", "-c", required=config_required, help="configuration file")
-        p.add_argument("--seed", type=int, default=None, help="override [run] seed")
+        p.add_argument("--seed", dest="run.seed", type=int, help="override [run] seed")
         if threads:
             p.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
 
     def analysis(p):
-        p.add_argument("--p-fa", type=float, default=None, help="override [analysis] p_fa")
-        p.add_argument("--f-max", type=float, default=None, help="override [analysis] f_max in Hz")
+        p.add_argument("--p-fa", dest="analysis.p_fa", type=float, help="override [analysis] p_fa")
+        p.add_argument("--f-max", dest="analysis.f_max", type=float,
+                       help="override [analysis] f_max in Hz")
 
     p = sub.add_parser("simulate", help="generate timestamp streams for one exposure")
     common(p)
     p.add_argument("--out", "-o", default=".", help="output directory")
-    p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--binary", action="store_true", help="write binary streams")
+    p.add_argument("--mode", dest="run.mode", choices=MODES)
+    p.add_argument("--binary", dest="run.binary", action="store_true", default=None,
+                   help="write binary streams")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="run the estimation pipeline on two stream files")
@@ -357,16 +341,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("stream2", help="anti-coincidence (or port-2) stream file")
     p.add_argument("--config", "-c", help="configuration file")
     p.add_argument("--out", "-o", default=None, help="output directory")
-    p.add_argument("--mode", choices=MODES, default=None)
+    p.add_argument("--mode", dest="run.mode", choices=MODES)
     analysis(p)
-    p.add_argument("--ratio", type=float, default=None, help="override [analysis] ratio")
+    p.add_argument("--ratio", dest="analysis.ratio", type=float, help="override [analysis] ratio")
     p.add_argument("--format", choices=("human", "json", "csv"), default="human")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("trials", help="repeat one scenario and report spread statistics")
     common(p, threads=True)
     p.add_argument("--out", "-o", default=None, help="write statistics JSON here")
-    p.add_argument("--trials", type=int, default=None, help="override [run] trials")
+    p.add_argument("--trials", dest="run.trials", type=int, help="override [run] trials")
     analysis(p)
     p.set_defaults(func=cmd_trials)
 
@@ -383,10 +367,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qcrb", help="precision bound and Monte Carlo saturation")
     common(p, config_required=False)
-    p.add_argument("--n-pairs", type=int, nargs="+", default=None)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--n-pairs", dest="qcrb.n_pairs", type=int, nargs="+")
+    p.add_argument("--trials", dest="qcrb.trials", type=int)
     p.add_argument(
-        "--calibration-factor", type=float, default=None,
+        "--calibration-factor", dest="qcrb.calibration_factor", type=float,
         help="calibration pairs as a multiple of n_pairs (0 = known ratio)",
     )
     p.set_defaults(func=cmd_qcrb)
@@ -397,9 +381,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # An override flag's dest is its "section.key"; each one given replaces that key.
+    flags = {dest: value for dest, value in vars(args).items() if "." in dest and value is not None}
     try:
         cfg = load_config(args.config) if args.config else Config({}, "<defaults>")
-        return args.func(args, cfg)
+        return args.func(args, cfg.with_flags(flags))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

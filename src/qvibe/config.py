@@ -13,6 +13,11 @@ quantities must carry a unit suffix from the tables below (``t_exp = 5 s``,
 dimensionless numbers must not carry one. Unknown sections, unknown keys, duplicate
 keys, missing or wrong units, and a text key outside its allowed values are
 configuration errors.
+
+The command line is a third source: each override flag is spelled ``--`` plus
+its key (``--p-fa`` for ``[analysis] p_fa``), and ``Config.with_flags`` lays
+the flags given over the loaded values. A refused value is named by its
+source, as ``--flag: <message>`` or ``<file>: [section] key: <message>``.
 """
 
 from __future__ import annotations
@@ -239,10 +244,22 @@ def _parse_value(section: str, key: str, text: str, where: str):
 
 @dataclass(frozen=True)
 class Config:
-    """Parsed configuration: every value already typed by the schema."""
+    """Parsed configuration: every value already typed by the schema.
+
+    ``flagged`` holds each (section, key) that a command-line flag set.
+    """
 
     values: dict[str, dict[str, object]]
     source: str = "<memory>"
+    flagged: frozenset[tuple[str, str]] = frozenset()
+
+    def with_flags(self, flags: dict[str, object]) -> Config:
+        """This config with each ``"section.key"`` value of ``flags`` replacing its key."""
+        values = {section: dict(keys) for section, keys in self.values.items()}
+        for flat, value in flags.items():
+            section, key = flat.split(".")
+            values.setdefault(section, {})[key] = value
+        return Config(values, self.source, self.flagged | {tuple(k.split(".")) for k in flags})
 
     def get(self, section: str, key: str, default=_MISSING):
         value = self.values.get(section, {}).get(key, default)
@@ -254,12 +271,15 @@ class Config:
         return key in self.values.get(section, {})
 
     def refusal(self, section: str, key: str, message) -> ConfigError:
-        """The error ``<file>: [section] key: message`` for a value this file sets."""
+        """The error ``<file>: [section] key: message``, or ``--key: message``
+        (``_`` spelled ``-``) for a value a flag set."""
+        if (section, key) in self.flagged:
+            return ConfigError(f"--{key.replace('_', '-')}: {message}")
         return ConfigError(f"{self.source}: [{section}] {key}: {message}")
 
     def checked(self, section: str, key: str, default=_MISSING, *, ok, need: str, unit: str = ""):
         """``get(section, key, default)``, refused where ``ok`` rejects it, as
-        ``<file>: [section] key: <key> <need>, got <value><unit>``."""
+        ``<source>: <key> <need>, got <value><unit>`` (see ``refusal``)."""
         value = self.get(section, key, default)
         if not ok(value):
             raise self.refusal(section, key, f"{key} {need}, got {value!r}{unit}")
@@ -338,7 +358,7 @@ def load_config(path: str | Path) -> Config:
 
 
 def _set_keys(cfg: Config, section: str, names: dict[str, str]) -> dict[str, tuple[str, object]]:
-    """(library name, value) for each key of ``section`` in ``names`` that the file sets."""
+    """(library name, value) for each key of ``section`` in ``names`` that the config sets."""
     return {
         key: (name, cfg.get(section, key)) for key, name in names.items() if cfg.has(section, key)
     }
@@ -355,10 +375,10 @@ def _refuses(build, kwargs: dict) -> bool:
 def _construct(cfg: Config, section: str, build, base: dict, fields: dict):
     """``build`` called with ``base`` updated by ``fields``, its refusals named by key.
 
-    ``fields`` maps each key of ``section`` the file sets to its (library
-    name, value); ``base`` holds the library values that stand for keys the
-    file leaves unset. A ConfigError from ``build`` is raised again as
-    ``<file>: [section] key: <message>`` for the first key whose value
+    ``fields`` maps each key of ``section`` the config sets to its (library
+    name, value); ``base`` holds the library values that stand for keys it
+    leaves unset. A ConfigError from ``build`` is raised again, as
+    ``Config.refusal`` names it, for the first key whose value
     ``build`` refuses on ``base`` alone; a refusal no single key explains
     (a bad ``base``) is raised unchanged.
     """
@@ -519,11 +539,10 @@ def build_signal(cfg: Config, pair: PhotonPairSpec, mode: str) -> VibrationSigna
     return _construct(cfg, "signal", build, base, _set_keys(cfg, "signal", names))
 
 
-def build_options(cfg: Config, overrides: dict | None = None) -> AnalysisOptions:
-    """Options from [analysis]; an override that is not None wins over the file."""
-    base = {name: value for name, value in (overrides or {}).items() if value is not None}
-    fields = _set_keys(cfg, "analysis", {key: key for key in ("p_fa", "f_max") if key not in base})
-    return _construct(cfg, "analysis", AnalysisOptions, base, fields)
+def build_options(cfg: Config) -> AnalysisOptions:
+    """Options from [analysis] ``p_fa`` and ``f_max``."""
+    fields = _set_keys(cfg, "analysis", {"p_fa": "p_fa", "f_max": "f_max"})
+    return _construct(cfg, "analysis", AnalysisOptions, {}, fields)
 
 
 def build_advantage(cfg: Config) -> AdvantageSetup:

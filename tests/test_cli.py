@@ -6,6 +6,7 @@ import check, which needs a fresh interpreter, and the sweep point cap,
 whose failure mode is a run that never ends.
 """
 
+import argparse
 import json
 import math
 import os
@@ -20,8 +21,9 @@ import numpy as np
 import pytest
 
 import qvibe
-from qvibe.cli import main
+from qvibe.cli import _build_parser, main
 from qvibe.config import (
+    _SCHEMA,
     Config,
     build_channel,
     build_fringe,
@@ -430,13 +432,15 @@ def test_signal_component_refusal_names_the_line_and_the_key():
     )
 
 
-def test_refusal_of_a_command_line_override_names_no_key(tmp_path, capsys):
+def test_refusal_of_a_command_line_override_names_the_flag(tmp_path, capsys):
     # --p-fa is not in the file, so its refusal is not blamed on a key there.
     cfg = write_tone_config(tmp_path)
     assert main(["estimate", "c.txt", "a.txt", "-c", str(cfg), "--p-fa", "3"]) == 2
-    assert capsys.readouterr().err == "config error: p_fa must lie in (0, 1), got 3.0\n"
+    assert capsys.readouterr().err == "config error: --p-fa: p_fa must lie in (0, 1), got 3.0\n"
+    # A flag for one key leaves a bad value of another named by the file.
+    cfg = parse_config("[analysis]\np_fa = 0\n").with_flags({"analysis.f_max": 10.0})
     with pytest.raises(ConfigError, match=r"^<memory>: \[analysis\] p_fa: "):
-        build_options(parse_config("[analysis]\np_fa = 0\n"), {"f_max": 10.0})
+        build_options(cfg)
 
 
 def test_resolve_operating_delay_modes():
@@ -471,12 +475,17 @@ def test_build_signal_kinds():
         build_signal(parse_config("[signal]\nkind = chirp\n"), pair, "quantum")
 
 
-def test_build_options_overrides_win():
-    cfg = parse_config("[analysis]\np_fa = 0.01\nf_max = 1 kHz\n")
+def test_a_flag_replaces_its_key_and_leaves_the_others():
+    cfg = parse_config("[analysis]\np_fa = 0.01\nf_max = 1 kHz\n\n[run]\nseed = 3\n", "a.ini")
     opts = build_options(cfg)
     assert opts.p_fa == 0.01 and opts.f_max == 1e3
-    opts2 = build_options(cfg, {"p_fa": 0.001, "f_max": None})
+    flagged = cfg.with_flags({"analysis.p_fa": 0.001, "qcrb.trials": 50})
+    opts2 = build_options(flagged)
     assert opts2.p_fa == 0.001 and opts2.f_max == 1e3
+    assert flagged.get("qcrb", "trials") == 50 and flagged.get("run", "seed") == 3
+    assert cfg.get("analysis", "p_fa") == 0.01 and not cfg.has("qcrb", "trials")  # unchanged
+    assert str(flagged.refusal("analysis", "p_fa", "m")) == "--p-fa: m"
+    assert str(flagged.refusal("analysis", "f_max", "m")) == "a.ini: [analysis] f_max: m"
 
 
 # ----- end-to-end CLI -----
@@ -775,7 +784,9 @@ def test_cli_estimate_rejects_non_finite_ratio(tmp_path, capsys):
             assert main(["estimate", *streams, "-c", str(cfg), "--ratio", ratio]) == 2, ratio
         captured = capsys.readouterr()
         assert captured.out == "", ratio
-        assert captured.err.startswith("config error: ratio must be positive and finite"), ratio
+        assert captured.err.startswith(
+            "config error: --ratio: ratio must be positive and finite"
+        ), ratio
 
 
 SQUARE_WAVE = "[signal]\nkind = square_wave\nfrequency = 10 Hz\namplitude_pp = 20 nm\n"
@@ -972,7 +983,9 @@ def test_a_negative_seed_flag_names_the_flag(tmp_path, capsys):
     for command in (["simulate", "-c", str(cfg), "--out", str(tmp_path / "out")],
                     ["trials", "-c", str(cfg), "--trials", "2"], QCRB):
         assert main([*command, "--seed", "-2"]) == 2, command
-        assert capsys.readouterr().err == "config error: --seed must be non-negative, got -2\n"
+        assert capsys.readouterr().err == (
+            "config error: --seed: seed must be non-negative, got -2\n"
+        ), command
     assert not (tmp_path / "out").exists()
 
 
@@ -1160,7 +1173,7 @@ def test_a_trials_flag_below_one_names_the_flag(tmp_path, monkeypatch, capsys):
     cfg = write_tone_config(tmp_path)
     out = tmp_path / "trials.json"
     assert main(["trials", "-c", str(cfg), "--trials", "0", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "config error: --trials must be at least 1, got 0\n"
+    assert capsys.readouterr().err == "config error: --trials: trials must be at least 1, got 0\n"
     assert not out.exists()
 
 
@@ -1176,13 +1189,18 @@ ZERO_F_MAX = "bad.ini: [analysis] f_max: f_max must be positive and finite, got 
     (TRIALS, ("t_exp = 1 s", "t_exp = 0 s"), ZERO_T_EXP),
     (TRIALS, ("t_exp = 1 s", "t_exp = -1 s"), NEGATIVE_T_EXP),
     (["qcrb", "--n-pairs", "100", "--trials", "1"], None,
-     "--trials must lie in [2, 16777216], got 1"),
+     "--trials: trials must lie in [2, 16777216], got 1"),
     (["qcrb", "--n-pairs", "100"], ("seed = 611", "seed = 611\n\n[qcrb]\ntrials = 1"),
      "bad.ini: [qcrb] trials: trials must lie in [2, 16777216], got 1"),
     (["qcrb", "--n-pairs", "100", "0"], None,
-     "--n-pairs must each lie in [1, 9223372036854775807], got [100, 0]"),
+     "--n-pairs: n_pairs must each lie in [1, 9223372036854775807], got [100, 0]"),
     (["qcrb"], ("seed = 611", "seed = 611\n\n[qcrb]\nn_pairs = 100 | 0"),
      "bad.ini: [qcrb] n_pairs: n_pairs must each lie in [1, 9223372036854775807], got (100, 0)"),
+    # 0.01 of 100000 pairs is 1000 calibration pairs, of 100 only 1: the
+    # second line is refused before the first is drawn or printed.
+    (["qcrb", "--n-pairs", "100000", "100", "--calibration-factor", "0.01"], None,
+     "--calibration-factor: calibration_factor must be 0 (a known ratio) or times each n_pairs"
+     " lie in [4, 9223372036854775807], got 0.01"),
     (TRIALS, ("f_max = 200 Hz", "f_max = 0 Hz"), ZERO_F_MAX),
     (["sweep", "--out", "out"], ("f_max = 200 Hz", "f_max = 0 Hz"), ZERO_F_MAX),
 ])
@@ -1202,6 +1220,80 @@ def test_exposure_trial_count_and_band_refusals_name_their_flag_or_key(
     assert captured.out == ""
     assert captured.err == f"config error: {refusal}\n"
     assert not (tmp_path / "out").exists()
+
+
+# Every override flag that can carry a bad value, given on the command line
+# and as the key it overrides: (command, flag arguments, key values, refusal
+# without its "--flag: " or "bad.ini: [section] key: " prefix). The mode is
+# a choice and binary a switch, so argparse leaves neither a bad value.
+OVERRIDE_REFUSALS = [
+    (["trials", "--out", "out"], ["--seed", "-2"], {"run.seed": "-2"},
+     "seed must be non-negative, got -2"),
+    (["trials", "--out", "out"], ["--trials", "0"], {"run.trials": "0"},
+     "trials must be at least 1, got 0"),
+    (["trials", "--out", "out"], ["--p-fa", "3"], {"analysis.p_fa": "3"},
+     "p_fa must lie in (0, 1), got 3.0"),
+    (["trials", "--out", "out"], ["--f-max", "-1"], {"analysis.f_max": "-1 Hz"},
+     "f_max must be positive and finite, got -1.0"),
+    # Neither stream exists: exit 2, not 3, shows the ratio is refused before either read.
+    (["estimate", "c.txt", "a.txt", "--out", "out"], ["--ratio", "0"], {"analysis.ratio": "0"},
+     "ratio must be positive and finite, got 0.0"),
+    (["qcrb"], ["--trials", "1"], {"qcrb.trials": "1"},
+     "trials must lie in [2, 16777216], got 1"),
+    (["qcrb"], ["--n-pairs", "0"], {"qcrb.n_pairs": "0"},
+     "n_pairs must each lie in [1, 9223372036854775807], got {}"),
+    (["qcrb"], ["--calibration-factor", "0.01"], {"qcrb.calibration_factor": "0.01"},
+     "calibration_factor must be 0 (a known ratio) or times each n_pairs lie in"
+     " [4, 9223372036854775807], got 0.01"),
+]
+
+
+@pytest.mark.parametrize("by_flag", [True, False], ids=["flag", "key"])
+@pytest.mark.parametrize("command, flag, values, message", OVERRIDE_REFUSALS,
+                         ids=[next(iter(case[2])) for case in OVERRIDE_REFUSALS])
+def test_every_override_is_refused_by_its_flag_or_its_key(
+    tmp_path, monkeypatch, capsys, by_flag, command, flag, values, message
+):
+    # Exit 2 before any read or draw, nothing written, and the refusal names
+    # the flag when the flag set the value and the file and key when the file did.
+    def draw(*args, **kwargs):
+        raise AssertionError("drew Monte Carlo trials")
+
+    monkeypatch.chdir(tmp_path)
+    _refuse_draws(monkeypatch)
+    monkeypatch.setattr("qvibe.cli.monte_carlo_delay_std", draw)
+    base = {"run.t_exp": "1 s", "run.trials": "2", "qcrb.n_pairs": "100", "qcrb.trials": "10"}
+    _write_config(tmp_path / "bad.ini", {**base, **TONE, **({} if by_flag else values)})
+    assert main([*command, "-c", "bad.ini", *(flag if by_flag else [])]) == 2
+    (flat,) = values
+    section, key = flat.split(".")
+    where = flag[0] if by_flag else f"bad.ini: [{section}] {key}"
+    got = "[0]" if by_flag else "(0,)"  # an --n-pairs list, an n_pairs tuple
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {where}: {message.format(got)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_override_flag_is_spelled_by_its_key():
+    # A flag's dest is the "section.key" it sets, and the flag is "--" plus
+    # the key with "-" for "_", the name Config.refusal gives a flagged value.
+    parser = _build_parser()
+    (subcommands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    keys = set()
+    for command, sub in subcommands.choices.items():
+        for action in sub._actions:
+            if "." in action.dest:
+                section, key = action.dest.split(".")
+                where = (command, action.dest)
+                assert key in _SCHEMA[section], where
+                assert action.option_strings == ["--" + key.replace("_", "-")], where
+                assert action.default is None, where  # absent, the file's key holds
+                keys.add(action.dest)
+    assert keys == {
+        "run.mode", "run.binary", "run.seed", "run.trials", "analysis.p_fa", "analysis.f_max",
+        "analysis.ratio", "qcrb.n_pairs", "qcrb.trials", "qcrb.calibration_factor",
+    }
 
 
 def test_cli_spectrum_csv_to_stdout(tmp_path, capsys):
