@@ -77,7 +77,7 @@ def _seed_of(cfg: Config) -> int:
 
 def _threads_of(args) -> int | None:
     if args.threads is not None and args.threads < 1:
-        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+        raise ConfigError(f"--threads: must be at least 1, got {args.threads}")
     return args.threads
 
 
@@ -206,16 +206,14 @@ _MAX_SWEEP_POINTS = 10_000  # each point is one simulated exposure
 
 def cmd_sweep(args, cfg: Config) -> int:
     if cfg.has("run", "tick"):
-        raise ConfigError(
-            f"{cfg.source}: [run] tick is not read by sweep,"
-            f" which samples at the {_fmt(DEFAULT_TICK)} s tick"
+        raise cfg.refusal(
+            "run", "tick", f"is not read by sweep, which samples at the {_fmt(DEFAULT_TICK)} s tick"
         )
     # A point's tone, f * (1 + playback_scale), and its draw are refused by key before any point.
     start = cfg.checked("sweep", "start", ok=lambda f: f > 0, need="must be positive", unit=" Hz")
-    stop = cfg.get("sweep", "stop")
-    step = cfg.get("sweep", "step")
-    if step <= 0 or stop < start:
-        raise ConfigError(f"{cfg.source}: [sweep] needs stop >= start and step > 0")
+    stop = cfg.checked("sweep", "stop", ok=lambda f: f >= start,
+                       need=f"must be at least start ({_fmt(start)} Hz)", unit=" Hz")
+    step = cfg.checked("sweep", "step", ok=lambda f: f > 0, need="must be positive", unit=" Hz")
     span = (stop * (1.0 + 1e-12) - start) / step
     if not span < _MAX_SWEEP_POINTS:
         raise ConfigError(

@@ -264,7 +264,7 @@ class Config:
     def get(self, section: str, key: str, default=_MISSING):
         value = self.values.get(section, {}).get(key, default)
         if value is _MISSING:
-            raise ConfigError(f"{self.source}: missing required key [{section}] {key}")
+            raise self.refusal(section, key, "missing required key")
         return value
 
     def has(self, section: str, key: str) -> bool:

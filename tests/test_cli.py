@@ -671,7 +671,7 @@ def test_cli_rejects_threads_below_one(tmp_path, capsys):
             captured = capsys.readouterr()
             assert captured.out == "", (command, threads)
             assert captured.err == (
-                f"config error: --threads must be at least 1, got {threads}\n"
+                f"config error: --threads: must be at least 1, got {threads}\n"
             ), (command, threads)
 
 
@@ -1114,15 +1114,19 @@ def test_cli_sweep_refuses_tick(tmp_path, capsys):
     assert main(["sweep", "-c", str(cfg), "--out", str(tmp_path / "sweep.csv")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"config error: {cfg}: [run] tick is not read by sweep")
+    assert captured.err.startswith(f"config error: {cfg}: [run] tick: is not read by sweep,")
     assert not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("edit, message", [
-    (("stop = 30 Hz", "stop = 5 Hz"), "[sweep] needs stop >= start and step > 0"),
-    (("step = 10 Hz", "step = 0 Hz"), "[sweep] needs stop >= start and step > 0"),
+    (("stop = 30 Hz", "stop = 5 Hz"),
+     "[sweep] stop: stop must be at least start (10.0 Hz), got 5.0 Hz"),
+    (("step = 10 Hz", "step = 0 Hz"), "[sweep] step: step must be positive, got 0.0 Hz"),
     (("stop = 30 Hz", "stop = 100010 Hz"),
      "[sweep] start, stop and step give more than 10000 points"),
+    (("step = 10 Hz", "step = -10 Hz"), "[sweep] step: step must be positive, got -10.0 Hz"),
+    (("start = 10 Hz\n", ""), "[sweep] start: missing required key"),
+    (("amplitude_pp = 20 nm\n", ""), "[sweep] amplitude_pp: missing required key"),
 ])
 def test_cli_sweep_refuses_bad_ranges(tmp_path, capsys, edit, message):
     # Refused before any exposure, naming the file as every section does.

@@ -1,16 +1,24 @@
 import json
 import math
 import struct
+import tempfile
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from qvibe import streamio
+from qvibe.cli import main
 from qvibe.config import parse_quantity
-from qvibe.core import GeometryFactor
+from qvibe.core import GeometryFactor, PhotonPairSpec, quadrature_delay
 from qvibe.errors import ConfigError, StreamFormatError
-from qvibe.simulate import TimestampStream, VibrationSignal
+from qvibe.estimate import AnalysisOptions, pipeline
+from qvibe.simulate import ChannelModel, TimestampStream, VibrationSignal, simulate_quantum_run
 from qvibe.streamio import (
     read_stream,
     read_stream_binary,
@@ -180,6 +188,13 @@ def test_text_reports_the_first_bad_line(tmp_path):
         read_stream_text(path)
 
 
+def test_text_refuses_every_non_digit_byte_in_a_tick_line(tmp_path):
+    for byte in set(range(256)) - set(b"0123456789\n"):
+        path = text_file(tmp_path, b"2\n5\n1" + bytes([byte]) + b"2\n")
+        with pytest.raises(StreamFormatError, match=r"line 3: not an integer tick"):
+            read_stream_text(path)
+
+
 def test_text_int64_range(tmp_path):
     top = 2**63 - 1
     back = read_stream_text(text_file(tmp_path, f"2\n0\n{top}\n", "qvibe-ts v1 singles2 1.0 1e300"))
@@ -269,3 +284,153 @@ def test_non_finite_tick_or_exposure_is_a_format_error(tmp_path, fmt, tick, t_ex
         read_stream(path)
     with pytest.raises(ConfigError, match=r"must be positive and finite"):
         TimestampStream("coincidence", [5], tick, t_exp)
+
+
+# ----- the text codec's chunks and halves -----
+
+# 0, 2^63 - 1, and both ends of every digit count.
+EDGE_TICKS = sorted({2**63 - 1} | {10**k + d for k in range(19) for d in (-1, 0)})
+
+
+def codec(split=None, chunk=None):
+    """The text codec with its split threshold and chunk size patched where given."""
+    return mock.patch.multiple(
+        streamio,
+        _SPLIT_LINES=split or streamio._SPLIT_LINES,
+        _CHUNK_LINES=chunk or streamio._CHUNK_LINES,
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([1, 2, 3, 38, 100, streamio._SPLIT_LINES - 1, streamio._SPLIT_LINES,
+                     streamio._SPLIT_LINES + 1]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([None, 3, 4096]),
+    st.booleans(),
+)
+@example(streamio._SPLIT_LINES + 1, 0, None, False)
+@example(streamio._SPLIT_LINES, 0, None, True)
+def test_text_codec_round_trip_matches_the_per_line_format(size, seed, chunk, one_digit):
+    # Sorted ticks spread over every bit length, the edge ticks among them,
+    # or ticks of one digit, many repeated; in one or more chunks and either
+    # side of the split threshold.
+    assume(chunk != 3 or size <= 100)
+    rng = np.random.default_rng(seed)
+    if one_digit:
+        ticks = rng.integers(0, 10, size)
+    else:
+        ticks = rng.integers(0, 2**63 - 1, size, endpoint=True) >> rng.integers(0, 63, size)
+        ticks[: len(EDGE_TICKS)] = EDGE_TICKS[:size]
+    ticks.sort()
+    s = TimestampStream("coincidence", ticks, 100e-12, 1e300)
+    with tempfile.TemporaryDirectory() as tmp, codec(chunk=chunk):
+        path = Path(tmp) / "s.txt"
+        write_stream_text(s, path)
+        body = path.read_bytes().split(b"\n", 1)[1]
+        assert body == b"".join(b"%d\n" % t for t in ticks.tolist())
+        back = read_stream_text(path)
+    assert back.ticks.dtype == np.int64 and np.array_equal(back.ticks, ticks)
+
+
+TOP = 2**63 - 1
+
+# Every text body the tests above refuse or take, from the count on, and
+# cases whose bad line, over-long line, short count, trailing data or
+# out-of-range tick lies in the second half of a split reader.
+TEXT_CASES = [
+    "3\n10\n20\n", "1\n10\n20\n", "2\n10\nfrog\n", "2\n20\n10\n",
+    *(f"2\n5\n{line}\n" for line in (" 10", "10 ", "+10", "1_0", "1e3", "\u0661", "1\r0", "")),
+    "2\n5\n" + "0" * 19 + "7\n", b"3\n1\n\xff\n2\n",
+    "4\n1\n2x\n" + "9" * 25 + "\n4\n", "4\n1\n\n2x\n4\n", "3\n1\n2\nfrog\n",
+    f"2\n0\n{TOP}\n", f"2\n0\n{TOP + 1}\n", f"1\n{'9' * 19}\n",
+    "1\n10\n\nfrog\n", "1\n10\n \n\t\n7", "1\n10\n\x00", "-2\n", "100000000000000\n5\n",
+    "3\r\n0\r\n9\r\n10\r\n", "3\n0\n9\n10", "3\n0\n9\n10\n \t\r\n\n", "3\n5\n10\n100\n",
+    "6\n1\n2\n3\n4\nfrog\n6\n", "6\n1\n2\n3\n4\n" + "1" * 20 + "\n6\n",
+    "6\n1\n2\n3\n4\n\n6\n", "8\n1\n2\n3\n4\n5\n6\n", "6\n1\n2\n3\n4\n5\n6\n7\n",
+    f"6\n1\n2\n3\n4\n5\n{TOP + 1}\n", "6\n1\nx\n3\n4\ny\n6\n",
+    f"6\n1\n{TOP + 1}\n3\n4\nfrog\n6\n", "6\n1\n2\n3\n4\n5\n6", "6\n1\n2\n3\n4\n50\n6\n",
+]
+
+
+def cli_outcome(path, capsys):
+    """The exit code and output of ``qvibe estimate`` on ``path`` as both streams."""
+    code = main(["estimate", str(path), str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("body", TEXT_CASES)
+def test_split_reader_refuses_as_the_single_pass_reader(tmp_path, capsys, body):
+    path = text_file(tmp_path, body)
+    with codec(split=2**62, chunk=2**62):
+        expected = cli_outcome(path, capsys)
+    assert expected[0] in (2, 3)  # a stream error, or both files tagged coincidence
+    for chunk in (1, 2, 3, 2**62):
+        with codec(split=2, chunk=chunk):
+            assert cli_outcome(path, capsys) == expected, chunk
+
+
+def read_outcome(path):
+    try:
+        return read_stream_text(path).ticks.tolist()
+    except StreamFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 10**12), min_size=1, max_size=12).map(sorted),
+       st.integers(0, 10**6), st.integers(0, 255), st.sampled_from([1, 2, 3]))
+def test_split_reader_agrees_on_any_one_byte_corruption(ticks, where, byte, chunk):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.txt"
+        write_stream_text(TimestampStream("coincidence", ticks, 100e-12, 1e300), path)
+        raw = bytearray(path.read_bytes())
+        raw[where % len(raw)] = byte
+        path.write_bytes(bytes(raw))
+        with codec(split=2**62, chunk=2**62):
+            expected = read_outcome(path)
+        with codec(split=2, chunk=chunk):
+            assert read_outcome(path) == expected
+
+
+@pytest.mark.parametrize("body, message", [
+    # Lines 2 to 4 are the first half, 5 to 7 the second; lines are counted
+    # from the top of the file.
+    ("6\n1\n2\n3\n4\nfrog\n6\n", "line 6: not an integer tick: 'frog'"),
+    ("6\n1\n2\n3\n4\n" + "1" * 20 + "\n6\n", "line 6: not an integer tick: '1{20}'"),
+    ("8\n1\n2\n3\n4\n5\n6\n", "expected 8 ticks, file ends at 6"),
+    ("6\n1\n2\n3\n4\n5\n6\n7\n", "trailing data after 6 ticks"),
+    (f"6\n1\n2\n3\n4\n5\n{TOP + 1}\n", "line 7: tick 9223372036854775808 exceeds"),
+    # Both halves fail: the first half's line wins.
+    ("6\n1\nx\n3\n4\ny\n6\n", "line 3: not an integer tick: 'x'"),
+    # A bad line in either half wins over an out-of-range tick.
+    (f"6\n1\n{TOP + 1}\n3\n4\nfrog\n6\n", "line 6: not an integer tick: 'frog'"),
+])
+def test_split_reader_names_second_half_lines_from_the_top(tmp_path, body, message):
+    path = text_file(tmp_path, body)
+    for chunk in (1, 2, 2**62):
+        with codec(split=2, chunk=chunk), pytest.raises(StreamFormatError, match=message):
+            read_stream_text(path)
+
+
+def test_binary_read_stream_is_read_only_and_analyses_as_its_text_twin(tmp_path):
+    pair = PhotonPairSpec(delta_omega=2 * math.pi * 177e12)
+    signal = VibrationSignal.pure_tone(10.0, 20e-9, dc_offset_delay=quadrature_delay(pair))
+    run = simulate_quantum_run(pair, signal, ChannelModel(rate_c=19e3, rate_a=19e3), 1.0, seed=5)
+    results = []
+    for write, ext in ((write_stream_text, "txt"), (write_stream_binary, "bin")):
+        paths = [tmp_path / f"{s.tag}.{ext}" for s in run]
+        for s, path in zip(run, paths):
+            write(s, path)
+        streams = [read_stream(path) for path in paths]
+        if ext == "bin":
+            # The ticks are a view of the file's bytes, so any write into
+            # them during the analysis would raise.
+            assert not any(s.ticks.flags.writeable for s in streams)
+        results.append(pipeline(*streams, fringe=pair, geometry=GeometryFactor(2),
+                                options=AnalysisOptions(f_max=200.0)))
+    text, binary = results
+    assert text.detected and binary.detected
+    assert text.spectrum.to_csv() == binary.spectrum.to_csv()
+    assert text.reconstruction.to_json() == binary.reconstruction.to_json()
