@@ -18,12 +18,10 @@ may lack its line end. After them only ASCII whitespace may follow. This
 is the grammar the writer emits and the only one read: a sign, an
 underscore or a blank inside a tick line, or a bare CR line end, is a
 ``StreamFormatError``. Both directions work on chunks of
-``_CHUNK_LINES`` lines with numpy array operations, and a stream of at
-least ``_SPLIT_LINES`` ticks is formatted or parsed as two line-aligned
-halves, the second on a worker thread. The reader finds the line ends once
-and refuses as a single pass over the whole body would: the first line
-that is not 1 to 19 digits, then too few lines, then trailing data, then
-the first tick past the int64 range.
+``_CHUNK_LINES`` lines with numpy array operations. The reader finds the
+line ends once and refuses as a single pass over the whole body would: the
+first line that is not 1 to 19 digits, then too few lines, then trailing
+data, then the first tick past the int64 range.
 
 Binary stream format: a 32-byte header (magic ``qvibe-ts``, version byte,
 tag byte, reserved padding, then tick duration and exposure as
@@ -48,7 +46,7 @@ import numpy as np
 
 from .core import GeometryFactor
 from .errors import StreamFormatError
-from .simulate import STREAM_TAGS, TimestampStream, VibrationSignal, _worker
+from .simulate import STREAM_TAGS, TimestampStream, VibrationSignal
 
 _TEXT_MAGIC = "qvibe-ts"
 _TEXT_VERSION = "v1"
@@ -72,17 +70,6 @@ _BIN_VERSION = 1
 # 59 + 85 ms.
 _CHUNK_LINES = 1 << 15
 
-# A text stream of at least _SPLIT_LINES ticks is formatted, or parsed, as
-# two line-aligned halves, the second on a worker thread while the caller
-# does the first. The halves hand the GIL back and forth at every numpy call
-# of a chunk, so the overlap pays little. The same write then read, serial
-# against split: n = 95k 4.2 + 6.2 against 4.0 + 5.9 ms, 131k 6.1 + 9.1
-# against 5.2 + 8.5 ms, 262k 8.6 + 13.6 against 8.6 + 13.6 ms, 524k 16.3 +
-# 27.0 against 15.4 + 25.0 ms and 1M 30.7 + 44.9 against 27.1 + 46.2 ms.
-# Splitting the README quick start's 95k-line streams made its whole round
-# trip slower, 52.3 against 51.1 ms median over six benchmark pairs.
-_SPLIT_LINES = 1 << 17
-
 
 def write_stream_text(stream: TimestampStream, path: str | Path) -> None:
     # repr is the shortest decimal that reads back to the tick; shifting it
@@ -96,19 +83,9 @@ def write_stream_text(stream: TimestampStream, path: str | Path) -> None:
         float(stream.t_exp),
         len(stream),
     )
-    ticks = stream.ticks
-    half = _half(ticks.size)
-    with Path(path).open("wb") as fh, _worker(half < ticks.size) as pool:
-        second = pool.submit(list, _format_ticks(ticks[half:])) if pool else None
+    with Path(path).open("wb") as fh:
         fh.write(header.encode())
-        fh.writelines(_format_ticks(ticks[:half]))
-        if pool:
-            fh.writelines(second.result())
-
-
-def _half(lines: int) -> int:
-    """Where a run of ``lines`` text lines splits in two, or ``lines`` if it does not."""
-    return lines // 2 if lines >= _SPLIT_LINES else lines
+        fh.writelines(_format_ticks(stream.ticks))
 
 
 def _format_ticks(ticks: np.ndarray) -> Iterator[np.ndarray]:
@@ -194,8 +171,7 @@ def _parse_ticks(path: Path, body: np.ndarray, count: int) -> np.ndarray:
     Error messages number lines from the top of the file, so the first tick
     is line 2. The refusal is the first that applies of: the first line that
     is not 1 to 19 digits, too few lines, trailing data, and the first tick
-    past the int64 range; so where both halves hold a bad line, the first
-    half's is named.
+    past the int64 range.
     """
     ends = np.flatnonzero(body == ord("\n"))
     if body.size and body[-1] != ord("\n"):
@@ -205,18 +181,9 @@ def _parse_ticks(path: Path, body: np.ndarray, count: int) -> np.ndarray:
     lengths = np.diff(ends, prepend=-1)
     lengths -= 1
     value = np.empty(n, dtype=np.uint64)
-
-    def decode(lines: range) -> None:
-        for lo in lines[::_CHUNK_LINES]:
-            hi = min(lo + _CHUNK_LINES, lines.stop)
-            _decode_chunk(path, body, ends[lo:hi], lengths[lo:hi], value[lo:hi], lo)
-
-    half = _half(n)
-    with _worker(half < n) as pool:
-        second = pool.submit(decode, range(half, n)) if pool else None
-        decode(range(half))
-        if pool:
-            second.result()
+    for lo in range(0, n, _CHUNK_LINES):
+        hi = lo + _CHUNK_LINES
+        _decode_chunk(path, body, ends[lo:hi], lengths[lo:hi], value[lo:hi], lo)
     if n < count:
         raise StreamFormatError(f"{path}: expected {count} ticks, file ends at {n}")
     if body[int(ends[-1]) + 1 if n else 0 :].tobytes().strip():

@@ -286,35 +286,31 @@ def test_non_finite_tick_or_exposure_is_a_format_error(tmp_path, fmt, tick, t_ex
         TimestampStream("coincidence", [5], tick, t_exp)
 
 
-# ----- the text codec's chunks and halves -----
+# ----- the text codec's chunks -----
 
 # 0, 2^63 - 1, and both ends of every digit count.
 EDGE_TICKS = sorted({2**63 - 1} | {10**k + d for k in range(19) for d in (-1, 0)})
 
 
-def codec(split=None, chunk=None):
-    """The text codec with its split threshold and chunk size patched where given."""
-    return mock.patch.multiple(
-        streamio,
-        _SPLIT_LINES=split or streamio._SPLIT_LINES,
-        _CHUNK_LINES=chunk or streamio._CHUNK_LINES,
-    )
+def codec(chunk=None):
+    """The text codec with its chunk size patched where given."""
+    return mock.patch.object(streamio, "_CHUNK_LINES", chunk or streamio._CHUNK_LINES)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
-    st.sampled_from([1, 2, 3, 38, 100, streamio._SPLIT_LINES - 1, streamio._SPLIT_LINES,
-                     streamio._SPLIT_LINES + 1]),
+    st.sampled_from([1, 2, 3, 38, 100, streamio._CHUNK_LINES - 1, streamio._CHUNK_LINES,
+                     streamio._CHUNK_LINES + 1]),
     st.integers(0, 2**32 - 1),
     st.sampled_from([None, 3, 4096]),
     st.booleans(),
 )
-@example(streamio._SPLIT_LINES + 1, 0, None, False)
-@example(streamio._SPLIT_LINES, 0, None, True)
+@example(streamio._CHUNK_LINES + 1, 0, None, False)
+@example(streamio._CHUNK_LINES, 0, None, True)
 def test_text_codec_round_trip_matches_the_per_line_format(size, seed, chunk, one_digit):
     # Sorted ticks spread over every bit length, the edge ticks among them,
-    # or ticks of one digit, many repeated; in one or more chunks and either
-    # side of the split threshold.
+    # or ticks of one digit, many repeated; in one chunk or more, the last
+    # full, short or of one line.
     assume(chunk != 3 or size <= 100)
     rng = np.random.default_rng(seed)
     if one_digit:
@@ -337,7 +333,7 @@ TOP = 2**63 - 1
 
 # Every text body the tests above refuse or take, from the count on, and
 # cases whose bad line, over-long line, short count, trailing data or
-# out-of-range tick lies in the second half of a split reader.
+# out-of-range tick lies past the first chunk of a chunked reader.
 TEXT_CASES = [
     "3\n10\n20\n", "1\n10\n20\n", "2\n10\nfrog\n", "2\n20\n10\n",
     *(f"2\n5\n{line}\n" for line in (" 10", "10 ", "+10", "1_0", "1e3", "\u0661", "1\r0", "")),
@@ -361,13 +357,13 @@ def cli_outcome(path, capsys):
 
 
 @pytest.mark.parametrize("body", TEXT_CASES)
-def test_split_reader_refuses_as_the_single_pass_reader(tmp_path, capsys, body):
+def test_chunked_reader_refuses_as_the_single_pass_reader(tmp_path, capsys, body):
     path = text_file(tmp_path, body)
-    with codec(split=2**62, chunk=2**62):
+    with codec(chunk=2**62):
         expected = cli_outcome(path, capsys)
     assert expected[0] in (2, 3)  # a stream error, or both files tagged coincidence
-    for chunk in (1, 2, 3, 2**62):
-        with codec(split=2, chunk=chunk):
+    for chunk in (1, 2, 3):
+        with codec(chunk=chunk):
             assert cli_outcome(path, capsys) == expected, chunk
 
 
@@ -381,36 +377,36 @@ def read_outcome(path):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.integers(0, 10**12), min_size=1, max_size=12).map(sorted),
        st.integers(0, 10**6), st.integers(0, 255), st.sampled_from([1, 2, 3]))
-def test_split_reader_agrees_on_any_one_byte_corruption(ticks, where, byte, chunk):
+def test_chunked_reader_agrees_on_any_one_byte_corruption(ticks, where, byte, chunk):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.txt"
         write_stream_text(TimestampStream("coincidence", ticks, 100e-12, 1e300), path)
         raw = bytearray(path.read_bytes())
         raw[where % len(raw)] = byte
         path.write_bytes(bytes(raw))
-        with codec(split=2**62, chunk=2**62):
+        with codec(chunk=2**62):
             expected = read_outcome(path)
-        with codec(split=2, chunk=chunk):
+        with codec(chunk=chunk):
             assert read_outcome(path) == expected
 
 
 @pytest.mark.parametrize("body, message", [
-    # Lines 2 to 4 are the first half, 5 to 7 the second; lines are counted
-    # from the top of the file.
+    # With chunks of 3 lines, lines 2 to 4 are the first chunk and 5 to 7
+    # the second; lines are counted from the top of the file.
     ("6\n1\n2\n3\n4\nfrog\n6\n", "line 6: not an integer tick: 'frog'"),
     ("6\n1\n2\n3\n4\n" + "1" * 20 + "\n6\n", "line 6: not an integer tick: '1{20}'"),
     ("8\n1\n2\n3\n4\n5\n6\n", "expected 8 ticks, file ends at 6"),
     ("6\n1\n2\n3\n4\n5\n6\n7\n", "trailing data after 6 ticks"),
     (f"6\n1\n2\n3\n4\n5\n{TOP + 1}\n", "line 7: tick 9223372036854775808 exceeds"),
-    # Both halves fail: the first half's line wins.
+    # Both chunks fail: the first chunk's line wins.
     ("6\n1\nx\n3\n4\ny\n6\n", "line 3: not an integer tick: 'x'"),
-    # A bad line in either half wins over an out-of-range tick.
+    # A bad line in either chunk wins over an out-of-range tick.
     (f"6\n1\n{TOP + 1}\n3\n4\nfrog\n6\n", "line 6: not an integer tick: 'frog'"),
 ])
-def test_split_reader_names_second_half_lines_from_the_top(tmp_path, body, message):
+def test_chunked_reader_names_later_chunk_lines_from_the_top(tmp_path, body, message):
     path = text_file(tmp_path, body)
-    for chunk in (1, 2, 2**62):
-        with codec(split=2, chunk=chunk), pytest.raises(StreamFormatError, match=message):
+    for chunk in (1, 2, 3, 2**62):
+        with codec(chunk=chunk), pytest.raises(StreamFormatError, match=message):
             read_stream_text(path)
 
 
