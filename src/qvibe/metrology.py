@@ -22,6 +22,7 @@ nearest a reference frequency.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -148,13 +149,27 @@ def monte_carlo_delay_std(
 # ----- repeated trials on one scenario -----
 
 
+def _usable_cores() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one, else os.cpu_count(), else 1. A cgroup CPU quota is not counted."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_indexed(fn, n: int, max_workers: int | None) -> list:
-    """[fn(0), ..., fn(n - 1)] on max_workers threads; None runs serially."""
-    if max_workers is None or max_workers == 1:
-        return [fn(i) for i in range(n)]
-    if max_workers < 1:
+    """[fn(0), ..., fn(n - 1)] on at most max_workers threads; None runs serially.
+
+    At most min(max_workers, _usable_cores(), n) threads are opened: each
+    holds one exposure, so the clamp bounds memory whatever the count asked
+    for, and no result depends on the number of threads.
+    """
+    if max_workers is not None and max_workers < 1:
         raise ConfigError(f"max_workers must be at least 1, got {max_workers}")
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    workers = min(max_workers or 1, _usable_cores(), n)
+    if workers <= 1:
+        return [fn(i) for i in range(n)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(n)))
 
 

@@ -19,6 +19,7 @@ from qvibe.metrology import (
     AdvantageCondition,
     TrialScenario,
     _map_indexed,
+    _usable_cores,
     background_advantage_setup,
     loss_advantage_setup,
     match_odd_harmonics,
@@ -199,7 +200,9 @@ def test_frequency_sweep_recovers_playback_offset():
 # ----- the shared exposure step -----
 
 
-def test_campaigns_match_across_worker_counts():
+def test_campaigns_match_across_worker_counts(monkeypatch):
+    # Two usable cores, so max_workers=2 opens a pool on any host.
+    monkeypatch.setattr("qvibe.metrology._usable_cores", lambda: 2)
     channel = ChannelModel(rate_c=100e3, rate_a=100e3)
     options = AnalysisOptions(f_max=200.0)
     scenario = TrialScenario(PAIR, quadrature_tone(20e-9), channel, 1.0, options)
@@ -346,6 +349,49 @@ def test_worker_count_below_one_is_refused():
     assert calls == []
 
 
-def test_map_indexed_parallel_matches_serial():
+def test_map_indexed_parallel_matches_serial(monkeypatch):
+    monkeypatch.setattr("qvibe.metrology._usable_cores", lambda: 3)
     fn = lambda i: i * i  # noqa: E731 - tiny fixture
     assert _map_indexed(fn, 7, 1) == _map_indexed(fn, 7, 3) == [i * i for i in range(7)]
+
+
+@pytest.mark.parametrize("asked, cores, n, opened", [
+    (64, 2, 10, 2),     # clamped to the cores
+    (64, 1, 10, None),  # one core: serial
+    (3, 8, 10, 3),      # the count asked for
+    (64, 8, 5, 5),      # clamped to the calls
+    (2, 8, 1, None),    # one call: serial
+    (2, 8, 0, None),    # no calls: serial, no pool
+])
+def test_map_indexed_opens_at_most_one_thread_per_core_and_call(monkeypatch, asked, cores, n, opened):
+    # The pool size requested is read from a stand-in pool that runs the
+    # calls itself, so no thread is started whatever the count asked for.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("qvibe.metrology.ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr("qvibe.metrology._usable_cores", lambda: cores)
+    assert _map_indexed(lambda i: i * i, n, asked) == [i * i for i in range(n)]
+    assert sizes == ([] if opened is None else [opened])
+
+
+def test_usable_cores_follow_the_affinity_set_else_the_core_count(monkeypatch):
+    monkeypatch.setattr("qvibe.metrology.os.sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr("qvibe.metrology.os.cpu_count", lambda: 64)
+    assert _usable_cores() == 3
+    monkeypatch.delattr("qvibe.metrology.os.sched_getaffinity")
+    assert _usable_cores() == 64
+    monkeypatch.setattr("qvibe.metrology.os.cpu_count", lambda: None)
+    assert _usable_cores() == 1

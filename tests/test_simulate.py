@@ -1,11 +1,14 @@
+import hashlib
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from qvibe.cli import main
 from qvibe.core import (
     SPEED_OF_LIGHT,
     ClassicalFringeSpec,
@@ -23,6 +26,7 @@ from qvibe.simulate import (
     TimestampStream,
     VibrationSignal,
     _PEAK_BLOCK,
+    _cos_range,
     _simulate_run,
     _trace_samples,
     classical_fluxes,
@@ -31,6 +35,7 @@ from qvibe.simulate import (
     simulate_classical_run,
     simulate_quantum_run,
 )
+from qvibe.streamio import read_stream
 
 DETUNING = 2 * math.pi * 177e12
 
@@ -544,3 +549,257 @@ def test_a_refused_second_draw_raises_the_same_error_with_the_gate_open_or_shut(
         messages.append(str(exc.value))
         assert threading.active_count() == threads
     assert messages[0] == messages[1]
+
+
+# ----- squeezed thinning -----
+
+QUICK_START = """
+[pair]
+detuning = 177 THz
+visibility = 0.9
+
+[signal]
+kind = pure_tone
+frequency = 10 Hz
+amplitude_pp = 20 nm
+
+[channel]
+rate_c = 190 kHz
+rate_a = 190 kHz
+
+[run]
+t_exp = 1 s
+seed = 611
+"""
+
+
+def _quick_start_run(tmp_path, mode):
+    """The README quick start's two streams, drawn by ``qvibe simulate``."""
+    (tmp_path / "tone.ini").write_text(QUICK_START)
+    out = tmp_path / mode
+    assert main(["simulate", "-c", str(tmp_path / "tone.ini"), "--mode", mode,
+                 "--out", str(out), "--binary"]) == 0
+    names = ("coincidence", "anticoincidence") if mode == "quantum" else ("port1", "port2")
+    return [read_stream(out / f"{name}.bin") for name in names]
+
+
+def _seeded_run(case, tmp_path):
+    pair = PhotonPairSpec(delta_omega=DETUNING, visibility_v0=0.9)
+    if case in ("quick start quantum", "quick start classical"):
+        return _quick_start_run(tmp_path, case.split()[-1])
+    if case == "signal-free":
+        # The first run of test_06.
+        seed = int(np.random.SeedSequence(20260814).spawn(1)[0].generate_state(1)[0])
+        pair = PhotonPairSpec(delta_omega=DETUNING)
+        signal = VibrationSignal(components=(), dc_offset_delay=quadrature_delay(pair))
+        return simulate_quantum_run(pair, signal, ChannelModel(rate_c=2e3, rate_a=2e3), 1.0, seed)
+    if case == "sweep 21 kHz":
+        # The top point of test_02: 5 s at 200 kHz, seed 3000 + 20.
+        signal = VibrationSignal.pure_tone(
+            21e3 * 1.00142, 20e-9, dc_offset_delay=quadrature_delay(pair)
+        )
+        return simulate_quantum_run(pair, signal, ChannelModel(rate_c=200e3, rate_a=200e3), 5.0, 3020)
+    # A 300 nm square wave a third of the way to quadrature, with loss and
+    # background: its fringe phase swings past half a period.
+    signal, channel = _wide_square_wave(pair)
+    return simulate_quantum_run(pair, signal, channel, 1.0, 5)
+
+
+def _wide_square_wave(pair):
+    signal = VibrationSignal.square_wave(
+        37.0, 300e-9, phase=0.4, dc_offset_delay=quadrature_delay(pair) / 3.0
+    )
+    return signal, ChannelModel(rate_c=5e4, rate_a=4e4, loss_b=0.3, background_fraction=0.2)
+
+
+# sha256 of each run's two tick arrays, in stream order, as drawn before the
+# thinning was squeezed: the squeeze changes no decision, so no stream.
+PINNED_STREAMS = {
+    "quick start quantum":
+        "4d1d85b4e7d97165e53fe078cb5aaa515e9288653e7ed538f4368cd3ad7da1f1",
+    "quick start classical":
+        "2e83e089e845bacb467d2506ee8fb44b1e7a694b12035f2dbd79722fbd7be6ce",
+    "signal-free":
+        "9b371e02ebda7eb0e7d84aa3eaea2823c570550b1c582588d549e0265e284f27",
+    "sweep 21 kHz":
+        "5a3470ca068fb78bb501ba96fbf29a33c2f34a4e4e20d4ab18ce5b69823b73fe",
+    "wide square wave":
+        "34e369c8b6c1cfddd9d1e61bc70fd30dd96634799a446b2f8d5638c57e10e0f6",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_STREAMS))
+def test_seeded_streams_keep_their_bytes(tmp_path, case):
+    digest = hashlib.sha256()
+    for stream in _seeded_run(case, tmp_path):
+        digest.update(stream.ticks.tobytes())
+    assert digest.hexdigest() == PINNED_STREAMS[case], case
+
+
+def test_the_wide_square_wave_has_a_wide_enclosure():
+    # The pinned wide case leaves most decisions to the flux: its enclosure
+    # spans over 80% of each bound, against under 7% for the sweep tone.
+    pair = PhotonPairSpec(delta_omega=DETUNING, visibility_v0=0.9)
+    wide = quantum_fluxes(pair, *_wide_square_wave(pair))
+    tone = VibrationSignal.pure_tone(21e3, 20e-9, dc_offset_delay=quadrature_delay(pair))
+    narrow = quantum_fluxes(pair, tone, ChannelModel(rate_c=200e3, rate_a=200e3))
+    for fx, low, high in ((wide, 0.8, 0.95), (narrow, 0.06, 0.07)):
+        for (lo, hi), bound in ((fx.range_1, fx.bound_1), (fx.range_2, fx.bound_2)):
+            assert 0.0 <= lo < hi <= bound
+            assert low < (hi - lo) / bound < high
+
+
+def test_a_signal_free_enclosure_is_one_flux_value_wide():
+    pair = PhotonPairSpec(delta_omega=DETUNING)
+    signal = VibrationSignal(components=(), dc_offset_delay=quadrature_delay(pair))
+    fx = quantum_fluxes(pair, signal, ChannelModel(rate_c=2e3, rate_a=2e3))
+    t = np.linspace(0.0, 1.0, 5)
+    for flux, (lo, hi), bound in ((fx.flux_1, fx.range_1, fx.bound_1),
+                                  (fx.flux_2, fx.range_2, fx.bound_2)):
+        assert lo <= flux(t).min() <= flux(t).max() <= hi
+        assert hi - lo <= 2.1e-9 * bound
+
+
+def test_the_squeezed_draw_reads_the_flux_only_where_the_range_leaves_it_open(monkeypatch):
+    # A flat 500/s flux under a 1000/s bound, squeezed by (400, 600): the
+    # flux is read at the sorted candidates whose u * bound lies in
+    # [400, 600), about a fifth of them, in blocks of at most _FLUX_BLOCK,
+    # and the stream is the one drawn without the range, which reads the
+    # flux at every candidate, in the same blocks.
+    monkeypatch.setattr("qvibe.simulate._FLUX_BLOCK", 100)
+    calls = []
+
+    def flux(t):
+        calls.append(np.array(t, copy=True))
+        return np.full_like(t, 500.0)
+
+    full = sample_inhomogeneous_poisson(flux, 1000.0, 2.0, rng=3)
+    assert len(calls) > 3 and all(c.size <= 100 for c in calls)
+    everywhere = np.concatenate(calls)
+    assert np.all(np.diff(everywhere) >= 0)
+    calls.clear()
+    squeezed = sample_inhomogeneous_poisson(flux, 1000.0, 2.0, rng=3, flux_range=(400.0, 600.0))
+    assert squeezed.ticks.tobytes() == full.ticks.tobytes()
+    assert len(calls) > 3 and all(c.size <= 100 for c in calls)
+    read = np.concatenate(calls)
+    rng = np.random.default_rng(3)
+    n = rng.poisson(2000.0)
+    rng.random(n)
+    u = rng.random(n) * 1000.0
+    assert np.array_equal(read, everywhere[(u >= 400.0) & (u < 600.0)])
+    assert 0.15 < read.size / everywhere.size < 0.25
+    # No candidate left open: the flux is not read at all.
+    calls.clear()
+    assert sample_inhomogeneous_poisson(flux, 1000.0, 2.0, 3, flux_range=(500.0, 500.0)).ticks.tobytes() \
+        == full.ticks.tobytes()
+    assert calls == []
+
+
+@pytest.mark.parametrize("flux_range", [(-1.0, 500.0), (400.0, 1000.5), (600.0, 400.0),
+                                        (math.nan, 500.0)])
+def test_a_range_outside_the_bound_reads_the_flux_everywhere(monkeypatch, flux_range):
+    monkeypatch.setattr("qvibe.simulate._FLUX_BLOCK", 100)
+    calls = []
+
+    def flux(t):
+        calls.append(t.size)
+        return np.full_like(t, 500.0)
+
+    s = sample_inhomogeneous_poisson(flux, 1000.0, 2.0, rng=3, flux_range=flux_range)
+    n = np.random.default_rng(3).poisson(2000.0)
+    assert sum(calls) == n and calls == [100] * (n // 100) + [n % 100]
+    assert s.ticks.tobytes() == sample_inhomogeneous_poisson(flux, 1000.0, 2.0, rng=3).ticks.tobytes()
+
+
+def test_a_squeezed_draw_checks_the_values_it_reads(monkeypatch):
+    # A flux the range misdescribes is refused with the usual messages where
+    # the draw reads it. Without a range, a bad value late in the exposure
+    # is refused from a later block than the first.
+    monkeypatch.setattr("qvibe.simulate._FLUX_BLOCK", 100)
+    for bad, message in ((np.nan, "flux is not finite"), (-1.0, "flux is negative"),
+                         (2e3, "flux exceeds its bound")):
+        with pytest.raises(ConfigError, match=message):
+            sample_inhomogeneous_poisson(
+                lambda t: np.full_like(t, bad), 1000.0, 2.0, rng=3, flux_range=(400.0, 600.0)
+            )
+        with pytest.raises(ConfigError, match=message):
+            sample_inhomogeneous_poisson(
+                lambda t: np.where(t < 1.9, 500.0, bad), 1000.0, 2.0, rng=3
+            )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.floats(-1e4, 1e4), st.floats(0.0, 7.0))
+def test_cos_range_is_the_range_of_cos(a, width):
+    # Against the cosine at 10^5 points and both ends of [a, a + width]:
+    # the range encloses them all and is no wider than their spacing allows.
+    b = a + width
+    lo, hi = _cos_range(a, b)
+    values = np.cos(np.concatenate([np.linspace(a, b, 100_000), [a, b]]))
+    assert lo <= values.min() and values.max() <= hi
+    step = width / 99_999
+    assert values.min() - lo <= step * step and hi - values.max() <= step * step
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    classical=st.booleans(),
+    square=st.booleans(),
+    periods=st.one_of(st.just(0.0), st.floats(1e-4, 6.0)),
+    operating=st.one_of(st.sampled_from([1.0, 0.0]), st.floats(-3.0, 9.0)),
+    sigma=st.sampled_from([0.0, 2 * math.pi * 0.5e12, 3e14]),
+    contrast=st.sampled_from([1.0, 0.9, 0.25]),
+    loss=st.sampled_from([0.0, 0.3]),
+    background=st.sampled_from([0.0, 0.2]),
+    g=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**31),
+)
+def test_flux_enclosure_holds_and_the_squeeze_keeps_the_stream(
+    classical, square, periods, operating, sigma, contrast, loss, background, g, seed
+):
+    # Both fringe kinds, on quadrature (operating 1), off it and at zero
+    # delay, amplitudes up to six fringe periods of delay: every flux value
+    # at 10^4 sorted times lies in its enclosure, and a seeded draw squeezed
+    # by it has the ticks of the draw that reads the flux everywhere.
+    pair = PhotonPairSpec(delta_omega=DETUNING, sigma=sigma, visibility_v0=contrast)
+    fringe = (ClassicalFringeSpec(omega_optical=1.2153e15, arm_intensity_ratio=contrast,
+                                  phase_offset=operating) if classical else pair)
+    period = 2 * math.pi * SPEED_OF_LIGHT / (fringe.omega * g)  # one fringe period of displacement
+    delay = operating * quadrature_delay(pair) if not classical else 0.0
+    amplitude = periods * period
+    if square:
+        signal = (VibrationSignal.square_wave(37.0, amplitude, phase=0.4, dc_offset_delay=delay)
+                  if amplitude else VibrationSignal((), delay))
+    else:
+        signal = VibrationSignal.pure_tone(37.0, amplitude, 0.4, delay)
+    channel = ChannelModel(rate_c=2e4, rate_a=1.5e4, singles_rate=2e4, loss_b=loss,
+                           background_fraction=background, geometry=GeometryFactor(g))
+    fx = (classical_fluxes if classical else quantum_fluxes)(fringe, signal, channel)
+    t = np.sort(np.random.default_rng(seed).random(10_000))
+    for flux, flux_range, bound in ((fx.flux_1, fx.range_1, fx.bound_1),
+                                    (fx.flux_2, fx.range_2, fx.bound_2)):
+        lo, hi = flux_range
+        assert 0.0 <= lo <= hi <= bound
+        values = flux(t)
+        assert lo <= values.min() and values.max() <= hi
+        squeezed = sample_inhomogeneous_poisson(flux, bound, 1.0, seed, flux_range=flux_range)
+        full = sample_inhomogeneous_poisson(flux, bound, 1.0, seed)
+        assert squeezed.ticks.tobytes() == full.ticks.tobytes()
+
+
+@pytest.mark.parametrize("pair, signal", [
+    # 2 pi f t overflows: the waveform, so the flux, is NaN.
+    (PhotonPairSpec(delta_omega=DETUNING), VibrationSignal.pure_tone(1e308, 1e-9)),
+    # The fringe phase omega tau overflows.
+    (PhotonPairSpec(delta_omega=DETUNING), VibrationSignal((), dc_offset_delay=1e300)),
+    # sigma tau is inf * 0 at zero delay.
+    (PhotonPairSpec(delta_omega=DETUNING, sigma=math.inf), VibrationSignal((), 0.0)),
+])
+def test_a_flux_that_may_be_nan_has_no_enclosure_and_is_refused(pair, signal):
+    # No range can hold a NaN, so the draw reads the flux at every candidate
+    # and refuses it as it does unsqueezed.
+    channel = ChannelModel(rate_c=2e3, rate_a=2e3)
+    fx = quantum_fluxes(pair, signal, channel)
+    assert fx.range_1 is None and fx.range_2 is None
+    with np.errstate(all="ignore"), pytest.raises(ConfigError, match="flux is not finite"):
+        simulate_quantum_run(pair, signal, channel, 1.0, seed=3)
