@@ -488,13 +488,20 @@ def build_exposure(
 
 
 def resolve_operating_delay(cfg: Config, pair: PhotonPairSpec, mode: str) -> float:
-    """Static delay the signal rides on; 'quadrature' resolves per mode."""
+    """Static delay the signal rides on; 'quadrature' resolves per mode.
+
+    An explicit delay is refused where the fringe phase omega * tau_op +
+    phase_offset of the mode's fringe overflows: the flux would read a NaN
+    cosine there.
+    """
     tau_op = cfg.get("signal", "tau_op", "quadrature" if mode == "quantum" else 0.0)
     if tau_op == "quadrature":
         if mode != "quantum":
             raise cfg.refusal("signal", "tau_op", "quadrature only applies to quantum mode")
         return quadrature_delay(pair)
-    return float(tau_op)
+    fringe = pair if mode == "quantum" else build_fringe(cfg)
+    return cfg.checked("signal", "tau_op", 0.0, need="must keep the fringe phase finite", unit=" s",
+                       ok=lambda t: math.isfinite(fringe.omega * t + fringe.phase_offset))
 
 
 # Per signal kind: its constructor, the [signal] keys it reads with their

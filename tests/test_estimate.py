@@ -511,17 +511,12 @@ def overlapped_pair():
     return simulate_quantum_run(pair, signal, channel, t_exp=1.0, seed=20)
 
 
-def test_overlapped_scan_and_refinement_are_bitwise_the_serial_path(monkeypatch, overlapped_pair):
+def test_overlapped_scan_and_refinement_are_bitwise_the_serial_path(
+    monkeypatch, overlapped_pair, counting_pools
+):
     stream_c, stream_a = overlapped_pair
     ratio, f_max = 1.1, 40e3
-    started = []
-
-    class CountingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr("qvibe.simulate.ThreadPoolExecutor", CountingPool)  # the one pool name
+    started = counting_pools
     scan = scan_spectrum(stream_c, stream_a, ratio, f_max=f_max)
     assert scan.frequencies.size >= 1 << 16 and scan.detected
     comps = [estimate_component(stream_c, stream_a, ratio, f) for f in scan.detected]
@@ -1003,7 +998,8 @@ def test_reconstruction_holds_no_array_of_the_trace_length():
 
 
 @pytest.mark.parametrize("f_slow, theta_slow, depth", [(0.3, -0.5, 0.1), (3.7, -1.2, 1.3)])
-def test_split_trace_is_bitwise_the_serial_trace(monkeypatch, f_slow, theta_slow, depth):
+def test_split_trace_is_bitwise_the_serial_trace(monkeypatch, counting_pools, f_slow, theta_slow,
+                                                 depth):
     # Seven blocks, the last one short: the caller runs four and the worker
     # three. The stride, 112, does not divide the split point, so the
     # worker's first kept sample sits inside its first block. At depth 0.1
@@ -1023,14 +1019,7 @@ def test_split_trace_is_bitwise_the_serial_trace(monkeypatch, f_slow, theta_slow
                           a_hat_a=-0.7 * depth * a0),
     )
     pair = replace(PAIR, visibility_v0=0.8)
-    started = []
-
-    class CountingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr("qvibe.simulate.ThreadPoolExecutor", CountingPool)
+    started = counting_pools
     recs = {}
     for gate in (0, math.inf):
         monkeypatch.setattr("qvibe.estimate._SPLIT_BLOCKS", gate)

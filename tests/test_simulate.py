@@ -1,7 +1,6 @@
 import hashlib
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -476,20 +475,7 @@ def test_classical_run_port_rates():
 # ----- concurrent draws -----
 
 
-def counting_pools(monkeypatch):
-    """Patch the package's one pool name; the returned list gains an entry per pool made."""
-    started = []
-
-    class CountingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr("qvibe.simulate.ThreadPoolExecutor", CountingPool)
-    return started
-
-
-def test_concurrent_draws_are_bitwise_the_serial_draws(monkeypatch):
+def test_concurrent_draws_are_bitwise_the_serial_draws(monkeypatch, counting_pools):
     # 60k candidates a stream (the quantum pair with its accidentals, the
     # classical ports at half the singles rate each), drawn with the gate
     # forced open and shut: each stream reads only its own child generator.
@@ -499,7 +485,7 @@ def test_concurrent_draws_are_bitwise_the_serial_draws(monkeypatch):
     signal_q = VibrationSignal(signal.components, dc_offset_delay=quadrature_delay(pair))
     channel = ChannelModel(rate_c=60e3, rate_a=55e3, singles_rate=120e3)
     runs = {}
-    started = counting_pools(monkeypatch)
+    started = counting_pools
     for gate in (0, math.inf):
         monkeypatch.setattr("qvibe.simulate._CONCURRENT_CANDIDATES", gate)
         runs[gate] = (
