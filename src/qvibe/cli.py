@@ -92,7 +92,7 @@ def cmd_simulate(args, cfg: Config) -> int:
     pair = build_pair(cfg)
     fringe = pair if mode == "quantum" else build_fringe(cfg)
     channel = build_channel(cfg)
-    signal = build_signal(cfg, pair, mode)
+    signal = build_signal(cfg, fringe)
     seed = _seed_of(cfg)
     t_exp, tick = build_exposure(cfg, fringe, channel, default=1.0)  # refused before the draw
     binary = cfg.get("run", "binary", False)
@@ -171,7 +171,7 @@ def cmd_estimate(args, cfg: Config) -> int:
 def cmd_trials(args, cfg: Config) -> int:
     pair = build_pair(cfg)
     channel = build_channel(cfg)
-    signal = build_signal(cfg, pair, "quantum")
+    signal = build_signal(cfg, pair)
     options = build_options(cfg)
     t_exp, tick = build_exposure(cfg, pair, channel, default=1.0)  # refused before the draw
     scenario = TrialScenario(pair, signal, channel, t_exp, options, tick)

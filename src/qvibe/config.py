@@ -487,21 +487,26 @@ def build_exposure(
     return t_exp, tick
 
 
-def resolve_operating_delay(cfg: Config, pair: PhotonPairSpec, mode: str) -> float:
-    """Static delay the signal rides on; 'quadrature' resolves per mode.
+def resolve_operating_delay(cfg: Config, fringe: PhotonPairSpec | ClassicalFringeSpec) -> float:
+    """Static delay the signal rides on; 'quadrature' resolves per fringe mode.
 
-    An explicit delay is refused where the fringe phase omega * tau_op +
-    phase_offset of the mode's fringe overflows: the flux would read a NaN
-    cosine there.
+    An explicit delay is refused where the fringe's phase omega * tau_op +
+    phase_offset or its envelope exponent 2 (sigma * tau_op)^2 overflows: the
+    flux would read a NaN cosine or overflow there.
     """
-    tau_op = cfg.get("signal", "tau_op", "quadrature" if mode == "quantum" else 0.0)
+    tau_op = cfg.get("signal", "tau_op", "quadrature" if fringe.mode == "quantum" else 0.0)
     if tau_op == "quadrature":
-        if mode != "quantum":
+        if fringe.mode != "quantum":
             raise cfg.refusal("signal", "tau_op", "quadrature only applies to quantum mode")
-        return quadrature_delay(pair)
-    fringe = pair if mode == "quantum" else build_fringe(cfg)
-    return cfg.checked("signal", "tau_op", 0.0, need="must keep the fringe phase finite", unit=" s",
-                       ok=lambda t: math.isfinite(fringe.omega * t + fringe.phase_offset))
+        return quadrature_delay(fringe)
+
+    def finite(t):
+        envelope = fringe.sigma * t
+        return (math.isfinite(fringe.omega * t + fringe.phase_offset)
+                and math.isfinite(2.0 * (envelope * envelope)))
+
+    return cfg.checked("signal", "tau_op", 0.0, ok=finite, unit=" s",
+                       need="must keep the fringe phase and envelope finite")
 
 
 # Per signal kind: its constructor, the [signal] keys it reads with their
@@ -529,10 +534,10 @@ _SIGNAL_KINDS = {
 }
 
 
-def build_signal(cfg: Config, pair: PhotonPairSpec, mode: str) -> VibrationSignal:
-    """The [signal] waveform; a value its constructor refuses is named by key."""
+def build_signal(cfg: Config, fringe: PhotonPairSpec | ClassicalFringeSpec) -> VibrationSignal:
+    """The [signal] waveform on ``fringe``; a value its constructor refuses is named by key."""
     kind = cfg.get("signal", "kind", "pure_tone")
-    tau_op = resolve_operating_delay(cfg, pair, mode)
+    tau_op = resolve_operating_delay(cfg, fringe)
     if kind == "multi_tone":
         comps = cfg.signal_components()
         if not comps:

@@ -9,8 +9,8 @@ empty temporary directory holding only the row's files. It holds when:
   ``err`` ends in "...". An argparse refusal prints its usage first and its
   error line last, and ``err`` is that last line;
 * nothing is printed on stdout;
-* no exception escapes and no ``RuntimeWarning`` is issued (warnings are
-  errors while the row runs);
+* no exception escapes and no warning of any category is issued (every
+  warning is an error while the row runs);
 * no stream and no Monte Carlo trial is drawn: ``sample_inhomogeneous_poisson``
   and ``monte_carlo_delay_std`` are replaced by stand-ins that raise;
 * the directory holds the row's files and nothing else afterwards, so no
@@ -301,11 +301,16 @@ def _rows():
         yield R(f"simulate-square-{key}", "simulate -c square.ini --out out",
                 f"config error: square.ini: [signal] {key}: {message}",
                 {"square.ini": edit(SQUARE_WAVE, change)})
-    # A delay whose fringe phase overflows would give a NaN flux at the draw.
-    for mode in ("quantum", "classical"):
-        yield R(f"tau_op-overflow-{mode}", f"simulate -c tone.ini --mode {mode} --out out",
-                f"{tone}[signal] tau_op: tau_op must keep the fringe phase finite, got 1e+300 s",
-                {"tone.ini": edit(QUICK_START, ("[signal]", "[signal]\ntau_op = 1e300 s"))})
+    # A delay whose fringe phase or envelope overflows would give a NaN or
+    # overflowing flux at the draw; the classical fringe has no envelope.
+    for name, mode, tau in [("overflow-quantum", "quantum", "1e+300"),
+                            ("overflow-classical", "classical", "1e+300"),
+                            ("envelope-overflow", "quantum", "1e+200"),
+                            ("envelope-overflow-negative", "quantum", "-1e+290")]:
+        yield R(f"tau_op-{name}", f"simulate -c tone.ini --mode {mode} --out out",
+                f"{tone}[signal] tau_op: tau_op must keep the fringe phase and envelope finite,"
+                f" got {tau} s",
+                {"tone.ini": edit(QUICK_START, ("[signal]", f"[signal]\ntau_op = {tau} s"))})
 
     # ----- [run]: exposure, tick and seed, refused before the draw -----
     for name, change, err in [
@@ -532,7 +537,7 @@ def check(row: Refusal) -> list[str]:
         try:
             with _stand_ins(), warnings.catch_warnings(), contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
-                warnings.simplefilter("error", RuntimeWarning)
+                warnings.simplefilter("error")
                 try:
                     code = qvibe.cli.main(row.argv.split())
                 except SystemExit as exc:  # an argparse refusal

@@ -16,6 +16,7 @@ import re
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -273,35 +274,33 @@ def test_signal_component_refusal_names_the_line_and_the_key():
 
 
 def test_resolve_operating_delay_modes():
-    pair = build_pair(Config({}))
-    assert resolve_operating_delay(Config({}), pair, "quantum") == quadrature_delay(pair)
-    assert resolve_operating_delay(Config({}), pair, "classical") == 0.0
+    pair, fringe = build_pair(Config({})), build_fringe(Config({}))
+    assert resolve_operating_delay(Config({}), pair) == quadrature_delay(pair)
+    assert resolve_operating_delay(Config({}), fringe) == 0.0
     cfg = parse_config("[signal]\ntau_op = 2 fs\n")
-    assert resolve_operating_delay(cfg, pair, "quantum") == 2e-15
+    assert resolve_operating_delay(cfg, pair) == 2e-15
     with pytest.raises(ConfigError):
-        resolve_operating_delay(
-            parse_config("[signal]\ntau_op = quadrature\n"), pair, "classical"
-        )
+        resolve_operating_delay(parse_config("[signal]\ntau_op = quadrature\n"), fringe)
 
 
 def test_build_signal_kinds():
     pair = build_pair(Config({}))
     tone = build_signal(parse_config(
         "[signal]\nkind = pure_tone\nfrequency = 10 Hz\namplitude_pp = 20 nm\n"
-    ), pair, "quantum")
+    ), pair)
     assert len(tone.components) == 1
     assert tone.dc_offset_delay == quadrature_delay(pair)
     square = build_signal(parse_config(
         "[signal]\nkind = square_wave\nfrequency = 10 Hz\namplitude_pp = 55 nm\nharmonics = 7\n"
-    ), pair, "quantum")
+    ), pair)
     assert [c.frequency for c in square.components] == [10.0, 30.0, 50.0, 70.0]
     multi = build_signal(parse_config(
         "[signal]\nkind = multi_tone\ncomponent_1 = 50 Hz | 36 nm\ncomponent_2 = 100 Hz | 22 nm\n"
-    ), pair, "classical")
+    ), build_fringe(Config({})))
     assert len(multi.components) == 2
     assert multi.dc_offset_delay == 0.0
     with pytest.raises(ConfigError):
-        build_signal(parse_config("[signal]\nkind = chirp\n"), pair, "quantum")
+        build_signal(parse_config("[signal]\nkind = chirp\n"), pair)
 
 
 def test_a_flag_replaces_its_key_and_leaves_the_others():
@@ -686,6 +685,7 @@ PROBE = Refusal("probe", "simulate -c tone.ini --out out",
     ("left out behind", PROBE, lambda: Path("out").mkdir()),
     ("on stdout", PROBE, lambda: print("drawing")),
     ("RuntimeWarning", PROBE, lambda: np.log(np.zeros(1))),
+    ("DeprecationWarning", PROBE, lambda: warnings.warn("old", DeprecationWarning)),
     ("DrawAttempted", PROBE, lambda: qvibe.simulate.sample_inhomogeneous_poisson(abs, 1.0, 1.0, 0)),
     ("KeyError", PROBE, lambda: {}["x"]),
 ])
