@@ -44,8 +44,10 @@ from .config import (
     build_options,
     build_pair,
     build_signal,
+    check_scan,
     load_config,
 )
+from .core import ClassicalFringeSpec, PhotonPairSpec
 from .errors import AnalysisError, ConfigError, StreamFormatError
 from .estimate import pipeline
 from .metrology import (
@@ -77,8 +79,20 @@ def _seed_of(cfg: Config) -> int:
 
 def _threads_of(args) -> int | None:
     if args.threads is not None and args.threads < 1:
-        raise ConfigError(f"--threads: must be at least 1, got {args.threads}")
+        raise ConfigError(f"--threads: threads must be at least 1, got {args.threads}")
     return args.threads
+
+
+def _fringe_of(cfg: Config) -> PhotonPairSpec | ClassicalFringeSpec:
+    """The fringe of ``[run] mode``: the pair spec, or the classical reference fringe."""
+    return build_pair(cfg) if cfg.get("run", "mode", "quantum") == "quantum" else build_fringe(cfg)
+
+
+def _pair_of(cfg: Config, command: str) -> PhotonPairSpec:
+    """The pair spec of a command that runs the pair channel only, so refuses another mode."""
+    cfg.checked("run", "mode", "quantum", ok=lambda mode: mode == "quantum",
+                need=f"must be quantum, the one channel {command} runs")
+    return build_pair(cfg)
 
 
 def _outdir(args) -> Path:
@@ -88,16 +102,14 @@ def _outdir(args) -> Path:
 
 
 def cmd_simulate(args, cfg: Config) -> int:
-    mode = cfg.get("run", "mode", "quantum")
-    pair = build_pair(cfg)
-    fringe = pair if mode == "quantum" else build_fringe(cfg)
+    fringe = _fringe_of(cfg)
     channel = build_channel(cfg)
     signal = build_signal(cfg, fringe)
     seed = _seed_of(cfg)
     t_exp, tick = build_exposure(cfg, fringe, channel, default=1.0)  # refused before the draw
     binary = cfg.get("run", "binary", False)
     run = _simulate(fringe, signal, channel, t_exp, seed, tick)
-    names = ("coincidence", "anticoincidence") if mode == "quantum" else ("port1", "port2")
+    names = ("coincidence", "anticoincidence") if fringe.mode == "quantum" else ("port1", "port2")
     out = _outdir(args)  # only once both streams are drawn, so a refusal leaves none
     write = write_stream_binary if binary else write_stream_text
     ext = ".bin" if binary else ".txt"
@@ -108,13 +120,12 @@ def cmd_simulate(args, cfg: Config) -> int:
     truth_path = out / "ground_truth.json"
     write_ground_truth(signal, channel.geometry, truth_path)
     print(f"wrote {truth_path}")
-    print(f"mode={mode} t_exp={_fmt(t_exp)} seed={seed}")
+    print(f"mode={fringe.mode} t_exp={_fmt(t_exp)} seed={seed}")
     return 0
 
 
 def cmd_estimate(args, cfg: Config) -> int:
-    mode = cfg.get("run", "mode", "quantum")
-    fringe = build_pair(cfg) if mode == "quantum" else build_fringe(cfg)
+    fringe = _fringe_of(cfg)
     geometry = build_channel(cfg).geometry
     options = build_options(cfg)
     ratio = cfg.checked("analysis", "ratio", 1.0, ok=lambda r: 0 < r < math.inf,
@@ -124,9 +135,10 @@ def cmd_estimate(args, cfg: Config) -> int:
     tags = fringe.stream_tags
     if (stream_1.tag, stream_2.tag) != tags:
         raise ConfigError(
-            f"mode {mode} reads streams tagged {tags[0]} then {tags[1]},"
+            f"mode {fringe.mode} reads streams tagged {tags[0]} then {tags[1]},"
             f" got {stream_1.tag} then {stream_2.tag}"
         )
+    check_scan(cfg, options, stream_1.t_exp)
     result = pipeline(
         stream_1, stream_2, fringe=fringe, geometry=geometry, ratio=ratio, options=options
     )
@@ -169,11 +181,12 @@ def cmd_estimate(args, cfg: Config) -> int:
 
 
 def cmd_trials(args, cfg: Config) -> int:
-    pair = build_pair(cfg)
+    pair = _pair_of(cfg, "trials")
     channel = build_channel(cfg)
     signal = build_signal(cfg, pair)
     options = build_options(cfg)
     t_exp, tick = build_exposure(cfg, pair, channel, default=1.0)  # refused before the draw
+    check_scan(cfg, options, t_exp)
     scenario = TrialScenario(pair, signal, channel, t_exp, options, tick)
     n_trials = cfg.checked("run", "trials", 10, ok=lambda n: n >= 1, need="must be at least 1")
     stats = run_amplitude_trials(scenario, n_trials, _seed_of(cfg), _threads_of(args))
@@ -220,7 +233,7 @@ def cmd_sweep(args, cfg: Config) -> int:
             f"{cfg.source}: [sweep] start, stop and step give more than {_MAX_SWEEP_POINTS} points"
         )
     freqs = [start + i * step for i in range(math.floor(span) + 1)]
-    pair, channel = build_pair(cfg), build_channel(cfg)
+    pair, channel = _pair_of(cfg, "sweep"), build_channel(cfg)
     amplitude_pp = cfg.checked(
         "sweep", "amplitude_pp", ok=lambda a: a >= 0, need="must be non-negative", unit=" m"
     )
@@ -228,13 +241,15 @@ def cmd_sweep(args, cfg: Config) -> int:
         "sweep", "playback_scale", 0.0, ok=lambda s: s > -1, need="must exceed -1"
     )
     exposure, _ = build_exposure(cfg, pair, channel, "sweep", "exposure")
+    options = build_options(cfg)
+    check_scan(cfg, options, exposure)
     points = run_frequency_sweep(
         freqs,
         pair,
         channel,
         amplitude_pp,
         exposure,
-        build_options(cfg),
+        options,
         playback_scale=playback_scale,
         base_seed=_seed_of(cfg),
         max_workers=_threads_of(args),

@@ -37,7 +37,7 @@ from .core import (
     quadrature_delay,
 )
 from .errors import ConfigError
-from .estimate import AnalysisOptions
+from .estimate import AnalysisOptions, _grid_bins
 from .metrology import AdvantageSetup, background_advantage_setup, loss_advantage_setup
 from .simulate import (
     DEFAULT_TICK,
@@ -555,6 +555,14 @@ def build_options(cfg: Config) -> AnalysisOptions:
     """Options from [analysis] ``p_fa`` and ``f_max``."""
     fields = _set_keys(cfg, "analysis", {"p_fa": "p_fa", "f_max": "f_max"})
     return _construct(cfg, "analysis", AnalysisOptions, {}, fields)
+
+
+def check_scan(cfg: Config, options: AnalysisOptions, t_exp: float) -> None:
+    """Refuse by [analysis] f_max a scan grid over ``t_exp`` that ``frequency_grid`` would refuse."""
+    try:
+        _grid_bins(t_exp, options.f_max)
+    except ConfigError as exc:
+        raise cfg.refusal("analysis", "f_max", exc) from None
 
 
 def build_advantage(cfg: Config) -> AdvantageSetup:

@@ -99,6 +99,19 @@ def grid_spacing(t_exp: float) -> float:
 _MAX_GRID_BINS = 1 << 21
 
 
+def _grid_bins(t_exp: float, f_max: float) -> int:
+    """The bin count of ``frequency_grid(t_exp, f_max)``, refused as that grid is."""
+    if not 0 < f_max < math.inf:
+        raise ConfigError("f_max must be positive and finite")
+    m = math.floor(f_max / grid_spacing(t_exp)) + 1
+    if m > _MAX_GRID_BINS:
+        raise ConfigError(
+            f"f_max = {f_max} Hz needs {m} scan bins at t_exp = {t_exp} s;"
+            f" at most {_MAX_GRID_BINS} are allowed"
+        )
+    return m
+
+
 def frequency_grid(t_exp: float, f_max: float) -> np.ndarray:
     """Uniform scan grid 0, df, 2 df, ... covering [0, f_max].
 
@@ -109,16 +122,7 @@ def frequency_grid(t_exp: float, f_max: float) -> np.ndarray:
     is about 580 MiB at the cap, which is the largest power of two that
     stays within 1 GiB; a larger grid raises ConfigError.
     """
-    if not 0 < f_max < math.inf:
-        raise ConfigError("f_max must be positive and finite")
-    df = grid_spacing(t_exp)
-    m = math.floor(f_max / df) + 1
-    if m > _MAX_GRID_BINS:
-        raise ConfigError(
-            f"f_max = {f_max} Hz needs {m} scan bins at t_exp = {t_exp} s;"
-            f" at most {_MAX_GRID_BINS} are allowed"
-        )
-    return np.arange(m) * df
+    return np.arange(_grid_bins(t_exp, f_max)) * grid_spacing(t_exp)
 
 
 def project_timestamps(stream: TimestampStream, frequency, window: str = "hann"):

@@ -37,13 +37,14 @@ from .core import (
     quadrature_delay,
 )
 from .errors import AnalysisError, ConfigError
-from .estimate import AnalysisOptions, pipeline
+from .estimate import AnalysisOptions, _grid_bins, pipeline
 from .simulate import (
     DEFAULT_TICK,
     ChannelModel,
     VibrationSignal,
     _check_draws,
     _fluxes,
+    _mark_campaign_worker,
     _simulate,
 )
 
@@ -162,14 +163,16 @@ def _map_indexed(fn, n: int, max_workers: int | None) -> list:
 
     At most min(max_workers, _usable_cores(), n) threads are opened: each
     holds one exposure, so the clamp bounds memory whatever the count asked
-    for, and no result depends on the number of threads.
+    for, and no result depends on the number of threads. Each is marked a
+    campaign worker, so an exposure on it opens no thread of its own
+    (``simulate._worker``): the campaign uses at most that many threads.
     """
     if max_workers is not None and max_workers < 1:
         raise ConfigError(f"max_workers must be at least 1, got {max_workers}")
     workers = min(max_workers or 1, _usable_cores(), n)
     if workers <= 1:
         return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers, initializer=_mark_campaign_worker) as pool:
         return list(pool.map(fn, range(n)))
 
 
@@ -177,7 +180,8 @@ def _map_indexed(fn, n: int, max_workers: int | None) -> list:
 class TrialScenario:
     """One fully specified quantum exposure to repeat.
 
-    An exposure that is not positive and finite is a ConfigError.
+    An exposure that is not positive and finite, or a scan grid over it that
+    ``frequency_grid`` would refuse, is a ConfigError before any draw.
     """
 
     pair: PhotonPairSpec
@@ -190,6 +194,7 @@ class TrialScenario:
     def __post_init__(self) -> None:
         if not (self.t_exp > 0 and math.isfinite(self.t_exp)):
             raise ConfigError(f"t_exp must be positive and finite, got {self.t_exp}")
+        _grid_bins(self.t_exp, self.options.f_max)
 
     def true_ratio(self) -> float:
         return self.channel.rate_c / self.channel.rate_a
@@ -391,10 +396,12 @@ class AdvantageSetup:
     options: AnalysisOptions
 
     def __post_init__(self) -> None:
-        """Refuse a condition whose draws the sampler would refuse, before any is made."""
+        """Refuse a condition whose draws the sampler, or whose scan grids
+        ``frequency_grid``, would refuse, before any draw is made."""
         for cond in self.conditions:
             for fringe, signal, channel, t_exp, _ in self._halves(cond):
                 _check_draws(_fluxes(fringe, signal, channel), t_exp)
+                _grid_bins(t_exp, self.options.f_max)
 
     def _halves(self, cond: AdvantageCondition) -> tuple[tuple, tuple]:
         """(fringe, signal, channel, t_exp, ratio) of the quantum, then the classical, exposure.

@@ -29,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
@@ -694,9 +695,21 @@ class ClassicalRun(NamedTuple):
     port2: TimestampStream
 
 
+# ``campaign_worker`` is set on each thread a campaign's pool opens
+# (``metrology._map_indexed``), whose workers already hold the cores.
+_thread = threading.local()
+
+
+def _mark_campaign_worker() -> None:
+    _thread.campaign_worker = True
+
+
 def _worker(wanted: bool):
-    """A one-thread pool if ``wanted``, closed on exit, else a null context yielding None."""
-    return ThreadPoolExecutor(max_workers=1) if wanted else contextlib.nullcontext()
+    """A one-thread pool if ``wanted`` and the caller is no campaign worker, closed on
+    exit, else a null context yielding None."""
+    if wanted and not getattr(_thread, "campaign_worker", False):
+        return ThreadPoolExecutor(max_workers=1)
+    return contextlib.nullcontext()
 
 
 def _simulate_run(run_type, fluxes, fringe, signal, channel, t_exp, seed, tick):

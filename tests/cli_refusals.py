@@ -41,8 +41,16 @@ import qvibe.cli
 import qvibe.simulate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(fence: str, start: str = "") -> str:
+    """The text of the first README block fenced as ```fence that begins with ``start``."""
+    pattern = rf"^```{fence}\n({re.escape(start)}.*?)^```$"
+    return re.search(pattern, README.read_text(), re.S | re.M).group(1)
+
+
 # The README quick-start config, which most rows edit.
-QUICK_START = re.search(r"^```ini\n(.*?)^```$", README.read_text(), re.S | re.M).group(1)
+QUICK_START = readme_block("ini")
 
 
 @dataclass(frozen=True)
@@ -108,6 +116,8 @@ FACTOR = ("calibration_factor must be 0 (a known ratio) or times each n_pairs li
 F_MAX = "f_max must be positive and finite, got"
 WAVELENGTHS = "[pair]\nlambda_1 = 810 nm\nlambda_2 = 1550 nm\n"
 TOO_MANY = "bound * t_exp too large to sample ("
+GRID_1E12 = ("f_max = 1000000000000.0 Hz needs 1666666666667 scan bins at t_exp = 1.0 s;"
+             " at most 2097152 are allowed")
 
 # Every override flag that can carry a bad value, by flag and by the key it
 # sets: (command, flag, value, key value, refusal after "<where>: "). The
@@ -347,6 +357,20 @@ def _rows():
     yield R("trials-f_max-zero", "trials -c tone.ini --trials 2 --out out",
             f"{tone}[analysis] f_max: {F_MAX} 0.0",
             {"tone.ini": edit(QUICK_START, ("f_max = 200 Hz", "f_max = 0 Hz"))})
+    # A scan grid past the cap is refused before the first exposure is drawn,
+    # by flag or by key, and the pair channel is the one that trials and sweep run.
+    for command, config, text in (("trials --trials 2", "tone.ini", QUICK_START),
+                                  ("sweep", "sweep.ini", SWEEP)):
+        name, where = command.split()[0], f"config error: {config}: "
+        yield R(f"{name}--f-max-1e12", f"{command} -c {config} --f-max 1e12 --out out",
+                f"config error: --f-max: {GRID_1E12}", {config: text})
+        yield R(f"{name}-f_max-key-1e12", f"{command} -c {config} --out out",
+                f"{where}[analysis] f_max: {GRID_1E12}",
+                {config: edit(text, ("f_max = 200 Hz", "f_max = 1e12 Hz"))})
+        yield R(f"{name}-mode-classical", f"{command} -c {config} --out out",
+                f"{where}[run] mode: mode must be quantum, the one channel {name} runs,"
+                " got 'classical'",
+                {config: edit(text, ("[run]", "[run]\nmode = classical"))})
 
     # ----- --threads -----
     for command, text in (("trials", QUICK_START), ("sweep", SWEEP),
@@ -354,7 +378,8 @@ def _rows():
         for threads in ("0", "-2"):
             yield R(f"{command}-threads-{threads}",
                     f"{command} -c c.ini --threads {threads} --out out",
-                    f"config error: --threads: must be at least 1, got {threads}", {"c.ini": text})
+                    f"config error: --threads: threads must be at least 1, got {threads}",
+                    {"c.ini": text})
     for command in ("simulate -c x.ini", "estimate a b", "qcrb"):
         yield R(f"{command.split()[0]}-takes-no-threads", f"{command} --threads 2",
                 "qvibe: error: unrecognized arguments: --threads 2")
@@ -398,7 +423,7 @@ def _rows():
                 {"ppp.ini": QUICK_START + f"points_per_period = {value}\n"})
     # 1e12 Hz over a 1 s exposure is 1.7e12 bins: refused before any allocation.
     yield R("estimate-unbounded-scan-grid", "estimate c.txt a.txt -c tone.ini",
-            "config error: f_max = 1000000000000.0 Hz needs 1666666666667 scan bins...",
+            f"{tone}[analysis] f_max: {GRID_1E12}",
             {"tone.ini": edit(QUICK_START, ("f_max = 200 Hz", "f_max = 1e12 Hz")),
              "c.txt": stream("coincidence"), "a.txt": stream("anticoincidence")})
     yield R("estimate-streams-of-different-exposures", "estimate c.txt a.txt -c tone.ini --out est",
@@ -491,6 +516,10 @@ def _rows():
          f"amplitude_pp: {ZERO_NM}"),
         ("background-amplitude_pp-0", "experiment = background\namplitude_pp = 0 nm",
          f"amplitude_pp: {ZERO_NM}"),
+        # The band reaches the 19th harmonic: 20 GHz over the 5 ms quantum exposure.
+        ("loss-fundamental-1GHz", "experiment = loss\nfundamental = 1 GHz\ntarget_pairs = 1000",
+         "fundamental: f_max = 20000000000.0 Hz needs 166666667 scan bins at t_exp = 0.005 s;"
+         " at most 2097152 are allowed"),
     ]:
         yield R(f"advantage-{name}", "advantage -c adv.ini --out adv.json",
                 f"config error: adv.ini: [advantage] {message}",

@@ -8,7 +8,9 @@ point cap, whose failure mode is a run that never ends.
 """
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -25,7 +27,9 @@ import pytest
 import qvibe
 import qvibe.config
 import qvibe.simulate
-from cli_refusals import QUICK_START, README, REFUSALS, SWEEP, Refusal, check, edit, matches
+from cli_refusals import (
+    QUICK_START, README, REFUSALS, SWEEP, Refusal, check, edit, matches, readme_block,
+)
 from qvibe.cli import _build_parser, main
 from qvibe.config import (
     _SCHEMA,
@@ -366,6 +370,21 @@ def test_cli_simulate_is_deterministic(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_classical_run_reads_no_pair_key(tmp_path, capsys):
+    # simulate --mode classical builds the classical fringe alone, as
+    # estimate does: a [pair] value it never reads changes no stream.
+    outputs = []
+    for name, text in (("tone", QUICK_START), ("unread", edit(QUICK_START, ("0.9", "2")))):
+        cfg, out = tmp_path / f"{name}.ini", tmp_path / name
+        cfg.write_text(text)
+        classical = ["-c", str(cfg), "--mode", "classical"]
+        assert main(["simulate", *classical, "--out", str(out)]) == 0
+        assert main(["estimate", str(out / "port1.txt"), str(out / "port2.txt"), *classical]) == 0
+        outputs.append([(out / n).read_bytes() for n in ("port1.txt", "port2.txt")])
+    assert outputs[0] == outputs[1]
+    capsys.readouterr()
+
+
 def test_cli_binary_streams_round_trip(tmp_path, capsys):
     cfg = write_tone_config(tmp_path, seed=612)
     out = tmp_path / "bin"
@@ -456,7 +475,8 @@ def test_cli_qcrb_reports_ratio(capsys):
 
 def test_advantage_setup_refuses_a_draw_the_sampler_would_refuse(monkeypatch):
     # The setup applies the sampler's own candidate check to each condition's
-    # four streams, so a setup the sampler would refuse is never built.
+    # four streams, and the scan's grid check to its two exposures, so a setup
+    # the sampler or the scan would refuse is never built.
     def draw(*args, **kwargs):
         raise AssertionError("drew a stream")
 
@@ -465,6 +485,9 @@ def test_advantage_setup_refuses_a_draw_the_sampler_would_refuse(monkeypatch):
         loss_advantage_setup(target_pairs=1e12)
     with pytest.raises(ConfigError, match=r"^bound \* t_exp too large to sample"):
         background_advantage_setup(background_values=(0.5,), target_pairs=1e11)
+    # So is one whose scan grid frequency_grid would refuse: 20 GHz over 5 ms.
+    with pytest.raises(ConfigError, match=r"^f_max = 20000000000.0 Hz needs 166666667 scan bins"):
+        loss_advantage_setup(target_pairs=1000, fundamental=1e9)
 
 
 def test_estimate_and_qcrb_run_on_the_defaults_without_a_config(tmp_path, capsys):
@@ -620,41 +643,95 @@ def test_machine_readable_estimate_keeps_notices_off_stdout(tmp_path, capsys, fm
     assert captured.err == f"wrote {out / 'spectrum.csv'}\nwrote {out / 'reconstruction.json'}\n"
 
 
-def test_cli_classical_mode_text_and_binary(tmp_path, capsys):
-    cfg = write_tone_config(tmp_path)
-    outputs = {}
-    for ext, flags in ((".txt", []), (".bin", ["--binary"])):
-        sim, est = tmp_path / f"sim{ext}", tmp_path / f"est{ext}"
-        classical = ["-c", str(cfg), "--mode", "classical"]
-        assert main(["simulate", *classical, "--out", str(sim), *flags]) == 0
-        streams = [str(sim / ("port1" + ext)), str(sim / ("port2" + ext))]
-        assert main(["estimate", *streams, *classical, "--out", str(est)]) == 0
-        recon = json.loads((est / "reconstruction.json").read_text())
-        assert recon["mode"] == "classical"
-        assert any(abs(c["f_hat"] - 10.0) < 0.6 for c in recon["components"])
-        outputs[ext] = [(est / n).read_bytes() for n in ("spectrum.csv", "reconstruction.json")]
-    assert outputs[".txt"] == outputs[".bin"]
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("tick", ["23 ps", "100 ps", "1000 ps"])
-def test_cli_text_and_binary_runs_agree(tmp_path, capsys, tick):
+@pytest.mark.parametrize("mode, tick", [
+    pytest.param(mode, tick, id=tick if mode == "quantum" else f"{mode} {tick}")
+    for mode in ("quantum", "classical") for tick in ("23 ps", "100 ps", "1000 ps")
+])
+def test_cli_text_and_binary_runs_agree(tmp_path, capsys, mode, tick):
+    # The quick start as text and as --binary streams gives byte-identical
+    # analyses in both channel modes, at a tick whose picosecond value is not
+    # a float (23 ps), at the default and at 1 ns; so does one stream of each format.
     cfg = tmp_path / "tick.ini"
     cfg.write_text(QUICK_START.replace("t_exp = 1 s", f"t_exp = 1 s\ntick = {tick}"))
-    outputs = {}
-    for ext, flags in ((".txt", []), (".bin", ["--binary"])):
-        sim, est = tmp_path / f"sim{ext}", tmp_path / f"est{ext}"
-        assert main(["simulate", "-c", str(cfg), "--out", str(sim), *flags]) == 0
-        streams = [str(sim / ("coincidence" + ext)), str(sim / ("anticoincidence" + ext))]
-        assert main(["estimate", *streams, "-c", str(cfg), "--out", str(est)]) == 0
-        outputs[ext] = [(est / n).read_bytes() for n in ("spectrum.csv", "reconstruction.json")]
-    assert outputs[".txt"] == outputs[".bin"]
-    # One stream of each format: they share tick_duration and t_exp.
-    mixed = [str(tmp_path / "sim.txt" / "coincidence.txt"),
-             str(tmp_path / "sim.bin" / "anticoincidence.bin")]
-    assert main(["estimate", *mixed, "-c", str(cfg), "--out", str(tmp_path / "mixed")]) == 0
-    assert (tmp_path / "mixed" / "spectrum.csv").read_bytes() == outputs[".txt"][0]
+    run = ["-c", str(cfg), "--mode", mode]
+    names = ("coincidence", "anticoincidence") if mode == "quantum" else ("port1", "port2")
+    for flags in ([], ["--binary"]):
+        assert main(["simulate", *run, "--out", str(tmp_path / "sim"), *flags]) == 0
+    outputs = []
+    for exts in ((".txt", ".txt"), (".bin", ".bin"), (".txt", ".bin")):  # text, binary, mixed
+        est = tmp_path / "".join(exts)
+        streams = [str(tmp_path / "sim" / (name + ext)) for name, ext in zip(names, exts)]
+        assert main(["estimate", *streams, *run, "--out", str(est)]) == 0
+        outputs.append([(est / n).read_bytes() for n in ("spectrum.csv", "reconstruction.json")])
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    recon = json.loads(outputs[0][1])
+    assert recon["mode"] == mode
+    assert any(abs(c["f_hat"] - 10.0) < 0.6 for c in recon["components"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, config", [
+    ("trials --trials 3", SWEEP),
+    ("sweep", SWEEP),
+    ("advantage", "[advantage]\nexperiment = loss\ntarget_pairs = 100000\n"),
+    ("advantage", "[advantage]\nexperiment = background\ntarget_pairs = 100000\n"),
+], ids=["trials", "sweep", "advantage-loss", "advantage-background"])
+def test_campaign_writes_the_same_bytes_on_any_thread_count(
+    tmp_path, monkeypatch, capsys, argv, config
+):
+    # Each exposure has its own seed, so the records do not depend on the
+    # worker count. Two usable cores, so --threads 2 opens a pool on any host,
+    # and --threads 64 opens no more workers than those.
+    monkeypatch.setattr("qvibe.metrology._usable_cores", lambda: 2)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(config)
+    outputs = []
+    for threads in ("1", "2", "64"):
+        out = tmp_path / f"out{threads}"
+        assert main([*argv.split(), "-c", str(cfg), "--threads", threads, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    capsys.readouterr()
+
+
+# ----- the README quick start -----
+
+
+@pytest.fixture(scope="module")
+def quick_start_run(tmp_path_factory):
+    """The quick start's documented commands, run on its config in a fresh
+    directory: that directory and the lines each command printed."""
+    work = tmp_path_factory.mktemp("quick_start")
+    (work / "tone.ini").write_text(QUICK_START)
+    commands = readme_block("sh", "qvibe simulate ").splitlines()
+    printed = []
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        for command in commands:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(command.split()[1:]) == 0, command
+            printed.append(out.getvalue().splitlines())
+    finally:
+        os.chdir(cwd)
+    return work, printed
+
+
+def test_readme_output_block_is_what_the_quick_start_prints(quick_start_run):
+    # The block is the last line simulate prints, then everything estimate prints.
+    _, (simulated, estimated) = quick_start_run
+    assert simulated[-1:] + estimated == readme_block("", "mode=quantum t_exp=").splitlines()
+
+
+def test_readme_library_snippet_runs_on_the_quick_start_run(quick_start_run, monkeypatch):
+    # The documented pipeline(...) call runs against run1/ and reads the
+    # displacement that the quick start's estimate printed.
+    work, (_, estimated) = quick_start_run
+    monkeypatch.chdir(work)
+    namespace = {}
+    exec(compile(readme_block("python"), str(README), "exec"), namespace)
+    pp = namespace["result"].reconstruction.displacement_pp
+    assert f"displacement_pp={pp!r} m" in estimated
 
 
 # ----- refusals -----

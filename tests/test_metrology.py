@@ -34,6 +34,7 @@ from qvibe.metrology import (
 from qvibe.simulate import (
     ChannelModel,
     VibrationSignal,
+    _mark_campaign_worker,
     simulate_classical_run,
     simulate_quantum_run,
 )
@@ -172,6 +173,9 @@ def test_trial_scenario_refuses_an_exposure_no_trial_runs():
     for t_exp in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ConfigError, match=r"^t_exp must be positive and finite, got "):
             TrialScenario(PAIR, quadrature_tone(20e-9), channel, t_exp)
+    # So is a scan grid that frequency_grid would refuse: 1e12 Hz over 1 s.
+    with pytest.raises(ConfigError, match=r"^f_max = 1000000000000.0 Hz needs 1666666666667 scan"):
+        TrialScenario(PAIR, quadrature_tone(20e-9), channel, 1.0, AnalysisOptions(f_max=1e12))
 
 
 def test_frequency_sweep_recovers_playback_offset():
@@ -200,22 +204,25 @@ def test_frequency_sweep_recovers_playback_offset():
 # ----- the shared exposure step -----
 
 
-def test_campaigns_match_across_worker_counts(monkeypatch):
-    # Two usable cores, so max_workers=2 opens a pool on any host.
+def test_campaigns_match_across_worker_counts(monkeypatch, counting_pools):
+    # Two usable cores, so max_workers=2 opens a pool on any host. Each
+    # stream expects over 100k candidates, so an exposure run alone draws
+    # its two streams side by side; on a campaign worker it opens no pool.
     monkeypatch.setattr("qvibe.metrology._usable_cores", lambda: 2)
     channel = ChannelModel(rate_c=100e3, rate_a=100e3)
     options = AnalysisOptions(f_max=200.0)
     scenario = TrialScenario(PAIR, quadrature_tone(20e-9), channel, 1.0, options)
-    serial = run_amplitude_trials(scenario, 3, base_seed=7100, max_workers=1)
-    assert repr(run_amplitude_trials(scenario, 3, base_seed=7100, max_workers=2)) == repr(serial)
-    sweep = [
-        run_frequency_sweep(
+    inner = {}
+    for workers in (1, 2):
+        counting_pools.clear()
+        trials = run_amplitude_trials(scenario, 3, base_seed=7100, max_workers=workers)
+        sweep = run_frequency_sweep(
             [10.0, 30.0], PAIR, channel, 20e-9, 1.0, options,
             playback_scale=0.001, base_seed=7150, max_workers=workers,
         )
-        for workers in (1, 2)
-    ]
-    assert repr(sweep[0]) == repr(sweep[1])
+        inner[workers] = (repr(trials), repr(sweep)), len(counting_pools)
+    assert inner[2][0] == inner[1][0]
+    assert inner[1][1] >= 5 and inner[2][1] == 0, inner
 
 
 def test_sweep_point_is_the_trial_record_of_its_tone():
@@ -369,7 +376,8 @@ def test_map_indexed_opens_at_most_one_thread_per_core_and_call(monkeypatch, ask
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
+            assert initializer is _mark_campaign_worker
             sizes.append(max_workers)
 
         def __enter__(self):
