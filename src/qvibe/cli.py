@@ -296,7 +296,7 @@ def cmd_advantage(args, cfg: Config) -> int:
 
 
 def cmd_qcrb(args, cfg: Config) -> int:
-    pair = build_pair(cfg)
+    pair = _pair_of(cfg, "qcrb")
     geometry = build_geometry(cfg, default=1)
     n_list = cfg.checked("qcrb", "n_pairs", (10_000,),
                          ok=lambda ns: all(1 <= n <= _MAX_PAIRS for n in ns),

@@ -41,10 +41,11 @@ The pipeline works directly on event times, never on a rate histogram:
    array of the trace's length: the delay is monotone in the inverse-cosine
    argument, so the displacement's peak-to-peak comes from that argument's
    two extremes, and only those and the delay samples the result keeps
-   are inverted. Each component's oscillator is a rotating phasor: one
+   are inverted. For one line that nothing clips, those extremes come in
+   closed form, the continuous trace's, and only the kept samples are
+   evaluated. Each component's oscillator is a rotating phasor: one
    table of its in-block phase advance, turned by the cosine and sine of
-   one start phase per block, so the trace takes no cosine per sample;
-   a long trace runs the second half of its blocks on a worker thread
+   one start phase per block, so the trace takes no cosine per sample
    (see ``reconstruct``).
    One inversion serves both channels: it reads the fringe's polarity,
    contrast, phase offset and omega from the spec it is given (see
@@ -78,7 +79,7 @@ from .core import (
     SPEED_OF_LIGHT,
 )
 from .errors import AnalysisError, ConfigError
-from .simulate import TimestampStream, _trace_samples, _worker
+from .simulate import TimestampStream, _cos_range, _trace_samples, _worker
 
 GRID_SPACING_FACTOR = 0.6
 
@@ -847,15 +848,28 @@ class ReconstructedSignal:
 _TRACE_BLOCK = 1 << 16  # samples evaluated per pass of the blocked trace
 _MAX_JSON_TRACE_POINTS = 4096
 
-# A trace of at least _SPLIT_BLOCKS blocks runs its second half of blocks on
-# a worker thread while the caller runs the first (``reconstruct``). The
-# trace is bound by memory bandwidth, so the split saves about a third, not
-# a half. One-component traces timed on 2 cores, median of 21 (7 from 85
-# blocks), serial against split: 4 blocks 6.5 against 7.0 ms, 6 blocks 7.5
-# against 7.2 ms, 8 blocks 9.6 against 8.5 ms, 16 blocks 14.6 against 12.0
-# ms, 85 blocks 69 against 42 ms, 161 blocks (the 21 kHz sweep point) 123
-# against 86 ms.
-_SPLIT_BLOCKS = 8
+
+def _line_extremes(components, a0_c, a0_a, ratio, slope, t_first, t_last):
+    """[u_max, u_min] of a one-line trace in closed form, or None where the
+    samples are needed: several lines, or a line that may be clipped.
+
+    With one line both fluxes are a0 + a cos(phi), phi = 2 pi f_hat t +
+    theta_hat. Where a0 > |a| for both, neither flux is clipped, and P_hat,
+    a ratio of two positive functions linear in cos(phi), is monotone in
+    it, so u is too. u's extremes are then the images of the range of
+    cos(phi) over the phase interval from t_first to t_last
+    (``qvibe.simulate._cos_range``), taken by the trace loop's element-wise
+    steps: the continuous trace's extremes, which the samples reach only
+    where one falls on a peak. If both lie in [-1, 1], no sample is clipped.
+    """
+    c, *others = components
+    if others or not (a0_c > abs(c.a_hat_c) and a0_a > abs(c.a_hat_a)):
+        return None
+    phases = sorted(2.0 * math.pi * c.f_hat * t + c.theta_hat for t in (t_first, t_last))
+    cos_phi = np.array(_cos_range(*phases))
+    phi_c = a0_c + c.a_hat_c * cos_phi
+    u = (phi_c / ((a0_a + c.a_hat_a * cos_phi) * ratio + phi_c) * 2.0 - 1.0) / slope
+    return np.array([u.max(), u.min()]) if np.all(np.abs(u) <= 1.0) else None
 
 
 def reconstruct(
@@ -887,8 +901,13 @@ def reconstruct(
     omega > 0), so its extremes are the images of u's smallest and
     largest values: only those two and the samples the result keeps
     (every stride-th, at most _MAX_JSON_TRACE_POINTS) are inverted, and
-    displacement_pp = c (tau_max - tau_min) / g. Within a block, sample j
-    of a component's oscillator is
+    displacement_pp = c (tau_max - tau_min) / g. For one line that no
+    sample can clip, u's extremes are the continuous trace's, in closed
+    form (``_line_extremes``), and only the kept samples are evaluated, as
+    a trace of ceil(n / stride) samples stride dt apart (dt below reads
+    stride dt). Otherwise all n samples are evaluated, and u's extremes
+    are the samples'. Within a block, sample j of a component's
+    oscillator is
 
         cos(phase0 + 2 pi f_hat j dt)
             = cos(phase0) cos(2 pi f_hat j dt) - sin(phase0) sin(2 pi f_hat j dt),
@@ -898,13 +917,6 @@ def reconstruct(
     two scalar trig calls per component instead of one cosine per sample.
     Both forms round the phase, which reaches 2 pi f_hat t_exp / 2, by a
     few eps times it; the oscillators agree to that.
-
-    A trace of at least _SPLIT_BLOCKS blocks runs the second half of its
-    blocks on a worker thread while the caller runs the first. Each block
-    writes its own kept samples, the halves' clamp counts add and their
-    extremes combine by min and max, so the result is the serial one bit
-    for bit, and a refusal in either half raises the same error. The pool
-    is closed before the function returns or raises.
     """
     components = tuple(components)
     if not components:
@@ -922,75 +934,62 @@ def reconstruct(
     dt = t_exp / n
     stride = max(1, -(-n // _MAX_JSON_TRACE_POINTS))
     slope = fringe.polarity * contrast
-    size = min(n, _TRACE_BLOCK)
-    # Per component, cos and sin of 2 pi f_hat j dt for j < size: the phase
+    ends = _line_extremes(components, a0_c, a0_a, ratio, slope, -t_exp / 2.0, t_exp / 2.0 - dt)
+    # With u's extremes known, only the kept samples are evaluated, each kept.
+    count, step, keep = (n, dt, stride) if ends is None else (-(-n // stride), stride * dt, 1)
+    size = min(count, _TRACE_BLOCK)
+    # Per component, cos and sin of 2 pi f_hat j step for j < size: the phase
     # advance within a block, the same for every block.
     j = np.arange(size, dtype=float)
     rotations = []
     for c in components:
-        advance = (2.0 * math.pi * c.f_hat * dt) * j
+        advance = (2.0 * math.pi * c.f_hat * step) * j
         rotations.append((c, np.cos(advance), np.sin(advance)))
-    kept = np.empty(-(-n // stride))  # u at samples 0, stride, 2 stride, ...
-
-    def trace(starts: range) -> tuple[int, int, float, float]:
-        """(flux clamps, arccos clamps, u_min, u_max) of the blocks at ``starts``.
-
-        Each block's kept samples go to their own slice of ``kept``.
-        """
-        phi_c, phi_a, osc, tmp = (np.empty(size) for _ in range(4))
-        flux_clamped = arccos_clamped = 0
-        u_min, u_max = math.inf, -math.inf
-        for start in starts:
-            k = min(size, n - start)
-            pc, pa, o, tm = phi_c[:k], phi_a[:k], osc[:k], tmp[:k]
-            # The block's first sample, as linspace(0, t_exp, n, endpoint=False) - t_exp / 2 has it.
-            t0 = start * dt - t_exp / 2.0
-            pc.fill(a0_c)
-            pa.fill(a0_a)
-            for c, cos_j, sin_j in rotations:
-                # cos(phase0 + 2 pi f_hat j dt), one scalar phase per block and component.
-                phase0 = 2.0 * math.pi * c.f_hat * t0 + c.theta_hat
-                np.multiply(cos_j[:k], math.cos(phase0), out=o)
-                np.multiply(sin_j[:k], math.sin(phase0), out=tm)
-                o -= tm
-                np.multiply(o, c.a_hat_c, out=tm)
-                pc += tm
-                np.multiply(o, c.a_hat_a, out=tm)
-                pa += tm
-            # Clipping a block with nothing out of range would change no value.
-            for phi in (pc, pa):
-                negative = int(np.count_nonzero(phi < 0))
-                if negative:
-                    flux_clamped += negative
-                    np.clip(phi, 0.0, None, out=phi)
-            denom = np.multiply(pa, ratio, out=tm)
-            denom += pc
-            if np.any(denom == 0.0):
-                raise AnalysisError("reconstructed fluxes vanish somewhere; probability undefined")
-            u = np.divide(pc, denom, out=pc)  # P_hat, then the inverse-cosine argument
-            u *= 2.0
-            u -= 1.0
-            u /= slope
-            outside = int(np.count_nonzero(np.abs(u, out=tm) > 1.0))
-            if outside:
-                arccos_clamped += outside
-                np.clip(u, -1.0, 1.0, out=u)
-            u_min, u_max = min(u_min, u.min()), max(u_max, u.max())
-            first = -(-start // stride)  # the first kept sample at or after start
-            kept[first : -(-(start + k) // stride)] = u[first * stride - start :: stride]
-        return flux_clamped, arccos_clamped, u_min, u_max
-
-    blocks = range(0, n, size)
-    half = (len(blocks) + 1) // 2 if len(blocks) >= _SPLIT_BLOCKS else len(blocks)
-    with _worker(half < len(blocks)) as pool:
-        second = pool.submit(trace, blocks[half:]) if pool else None
-        first = trace(blocks[:half])
-        second = second.result() if pool else trace(blocks[half:])
-    flux_clamped, arccos_clamped = first[0] + second[0], first[1] + second[1]
-    u_min, u_max = min(first[2], second[2]), max(first[3], second[3])
+    kept = np.empty(-(-count // keep))  # u at samples 0, keep, 2 keep, ...
+    phi_c, phi_a, osc, tmp = (np.empty(size) for _ in range(4))
+    flux_clamped = arccos_clamped = 0
+    u_min, u_max = math.inf, -math.inf
+    for start in range(0, count, size):
+        k = min(size, count - start)
+        pc, pa, o, tm = phi_c[:k], phi_a[:k], osc[:k], tmp[:k]
+        # The block's first sample, as linspace(0, t_exp, n, endpoint=False) - t_exp / 2 has it.
+        t0 = start * step - t_exp / 2.0
+        pc.fill(a0_c)
+        pa.fill(a0_a)
+        for c, cos_j, sin_j in rotations:
+            # cos(phase0 + 2 pi f_hat j step), one scalar phase per block and component.
+            phase0 = 2.0 * math.pi * c.f_hat * t0 + c.theta_hat
+            np.multiply(cos_j[:k], math.cos(phase0), out=o)
+            np.multiply(sin_j[:k], math.sin(phase0), out=tm)
+            o -= tm
+            np.multiply(o, c.a_hat_c, out=tm)
+            pc += tm
+            np.multiply(o, c.a_hat_a, out=tm)
+            pa += tm
+        # Clipping a block with nothing out of range would change no value.
+        for phi in (pc, pa):
+            negative = int(np.count_nonzero(phi < 0))
+            if negative:
+                flux_clamped += negative
+                np.clip(phi, 0.0, None, out=phi)
+        denom = np.multiply(pa, ratio, out=tm)
+        denom += pc
+        if np.any(denom == 0.0):
+            raise AnalysisError("reconstructed fluxes vanish somewhere; probability undefined")
+        u = np.divide(pc, denom, out=pc)  # P_hat, then the inverse-cosine argument
+        u *= 2.0
+        u -= 1.0
+        u /= slope
+        outside = int(np.count_nonzero(np.abs(u, out=tm) > 1.0))
+        if outside:
+            arccos_clamped += outside
+            np.clip(u, -1.0, 1.0, out=u)
+        u_min, u_max = min(u_min, u.min()), max(u_max, u.max())
+        first = -(-start // keep)  # the first kept sample at or after start
+        kept[first : -(-(start + k) // keep)] = u[first * keep - start :: keep]
+    ends = np.array([u_max, u_min]) if ends is None else ends
     # The kept samples and both extremes go through the same contiguous
     # element-wise steps, so each is the value a full-length inversion gives.
-    ends = np.array([u_max, u_min])
     for values in (kept, ends):
         np.arccos(values, out=values)
         values -= fringe.phase_offset

@@ -371,6 +371,10 @@ def _rows():
                 f"{where}[run] mode: mode must be quantum, the one channel {name} runs,"
                 " got 'classical'",
                 {config: edit(text, ("[run]", "[run]\nmode = classical"))})
+    # qcrb prints the pair channel's bound, so it refuses the other mode too.
+    yield R("qcrb-mode-classical", "qcrb -c tone.ini",
+            f"{tone}[run] mode: mode must be quantum, the one channel qcrb runs, got 'classical'",
+            {"tone.ini": edit(QUICK_START, ("[run]", "[run]\nmode = classical"))})
 
     # ----- --threads -----
     for command, text in (("trials", QUICK_START), ("sweep", SWEEP),

@@ -796,15 +796,105 @@ def test_quantum_reconstruction_closed_form_single_tone():
 
 
 def test_reconstruction_reports_clamp_activity():
+    # A line that may clip takes the sampled trace, bit for bit. At depth
+    # 1.3 it is overdriven, so both fluxes go negative and the
+    # inverse-cosine argument leaves [-1, 1]; at depth 0.9 the fluxes stay
+    # positive but the argument reaches 0.9 / 0.8.
     t_exp = 1.0
     n = 10_000
     sc, sa = constant_pair_of_streams(n, t_exp)
     a0 = n / t_exp
-    # Overdriven modulation: negative fluxes and |arccos argument| > 1.
-    comp = ComponentEstimate(f_hat=1.0, theta_hat=0.0, a_hat_c=1.3 * a0, a_hat_a=-1.3 * a0)
-    rec = reconstruct(sc, sa, 1.0, replace(PAIR, visibility_v0=0.8), GeometryFactor(2), [comp])
-    assert 0.0 < rec.flux_clamp_fraction < 1.0
-    assert 0.0 < rec.arccos_clamp_fraction < 1.0
+    pair = replace(PAIR, visibility_v0=0.8)
+    for depth in (1.3, 0.9):
+        comp = ComponentEstimate(f_hat=1.0, theta_hat=0.0, a_hat_c=depth * a0,
+                                 a_hat_a=-depth * a0)
+        rec = reconstruct(sc, sa, 1.0, pair, GeometryFactor(2), [comp])
+        tau, flux, arccos, pp = _unblocked_reference(
+            "quantum", sc, sa, 1.0, 0.8, pair, 2, [comp], 1000, _rotated_oscillator
+        )
+        assert (rec.flux_clamp_fraction > 0.0) == (depth > 1.0), depth
+        assert 0.0 < rec.arccos_clamp_fraction < 1.0, depth
+        assert rec.flux_clamp_fraction == flux and rec.arccos_clamp_fraction == arccos, depth
+        assert rec.tau_trace.tobytes() == tau.tobytes(), depth
+        assert rec.displacement_pp == pp, depth
+
+
+def _one_line_pp(depth, cos_lo, cos_hi, g):
+    """The continuous peak-to-peak of one line of depth m on equal streams at
+    visibility 1: u = -m cos(phi), so tau = (pi / 2 + asin(m cos(phi))) / delta_omega."""
+    return SPEED_OF_LIGHT * (math.asin(depth * cos_hi) - math.asin(depth * cos_lo)) / (
+        PAIR.delta_omega * g)
+
+
+def test_one_line_peak_to_peak_is_the_continuous_one():
+    # 10 Hz over 1 s at 100 samples per period, with the phase offset by
+    # half a sample step: every sample misses the peaks, so the sampled
+    # trace reads the swing low by about 1 - cos(pi / 100), 4.9e-4, while
+    # the closed form gives the full 2 asin(m) / delta_omega.
+    t_exp = 1.0
+    sc, sa = constant_pair_of_streams(10_000, t_exp)
+    a0 = 10_000 / t_exp
+    comp = ComponentEstimate(f_hat=10.0, theta_hat=math.pi / 100, a_hat_c=0.1 * a0,
+                             a_hat_a=-0.1 * a0)
+    for g in (1, 2):
+        rec = reconstruct(sc, sa, 1.0, PAIR, GeometryFactor(g), [comp])
+        expected = _one_line_pp(0.1, -1.0, 1.0, g)
+        assert abs(rec.displacement_pp - expected) <= 1e-12 * expected
+        tau, flux, arccos, pp = _unblocked_reference(
+            "quantum", sc, sa, 1.0, 1.0, PAIR, g, [comp], 1000, _rotated_oscillator
+        )
+        assert pp < expected * (1.0 - 4e-4)
+        # Stride 1: the kept trace is the sampled one, bit for bit.
+        assert rec.trace_stride == 1 and rec.tau_trace.tobytes() == tau.tobytes()
+        assert flux == arccos == rec.flux_clamp_fraction == rec.arccos_clamp_fraction == 0.0
+
+
+def test_one_line_below_one_cycle_per_exposure():
+    # 0.6 Hz over 1 s, as an unrefined seed next to DC would be: the phase
+    # interval holds one maximum of cos (at t = -0.13 s, between samples)
+    # and no minimum, so cos ranges from its value at the last sample to 1.
+    t_exp = 1.0
+    sc, sa = constant_pair_of_streams(10_000, t_exp)
+    a0 = 10_000 / t_exp
+    comp = ComponentEstimate(f_hat=0.6, theta_hat=0.5, a_hat_c=0.1 * a0, a_hat_a=-0.1 * a0)
+    rec = reconstruct(sc, sa, 1.0, PAIR, GeometryFactor(2), [comp])
+    tau, _, _, pp = _unblocked_reference(
+        "quantum", sc, sa, 1.0, 1.0, PAIR, 2, [comp], 1000, _rotated_oscillator
+    )
+    assert rec.displacement_pp >= pp
+    cos_last = math.cos(2.0 * math.pi * 0.6 * (t_exp / 2.0 - t_exp / 1000) + 0.5)
+    expected = _one_line_pp(0.1, cos_last, 1.0, 2)
+    assert abs(rec.displacement_pp - expected) <= 1e-12 * expected
+    assert rec.tau_trace.tobytes() == tau.tobytes()
+
+
+def test_one_line_trace_evaluates_only_the_kept_samples():
+    # Seven blocks, stride 112: only the 4087 kept samples are evaluated,
+    # 112 dt apart, so their oscillator rounds its phase differently from
+    # the full trace's; both stay within the phase-rounding bound of
+    # test_rotated_trace_matches_direct_cosine. The peak-to-peak exceeds
+    # the sampled one by at most the half-step shortfall 1 - cos(pi f dt).
+    eps = np.finfo(float).eps
+    t_exp = 1.0
+    n = 7 * _TRACE_BLOCK - 1000
+    sc, sa = constant_pair_of_streams(10_000, t_exp)
+    a0 = 10_000 / t_exp
+    f = (n - 0.5) / 100
+    comp = ComponentEstimate(f_hat=f, theta_hat=0.3, a_hat_c=0.1 * a0, a_hat_a=-0.1 * a0)
+    pair = replace(PAIR, visibility_v0=0.8)
+    rec = reconstruct(sc, sa, 1.0, pair, GeometryFactor(2), [comp])
+    tau, _, _, pp = _unblocked_reference(
+        "quantum", sc, sa, 1.0, 0.8, pair, 2, [comp], n, _direct_oscillator
+    )
+    kept, stride = _kept_samples(tau)
+    assert rec.trace_stride == stride == 112 and rec.tau_trace.size == kept.size
+    assert rec.trace_dt == t_exp / n * stride
+    assert rec.flux_clamp_fraction == rec.arccos_clamp_fraction == 0.0
+    slope = 1.0 / (0.8 * pair.delta_omega * math.sqrt(1.0 - (0.1 / 0.8) ** 2))
+    phase_error = 0.1 * 4.0 * eps * 2.0 * math.pi * f * t_exp
+    bound = slope * phase_error + 8.0 * eps * math.pi / pair.delta_omega
+    assert np.max(np.abs(rec.tau_trace - kept)) <= bound
+    assert pp <= rec.displacement_pp <= pp * (2.0 - math.cos(math.pi * f * t_exp / n))
 
 
 def test_reconstruction_validation():
@@ -977,93 +1067,48 @@ def test_rotated_trace_matches_direct_cosine():
     assert abs(rec.displacement_pp - pp) <= 2.0 * SPEED_OF_LIGHT * bound / 2
 
 
-def test_reconstruction_holds_no_array_of_the_trace_length():
-    # A 2^22-sample trace (64 blocks) peaks under a quarter of the 8n bytes
-    # a full-length float64 trace takes: the block buffers of its two
-    # halves, the rotation tables and the 4096 kept samples are all it holds.
+def test_reconstruction_holds_no_array_of_the_trace_length(counting_pools):
+    # A two-line 2^22-sample trace (64 blocks) is evaluated whole, on the
+    # calling thread, and peaks under a quarter of the 8n bytes a
+    # full-length float64 trace takes: the block buffers, the rotation
+    # tables and the 4096 kept samples are all it holds.
     t_exp = 1.0
     n = 1 << 22
     sc, sa = constant_pair_of_streams(10_000, t_exp)
     a0 = 10_000 / t_exp
-    comp = ComponentEstimate(f_hat=(n - 0.5) / 100, theta_hat=0.3, a_hat_c=0.1 * a0,
-                             a_hat_a=-0.1 * a0)
+    comps = (
+        ComponentEstimate(f_hat=(n - 0.5) / 100, theta_hat=0.3, a_hat_c=0.1 * a0,
+                          a_hat_a=-0.1 * a0),
+        ComponentEstimate(f_hat=3.7, theta_hat=-1.2, a_hat_c=0.05 * a0, a_hat_a=-0.04 * a0),
+    )
     tracemalloc.start()
     try:
-        rec = reconstruct(sc, sa, 1.0, PAIR, GeometryFactor(2), [comp])
+        rec = reconstruct(sc, sa, 1.0, PAIR, GeometryFactor(2), comps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rec.trace_stride == 1024 and rec.tau_trace.size == 4096
     assert peak < 8 * n / 4, peak
+    assert counting_pools == []
 
 
-@pytest.mark.parametrize("f_slow, theta_slow, depth", [(0.3, -0.5, 0.1), (3.7, -1.2, 1.3)])
-def test_split_trace_is_bitwise_the_serial_trace(monkeypatch, counting_pools, f_slow, theta_slow,
-                                                 depth):
-    # Seven blocks, the last one short: the caller runs four and the worker
-    # three. The stride, 112, does not divide the split point, so the
-    # worker's first kept sample sits inside its first block. At depth 0.1
-    # nothing is clamped and the slow line peaks at t = 0.27 t_exp, in the
-    # second half, and is lowest at the start, in the first, so each half
-    # holds one of the trace's extremes. At depth 1.3 both fluxes and the
-    # inverse-cosine argument are clamped in both halves, so the halves'
-    # clamp counts are added.
+def test_a_trace_whose_fluxes_vanish_is_refused_without_a_thread(counting_pools):
+    # The slow line, -1.9 a0 sin(pi t / t_exp), drives both fluxes below
+    # zero where sin > 1 / 1.9, from t = 0.18 t_exp on, so the trace is
+    # refused there, on the calling thread: alone, a one-line model that
+    # clips, and beside a silent fast line that stretches the trace over
+    # four blocks.
     t_exp = 1.0
-    n = 7 * _TRACE_BLOCK - 1000
     sc, sa = constant_pair_of_streams(10_000, t_exp)
     a0 = 10_000 / t_exp
-    comps = (
-        ComponentEstimate(f_hat=(n - 0.5) / 100, theta_hat=0.3, a_hat_c=0.2 * depth * a0,
-                          a_hat_a=-0.2 * depth * a0),
-        ComponentEstimate(f_hat=f_slow, theta_hat=theta_slow, a_hat_c=0.8 * depth * a0,
-                          a_hat_a=-0.7 * depth * a0),
-    )
-    pair = replace(PAIR, visibility_v0=0.8)
-    started = counting_pools
-    recs = {}
-    for gate in (0, math.inf):
-        monkeypatch.setattr("qvibe.estimate._SPLIT_BLOCKS", gate)
-        recs[gate] = reconstruct(sc, sa, 1.3, pair, GeometryFactor(2), comps)
-    assert started == [1]  # the open gate split the trace, the shut one did not
-    split, serial = recs[0], recs[math.inf]
-    assert serial.trace_stride == 112 and (4 * _TRACE_BLOCK) % serial.trace_stride
-    assert split.tau_trace.tobytes() == serial.tau_trace.tobytes()
-    assert split.displacement_pp.hex() == serial.displacement_pp.hex()
-    assert split.flux_clamp_fraction == serial.flux_clamp_fraction
-    assert split.arccos_clamp_fraction == serial.arccos_clamp_fraction
-    if depth > 1:
-        assert serial.flux_clamp_fraction > 0 and serial.arccos_clamp_fraction > 0
-        # Stream C's flux is clamped on both sides of the split; where it is,
-        # A's is positive, so P_hat = 0 and the argument 1 / 0.8 is clamped too.
-        phi_c = a0 + sum(c.a_hat_c * _rotated_oscillator(c, n, t_exp) for c in comps)
-        assert np.any(phi_c[: 4 * _TRACE_BLOCK] < 0) and np.any(phi_c[4 * _TRACE_BLOCK :] < 0)
-    else:
-        assert serial.flux_clamp_fraction == serial.arccos_clamp_fraction == 0.0
-
-
-def test_a_trace_refused_in_its_second_half_raises_the_same_error_split_or_not(monkeypatch):
-    # Over four blocks, the slow component drives both fluxes below zero
-    # from t = 0.18 t_exp on, inside the second half of the blocks only, so
-    # on the open gate the worker refuses the trace and the caller raises
-    # its error once the pool is closed.
-    t_exp = 1.0
-    n = 4 * _TRACE_BLOCK
-    sc, sa = constant_pair_of_streams(10_000, t_exp)
-    a0 = 10_000 / t_exp
-    comps = (
-        ComponentEstimate(f_hat=(n - 0.5) / 100, theta_hat=0.0, a_hat_c=0.0, a_hat_a=0.0),
-        # -1.9 a0 sin(pi t / t_exp): below -a0 where sin > 1 / 1.9, t > 0.18.
-        ComponentEstimate(f_hat=0.5, theta_hat=math.pi / 2, a_hat_c=1.9 * a0, a_hat_a=1.9 * a0),
-    )
+    slow = ComponentEstimate(f_hat=0.5, theta_hat=math.pi / 2, a_hat_c=1.9 * a0, a_hat_a=1.9 * a0)
+    fast = ComponentEstimate(f_hat=(4 * _TRACE_BLOCK - 0.5) / 100, theta_hat=0.0, a_hat_c=0.0,
+                             a_hat_a=0.0)
     threads = threading.active_count()
-    messages = []
-    for gate in (0, math.inf):
-        monkeypatch.setattr("qvibe.estimate._SPLIT_BLOCKS", gate)
-        with pytest.raises(AnalysisError, match="fluxes vanish") as exc:
+    for comps in ([slow], [fast, slow]):
+        with pytest.raises(AnalysisError, match="fluxes vanish"):
             reconstruct(sc, sa, 1.0, PAIR, GeometryFactor(2), comps)
-        messages.append(str(exc.value))
-        assert threading.active_count() == threads
-    assert messages[0] == messages[1]
+    assert counting_pools == [] and threading.active_count() == threads
 
 
 def test_classical_reconstruction_closed_form_single_tone():
