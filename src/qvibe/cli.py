@@ -143,21 +143,23 @@ def cmd_estimate(args, cfg: Config) -> int:
         stream_1, stream_2, fringe=fringe, geometry=geometry, ratio=ratio, options=options
     )
     spectrum, recon = result.spectrum, result.reconstruction
+    # Each product is built once, for its file and for stdout alike.
+    table = spectrum.to_csv() if args.out or args.format == "csv" else None
+    doc = {"detected": False} if recon is None else None
     if args.out:
         # A json or csv stdout carries only the record or the table.
         notices = sys.stdout if args.format == "human" else sys.stderr
         out = _outdir(args)
-        (out / "spectrum.csv").write_text(spectrum.to_csv())
+        (out / "spectrum.csv").write_text(table)
         print(f"wrote {out / 'spectrum.csv'}", file=notices)
         if recon is not None:
-            recon.to_json(out / "reconstruction.json")
+            doc = recon.to_json(out / "reconstruction.json")
             print(f"wrote {out / 'reconstruction.json'}", file=notices)
     if args.format == "csv":
-        sys.stdout.write(spectrum.to_csv())
+        sys.stdout.write(table)
         return 0
     if args.format == "json":
-        doc = recon.to_json() if recon is not None else {"detected": False}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc or recon.to_json(), indent=2, sort_keys=True))
         return 0
     print(
         f"scanned {spectrum.frequencies.size} bins up to {_fmt(float(spectrum.frequencies[-1]))} Hz,"
@@ -184,6 +186,8 @@ def cmd_trials(args, cfg: Config) -> int:
     pair = _pair_of(cfg, "trials")
     channel = build_channel(cfg)
     signal = build_signal(cfg, pair)
+    if not signal.components:  # TrialScenario refuses it too, but not by key
+        raise cfg.refusal("signal", "kind", "trials need a signal with a component to score")
     options = build_options(cfg)
     t_exp, tick = build_exposure(cfg, pair, channel, default=1.0)  # refused before the draw
     check_scan(cfg, options, t_exp)

@@ -145,23 +145,10 @@ def fringe_probability(fringe: PhotonPairSpec | ClassicalFringeSpec, tau):
     probability in [0, 1], never clipped.
     """
     tau = np.asarray(tau, dtype=float)
-    # The expression above, step by step in place; a 0-d tau gets 0-d
-    # buffers, since a ufunc cannot write into a numpy scalar.
-    p = np.multiply(fringe.omega, tau, out=np.empty_like(tau))
-    p += fringe.phase_offset
-    np.cos(p, out=p)
-    np.multiply(fringe.contrast, p, out=p)
+    p = fringe.contrast * np.cos(fringe.omega * tau + fringe.phase_offset)
     if fringe.sigma:
-        envelope = np.multiply(fringe.sigma, tau, out=np.empty_like(tau))
-        np.square(envelope, out=envelope)
-        np.multiply(-2.0, envelope, out=envelope)
-        np.exp(envelope, out=envelope)
-        p *= envelope
-    if fringe.polarity > 0:
-        np.add(1.0, p, out=p)
-    else:
-        np.subtract(1.0, p, out=p)
-    p *= 0.5
+        p = p * np.exp(-2.0 * (fringe.sigma * tau) ** 2)
+    p = 0.5 * (1.0 + p) if fringe.polarity > 0 else 0.5 * (1.0 - p)
     return p if p.ndim else float(p)
 
 

@@ -180,8 +180,9 @@ def _map_indexed(fn, n: int, max_workers: int | None) -> list:
 class TrialScenario:
     """One fully specified quantum exposure to repeat.
 
-    An exposure that is not positive and finite, or a scan grid over it that
-    ``frequency_grid`` would refuse, is a ConfigError before any draw.
+    An exposure that is not positive and finite, a scan grid over it that
+    ``frequency_grid`` would refuse, or a signal with no component to score,
+    is a ConfigError before any draw.
     """
 
     pair: PhotonPairSpec
@@ -195,6 +196,8 @@ class TrialScenario:
         if not (self.t_exp > 0 and math.isfinite(self.t_exp)):
             raise ConfigError(f"t_exp must be positive and finite, got {self.t_exp}")
         _grid_bins(self.t_exp, self.options.f_max)
+        if not self.signal.components:
+            raise ConfigError("trials need a signal with a component to score")
 
     def true_ratio(self) -> float:
         return self.channel.rate_c / self.channel.rate_a
@@ -396,8 +399,11 @@ class AdvantageSetup:
     options: AnalysisOptions
 
     def __post_init__(self) -> None:
-        """Refuse a condition whose draws the sampler, or whose scan grids
-        ``frequency_grid``, would refuse, before any draw is made."""
+        """Refuse a signal with no component, whose first is the scored
+        fundamental, and a condition whose draws the sampler, or whose scan
+        grids ``frequency_grid``, would refuse, before any draw is made."""
+        if not self.signal.components:
+            raise ConfigError("an advantage experiment needs a signal with a fundamental to score")
         for cond in self.conditions:
             for fringe, signal, channel, t_exp, _ in self._halves(cond):
                 _check_draws(_fluxes(fringe, signal, channel), t_exp)

@@ -50,22 +50,23 @@ STREAM_TAGS = ("coincidence", "anticoincidence", "singles1", "singles2")
 DEFAULT_TICK = 100e-12
 
 # Hard cap on expected thinning candidates, to protect memory. A draw
-# peaks at 19 to 28 bytes per candidate (tracemalloc on 1M candidates: a
-# pure tone's narrow range at the low end, a wide square wave's range and
-# no range at the high end), so the cap keeps one draw within about
-# 0.6 GiB. A run's two draws peak together only when their
-# candidates add up to at most the cap (``_simulate_run``), so that bound
-# holds for a run too.
+# peaks at 21 to 28 bytes per candidate (tracemalloc on 1M candidates: a
+# 21 kHz tone's narrow range at the low end, a wide square wave's range
+# and no range at the high end; a test holds it to 30), so the cap keeps
+# one draw within about 0.6 GiB. A run's two draws peak together only when
+# their candidates add up to at most the cap (``_simulate_run``), so that
+# bound holds for a run too.
 _MAX_CANDIDATES = 2.2e7
 
 # A run draws its second stream on a worker thread while the caller draws
 # the first only if each stream expects at least _CONCURRENT_CANDIDATES
 # candidates: below that, the thread's start and hand-off cost more than
-# the overlap saves. One quantum run timed on 2 cores, median of 41 (11
-# at 1M), serial against concurrent, at 2k candidates a stream 0.64
-# against 1.6 ms, 10k 2.1 against 2.3 ms, 20k 3.4 against 4.3 ms, 30k 9.0
-# against 5.4 ms, 190k (the README quick start) 34 against 24 ms and 1M
-# (a sweep point) 208 against 119 ms.
+# the overlap saves. One quantum run of squeezed draws timed on 2 cores,
+# median of 41 (11 at 1M), serial against concurrent: at 2k candidates a
+# stream 0.5 against 1.3 ms, 10k 0.8 against 1.8 ms, 20k 1.8 against
+# 2.3 ms, 30k 2.1 to 3.2 against 2.6 to 2.8 ms over two timings, 50k 4.6
+# against 4.0 ms, 190k (the README quick start) 18 against 10 ms and 1M
+# (a 21 kHz sweep point) 88 against 49 ms.
 _CONCURRENT_CANDIDATES = 1 << 15
 
 # A squeezed draw reads the flux at most _FLUX_BLOCK candidates at a time.
@@ -230,23 +231,13 @@ class VibrationSignal:
         """Waveform displacement x(t) in metres, vectorised over t."""
         t = np.asarray(t, dtype=float)
         x = np.zeros_like(t)
-        term = np.empty_like(t)
         for c in self.components:
-            # x += (amplitude_pp / 2) * cos(2 pi f t + phase), in one buffer.
-            np.multiply(2.0 * math.pi * c.frequency, t, out=term)
-            term += c.phase
-            np.cos(term, out=term)
-            np.multiply(c.amplitude_pp / 2.0, term, out=term)
-            x += term
+            x += (c.amplitude_pp / 2.0) * np.cos(2.0 * math.pi * c.frequency * t + c.phase)
         return x
 
     def delay(self, t, geometry: GeometryFactor) -> np.ndarray:
         """Interferometer delay tau(t) = dc_offset_delay + g * x(t) / c."""
-        tau = self.displacement(t)
-        np.multiply(geometry.g, tau, out=tau)
-        tau /= SPEED_OF_LIGHT
-        np.add(self.dc_offset_delay, tau, out=tau)
-        return tau if tau.ndim else tau[()]
+        return self.dc_offset_delay + geometry.g * self.displacement(t) / SPEED_OF_LIGHT
 
     def peak_to_peak(self, duration: float) -> float:
         """Displacement excursion over the given duration, sampled as ``_trace_samples`` says.
@@ -259,9 +250,7 @@ class VibrationSignal:
         step = duration / n
         x_min, x_max = math.inf, -math.inf
         for start in range(0, n, _PEAK_BLOCK):
-            t = np.arange(start, min(n, start + _PEAK_BLOCK), dtype=float)
-            t *= step
-            x = self.displacement(t)
+            x = self.displacement(np.arange(start, min(n, start + _PEAK_BLOCK), dtype=float) * step)
             x_min, x_max = min(x_min, x.min()), max(x_max, x.max())
         return float(x_max - x_min)
 
@@ -487,19 +476,10 @@ def _fringe_fluxes(
     with the enclosure of each that ``_fringe_range`` gives."""
 
     def flux_1(t):
-        p = fringe_probability(fringe, signal.delay(t, geometry))
-        p *= scale_1
-        p += offset
-        return p
+        return scale_1 * fringe_probability(fringe, signal.delay(t, geometry)) + offset
 
     def flux_2(t):
-        # (p - 1) * -k is (1 - p) * k exactly, since negation is exact and
-        # subtraction rounds symmetrically; unlike 1 - p it works in place.
-        p = fringe_probability(fringe, signal.delay(t, geometry))
-        p -= 1.0
-        p *= -scale_2
-        p += offset
-        return p
+        return scale_2 * (1.0 - fringe_probability(fringe, signal.delay(t, geometry))) + offset
 
     bound_1, bound_2 = scale_1 + offset, scale_2 + offset
     # A draw is refused before the flux is read unless bound * t_exp is at

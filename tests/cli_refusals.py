@@ -281,6 +281,12 @@ def _rows():
             {"tone.ini": QUICK_START + "\n[classical]\narm_ratio = 2\n"})
 
     # ----- [signal] -----
+    # Two silent tones build a signal with no component: trials has none to
+    # score, while simulate and estimate accept it.
+    yield R("trials-no-component", "trials -c alternating.ini --trials 2",
+            "config error: alternating.ini: [signal] kind: trials need a signal with a component"
+            " to score",
+            {"alternating.ini": ALTERNATING.format("2 Hz").replace("20 nm", "0 nm")})
     for switch, shown in (("0 Hz", "0.0"), ("-5 Hz", "-5.0")):
         yield R(f"switch_frequency-{shown}", "simulate -c alternating.ini --out out",
                 "config error: alternating.ini: [signal] switch_frequency:"

@@ -45,6 +45,7 @@ from qvibe.config import (
 )
 from qvibe.core import SPEED_OF_LIGHT, quadrature_delay
 from qvibe.errors import ConfigError
+from qvibe.estimate import ReconstructedSignal, SpectrumEstimate
 from qvibe.metrology import background_advantage_setup, loss_advantage_setup
 from qvibe.simulate import SignalComponent, TimestampStream
 from qvibe.streamio import write_stream_text
@@ -620,11 +621,23 @@ def test_cli_spectrum_csv_to_stdout(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_machine_readable_estimate_keeps_notices_off_stdout(tmp_path, capsys, fmt):
+def test_machine_readable_estimate_keeps_notices_off_stdout(tmp_path, monkeypatch, capsys, fmt):
+    # With --out, stdout repeats the file byte for byte, and each product is
+    # built once for both: the table alone takes about a second on a large grid.
     cfg = write_tone_config(tmp_path, seed=614)
     out = tmp_path / "s"
     assert main(["simulate", "-c", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
+    calls = []
+
+    def counted(method):
+        def wrapper(self, *args):
+            calls.append(method.__name__)
+            return method(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(SpectrumEstimate, "to_csv", counted(SpectrumEstimate.to_csv))
+    monkeypatch.setattr(ReconstructedSignal, "to_json", counted(ReconstructedSignal.to_json))
     code = main([
         "estimate",
         str(out / "coincidence.txt"),
@@ -635,8 +648,9 @@ def test_machine_readable_estimate_keeps_notices_off_stdout(tmp_path, capsys, fm
     ])
     assert code == 0
     captured = capsys.readouterr()
+    assert sorted(calls) == ["to_csv", "to_json"]
     if fmt == "json":
-        assert json.loads(captured.out) == json.loads((out / "reconstruction.json").read_text())
+        assert captured.out == (out / "reconstruction.json").read_text()
     else:
         assert captured.out == (out / "spectrum.csv").read_text()
         assert len(captured.out.splitlines()) == 335  # header plus the 334-bin grid

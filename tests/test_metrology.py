@@ -178,6 +178,34 @@ def test_trial_scenario_refuses_an_exposure_no_trial_runs():
         TrialScenario(PAIR, quadrature_tone(20e-9), channel, 1.0, AnalysisOptions(f_max=1e12))
 
 
+# Two silent tones gated in turn: a flat signal with no component.
+FLAT = VibrationSignal.alternating_tones(2.0, 10.0, 0.0, 10.0, 0.0,
+                                         dc_offset_delay=quadrature_delay(PAIR))
+
+
+def test_campaigns_refuse_a_signal_with_no_component_to_score():
+    # Both campaigns score the signal's first component, which a flat signal
+    # lacks: each raised IndexError once its draws were under way.
+    assert FLAT.components == ()
+    channel = ChannelModel(rate_c=2e3, rate_a=2e3)
+    with pytest.raises(ConfigError, match=r"^trials need a signal with a component to score$"):
+        TrialScenario(PAIR, FLAT, channel, 1.0)
+    setup = loss_advantage_setup(loss_values=(0.0,), target_pairs=1000)
+    with pytest.raises(ConfigError, match=r"^an advantage experiment needs a signal with a "):
+        replace(setup, signal=FLAT)
+
+
+def test_a_flat_signal_is_still_drawn_and_analysed():
+    # Only the campaigns need a component: one exposure of a flat signal is
+    # drawn at the operating point's constant rate and analysed to no detection.
+    channel = ChannelModel(rate_c=2e3, rate_a=2e3)
+    run = simulate_quantum_run(PAIR, FLAT, channel, 1.0, seed=5)
+    assert all(800 < len(stream) < 1200 for stream in run)  # about 1000 each
+    result = pipeline(*run, fringe=PAIR, geometry=channel.geometry, ratio=1.0,
+                      options=AnalysisOptions(f_max=50.0))
+    assert result.reconstruction is None
+
+
 def test_frequency_sweep_recovers_playback_offset():
     channel = ChannelModel(rate_c=200e3, rate_a=200e3)
     pts = run_frequency_sweep(

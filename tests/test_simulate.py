@@ -1,6 +1,7 @@
 import hashlib
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qvibe.simulate import (
     SignalComponent,
     TimestampStream,
     VibrationSignal,
+    _MAX_CANDIDATES,
     _PEAK_BLOCK,
     _cos_range,
     _simulate_run,
@@ -217,10 +219,10 @@ def test_classical_background_adds_flat_flux():
     assert np.allclose(total_dirty, 2 * total_clean, rtol=1e-12)
 
 
-def test_in_place_fluxes_match_the_one_expression_forms_bit_for_bit():
-    # The waveform, fringes and fluxes are evaluated step by step in place;
-    # each step is the operation of the one-expression form written out
-    # here, in its order, so every value and every seeded draw is unchanged.
+def test_waveform_fringes_and_fluxes_compute_the_written_formulas_and_result_types():
+    # The waveform, fringes and fluxes compute the formulas written out here,
+    # bit for bit, so every value and every seeded draw is pinned to them;
+    # for a scalar, 0-d or empty time or delay each returns the type these do.
     pair = PhotonPairSpec(delta_omega=DETUNING, visibility_v0=0.9)
     fringe = ClassicalFringeSpec(omega_optical=1.2153e15, phase_offset=-math.pi / 2,
                                  arm_intensity_ratio=0.6)
@@ -403,10 +405,32 @@ def test_sampler_accepts_zero_candidates_and_the_bound_itself():
 def test_sampler_candidate_cap():
     with pytest.raises(ConfigError):
         sample_inhomogeneous_poisson(flat_flux(1e9), 1e9, 1.0, rng=1)
-    # Just above the 2.2e7 cap: at about 48 bytes a candidate this draw
-    # would pass 1 GiB, so it is refused before anything is allocated.
+    # Just above the 2.2e7 cap: refused before anything is allocated.
     with pytest.raises(ConfigError, match="too large to sample"):
         sample_inhomogeneous_poisson(flat_flux(2.3e7), 2.3e7, 1.0, rng=1)
+
+
+@pytest.mark.parametrize("squeezed", [True, False], ids=["flux_range", "no-range"])
+def test_a_draw_peaks_within_30_bytes_a_candidate(squeezed):
+    # The bound behind _MAX_CANDIDATES: at 30 bytes a candidate, a draw at the
+    # cap stays within about 0.6 GiB. A 21 kHz tone's range leaves about 7% of
+    # the candidates for the flux to decide; with no range it decides them all.
+    pair = PhotonPairSpec(delta_omega=DETUNING, visibility_v0=0.9)
+    tone = VibrationSignal.pure_tone(21e3, 20e-9, dc_offset_delay=quadrature_delay(pair))
+    fx = quantum_fluxes(pair, tone, ChannelModel(rate_c=1e6, rate_a=1e6))
+    candidates = 1e6
+    tracemalloc.start()
+    try:
+        stream = sample_inhomogeneous_poisson(
+            fx.flux_1, fx.bound_1, candidates / fx.bound_1, rng=7,
+            flux_range=fx.range_1 if squeezed else None,
+        )
+        per_candidate = tracemalloc.get_traced_memory()[1] / candidates
+    finally:
+        tracemalloc.stop()
+    assert abs(len(stream) - candidates / 2) < 5e3  # a quadrature draw keeps about half
+    assert per_candidate <= 30, per_candidate
+    assert 30 * _MAX_CANDIDATES <= 0.62 * 2**30
 
 
 @pytest.mark.parametrize("tick, t_exp, message", [
