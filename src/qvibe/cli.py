@@ -27,6 +27,7 @@ table on stdout; their ``wrote ...`` notices go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -143,23 +144,27 @@ def cmd_estimate(args, cfg: Config) -> int:
         stream_1, stream_2, fringe=fringe, geometry=geometry, ratio=ratio, options=options
     )
     spectrum, recon = result.spectrum, result.reconstruction
-    # Each product is built once, for its file and for stdout alike.
-    table = spectrum.to_csv() if args.out or args.format == "csv" else None
-    doc = {"detected": False} if recon is None else None
+    # Each product is built once, for its file and for stdout alike; the
+    # table is written a block at a time as it is built.
+    record = None
+    if recon is not None and (args.out or args.format == "json"):
+        record = recon.json_text()
+    echo = sys.stdout if args.format == "csv" else None
     if args.out:
         # A json or csv stdout carries only the record or the table.
         notices = sys.stdout if args.format == "human" else sys.stderr
         out = _outdir(args)
-        (out / "spectrum.csv").write_text(table)
+        with (out / "spectrum.csv").open("wb") as fh:
+            _write_table(spectrum, fh, echo)
         print(f"wrote {out / 'spectrum.csv'}", file=notices)
         if recon is not None:
-            doc = recon.to_json(out / "reconstruction.json")
+            (out / "reconstruction.json").write_text(record)
             print(f"wrote {out / 'reconstruction.json'}", file=notices)
-    if args.format == "csv":
-        sys.stdout.write(table)
-        return 0
+    elif echo:
+        _write_table(spectrum, None, echo)
     if args.format == "json":
-        print(json.dumps(doc or recon.to_json(), indent=2, sort_keys=True))
+        sys.stdout.write(record or json.dumps({"detected": False}, indent=2, sort_keys=True) + "\n")
+    if args.format != "human":
         return 0
     print(
         f"scanned {spectrum.frequencies.size} bins up to {_fmt(float(spectrum.frequencies[-1]))} Hz,"
@@ -180,6 +185,15 @@ def cmd_estimate(args, cfg: Config) -> int:
         f" arccos={_fmt(recon.arccos_clamp_fraction)}"
     )
     return 0
+
+
+def _write_table(spectrum, fh, echo) -> None:
+    """Write the table's blocks to the binary file ``fh`` and the text stream ``echo``, if given."""
+    for block in spectrum.csv_blocks():
+        if fh is not None:
+            fh.write(block)
+        if echo is not None:
+            echo.write(block.decode())
 
 
 def cmd_trials(args, cfg: Config) -> int:
@@ -327,7 +341,9 @@ def cmd_qcrb(args, cfg: Config) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once a process: parse_args leaves the parser as it was.
     parser = argparse.ArgumentParser(
         prog="qvibe",
         description="Two-colour interferometric vibrometry: simulation and estimation tools.",

@@ -69,6 +69,7 @@ import math
 import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -79,7 +80,9 @@ from .core import (
     SPEED_OF_LIGHT,
 )
 from .errors import AnalysisError, ConfigError
+from .floatrepr import float_lines
 from .simulate import TimestampStream, _cos_range, _trace_samples, _worker
+from .streamio import _CHUNK_LINES
 
 GRID_SPACING_FACTOR = 0.6
 
@@ -540,15 +543,24 @@ class SpectrumEstimate:
     p_fa: float
     detected: tuple[float, ...]
 
+    def csv_blocks(self) -> Iterator[bytes]:
+        """The table as ASCII CSV: the header, then _CHUNK_LINES grid bins a block.
+
+        Each bin's line is f, re y, im y, |y| and kappa, each float spelled as
+        ``repr`` spells it. |y| is ``hypot(re, im)``, which is Python's
+        ``abs(complex)``; ``np.abs`` can differ from it in the last bit.
+        """
+        yield b"f_hz,re_y,im_y,abs_y,kappa\n"
+        kappa = b",%s\n" % repr(float(self.threshold_kappa)).encode()
+        for lo in range(0, self.frequencies.size, _CHUNK_LINES):
+            f = self.frequencies[lo : lo + _CHUNK_LINES]
+            y = self.projections[lo : lo + _CHUNK_LINES]
+            columns = (f, y.real, y.imag, np.hypot(y.real, y.imag))
+            yield float_lines(columns, (b",", b",", b",", kappa))
+
     def to_csv(self) -> str:
         """The table as CSV text, one line per grid bin after the header."""
-        lines = ["f_hz,re_y,im_y,abs_y,kappa"]
-        kappa = repr(float(self.threshold_kappa))
-        for f, y in zip(self.frequencies, self.projections):
-            lines.append(
-                "%r,%r,%r,%r,%s" % (float(f), float(y.real), float(y.imag), abs(complex(y)), kappa)
-            )
-        return "\n".join(lines) + "\n"
+        return b"".join(self.csv_blocks()).decode()
 
 
 def scan_spectrum(
@@ -822,7 +834,25 @@ class ReconstructedSignal:
 
     def to_json(self, path: str | Path | None = None):
         """The record as a JSON-ready dict, also written to ``path`` if given."""
-        doc = {
+        if path is not None:
+            Path(path).write_text(self.json_text())
+        return self._record(self.tau_trace.tolist())
+
+    def json_text(self) -> str:
+        """``json.dumps(self.to_json(), indent=2, sort_keys=True)`` and a newline.
+
+        The trace's floats are spelled by ``float_lines`` and spliced into the
+        layout ``json.dumps`` gives the rest of the record.
+        """
+        text = json.dumps(self._record([]), indent=2, sort_keys=True)
+        if self.tau_trace.size:
+            items = float_lines([self.tau_trace], [b",\n      "], nonfinite=json.dumps)
+            tau = '"tau": [\n      %s\n    ]' % items[: -len(b",\n      ")].decode()
+            text = text.replace('"tau": []', tau, 1)
+        return text + "\n"
+
+    def _record(self, tau: list) -> dict:
+        return {
             "mode": self.mode,
             "g": self.geometry_g,
             "t_exp": self.t_exp,
@@ -837,12 +867,9 @@ class ReconstructedSignal:
             "trace": {
                 "dt": self.trace_dt,
                 "stride": self.trace_stride,
-                "tau": [float(v) for v in self.tau_trace],
+                "tau": tau,
             },
         }
-        if path is not None:
-            Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        return doc
 
 
 _TRACE_BLOCK = 1 << 16  # samples evaluated per pass of the blocked trace

@@ -26,6 +26,7 @@ import pytest
 
 import qvibe
 import qvibe.config
+import qvibe.estimate
 import qvibe.simulate
 from cli_refusals import (
     QUICK_START, README, REFUSALS, SWEEP, Refusal, check, edit, matches, readme_block,
@@ -620,6 +621,20 @@ def test_cli_spectrum_csv_to_stdout(tmp_path, capsys):
     assert len(lines) == 335  # header plus the 334-bin grid
 
 
+def test_parser_built_once_carries_nothing_between_calls(tmp_path, capsys):
+    cfg = write_tone_config(tmp_path, seed=615)
+    out = tmp_path / "s"
+    assert main(["simulate", "-c", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    streams = [str(out / "coincidence.txt"), str(out / "anticoincidence.txt")]
+    assert main(["estimate", *streams, "-c", str(cfg), "--format", "csv", "--f-max", "100"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + qvibe.estimate.frequency_grid(1.0, 100.0).size < 335
+    assert main(["estimate", *streams, "-c", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("scanned 334 bins up to ")
+    assert _build_parser() is _build_parser()
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_machine_readable_estimate_keeps_notices_off_stdout(tmp_path, monkeypatch, capsys, fmt):
     # With --out, stdout repeats the file byte for byte, and each product is
@@ -636,8 +651,8 @@ def test_machine_readable_estimate_keeps_notices_off_stdout(tmp_path, monkeypatc
             return method(self, *args)
         return wrapper
 
-    monkeypatch.setattr(SpectrumEstimate, "to_csv", counted(SpectrumEstimate.to_csv))
-    monkeypatch.setattr(ReconstructedSignal, "to_json", counted(ReconstructedSignal.to_json))
+    monkeypatch.setattr(SpectrumEstimate, "csv_blocks", counted(SpectrumEstimate.csv_blocks))
+    monkeypatch.setattr(ReconstructedSignal, "json_text", counted(ReconstructedSignal.json_text))
     code = main([
         "estimate",
         str(out / "coincidence.txt"),
@@ -648,7 +663,7 @@ def test_machine_readable_estimate_keeps_notices_off_stdout(tmp_path, monkeypatc
     ])
     assert code == 0
     captured = capsys.readouterr()
-    assert sorted(calls) == ["to_csv", "to_json"]
+    assert sorted(calls) == ["csv_blocks", "json_text"]
     if fmt == "json":
         assert captured.out == (out / "reconstruction.json").read_text()
     else:

@@ -31,6 +31,7 @@ from qvibe.errors import AnalysisError, ConfigError
 from qvibe.estimate import (
     AnalysisOptions,
     ComponentEstimate,
+    ReconstructedSignal,
     SpectrumEstimate,
     _economisation,
     _economised_terms,
@@ -1153,6 +1154,52 @@ def test_spectrum_csv_round_trip():
     assert _group_detections(freqs, np.abs(y), table[0, 4]) == est.detected
 
 
+def _edge_doubles():
+    tiny = sys.float_info.min
+    return np.array([
+        0.0, -0.0, 5e-324, -5e-324, 1e-323, tiny, np.nextafter(tiny, 0), np.nextafter(tiny, 1),
+        np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e-4, 1), np.nextafter(1e16, 0), 1e16,
+        np.nextafter(1e16, 2e16), sys.float_info.max, -sys.float_info.max, 2.0**-1074 * 3,
+        0.1, 1e23, -1.5e300, 2.0**1023, 2.0**-1022, 1e-5, 9999999999999998.0,
+    ])
+
+
+def test_spectrum_csv_is_the_per_row_repr_table():
+    # The table at the 21 kHz scan's size, edge doubles injected into every
+    # column, against the row-by-row layout it replaces.
+    n = 183_334
+    rng = np.random.default_rng(33)
+    freqs = np.arange(n) * grid_spacing(5.0)
+    y = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.integers(-8, 9, n)
+    edges = _edge_doubles()
+    at = rng.choice(n, size=(4, edges.size), replace=False)
+    freqs[at[0]] = edges
+    y.real[at[1]] = edges
+    y.imag[at[2]] = edges
+    y[at[3]] = edges + 1j * edges[::-1]
+    est = SpectrumEstimate(freqs, y, 534.1093458269248, 1e-3, ())
+    kappa = repr(float(est.threshold_kappa))
+    lines = ["f_hz,re_y,im_y,abs_y,kappa"]
+    for f, v in zip(est.frequencies, est.projections):
+        lines.append(
+            "%r,%r,%r,%r,%s" % (float(f), float(v.real), float(v.imag), abs(complex(v)), kappa)
+        )
+    assert est.to_csv() == "\n".join(lines) + "\n"
+
+
+def test_reconstruction_json_text_is_json_dumps():
+    rng = np.random.default_rng(34)
+    tau = rng.standard_normal(4096) * 1e-15
+    tau[:24] = _edge_doubles()
+    comp = ComponentEstimate(10.0, -0.0, 5e-324, -1e16)
+    rec = ReconstructedSignal(
+        "quantum", (comp,), 1.9e5, 1.9e5, 1.0, 0.9, 2, 1.0, tau, 1e-3, 3, 2e-8, 0.0, -0.0
+    )
+    for r in (rec, replace(rec, tau_trace=tau[:1]), replace(rec, tau_trace=tau[:0])):
+        assert r.json_text() == json.dumps(r.to_json(), indent=2, sort_keys=True) + "\n"
+    assert json.loads(rec.json_text())["trace"]["tau"] == tau.tolist()
+
+
 def test_reconstruction_json_trace_stride(tmp_path):
     t_exp = 10.0
     n = 40_000
@@ -1171,6 +1218,7 @@ def test_reconstruction_json_trace_stride(tmp_path):
     assert doc["trace"]["stride"] == 3
     assert doc["trace"]["tau"] == rec.tau_trace.tolist()
     assert doc["trace"]["dt"] == rec.trace_dt
+    assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     parsed = json.loads(path.read_text())
     assert parsed["mode"] == "quantum"
     assert parsed["components"][0]["f_hat"] == 10.0

@@ -284,7 +284,7 @@ def test_config_values_raise_only_config_error(section_key, value, form):
         for k, typed in entries.items():
             assert cfg.get(sec, k) is typed
             if isinstance(typed, str):  # only a text kind stays text
-                assert _kind_of(sec, k) in ("str", "time_or_quadrature"), (sec, k)
+                assert _kind_of(sec, k, "<test>") in ("str", "time_or_quadrature"), (sec, k)
 
 
 TOP = 2**63 - 1
