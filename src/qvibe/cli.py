@@ -45,6 +45,7 @@ from .config import (
     build_options,
     build_pair,
     build_signal,
+    check_ratio,
     check_scan,
     load_config,
 )
@@ -140,6 +141,7 @@ def cmd_estimate(args, cfg: Config) -> int:
             f" got {stream_1.tag} then {stream_2.tag}"
         )
     check_scan(cfg, options, stream_1.t_exp)
+    check_ratio(cfg, ratio, stream_1, stream_2)
     result = pipeline(
         stream_1, stream_2, fringe=fringe, geometry=geometry, ratio=ratio, options=options
     )
@@ -206,7 +208,7 @@ def cmd_trials(args, cfg: Config) -> int:
     t_exp, tick = build_exposure(cfg, pair, channel, default=1.0)  # refused before the draw
     check_scan(cfg, options, t_exp)
     scenario = TrialScenario(pair, signal, channel, t_exp, options, tick)
-    n_trials = cfg.checked("run", "trials", 10, ok=lambda n: n >= 1, need="must be at least 1")
+    n_trials = cfg.checked("run", "trials", 10, ok=lambda n: n >= 2, need="must be at least 2")
     stats = run_amplitude_trials(scenario, n_trials, _seed_of(cfg), _threads_of(args))
     for rec in stats.records:
         if rec.detected:

@@ -37,15 +37,17 @@ from .core import (
     quadrature_delay,
 )
 from .errors import ConfigError
-from .estimate import AnalysisOptions, _grid_bins
+from .estimate import AnalysisOptions, _check_pair, _grid_bins, detection_threshold
 from .metrology import AdvantageSetup, background_advantage_setup, loss_advantage_setup
 from .simulate import (
     DEFAULT_TICK,
     ChannelModel,
     SignalComponent,
+    TimestampStream,
     VibrationSignal,
     _check_draws,
     _check_tick,
+    _delay_range,
     _fluxes,
 )
 from .streamio import _EXACT
@@ -285,11 +287,9 @@ class Config:
             raise self.refusal(section, key, f"{key} {need}, got {value!r}{unit}")
         return value
 
-    def signal_components(self) -> tuple[SignalComponent, ...]:
+    def signal_components(self) -> dict[str, SignalComponent]:
         signal = self.values.get("signal", {})
-        return tuple(
-            signal[key] for key in sorted(signal) if re.fullmatch(r"component_\d+", key)
-        )
+        return {key: signal[key] for key in sorted(signal) if re.fullmatch(r"component_\d+", key)}
 
 
 def _parse_ini(text: str, source: str) -> dict[str, dict[str, object]]:
@@ -500,13 +500,16 @@ def resolve_operating_delay(cfg: Config, fringe: PhotonPairSpec | ClassicalFring
             raise cfg.refusal("signal", "tau_op", "quadrature only applies to quantum mode")
         return quadrature_delay(fringe)
 
-    def finite(t):
-        envelope = fringe.sigma * t
-        return (math.isfinite(fringe.omega * t + fringe.phase_offset)
-                and math.isfinite(2.0 * (envelope * envelope)))
-
-    return cfg.checked("signal", "tau_op", 0.0, ok=finite, unit=" s",
+    return cfg.checked("signal", "tau_op", 0.0, ok=lambda t: _fringe_finite(fringe, t), unit=" s",
                        need="must keep the fringe phase and envelope finite")
+
+
+def _fringe_finite(fringe: PhotonPairSpec | ClassicalFringeSpec, tau: float) -> bool:
+    """Whether the fringe phase omega * tau + phase_offset and its envelope
+    exponent 2 (sigma * tau)^2 are finite at the delay ``tau``."""
+    envelope = fringe.sigma * tau
+    return (math.isfinite(fringe.omega * tau + fringe.phase_offset)
+            and math.isfinite(2.0 * (envelope * envelope)))
 
 
 # Per signal kind: its constructor, the [signal] keys it reads with their
@@ -535,20 +538,35 @@ _SIGNAL_KINDS = {
 
 
 def build_signal(cfg: Config, fringe: PhotonPairSpec | ClassicalFringeSpec) -> VibrationSignal:
-    """The [signal] waveform on ``fringe``; a value its constructor refuses is named by key."""
+    """The [signal] waveform on ``fringe``; a value its constructor refuses is named by key.
+
+    A waveform that reaches a delay (``qvibe.simulate._delay_range``, with
+    the [channel] geometry) where the fringe phase or envelope overflows is
+    refused by its largest amplitude's key.
+    """
     kind = cfg.get("signal", "kind", "pure_tone")
     tau_op = resolve_operating_delay(cfg, fringe)
     if kind == "multi_tone":
         comps = cfg.signal_components()
         if not comps:
             raise cfg.refusal("signal", "kind", "multi_tone needs component_<n> entries")
-        return VibrationSignal.multi_tone(comps, dc_offset_delay=tau_op)
-    build, names, required = _SIGNAL_KINDS[kind]
-    base = {"dc_offset_delay": tau_op}
-    for key in list(names)[:required]:
-        cfg.get("signal", key)  # a missing required key is an error here
-        base[names[key]] = 1.0  # 1 Hz or 1 m: a value every constructor accepts
-    return _construct(cfg, "signal", build, base, _set_keys(cfg, "signal", names))
+        signal = VibrationSignal.multi_tone(comps.values(), dc_offset_delay=tau_op)
+        amplitudes = {key: comp.amplitude_pp for key, comp in comps.items()}
+    else:
+        build, names, required = _SIGNAL_KINDS[kind]
+        base = {"dc_offset_delay": tau_op}
+        for key in list(names)[:required]:
+            cfg.get("signal", key)  # a missing required key is an error here
+            base[names[key]] = 1.0  # 1 Hz or 1 m: a value every constructor accepts
+        signal = _construct(cfg, "signal", build, base, _set_keys(cfg, "signal", names))
+        amplitudes = {key: cfg.get("signal", key) for key in names if key.startswith("amplitude")}
+    if not all(_fringe_finite(fringe, tau) for tau in _delay_range(signal, build_geometry(cfg))):
+        key = max(amplitudes, key=amplitudes.get)
+        raise cfg.refusal(
+            "signal", key, f"{key} must keep the fringe phase and envelope finite at the delays"
+            f" the waveform reaches, got {amplitudes[key]!r} m"
+        )
+    return signal
 
 
 def build_options(cfg: Config) -> AnalysisOptions:
@@ -563,6 +581,23 @@ def check_scan(cfg: Config, options: AnalysisOptions, t_exp: float) -> None:
         _grid_bins(t_exp, options.f_max)
     except ConfigError as exc:
         raise cfg.refusal("analysis", "f_max", exc) from None
+
+
+def check_ratio(cfg: Config, ratio: float, stream_c: TimestampStream, stream_a: TimestampStream):
+    """Refuse by [analysis] ratio a ratio whose noise power on these streams
+    ``scan_spectrum`` would refuse, after the streams' own refusal, which names no key.
+
+    Each Hann weight is at most 1, so the power sum w^2(C) + ratio^2
+    sum w^2(A) is at most N_C + ratio^2 N_A: the weights are read only
+    where that bound overflows.
+    """
+    _check_pair(stream_c, stream_a, ratio)
+    if len(stream_c) + ratio * ratio * len(stream_a) < math.inf:
+        return
+    try:
+        detection_threshold(stream_c, stream_a, ratio, "hann", 0.5, 1)  # p_fa, bins: any valid
+    except ConfigError as exc:
+        raise cfg.refusal("analysis", "ratio", exc) from None
 
 
 def build_advantage(cfg: Config) -> AdvantageSetup:

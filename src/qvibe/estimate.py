@@ -501,7 +501,8 @@ def detection_threshold(
     through the Rayleigh tail of the projection noise, whose power is
     estimated from the observed events: sum w^2(C) + ratio^2 sum w^2(A).
     For a rectangular window that power estimate reduces to the plain
-    counts N_C + ratio^2 N_A.
+    counts N_C + ratio^2 N_A. A ratio that makes the power overflow is a
+    ConfigError.
     """
     parts = _weighted_parts(stream_c, stream_a, ratio, window)
     return _threshold(parts, stream_c.t_exp, p_fa, n_bins)
@@ -513,9 +514,12 @@ def _threshold(parts, t_exp: float, p_fa: float, n_bins: int) -> float:
         raise ConfigError("p_fa must lie in (0, 1)")
     if n_bins < 1:
         raise ConfigError("n_bins must be >= 1")
-    power = sum(float(np.sum(w * w)) for _, w in parts)
+    with np.errstate(over="ignore"):  # refused below instead
+        power = sum(float(np.sum(w * w)) for _, w in parts)
     if not sum(w.size for _, w in parts):
         raise AnalysisError("cannot set a threshold from two empty streams")
+    if power == math.inf:
+        raise ConfigError("ratio makes the noise power sum w^2(C) + ratio^2 sum w^2(A) overflow")
     # Per-bin false-alarm level, computed in log space for small p_fa.
     alpha_1 = -math.expm1(math.log1p(-p_fa) / n_bins)
     return math.sqrt(-math.log(alpha_1)) * math.sqrt(power) / t_exp

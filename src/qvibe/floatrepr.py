@@ -24,7 +24,9 @@ digits (``4.9E-324``); repr prints one (``5e-324``), so they are always
 tried here. Ryū (U. Adams, PLDI 2018) finds the same digits.
 
 Products of 64-bit words are built from 32-bit limbs in uint64 lanes, and
-the power table is built on first use.
+the power table is built on first use. ``spell_digits``, which writes the
+decimal digits of uint64 values, is shared with the text stream writer
+(``qvibe.streamio``); this module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import functools
 
 import numpy as np
 
-_POW10 = 10 ** np.arange(18, dtype=np.uint64)
+POW10 = 10 ** np.arange(20, dtype=np.uint64)  # every power of ten below 2^64
 _M32 = 0xFFFF_FFFF
 _M63 = (1 << 63) - 1
 _EXPONENTS = 2048  # biased binary exponents; 2047 (inf and nan) is spelled by ``nonfinite``
@@ -120,6 +122,31 @@ def _decimal(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f, k
 
 
+def spell_digits(values: np.ndarray, out: np.ndarray) -> None:
+    """Write the decimal digits of each uint64 value, right-aligned, into the rows of ``out``.
+
+    Row r of ``out`` gets digit r of every value zero-padded to ``len(out)``
+    digits, each value being below 10^len(out). Digits are taken from the
+    right in uint32 groups of up to 9. numpy divides by a constant with a
+    multiply and a shift in floor_divide, though not in divmod, so each
+    remainder is taken by hand; and uint32 lanes divide several times faster
+    than uint64 ones.
+    """
+    rest = values
+    for top in range(len(out), 0, -9):
+        if top > 9:
+            high = rest // 10**9
+            group, rest = (rest - high * 10**9).astype(np.uint32), high
+        else:
+            group = rest.astype(np.uint32)
+        quotient, tens = np.empty_like(group), np.empty_like(group)
+        for r in range(top - 1, max(top - 9, 0) - 1, -1):
+            np.floor_divide(group, 10, out=quotient)
+            np.multiply(quotient, 10, out=tens)
+            np.subtract(group, tens, out=out[r], casting="unsafe")  # < 10
+            group, quotient = quotient, group
+
+
 # Rows of the character table of one value: its sign, 22 digit slots with a
 # slot for the point after each of the first 21, then ``e``, the exponent's
 # sign and its three digits. A character left out of the spelling is 0.
@@ -139,7 +166,7 @@ def _spell(x: np.ndarray, nonfinite) -> np.ndarray:
     suffixes = _tables()[-1]
     zero = bits << 1 == 0
     f[zero] = k[zero] = 0
-    digits = np.searchsorted(_POW10[1:], f, side="right") + 1
+    digits = np.searchsorted(POW10[1:], f, side="right") + 1
     point = k + digits  # f 10^k = 0.d1d2... 10^point
     exponent = (point <= -4) | (point > 16)
     # Positional values are spelled from F = f 10^scale, an integer scaled by
@@ -147,24 +174,18 @@ def _spell(x: np.ndarray, nonfinite) -> np.ndarray:
     # 4..20 of 22, right-aligned: the units digit of a positional value is in
     # slot 20 + K >= 0, and slot 21 holds the 0 of a bare ``.0``.
     scale = np.maximum(k, 0) * ~exponent  # at most 15 where positional
-    big = f * _POW10[scale]
-    high = (big // 10**9).astype(np.uint32)
-    group = (big - high * np.uint64(10**9)).astype(np.uint32)
-    figures = np.empty((17, bits.size), dtype=np.uint32)
-    for row in range(16, -1, -1):
-        quotient = group // 10
-        np.subtract(group, quotient * 10, out=figures[row])
-        group = quotient if row != 8 else high
+    chars = np.empty((_ROWS, bits.size), dtype=np.uint8)
+    slots = chars[_DIGITS]
+    figures = slots[4:21]
+    spell_digits(f * POW10[scale], figures)
     first = 21 - digits - scale
     last = np.maximum((figures.astype(bool) * _SLOT[4:21]).max(axis=0), first)
     # The point follows slot ``units``; the value's digits fill slots start..end.
     units = np.where(exponent, first, 20 + np.minimum(k, 0)).astype(np.int8)
     start = np.minimum(first, units).astype(np.int8)
     end = np.where(exponent, last, np.maximum(last, units + 1)).astype(np.int8)
-    chars = np.empty((_ROWS, bits.size), dtype=np.uint8)
-    slots = chars[_DIGITS]
     slots[:4] = slots[21] = ord("0")
-    np.add(figures, ord("0"), out=slots[4:21], casting="unsafe")
+    figures += ord("0")
     slots *= (_SLOT >= start) & (_SLOT <= end)
     chars[_SIGN] = bits >> 63
     chars[_SIGN] *= ord("-")

@@ -260,10 +260,10 @@ def run_amplitude_trials(
 
     Statistics are computed over the trials whose pipeline detected the
     signal; fewer than two detections means no spread can be quoted and
-    raises AnalysisError.
+    raises AnalysisError, so fewer than two trials is a ConfigError.
     """
-    if n_trials < 1:
-        raise ConfigError("n_trials must be >= 1")
+    if n_trials < 2:
+        raise ConfigError("n_trials must be >= 2")
     truth_f = scenario.signal.components[0].frequency
     truth_pp = scenario.signal.peak_to_peak(scenario.t_exp)
     records = tuple(

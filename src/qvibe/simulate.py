@@ -240,14 +240,21 @@ class VibrationSignal:
         return self.dc_offset_delay + geometry.g * self.displacement(t) / SPEED_OF_LIGHT
 
     def peak_to_peak(self, duration: float) -> float:
-        """Displacement excursion over the given duration, sampled as ``_trace_samples`` says.
+        """Displacement excursion over the samples t_i = i * (duration / n), i < n,
+        of ``_trace_samples``, as ``np.linspace(0, duration, n, endpoint=False)``
+        has them.
 
-        The samples are t_i = i * (duration / n), as
-        ``np.linspace(0, duration, n, endpoint=False)`` has them, taken
-        _PEAK_BLOCK at a time, so no array of the trace's length is held.
+        One line's is its continuous excursion from t_0 to t_(n-1), from the
+        range of cos over that phase span (``_cos_range``), as ``reconstruct``
+        takes a one-line model's. Several lines are sampled, _PEAK_BLOCK
+        samples at a time, so no array of the trace's length is held.
         """
         n = _trace_samples(self.max_frequency, duration)
         step = duration / n
+        if len(self.components) == 1:
+            (c,) = self.components
+            lo, hi = _cos_range(c.phase, 2.0 * math.pi * c.frequency * (n - 1) * step + c.phase)
+            return c.amplitude_pp / 2.0 * (hi - lo)
         x_min, x_max = math.inf, -math.inf
         for start in range(0, n, _PEAK_BLOCK):
             x = self.displacement(np.arange(start, min(n, start + _PEAK_BLOCK), dtype=float) * step)
@@ -265,8 +272,9 @@ def _trace_samples(max_frequency: float, duration: float) -> int:
 
     _TRACE_POINTS_PER_PERIOD = 100 per period of the highest line (or of
     the whole duration, if longer), kept within [1000, _MAX_TRACE_SAMPLES].
-    The true peak-to-peak and the reconstructed trace both use it, so they
-    are sampled alike.
+    The true peak-to-peak and the reconstructed trace both span these
+    samples: one line's extremes are taken in closed form over that span,
+    and several lines' at the samples, for the truth and the model alike.
     """
     n = int(math.ceil(_TRACE_POINTS_PER_PERIOD * max(max_frequency, 1.0 / duration) * duration))
     return max(1000, min(n, _MAX_TRACE_SAMPLES))
@@ -405,6 +413,21 @@ def _cos_range(a: float, b: float) -> tuple[float, float]:
     return lo, hi
 
 
+def _delay_range(signal: VibrationSignal, geometry: GeometryFactor) -> tuple[float, float]:
+    """An enclosure (lo, hi) of every delay tau(t) the flux can compute.
+
+    |x(t)| <= X = sum amplitude_pp / 2 for any computed cosines, so the delay
+    stays within tau0 +/- g X / c, widened by the rounding of its n-term sum,
+    scaling and offset. An overflowing reach gives an infinite end: the
+    sums are of Python floats, which overflow without a warning.
+    """
+    reach = sum(float(c.amplitude_pp) for c in signal.components)
+    reach = geometry.g * reach / 2.0 / SPEED_OF_LIGHT
+    tau0 = float(signal.dc_offset_delay)
+    reach += (len(signal.components) + 4) * _EPS * (abs(tau0) + reach)
+    return tau0 - reach, tau0 + reach
+
+
 def _fringe_range(
     fringe: PhotonPairSpec | ClassicalFringeSpec,
     signal: VibrationSignal,
@@ -414,26 +437,19 @@ def _fringe_range(
     """An enclosure (lo, hi) of every fringe probability P the flux can compute
     at times in [0, horizon), or None where P may be NaN there.
 
-    |x(t)| <= X = sum amplitude_pp / 2 for any computed cosines, so the delay
-    stays within tau0 +/- g X / c, widened by the rounding of its n-term sum,
-    scaling and offset. cos(omega tau + phase_offset) is bounded over that
-    phase interval, widened by the rounding of the phase (a few |phase| eps),
-    and exp(-2 sigma^2 tau^2) over the delay interval; P follows from both.
-    A waveform phase 2 pi f t + phase, a delay or a fringe phase that
-    overflows makes the flux NaN, which a draw must read and refuse, so then
-    there is no enclosure.
+    Over the delay interval of ``_delay_range``, cos(omega tau +
+    phase_offset) is bounded over its phase interval, widened by the
+    rounding of the phase (a few |phase| eps), and exp(-2 sigma^2 tau^2)
+    over the delay interval; P follows from both. A waveform phase 2 pi f t
+    + phase, a delay or a fringe phase that overflows makes the flux NaN,
+    which a draw must read and refuse, so then there is no enclosure.
     """
-    n = len(signal.components)
     top = max(
         (2.0 * math.pi * c.frequency * horizon + abs(c.phase) for c in signal.components),
         default=0.0,
     )
-    reach = geometry.g * sum(c.amplitude_pp for c in signal.components) / 2.0 / SPEED_OF_LIGHT
-    tau0 = signal.dc_offset_delay
-    tau_max = abs(tau0) + reach
-    reach += (n + 4) * _EPS * tau_max
-    tau_lo, tau_hi = tau0 - reach, tau0 + reach
-    slip = 4.0 * _EPS * (fringe.omega * (tau_max + reach) + abs(fringe.phase_offset))
+    tau_lo, tau_hi = _delay_range(signal, geometry)
+    slip = 4.0 * _EPS * (fringe.omega * max(-tau_lo, tau_hi) + abs(fringe.phase_offset))
     a = fringe.omega * tau_lo + fringe.phase_offset - slip
     b = fringe.omega * tau_hi + fringe.phase_offset + slip
     if not all(map(math.isfinite, (top, a, b))):

@@ -46,15 +46,14 @@ import numpy as np
 
 from .core import GeometryFactor
 from .errors import StreamFormatError
+from .floatrepr import POW10, spell_digits
 from .simulate import STREAM_TAGS, TimestampStream, VibrationSignal
 
 _TEXT_MAGIC = "qvibe-ts"
 _TEXT_VERSION = "v1"
 _MAX_TICK_DIGITS = 19  # 2^63 - 1 has 19 digits, and 19 digits fit in uint64
-_POW10 = 10 ** np.arange(20, dtype=np.uint64)
-# The text codec works on ticks in groups of 9 digits, which fit in uint32.
+# The text reader works on ticks in groups of 9 digits, which fit in uint32.
 _GROUP_DIGITS = 9
-_GROUP = 10**_GROUP_DIGITS
 # Shifting a decimal by a power of ten is exact in this context, whatever its
 # length; the header tick and the config units (qvibe.config) both use it.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
@@ -96,32 +95,16 @@ def _format_ticks(ticks: np.ndarray) -> Iterator[np.ndarray]:
     is a C-ordered uint8 array of the lines of one digit count in a chunk.
     """
     for lo in range(0, ticks.size, _CHUNK_LINES):
-        rest = ticks[lo : lo + _CHUNK_LINES].astype(np.uint64)
-        width = len(str(rest[-1]))
+        chunk = ticks[lo : lo + _CHUNK_LINES].astype(np.uint64)
+        width = len(str(chunk[-1]))
         # Sorted, the ticks of d digits are the run from the first tick >=
         # 10^(d-1) to the first tick >= 10^d, and each run is one block below.
-        edges = [0, *np.searchsorted(rest, _POW10[1:width]).tolist(), rest.size]
+        edges = [0, *np.searchsorted(chunk, POW10[1:width]).tolist(), chunk.size]
         # Row r holds digit r of every tick, right-aligned in `width` digits,
         # and the last row the newlines; column i, from the tick's first
         # significant digit down, is line i of the chunk.
-        chars = np.empty((width + 1, rest.size), dtype=np.uint8)
-        # Digits are taken from the right in uint32 groups of up to 9. numpy
-        # divides by a constant with a multiply and a shift in floor_divide,
-        # though not in divmod, so each remainder is taken by hand; and
-        # uint32 lanes divide several times faster than uint64 ones.
-        for top in range(width, 0, -_GROUP_DIGITS):
-            if top > _GROUP_DIGITS:
-                high = rest // _GROUP
-                rest -= high * _GROUP
-                group, rest = rest.astype(np.uint32), high
-            else:
-                group = rest.astype(np.uint32)
-            quotient, tens = np.empty_like(group), np.empty_like(group)
-            for r in range(top - 1, max(top - _GROUP_DIGITS, 0) - 1, -1):
-                np.floor_divide(group, 10, out=quotient)
-                np.multiply(quotient, 10, out=tens)
-                np.subtract(group, tens, out=chars[r], casting="unsafe")  # < 10
-                group, quotient = quotient, group
+        chars = np.empty((width + 1, chunk.size), dtype=np.uint8)
+        spell_digits(chunk, chars[:width])
         chars[:width] += ord("0")
         chars[width] = ord("\n")
         for d, (a, b) in enumerate(zip(edges, edges[1:]), start=1):
@@ -242,7 +225,7 @@ def _decode_chunk(
             group *= 10
             group += column
         if lead:
-            out *= _POW10[min(_GROUP_DIGITS, width - lead)]
+            out *= POW10[min(_GROUP_DIGITS, width - lead)]
             out += group
         else:
             out[:] = group

@@ -17,8 +17,8 @@ empty temporary directory holding only the row's files. It holds when:
   output the argv names is left behind.
 
 ``tests/test_cli.py`` runs every row under pytest. Run as a script, this
-module needs only the standard library and ``qvibe`` (no scipy), runs every
-row and exits 1 naming each row that fails:
+module needs only the standard library and ``qvibe``, runs every row and
+exits 1 naming each row that fails:
 
     python3 -W error::RuntimeWarning tests/cli_refusals.py
 """
@@ -99,9 +99,9 @@ COMMANDS = {
 QCRB = COMMANDS["qcrb"]
 
 
-def stream(tag: str, t_exp: str = "1.0") -> str:
+def stream(tag: str, t_exp: str = "1.0", tick: int = 5) -> str:
     """A one-event text stream of 100 ps ticks."""
-    return f"qvibe-ts v1 {tag} 100 {t_exp} 1\n5\n"
+    return f"qvibe-ts v1 {tag} 100 {t_exp} 1\n{tick}\n"
 
 
 TONE = {"signal.frequency": "10 Hz", "signal.amplitude_pp": "20 nm"}
@@ -126,7 +126,7 @@ OVERRIDE_BASE = {**TONE, "run.t_exp": "1 s", "run.trials": "2", "qcrb.n_pairs": 
                  "qcrb.trials": "10"}
 OVERRIDES = [
     ("trials --out out", "--seed", "-2", {"run.seed": "-2"}, "seed must be non-negative, got -2"),
-    ("trials --out out", "--trials", "0", {"run.trials": "0"}, "trials must be at least 1, got 0"),
+    ("trials --out out", "--trials", "0", {"run.trials": "0"}, "trials must be at least 2, got 0"),
     ("trials --out out", "--p-fa", "3", {"analysis.p_fa": "3"}, "p_fa must lie in (0, 1), got 3.0"),
     ("trials --out out", "--f-max", "-1", {"analysis.f_max": "-1 Hz"}, f"{F_MAX} -1.0"),
     # Neither stream exists: exit 2, not 3, shows the ratio is refused before either read.
@@ -317,6 +317,29 @@ def _rows():
         yield R(f"simulate-square-{key}", "simulate -c square.ini --out out",
                 f"config error: square.ini: [signal] {key}: {message}",
                 {"square.ini": edit(SQUARE_WAVE, change)})
+    # A waveform that reaches such a delay is refused by its largest
+    # amplitude's key: the envelope overflows at 1e160 m and 1e300 m, the
+    # classical fringe's phase at 1e307 m.
+    amplitude = "must keep the fringe phase and envelope finite at the delays the waveform reaches"
+    for name, mode, value in [("quantum-1e300", "quantum", "1e+300"),
+                              ("quantum-1e160", "quantum", "1e+160"),
+                              ("classical-1e307", "classical", "1e+307")]:
+        yield R(f"amplitude_pp-overflow-{name}", f"simulate -c tone.ini --mode {mode} --out out",
+                f"{tone}[signal] amplitude_pp: amplitude_pp {amplitude}, got {value} m",
+                {"tone.ini": edit(QUICK_START, ("20 nm", f"{value} m"))})
+    yield R("trials-amplitude_pp-overflow", "trials -c tone.ini --trials 2",
+            f"{tone}[signal] amplitude_pp: amplitude_pp {amplitude}, got 1e+160 m",
+            {"tone.ini": edit(QUICK_START, ("20 nm", "1e160 m"))})
+    yield R("multi_tone-component-overflow", "simulate -c multi.ini --out out",
+            f"config error: multi.ini: [signal] component_1: component_1 {amplitude},"
+            " got 1e+160 m",
+            {"multi.ini": "[signal]\nkind = multi_tone\ncomponent_1 = 10 Hz | 1e160 m\n"
+                          "component_2 = 20 Hz | 1 nm\n"})
+    yield R("alternating_tones-amplitude_pp_b-overflow", "simulate -c alternating.ini --out out",
+            f"config error: alternating.ini: [signal] amplitude_pp_b: amplitude_pp_b {amplitude},"
+            " got 1e+200 m",
+            {"alternating.ini": ALTERNATING.format("2 Hz").replace(
+                "amplitude_pp_b = 20 nm", "amplitude_pp_b = 1e200 m")})
     # A delay whose fringe phase or envelope overflows would give a NaN or
     # overflowing flux at the draw; the classical fringe has no envelope.
     for name, mode, tau in [("overflow-quantum", "quantum", "1e+300"),
@@ -354,6 +377,12 @@ def _rows():
         yield R(f"{command.split()[0]}-seed-flag{seed}", f"{command} -c tone.ini --seed {seed}",
                 f"config error: --seed: seed must be non-negative, got {seed}",
                 {"tone.ini": QUICK_START})
+    # A spread needs two detections, so one trial is refused before its draw.
+    yield R("trials--trials-1", "trials -c tone.ini --trials 1",
+            "config error: --trials: trials must be at least 2, got 1", {"tone.ini": QUICK_START})
+    yield R("trials-trials-key-1", "trials -c tone.ini",
+            f"{tone}[run] trials: trials must be at least 2, got 1",
+            {"tone.ini": edit(QUICK_START, ("seed = 611", "seed = 611\ntrials = 1"))})
     yield R("trials-seed-key-1", "trials -c tone.ini --trials 2",
             f"{tone}[run] seed: seed must be non-negative, got -1",
             {"tone.ini": edit(QUICK_START, ("seed = 611", "seed = -1"))})
@@ -426,6 +455,17 @@ def _rows():
         yield R(f"estimate--ratio-{ratio}", f"estimate c.txt a.txt -c tone.ini --ratio {ratio}",
                 "config error: --ratio: ratio must be positive and finite...",
                 {"tone.ini": QUICK_START})
+    # A ratio whose noise power sum w^2(C) + ratio^2 sum w^2(A) overflows
+    # sets no threshold; the streams' one event sits mid-exposure at weight 1.
+    mid = {"c.txt": stream("coincidence", tick=5 * 10**9),
+           "a.txt": stream("anticoincidence", tick=5 * 10**9)}
+    power = "ratio makes the noise power sum w^2(C) + ratio^2 sum w^2(A) overflow"
+    for ratio in ("1e300", "1e160"):
+        yield R(f"estimate--ratio-{ratio}", f"estimate c.txt a.txt -c tone.ini --ratio {ratio}",
+                f"config error: --ratio: {power}", {"tone.ini": QUICK_START, **mid})
+    yield R("estimate-ratio-key-1e300", "estimate c.txt a.txt -c tone.ini --out out",
+            f"{tone}[analysis] ratio: {power}",
+            {"tone.ini": QUICK_START + "ratio = 1e300\n", **mid})
     # Traces are fixed at 100 samples per period, so the key is refused whatever its value.
     for value in ("0", "-3"):
         yield R(f"estimate-points_per_period-{value}", "estimate c.txt a.txt -c ppp.ini",

@@ -453,18 +453,20 @@ def _child_env():
 def test_import_loads_numpy_but_not_scipy():
     # numpy is the only runtime dependency: importing the package and its
     # CLI in a fresh interpreter must not pull in scipy, nor numpy.polynomial
-    # (the grid series table is built without it).
+    # (the grid series table is built without it), nor build the float
+    # formatter's power table, which is built on first use.
     env = _child_env()
     code = (
-        "import sys, qvibe, qvibe.cli; "
+        "import sys, qvibe, qvibe.cli, qvibe.floatrepr; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
         "print('numpy' in sys.modules); "
-        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial'))); "
+        "print(qvibe.floatrepr._tables.cache_info().currsize)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
     ).stdout.split("\n")
-    assert out[:3] == ["[]", "True", "[]"]
+    assert out[:4] == ["[]", "True", "[]", "0"]
 
 
 def test_cli_qcrb_reports_ratio(capsys):

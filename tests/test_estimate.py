@@ -12,6 +12,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 import qvibe.estimate
+from qvibe.config import check_ratio, parse_config
 from qvibe.core import (
     ClassicalFringeSpec,
     GeometryFactor,
@@ -474,6 +476,31 @@ def test_threshold_validation():
         detection_threshold(sc, sa, -1.0, "hann", 1e-3, 100)
     with pytest.raises(AnalysisError):
         detection_threshold(empty_c, empty_a, 1.0, "hann", 1e-3, 100)
+
+
+def test_a_ratio_whose_noise_power_overflows_is_refused():
+    # One event each at mid-exposure, Hann weight 1: at ratio 1e160 the power
+    # 1 + 1e320 overflows. With A's event at the exposure's edge, its weight
+    # is about 2.5e-18 and the power stays finite at the same ratio, and is
+    # refused again at 1e300. Neither warns, and no kappa is infinite.
+    mid_c = stream_from_times([0.5], 1.0)
+    mid_a = stream_from_times([0.5], 1.0, "anticoincidence")
+    edge_a = stream_from_times([5e-10], 1.0, "anticoincidence")
+    cfg = parse_config("[analysis]\nratio = 1e160\n", "r.ini")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sa, ratio in ((mid_a, 1e160), (mid_a, 1e300), (edge_a, 1e300)):
+            with pytest.raises(ConfigError, match="noise power"):
+                scan_spectrum(mid_c, sa, ratio, 1e-3, 10.0)
+            with pytest.raises(ConfigError, match="noise power"):
+                detection_threshold(mid_c, sa, ratio, "hann", 1e-3, 10)
+        with pytest.raises(ConfigError, match=r"^r\.ini: \[analysis\] ratio: ratio makes"):
+            check_ratio(cfg, 1e160, mid_c, mid_a)
+        check_ratio(cfg, 1e160, mid_c, edge_a)
+        assert math.isfinite(scan_spectrum(mid_c, edge_a, 1e160, 1e-3, 10.0).threshold_kappa)
+        # The streams' own refusal names no key.
+        with pytest.raises(ConfigError, match="^streams must share"):
+            check_ratio(cfg, 1e160, mid_c, stream_from_times([0.5], 2.0, "anticoincidence"))
 
 
 def _scan_cases():

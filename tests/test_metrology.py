@@ -162,8 +162,10 @@ def test_amplitude_trials_need_two_detections():
     )
     with pytest.raises(AnalysisError):
         run_amplitude_trials(scenario, n_trials=3, base_seed=41)
-    with pytest.raises(ConfigError):
-        run_amplitude_trials(scenario, n_trials=0, base_seed=41)
+    # A spread needs two detections, so fewer than two trials are refused before any draw.
+    for n_trials in (0, 1):
+        with pytest.raises(ConfigError, match=">= 2"):
+            run_amplitude_trials(scenario, n_trials=n_trials, base_seed=41)
 
 
 def test_trial_scenario_refuses_an_exposure_no_trial_runs():

@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
 
 from qvibe.cli import main
 from qvibe.core import (
@@ -111,13 +110,15 @@ def test_alternating_tones_match_gated_product():
 
 
 def test_peak_to_peak_is_the_full_trace_excursion_bit_for_bit(monkeypatch):
-    # Taken block by block, on the samples of one linspace over the whole
-    # duration: part of one block (1000 samples), one block and a part
-    # (70,000), and over three blocks, for a tone, a square wave and
-    # alternating tones.
+    # Several lines are taken block by block, on the samples of one linspace
+    # over the whole duration: part of one block (1000 samples), one block
+    # and a part (70,000), and over three blocks, for two tones, a square
+    # wave and alternating tones.
     cases = (
-        (VibrationSignal.pure_tone(3.7, 20e-9, 0.3), 1.0),
-        (VibrationSignal.pure_tone(3000.3, 20e-9, 1.1), 0.7),
+        (VibrationSignal.multi_tone([SignalComponent(3.7, 20e-9, 0.3),
+                                     SignalComponent(1.1, 5e-9)]), 1.0),
+        (VibrationSignal.multi_tone([SignalComponent(3000.3, 20e-9, 1.1),
+                                     SignalComponent(100.0, 5e-9)]), 0.7),
         (VibrationSignal.square_wave(100.0, 55e-9, phase=0.2), 1.0),
         (VibrationSignal.alternating_tones(5.0, 300.0, 10e-9, 700.0, 6e-9, phase_b=0.4), 0.4),
     )
@@ -142,6 +143,26 @@ def test_peak_to_peak_is_the_full_trace_excursion_bit_for_bit(monkeypatch):
     assert len(blocks) == 4
     times = np.concatenate(blocks)
     assert times.tobytes() == np.linspace(0.0, duration, n, endpoint=False).tobytes()
+
+
+def test_one_line_true_peak_to_peak_is_the_continuous_one():
+    # A 20 nm tone at 10 Hz over 1 s is sampled 100 times a period; off the
+    # sample grid its samples miss the peaks and read low by up to
+    # 1 - cos(pi / 100), while the closed form gives the full swing over the
+    # samples' span, as reconstruct takes a one-line model's.
+    for phase in (0.0, 0.3, math.pi / 100, -2.0):
+        sig = VibrationSignal.pure_tone(10.0, 20e-9, phase)
+        x = sig.displacement(np.linspace(0.0, 1.0, 1000, endpoint=False))
+        assert sig.peak_to_peak(1.0) == 20e-9
+        assert float(x.max() - x.min()) <= 20e-9 * (1.0 + 1e-15)
+    sampled = VibrationSignal.pure_tone(10.0, 20e-9, math.pi / 100).displacement(
+        np.linspace(0.0, 1.0, 1000, endpoint=False))
+    assert float(sampled.max() - sampled.min()) < 20e-9 * (1.0 - 4.9e-4)
+    # Below one cycle the span holds one maximum (phase 2 pi) and no
+    # minimum: the swing runs from the cosine at the last sample up to 1.
+    sig = VibrationSignal.pure_tone(0.6, 20e-9, 5.0)
+    last = math.cos(2.0 * math.pi * 0.6 * (1.0 - 1.0 / 1000) + 5.0)
+    assert sig.peak_to_peak(1.0) == pytest.approx(10e-9 * (1.0 - last), rel=1e-15)
 
 
 def test_multi_tone_sorts_and_rejects_empty():
@@ -322,8 +343,25 @@ def test_homogeneous_count_and_uniformity():
     n = len(s)
     assert abs(n - rate * t_exp) < 4 * math.sqrt(rate * t_exp)
     # arrival times should look uniform on [0, 1)
-    d, p = stats.kstest(s.times(), "uniform")
-    assert p > 1e-4
+    assert _ks_uniform_p(s.times()) > 1e-4
+
+
+def _ks_uniform_p(x: np.ndarray) -> float:
+    """p-value of the one-sample Kolmogorov-Smirnov test of x against uniform on [0, 1).
+
+    D is the largest gap between the empirical and the uniform distribution
+    function. p is the Kolmogorov tail Q(lambda) = 2 sum (-1)^(k-1)
+    exp(-2 k^2 lambda^2) at Stephens' lambda = (sqrt(n) + 0.12 + 0.11 /
+    sqrt(n)) D, which tracks the exact small-sample p within a few per mille
+    at n = 5000 (M. A. Stephens, JRSS B 32, 1970).
+    """
+    x = np.sort(x)
+    n = x.size
+    i = np.arange(1, n + 1)
+    d = max(np.max(i / n - x), np.max(x - (i - 1) / n))
+    lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d
+    q = 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam) for k in range(1, 101))
+    return min(max(q, 0.0), 1.0)
 
 
 def test_thinning_reproduces_modulated_profile():
