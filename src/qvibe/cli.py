@@ -46,10 +46,11 @@ from .config import (
     build_pair,
     build_signal,
     check_ratio,
+    check_reach,
     check_scan,
     load_config,
 )
-from .core import ClassicalFringeSpec, PhotonPairSpec
+from .core import ClassicalFringeSpec, PhotonPairSpec, quadrature_delay
 from .errors import AnalysisError, ConfigError, StreamFormatError
 from .estimate import pipeline
 from .metrology import (
@@ -62,7 +63,7 @@ from .metrology import (
     run_amplitude_trials,
     run_frequency_sweep,
 )
-from .simulate import DEFAULT_TICK, _simulate
+from .simulate import DEFAULT_TICK, VibrationSignal, _simulate
 from .streamio import (
     read_stream,
     write_ground_truth,
@@ -257,6 +258,8 @@ def cmd_sweep(args, cfg: Config) -> int:
     amplitude_pp = cfg.checked(
         "sweep", "amplitude_pp", ok=lambda a: a >= 0, need="must be non-negative", unit=" m"
     )
+    tone = VibrationSignal.pure_tone(start, amplitude_pp, dc_offset_delay=quadrature_delay(pair))
+    check_reach(cfg, "sweep", "amplitude_pp", amplitude_pp, pair, tone, channel.geometry)
     playback_scale = cfg.checked(
         "sweep", "playback_scale", 0.0, ok=lambda s: s > -1, need="must exceed -1"
     )
@@ -291,6 +294,11 @@ def cmd_sweep(args, cfg: Config) -> int:
 
 def cmd_advantage(args, cfg: Config) -> int:
     setup = build_advantage(cfg)
+    amplitude = cfg.get("advantage", "amplitude_pp", None)  # only a set one can overflow
+    for cond in setup.conditions:
+        for fringe, signal, channel, _, _ in setup._halves(cond):
+            geometry = channel.geometry
+            check_reach(cfg, "advantage", "amplitude_pp", amplitude, fringe, signal, geometry)
     outcomes = run_advantage_experiment(setup, _seed_of(cfg), _threads_of(args))
     doc = []
     for o in outcomes:

@@ -560,13 +560,20 @@ def build_signal(cfg: Config, fringe: PhotonPairSpec | ClassicalFringeSpec) -> V
             base[names[key]] = 1.0  # 1 Hz or 1 m: a value every constructor accepts
         signal = _construct(cfg, "signal", build, base, _set_keys(cfg, "signal", names))
         amplitudes = {key: cfg.get("signal", key) for key in names if key.startswith("amplitude")}
-    if not all(_fringe_finite(fringe, tau) for tau in _delay_range(signal, build_geometry(cfg))):
-        key = max(amplitudes, key=amplitudes.get)
-        raise cfg.refusal(
-            "signal", key, f"{key} must keep the fringe phase and envelope finite at the delays"
-            f" the waveform reaches, got {amplitudes[key]!r} m"
-        )
+    key = max(amplitudes, key=amplitudes.get)
+    check_reach(cfg, "signal", key, amplitudes[key], fringe, signal, build_geometry(cfg))
     return signal
+
+
+def check_reach(cfg: Config, section: str, key: str, amplitude: float, fringe, signal, geometry):
+    """Refuse by ``[section] key``, which set ``amplitude``, a ``signal`` that reaches
+    a delay (``qvibe.simulate._delay_range`` at ``geometry``) where the phase or
+    envelope of ``fringe`` overflows."""
+    if not all(_fringe_finite(fringe, tau) for tau in _delay_range(signal, geometry)):
+        raise cfg.refusal(
+            section, key, f"{key} must keep the fringe phase and envelope finite at the delays"
+            f" the waveform reaches, got {amplitude!r} m"
+        )
 
 
 def build_options(cfg: Config) -> AnalysisOptions:

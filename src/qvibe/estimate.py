@@ -6,20 +6,25 @@ The pipeline works directly on event times, never on a rate histogram:
    and combine them as y_f = p_f(C) - ratio * p_f(A), which cancels the
    common mode (mean flux and accidental background); one grid transform
    folds both streams onto a power-of-two number of bins per grid period,
-   from the grid size rounded up, chosen by cost from the grid size and
-   the event count, bins their moments, combines them and takes one real
-   FFT per series term, whose mirror image gives the grid bins above half
-   the fold; each term's FFT is multiplied by its real row of series
-   coefficients, and an odd term then by -i, before it is added; the
-   series is the phasor's Taylor series economised onto Chebyshev
-   polynomials, so it needs fewer terms for the same accuracy, and the
-   last grid's coefficient table is kept; each stream is one part
+   chosen by cost from the grid size and the event count: the grid size
+   rounded up or a larger power, or the one just below the grid size
+   while the series stays within its accuracy there, the grid then
+   reading each bin past the fold periodically, bin k as bin k minus the
+   fold; it bins their moments, combines them and takes one real FFT per
+   series term, whose mirror image gives the bins above half the fold;
+   each term's FFT is multiplied by its real row of series coefficients,
+   and an odd term then by -i, before it is added; the series is the
+   phasor's Taylor series economised onto Chebyshev polynomials, so it
+   needs fewer terms for the same accuracy, and the last grid's
+   coefficient table and bin phase are kept; each stream is one part
    (t, w) of event times and signed weights, A's window weights times
    -ratio, and the transform's values are the event sums themselves, up
    to a truncation below 1e-13 of sum |w| / t_exp (see ``_project_grid``,
-   ``_series_table`` and ``_fold_size``); on a large scan a worker thread
-   bins each term while the caller transforms the one before, which
-   leaves every value bit for bit as it is (see ``_grid_terms``),
+   ``_series_table`` and ``_fold_size``); a scan of two long streams
+   makes A's part and fold on a worker thread while the caller makes
+   C's, and on a large scan that worker bins each term while the caller
+   transforms the one before, which leaves every value bit for bit as it
+   is (see ``scan_spectrum`` and ``_grid_terms``),
 2. threshold |y_f| against a constant-false-alarm level computed from
    the events themselves, from the window weights the projection used,
 3. collapse contiguous above-threshold bins to candidate frequencies and
@@ -120,11 +125,15 @@ def frequency_grid(t_exp: float, f_max: float) -> np.ndarray:
     """Uniform scan grid 0, df, 2 df, ... covering [0, f_max].
 
     At most _MAX_GRID_BINS = 2^21 bins (f_max up to about 1.26e6 / t_exp).
-    A scan holds about 290 bytes per bin (tracemalloc, a few thousand
-    events): about 130 of grid, transform and spectrum arrays and 160 of
-    series table, 20 rows at the smallest fold (``_series_table``). That
-    is about 580 MiB at the cap, which is the largest power of two that
-    stays within 1 GiB; a larger grid raises ConfigError.
+    A scan holds about 260 bytes per bin (tracemalloc, a few thousand
+    events): about 80 of grid, transform and spectrum arrays, 16 of bin
+    phase and 160 of series table, 20 rows at m rounded up
+    (``_series_table``). That is about 520 MiB at the cap, which is the
+    largest power of two that stays within 1 GiB and takes that fold, since
+    the one below it lies past theta = 3 pi / 2; a larger grid raises
+    ConfigError. A grid that takes the fold below m holds up to 24 rows,
+    about 305 bytes a bin, and has at most 1.5 * 2^20 + 1 bins, about
+    460 MiB.
     """
     return np.arange(_grid_bins(t_exp, f_max)) * grid_spacing(t_exp)
 
@@ -151,9 +160,8 @@ def _weighted_times(stream: TimestampStream, window: str):
 def _weighted_parts(stream_c, stream_a, ratio: float, window: str) -> list:
     """The checked pair as projection parts (t, w): C's window weights, A's times -ratio."""
     _check_pair(stream_c, stream_a, ratio)
-    (t_c, w_c), (t_a, w_a) = (_weighted_times(s, window) for s in (stream_c, stream_a))
-    w_a *= -ratio
-    return [(t_c, w_c), (t_a, w_a)]
+    scaled = ((stream_c, None), (stream_a, -ratio))
+    return [_grid_part(stream, scale, window, None)[0] for stream, scale in scaled]
 
 
 def _project(parts, t_exp: float, freqs: np.ndarray) -> np.ndarray:
@@ -188,8 +196,9 @@ def _project_grid(parts, t_exp: float, df: float, m: int) -> np.ndarray:
     ``parts`` is a sequence of (t, w): centred event times and their signed
     weights, the window weights times the factor the part enters with.
     Every grid phasor has period 1/df, so the events are folded onto n
-    bins per period, a power of two from m rounded up that ``_fold_size``
-    picks by cost from m and the event count. For an event in bin c at
+    bins per period, a power of two that ``_fold_size`` picks by cost from
+    m and the event count: m rounded up or above, or the power of two just
+    below m where the series stays accurate. For an event in bin c at
     offset u in [-1/2, 1/2) bin widths from the bin centre,
 
         e^(-2j pi k df t) = e^(-2j pi k (c + 1/2) / n) sum_p c_kp u^p,
@@ -197,22 +206,17 @@ def _project_grid(parts, t_exp: float, df: float, m: int) -> np.ndarray:
     a polynomial in u of ``_series_table``'s Q terms, within about 1e-14
     of the phasor for every k < m. Term p is then the rfft X_p of the
     per-bin moments sum w u^p, binned over all parts before the one rfft,
-    so two streams with equal bins and weights w, -w cancel to exactly 0
-    (see ``_grid_terms``). The binning of a term overlaps the previous
-    term's rfft on a worker thread when both cost at least _OVERLAP_S a
-    term by the fold cost model. The folded events are released before
-    the final phase multiply, which holds the largest m-bin temporaries.
+    so two streams with equal bins and weights w, -w cancel to exactly 0;
+    X_p has period n in k, so a bin k >= n reads bin k - n (see
+    ``_grid_terms``). The binning of a term overlaps the previous term's
+    rfft on a worker thread when both cost at least _OVERLAP_S a term by
+    the fold cost model (``_overlapped_terms``).
     """
     events = sum(t.size for t, _ in parts)
     n = _fold_size(m, events)
-    # An empty part adds nothing, and np.bincount would bin it as integers.
     folded = [_fold(t, w, df * n, n) for t, w in parts if t.size]
-    if not folded:
-        return np.zeros(m, dtype=complex)
-    overlap = min(_TERM_EVENT_S * events, _TERM_FFT_S * n * math.log2(n)) >= _OVERLAP_S
-    out = _grid_terms(folded, m, n, overlap)
-    del folded
-    return out * np.exp((-1j * math.pi / n) * np.arange(m)) / t_exp
+    with _worker(_overlapped_terms(events, n)) as pool:
+        return _grid_terms(folded, m, n, t_exp, pool)
 
 
 def _fold(t: np.ndarray, w: np.ndarray, scale: float, n: int):
@@ -227,26 +231,41 @@ def _fold(t: np.ndarray, w: np.ndarray, scale: float, n: int):
     return bins, u, np.asarray(w, dtype=float)
 
 
-def _grid_terms(folded, m: int, n: int, overlap: bool) -> np.ndarray:
-    """sum_p c_kp X_p[k], k < m, for the folded parts (bins, u, w), before the bin phase.
+def _grid_part(stream: TimestampStream, scale: float | None, window: str, grid):
+    """One stream's part (t, w), w its window weights times ``scale`` (None for 1), and
+    its ``_fold`` onto ``grid`` = (df * n, n), or None for a grid of None or no events."""
+    t, w = _weighted_times(stream, window)
+    if scale is not None:
+        w *= scale
+    # An empty part adds nothing, and np.bincount would bin it as integers.
+    return (t, w), (_fold(t, w, *grid) if grid and t.size else None)
+
+
+def _grid_terms(folded, m: int, n: int, t_exp: float, pool) -> np.ndarray:
+    """sum_p c_kp X_p[k] e^(-i pi k / n) / t_exp, k < m, for the folded parts (bins, u, w).
 
     Term p bins w u^p per part (one in-place moment update and one
     np.bincount each) and adds the parts' bins in order; the rfft, mirror
-    and combine follow. With ``overlap`` a worker thread bins term p + 1
-    while the calling thread combines term p: the worker runs every
+    and combine follow. Given a one-worker ``pool``, the worker bins term
+    p + 1 while the calling thread combines term p: the worker runs every
     binning in turn and the caller every combine, on the same arrays in
     the same order, so the sum is bit for bit the serial one.
 
-    The moments are real, so a bin n/2 < k < m past the rfft's last one
+    The moments are real, so a bin n/2 < k < n past the rfft's last one
     reads X_p[k] = conj(X_p[n - k]): the rfft writes the head of one
     buffer, and those bins are mirrored into its tail; a grid of at most
-    n/2 + 1 bins has no tail and reads the rfft's bins in place.
-    c_kp is s_kp for even p and -i s_kp for odd p, with s_kp real (row p
-    of the table): each term's bins are multiplied by s_kp in one complex
-    multiply, an odd term's then by -i, which is exact (it swaps the real
-    and imaginary parts and negates one), and no complex coefficient is
-    formed.
+    n/2 + 1 bins has no tail and reads the rfft's bins in place. A fold
+    below m reads each bin n <= k < m as bin k - n, which lies in the head
+    since m - 1 <= 3n/2 (``_fold_table``). c_kp is s_kp for even p and
+    -i s_kp for odd p, with s_kp real (row p of the table): each term's
+    bins are multiplied by s_kp in one complex multiply, an odd term's
+    then by -i, which is exact (it swaps the real and imaginary parts and
+    negates one), and no complex coefficient is formed. The bin phase
+    e^(-i pi k / n) is kept with the table.
     """
+    if not folded:
+        return np.zeros(m, dtype=complex)
+    table, phase = _series_table(m, n)  # built before the m-bin buffers below
     moments = [np.empty(u.size) for _, u, _ in folded]  # w u^p per part, p >= 1
 
     def binned(p: int) -> np.ndarray:
@@ -261,28 +280,30 @@ def _grid_terms(folded, m: int, n: int, overlap: bool) -> np.ndarray:
 
     out = np.zeros(m, dtype=complex)
     term = np.empty(m, dtype=complex)
-    half = n // 2 + 1  # rfft bins
+    half, top = n // 2 + 1, min(m, n)  # rfft bins, and the bins below the period
     spectrum = np.empty(max(m, half), dtype=complex)
-    # Bins half..m-1 of the tail are conj of bins n-half down to n-m+1.
-    head, tail, mirror = spectrum[:half], spectrum[half:m], spectrum[n - half : n - m : -1]
-    mirrored = m > half
-    table = _series_table(m, n)
-    with _worker(overlap) as pool:
-        ahead = pool.submit(binned, 0) if pool else None
-        for p, s in enumerate(table):
-            if pool is None:
-                moments_binned = binned(p)
-            else:  # term p + 1 is binned on the worker while this thread combines term p
-                moments_binned = ahead.result()
-                if p + 1 < len(table):
-                    ahead = pool.submit(binned, p + 1)
-            np.fft.rfft(moments_binned, out=head)
-            if mirrored:
-                np.conjugate(mirror, out=tail)
-            np.multiply(spectrum[:m], s, out=term)
-            if p % 2:
-                term *= -1j  # (a + ib)(-i) = b - ia, exactly
-            out += term
+    # Bins half..top-1 of the tail are conj of bins n-half down to n-top+1.
+    head, tail, mirror = spectrum[:half], spectrum[half:top], spectrum[n - half : n - top : -1]
+    mirrored = top > half
+    ahead = pool.submit(binned, 0) if pool else None
+    for p, s in enumerate(table):
+        if pool is None:
+            moments_binned = binned(p)
+        else:  # term p + 1 is binned on the worker while this thread combines term p
+            moments_binned = ahead.result()
+            if p + 1 < len(table):
+                ahead = pool.submit(binned, p + 1)
+        np.fft.rfft(moments_binned, out=head)
+        if mirrored:
+            np.conjugate(mirror, out=tail)
+        if m > n:  # X_p has period n
+            spectrum[n:m] = spectrum[: m - n]
+        np.multiply(spectrum[:m], s, out=term)
+        if p % 2:
+            term *= -1j  # (a + ib)(-i) = b - ia, exactly
+        out += term
+    out *= phase
+    out /= t_exp
     return out
 
 
@@ -331,12 +352,13 @@ def _economisation(kept: int, terms: int) -> np.ndarray:
     return fold
 
 
-_TABLE_BYTES = 32 << 20
-_table: tuple[tuple[int, int], np.ndarray | None] = ((0, 0), None)  # the last kept (m, n) table
+_TABLE_BYTES = 35 << 20
+_table: tuple[tuple[int, int], tuple | None] = ((0, 0), None)  # the last kept (m, n) tables
 
 
-def _series_table(m: int, n: int) -> np.ndarray:
-    """Signed series coefficients of the m-bin grid transform at fold n: a (Q, m) array.
+def _series_table(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signed series coefficients of the m-bin grid transform at fold n, a (Q, m)
+    array, and its bin phase e^(-i pi k / n), k < m.
 
     Row p holds the real s_kp; c_kp, the coefficient of u^p in a polynomial
     of degree Q - 1 that stays within about 1e-14 of e^(-2j pi k u / n) on
@@ -352,18 +374,21 @@ def _series_table(m: int, n: int) -> np.ndarray:
     2 (theta/2)^p / p! (its coefficients are Bessel values J_p(x); see
     Ruiz-Antolin & Townsend, SIAM J. Sci. Comput. 40, 2018), so
     Q = ``_economised_terms(theta)``: 18 terms instead of 23 at
-    theta = 2.2, 14 instead of 17 at 1.02, and at most 20 instead of 27
-    (theta near pi). Where Q = D nothing is folded, and the rows are the
-    recurrence's Taylor coefficients bit for bit.
+    theta = 2.2, 14 instead of 17 at 1.02, 20 instead of 27 near pi, and
+    at most 24 at a fold below m, where theta reaches 3 pi / 2. Where
+    Q = D nothing is folded, and the rows are the recurrence's Taylor
+    coefficients bit for bit.
 
-    One table is kept, the last one built of at most _TABLE_BYTES, and one
-    assignment replaces it, so threads need no lock: a scan keeps one grid,
-    and a table over _TABLE_BYTES is built for each call.
+    One pair of arrays is kept, the last one built of at most _TABLE_BYTES
+    together, and one assignment replaces it, so threads need no lock: a
+    scan keeps one grid, and a pair over _TABLE_BYTES is built for each
+    call.
     """
     global _table
-    key, table = _table
+    key, tables = _table
     if key == (m, n):
-        return table
+        return tables
+    phase = np.exp((-1j * math.pi / n) * np.arange(m))  # its temporaries go before the table's
     theta = math.pi * (m - 1) / n
     terms, kept = _series_terms(theta), _economised_terms(theta)
     table, dropped = np.empty((kept, m)), np.empty((terms - kept, m))
@@ -382,28 +407,34 @@ def _series_table(m: int, n: int) -> np.ndarray:
             if c:
                 np.multiply(degree, c, out=step)
                 row += step
-    table.flags.writeable = False
-    if table.nbytes <= _TABLE_BYTES:
-        _table = ((m, n), table)
-    return table
+    table.flags.writeable = phase.flags.writeable = False
+    tables = (table, phase)
+    if table.nbytes + phase.nbytes <= _TABLE_BYTES:
+        _table = ((m, n), tables)
+    return tables
 
 
 # Cost of one series term of _project_grid, in seconds: a fixed per-term
 # cost, one per event (the moment update and bincount) and one per
-# n log2 n (the rfft and the n-bin buffers). Fitted by relative least
-# squares to best-of-3+ times of _project_grid (two streams, Hann weights,
-# warm series tables) at every fold from m rounded up to 2^15, on 2 cores
-# with Python 3.11 and numpy 2.4: 334 bins with 1.5k, 2k, 4k, 20k and 190k
-# events, 1001 bins with 600k, 4000 bins with 10k and 50k, 183,334 bins
-# with 1M. Folds of 2^16 bins were timed too but left out of the fit:
-# their n-bin buffers outgrow the cache and cost more than n log2 n says.
-# For example 334 bins and 2k events took 0.38 ms at n = 2^10 (14 terms)
+# n log2 n (the rfft and the n-bin buffers). The last is one constant up
+# to 2^15 and one per fold from 2^16 on, as the rfft's buffers fill and
+# then leave a 4 MiB L2 cache; the 2^19 one serves every larger fold.
+# ``tools/fold_costs.py`` times serial ``_grid_terms`` at every fold the
+# rule weighs on the benchmark grids, fits all of them, and times one
+# rfft and one n-bin bincount alone. _TERM_S, _TERM_EVENT_S and the
+# constant up to 2^15 are a relative least-squares fit to times of every
+# fold from m rounded up to 2^15 in nine cases (334 bins with 1.5k to 190k
+# events, 1001, 4000 and 183,334 bins), on 2 cores with Python 3.11 and
+# numpy 2.4: 334 bins and 2k events took 0.38 ms at n = 2^10 (14 terms)
 # and 0.52 ms at 2^9 (17 terms, mirrored); with 190k events 18.9 ms at
-# 2^10 and 11.2 ms at 2^14 (8 terms). Only the ratios of the three
-# constants steer the choice. They rank a large grid's folds as timed too:
-# 183,334 bins with 1M events took 306 ms at 2^18 (18 terms) and 333 ms
-# at 2^19 (14 terms).
-_TERM_S, _TERM_EVENT_S, _TERM_FFT_S = 7.5e-6, 5.6e-9, 7.3e-10
+# 2^10 and 11.2 ms at 2^14 (8 terms). The rfft alone took 0.85, 0.92, 1.08 and 1.20 ns per
+# n log2 n at 2^16 to 2^19 (repeated sittings on a shared 2-vCPU machine
+# scatter from 0.5 to 1.4 ns). Only the ratios steer the choice. They
+# rank the sweep grid's folds as timed: 183,334 bins with 1M events took
+# 139-140 ms at 2^17 (23 terms), 164-169 ms at 2^18 (18) and 191-193 ms
+# at 2^19 (14) in two sittings.
+_TERM_S, _TERM_EVENT_S = 7.5e-6, 5.6e-9
+_TERM_FFT_S = (7.3e-10,) * 16 + (8.5e-10, 9.2e-10, 1.08e-9, 1.2e-9)  # by log2 n
 _MAX_COST_FOLD = 1 << 16
 
 # A grid transform bins each term on a worker thread while the caller takes
@@ -414,35 +445,51 @@ _MAX_COST_FOLD = 1 << 16
 # with 2k events (7.5 us a term by the model) 0.45 against 1.8-2.7 ms;
 # the README quick start, 334 bins with 190k events (0.17 ms) 13.4
 # against 16.5 ms; 66,667 bins with 200k events (1.1 ms) 83 against 50
-# ms; the sweep grid, 183,334 bins with 1M events (3.4 ms) 302 against
-# 196 ms.
+# ms; the sweep grid, 183,334 bins with 1M events (3.4 ms at 2^18) 302
+# against 196 ms, and at its fold 2^17 (2.0 ms) 196 against 110 ms
+# (median of 12 alternating calls of ``_grid_terms``).
 _OVERLAP_S = 1e-3
+
+
+def _fft_cost(n: int) -> float:
+    """The model's rfft and buffer cost of one term at fold n."""
+    log = n.bit_length() - 1
+    return _TERM_FFT_S[min(log, len(_TERM_FFT_S) - 1)] * n * log
+
+
+def _overlapped_terms(events: int, n: int) -> bool:
+    """Whether a grid transform of ``events`` events at fold n bins on a worker."""
+    return min(_TERM_EVENT_S * events, _fft_cost(n)) >= _OVERLAP_S
 
 
 @functools.lru_cache(maxsize=256)
 def _fold_table(m: int) -> tuple[tuple[int, int, float], ...]:
-    """(n, terms(n), _TERM_FFT_S * n log2 n) for each fold weighed at m bins."""
+    """(n, terms(n), ``_fft_cost(n)``) for each fold weighed at m bins."""
     smallest = 1 << (m - 1).bit_length()
-    folds = [smallest]
+    below = smallest // 2
+    # Below m, theta = pi (m - 1) / n up to 3 pi / 2 keeps the table within 1e-14.
+    folds = [below] if below and 2 * (m - 1) <= 3 * below else []
+    folds.append(smallest)
     while folds[-1] < max(2 * smallest, _MAX_COST_FOLD):
         folds.append(2 * folds[-1])
-    return tuple(
-        (n, _economised_terms(math.pi * (m - 1) / n), _TERM_FFT_S * n * math.log2(n))
-        for n in folds
-    )
+    return tuple((n, _economised_terms(math.pi * (m - 1) / n), _fft_cost(n)) for n in folds)
 
 
 def _fold_size(m: int, events: int) -> int:
     """Bins per grid period for an m-bin grid transform over ``events`` events.
 
-    The power of two n at or above m, and at most max(2 n_m, 2^16) with n_m
-    the smallest, that minimises
-    terms(n) * (_TERM_S + _TERM_EVENT_S * events + _TERM_FFT_S * n log2 n),
+    The power of two n from n_m / 2 to max(2 n_m, 2^16), n_m being m
+    rounded up to a power of two, that minimises
+    terms(n) * (_TERM_S + _TERM_EVENT_S * events + ``_fft_cost(n)``),
     terms(n) being the economised series length at theta = pi (m - 1) / n
     (``_economised_terms``, the row count of ``_series_table``); of equal
-    costs the smaller fold wins. A larger fold costs a longer rfft per term
-    but needs fewer terms, which pays off when the events outnumber the
-    bins; the smallest fold, below 2m, pays off when the rfft dominates.
+    costs the smaller fold wins. n_m / 2 lies below m and is weighed only
+    where theta <= 3 pi / 2, m - 1 <= 1.5 n, which keeps the series within
+    1e-14 (beyond it the table's rounding grows past that); the transform
+    then reads bin k >= n as bin k - n. A larger fold costs a longer rfft
+    per term but needs fewer terms, which pays off when the events
+    outnumber the bins; the smallest folds pay off when the rfft dominates,
+    and the fold below m most where the rfft outgrows the cache.
     """
     per_term = _TERM_S + _TERM_EVENT_S * events
     return min(_fold_table(m), key=lambda fold: fold[1] * (per_term + fold[2]))[0]
@@ -578,15 +625,34 @@ def scan_spectrum(
 
     The spectrum is ``combined_spectrum`` on ``frequency_grid(t_exp, f_max)``
     and the threshold ``detection_threshold`` for that grid, both with the
-    Hann window: the scan makes the calls those two make (``_weighted_parts``,
-    then ``_project`` and ``_threshold``), with each stream's window weights
-    computed once for both.
+    Hann window, bit for bit: the scan makes each stream's part and fold
+    as ``_project_grid`` does (``_grid_part``), once for both, then
+    ``_threshold`` and ``_grid_terms``; a grid of under 4 bins takes
+    ``_project``'s direct sum. The scan opens at most one worker thread:
+    when both streams hold more than _OVERLAP_EVENTS events, it makes A's
+    part and fold while the caller makes C's, and it then bins the series
+    terms if ``_overlapped_terms`` says so.
     """
     t_exp = stream_c.t_exp
     freqs = frequency_grid(t_exp, f_max)
-    parts = _weighted_parts(stream_c, stream_a, ratio, "hann")
-    kappa = _threshold(parts, t_exp, p_fa, freqs.size)
-    y = _project(parts, t_exp, freqs)
+    _check_pair(stream_c, stream_a, ratio)
+    m, events = freqs.size, len(stream_c) + len(stream_a)
+    df = _uniform_from_zero(freqs)  # None below 4 bins
+    n = _fold_size(m, events) if df else 0
+    grid = (df * n, n) if df else None
+    side_by_side = min(len(stream_c), len(stream_a)) > _OVERLAP_EVENTS
+    overlap = grid is not None and _overlapped_terms(events, n)
+    with _worker(side_by_side or overlap) as pool:
+        a_args = (stream_a, -ratio, "hann", grid)
+        ahead = pool.submit(_grid_part, *a_args) if side_by_side and pool else None
+        part_c, fold_c = _grid_part(stream_c, None, "hann", grid)
+        part_a, fold_a = ahead.result() if ahead else _grid_part(*a_args)
+        kappa = _threshold([part_c, part_a], t_exp, p_fa, m)
+        if grid is None:
+            y = _project([part_c, part_a], t_exp, freqs)
+        else:
+            folded = [fold for fold in (fold_c, fold_a) if fold]
+            y = _grid_terms(folded, m, n, t_exp, pool if overlap else None)
     detected = _group_detections(freqs, np.abs(y), kappa)
     return SpectrumEstimate(
         frequencies=freqs,

@@ -540,6 +540,10 @@ def _rows():
         ("zero-start", ("start = 10 Hz", "start = 0 Hz"),
          "[sweep] start: start must be positive, got 0.0 Hz"),
         ("f_max-zero", ("f_max = 200 Hz", "f_max = 0 Hz"), f"[analysis] f_max: {F_MAX} 0.0"),
+        # The tone's delays overflow the pair fringe's envelope, as in simulate.
+        ("amplitude_pp-overflow",
+         ("amplitude_pp = 20 nm\nexposure", "amplitude_pp = 1e160 m\nexposure"),
+         f"[sweep] amplitude_pp: amplitude_pp {amplitude}, got 1e+160 m"),
     ]:
         yield R(f"sweep-{name}", "sweep -c sweep.ini --out out", sweep + err,
                 {"sweep.ini": edit(SWEEP, change)})
@@ -570,6 +574,9 @@ def _rows():
         ("loss-fundamental-1GHz", "experiment = loss\nfundamental = 1 GHz\ntarget_pairs = 1000",
          "fundamental: f_max = 20000000000.0 Hz needs 166666667 scan bins at t_exp = 0.005 s;"
          " at most 2097152 are allowed"),
+        # The square wave's delays overflow the pair fringe's envelope.
+        ("loss-amplitude_pp-overflow", "experiment = loss\namplitude_pp = 1e160 m",
+         f"amplitude_pp: amplitude_pp {amplitude}, got 1e+160 m"),
     ]:
         yield R(f"advantage-{name}", "advantage -c adv.ini --out adv.json",
                 f"config error: adv.ini: [advantage] {message}",

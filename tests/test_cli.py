@@ -10,6 +10,7 @@ point cap, whose failure mode is a run that never ends.
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -746,6 +747,27 @@ def quick_start_run(tmp_path_factory):
     finally:
         os.chdir(cwd)
     return work, printed
+
+
+# sha256 of the quick start's products, from text and from --binary streams
+# alike, so a change that moves one bit of a quick-start spectrum shows here.
+PINNED_PRODUCTS = {
+    "spectrum.csv": "36902765ecf9ed373e911a725d02a4614ca1c83c137b1be78c5dd7c6f2f2906f",
+    "reconstruction.json": "c3bb605b76ac145edda5a270bc068b123141063027010ed2215940d4394f9cec",
+}
+
+
+@pytest.mark.parametrize("ext", [".txt", ".bin"], ids=["text", "binary"])
+def test_quick_start_products_keep_their_bytes(tmp_path, capsys, ext):
+    cfg = tmp_path / "tone.ini"
+    cfg.write_text(QUICK_START)
+    flags = ["--binary"] if ext == ".bin" else []
+    assert main(["simulate", "-c", str(cfg), "--out", str(tmp_path / "run"), *flags]) == 0
+    streams = [str(tmp_path / "run" / (name + ext)) for name in ("coincidence", "anticoincidence")]
+    assert main(["estimate", *streams, "-c", str(cfg), "--out", str(tmp_path / "est")]) == 0
+    for name, digest in PINNED_PRODUCTS.items():
+        assert hashlib.sha256((tmp_path / "est" / name).read_bytes()).hexdigest() == digest, name
+    capsys.readouterr()
 
 
 def test_readme_output_block_is_what_the_quick_start_prints(quick_start_run):

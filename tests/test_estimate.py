@@ -45,6 +45,7 @@ from qvibe.estimate import (
     _group_detections,
     _offset_moments,
     _offset_series,
+    _overlapped_terms,
     _project_direct,
     _segment_count,
     _series_table,
@@ -64,6 +65,7 @@ from qvibe.simulate import (
     ChannelModel,
     TimestampStream,
     VibrationSignal,
+    _mark_campaign_worker,
     simulate_classical_run,
     simulate_quantum_run,
 )
@@ -292,20 +294,25 @@ def test_scan_memory_at_the_grid_cap_stays_within_1_gib():
 
 
 def test_fold_rule_stays_in_range_and_keeps_the_benchmark_folds():
-    # A power of two from m rounded up to max(2m rounded up, 2^16), whatever the count.
+    # A power of two from m rounded up to max(2m rounded up, 2^16), whatever the
+    # count, or the one just below m where theta = pi (m - 1) / n <= 3 pi / 2.
     for m in (4, 5, 334, 1001, 4096, 40_000, 183_334):
         smallest = 1 << (m - 1).bit_length()
+        lowest = smallest // 2 if 2 * (m - 1) <= 3 * (smallest // 2) else smallest
         for events in (0, 2, 2_000, 190_000, 10**7):
             n = _fold_size(m, events)
-            assert n & (n - 1) == 0 and smallest <= n <= max(2 * smallest, 1 << 16), (m, events)
+            assert n & (n - 1) == 0 and lowest <= n <= max(2 * smallest, 1 << 16), (m, events)
+    assert [n for n, _, _ in _fold_table(183_334)] == [1 << 17, 1 << 18, 1 << 19]
+    assert [n for n, _, _ in _fold_table(4096)][0] == 4096  # 4095 / 2048 > 1.5
     # Signal-free 1 s exposures (2k to 4k events on 334 bins) keep 2m rounded
     # up, so their spectra are unchanged; the 5 s sweep (1M events on 183,334
-    # bins) takes the smallest fold, where its rfft costs half; the quick-start
-    # exposure (190k events) folds wider.
+    # bins) takes the fold below m, where its rfft stays in cache; the
+    # quick-start exposure (190k events) folds wider.
     quick, sweep = frequency_grid(1.0, 200.0).size, frequency_grid(5.0, 22e3).size
     for events in (1_500, 2_000, 4_000):
         assert _fold_size(quick, events) == 1024
-    assert _fold_size(sweep, 1_000_000) == 1 << 18
+    assert _fold_size(sweep, 1_000_000) == 1 << 17
+    assert _economised_terms(math.pi * (sweep - 1) / (1 << 17)) == 23
     assert _fold_size(quick, 190_000) == 1 << 14
 
 
@@ -371,7 +378,7 @@ def test_series_table_is_the_taylor_recurrence_when_no_degree_is_dropped():
     for m, n in ((334, 1 << 14), (5, 1 << 16)):
         theta = math.pi * (m - 1) / n
         assert _economised_terms(theta) == _series_terms(theta)
-        table = _series_table(m, n)
+        table, _ = _series_table(m, n)
         assert table.tobytes() == _taylor_rows(m, n, _series_terms(theta)).tobytes()
     # Where degrees are dropped, the table is the Taylor rows folded by the
     # matrix, to rounding in the sum of the folded terms.
@@ -384,13 +391,16 @@ def test_series_table_is_the_taylor_recurrence_when_no_degree_is_dropped():
         folded = taylor[:kept] + fold @ taylor[kept:]
         scale = np.abs(taylor[:kept]) + np.abs(fold) @ np.abs(taylor[kept:])
         eps = np.finfo(float).eps
-        assert np.all(np.abs(_series_table(m, n) - folded) <= 4 * terms * eps * scale)
-    # At every fold the rule can take, the table's polynomial stays within
-    # 1e-14 of the phasor e^(-2j pi k u / n) on |u| <= 1/2.
+        assert np.all(np.abs(_series_table(m, n)[0] - folded) <= 4 * terms * eps * scale)
+    # At every fold the rule can take, the folds below m included (at m = 4
+    # and 5 the one below reaches theta = 3 pi / 2 and pi), the table's
+    # polynomial stays within 1e-14 of the phasor e^(-2j pi k u / n) on
+    # |u| <= 1/2, and the bin phase is e^(-i pi k / n).
     u = np.linspace(-0.5, 0.5, 257)
     for m in (4, 5, 334, 1001, 4096, 183_334):
         for n, _, _ in _fold_table(m):
-            table = _series_table(m, n)
+            table, phase = _series_table(m, n)
+            assert phase.tobytes() == np.exp((-1j * math.pi / n) * np.arange(m)).tobytes()
             k = np.linspace(0, m - 1, 64).astype(int)
             poly = sum(
                 np.outer(row[k] * (-1j if p % 2 else 1.0), u**p) for p, row in enumerate(table)
@@ -402,26 +412,29 @@ def test_series_table_is_the_taylor_recurrence_when_no_degree_is_dropped():
 def test_series_tables_kept_within_the_byte_budget(monkeypatch):
     monkeypatch.setattr("qvibe.estimate._table", ((0, 0), None))
     budget = qvibe.estimate._TABLE_BYTES
-    sweep = _series_table(183_334, 1 << 18)  # 18 x 183,334 doubles, 25.2 MiB
+    sweep = _series_table(183_334, 1 << 17)  # 23 x 183,334 doubles and the phase, 35.0 MiB
+    table, phase = sweep
+    assert table.shape == (23, 183_334) and phase.shape == (183_334,)
+    assert table.nbytes + phase.nbytes <= budget < table.nbytes + phase.nbytes + (1 << 20)
     key, kept = qvibe.estimate._table
-    assert key == (183_334, 1 << 18) and kept is sweep and sweep.nbytes <= budget
-    assert _series_table(183_334, 1 << 18) is sweep
-    assert not sweep.flags.writeable
+    assert key == (183_334, 1 << 17) and kept is sweep
+    assert _series_table(183_334, 1 << 17) is sweep
+    assert not table.flags.writeable and not phase.flags.writeable
     # Another shape takes the one slot; the first is then built anew.
     small = _series_table(334, 1 << 10)
     key, kept = qvibe.estimate._table
     assert key == (334, 1 << 10) and kept is small
     assert _series_table(334, 1 << 10) is small
-    # A table over the budget by itself is built but not kept.
+    # A pair over the budget by itself is built but not kept.
     big = _series_table(300_000, 1 << 19)
-    assert big.nbytes > budget and not big.flags.writeable
+    assert big[0].nbytes + big[1].nbytes > budget and not big[0].flags.writeable
     assert qvibe.estimate._table[1] is small
-    again = _series_table(183_334, 1 << 18)
-    assert again is not sweep and np.array_equal(again, sweep)
+    again = _series_table(183_334, 1 << 17)
+    assert again is not sweep and all(map(np.array_equal, again, sweep))
     # More threads than cores, switching often, share the one slot: each
     # gets the table of its shape, and the slot ends holding one of them.
     monkeypatch.setattr("qvibe.estimate._table", ((0, 0), None))
-    shapes = [(183_334, 1 << 18), (60_000, 1 << 16), (334, 1 << 10), (4000, 1 << 13)] * 4
+    shapes = [(183_334, 1 << 17), (60_000, 1 << 16), (334, 1 << 10), (4000, 1 << 13)] * 4
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -430,12 +443,13 @@ def test_series_tables_kept_within_the_byte_budget(monkeypatch):
             got = [future.result(timeout=120) for future in futures]
     finally:
         sys.setswitchinterval(interval)
-    for shape, table in zip(shapes, got):
-        assert table.shape[1] == shape[0]
-        assert np.array_equal(table, got[shapes.index(shape)]), shape
-    (m, n), held = qvibe.estimate._table
-    assert (m, n) in shapes and held.nbytes <= budget
-    assert held.shape == (_economised_terms(math.pi * (m - 1) / n), m)
+    for shape, (table, phase) in zip(shapes, got):
+        assert table.shape[1] == phase.size == shape[0]
+        first = got[shapes.index(shape)]
+        assert np.array_equal(table, first[0]) and np.array_equal(phase, first[1]), shape
+    (m, n), (table, phase) = qvibe.estimate._table
+    assert (m, n) in shapes and table.nbytes + phase.nbytes <= budget
+    assert table.shape == (_economised_terms(math.pi * (m - 1) / n), m)
 
 
 def test_threshold_rectangular_closed_form():
@@ -558,6 +572,38 @@ def test_overlapped_scan_and_refinement_are_bitwise_the_serial_path(
     assert serial.threshold_kappa.hex() == scan.threshold_kappa.hex()
     assert serial.detected == scan.detected
     assert repr(serial_comps) == repr(comps)  # float repr round-trips every bit
+
+
+def test_side_by_side_preparation_is_bitwise_the_serial_scan(
+    monkeypatch, overlapped_pair, counting_pools
+):
+    # 200k events on the quick start's 334 bins: each stream holds more than
+    # _OVERLAP_EVENTS events, so the scan's one worker makes A's times,
+    # weights and fold while the caller makes C's; the terms are too cheap
+    # to overlap there.
+    stream_c, stream_a = overlapped_pair
+    m, events = 334, len(stream_c) + len(stream_a)
+    assert not _overlapped_terms(events, _fold_size(m, events))
+    scan = scan_spectrum(stream_c, stream_a, 1.1, f_max=200.0)
+    assert scan.frequencies.size == m and counting_pools == [1]
+    monkeypatch.setattr("qvibe.estimate._OVERLAP_EVENTS", math.inf)
+    serial = scan_spectrum(stream_c, stream_a, 1.1, f_max=200.0)
+    assert counting_pools == [1]  # the serial path started none
+    assert serial.projections.tobytes() == scan.projections.tobytes()
+    assert serial.threshold_kappa.hex() == scan.threshold_kappa.hex()
+    assert serial.detected == scan.detected
+
+
+def test_a_scan_on_a_campaign_worker_opens_no_worker(overlapped_pair, counting_pools):
+    # Both gates are open on this pair, but a campaign's workers hold the cores.
+    stream_c, stream_a = overlapped_pair
+    with ThreadPoolExecutor(max_workers=1, initializer=_mark_campaign_worker) as pool:
+        inner = pool.submit(scan_spectrum, stream_c, stream_a, 1.1, 1e-3, 40e3).result(timeout=120)
+    assert counting_pools == []
+    alone = scan_spectrum(stream_c, stream_a, 1.1, f_max=40e3)
+    assert counting_pools == [1]
+    assert inner.projections.tobytes() == alone.projections.tobytes()
+    assert inner.threshold_kappa.hex() == alone.threshold_kappa.hex()
 
 
 def test_concurrent_overlapped_scans_are_bitwise_one_scan(overlapped_pair):

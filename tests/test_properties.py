@@ -24,6 +24,7 @@ from qvibe.errors import ConfigError, StreamFormatError
 from qvibe.estimate import (
     _economised_terms,
     _fold_size,
+    _fold_table,
     _project_grid,
     _series_table,
     _series_terms,
@@ -209,10 +210,34 @@ def test_grid_transform_reads_the_mirrored_bins_at_the_smallest_fold(monkeypatch
     empty = (np.array([]), np.array([]))
     assert _series_terms(math.pi * (n - 1) / n) == 27
     assert _economised_terms(math.pi * (n - 1) / n) == 20
-    assert _series_table(n, n).shape == (20, n)
+    assert _series_table(n, n)[0].shape == (20, n)
     monkeypatch.setattr("qvibe.estimate._fold_size", lambda m, events: n)
     for m in (n, n // 2 + 2):
         for some in (parts, [parts[0], empty], [empty, parts[1]]):
+            y = _project_grid(some, t_exp, df, m)
+            exact, total = folded_event_sum(some, t_exp, df, m, n)
+            assert np.max(np.abs(y - exact)) <= 1e-13 * total, (m, [t.size for t, _ in some])
+
+
+def test_grid_transform_reads_the_periodic_bins_at_a_fold_below_the_grid(monkeypatch):
+    # At n below m, bins n <= k < m are read as bins k - n: at m = n + 1 (one
+    # wrapped bin), at m = 3n/2 + 1 (theta = 3 pi / 2, the bound the rule
+    # keeps, 24 economised terms), and with either stream empty.
+    t_exp, n = 1.0, 1024
+    df = grid_spacing(t_exp)
+    rng = np.random.default_rng(17)
+    parts = []
+    for size, scale in ((3_000, 1.0), (2_000, -0.7)):
+        t = np.sort(rng.integers(0, 10**10, size)) * 1e-10 - t_exp / 2
+        parts.append((t, scale * window_weights(t, t_exp, "hann")))
+    empty = (np.array([]), np.array([]))
+    bound = 3 * n // 2 + 1
+    assert [f for f, _, _ in _fold_table(bound)][0] == n
+    assert [f for f, _, _ in _fold_table(bound + 1)][0] == 2 * n  # past the bound
+    assert _series_table(bound, n)[0].shape == (24, bound)
+    monkeypatch.setattr("qvibe.estimate._fold_size", lambda m, events: n)
+    for m in (n + 1, bound):
+        for some in (parts, [empty, parts[1]], [parts[0], empty]):
             y = _project_grid(some, t_exp, df, m)
             exact, total = folded_event_sum(some, t_exp, df, m, n)
             assert np.max(np.abs(y - exact)) <= 1e-13 * total, (m, [t.size for t, _ in some])
