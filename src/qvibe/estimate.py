@@ -157,23 +157,44 @@ def _weighted_times(stream: TimestampStream, window: str):
     return t, window_weights(t, stream.t_exp, window)
 
 
-def _weighted_parts(stream_c, stream_a, ratio: float, window: str) -> list:
-    """The checked pair as projection parts (t, w): C's window weights, A's times -ratio."""
+def _weighted_parts(stream_c, stream_a, ratio: float, window: str, pool=None) -> list:
+    """The checked pair as projection parts (t, w): C's window weights, A's times -ratio.
+
+    Given a one-worker ``pool``, A's part is made there while the caller
+    makes C's (``_side_by_side``).
+    """
     _check_pair(stream_c, stream_a, ratio)
-    scaled = ((stream_c, None), (stream_a, -ratio))
-    return [_grid_part(stream, scale, window, None)[0] for stream, scale in scaled]
+
+    def part(scaled):
+        stream, scale = scaled
+        t, w = _weighted_times(stream, window)
+        if scale is not None:
+            w *= scale
+        return t, w
+
+    return _side_by_side(pool, part, [(stream_c, None), (stream_a, -ratio)])
 
 
-def _project(parts, t_exp: float, freqs: np.ndarray) -> np.ndarray:
+def _side_by_side(pool, func, items: list) -> list:
+    """[func(x) for x in items]; given a one-worker ``pool``, the last item's call runs
+    there while the caller runs the others, each on its own arrays, so the results
+    are the serial ones bit for bit."""
+    if pool is None:
+        return [func(x) for x in items]
+    last = pool.submit(func, items[-1])
+    return [*map(func, items[:-1]), last.result()]
+
+
+def _project(parts, t_exp: float, freqs: np.ndarray, pool=None) -> np.ndarray:
     """Sum over ``parts`` (t, w) of the projection of times t, weights w, at ``freqs``.
 
     A uniform grid k * df from 0 goes through one grid transform over all
-    parts (``_project_grid``); any other frequencies take the direct event
-    sum of each part.
+    parts (``_project_grid``, which ``pool`` is passed to); any other
+    frequencies take the direct event sum of each part.
     """
     df = _uniform_from_zero(freqs)
     if df is not None:
-        return _project_grid(parts, t_exp, df, freqs.size)
+        return _project_grid(parts, t_exp, df, freqs.size, pool)
     direct = [_project_direct(t, w, t_exp, freqs) for t, w in parts]
     return sum(direct[1:], direct[0])
 
@@ -190,7 +211,7 @@ def _project_direct(
     return (res / t_exp).reshape(freqs.shape)
 
 
-def _project_grid(parts, t_exp: float, df: float, m: int) -> np.ndarray:
+def _project_grid(parts, t_exp: float, df: float, m: int, pool=None) -> np.ndarray:
     """Exact sum over parts of the projection on the grid k * df, k < m.
 
     ``parts`` is a sequence of (t, w): centred event times and their signed
@@ -210,13 +231,25 @@ def _project_grid(parts, t_exp: float, df: float, m: int) -> np.ndarray:
     X_p has period n in k, so a bin k >= n reads bin k - n (see
     ``_grid_terms``). The binning of a term overlaps the previous term's
     rfft on a worker thread when both cost at least _OVERLAP_S a term by
-    the fold cost model (``_overlapped_terms``).
+    the fold cost model (``_overlapped_terms``). Given a one-worker
+    ``pool``, the worker folds the last part while the caller folds the
+    others, and then bins the terms if they overlap; without one, a worker
+    is opened for the terms alone.
     """
     events = sum(t.size for t, _ in parts)
     n = _fold_size(m, events)
-    folded = [_fold(t, w, df * n, n) for t, w in parts if t.size]
-    with _worker(_overlapped_terms(events, n)) as pool:
-        return _grid_terms(folded, m, n, t_exp, pool)
+
+    def fold(part):
+        t, w = part
+        # An empty part adds nothing, and np.bincount would bin it as integers.
+        return _fold(t, w, df * n, n) if t.size else None
+
+    folded = [f for f in _side_by_side(pool, fold, parts) if f]
+    overlap = _overlapped_terms(events, n)
+    if pool is not None:
+        return _grid_terms(folded, m, n, t_exp, pool if overlap else None)
+    with _worker(overlap) as own:
+        return _grid_terms(folded, m, n, t_exp, own)
 
 
 def _fold(t: np.ndarray, w: np.ndarray, scale: float, n: int):
@@ -229,16 +262,6 @@ def _fold(t: np.ndarray, w: np.ndarray, scale: float, n: int):
     del cell
     bins &= n - 1  # n is a power of two, so & (n - 1) is mod n, negative cells included
     return bins, u, np.asarray(w, dtype=float)
-
-
-def _grid_part(stream: TimestampStream, scale: float | None, window: str, grid):
-    """One stream's part (t, w), w its window weights times ``scale`` (None for 1), and
-    its ``_fold`` onto ``grid`` = (df * n, n), or None for a grid of None or no events."""
-    t, w = _weighted_times(stream, window)
-    if scale is not None:
-        w *= scale
-    # An empty part adds nothing, and np.bincount would bin it as integers.
-    return (t, w), (_fold(t, w, *grid) if grid and t.size else None)
 
 
 def _grid_terms(folded, m: int, n: int, t_exp: float, pool) -> np.ndarray:
@@ -352,7 +375,11 @@ def _economisation(kept: int, terms: int) -> np.ndarray:
     return fold
 
 
-_TABLE_BYTES = 35 << 20
+# The largest pair any grid of up to 2^18 bins takes at any fold the rule
+# weighs (a 5 s scan reaches 2^18 bins at 31 kHz): 2^18 bins at fold 2^18,
+# 20 rows of table and the phase, 176 bytes a bin, 44 MiB. Grids below
+# m = 2^18 hold fewer bytes, even at the fold below m with up to 24 rows.
+_TABLE_BYTES = (1 << 18) * (20 * 8 + 16)
 _table: tuple[tuple[int, int], tuple | None] = ((0, 0), None)  # the last kept (m, n) tables
 
 
@@ -419,36 +446,40 @@ def _series_table(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 # n log2 n (the rfft and the n-bin buffers). The last is one constant up
 # to 2^15 and one per fold from 2^16 on, as the rfft's buffers fill and
 # then leave a 4 MiB L2 cache; the 2^19 one serves every larger fold.
-# ``tools/fold_costs.py`` times serial ``_grid_terms`` at every fold the
-# rule weighs on the benchmark grids, fits all of them, and times one
-# rfft and one n-bin bincount alone. _TERM_S, _TERM_EVENT_S and the
-# constant up to 2^15 are a relative least-squares fit to times of every
-# fold from m rounded up to 2^15 in nine cases (334 bins with 1.5k to 190k
-# events, 1001, 4000 and 183,334 bins), on 2 cores with Python 3.11 and
-# numpy 2.4: 334 bins and 2k events took 0.38 ms at n = 2^10 (14 terms)
-# and 0.52 ms at 2^9 (17 terms, mirrored); with 190k events 18.9 ms at
-# 2^10 and 11.2 ms at 2^14 (8 terms). The rfft alone took 0.85, 0.92, 1.08 and 1.20 ns per
-# n log2 n at 2^16 to 2^19 (repeated sittings on a shared 2-vCPU machine
-# scatter from 0.5 to 1.4 ns). Only the ratios steer the choice. They
-# rank the sweep grid's folds as timed: 183,334 bins with 1M events took
-# 139-140 ms at 2^17 (23 terms), 164-169 ms at 2^18 (18) and 191-193 ms
-# at 2^19 (14) in two sittings.
-_TERM_S, _TERM_EVENT_S = 7.5e-6, 5.6e-9
-_TERM_FFT_S = (7.3e-10,) * 16 + (8.5e-10, 9.2e-10, 1.08e-9, 1.2e-9)  # by log2 n
+# The constants are the last two lines ``tools/fold_costs.py --repeat 5``
+# printed in one sitting on 2 cores with Python 3.11 and numpy 2.4: a
+# relative least-squares fit to best-of-5 times of serial ``_grid_terms``
+# at every fold the rule weighs on the three benchmark grids (334 bins
+# with 2k and 190k events, 183,334 bins with 1M). 334 bins and 2k events
+# took 0.33 ms at n = 2^10 (14 terms) and 0.37 ms at 2^9 (17 terms,
+# mirrored); with 190k events 14.2 ms at 2^10 and 7.0 ms at 2^14 (8
+# terms); 183,334 bins with 1M events 183 ms at 2^17 (23 terms), 190 ms at
+# 2^18 (18) and 219 ms at 2^19 (14). A fold from 2^17 is timed on the
+# sweep grid alone, so its constant fits that grid's time exactly, and
+# the rule takes the fold timed fastest there. Sittings scatter: two more
+# fitted 8.72e-6 and 1.77e-5 a term, 4.12e-9 and 3.81e-9 an event, and
+# the second of them ranked 2^13 before 2^14 on 334 bins with 190k events
+# (the two within 0.1%), which would move the README quick start's
+# spectrum; the benchmark folds are pinned by test, so a refit keeps them
+# or says why it moves them. Only the ratios steer the choice.
+_TERM_S, _TERM_EVENT_S = 9.39e-06, 4.45e-09
+_TERM_FFT_S = (6.53e-10,) * 16 + (8.32e-10, 1.57e-09, 1.29e-09, 1.13e-09)  # by log2 n
 _MAX_COST_FOLD = 1 << 16
 
 # A grid transform bins each term on a worker thread while the caller takes
 # the previous term's rfft (``_grid_terms``) only if both halves cost at
 # least _OVERLAP_S a term by the model above: the overlap saves at most the
 # shorter half, and a thread costs its start and a hand-off per term.
-# Scans timed on 2 cores, best of 5, serial against overlapped: 334 bins
-# with 2k events (7.5 us a term by the model) 0.45 against 1.8-2.7 ms;
-# the README quick start, 334 bins with 190k events (0.17 ms) 13.4
-# against 16.5 ms; 66,667 bins with 200k events (1.1 ms) 83 against 50
-# ms; the sweep grid, 183,334 bins with 1M events (3.4 ms at 2^18) 302
-# against 196 ms, and at its fold 2^17 (2.0 ms) 196 against 110 ms
-# (median of 12 alternating calls of ``_grid_terms``).
-_OVERLAP_S = 1e-3
+# Scans timed on 2 cores, medians of 12 alternating calls, two streams of
+# equal size, overlapped against serial: 334 bins with 200k events (0.15 ms
+# a term by the model, the README quick start's size) 15.3 against 15.8 ms,
+# 9 of 12 won; 334 bins with 300k (0.32 ms) 19.2 against 22.4 ms; 33,334
+# bins with 200k (0.32 ms) 24.3 against 33.0 ms; 66,667 bins with 100k
+# (0.45 ms) 34.7 against 41.8 ms and with 200k (0.87 ms) 37.1 against
+# 51.5 ms. Earlier, best of 5 and with no worker already open for the
+# preparation: 334 bins with 2k events 0.45 against 1.8-2.7 ms, and the
+# quick start 13.4 against 16.5 ms.
+_OVERLAP_S = 2.5e-4
 
 
 def _fft_cost(n: int) -> float:
@@ -460,6 +491,23 @@ def _fft_cost(n: int) -> float:
 def _overlapped_terms(events: int, n: int) -> bool:
     """Whether a grid transform of ``events`` events at fold n bins on a worker."""
     return min(_TERM_EVENT_S * events, _fft_cost(n)) >= _OVERLAP_S
+
+
+# A scan makes A's part and fold on a worker while the caller makes C's
+# only if both streams hold more than _PREPARE_EVENTS events. Scans of two
+# equal streams on the 334-bin grid, side by side against serial, medians
+# of 30-60 alternating calls on 2 cores in three sittings: 20k and 25k
+# events a stream lost (3.9 against 3.5 ms, 3.6 against 3.2 ms); 30k-45k
+# won in some sittings and lost in others (35k: 6.23 against 6.00 and
+# 6.08 against 6.22 ms; 45k: 6.87 against 6.03 ms); 50k and more won
+# wherever timed (50k: 7.7 against 8.1 ms; 100k 12.2 against 12.8 ms;
+# 250k 33.9 against 36.6 ms), and on the 5 s sweep grid 45k won 18 of 20.
+_PREPARE_EVENTS = 50_000
+
+
+def _prepared_side_by_side(events_c: int, events_a: int) -> bool:
+    """Whether a scan makes A's part and fold on a worker while the caller makes C's."""
+    return min(events_c, events_a) > _PREPARE_EVENTS
 
 
 @functools.lru_cache(maxsize=256)
@@ -625,34 +673,20 @@ def scan_spectrum(
 
     The spectrum is ``combined_spectrum`` on ``frequency_grid(t_exp, f_max)``
     and the threshold ``detection_threshold`` for that grid, both with the
-    Hann window, bit for bit: the scan makes each stream's part and fold
-    as ``_project_grid`` does (``_grid_part``), once for both, then
-    ``_threshold`` and ``_grid_terms``; a grid of under 4 bins takes
-    ``_project``'s direct sum. The scan opens at most one worker thread:
-    when both streams hold more than _OVERLAP_EVENTS events, it makes A's
-    part and fold while the caller makes C's, and it then bins the series
-    terms if ``_overlapped_terms`` says so.
+    Hann window: the scan makes the calls those two make (``_weighted_parts``,
+    then ``_threshold`` and ``_project``), with each stream's window weights
+    computed once for both. It opens at most one worker thread: when both
+    streams are long enough (``_prepared_side_by_side``), A's part and fold
+    are made there while the caller makes C's, and the same worker then
+    bins the series terms if they overlap; otherwise ``_project_grid`` opens
+    one for the terms alone if they do.
     """
     t_exp = stream_c.t_exp
     freqs = frequency_grid(t_exp, f_max)
-    _check_pair(stream_c, stream_a, ratio)
-    m, events = freqs.size, len(stream_c) + len(stream_a)
-    df = _uniform_from_zero(freqs)  # None below 4 bins
-    n = _fold_size(m, events) if df else 0
-    grid = (df * n, n) if df else None
-    side_by_side = min(len(stream_c), len(stream_a)) > _OVERLAP_EVENTS
-    overlap = grid is not None and _overlapped_terms(events, n)
-    with _worker(side_by_side or overlap) as pool:
-        a_args = (stream_a, -ratio, "hann", grid)
-        ahead = pool.submit(_grid_part, *a_args) if side_by_side and pool else None
-        part_c, fold_c = _grid_part(stream_c, None, "hann", grid)
-        part_a, fold_a = ahead.result() if ahead else _grid_part(*a_args)
-        kappa = _threshold([part_c, part_a], t_exp, p_fa, m)
-        if grid is None:
-            y = _project([part_c, part_a], t_exp, freqs)
-        else:
-            folded = [fold for fold in (fold_c, fold_a) if fold]
-            y = _grid_terms(folded, m, n, t_exp, pool if overlap else None)
+    with _worker(_prepared_side_by_side(len(stream_c), len(stream_a))) as pool:
+        parts = _weighted_parts(stream_c, stream_a, ratio, "hann", pool)
+        kappa = _threshold(parts, t_exp, p_fa, freqs.size)
+        y = _project(parts, t_exp, freqs, pool)
     detected = _group_detections(freqs, np.abs(y), kappa)
     return SpectrumEstimate(
         frequencies=freqs,

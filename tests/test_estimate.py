@@ -46,6 +46,7 @@ from qvibe.estimate import (
     _offset_moments,
     _offset_series,
     _overlapped_terms,
+    _prepared_side_by_side,
     _project_direct,
     _segment_count,
     _series_table,
@@ -412,10 +413,20 @@ def test_series_table_is_the_taylor_recurrence_when_no_degree_is_dropped():
 def test_series_tables_kept_within_the_byte_budget(monkeypatch):
     monkeypatch.setattr("qvibe.estimate._table", ((0, 0), None))
     budget = qvibe.estimate._TABLE_BYTES
+    # The budget is the largest pair of any grid of up to 2^18 bins: every
+    # m <= 2^18 at the smallest fold the rule weighs (the most rows) fits,
+    # 2^18 bins exactly, and the next grid does not.
+    def pair_bytes(m):
+        n = _fold_table(m)[0][0]
+        return m * (8 * _economised_terms(math.pi * (m - 1) / n) + 16)
+
+    sizes = [*range(4, 1 << 18, 997), 196_609, 196_610, 1 << 18]
+    assert max(map(pair_bytes, sizes)) == pair_bytes(1 << 18) == budget
+    assert pair_bytes((1 << 18) + 1) > budget
     sweep = _series_table(183_334, 1 << 17)  # 23 x 183,334 doubles and the phase, 35.0 MiB
     table, phase = sweep
     assert table.shape == (23, 183_334) and phase.shape == (183_334,)
-    assert table.nbytes + phase.nbytes <= budget < table.nbytes + phase.nbytes + (1 << 20)
+    assert table.nbytes + phase.nbytes == pair_bytes(183_334) <= budget
     key, kept = qvibe.estimate._table
     assert key == (183_334, 1 << 17) and kept is sweep
     assert _series_table(183_334, 1 << 17) is sweep
@@ -426,7 +437,7 @@ def test_series_tables_kept_within_the_byte_budget(monkeypatch):
     assert key == (334, 1 << 10) and kept is small
     assert _series_table(334, 1 << 10) is small
     # A pair over the budget by itself is built but not kept.
-    big = _series_table(300_000, 1 << 19)
+    big = _series_table(300_000, 1 << 18)
     assert big[0].nbytes + big[1].nbytes > budget and not big[0].flags.writeable
     assert qvibe.estimate._table[1] is small
     again = _series_table(183_334, 1 << 17)
@@ -545,8 +556,8 @@ def test_scan_projections_are_bitwise_combined_spectrum():
 @pytest.fixture(scope="module")
 def overlapped_pair():
     # About 200k events and a 66,667-bin grid (f_max = 40 kHz at t_exp = 1 s):
-    # above both gates, so the scan bins on a worker thread and refinement
-    # sums stream A's moments on one.
+    # above every gate, so the scan prepares A and bins the terms on its one
+    # worker thread, and refinement sums stream A's moments on one.
     pair = PhotonPairSpec(delta_omega=2 * math.pi * 177e12, visibility_v0=0.9)
     signal = VibrationSignal.pure_tone(5e3, 20e-9, dc_offset_delay=quadrature_delay(pair))
     channel = ChannelModel(rate_c=200e3, rate_a=200e3)
@@ -560,11 +571,16 @@ def test_overlapped_scan_and_refinement_are_bitwise_the_serial_path(
     ratio, f_max = 1.1, 40e3
     started = counting_pools
     scan = scan_spectrum(stream_c, stream_a, ratio, f_max=f_max)
-    assert scan.frequencies.size >= 1 << 16 and scan.detected
+    m, events = scan.frequencies.size, len(stream_c) + len(stream_a)
+    assert m >= 1 << 16 and scan.detected
+    # The scan's one worker prepares A and then bins the terms.
+    assert _prepared_side_by_side(len(stream_c), len(stream_a))
+    assert _overlapped_terms(events, _fold_size(m, events))
     comps = [estimate_component(stream_c, stream_a, ratio, f) for f in scan.detected]
     assert started == [1] * (1 + len(scan.detected))  # one worker a scan and a seed
     monkeypatch.setattr("qvibe.estimate._OVERLAP_S", math.inf)
     monkeypatch.setattr("qvibe.estimate._OVERLAP_EVENTS", math.inf)
+    monkeypatch.setattr("qvibe.estimate._PREPARE_EVENTS", math.inf)
     serial = scan_spectrum(stream_c, stream_a, ratio, f_max=f_max)
     serial_comps = [estimate_component(stream_c, stream_a, ratio, f) for f in serial.detected]
     assert len(started) == 1 + len(scan.detected)  # the serial path started none
@@ -578,15 +594,16 @@ def test_side_by_side_preparation_is_bitwise_the_serial_scan(
     monkeypatch, overlapped_pair, counting_pools
 ):
     # 200k events on the quick start's 334 bins: each stream holds more than
-    # _OVERLAP_EVENTS events, so the scan's one worker makes A's times,
+    # _PREPARE_EVENTS events, so the scan's one worker makes A's times,
     # weights and fold while the caller makes C's; the terms are too cheap
     # to overlap there.
     stream_c, stream_a = overlapped_pair
     m, events = 334, len(stream_c) + len(stream_a)
+    assert _prepared_side_by_side(len(stream_c), len(stream_a))
     assert not _overlapped_terms(events, _fold_size(m, events))
     scan = scan_spectrum(stream_c, stream_a, 1.1, f_max=200.0)
     assert scan.frequencies.size == m and counting_pools == [1]
-    monkeypatch.setattr("qvibe.estimate._OVERLAP_EVENTS", math.inf)
+    monkeypatch.setattr("qvibe.estimate._PREPARE_EVENTS", math.inf)
     serial = scan_spectrum(stream_c, stream_a, 1.1, f_max=200.0)
     assert counting_pools == [1]  # the serial path started none
     assert serial.projections.tobytes() == scan.projections.tobytes()

@@ -10,12 +10,15 @@ weights (the second times -1) are folded once per fold of
 
 with c(n) one constant up to 2^15 and one per fold from 2^16 to 2^19
 (``_TERM_FFT_S`` by log2 n). It is fitted by relative least squares over
-every timed fold, and the fit is printed as the package's constants; a
-constant no timed fold reaches prints as the package's. The per-term and
-per-event costs separate only across grids of different event counts, so
-one grid alone gives no usable fit, only the timings. Last, one term's
-rfft and n-bin bincount are timed alone at each fold from 2^16 to 2^20,
-per n log2 n, the costs c(n) stands for:
+every timed fold. For each grid it prints the fastest timed fold, the
+fold the package's rule picks, and the one it would pick with the fit;
+then the fit as the package's two lines of constants, which
+``qvibe.estimate`` holds as one sitting printed them. A constant no
+timed fold reaches prints as the package's. The per-term and per-event
+costs separate only across grids of different event counts, so one grid
+alone gives no usable fit, only the timings. Last, one term's rfft and
+n-bin bincount are timed alone at each fold from 2^16 to 2^20, per
+n log2 n, for comparison with c(n):
 
     python3 tools/fold_costs.py                          # all three grids
     python3 tools/fold_costs.py --grid false_alarm --repeat 3
@@ -132,9 +135,11 @@ def main(argv: list[str]) -> int:
         print(f"{m:8d} {events:9d} {n:8d} {terms:5d} {seconds * 1e3:9.3f}"
               f" {seconds * 1e3 / terms:8.4f} {model * 1e3:8.3f}")
     for m, events in dict.fromkeys((m, events) for m, events, *_ in rows):
-        timed = [(seconds, n) for m_, e_, n, _, seconds in rows if (m_, e_) == (m, events)]
+        timed = [(seconds, n) for m_, e_, n, terms, seconds in rows if (m_, e_) == (m, events)]
+        fitted = min((_model(term_s, event_s, fft, events, n, terms), n)
+                     for m_, e_, n, terms, _ in rows if (m_, e_) == (m, events))
         print(f"{m} bins, {events} events: fastest fold {min(timed)[1]},"
-              f" the rule picks {estimate._fold_size(m, events)}")
+              f" the rule picks {estimate._fold_size(m, events)}, and {fitted[1]} with the fit")
     if len({events for _, events, *_ in rows}) < 2:
         print("one event count: the per-term and per-event costs are not separable")
     large = ", ".join(f"{c:.3g}" for c in fft[_SMALL_LOG + 1:])
