@@ -20,11 +20,15 @@ The pipeline works directly on event times, never on a rate histogram:
    (t, w) of event times and signed weights, A's window weights times
    -ratio, and the transform's values are the event sums themselves, up
    to a truncation below 1e-13 of sum |w| / t_exp (see ``_project_grid``,
-   ``_series_table`` and ``_fold_size``); a scan of two long streams
+   ``_series_table`` and ``_fold_size``); the moments are binned a batch
+   of terms at a time over segments of about 2^15 events cut where the
+   bin changes, so each segment is read from cache for every term of the
+   batch after the first, and each bin gets the sum one bincount of its
+   stream would give (see ``_grid_terms``); a scan of two long streams
    makes A's part and fold on a worker thread while the caller makes
-   C's, and on a large scan that worker bins each term while the caller
-   transforms the one before, which leaves every value bit for bit as it
-   is (see ``scan_spectrum`` and ``_grid_terms``),
+   C's, and on a large scan that worker bins each batch of terms while
+   the caller transforms the one before, which leaves every value bit
+   for bit as it is (see ``scan_spectrum`` and ``_grid_terms``),
 2. threshold |y_f| against a constant-false-alarm level computed from
    the events themselves, from the window weights the projection used,
 3. collapse contiguous above-threshold bins to candidate frequencies and
@@ -71,7 +75,6 @@ import cmath
 import functools
 import json
 import math
-import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator
@@ -125,15 +128,16 @@ def frequency_grid(t_exp: float, f_max: float) -> np.ndarray:
     """Uniform scan grid 0, df, 2 df, ... covering [0, f_max].
 
     At most _MAX_GRID_BINS = 2^21 bins (f_max up to about 1.26e6 / t_exp).
-    A scan holds about 260 bytes per bin (tracemalloc, a few thousand
-    events): about 80 of grid, transform and spectrum arrays, 16 of bin
-    phase and 160 of series table, 20 rows at m rounded up
-    (``_series_table``). That is about 520 MiB at the cap, which is the
-    largest power of two that stays within 1 GiB and takes that fold, since
-    the one below it lies past theta = 3 pi / 2; a larger grid raises
-    ConfigError. A grid that takes the fold below m holds up to 24 rows,
-    about 305 bytes a bin, and has at most 1.5 * 2^20 + 1 bins, about
-    460 MiB.
+    A scan holds about 240 bytes per bin at 2^19 bins (tracemalloc, a few
+    thousand events): about 64 of grid, transform and spectrum arrays, 16
+    of bin phase and 160 of series table, 20 rows at m rounded up
+    (``_series_table``). That is about 480 MiB at the cap, which takes
+    that fold, since the one below it lies past theta = 3 pi / 2; a larger
+    grid raises ConfigError. The grid transform's rows of moments add at
+    most 4 MiB, twice that when a worker bins them (``_grid_terms``), which
+    is 64 bytes a bin at 2^16 bins.
+    A grid that takes the fold below m holds up to 24 rows, about 305
+    bytes a bin, and has at most 1.5 * 2^20 + 1 bins, about 460 MiB.
     """
     return np.arange(_grid_bins(t_exp, f_max)) * grid_spacing(t_exp)
 
@@ -229,8 +233,9 @@ def _project_grid(parts, t_exp: float, df: float, m: int, pool=None) -> np.ndarr
     per-bin moments sum w u^p, binned over all parts before the one rfft,
     so two streams with equal bins and weights w, -w cancel to exactly 0;
     X_p has period n in k, so a bin k >= n reads bin k - n (see
-    ``_grid_terms``). The binning of a term overlaps the previous term's
-    rfft on a worker thread when both cost at least _OVERLAP_S a term by
+    ``_grid_terms``, which bins the moments over segments of the folded
+    events). The binning of a batch of terms overlaps the previous batch's
+    rffts on a worker thread when both cost at least _OVERLAP_S a term by
     the fold cost model (``_overlapped_terms``). Given a one-worker
     ``pool``, the worker folds the last part while the caller folds the
     others, and then bins the terms if they overlap; without one, a worker
@@ -253,26 +258,100 @@ def _project_grid(parts, t_exp: float, df: float, m: int, pool=None) -> np.ndarr
 
 
 def _fold(t: np.ndarray, w: np.ndarray, scale: float, n: int):
-    """(bins, u, w): t * scale folded onto n bins, and each offset u from its bin centre."""
+    """(bins, u, w, moment, segments): t * scale folded onto n bins.
+
+    u is each event's offset from its bin centre and moment a buffer for
+    the grid transform's moments. A part of at most _SEGMENT_EVENTS events
+    is one segment, its int64 bins as np.bincount takes them. A longer
+    part's int64 cells are made in the moment buffer, so the fold holds no
+    other array of its length; ``_segments`` cuts them into segments and
+    rewrites them to each segment's local bins, which are narrowed to 16
+    bits where every segment is at most 2^16 bins wide, else to 32.
+    """
     u = t * scale
-    cell = np.floor(u)
-    u -= cell
+    moment = np.empty(t.size)
+    w = np.asarray(w, dtype=float)
+    if t.size <= _SEGMENT_EVENTS:
+        cell = np.floor(u)
+        u -= cell
+        u -= 0.5
+        bins = cell.astype(np.int64)
+        bins &= n - 1  # n is a power of two, so & (n - 1) is mod n, negative cells included
+        return bins, u, w, moment, [(0, t.size, 0, n)]
+    cells = moment.view(np.int64)
+    np.floor(u, out=cells, casting="unsafe")
+    u -= cells  # exact: each cell is floor(u), an integer float
     u -= 0.5
-    bins = cell.astype(np.int64)
-    del cell
-    bins &= n - 1  # n is a power of two, so & (n - 1) is mod n, negative cells included
-    return bins, u, np.asarray(w, dtype=float)
+    cells &= n - 1
+    segments = _segments(cells, n)
+    narrow = np.uint16 if max(width for *_, width in segments) <= 1 << 16 else np.int32
+    return cells.astype(narrow), u, w, moment, segments
+
+
+# Events per segment of the grid transform's binning and of refinement's
+# moment passes (``_segments``, ``_segment_count``), so what one segment's
+# passes read stays in cache: 34 bytes an event, 1.1 MB, for the binning.
+_SEGMENT_EVENTS = 1 << 15
+
+
+def _segments(bins: np.ndarray, n: int) -> list[tuple[int, int, int, int]]:
+    """(start, stop, lo, width) of each segment of a part's folded ``bins``.
+
+    The part is cut every _SEGMENT_EVENTS events or a little after, where
+    the bin changes, and each segment's bins are rewritten in place to
+    (bin - lo) mod n, lo being its first event's bin, all below its
+    width. Sorted times on a grid with df t_exp <= 1 fold into at most two
+    ascending runs of distinct bins, so each bin's events then lie in one
+    segment, in time order, and a segment across the wrap at t = 0 is
+    still as narrow as its run of bins.
+    """
+    segments, start = [], 0
+    while start < bins.size:
+        stop = _bin_change(bins, start + _SEGMENT_EVENTS)
+        local = bins[start:stop]
+        lo = int(local[0])
+        local -= lo
+        local &= n - 1
+        segments.append((start, stop, lo, int(local.max()) + 1))
+        start = stop
+    return segments
+
+
+def _bin_change(bins: np.ndarray, stop: int) -> int:
+    """The first index from ``stop`` whose bin differs from the one before it, or the end."""
+    probe = 64
+    while stop < bins.size:
+        changed = np.flatnonzero(bins[stop : stop + probe] != bins[stop - 1])
+        if changed.size:
+            return stop + int(changed[0])
+        stop, probe = stop + probe, 2 * probe
+    return bins.size
+
+
+# The grid transform bins its terms a batch at a time into rows of n bins,
+# at most _BATCH_BYTES of rows a batch, so a segment's events are read from
+# cache for every term of the batch after the first.
+_BATCH_BYTES = 1 << 22
 
 
 def _grid_terms(folded, m: int, n: int, t_exp: float, pool) -> np.ndarray:
-    """sum_p c_kp X_p[k] e^(-i pi k / n) / t_exp, k < m, for the folded parts (bins, u, w).
+    """sum_p c_kp X_p[k] e^(-i pi k / n) / t_exp, k < m, for the folded parts.
 
-    Term p bins w u^p per part (one in-place moment update and one
-    np.bincount each) and adds the parts' bins in order; the rfft, mirror
-    and combine follow. Given a one-worker ``pool``, the worker bins term
-    p + 1 while the calling thread combines term p: the worker runs every
-    binning in turn and the caller every combine, on the same arrays in
-    the same order, so the sum is bit for bit the serial one.
+    The moments are binned a batch of terms at a time (_BATCH_BYTES of
+    n-bin rows), segment by segment (``_segments``): for each segment of
+    each part, in order, term p updates the segment's running moment
+    w u^p in place, bins it with one np.bincount over the segment's local
+    bins and adds that into the row's bins lo..lo + width, wrapping at n.
+    Where each bin's events lie in one segment of a part, as on every scan
+    grid, each bin thus gets the sum a whole-part np.bincount gives, and
+    the parts' sums are added in order, so the rows are bit for bit those
+    of one bincount per part and term; elsewhere a bin's sum is added up in
+    a different order, within rounding. Given a one-worker ``pool``, the
+    worker bins batch b + 1 into the other of two row buffers while the
+    calling thread transforms batch b (``_in_turn``), on the same arrays in
+    the same order, so the sum is bit for bit the serial one; the last
+    batch is then one term, so the worker waits for one term's transform
+    at the end, and batch 0 is binned by both threads, a part each.
 
     The moments are real, so a bin n/2 < k < n past the rfft's last one
     reads X_p[k] = conj(X_p[n - k]): the rfft writes the head of one
@@ -281,53 +360,94 @@ def _grid_terms(folded, m: int, n: int, t_exp: float, pool) -> np.ndarray:
     below m reads each bin n <= k < m as bin k - n, which lies in the head
     since m - 1 <= 3n/2 (``_fold_table``). c_kp is s_kp for even p and
     -i s_kp for odd p, with s_kp real (row p of the table): each term's
-    bins are multiplied by s_kp in one complex multiply, an odd term's
-    then by -i, which is exact (it swaps the real and imaginary parts and
-    negates one), and no complex coefficient is formed. The bin phase
-    e^(-i pi k / n) is kept with the table.
+    bins are multiplied in place by s_kp in one complex multiply, an odd
+    term's then by -i, which is exact (it swaps the real and imaginary
+    parts and negates one), and no complex coefficient is formed. The bin
+    phase e^(-i pi k / n) is kept with the table.
     """
     if not folded:
         return np.zeros(m, dtype=complex)
     table, phase = _series_table(m, n)  # built before the m-bin buffers below
-    moments = [np.empty(u.size) for _, u, _ in folded]  # w u^p per part, p >= 1
+    size = max(1, _BATCH_BYTES // (8 * n))
+    edges = [*range(0, len(table), size), len(table)]
+    if pool and len(table) - edges[-2] > 1:  # a last batch of one term, so the worker waits least
+        edges.insert(-1, len(table) - 1)
+    batches = [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    buffers = [np.empty((len(batches[0]), n)) for _ in range(min(len(batches), 1 + bool(pool)))]
+    # np.bincount takes intp bins, so narrowed ones are widened into these.
+    longest = max((stop - start for bins, *_, segments in folded if bins.dtype != np.intp
+                   for start, stop, _, _ in segments), default=0)
+    wides = [np.empty(longest, dtype=np.intp) for _ in buffers]
 
-    def binned(p: int) -> np.ndarray:
-        if p:
-            for (_, u, w), moment in zip(folded, moments):
-                np.multiply(w if p == 1 else moment, u, out=moment)
-        weights = moments if p else [w for _, _, w in folded]
-        return functools.reduce(
-            operator.iadd,
-            [np.bincount(bins, x, minlength=n) for (bins, _, _), x in zip(folded, weights)],
-        )
+    def binned(b: int, parts=slice(None), into: int | None = None) -> np.ndarray:
+        """Batch b's rows of the moments of folded[parts], in buffer ``into``, b mod 2 by default."""
+        terms, into = batches[b], b % len(buffers) if into is None else into
+        rows, wide = buffers[into][: len(terms)], wides[into]
+        rows.fill(0.0)
+        for bins, u, w, moment, segments in folded[parts]:
+            for start, stop, lo, width in segments:
+                local = bins[start:stop]
+                if local.dtype != np.intp:  # narrowed bins are widened once a batch
+                    local = wide[: stop - start]
+                    np.copyto(local, bins[start:stop])
+                u_s, w_s, moment_s = u[start:stop], w[start:stop], moment[start:stop]
+                head = min(width, n - lo)
+                for row, p in zip(rows, terms):
+                    if p:
+                        np.multiply(w_s if p == 1 else moment_s, u_s, out=moment_s)
+                    sums = np.bincount(local, moment_s if p else w_s, minlength=width)
+                    if head == n:  # a whole fold
+                        row += sums
+                        continue
+                    part = row[lo : lo + head]
+                    part += sums[:head]
+                    if head < width:  # the segment's bins wrap past n - 1 to 0
+                        part = row[: width - head]
+                        part += sums[head:]
+        return rows
 
     out = np.zeros(m, dtype=complex)
-    term = np.empty(m, dtype=complex)
     half, top = n // 2 + 1, min(m, n)  # rfft bins, and the bins below the period
     spectrum = np.empty(max(m, half), dtype=complex)
     # Bins half..top-1 of the tail are conj of bins n-half down to n-top+1.
     head, tail, mirror = spectrum[:half], spectrum[half:top], spectrum[n - half : n - top : -1]
+    term = spectrum[:m]
     mirrored = top > half
-    ahead = pool.submit(binned, 0) if pool else None
-    for p, s in enumerate(table):
-        if pool is None:
-            moments_binned = binned(p)
-        else:  # term p + 1 is binned on the worker while this thread combines term p
-            moments_binned = ahead.result()
-            if p + 1 < len(table):
-                ahead = pool.submit(binned, p + 1)
-        np.fft.rfft(moments_binned, out=head)
-        if mirrored:
-            np.conjugate(mirror, out=tail)
-        if m > n:  # X_p has period n
-            spectrum[n:m] = spectrum[: m - n]
-        np.multiply(spectrum[:m], s, out=term)
-        if p % 2:
-            term *= -1j  # (a + ib)(-i) = b - ia, exactly
-        out += term
+    for terms, rows in zip(batches, _in_turn(binned, len(batches), len(folded), pool)):
+        for p, row in zip(terms, rows):
+            np.fft.rfft(row, out=head)
+            if mirrored:
+                np.conjugate(mirror, out=tail)
+            if m > n:  # X_p has period n
+                spectrum[n:m] = spectrum[: m - n]
+            term *= table[p]
+            if p % 2:
+                term *= -1j  # (a + ib)(-i) = b - ia, exactly
+            out += term
     out *= phase
     out /= t_exp
     return out
+
+
+def _in_turn(binned, batches: int, parts: int, pool):
+    """Each batch's rows, ``binned(b)``, in turn. Given a pool, batch b + 1 is
+    binned on its worker while the caller transforms batch b, and batch 0 is
+    binned side by side: the last part's rows on the worker, into the second
+    buffer, the others' here, then added, (C + 0) + (A + 0) being C + A."""
+    if pool is None:
+        yield from map(binned, range(batches))
+        return
+    if batches > 1 and parts > 1:
+        last = pool.submit(binned, 0, slice(-1, None), 1)
+        rows = binned(0, slice(-1), 0)
+        rows += last.result()
+    else:
+        rows = binned(0)
+    for b in range(1, batches):
+        ahead = pool.submit(binned, b)
+        yield rows
+        rows = ahead.result()
+    yield rows
 
 
 def _series_terms(theta: float, lead: float = 1.0, tol: float = 1e-14) -> int:
@@ -418,22 +538,23 @@ def _series_table(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     phase = np.exp((-1j * math.pi / n) * np.arange(m))  # its temporaries go before the table's
     theta = math.pi * (m - 1) / n
     terms, kept = _series_terms(theta), _economised_terms(theta)
-    table, dropped = np.empty((kept, m)), np.empty((terms - kept, m))
-    rows = [*table, *dropped]
+    table, degree = np.empty((kept, m)), np.empty(m)  # degree: the dropped row being made
     rate = (2.0 * math.pi / n) * np.arange(m)  # |z_k|
     step = np.empty(m)
-    rows[0].fill(1.0)
+    table[0].fill(1.0)
+    fold = _economisation(kept, terms)
     for p in range(1, terms):
         # Times z_k / p = -i rate_k / p: -i (-i s) = -s, so s flips sign on even p.
         np.multiply(rate, (1.0 if p % 2 else -1.0) / p, out=step)
-        np.multiply(rows[p - 1], step, out=rows[p])
-    # Scaled row additions, not a matrix product: BLAS would allocate its
-    # buffers for a few multiply-adds per entry.
-    for row, fold in zip(table, _economisation(kept, terms)):
-        for c, degree in zip(fold, dropped):
+        np.multiply(table[p - 1] if p <= kept else degree, step, out=table[p] if p < kept else degree)
+        # Each dropped degree is folded into the kept rows as it is made, so
+        # each row takes its additions in degree order: scaled row additions,
+        # not a matrix product, since BLAS would allocate its buffers for a
+        # few multiply-adds per entry.
+        for q, c in enumerate(fold[:, p - kept] if p >= kept else ()):
             if c:
                 np.multiply(degree, c, out=step)
-                row += step
+                table[q] += step
     table.flags.writeable = phase.flags.writeable = False
     tables = (table, phase)
     if table.nbytes + phase.nbytes <= _TABLE_BYTES:
@@ -442,43 +563,46 @@ def _series_table(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Cost of one series term of _project_grid, in seconds: a fixed per-term
-# cost, one per event (the moment update and bincount) and one per
-# n log2 n (the rfft and the n-bin buffers). The last is one constant up
-# to 2^15 and one per fold from 2^16 on, as the rfft's buffers fill and
-# then leave a 4 MiB L2 cache; the 2^19 one serves every larger fold.
+# cost, one per event (the moment update and the segment bincounts) and one
+# per n log2 n (the rfft and the n-bin buffers). The last is one constant
+# up to 2^15 and one per fold from 2^16 on, as the rfft's buffers fill and
+# then leave the L2 cache; the 2^19 one serves every larger fold.
 # The constants are the last two lines ``tools/fold_costs.py --repeat 5``
 # printed in one sitting on 2 cores with Python 3.11 and numpy 2.4: a
 # relative least-squares fit to best-of-5 times of serial ``_grid_terms``
 # at every fold the rule weighs on the three benchmark grids (334 bins
 # with 2k and 190k events, 183,334 bins with 1M). 334 bins and 2k events
-# took 0.33 ms at n = 2^10 (14 terms) and 0.37 ms at 2^9 (17 terms,
-# mirrored); with 190k events 14.2 ms at 2^10 and 7.0 ms at 2^14 (8
-# terms); 183,334 bins with 1M events 183 ms at 2^17 (23 terms), 190 ms at
-# 2^18 (18) and 219 ms at 2^19 (14). A fold from 2^17 is timed on the
-# sweep grid alone, so its constant fits that grid's time exactly, and
-# the rule takes the fold timed fastest there. Sittings scatter: two more
-# fitted 8.72e-6 and 1.77e-5 a term, 4.12e-9 and 3.81e-9 an event, and
-# the second of them ranked 2^13 before 2^14 on 334 bins with 190k events
-# (the two within 0.1%), which would move the README quick start's
-# spectrum; the benchmark folds are pinned by test, so a refit keeps them
-# or says why it moves them. Only the ratios steer the choice.
-_TERM_S, _TERM_EVENT_S = 9.39e-06, 4.45e-09
-_TERM_FFT_S = (6.53e-10,) * 16 + (8.32e-10, 1.57e-09, 1.29e-09, 1.13e-09)  # by log2 n
+# took 0.28 ms at n = 2^10 (14 terms) and 0.30 ms at 2^9 (17 terms,
+# mirrored); with 190k events 10.7 ms at 2^10, 5.35 ms at 2^14 (8 terms)
+# and 5.32 ms at 2^15 (7); 183,334 bins with 1M events 129 ms at 2^17
+# (23 terms), 143 ms at 2^18 (18) and 182 ms at 2^19 (14). A fold from
+# 2^17 is timed on the sweep grid alone, so its constant fits that grid's
+# time exactly, and the rule takes the fold timed fastest there. Sittings
+# scatter: two more fitted 9.1e-6 and 1.21e-5 a term, 3.53e-9 and 3.44e-9
+# an event; all three keep the benchmark folds, though two of them timed
+# 2^15 fastest on 334 bins with 190k events (within 1% of 2^14). Those
+# folds are pinned by test, so a refit keeps them or says why it moves
+# them. Only the ratios steer the choice.
+_TERM_S, _TERM_EVENT_S = 8.41e-06, 3.39e-09
+_TERM_FFT_S = (5.21e-10,) * 16 + (5.46e-10, 1e-09, 9.66e-10, 9.62e-10)  # by log2 n
 _MAX_COST_FOLD = 1 << 16
 
-# A grid transform bins each term on a worker thread while the caller takes
-# the previous term's rfft (``_grid_terms``) only if both halves cost at
-# least _OVERLAP_S a term by the model above: the overlap saves at most the
-# shorter half, and a thread costs its start and a hand-off per term.
-# Scans timed on 2 cores, medians of 12 alternating calls, two streams of
-# equal size, overlapped against serial: 334 bins with 200k events (0.15 ms
-# a term by the model, the README quick start's size) 15.3 against 15.8 ms,
-# 9 of 12 won; 334 bins with 300k (0.32 ms) 19.2 against 22.4 ms; 33,334
-# bins with 200k (0.32 ms) 24.3 against 33.0 ms; 66,667 bins with 100k
-# (0.45 ms) 34.7 against 41.8 ms and with 200k (0.87 ms) 37.1 against
-# 51.5 ms. Earlier, best of 5 and with no worker already open for the
-# preparation: 334 bins with 2k events 0.45 against 1.8-2.7 ms, and the
-# quick start 13.4 against 16.5 ms.
+# A grid transform bins each batch of terms on a worker thread while the
+# caller transforms the batch before (``_grid_terms``) only if both halves
+# cost at least _OVERLAP_S a term by the model above: the overlap saves at
+# most the shorter half, and a thread costs its start and a hand-off per
+# batch. Scans timed on 2 cores with the segment binning (32-bit bins, no
+# side-by-side batch 0), medians of 15 to 21 alternating calls, two
+# streams of equal size, overlapped against serial: 334 bins with 200k
+# events (0.12 ms a term by the model, the README quick start's size, one
+# batch) 14.5 against 15.4 ms; 334 bins with 300k (0.26 ms) 23.3 against
+# 23.5 ms; 33,334 bins (0.26 ms, two batches) with 100k 28.9 against
+# 26.7 ms and with 200k 31.6 against 35.2 ms; 66,667 bins (three batches)
+# with 100k (0.34 ms) 38.9 against 37.0 ms, with 200k (0.57 ms) 41.9
+# against 55.4 ms and with 400k 66.5 against 79.0 ms; the 5 s sweep grid
+# with 1M events (2.2 ms, six batches) 147 against 203 ms. Calls at
+# 0.26-0.34 ms a term went either way and every larger one won, so the
+# bound stays at 0.25 ms.
 _OVERLAP_S = 2.5e-4
 
 
@@ -615,9 +739,15 @@ def _threshold(parts, t_exp: float, p_fa: float, n_bins: int) -> float:
         raise AnalysisError("cannot set a threshold from two empty streams")
     if power == math.inf:
         raise ConfigError("ratio makes the noise power sum w^2(C) + ratio^2 sum w^2(A) overflow")
-    # Per-bin false-alarm level, computed in log space for small p_fa.
+    # Per-bin false-alarm level, computed in log space for small p_fa. Where
+    # it underflows to 0 its log is taken in closed form: -log1p(-p_fa) /
+    # n_bins is then far below 1, and 1 - e^(-x) = x to rounding.
     alpha_1 = -math.expm1(math.log1p(-p_fa) / n_bins)
-    return math.sqrt(-math.log(alpha_1)) * math.sqrt(power) / t_exp
+    if alpha_1 > 0:
+        log_alpha = math.log(alpha_1)
+    else:
+        log_alpha = math.log(-math.log1p(-p_fa)) - math.log(n_bins)
+    return math.sqrt(-log_alpha) * math.sqrt(power) / t_exp
 
 
 def _group_detections(
@@ -696,8 +826,6 @@ def scan_spectrum(
         detected=detected,
     )
 
-
-_SEGMENT_EVENTS = 1 << 15
 
 # Stream A's refinement moments run on a worker thread while the caller sums
 # C's only if both streams hold more events than one full segment. One

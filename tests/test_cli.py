@@ -434,6 +434,25 @@ def test_cli_estimate_without_detection(tmp_path, capsys):
     assert sorted(path.name for path in out.iterdir()) == ["spectrum.csv"]
 
 
+def test_cli_estimate_takes_the_smallest_p_fa_by_flag_and_by_key(tmp_path, capsys):
+    # At p_fa = 5e-324 the per-bin level underflows to 0; its log is then
+    # taken in closed form, so both spellings scan to a finite threshold.
+    streams = _write_uniform_streams(tmp_path)
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text("[analysis]\np_fa = 5e-324\nf_max = 200 Hz\n")
+    outputs = []
+    for extra in (["--p-fa", "5e-324", "--f-max", "200"], ["-c", str(cfg)]):
+        assert main(["estimate", *streams, *extra]) == 0, extra
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and "Error" not in captured.err
+        lines = captured.out.splitlines()
+        kappa = float(lines[0].rpartition("threshold ")[2].split()[0])
+        assert math.isfinite(kappa) and kappa > 0, lines[0]
+        assert lines[1:] == ["no components detected"]
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_trials_writes_records(tmp_path, capsys):
     cfg = write_tone_config(tmp_path)
     out = tmp_path / "trials.json"

@@ -38,8 +38,10 @@ from qvibe.estimate import (
     _economisation,
     _economised_terms,
     _estimate_components,
+    _fold,
     _fold_size,
     _fold_table,
+    _grid_terms,
     _MAX_GRID_BINS,
     _TRACE_BLOCK,
     _group_detections,
@@ -51,6 +53,7 @@ from qvibe.estimate import (
     _segment_count,
     _series_table,
     _series_terms,
+    _threshold,
     _uniform_from_zero,
     combined_spectrum,
     detection_threshold,
@@ -61,6 +64,7 @@ from qvibe.estimate import (
     project_timestamps,
     reconstruct,
     scan_spectrum,
+    window_weights,
 )
 from qvibe.simulate import (
     ChannelModel,
@@ -475,6 +479,27 @@ def test_threshold_rectangular_closed_form():
     assert abs(kappa - expected) < 1e-12 * expected
 
 
+def test_threshold_takes_the_log_of_an_underflowing_level_in_closed_form():
+    # Down to p_fa = 1e-320 the per-bin level stays above 0 and kappa is the
+    # log-space formula, bit for bit; at 5e-324 it underflows to 0, and its
+    # log is log(-log1p(-p_fa)) - log(n_bins), which keeps kappa rising.
+    w = np.linspace(0.1, 1.0, 1000)
+    parts, t_exp, m = [(w, w), (w[:400], -0.8 * w[:400])], 2.0, 334
+    power = sum(float(np.sum(x * x)) for _, x in parts)
+    kappas = []
+    for p_fa in (0.5, 1e-3, 1e-300, 1e-320, 5e-324):
+        alpha_1 = -math.expm1(math.log1p(-p_fa) / m)
+        if p_fa > 5e-324:
+            log_alpha = math.log(alpha_1)
+        else:
+            assert alpha_1 == 0
+            log_alpha = math.log(5e-324) - math.log(m)
+        kappa = _threshold(parts, t_exp, p_fa, m)
+        assert kappa.hex() == (math.sqrt(-log_alpha) * math.sqrt(power) / t_exp).hex(), p_fa
+        kappas.append(kappa)
+    assert kappas == sorted(kappas)
+
+
 def test_threshold_hann_is_below_rectangular():
     rng = np.random.default_rng(13)
     t_exp = 1.0
@@ -645,6 +670,117 @@ def test_concurrent_overlapped_scans_are_bitwise_one_scan(overlapped_pair):
     for scan in scans:
         assert scan.projections.tobytes() == one.projections.tobytes()
     assert [repr(c) for c in comps] == [repr(comp)] * 3
+
+
+def _whole_part_transform(parts, t_exp, df, m, n):
+    """The grid transform with one np.bincount per part and term over the whole fold.
+
+    The series of ``_grid_terms``, summed as one bincount per part and term
+    sums it: each term bins each part's moments w u^p in one call, adds the
+    parts in order, and reads the m bins off one full n-point spectrum.
+    """
+    table, phase = _series_table(m, n)
+    folded = []
+    for t, w in parts:
+        if t.size:
+            x = t * (df * n)
+            cell = np.floor(x)
+            folded.append((cell.astype(np.int64) & (n - 1), x - cell - 0.5, w))
+    out = np.zeros(m, dtype=complex)
+    moments = [w for _, _, w in folded]
+    for p, s in enumerate(table):
+        if p:
+            moments = [x * u for x, (_, u, _) in zip(moments, folded)]
+        if not folded:
+            break
+        binned = np.bincount(folded[0][0], moments[0], minlength=n)
+        for (bins, _, _), x in zip(folded[1:], moments[1:]):
+            binned += np.bincount(bins, x, minlength=n)
+        half = np.fft.rfft(binned)
+        full = np.concatenate([half, np.conj(half[n // 2 - 1 : 0 : -1])])
+        term = full[np.arange(m) % n] * s
+        if p % 2:
+            term *= -1j
+        out += term
+    out *= phase
+    out /= t_exp
+    return out
+
+
+def test_segment_binning_is_bitwise_one_bincount_per_part(monkeypatch):
+    # With 512-event segments, a part is binned segment by segment, and each
+    # bin must still get the sum of one whole-part np.bincount: a run of
+    # equal times across the nominal cut, the wrap at t = 0, a part of
+    # exactly one segment, one event and none, on three folds: above m, at
+    # m with the mirrored bins, and below m with the periodic ones.
+    monkeypatch.setattr("qvibe.estimate._SEGMENT_EVENTS", 512)
+    t_exp = 1.0
+    df = grid_spacing(t_exp)
+    rng = np.random.default_rng(36)
+
+    def part(t, scale):
+        return t, scale * window_weights(t, t_exp, "hann")
+
+    t = np.sort(rng.uniform(-t_exp / 2, t_exp / 2, 5000))
+    t[505:530] = t[505]  # 25 equal times across index 512
+    long, one_segment = part(t, 1.0), part(np.sort(rng.uniform(-0.5, 0.5, 512)), -0.7)
+    single, empty = part(np.array([0.123]), -1.3), (np.array([]), np.array([]))
+    for m, n in ((334, 1024), (1000, 1024), (700, 512)):
+        cells = np.floor(t * (df * n)).astype(np.int64) & (n - 1)
+        segments = _fold(*long, df * n, n)[4]
+        assert cells[511] == cells[512] and cells[505] == cells[529]
+        start, stop, _, _ = segments[1]
+        assert start > 529 and cells[start - 1] != cells[start], segments[:2]
+        assert any(lo + width > n for _, _, lo, width in segments)  # across the wrap
+        assert _fold(*one_segment, df * n, n)[4] == [(0, 512, 0, n)]
+        assert len(_fold(*part(t[:600], 1.0), df * n, n)[4]) == 2  # cut after index 529
+        monkeypatch.setattr("qvibe.estimate._fold_size", lambda m, events, n=n: n)
+        for parts in ([long, one_segment], [single, long], [long, empty], [empty, single]):
+            y = qvibe.estimate._project_grid(parts, t_exp, df, m)
+            reference = _whole_part_transform(parts, t_exp, df, m, n)
+            assert y.tobytes() == reference.tobytes(), (m, n, [x.size for x, _ in parts])
+
+
+def test_overlapped_segment_binning_is_bitwise_serial_on_the_sweep_grid():
+    # 300k events on the 5 s sweep grid at its fold 2^17: five segments a
+    # part and six batches of up to four terms, the worker binning batch
+    # b + 1 while the caller transforms batch b.
+    t_exp = 5.0
+    m, df, n = frequency_grid(t_exp, 22e3).size, grid_spacing(t_exp), 1 << 17
+    rng = np.random.default_rng(37)
+    parts = []
+    for scale in (1.0, -1.1):
+        t = np.sort(rng.integers(0, 5 * 10**10, 150_000)) * 1e-10 - t_exp / 2
+        parts.append((t, scale * window_weights(t, t_exp, "hann")))
+    folded = [_fold(t, w, df * n, n) for t, w in parts]
+    assert [len(f[4]) for f in folded] == [5, 5]
+    serial = _grid_terms(folded, m, n, t_exp, None)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        overlapped = _grid_terms(folded, m, n, t_exp, pool)
+    assert overlapped.tobytes() == serial.tobytes()
+    assert serial.tobytes() == _whole_part_transform(parts, t_exp, df, m, n).tobytes()
+
+
+def test_sweep_scan_holds_less_than_one_bincount_per_part_and_term():
+    # The 5 s, 1M-event sweep scan on 183,334 bins, its series table already
+    # kept. Binning one whole part per np.bincount, with int64 bins and a
+    # term buffer, this scan peaked at 53,527,376 bytes (tracemalloc); the
+    # segment binning's 16-bit local bins and reused rows hold it at about
+    # 50.5 MB.
+    pair = PhotonPairSpec(delta_omega=2 * math.pi * 177e12, visibility_v0=0.9)
+    signal = VibrationSignal.pure_tone(21e3 * 1.00142, 20e-9, dc_offset_delay=quadrature_delay(pair))
+    channel = ChannelModel(rate_c=200e3, rate_a=200e3)
+    stream_c, stream_a = simulate_quantum_run(pair, signal, channel, t_exp=5.0, seed=36)
+    assert len(stream_c) + len(stream_a) == 999_303
+    scan_spectrum(stream_c, stream_a, 1.0, f_max=22e3)  # builds and keeps the table
+    tracemalloc.start()
+    try:
+        scan = scan_spectrum(stream_c, stream_a, 1.0, f_max=22e3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scan.frequencies.size == 183_334
+    assert peak <= 53_527_376, peak
 
 
 def test_a_false_alarm_sized_exposure_starts_no_thread(monkeypatch):

@@ -22,6 +22,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from qvibe.config import _SCHEMA, _UNIT_TABLES, _kind_of, parse_config, parse_quantity
 from qvibe.errors import ConfigError, StreamFormatError
 from qvibe.estimate import (
+    _SEGMENT_EVENTS,
     _economised_terms,
     _fold_size,
     _fold_table,
@@ -241,6 +242,24 @@ def test_grid_transform_reads_the_periodic_bins_at_a_fold_below_the_grid(monkeyp
             y = _project_grid(some, t_exp, df, m)
             exact, total = folded_event_sum(some, t_exp, df, m, n)
             assert np.max(np.abs(y - exact)) <= 1e-13 * total, (m, [t.size for t, _ in some])
+
+
+def test_grid_transform_matches_the_event_sum_past_one_grid_period():
+    # At df t_exp = 7.3 sorted times wrap the fold seven times, so a bin's
+    # events lie in several segments of a part (each part holds more than
+    # _SEGMENT_EVENTS events) and its sum is added up segment by segment, in
+    # another order than one bincount's; the transform still holds 1e-13.
+    t_exp, df, m = 1.0, 7.3, 48
+    rng = np.random.default_rng(36)
+    parts = []
+    for size, scale in ((70_000, 1.0), (50_000, -0.9)):
+        t = np.sort(rng.integers(0, 10**10, size)) * 1e-10 - t_exp / 2
+        parts.append((t, scale * window_weights(t, t_exp, "hann")))
+    assert min(t.size for t, _ in parts) > _SEGMENT_EVENTS
+    n = _fold_size(m, 120_000)
+    y = _project_grid(parts, t_exp, df, m)
+    exact, total = folded_event_sum(parts, t_exp, df, m, n)
+    assert np.max(np.abs(y - exact)) <= 1e-13 * total
 
 
 POWER_OF_TEN_UNITS = {

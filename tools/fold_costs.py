@@ -17,8 +17,8 @@ then the fit as the package's two lines of constants, which
 timed fold reaches prints as the package's. The per-term and per-event
 costs separate only across grids of different event counts, so one grid
 alone gives no usable fit, only the timings. Last, one term's rfft and
-n-bin bincount are timed alone at each fold from 2^16 to 2^20, per
-n log2 n, for comparison with c(n):
+the zeroing of its n-bin row of moments are timed alone at each fold from
+2^16 to 2^20, per n log2 n, for comparison with c(n):
 
     python3 tools/fold_costs.py                          # all three grids
     python3 tools/fold_costs.py --grid false_alarm --repeat 3
@@ -74,17 +74,17 @@ def time_grid(t_exp: float, f_max: float, events: int, repeat: int, seed: int = 
 
 
 def rfft_costs(repeat: int, logs=range(16, 21)):
-    """{log2 n: seconds per n log2 n} of one rfft and one n-bin bincount, best of ``repeat``."""
+    """{log2 n: seconds per n log2 n} of one rfft and one n-bin row zeroed, best of ``repeat``."""
     costs = {}
     for log in logs:
         n = 1 << log
         x, head = np.random.default_rng(log).standard_normal(n), np.empty(n // 2 + 1, complex)
-        bins, weights = np.zeros(1, np.int64), np.ones(1)
+        row = np.empty(n)
         best = math.inf
         for _ in range(repeat + 1):  # the first run pages the buffers in
             start = time.perf_counter()
             np.fft.rfft(x, out=head)
-            np.bincount(bins, weights, minlength=n)
+            row.fill(0.0)
             best = min(best, time.perf_counter() - start)
         costs[log] = best / (n * log)
     return costs
@@ -146,7 +146,7 @@ def main(argv: list[str]) -> int:
     print(f"_TERM_S, _TERM_EVENT_S = {term_s:.3g}, {event_s:.3g}")
     print(f"_TERM_FFT_S = ({fft[0]:.3g},) * {_SMALL_LOG + 1} + ({large})  # by log2 n")
     alone = rfft_costs(max(1, args.repeat))
-    print("rfft and bincount alone, ns per n log2 n: "
+    print("rfft and row zeroing alone, ns per n log2 n: "
           + ", ".join(f"2^{log} {c * 1e9:.3f}" for log, c in alone.items()))
     return 0
 
