@@ -109,7 +109,7 @@ def cmd_simulate(args, cfg: Config) -> int:
     channel = build_channel(cfg)
     signal = build_signal(cfg, fringe)
     seed = _seed_of(cfg)
-    t_exp, tick = build_exposure(cfg, fringe, channel, default=1.0)  # refused before the draw
+    t_exp, tick = build_exposure(cfg, fringe, channel, default=1.0, signal=signal)  # before the draw
     binary = cfg.get("run", "binary", False)
     run = _simulate(fringe, signal, channel, t_exp, seed, tick)
     names = ("coincidence", "anticoincidence") if fringe.mode == "quantum" else ("port1", "port2")
@@ -206,7 +206,7 @@ def cmd_trials(args, cfg: Config) -> int:
     if not signal.components:  # TrialScenario refuses it too, but not by key
         raise cfg.refusal("signal", "kind", "trials need a signal with a component to score")
     options = build_options(cfg)
-    t_exp, tick = build_exposure(cfg, pair, channel, default=1.0)  # refused before the draw
+    t_exp, tick = build_exposure(cfg, pair, channel, default=1.0, signal=signal)  # before the draw
     check_scan(cfg, options, t_exp)
     scenario = TrialScenario(pair, signal, channel, t_exp, options, tick)
     n_trials = cfg.checked("run", "trials", 10, ok=lambda n: n >= 2, need="must be at least 2")

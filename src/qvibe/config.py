@@ -37,7 +37,7 @@ from .core import (
     quadrature_delay,
 )
 from .errors import ConfigError
-from .estimate import AnalysisOptions, _check_pair, _grid_bins, detection_threshold
+from .estimate import AnalysisOptions, _check_pair, _grid_bins, detection_threshold, grid_spacing
 from .metrology import AdvantageSetup, background_advantage_setup, loss_advantage_setup
 from .simulate import (
     DEFAULT_TICK,
@@ -461,16 +461,19 @@ def build_channel(cfg: Config) -> ChannelModel:
 
 def build_exposure(
     cfg: Config, fringe: PhotonPairSpec | ClassicalFringeSpec, channel: ChannelModel,
-    section: str = "run", key: str = "t_exp", default=_MISSING,
+    section: str = "run", key: str = "t_exp", default=_MISSING, signal=None,
 ) -> tuple[float, float]:
     """The exposure ``[section] key`` and the [run] tick (default 100 ps), refused
     by key before any draw.
 
-    Refused are an exposure that is not positive, a tick with no int64 count
+    Refused are an exposure that is not positive or too short for a finite
+    scan grid spacing (``grid_spacing``), a tick with no int64 count
     of the exposure (named ``[run] tick``, or the exposure's key when the file
     sets no tick) and a run either of whose streams, those of the fringe's
     channel, the sampler's candidate cap would refuse. The flux bounds the cap
-    reads do not depend on the waveform, so no signal is taken.
+    reads do not depend on the waveform. Given the ``signal`` to draw, a
+    component whose phase 2 pi f t_exp over the exposure is not finite, where
+    the flux would read NaN, is refused by [signal]'s largest frequency key.
     """
     t_exp = cfg.checked(section, key, default, ok=lambda t: t > 0, need="must be positive",
                         unit=" s")
@@ -481,9 +484,16 @@ def build_exposure(
         where = ("run", "tick") if cfg.has("run", "tick") else (section, key)
         raise cfg.refusal(*where, exc) from None
     try:
+        grid_spacing(t_exp)
         _check_draws(_fluxes(fringe, VibrationSignal(()), channel), t_exp)
     except ConfigError as exc:
         raise cfg.refusal(section, key, exc) from None
+    if signal is not None and not math.isfinite(2.0 * math.pi * signal.max_frequency * t_exp):
+        freqs = {k: getattr(v, "frequency", v) for k, v in cfg.values["signal"].items()
+                 if "frequency" in k or k.startswith("component_")}
+        key = max(freqs, key=freqs.get)
+        raise cfg.refusal("signal", key, f"{key} must keep each component's phase 2 pi f t_exp"
+                          f" finite, got {freqs[key]!r} Hz over t_exp = {t_exp!r} s")
     return t_exp, tick
 
 
@@ -583,7 +593,12 @@ def build_options(cfg: Config) -> AnalysisOptions:
 
 
 def check_scan(cfg: Config, options: AnalysisOptions, t_exp: float) -> None:
-    """Refuse by [analysis] f_max a scan grid over ``t_exp`` that ``frequency_grid`` would refuse."""
+    """Refuse by [analysis] f_max a scan grid over ``t_exp`` that ``frequency_grid`` would refuse.
+
+    A ``t_exp`` with no finite grid spacing, which only streams can bring
+    (``build_exposure`` refuses it by key), is refused as it is, by no key.
+    """
+    grid_spacing(t_exp)
     try:
         _grid_bins(t_exp, options.f_max)
     except ConfigError as exc:

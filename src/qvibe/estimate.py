@@ -5,12 +5,12 @@ The pipeline works directly on event times, never on a rate histogram:
 1. project both streams onto a uniform frequency grid with a Hann taper
    and combine them as y_f = p_f(C) - ratio * p_f(A), which cancels the
    common mode (mean flux and accidental background); one grid transform
-   folds both streams onto a power-of-two number of bins per grid period,
-   chosen by cost from the grid size and the event count: the grid size
-   rounded up or a larger power, or the one just below the grid size
-   while the series stays within its accuracy there, the grid then
-   reading each bin past the fold periodically, bin k as bin k minus the
-   fold; it bins their moments, combines them and takes one real FFT per
+   folds both streams, in place, onto a power-of-two number of bins per
+   grid period, chosen by cost from the grid size and the event count:
+   the grid size rounded up or a larger power, or the one just below the
+   grid size while the series stays within its accuracy there, the grid
+   then reading each bin past the fold periodically, bin k as bin k minus
+   the fold; it bins their moments, combines them and takes one real FFT per
    series term, whose mirror image gives the bins above half the fold;
    each term's FFT is multiplied by its real row of series coefficients,
    and an odd term then by -i, before it is added; the series is the
@@ -104,8 +104,14 @@ def window_weights(t_centered: np.ndarray, t_exp: float, window: str) -> np.ndar
 
 
 def grid_spacing(t_exp: float) -> float:
-    """Scan-grid frequency spacing for an exposure of t_exp seconds."""
-    return GRID_SPACING_FACTOR / t_exp
+    """Scan-grid frequency spacing for an exposure of t_exp seconds.
+
+    An exposure too short for a finite spacing (below about 3.3e-309 s)
+    is a ConfigError: its grid would read 0 * inf.
+    """
+    if GRID_SPACING_FACTOR / t_exp < math.inf:
+        return GRID_SPACING_FACTOR / t_exp
+    raise ConfigError(f"t_exp must leave the scan grid spacing 0.6 / t_exp finite, got {t_exp!r} s")
 
 
 _MAX_GRID_BINS = 1 << 21
@@ -219,7 +225,10 @@ def _project_grid(parts, t_exp: float, df: float, m: int, pool=None) -> np.ndarr
     """Exact sum over parts of the projection on the grid k * df, k < m.
 
     ``parts`` is a sequence of (t, w): centred event times and their signed
-    weights, the window weights times the factor the part enters with.
+    weights, the window weights times the factor the part enters with. The
+    transform takes them: each part is folded in place (``_fold``), so t and
+    w hold no times or weights afterwards; a caller that reads them again
+    passes copies.
     Every grid phasor has period 1/df, so the events are folded onto n
     bins per period, a power of two that ``_fold_size`` picks by cost from
     m and the event count: m rounded up or above, or the power of two just
@@ -258,39 +267,33 @@ def _project_grid(parts, t_exp: float, df: float, m: int, pool=None) -> np.ndarr
 
 
 def _fold(t: np.ndarray, w: np.ndarray, scale: float, n: int):
-    """(bins, u, w, moment, segments): t * scale folded onto n bins.
+    """(bins, u, w, segments): t * scale folded onto n bins, in place.
 
-    u is each event's offset from its bin centre and moment a buffer for
-    the grid transform's moments. A part of at most _SEGMENT_EVENTS events
-    is one segment, its int64 bins as np.bincount takes them. A longer
-    part's int64 cells are made in the moment buffer, so the fold holds no
-    other array of its length; ``_segments`` cuts them into segments and
-    rewrites them to each segment's local bins, which are narrowed to 16
-    bits where every segment is at most 2^16 bins wide, else to 32.
+    The fold takes the part, two float64 arrays: u, each event's offset
+    from its bin centre, is written over t, and ``_grid_terms`` then uses w
+    as its running moment, so neither array is worth reading afterwards.
+    The int64 cells are a temporary. A part of at most _SEGMENT_EVENTS
+    events is one segment and keeps them, as np.bincount takes them; a
+    longer part's are cut into segments and rewritten to each segment's
+    local bins (``_segments``), then narrowed to 16 bits where every
+    segment is at most 2^16 bins wide, else to 32, and freed.
     """
-    u = t * scale
-    moment = np.empty(t.size)
-    w = np.asarray(w, dtype=float)
-    if t.size <= _SEGMENT_EVENTS:
-        cell = np.floor(u)
-        u -= cell
-        u -= 0.5
-        bins = cell.astype(np.int64)
-        bins &= n - 1  # n is a power of two, so & (n - 1) is mod n, negative cells included
-        return bins, u, w, moment, [(0, t.size, 0, n)]
-    cells = moment.view(np.int64)
-    np.floor(u, out=cells, casting="unsafe")
+    u = np.multiply(t, scale, out=t)
+    cells = np.floor(u, out=np.empty(t.size, dtype=np.int64), casting="unsafe")
     u -= cells  # exact: each cell is floor(u), an integer float
     u -= 0.5
-    cells &= n - 1
+    cells &= n - 1  # n is a power of two, so & (n - 1) is mod n, negative cells included
+    if t.size <= _SEGMENT_EVENTS:
+        return cells, u, w, [(0, t.size, 0, n)]
     segments = _segments(cells, n)
     narrow = np.uint16 if max(width for *_, width in segments) <= 1 << 16 else np.int32
-    return cells.astype(narrow), u, w, moment, segments
+    return cells.astype(narrow), u, w, segments
 
 
 # Events per segment of the grid transform's binning and of refinement's
 # moment passes (``_segments``, ``_segment_count``), so what one segment's
-# passes read stays in cache: 34 bytes an event, 1.1 MB, for the binning.
+# passes read stays in cache: 26 bytes an event, 0.9 MB, for the binning
+# (narrow and widened bins, u and the running moment w).
 _SEGMENT_EVENTS = 1 << 15
 
 
@@ -339,9 +342,11 @@ def _grid_terms(folded, m: int, n: int, t_exp: float, pool) -> np.ndarray:
 
     The moments are binned a batch of terms at a time (_BATCH_BYTES of
     n-bin rows), segment by segment (``_segments``): for each segment of
-    each part, in order, term p updates the segment's running moment
-    w u^p in place, bins it with one np.bincount over the segment's local
-    bins and adds that into the row's bins lo..lo + width, wrapping at n.
+    each part, in order, term 0 bins the segment's w and each later term
+    multiplies it by u in place before binning it, so w holds the running
+    moment w u^p (the parts are consumed: w ends as w u^(Q-1)). Each term
+    bins with one np.bincount over the segment's local bins and adds that
+    into the row's bins lo..lo + width, wrapping at n.
     Where each bin's events lie in one segment of a part, as on every scan
     grid, each bin thus gets the sum a whole-part np.bincount gives, and
     the parts' sums are added in order, so the rows are bit for bit those
@@ -384,18 +389,18 @@ def _grid_terms(folded, m: int, n: int, t_exp: float, pool) -> np.ndarray:
         terms, into = batches[b], b % len(buffers) if into is None else into
         rows, wide = buffers[into][: len(terms)], wides[into]
         rows.fill(0.0)
-        for bins, u, w, moment, segments in folded[parts]:
+        for bins, u, w, segments in folded[parts]:
             for start, stop, lo, width in segments:
                 local = bins[start:stop]
                 if local.dtype != np.intp:  # narrowed bins are widened once a batch
                     local = wide[: stop - start]
                     np.copyto(local, bins[start:stop])
-                u_s, w_s, moment_s = u[start:stop], w[start:stop], moment[start:stop]
+                u_s, w_s = u[start:stop], w[start:stop]
                 head = min(width, n - lo)
                 for row, p in zip(rows, terms):
                     if p:
-                        np.multiply(w_s if p == 1 else moment_s, u_s, out=moment_s)
-                    sums = np.bincount(local, moment_s if p else w_s, minlength=width)
+                        w_s *= u_s
+                    sums = np.bincount(local, w_s, minlength=width)
                     if head == n:  # a whole fold
                         row += sums
                         continue

@@ -134,7 +134,7 @@ def monte_carlo_delay_std(
     else:
         ratio_hat = np.ones(n_trials)
     p_hat = k / (k + ratio_hat * (n_pairs - k))
-    u = np.clip((1.0 - 2.0 * p_hat) / v0, -1.0, 1.0)
+    u = np.clip(1.0 - 2.0 * p_hat, -v0, v0) / v0  # clipped before the divide, which cannot overflow
     tau_hat = np.arccos(u) / pair.delta_omega
     sigma = float(np.sqrt(np.mean((tau_hat - tau_op) ** 2)))
     return DelayStdResult(

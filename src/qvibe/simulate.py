@@ -50,10 +50,11 @@ STREAM_TAGS = ("coincidence", "anticoincidence", "singles1", "singles2")
 DEFAULT_TICK = 100e-12
 
 # Hard cap on expected thinning candidates, to protect memory. A draw
-# peaks at 21 to 28 bytes per candidate (tracemalloc on 1M candidates: a
-# 21 kHz tone's narrow range at the low end, a wide square wave's range
-# and no range at the high end; a test holds it to 30), so the cap keeps
-# one draw within about 0.6 GiB. A run's two draws peak together only when
+# peaks at 17.0 to 17.8 bytes per candidate (tracemalloc on 1M candidates,
+# with a 21 kHz tone's narrow range, no range or a wide square wave's
+# range: the sorted times, the mask and the survivors, plus one block's
+# uniforms, ``_survivors``; a test holds it to 20), so the cap keeps one
+# draw within about 0.4 GiB. A run's two draws peak together only when
 # their candidates add up to at most the cap (``_simulate_run``), so that
 # bound holds for a run too.
 _MAX_CANDIDATES = 2.2e7
@@ -69,7 +70,8 @@ _MAX_CANDIDATES = 2.2e7
 # (a 21 kHz sweep point) 88 against 49 ms.
 _CONCURRENT_CANDIDATES = 1 << 15
 
-# A squeezed draw reads the flux at most _FLUX_BLOCK candidates at a time.
+# A draw thins its sorted candidates _FLUX_BLOCK at a time (``_survivors``):
+# it holds one block's thinning uniforms and flux values, not all of them.
 _FLUX_BLOCK = 1 << 16
 
 # Ticks are int64, so an exposure spans fewer than 2^63 of them.
@@ -597,27 +599,26 @@ def _survivors(flux, bound: float, flux_range, times: np.ndarray, rng: np.random
     """The thinning mask of the sorted candidate ``times``, squeezed by ``flux_range``
     as ``sample_inhomogeneous_poisson`` says.
 
-    The uniforms are drawn here, so they, the flux values and the masks are
-    freed before the caller gathers the survivors. The flux draws no random
-    numbers, so reading it after them leaves every draw where it was. It is
-    read _FLUX_BLOCK undecided candidates at a time, so a wide range holds
-    no more than a narrow one.
+    The candidates are thinned _FLUX_BLOCK at a time: each block draws its
+    uniforms, ``rng.random(k)``, which continues the one-shot draw of all
+    of them byte for byte, and the flux is read at the block's undecided
+    candidates. So a draw holds one block's uniforms and flux values, and
+    a wide range no more than a narrow one. The flux draws no random
+    numbers, so reading it between blocks leaves every draw where it was.
     """
     if flux_range is None or not 0 <= flux_range[0] <= flux_range[1] <= bound:
         flux_range = (0.0, bound)  # u * bound < bound, so every candidate is undecided
-    u = rng.random(times.size)
-    u *= bound
     lo, hi = flux_range
-    keep = u < lo
-    undecided = u < hi
-    undecided ^= keep  # lo <= u < hi, since u < lo implies u < hi
-    at = np.flatnonzero(undecided)
-    del undecided
-    for start in range(0, at.size, _FLUX_BLOCK):
-        block = at[start : start + _FLUX_BLOCK]
-        rates = np.asarray(flux(times[block]), dtype=float)
-        _check_rates(rates, bound)
-        keep[block] = u[block] < rates
+    keep = np.empty(times.size, dtype=bool)
+    for start in range(0, times.size, _FLUX_BLOCK):
+        block = times[start : start + _FLUX_BLOCK]
+        u = rng.random(block.size) * bound
+        kept = np.less(u, lo, out=keep[start : start + block.size])
+        at = np.flatnonzero((u < hi) ^ kept)  # lo <= u < hi, since u < lo implies u < hi
+        if at.size:
+            rates = np.asarray(flux(block[at]), dtype=float)
+            _check_rates(rates, bound)
+            kept[at] = u[at] < rates
     return keep
 
 
@@ -642,9 +643,11 @@ def sample_inhomogeneous_poisson(
     ``flux_range`` = (lo, hi), an enclosure of every value the flux
     computes, squeezes the thinning: a candidate with u * bound < lo is
     kept and one with u * bound >= hi dropped without the flux, which is
-    read only at the remaining candidates, in sorted order and at most
-    _FLUX_BLOCK at a time. Each decision is the same comparison of the same
-    doubles, so the stream is the one drawn without the range. None, or a
+    read only at the remaining candidates, in sorted order. The candidates
+    are thinned _FLUX_BLOCK at a time, each block drawing its own uniforms
+    (``_survivors``), so the flux is read at most that many at a time. Each
+    decision is the same comparison of the same doubles, so the stream is
+    the one drawn without the range, and the one drawn whole. None, or a
     range not inside [0, bound], stands for (0, bound), which leaves every
     candidate undecided, so the flux is read at all of them.
     The values read are checked, one read at a time: one min/max pass

@@ -340,6 +340,18 @@ def _rows():
             " got 1e+200 m",
             {"alternating.ini": ALTERNATING.format("2 Hz").replace(
                 "amplitude_pp_b = 20 nm", "amplitude_pp_b = 1e200 m")})
+    # A component whose phase 2 pi f t_exp overflows over the exposure would
+    # read a NaN cosine at the draw; the largest frequency key is named.
+    phase = "must keep each component's phase 2 pi f t_exp finite"
+    for command in ("simulate --out out", "trials --trials 2"):
+        yield R(f"{command.split()[0]}-frequency-phase-overflow", f"{command} -c tone.ini",
+                f"{tone}[signal] frequency: frequency {phase}, got 1e+308 Hz over t_exp = 1.0 s",
+                {"tone.ini": edit(QUICK_START, ("10 Hz", "1e308 Hz"))})
+    yield R("alternating_tones-frequency_b-phase-overflow", "simulate -c alternating.ini --out out",
+            f"config error: alternating.ini: [signal] frequency_b: frequency_b {phase},"
+            " got 1e+308 Hz over t_exp = 1.0 s",
+            {"alternating.ini": ALTERNATING.format("2 Hz").replace(
+                "frequency_b = 10 Hz", "frequency_b = 1e308 Hz")})
     # A delay whose fringe phase or envelope overflows would give a NaN or
     # overflowing flux at the draw; the classical fringe has no envelope.
     for name, mode, tau in [("overflow-quantum", "quantum", "1e+300"),
@@ -365,6 +377,9 @@ def _rows():
         ("t_exp-too-long", "t_exp = 1000 s", f"[run] t_exp: {TOO_MANY}1.9e+08 candidates)"),
         ("zero-t_exp", "t_exp = 0 s", "[run] t_exp: t_exp must be positive, got 0.0 s"),
         ("negative-t_exp", "t_exp = -1 s", "[run] t_exp: t_exp must be positive, got -1.0 s"),
+        # 0.6 / 5e-324 overflows: the scan grid of such streams would read 0 * inf.
+        ("t_exp-subnormal", "t_exp = 5e-324 s",
+         "[run] t_exp: t_exp must leave the scan grid spacing 0.6 / t_exp finite, got 5e-324 s"),
     ]:
         for command in ("simulate --out y", "trials --trials 2"):
             yield R(f"{command.split()[0]}-{name}", f"{command} -c tone.ini", tone + err,
@@ -476,6 +491,13 @@ def _rows():
             f"{tone}[analysis] f_max: {GRID_1E12}",
             {"tone.ini": edit(QUICK_START, ("f_max = 200 Hz", "f_max = 1e12 Hz")),
              "c.txt": stream("coincidence"), "a.txt": stream("anticoincidence")})
+    # Streams can hold an exposure that simulate refuses by key; it is refused
+    # once their headers are read, before the scan.
+    yield R("estimate-streams-of-a-subnormal-exposure", "estimate c.txt a.txt -c tone.ini",
+            "config error: t_exp must leave the scan grid spacing 0.6 / t_exp finite,"
+            " got 5e-324 s",
+            {"tone.ini": QUICK_START, "c.txt": "qvibe-ts v1 coincidence 100 5e-324 0\n",
+             "a.txt": "qvibe-ts v1 anticoincidence 100 5e-324 0\n"})
     yield R("estimate-streams-of-different-exposures", "estimate c.txt a.txt -c tone.ini --out est",
             "config error: streams must share t_exp and tick_duration",
             {"tone.ini": QUICK_START, "c.txt": stream("coincidence"),

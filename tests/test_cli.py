@@ -497,6 +497,21 @@ def test_cli_qcrb_reports_ratio(capsys):
     assert "ratio=" in out
 
 
+def test_cli_qcrb_inverts_the_flattest_fringe_without_a_warning(tmp_path, capsys):
+    # At visibility 5e-324 nearly every trial's fringe reading 1 - 2 p lies
+    # past +-v0, where dividing it by v0 overflows; it is clipped to +-v0
+    # first, so the inversion reads the same +-1 with no warning raised.
+    cfg = tmp_path / "flat.ini"
+    cfg.write_text("[pair]\nvisibility = 5e-324\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["qcrb", "-c", str(cfg), "--n-pairs", "10000", "--trials", "200"])
+    out = capsys.readouterr()
+    assert code == 0 and out.err == ""
+    sigma = float(out.out.split("mc_sigma_tau=")[1].split()[0])
+    assert 0 < sigma < math.pi / (2 * math.pi * 177e12)  # tau_hat is 0 or pi / omega
+
+
 def test_advantage_setup_refuses_a_draw_the_sampler_would_refuse(monkeypatch):
     # The setup applies the sampler's own candidate check to each condition's
     # four streams, and the scan's grid check to its two exposures, so a setup

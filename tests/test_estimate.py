@@ -9,6 +9,7 @@ Monte-Carlo slack.
 
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -271,6 +272,19 @@ def test_frequency_grid_frozen_sizes():
     assert abs(grid_spacing(5.0) - 0.12) < 1e-15
     with pytest.raises(ConfigError):
         frequency_grid(1.0, 0.0)
+
+
+def test_an_exposure_with_no_finite_grid_spacing_is_refused():
+    # 0.6 / 5e-324 overflows, and a grid of that spacing would read 0 * inf.
+    refused = "t_exp must leave the scan grid spacing 0.6 / t_exp finite, got 5e-324 s"
+    with pytest.raises(ConfigError, match=re.escape(refused)):
+        frequency_grid(5e-324, 200.0)
+    empty = [TimestampStream(tag, [], t_exp=5e-324) for tag in ("coincidence", "anticoincidence")]
+    with pytest.raises(ConfigError, match=re.escape(refused)):
+        scan_spectrum(*empty, 1.0, f_max=200.0)
+    assert grid_spacing(3.4e-309) < math.inf  # the shortest exposures still scan
+    with pytest.raises(ConfigError, match="got 3.3e-309 s"):
+        grid_spacing(3.3e-309)
 
 
 def test_scan_memory_at_the_grid_cap_stays_within_1_gib():
@@ -707,6 +721,11 @@ def _whole_part_transform(parts, t_exp, df, m, n):
     return out
 
 
+def copied(part):
+    """A copy of the part (t, w), which the grid transform folds in place."""
+    return tuple(x.copy() for x in part)
+
+
 def test_segment_binning_is_bitwise_one_bincount_per_part(monkeypatch):
     # With 512-event segments, a part is binned segment by segment, and each
     # bin must still get the sum of one whole-part np.bincount: a run of
@@ -727,16 +746,16 @@ def test_segment_binning_is_bitwise_one_bincount_per_part(monkeypatch):
     single, empty = part(np.array([0.123]), -1.3), (np.array([]), np.array([]))
     for m, n in ((334, 1024), (1000, 1024), (700, 512)):
         cells = np.floor(t * (df * n)).astype(np.int64) & (n - 1)
-        segments = _fold(*long, df * n, n)[4]
+        segments = _fold(*copied(long), df * n, n)[-1]
         assert cells[511] == cells[512] and cells[505] == cells[529]
         start, stop, _, _ = segments[1]
         assert start > 529 and cells[start - 1] != cells[start], segments[:2]
         assert any(lo + width > n for _, _, lo, width in segments)  # across the wrap
-        assert _fold(*one_segment, df * n, n)[4] == [(0, 512, 0, n)]
-        assert len(_fold(*part(t[:600], 1.0), df * n, n)[4]) == 2  # cut after index 529
+        assert _fold(*copied(one_segment), df * n, n)[-1] == [(0, 512, 0, n)]
+        assert len(_fold(*part(t[:600].copy(), 1.0), df * n, n)[-1]) == 2  # cut after index 529
         monkeypatch.setattr("qvibe.estimate._fold_size", lambda m, events, n=n: n)
         for parts in ([long, one_segment], [single, long], [long, empty], [empty, single]):
-            y = qvibe.estimate._project_grid(parts, t_exp, df, m)
+            y = qvibe.estimate._project_grid([copied(x) for x in parts], t_exp, df, m)
             reference = _whole_part_transform(parts, t_exp, df, m, n)
             assert y.tobytes() == reference.tobytes(), (m, n, [x.size for x, _ in parts])
 
@@ -752,11 +771,14 @@ def test_overlapped_segment_binning_is_bitwise_serial_on_the_sweep_grid():
     for scale in (1.0, -1.1):
         t = np.sort(rng.integers(0, 5 * 10**10, 150_000)) * 1e-10 - t_exp / 2
         parts.append((t, scale * window_weights(t, t_exp, "hann")))
-    folded = [_fold(t, w, df * n, n) for t, w in parts]
-    assert [len(f[4]) for f in folded] == [5, 5]
-    serial = _grid_terms(folded, m, n, t_exp, None)
+
+    def folded():  # _grid_terms takes the folded parts, so each call gets its own
+        return [_fold(t.copy(), w.copy(), df * n, n) for t, w in parts]
+
+    assert [len(f[-1]) for f in folded()] == [5, 5]
+    serial = _grid_terms(folded(), m, n, t_exp, None)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        overlapped = _grid_terms(folded, m, n, t_exp, pool)
+        overlapped = _grid_terms(folded(), m, n, t_exp, pool)
     assert overlapped.tobytes() == serial.tobytes()
     assert serial.tobytes() == _whole_part_transform(parts, t_exp, df, m, n).tobytes()
 
@@ -765,8 +787,10 @@ def test_sweep_scan_holds_less_than_one_bincount_per_part_and_term():
     # The 5 s, 1M-event sweep scan on 183,334 bins, its series table already
     # kept. Binning one whole part per np.bincount, with int64 bins and a
     # term buffer, this scan peaked at 53,527,376 bytes (tracemalloc); the
-    # segment binning's 16-bit local bins and reused rows hold it at about
-    # 50.5 MB.
+    # segment binning's 16-bit local bins and reused rows took it to
+    # 50,456,710, and folding each part in place, with its weights as the
+    # running moment, to 34,467,182. The bound is that plus 1.5 MB, well
+    # under the 8 MB a second event-length buffer would add.
     pair = PhotonPairSpec(delta_omega=2 * math.pi * 177e12, visibility_v0=0.9)
     signal = VibrationSignal.pure_tone(21e3 * 1.00142, 20e-9, dc_offset_delay=quadrature_delay(pair))
     channel = ChannelModel(rate_c=200e3, rate_a=200e3)
@@ -780,7 +804,7 @@ def test_sweep_scan_holds_less_than_one_bincount_per_part_and_term():
     finally:
         tracemalloc.stop()
     assert scan.frequencies.size == 183_334
-    assert peak <= 53_527_376, peak
+    assert peak <= 36_000_000, peak
 
 
 def test_a_false_alarm_sized_exposure_starts_no_thread(monkeypatch):

@@ -127,6 +127,11 @@ def test_combined_spectrum_is_conjugate_symmetric(t1, t2, m, window, ratio):
     assert np.max(np.abs(y_neg - np.conj(y))) <= 1e-12 * (scale(sc) + ratio * scale(sa))
 
 
+def copies(parts):
+    """Copies of the parts (t, w), which _project_grid folds in place."""
+    return [(t.copy(), w.copy()) for t, w in parts]
+
+
 def folded_event_sum(parts, t_exp, df, m, n):
     """The event sum on the grid k * df, k < m, over the phases of an n-bin fold.
 
@@ -162,7 +167,7 @@ def test_grid_transform_matches_the_event_sum(t1, t2, m, window, ratio):
         t = stream(tick_list).centered_times()
         parts.append((t, scale * window_weights(t, T_EXP, window)))
     n = _fold_size(m, sum(t.size for t, _ in parts))  # the fold _project_grid takes
-    y = _project_grid(parts, T_EXP, df, m)
+    y = _project_grid(copies(parts), T_EXP, df, m)
     exact, total = folded_event_sum(parts, T_EXP, df, m, n)
     assert np.max(np.abs(y - exact)) <= 1e-13 * total
 
@@ -190,7 +195,7 @@ def test_grid_transform_matches_the_event_sum_on_an_event_heavy_grid(monkeypatch
 
         monkeypatch.setattr("qvibe.estimate._fold_size", fold)
         some = [(t[::every], w[::every]) for t, w in parts]
-        y = _project_grid(some, t_exp, df, m)
+        y = _project_grid(copies(some), t_exp, df, m)
         assert asked == [(m, 200_000 // every)]
         exact, total = folded_event_sum(some, t_exp, df, m, n)
         assert np.max(np.abs(y - exact)) <= 1e-13 * total
@@ -215,7 +220,7 @@ def test_grid_transform_reads_the_mirrored_bins_at_the_smallest_fold(monkeypatch
     monkeypatch.setattr("qvibe.estimate._fold_size", lambda m, events: n)
     for m in (n, n // 2 + 2):
         for some in (parts, [parts[0], empty], [empty, parts[1]]):
-            y = _project_grid(some, t_exp, df, m)
+            y = _project_grid(copies(some), t_exp, df, m)
             exact, total = folded_event_sum(some, t_exp, df, m, n)
             assert np.max(np.abs(y - exact)) <= 1e-13 * total, (m, [t.size for t, _ in some])
 
@@ -239,7 +244,7 @@ def test_grid_transform_reads_the_periodic_bins_at_a_fold_below_the_grid(monkeyp
     monkeypatch.setattr("qvibe.estimate._fold_size", lambda m, events: n)
     for m in (n + 1, bound):
         for some in (parts, [empty, parts[1]], [parts[0], empty]):
-            y = _project_grid(some, t_exp, df, m)
+            y = _project_grid(copies(some), t_exp, df, m)
             exact, total = folded_event_sum(some, t_exp, df, m, n)
             assert np.max(np.abs(y - exact)) <= 1e-13 * total, (m, [t.size for t, _ in some])
 
@@ -257,7 +262,7 @@ def test_grid_transform_matches_the_event_sum_past_one_grid_period():
         parts.append((t, scale * window_weights(t, t_exp, "hann")))
     assert min(t.size for t, _ in parts) > _SEGMENT_EVENTS
     n = _fold_size(m, 120_000)
-    y = _project_grid(parts, t_exp, df, m)
+    y = _project_grid(copies(parts), t_exp, df, m)
     exact, total = folded_event_sum(parts, t_exp, df, m, n)
     assert np.max(np.abs(y - exact)) <= 1e-13 * total
 

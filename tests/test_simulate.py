@@ -449,10 +449,11 @@ def test_sampler_candidate_cap():
 
 
 @pytest.mark.parametrize("squeezed", [True, False], ids=["flux_range", "no-range"])
-def test_a_draw_peaks_within_30_bytes_a_candidate(squeezed):
-    # The bound behind _MAX_CANDIDATES: at 30 bytes a candidate, a draw at the
-    # cap stays within about 0.6 GiB. A 21 kHz tone's range leaves about 7% of
+def test_a_draw_peaks_within_20_bytes_a_candidate(squeezed):
+    # The bound behind _MAX_CANDIDATES: at 20 bytes a candidate, a draw at the
+    # cap stays within about 0.4 GiB. A 21 kHz tone's range leaves about 7% of
     # the candidates for the flux to decide; with no range it decides them all.
+    # Thinning a block at a time, either peaks at about 17.0 bytes a candidate.
     pair = PhotonPairSpec(delta_omega=DETUNING, visibility_v0=0.9)
     tone = VibrationSignal.pure_tone(21e3, 20e-9, dc_offset_delay=quadrature_delay(pair))
     fx = quantum_fluxes(pair, tone, ChannelModel(rate_c=1e6, rate_a=1e6))
@@ -467,8 +468,8 @@ def test_a_draw_peaks_within_30_bytes_a_candidate(squeezed):
     finally:
         tracemalloc.stop()
     assert abs(len(stream) - candidates / 2) < 5e3  # a quadrature draw keeps about half
-    assert per_candidate <= 30, per_candidate
-    assert 30 * _MAX_CANDIDATES <= 0.62 * 2**30
+    assert per_candidate <= 20, per_candidate
+    assert 20 * _MAX_CANDIDATES <= 0.41 * 2**30
 
 
 @pytest.mark.parametrize("tick, t_exp, message", [
@@ -741,6 +742,30 @@ def test_the_squeezed_draw_reads_the_flux_only_where_the_range_leaves_it_open(mo
     assert sample_inhomogeneous_poisson(flux, 1000.0, 2.0, 3, flux_range=(500.0, 500.0)).ticks.tobytes() \
         == full.ticks.tobytes()
     assert calls == []
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000, 1 << 16])
+@pytest.mark.parametrize("squeezed", [True, False], ids=["flux_range", "no-range"])
+def test_thinning_a_block_at_a_time_is_the_one_shot_draw(monkeypatch, block, squeezed):
+    # Each block draws its own uniforms, rng.random(k), which continue the
+    # one-shot draw of all of them, so the stream and the generator's state
+    # after the draw are those of drawing every uniform at once and reading
+    # the flux at every candidate.
+    pair = PhotonPairSpec(delta_omega=DETUNING, visibility_v0=0.9)
+    tone = VibrationSignal.pure_tone(210.0, 40e-9, dc_offset_delay=quadrature_delay(pair))
+    fx = quantum_fluxes(pair, tone, ChannelModel(rate_c=1e4, rate_a=1e4))
+    rng = np.random.default_rng(44)
+    n = rng.poisson(fx.bound_1)
+    times = np.sort(rng.random(n) * 1.0)
+    u = rng.random(n) * fx.bound_1
+    ticks = np.floor(times[u < fx.flux_1(times)] / 1e-10).astype(np.int64)
+    monkeypatch.setattr("qvibe.simulate._FLUX_BLOCK", block)
+    drawn = np.random.default_rng(44)
+    stream = sample_inhomogeneous_poisson(
+        fx.flux_1, fx.bound_1, 1.0, drawn, flux_range=fx.range_1 if squeezed else None
+    )
+    assert n > 5000 and stream.ticks.tobytes() == ticks.tobytes()
+    assert drawn.bit_generator.state == rng.bit_generator.state
 
 
 @pytest.mark.parametrize("flux_range", [(-1.0, 500.0), (400.0, 1000.5), (600.0, 400.0),

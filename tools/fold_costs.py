@@ -4,7 +4,10 @@ and fit the cost model that rule ranks the folds by.
 For each benchmark grid, two streams of uniform event times with Hann
 weights (the second times -1) are folded once per fold of
 ``_fold_table(m)``, and serial ``_grid_terms`` is timed there, best of
-``--repeat`` runs after one that builds the series table. The model is
+``--repeat`` runs after one that builds the series table. The transform
+consumes its folded parts, so each run folds fresh copies, untimed, and
+each timed run's output must equal the first run's bit for bit. The
+model is
 
     time / terms = _TERM_S + _TERM_EVENT_S * events + c(n) * n log2 n,
 
@@ -62,13 +65,19 @@ def time_grid(t_exp: float, f_max: float, events: int, repeat: int, seed: int = 
         parts.append((t, scale * estimate.window_weights(t, t_exp, "hann")))
     rows = []
     for n, terms, _ in estimate._fold_table(m):
-        folded = [estimate._fold(t, w, df * n, n) for t, w in parts]
-        estimate._grid_terms(folded, m, n, t_exp, None)  # builds the series table
+
+        def folded(n=n):  # _grid_terms takes the folded parts, so each call gets a fresh fold
+            return [estimate._fold(t.copy(), w.copy(), df * n, n) for t, w in parts]
+
+        first = estimate._grid_terms(folded(), m, n, t_exp, None)  # builds the series table
         best = math.inf
         for _ in range(repeat):
+            fresh = folded()
             start = time.perf_counter()
-            estimate._grid_terms(folded, m, n, t_exp, None)
+            y = estimate._grid_terms(fresh, m, n, t_exp, None)
             best = min(best, time.perf_counter() - start)
+            if y.tobytes() != first.tobytes():
+                raise AssertionError(f"{m} bins, fold {n}: a timed run differs from the first")
         rows.append((m, events, n, terms, best))
     return rows
 
