@@ -264,6 +264,10 @@ def cmd_sweep(args, cfg: Config) -> int:
         "sweep", "playback_scale", 0.0, ok=lambda s: s > -1, need="must exceed -1"
     )
     exposure, _ = build_exposure(cfg, pair, channel, "sweep", "exposure")
+    if not math.isfinite(2.0 * math.pi * freqs[-1] * (1.0 + playback_scale) * exposure):
+        raise cfg.refusal("sweep", "stop", f"stop must keep each tone's phase 2 pi f (1 +"
+                          f" playback_scale) exposure finite, got {stop!r} Hz over exposure ="
+                          f" {exposure!r} s")
     options = build_options(cfg)
     check_scan(cfg, options, exposure)
     points = run_frequency_sweep(

@@ -25,10 +25,11 @@ The pipeline works directly on event times, never on a rate histogram:
    bin changes, so each segment is read from cache for every term of the
    batch after the first, and each bin gets the sum one bincount of its
    stream would give (see ``_grid_terms``); a scan of two long streams
-   makes A's part and fold on a worker thread while the caller makes
-   C's, and on a large scan that worker bins each batch of terms while
-   the caller transforms the one before, which leaves every value bit
-   for bit as it is (see ``scan_spectrum`` and ``_grid_terms``),
+   (``simulate._threaded_pair``) makes A's part and fold on a worker
+   thread while the caller makes C's, and that worker then bins each
+   batch of terms while the caller transforms the one before, which
+   leaves every value bit for bit as it is (see ``scan_spectrum`` and
+   ``_grid_terms``),
 2. threshold |y_f| against a constant-false-alarm level computed from
    the events themselves, from the window weights the projection used,
 3. collapse contiguous above-threshold bins to candidate frequencies and
@@ -36,12 +37,12 @@ The pipeline works directly on event times, never on a rate histogram:
    series in the frequency offset whose event moments are summed once
    per stream and candidate, per time segment about the segment's centre,
    so each pass over a long stream stays in cache (see ``_offset_moments``;
-   for two long streams, A's moments are summed on a worker thread while
-   the caller sums C's): a zooming grid search scores the series on
-   65-point grids of the bracket until the step is at most 1e-4 of a
-   grid step, so the refined frequency holds that tolerance at every
-   frequency and the search has no iteration count to run out of (see
-   ``estimate_component``),
+   for two long streams, by the scan's rule, A's moments are summed on a
+   worker thread while the caller sums C's): a zooming grid search
+   scores the series on 65-point grids of the bracket until the step is
+   at most 1e-4 of a grid step, so the refined frequency holds that
+   tolerance at every frequency and the search has no iteration count to
+   run out of (see ``estimate_component``),
 4. read the phase of the combined projection and each stream's signed
    amplitude at the refined frequency from the same two series, with no
    further pass over the events,
@@ -89,7 +90,7 @@ from .core import (
 )
 from .errors import AnalysisError, ConfigError
 from .floatrepr import float_lines
-from .simulate import TimestampStream, _cos_range, _trace_samples, _worker
+from .simulate import TimestampStream, _cos_range, _threaded_pair, _trace_samples, _worker
 from .streamio import _CHUNK_LINES
 
 GRID_SPACING_FACTOR = 0.6
@@ -243,15 +244,12 @@ def _project_grid(parts, t_exp: float, df: float, m: int, pool=None) -> np.ndarr
     so two streams with equal bins and weights w, -w cancel to exactly 0;
     X_p has period n in k, so a bin k >= n reads bin k - n (see
     ``_grid_terms``, which bins the moments over segments of the folded
-    events). The binning of a batch of terms overlaps the previous batch's
-    rffts on a worker thread when both cost at least _OVERLAP_S a term by
-    the fold cost model (``_overlapped_terms``). Given a one-worker
-    ``pool``, the worker folds the last part while the caller folds the
-    others, and then bins the terms if they overlap; without one, a worker
-    is opened for the terms alone.
+    events). Given a one-worker ``pool``, the worker folds the last part
+    while the caller folds the others, and then bins each batch of terms
+    while the caller transforms the batch before; without one, the
+    transform runs on the calling thread alone.
     """
-    events = sum(t.size for t, _ in parts)
-    n = _fold_size(m, events)
+    n = _fold_size(m, sum(t.size for t, _ in parts))
 
     def fold(part):
         t, w = part
@@ -259,11 +257,7 @@ def _project_grid(parts, t_exp: float, df: float, m: int, pool=None) -> np.ndarr
         return _fold(t, w, df * n, n) if t.size else None
 
     folded = [f for f in _side_by_side(pool, fold, parts) if f]
-    overlap = _overlapped_terms(events, n)
-    if pool is not None:
-        return _grid_terms(folded, m, n, t_exp, pool if overlap else None)
-    with _worker(overlap) as own:
-        return _grid_terms(folded, m, n, t_exp, own)
+    return _grid_terms(folded, m, n, t_exp, pool)
 
 
 def _fold(t: np.ndarray, w: np.ndarray, scale: float, n: int):
@@ -592,51 +586,10 @@ _TERM_S, _TERM_EVENT_S = 8.41e-06, 3.39e-09
 _TERM_FFT_S = (5.21e-10,) * 16 + (5.46e-10, 1e-09, 9.66e-10, 9.62e-10)  # by log2 n
 _MAX_COST_FOLD = 1 << 16
 
-# A grid transform bins each batch of terms on a worker thread while the
-# caller transforms the batch before (``_grid_terms``) only if both halves
-# cost at least _OVERLAP_S a term by the model above: the overlap saves at
-# most the shorter half, and a thread costs its start and a hand-off per
-# batch. Scans timed on 2 cores with the segment binning (32-bit bins, no
-# side-by-side batch 0), medians of 15 to 21 alternating calls, two
-# streams of equal size, overlapped against serial: 334 bins with 200k
-# events (0.12 ms a term by the model, the README quick start's size, one
-# batch) 14.5 against 15.4 ms; 334 bins with 300k (0.26 ms) 23.3 against
-# 23.5 ms; 33,334 bins (0.26 ms, two batches) with 100k 28.9 against
-# 26.7 ms and with 200k 31.6 against 35.2 ms; 66,667 bins (three batches)
-# with 100k (0.34 ms) 38.9 against 37.0 ms, with 200k (0.57 ms) 41.9
-# against 55.4 ms and with 400k 66.5 against 79.0 ms; the 5 s sweep grid
-# with 1M events (2.2 ms, six batches) 147 against 203 ms. Calls at
-# 0.26-0.34 ms a term went either way and every larger one won, so the
-# bound stays at 0.25 ms.
-_OVERLAP_S = 2.5e-4
-
-
 def _fft_cost(n: int) -> float:
     """The model's rfft and buffer cost of one term at fold n."""
     log = n.bit_length() - 1
     return _TERM_FFT_S[min(log, len(_TERM_FFT_S) - 1)] * n * log
-
-
-def _overlapped_terms(events: int, n: int) -> bool:
-    """Whether a grid transform of ``events`` events at fold n bins on a worker."""
-    return min(_TERM_EVENT_S * events, _fft_cost(n)) >= _OVERLAP_S
-
-
-# A scan makes A's part and fold on a worker while the caller makes C's
-# only if both streams hold more than _PREPARE_EVENTS events. Scans of two
-# equal streams on the 334-bin grid, side by side against serial, medians
-# of 30-60 alternating calls on 2 cores in three sittings: 20k and 25k
-# events a stream lost (3.9 against 3.5 ms, 3.6 against 3.2 ms); 30k-45k
-# won in some sittings and lost in others (35k: 6.23 against 6.00 and
-# 6.08 against 6.22 ms; 45k: 6.87 against 6.03 ms); 50k and more won
-# wherever timed (50k: 7.7 against 8.1 ms; 100k 12.2 against 12.8 ms;
-# 250k 33.9 against 36.6 ms), and on the 5 s sweep grid 45k won 18 of 20.
-_PREPARE_EVENTS = 50_000
-
-
-def _prepared_side_by_side(events_c: int, events_a: int) -> bool:
-    """Whether a scan makes A's part and fold on a worker while the caller makes C's."""
-    return min(events_c, events_a) > _PREPARE_EVENTS
 
 
 @functools.lru_cache(maxsize=256)
@@ -810,15 +763,16 @@ def scan_spectrum(
     and the threshold ``detection_threshold`` for that grid, both with the
     Hann window: the scan makes the calls those two make (``_weighted_parts``,
     then ``_threshold`` and ``_project``), with each stream's window weights
-    computed once for both. It opens at most one worker thread: when both
-    streams are long enough (``_prepared_side_by_side``), A's part and fold
-    are made there while the caller makes C's, and the same worker then
-    bins the series terms if they overlap; otherwise ``_project_grid`` opens
-    one for the terms alone if they do.
+    computed once for both. When the pair is worth a thread
+    (``simulate._threaded_pair``), the scan opens one worker: A's part and
+    fold are made there while the caller makes C's, and the same worker
+    then bins each batch of series terms while the caller transforms the
+    batch before (``_project_grid``). Otherwise the scan runs on the
+    calling thread alone.
     """
     t_exp = stream_c.t_exp
     freqs = frequency_grid(t_exp, f_max)
-    with _worker(_prepared_side_by_side(len(stream_c), len(stream_a))) as pool:
+    with _worker(_threaded_pair(len(stream_c), len(stream_a))) as pool:
         parts = _weighted_parts(stream_c, stream_a, ratio, "hann", pool)
         kappa = _threshold(parts, t_exp, p_fa, freqs.size)
         y = _project(parts, t_exp, freqs, pool)
@@ -830,14 +784,6 @@ def scan_spectrum(
         p_fa=p_fa,
         detected=detected,
     )
-
-
-# Stream A's refinement moments run on a worker thread while the caller sums
-# C's only if both streams hold more events than one full segment. One
-# refinement timed on 2 cores, best of 7, serial against overlapped: 20k
-# events a stream 2.5 against 3.1 ms, 35k 5.0 against 4.8 ms, 95k 7.5
-# against 5.9 ms, 500k (the 21 kHz sweep point) 53 against 31 ms.
-_OVERLAP_EVENTS = _SEGMENT_EVENTS
 
 
 def _segment_count(events: int) -> int:
@@ -985,8 +931,8 @@ def estimate_component(
     """Refined frequency, phase and signed amplitudes of the line near f_seed.
 
     Each stream's moment series (``_offset_moments``) is summed once; the
-    rest costs no pass over the events. When both streams hold more than
-    _OVERLAP_EVENTS events, A's moments are summed on a worker thread
+    rest costs no pass over the events. When the pair is worth a thread
+    (``simulate._threaded_pair``), A's moments are summed on a worker thread
     while the caller sums C's; the pool is closed before the moments are
     used, errors included, and the result is the serial one bit for bit.
 
@@ -1012,8 +958,7 @@ def estimate_component(
     _check_pair(stream_c, stream_a, ratio)
     h = t_exp / 2.0
     segments = _segment_count(max(len(stream_c), len(stream_a)))
-    overlap = min(len(stream_c), len(stream_a)) > _OVERLAP_EVENTS
-    with _worker(overlap) as pool:
+    with _worker(_threaded_pair(len(stream_c), len(stream_a))) as pool:
         args = (f_seed, delta_f, segments)
         moments_a = pool.submit(_offset_moments, stream_a, *args) if pool else None
         m_c = _offset_moments(stream_c, *args)

@@ -529,7 +529,11 @@ def _square_wave_setup(
     conditions,
 ) -> AdvantageSetup:
     """The pair, 1550 nm fringe, square wave and analysis band both
-    advantage experiments share; the band reaches the 19th harmonic."""
+    advantage experiments share; the band, 20 times the fundamental,
+    reaches the 19th harmonic and must be finite."""
+    if not math.isfinite(20.0 * fundamental):
+        raise ConfigError(f"fundamental must keep the scan band 20 * fundamental finite,"
+                          f" got {fundamental!r} Hz")
     return AdvantageSetup(
         signal=VibrationSignal.square_wave(fundamental, amplitude_pp),
         pair=PhotonPairSpec(delta_omega=2.0 * math.pi * 177e12),

@@ -9,8 +9,10 @@ proven range of the values it can compute, and a draw evaluates the flux
 only at the thinning candidates whose uniform that range leaves undecided
 (Marsaglia's squeeze); those values are checked against the bound. A
 run's two streams are drawn together, the second on a worker thread,
-when each is large enough to repay the thread and both together stay
-within the draw cap (see ``_simulate_run``).
+when each expects more than _PAIR_THREAD_EVENTS candidates and both
+together stay within the draw cap (see ``_simulate_run``); that one rule,
+``_threaded_pair``, also gives the scan and the refinement of a stream
+pair their second thread (``qvibe.estimate``).
 
 Two detection channels are supported:
 
@@ -58,17 +60,6 @@ DEFAULT_TICK = 100e-12
 # their candidates add up to at most the cap (``_simulate_run``), so that
 # bound holds for a run too.
 _MAX_CANDIDATES = 2.2e7
-
-# A run draws its second stream on a worker thread while the caller draws
-# the first only if each stream expects at least _CONCURRENT_CANDIDATES
-# candidates: below that, the thread's start and hand-off cost more than
-# the overlap saves. One quantum run of squeezed draws timed on 2 cores,
-# median of 41 (11 at 1M), serial against concurrent: at 2k candidates a
-# stream 0.5 against 1.3 ms, 10k 0.8 against 1.8 ms, 20k 1.8 against
-# 2.3 ms, 30k 2.1 to 3.2 against 2.6 to 2.8 ms over two timings, 50k 4.6
-# against 4.0 ms, 190k (the README quick start) 18 against 10 ms and 1M
-# (a 21 kHz sweep point) 88 against 49 ms.
-_CONCURRENT_CANDIDATES = 1 << 15
 
 # A draw thins its sorted candidates _FLUX_BLOCK at a time (``_survivors``):
 # it holds one block's thinning uniforms and flux values, not all of them.
@@ -703,6 +694,27 @@ def _mark_campaign_worker() -> None:
     _thread.campaign_worker = True
 
 
+# A stream pair works its second stream on a worker thread, in the draw, the
+# scan and the refinement alike, only if each stream holds more than
+# _PAIR_THREAD_EVENTS events (a draw: expects more than that many
+# candidates): below that, the thread's start and hand-offs cost about what
+# the overlap saves. Serial against threaded on 2 cores, per stream: a
+# quantum draw (medians of 41) 1.8 against 2.3 ms at 20k candidates,
+# 2.1-3.2 against 2.6-2.8 ms at 30k over two timings, 4.6 against 4.0 ms at
+# 50k and 18 against 10 ms at 190k; a 334-bin scan (medians of 30-60, three
+# sittings) lost at 20k-25k events, went either way at 30k-45k and won from
+# 50k on (7.7 against 8.1 ms at 50k, 33.9 against 36.6 ms at 250k); one
+# refinement (best of 7) 2.5 against 3.1 ms at 20k, 5.0 against 4.8 ms at
+# 35k and 7.5 against 5.9 ms at 95k.
+_PAIR_THREAD_EVENTS = 50_000
+
+
+def _threaded_pair(size_1: float, size_2: float) -> bool:
+    """Whether a stream pair of these sizes (events, or a draw's expected
+    candidates) works its second stream on a worker thread."""
+    return min(size_1, size_2) > _PAIR_THREAD_EVENTS
+
+
 def _worker(wanted: bool):
     """A one-thread pool if ``wanted`` and the caller is no campaign worker, closed on
     exit, else a null context yielding None."""
@@ -719,8 +731,8 @@ def _simulate_run(run_type, fluxes, fringe, signal, channel, t_exp, seed, tick):
     Both draws are checked against the candidate cap before either is made,
     and each is squeezed by its flux's range. The sampler is looked up as a
     module global at call time, so a stand-in put there sees every draw. When
-    each expects at least _CONCURRENT_CANDIDATES candidates and both
-    together at most _MAX_CANDIDATES, stream 2 is drawn on a worker thread
+    ``_threaded_pair`` holds for the two expected candidate counts and they
+    add up to at most _MAX_CANDIDATES, stream 2 is drawn on a worker thread
     while the caller draws stream 1; each draw reads only its own generator,
     so the streams are the serial ones bit for bit, and a refused draw raises
     the same error. The pool is closed before the run returns or raises.
@@ -731,7 +743,7 @@ def _simulate_run(run_type, fluxes, fringe, signal, channel, t_exp, seed, tick):
     tag_1, tag_2 = fringe.stream_tags
     draw_2 = (fx.flux_2, fx.bound_2, t_exp, np.random.default_rng(seq_2), tick, tag_2, fx.range_2)
     candidates = (fx.bound_1 * t_exp, fx.bound_2 * t_exp)
-    concurrent = min(candidates) >= _CONCURRENT_CANDIDATES and sum(candidates) <= _MAX_CANDIDATES
+    concurrent = _threaded_pair(*candidates) and sum(candidates) <= _MAX_CANDIDATES
     with _worker(concurrent) as pool:
         stream_2 = pool.submit(sample_inhomogeneous_poisson, *draw_2) if pool else None
         stream_1 = sample_inhomogeneous_poisson(

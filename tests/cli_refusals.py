@@ -321,6 +321,7 @@ def _rows():
     # amplitude's key: the envelope overflows at 1e160 m and 1e300 m, the
     # classical fringe's phase at 1e307 m.
     amplitude = "must keep the fringe phase and envelope finite at the delays the waveform reaches"
+    tone_phase = "must keep each tone's phase 2 pi f (1 + playback_scale) exposure finite"
     for name, mode, value in [("quantum-1e300", "quantum", "1e+300"),
                               ("quantum-1e160", "quantum", "1e+160"),
                               ("classical-1e307", "classical", "1e+307")]:
@@ -566,6 +567,18 @@ def _rows():
         ("amplitude_pp-overflow",
          ("amplitude_pp = 20 nm\nexposure", "amplitude_pp = 1e160 m\nexposure"),
          f"[sweep] amplitude_pp: amplitude_pp {amplitude}, got 1e+160 m"),
+        # A tone whose phase 2 pi f t overflows over the exposure would read a
+        # NaN flux; the true tone is f (1 + playback_scale).
+        ("stop-phase-overflow",
+         ("start = 10 Hz\nstop = 30 Hz\nstep = 10 Hz\namplitude_pp = 20 nm\nexposure = 1 s",
+          "start = 1e308 Hz\nstop = 1e308 Hz\nstep = 1e300 Hz\namplitude_pp = 20 nm\n"
+          "exposure = 0.01 s"),
+         f"[sweep] stop: stop {tone_phase}, got 1e+308 Hz over exposure = 0.01 s"),
+        ("stop-phase-overflow-by-playback_scale",
+         ("start = 10 Hz\nstop = 30 Hz\nstep = 10 Hz\namplitude_pp = 20 nm\nexposure = 1 s",
+          "start = 1e307 Hz\nstop = 1e307 Hz\nstep = 1e300 Hz\namplitude_pp = 20 nm\n"
+          "exposure = 0.01 s\nplayback_scale = 9"),
+         f"[sweep] stop: stop {tone_phase}, got 1e+307 Hz over exposure = 0.01 s"),
     ]:
         yield R(f"sweep-{name}", "sweep -c sweep.ini --out out", sweep + err,
                 {"sweep.ini": edit(SWEEP, change)})
@@ -593,6 +606,10 @@ def _rows():
         ("background-amplitude_pp-0", "experiment = background\namplitude_pp = 0 nm",
          f"amplitude_pp: {ZERO_NM}"),
         # The band reaches the 19th harmonic: 20 GHz over the 5 ms quantum exposure.
+        # 20 times the fundamental, the band's top, overflows a double.
+        ("loss-fundamental-1e307", "experiment = loss\nfundamental = 1e307 Hz",
+         "fundamental: fundamental must keep the scan band 20 * fundamental finite,"
+         " got 1e+307 Hz"),
         ("loss-fundamental-1GHz", "experiment = loss\nfundamental = 1 GHz\ntarget_pairs = 1000",
          "fundamental: f_max = 20000000000.0 Hz needs 166666667 scan bins at t_exp = 0.005 s;"
          " at most 2097152 are allowed"),

@@ -43,13 +43,12 @@ from qvibe.estimate import (
     _fold_size,
     _fold_table,
     _grid_terms,
+    _BATCH_BYTES,
     _MAX_GRID_BINS,
     _TRACE_BLOCK,
     _group_detections,
     _offset_moments,
     _offset_series,
-    _overlapped_terms,
-    _prepared_side_by_side,
     _project_direct,
     _segment_count,
     _series_table,
@@ -72,6 +71,8 @@ from qvibe.simulate import (
     TimestampStream,
     VibrationSignal,
     _mark_campaign_worker,
+    _threaded_pair,
+    quantum_fluxes,
     simulate_classical_run,
     simulate_quantum_run,
 )
@@ -594,32 +595,25 @@ def test_scan_projections_are_bitwise_combined_spectrum():
 
 @pytest.fixture(scope="module")
 def overlapped_pair():
-    # About 200k events and a 66,667-bin grid (f_max = 40 kHz at t_exp = 1 s):
-    # above every gate, so the scan prepares A and bins the terms on its one
-    # worker thread, and refinement sums stream A's moments on one.
+    # About 100k events a stream, each over the pair's thread gate, so the
+    # scan prepares A and bins the terms on its one worker thread, and
+    # refinement sums stream A's moments on one.
     pair = PhotonPairSpec(delta_omega=2 * math.pi * 177e12, visibility_v0=0.9)
     signal = VibrationSignal.pure_tone(5e3, 20e-9, dc_offset_delay=quadrature_delay(pair))
     channel = ChannelModel(rate_c=200e3, rate_a=200e3)
     return simulate_quantum_run(pair, signal, channel, t_exp=1.0, seed=20)
 
 
-def test_overlapped_scan_and_refinement_are_bitwise_the_serial_path(
-    monkeypatch, overlapped_pair, counting_pools
-):
-    stream_c, stream_a = overlapped_pair
-    ratio, f_max = 1.1, 40e3
-    started = counting_pools
+def _threaded_scan_is_serial(monkeypatch, started, streams, ratio, f_max):
+    """Scan the pair and refine each detection on its worker, then with the
+    gate shut: each threaded scan and seed starts one worker, the serial
+    path none, and every value is the same bit for bit. Returns the scan."""
+    stream_c, stream_a = streams
+    assert _threaded_pair(len(stream_c), len(stream_a))
     scan = scan_spectrum(stream_c, stream_a, ratio, f_max=f_max)
-    m, events = scan.frequencies.size, len(stream_c) + len(stream_a)
-    assert m >= 1 << 16 and scan.detected
-    # The scan's one worker prepares A and then bins the terms.
-    assert _prepared_side_by_side(len(stream_c), len(stream_a))
-    assert _overlapped_terms(events, _fold_size(m, events))
     comps = [estimate_component(stream_c, stream_a, ratio, f) for f in scan.detected]
     assert started == [1] * (1 + len(scan.detected))  # one worker a scan and a seed
-    monkeypatch.setattr("qvibe.estimate._OVERLAP_S", math.inf)
-    monkeypatch.setattr("qvibe.estimate._OVERLAP_EVENTS", math.inf)
-    monkeypatch.setattr("qvibe.estimate._PREPARE_EVENTS", math.inf)
+    monkeypatch.setattr("qvibe.simulate._PAIR_THREAD_EVENTS", math.inf)
     serial = scan_spectrum(stream_c, stream_a, ratio, f_max=f_max)
     serial_comps = [estimate_component(stream_c, stream_a, ratio, f) for f in serial.detected]
     assert len(started) == 1 + len(scan.detected)  # the serial path started none
@@ -627,27 +621,30 @@ def test_overlapped_scan_and_refinement_are_bitwise_the_serial_path(
     assert serial.threshold_kappa.hex() == scan.threshold_kappa.hex()
     assert serial.detected == scan.detected
     assert repr(serial_comps) == repr(comps)  # float repr round-trips every bit
+    return scan
+
+
+def test_overlapped_scan_and_refinement_are_bitwise_the_serial_path(
+    monkeypatch, overlapped_pair, counting_pools
+):
+    # A 66,667-bin grid (f_max = 40 kHz at t_exp = 1 s): three batches of
+    # terms, the worker binning each while the caller transforms the one before.
+    scan = _threaded_scan_is_serial(monkeypatch, counting_pools, overlapped_pair, 1.1, 40e3)
+    assert scan.frequencies.size >= 1 << 16 and scan.detected
 
 
 def test_side_by_side_preparation_is_bitwise_the_serial_scan(
     monkeypatch, overlapped_pair, counting_pools
 ):
-    # 200k events on the quick start's 334 bins: each stream holds more than
-    # _PREPARE_EVENTS events, so the scan's one worker makes A's times,
-    # weights and fold while the caller makes C's; the terms are too cheap
-    # to overlap there.
-    stream_c, stream_a = overlapped_pair
-    m, events = 334, len(stream_c) + len(stream_a)
-    assert _prepared_side_by_side(len(stream_c), len(stream_a))
-    assert not _overlapped_terms(events, _fold_size(m, events))
-    scan = scan_spectrum(stream_c, stream_a, 1.1, f_max=200.0)
-    assert scan.frequencies.size == m and counting_pools == [1]
-    monkeypatch.setattr("qvibe.estimate._PREPARE_EVENTS", math.inf)
-    serial = scan_spectrum(stream_c, stream_a, 1.1, f_max=200.0)
-    assert counting_pools == [1]  # the serial path started none
-    assert serial.projections.tobytes() == scan.projections.tobytes()
-    assert serial.threshold_kappa.hex() == scan.threshold_kappa.hex()
-    assert serial.detected == scan.detected
+    # The README quick start's size: about 100k events a stream on its 334
+    # bins, folded onto 2^14 bins with 8 series terms, one batch, which the
+    # worker path splits into 7 + 1 terms after the worker has made A's
+    # times, weights and fold.
+    events = sum(map(len, overlapped_pair))
+    n = _fold_size(334, events)
+    assert n == 1 << 14 and len(_series_table(334, n)[0]) == 8 <= _BATCH_BYTES // (8 * n)
+    scan = _threaded_scan_is_serial(monkeypatch, counting_pools, overlapped_pair, 1.1, 200.0)
+    assert scan.frequencies.size == 334
 
 
 def test_a_scan_on_a_campaign_worker_opens_no_worker(overlapped_pair, counting_pools):
@@ -809,7 +806,8 @@ def test_sweep_scan_holds_less_than_one_bincount_per_part_and_term():
 
 def test_a_false_alarm_sized_exposure_starts_no_thread(monkeypatch):
     # 2k events a stream and 334 bins, as the signal-free benchmark runs:
-    # below every gate, where a thread's start would cost more than it saves.
+    # below the pair's thread gate, where a thread's start would cost more
+    # than it saves.
     # The draws, the scan and the refinement start none, nor does a trace
     # the size of the README quick start's (a 10 Hz line over 1 s, 1,000
     # samples in one block).
@@ -826,6 +824,35 @@ def test_a_false_alarm_sized_exposure_starts_no_thread(monkeypatch):
     comp = estimate_component(stream_c, stream_a, 1.0, 50.0)
     rec = reconstruct(stream_c, stream_a, 1.0, pair, GeometryFactor(), [replace(comp, f_hat=10.0)])
     assert rec.tau_trace.size == 1000
+
+
+def test_the_draw_scan_and_refinement_share_one_thread_gate(monkeypatch, counting_pools):
+    # _threaded_pair is the one gate of all three sites: a pair whose smaller
+    # stream is exactly at _PAIR_THREAD_EVENTS (a draw: expects exactly that
+    # many candidates) starts no worker, and with the gate one lower, one
+    # more candidate or event than it, each site starts exactly one.
+    pair = PhotonPairSpec(delta_omega=2 * math.pi * 177e12)
+    signal = VibrationSignal.pure_tone(50.0, 20e-9, dc_offset_delay=quadrature_delay(pair))
+    channel = ChannelModel(rate_c=2000.0, rate_a=3000.0)
+    fluxes = quantum_fluxes(pair, signal, channel)
+    started, gate = counting_pools, "qvibe.simulate._PAIR_THREAD_EVENTS"
+
+    def workers(at, call, *args):
+        monkeypatch.setattr(gate, at)
+        result = call(*args)
+        opened = list(started)
+        started.clear()
+        return opened, result
+
+    candidates = min(fluxes.bound_1, fluxes.bound_2)  # at t_exp = 1 s
+    assert workers(candidates, simulate_quantum_run, pair, signal, channel, 1.0, 6)[0] == []
+    opened, run = workers(candidates - 1, simulate_quantum_run, pair, signal, channel, 1.0, 6)
+    assert opened == [1]
+    events = min(map(len, run))
+    for call, args in ((scan_spectrum, (*run, 1.0, 1e-3, 200.0)),
+                       (estimate_component, (*run, 1.0, 50.0))):
+        assert workers(events, call, *args)[0] == []
+        assert workers(events - 1, call, *args)[0] == [1]
 
 
 def test_group_detections_collapses_runs_and_skips_dc():

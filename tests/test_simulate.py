@@ -550,7 +550,7 @@ def test_concurrent_draws_are_bitwise_the_serial_draws(monkeypatch, counting_poo
     runs = {}
     started = counting_pools
     for gate in (0, math.inf):
-        monkeypatch.setattr("qvibe.simulate._CONCURRENT_CANDIDATES", gate)
+        monkeypatch.setattr("qvibe.simulate._PAIR_THREAD_EVENTS", gate)
         runs[gate] = (
             simulate_quantum_run(pair, signal_q, channel, 1.0, seed=5),
             simulate_classical_run(fringe, signal, channel, 1.0, seed=5, tick_duration=23e-12),
@@ -565,7 +565,7 @@ def test_concurrent_draws_are_bitwise_the_serial_draws(monkeypatch, counting_poo
 
 def test_two_draws_over_the_cap_together_start_no_thread(monkeypatch):
     # Each stream expects 1e5 candidates, under a cap of 1.5e5 and over the
-    # concurrency gate, but the two together pass the cap, so they are drawn
+    # pair's thread gate, but the two together pass the cap, so they are drawn
     # one after the other and never peak together.
     def refuse(max_workers):
         raise AssertionError("started a thread")
@@ -592,7 +592,7 @@ def test_a_refused_second_draw_raises_the_same_error_with_the_gate_open_or_shut(
     threads = threading.active_count()
     messages = []
     for gate in (0, math.inf):
-        monkeypatch.setattr("qvibe.simulate._CONCURRENT_CANDIDATES", gate)
+        monkeypatch.setattr("qvibe.simulate._PAIR_THREAD_EVENTS", gate)
         with pytest.raises(ConfigError, match="flux exceeds its bound") as exc:
             _simulate_run(QuantumRun, fluxes, pair, signal, ChannelModel(), 1.0, 8, 1e-10)
         messages.append(str(exc.value))
