@@ -11,7 +11,8 @@ The pipeline works directly on event times, never on a rate histogram:
    grid size while the series stays within its accuracy there, the grid
    then reading each bin past the fold periodically, bin k as bin k minus
    the fold; it bins their moments, combines them and takes one real FFT per
-   series term, whose mirror image gives the bins above half the fold;
+   series term, a small grid's terms a group per call, whose mirror image
+   gives the bins above half the fold;
    each term's FFT is multiplied by its real row of series coefficients,
    and an odd term then by -i, before it is added; the series is the
    phasor's Taylor series economised onto Chebyshev polynomials, so it
@@ -118,14 +119,15 @@ def grid_spacing(t_exp: float) -> float:
 _MAX_GRID_BINS = 1 << 21
 
 
-def _grid_bins(t_exp: float, f_max: float) -> int:
-    """The bin count of ``frequency_grid(t_exp, f_max)``, refused as that grid is."""
+def _grid_bins(t_exp: float, f_max: float, band: str = "f_max") -> int:
+    """The bin count of ``frequency_grid(t_exp, f_max)``, refused as that grid is;
+    a refusal of too many bins calls f_max ``band``."""
     if not 0 < f_max < math.inf:
         raise ConfigError("f_max must be positive and finite")
     m = math.floor(f_max / grid_spacing(t_exp)) + 1
     if m > _MAX_GRID_BINS:
         raise ConfigError(
-            f"f_max = {f_max} Hz needs {m} scan bins at t_exp = {t_exp} s;"
+            f"{band} = {f_max} Hz needs {m} scan bins at t_exp = {t_exp} s;"
             f" at most {_MAX_GRID_BINS} are allowed"
         )
     return m
@@ -142,7 +144,10 @@ def frequency_grid(t_exp: float, f_max: float) -> np.ndarray:
     that fold, since the one below it lies past theta = 3 pi / 2; a larger
     grid raises ConfigError. The grid transform's rows of moments add at
     most 4 MiB, twice that when a worker bins them (``_grid_terms``), which
-    is 64 bytes a bin at 2^16 bins.
+    is 64 bytes a bin at 2^16 bins. Its group buffer of term spectra, of
+    max(m, n/2 + 1) bins each at fold n, holds the one spectrum counted
+    above where a spectrum has over 8,192 bins (every grid of over 8,192
+    bins), and at most 256 KiB where it holds more.
     A grid that takes the fold below m holds up to 24 rows, about 305
     bytes a bin, and has at most 1.5 * 2^20 + 1 bins, about 460 MiB.
     """
@@ -327,8 +332,12 @@ def _bin_change(bins: np.ndarray, stop: int) -> int:
 
 # The grid transform bins its terms a batch at a time into rows of n bins,
 # at most _BATCH_BYTES of rows a batch, so a segment's events are read from
-# cache for every term of the batch after the first.
+# cache for every term of the batch after the first. It then transforms a
+# batch's rows as many terms at a time as their spectra fit in _GROUP_BYTES,
+# or one at a time where one spectrum exceeds half of it: one numpy call per
+# group instead of per term, where the calls cost more than their bins.
 _BATCH_BYTES = 1 << 22
+_GROUP_BYTES = 1 << 18
 
 
 def _grid_terms(folded, m: int, n: int, t_exp: float, pool) -> np.ndarray:
@@ -352,17 +361,29 @@ def _grid_terms(folded, m: int, n: int, t_exp: float, pool) -> np.ndarray:
     batch is then one term, so the worker waits for one term's transform
     at the end, and batch 0 is binned by both threads, a part each.
 
-    The moments are real, so a bin n/2 < k < n past the rfft's last one
-    reads X_p[k] = conj(X_p[n - k]): the rfft writes the head of one
-    buffer, and those bins are mirrored into its tail; a grid of at most
-    n/2 + 1 bins has no tail and reads the rfft's bins in place. A fold
-    below m reads each bin n <= k < m as bin k - n, which lies in the head
-    since m - 1 <= 3n/2 (``_fold_table``). c_kp is s_kp for even p and
-    -i s_kp for odd p, with s_kp real (row p of the table): each term's
-    bins are multiplied in place by s_kp in one complex multiply, an odd
-    term's then by -i, which is exact (it swaps the real and imaginary
-    parts and negates one), and no complex coefficient is formed. The bin
-    phase e^(-i pi k / n) is kept with the table.
+    The rows are transformed a group of G terms at a time, G being as many
+    max(m, n/2 + 1)-bin spectra as fit in _GROUP_BYTES (all 14 terms of a
+    334-bin grid at fold 1024; one term on the quick-start and sweep
+    grids), in one (G, max(m, n/2 + 1)) complex buffer: one rfft of the G
+    rows, then each step below once for the group, and last the G spectra
+    are added to the sum one by one in p order, so each bin takes its
+    additions in term order and the sum is bit for bit that of one term
+    at a time. The moments are real, so a bin n/2 < k < n past the rfft's
+    last one reads X_p[k] = conj(X_p[n - k]): the rfft writes the head of
+    each spectrum, and those bins are mirrored into its tail; a grid of at
+    most n/2 + 1 bins has no tail and reads the rfft's bins in place. A
+    fold below m reads each bin n <= k < m as bin k - n, which lies in the
+    head since m - 1 <= 3n/2 (``_fold_table``). c_kp is s_kp for even p
+    and -i s_kp for odd p, with s_kp real (row p of the table): the
+    group's bins are multiplied in place by its rows of s_kp in one
+    complex multiply, its odd terms' then by -i, which is exact (it swaps
+    the real and imaginary parts and negates one), and no complex
+    coefficient is formed. The bin phase e^(-i pi k / n) is kept with the
+    table. Besides the parts, the transform holds the table, the m-bin sum,
+    the row buffers and the group buffer: at most _GROUP_BYTES, or one
+    spectrum where a spectrum exceeds half of that. A group's multiply
+    casts its real table rows to complex in temporaries of up to three
+    times their size (on 334 bins at fold 1024, 14 terms: 225 kB).
     """
     if not folded:
         return np.zeros(m, dtype=complex)
@@ -407,25 +428,32 @@ def _grid_terms(folded, m: int, n: int, t_exp: float, pool) -> np.ndarray:
 
     out = np.zeros(m, dtype=complex)
     half, top = n // 2 + 1, min(m, n)  # rfft bins, and the bins below the period
-    spectrum = np.empty(max(m, half), dtype=complex)
-    # Bins half..top-1 of the tail are conj of bins n-half down to n-top+1.
-    head, tail, mirror = spectrum[:half], spectrum[half:top], spectrum[n - half : n - top : -1]
-    term = spectrum[:m]
-    mirrored = top > half
+    group = min(len(batches[0]), _term_group(m, n))
+    spectra = np.empty((group, max(m, half)), dtype=complex)
     for terms, rows in zip(batches, _in_turn(binned, len(batches), len(folded), pool)):
-        for p, row in zip(terms, rows):
-            np.fft.rfft(row, out=head)
-            if mirrored:
-                np.conjugate(mirror, out=tail)
+        for g in range(0, len(terms), group):
+            p = terms[g : g + group]
+            spectrum = spectra[: len(p)]
+            np.fft.rfft(rows[g : g + len(p)], axis=1, out=spectrum[:, :half])
+            if top > half:  # bins half..top-1 are conj of bins n-half down to n-top+1
+                np.conjugate(spectrum[:, n - half : n - top : -1], out=spectrum[:, half:top])
             if m > n:  # X_p has period n
-                spectrum[n:m] = spectrum[: m - n]
-            term *= table[p]
-            if p % 2:
-                term *= -1j  # (a + ib)(-i) = b - ia, exactly
-            out += term
+                spectrum[:, n:m] = spectrum[:, : m - n]
+            term = spectrum[:, :m]
+            term *= table[p.start : p.stop]
+            term[(p.start + 1) % 2 :: 2] *= -1j  # odd p: (a + ib)(-i) = b - ia, exactly
+            for row in term:
+                out += row
     out *= phase
     out /= t_exp
     return out
+
+
+def _term_group(m: int, n: int) -> int:
+    """Terms ``_grid_terms`` transforms per group at most: the m-bin grid's
+    spectra at fold n, max(m, n/2 + 1) complex bins each, that fit in
+    _GROUP_BYTES, and at least one."""
+    return max(1, _GROUP_BYTES // (16 * max(m, n // 2 + 1)))
 
 
 def _in_turn(binned, batches: int, parts: int, pool):
@@ -581,7 +609,11 @@ def _series_table(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 # an event; all three keep the benchmark folds, though two of them timed
 # 2^15 fastest on 334 bins with 190k events (within 1% of 2^14). Those
 # folds are pinned by test, so a refit keeps them or says why it moves
-# them. Only the ratios steer the choice.
+# them. Only the ratios steer the choice. The fit predates grouped
+# transforms (``_term_group``), so it charges a small fold's terms their own
+# rfft calls, which they now share; a refit with grouped transforms moved
+# the false-alarm fold from 1024 to 512 and the quick-start fold from 16384
+# to 8192, which would change their spectra, so the constants stay.
 _TERM_S, _TERM_EVENT_S = 8.41e-06, 3.39e-09
 _TERM_FFT_S = (5.21e-10,) * 16 + (5.46e-10, 1e-09, 9.66e-10, 9.62e-10)  # by log2 n
 _MAX_COST_FOLD = 1 << 16
@@ -716,6 +748,8 @@ def _group_detections(
     if freqs.size and freqs[0] == 0.0:
         mask[0] = False  # DC carries the mean flux, never a candidate
     hits = np.flatnonzero(mask)
+    if not hits.size:  # a signal-free scan, with no run to split
+        return ()
     runs = np.split(hits, np.flatnonzero(np.diff(hits) != 1) + 1)
     return tuple(float(freqs[run[np.argmax(magnitude[run])]]) for run in runs if run.size)
 

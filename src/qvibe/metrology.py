@@ -401,13 +401,16 @@ class AdvantageSetup:
     def __post_init__(self) -> None:
         """Refuse a signal with no component, whose first is the scored
         fundamental, and a condition whose draws the sampler, or whose scan
-        grids ``frequency_grid``, would refuse, before any draw is made."""
+        grids ``frequency_grid``, would refuse, before any draw is made. A
+        grid of too many bins is refused by its band as a multiple of the
+        fundamental, from which the setup derives it."""
         if not self.signal.components:
             raise ConfigError("an advantage experiment needs a signal with a fundamental to score")
+        multiple = self.options.f_max / self.signal.components[0].frequency
         for cond in self.conditions:
             for fringe, signal, channel, t_exp, _ in self._halves(cond):
                 _check_draws(_fluxes(fringe, signal, channel), t_exp)
-                _grid_bins(t_exp, self.options.f_max)
+                _grid_bins(t_exp, self.options.f_max, f"the scan band {multiple:.6g} * fundamental")
 
     def _halves(self, cond: AdvantageCondition) -> tuple[tuple, tuple]:
         """(fringe, signal, channel, t_exp, ratio) of the quantum, then the classical, exposure.

@@ -605,14 +605,14 @@ def _rows():
          f"amplitude_pp: {ZERO_NM}"),
         ("background-amplitude_pp-0", "experiment = background\namplitude_pp = 0 nm",
          f"amplitude_pp: {ZERO_NM}"),
-        # The band reaches the 19th harmonic: 20 GHz over the 5 ms quantum exposure.
         # 20 times the fundamental, the band's top, overflows a double.
         ("loss-fundamental-1e307", "experiment = loss\nfundamental = 1e307 Hz",
          "fundamental: fundamental must keep the scan band 20 * fundamental finite,"
          " got 1e+307 Hz"),
+        # The band reaches the 19th harmonic: 20 GHz over the 5 ms quantum exposure.
         ("loss-fundamental-1GHz", "experiment = loss\nfundamental = 1 GHz\ntarget_pairs = 1000",
-         "fundamental: f_max = 20000000000.0 Hz needs 166666667 scan bins at t_exp = 0.005 s;"
-         " at most 2097152 are allowed"),
+         "fundamental: the scan band 20 * fundamental = 20000000000.0 Hz needs 166666667 scan"
+         " bins at t_exp = 0.005 s; at most 2097152 are allowed"),
         # The square wave's delays overflow the pair fringe's envelope.
         ("loss-amplitude_pp-overflow", "experiment = loss\namplitude_pp = 1e160 m",
          f"amplitude_pp: amplitude_pp {amplitude}, got 1e+160 m"),

@@ -525,7 +525,8 @@ def test_advantage_setup_refuses_a_draw_the_sampler_would_refuse(monkeypatch):
     with pytest.raises(ConfigError, match=r"^bound \* t_exp too large to sample"):
         background_advantage_setup(background_values=(0.5,), target_pairs=1e11)
     # So is one whose scan grid frequency_grid would refuse: 20 GHz over 5 ms.
-    with pytest.raises(ConfigError, match=r"^f_max = 20000000000.0 Hz needs 166666667 scan bins"):
+    with pytest.raises(ConfigError, match=r"^the scan band 20 \* fundamental = 20000000000.0 Hz"
+                                          r" needs 166666667 scan bins"):
         loss_advantage_setup(target_pairs=1000, fundamental=1e9)
 
 

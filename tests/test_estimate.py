@@ -7,6 +7,7 @@ frequency, phase and amplitudes of ``estimate_component`` without any
 Monte-Carlo slack.
 """
 
+import contextlib
 import json
 import math
 import re
@@ -780,6 +781,34 @@ def test_overlapped_segment_binning_is_bitwise_serial_on_the_sweep_grid():
     assert serial.tobytes() == _whole_part_transform(parts, t_exp, df, m, n).tobytes()
 
 
+def test_grouped_term_transforms_are_bitwise_one_term_at_a_time(monkeypatch):
+    # The grid transform takes a batch's rows as many terms at a time as fit
+    # _GROUP_BYTES. One row a group and every row of a batch in one group
+    # must give the same bits, those of one bincount per part and term, with
+    # and without a worker, on a grid with a mirrored tail (n/2 + 1 < m <= n),
+    # one folded below m (whose bins past n repeat) and the false-alarm grid,
+    # whose default groups hold all 14 of its terms.
+    t_exp = 1.0
+    df = grid_spacing(t_exp)
+    rng = np.random.default_rng(39)
+    parts = []
+    for size, scale in ((1500, 1.0), (1700, -1.1)):
+        t = np.sort(rng.uniform(-t_exp / 2, t_exp / 2, size))
+        parts.append((t, scale * window_weights(t, t_exp, "hann")))
+    m_fa = frequency_grid(t_exp, 200.0).size
+    assert _fold_size(m_fa, 3200) == 1024 and len(_series_table(m_fa, 1024)[0]) == 14
+    assert qvibe.estimate._GROUP_BYTES // (16 * 513) >= 14
+    for m, n in ((1000, 1024), (700, 512), (m_fa, 1024)):
+        reference = _whole_part_transform(parts, t_exp, df, m, n).tobytes()
+        for budget in (1, 1 << 30):
+            monkeypatch.setattr("qvibe.estimate._GROUP_BYTES", budget)
+            for pool in (None, ThreadPoolExecutor(max_workers=1)):
+                with pool or contextlib.nullcontext():
+                    folded = [_fold(t.copy(), w.copy(), df * n, n) for t, w in parts]
+                    y = _grid_terms(folded, m, n, t_exp, pool)
+                assert y.tobytes() == reference, (m, n, budget, pool)
+
+
 def test_sweep_scan_holds_less_than_one_bincount_per_part_and_term():
     # The 5 s, 1M-event sweep scan on 183,334 bins, its series table already
     # kept. Binning one whole part per np.bincount, with int64 bins and a
@@ -872,6 +901,22 @@ def test_group_detections_takes_a_tie_at_its_first_bin_and_a_run_at_the_last_bin
     assert _group_detections(freqs, mags, 1.0) == (freqs[2], freqs[8])
     # A single bin over the threshold, the last one, is a run of its own.
     assert _group_detections(freqs, np.eye(9)[8] * 2.0, 1.0) == (freqs[8],)
+
+
+def test_a_signal_free_scan_detects_nothing_and_one_run_keeps_its_peak():
+    # A signal-free scan has no bin above kappa and detects nothing; a tone's
+    # main lobe is one run of bins above kappa, and its peak bin is the seed.
+    channel, dc = ChannelModel(rate_c=2000.0, rate_a=2000.0), quadrature_delay(PAIR)
+    for signal, run_bins in ((VibrationSignal(components=(), dc_offset_delay=dc), 0),
+                             (VibrationSignal.pure_tone(50.0, 100e-9, dc_offset_delay=dc), 3)):
+        run = simulate_quantum_run(PAIR, signal, channel, t_exp=1.0, seed=39)
+        scan = scan_spectrum(*run, 1.0, 1e-3, 200.0)
+        magnitude = np.abs(scan.projections)
+        above = np.flatnonzero(magnitude[1:] > scan.threshold_kappa) + 1
+        assert above.size == run_bins and np.all(np.diff(above) == 1), above
+        peak = above[np.argmax(magnitude[above])] if above.size else None
+        assert scan.detected == (() if peak is None else (scan.frequencies[peak],))
+        assert _group_detections(scan.frequencies, magnitude, scan.threshold_kappa) == scan.detected
 
 
 # ----- refinement, phase, amplitudes -----

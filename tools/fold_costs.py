@@ -13,8 +13,12 @@ model is
 
 with c(n) one constant up to 2^15 and one per fold from 2^16 to 2^19
 (``_TERM_FFT_S`` by log2 n). It is fitted by relative least squares over
-every timed fold. For each grid it prints the fastest timed fold, the
-fold the package's rule picks, and the one it would pick with the fit;
+every timed fold. Each timed fold's row gives the terms ``_grid_terms``
+transforms per rfft call there (``group``: several on a small grid, one
+where a spectrum outgrows ``_GROUP_BYTES``), since the model charges each
+term the same fixed cost however its calls are grouped. For each grid it
+prints the fastest timed fold, the fold the package's rule picks, and
+the one it would pick with the fit;
 then the fit as the package's two lines of constants, which
 ``qvibe.estimate`` holds as one sitting printed them. A constant no
 timed fold reaches prints as the package's. The per-term and per-event
@@ -138,10 +142,12 @@ def main(argv: list[str]) -> int:
     for name in names:
         rows += time_grid(*GRIDS[name], max(1, args.repeat))
     term_s, event_s, fft = fit(rows)
-    print(f"{'m':>8} {'events':>9} {'n':>8} {'terms':>5} {'ms':>9} {'ms/term':>8} {'fitted':>8}")
+    print(f"{'m':>8} {'events':>9} {'n':>8} {'terms':>5} {'group':>5} {'ms':>9}"
+          f" {'ms/term':>8} {'fitted':>8}")
     for m, events, n, terms, seconds in rows:
         model = _model(term_s, event_s, fft, events, n, terms)
-        print(f"{m:8d} {events:9d} {n:8d} {terms:5d} {seconds * 1e3:9.3f}"
+        group = min(terms, estimate._term_group(m, n))
+        print(f"{m:8d} {events:9d} {n:8d} {terms:5d} {group:5d} {seconds * 1e3:9.3f}"
               f" {seconds * 1e3 / terms:8.4f} {model * 1e3:8.3f}")
     for m, events in dict.fromkeys((m, events) for m, events, *_ in rows):
         timed = [(seconds, n) for m_, e_, n, terms, seconds in rows if (m_, e_) == (m, events)]
