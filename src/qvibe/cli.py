@@ -63,8 +63,11 @@ from .metrology import (
     run_amplitude_trials,
     run_frequency_sweep,
 )
-from .simulate import DEFAULT_TICK, VibrationSignal, _simulate
+from .simulate import (
+    DEFAULT_TICK, VibrationSignal, _side_by_side, _simulate, _threaded_pair, _worker,
+)
 from .streamio import (
+    declared_events,
     read_stream,
     write_ground_truth,
     write_stream_binary,
@@ -116,10 +119,17 @@ def cmd_simulate(args, cfg: Config) -> int:
     out = _outdir(args)  # only once both streams are drawn, so a refusal leaves none
     write = write_stream_binary if binary else write_stream_text
     ext = ".bin" if binary else ".txt"
-    for stream, name in zip(run, names):
-        path = out / (name + ext)
-        write(stream, path)
-        print(f"wrote {path} ({len(stream)} events)")
+
+    def put(item):
+        write(*item)
+        return item
+
+    # A long pair's files are written side by side, each notice printed as
+    # the serial loop would print it.
+    items = [(stream, out / (name + ext)) for stream, name in zip(run, names)]
+    with _worker(_threaded_pair(*map(len, run))) as pool:
+        for stream, path in _side_by_side(pool, put, items):
+            print(f"wrote {path} ({len(stream)} events)")
     truth_path = out / "ground_truth.json"
     write_ground_truth(signal, channel.geometry, truth_path)
     print(f"wrote {truth_path}")
@@ -133,8 +143,11 @@ def cmd_estimate(args, cfg: Config) -> int:
     options = build_options(cfg)
     ratio = cfg.checked("analysis", "ratio", 1.0, ok=lambda r: 0 < r < math.inf,
                         need="must be positive and finite")  # refused before either read
-    stream_1 = read_stream(args.stream1)
-    stream_2 = read_stream(args.stream2)
+    # A long pair's files, by the counts their first bytes declare, are read
+    # side by side; stream 1's refusal comes first, as in the serial order.
+    paths = (args.stream1, args.stream2)
+    with _worker(_threaded_pair(*map(declared_events, paths))) as pool:
+        stream_1, stream_2 = _side_by_side(pool, read_stream, paths)
     tags = fringe.stream_tags
     if (stream_1.tag, stream_2.tag) != tags:
         raise ConfigError(

@@ -91,7 +91,9 @@ from .core import (
 )
 from .errors import AnalysisError, ConfigError
 from .floatrepr import float_lines
-from .simulate import TimestampStream, _cos_range, _threaded_pair, _trace_samples, _worker
+from .simulate import (
+    TimestampStream, _cos_range, _side_by_side, _threaded_pair, _trace_samples, _worker,
+)
 from .streamio import _CHUNK_LINES
 
 GRID_SPACING_FACTOR = 0.6
@@ -137,19 +139,22 @@ def frequency_grid(t_exp: float, f_max: float) -> np.ndarray:
     """Uniform scan grid 0, df, 2 df, ... covering [0, f_max].
 
     At most _MAX_GRID_BINS = 2^21 bins (f_max up to about 1.26e6 / t_exp).
-    A scan holds about 240 bytes per bin at 2^19 bins (tracemalloc, a few
-    thousand events): about 64 of grid, transform and spectrum arrays, 16
-    of bin phase and 160 of series table, 20 rows at m rounded up
-    (``_series_table``). That is about 480 MiB at the cap, which takes
-    that fold, since the one below it lies past theta = 3 pi / 2; a larger
-    grid raises ConfigError. The grid transform's rows of moments add at
-    most 4 MiB, twice that when a worker bins them (``_grid_terms``), which
-    is 64 bytes a bin at 2^16 bins. Its group buffer of term spectra, of
-    max(m, n/2 + 1) bins each at fold n, holds the one spectrum counted
-    above where a spectrum has over 8,192 bins (every grid of over 8,192
-    bins), and at most 256 KiB where it holds more.
-    A grid that takes the fold below m holds up to 24 rows, about 305
-    bytes a bin, and has at most 1.5 * 2^20 + 1 bins, about 460 MiB.
+    Where the grid transform bins one term a batch, as from 2^19 bins on,
+    a scan holds about 240 bytes per bin (tracemalloc, a few thousand
+    events, a slope fitted from 2^17 and 2^18 bins with one term a batch):
+    160 of series table, 20 rows at m rounded up (``_series_table``), 16
+    of bin phase, 8 of the one term's row of moments, and about 56 of
+    grid, transform and spectrum arrays. That is about 480 MiB at the cap,
+    which takes that fold, since the one below it lies past theta =
+    3 pi / 2; a larger grid raises ConfigError. A smaller grid's batches
+    hold more terms, up to 4 MiB of rows (``_grid_terms``), 64 bytes a bin
+    at 2^16 bins; a worker that bins them holds a second such buffer. The
+    group buffer of term spectra, of max(m, n/2 + 1) bins each at fold n,
+    holds the one spectrum counted above where a spectrum has over 8,192
+    bins (every grid of over 8,192 bins), and at most 256 KiB where it
+    holds more. A grid that takes the fold below m holds up to 24 rows,
+    about 264 bytes a bin, and has at most 1.5 * 2^20 + 1 bins, about
+    400 MiB.
     """
     return np.arange(_grid_bins(t_exp, f_max)) * grid_spacing(t_exp)
 
@@ -188,17 +193,7 @@ def _weighted_parts(stream_c, stream_a, ratio: float, window: str, pool=None) ->
             w *= scale
         return t, w
 
-    return _side_by_side(pool, part, [(stream_c, None), (stream_a, -ratio)])
-
-
-def _side_by_side(pool, func, items: list) -> list:
-    """[func(x) for x in items]; given a one-worker ``pool``, the last item's call runs
-    there while the caller runs the others, each on its own arrays, so the results
-    are the serial ones bit for bit."""
-    if pool is None:
-        return [func(x) for x in items]
-    last = pool.submit(func, items[-1])
-    return [*map(func, items[:-1]), last.result()]
+    return list(_side_by_side(pool, part, [(stream_c, None), (stream_a, -ratio)]))
 
 
 def _project(parts, t_exp: float, freqs: np.ndarray, pool=None) -> np.ndarray:
@@ -993,10 +988,9 @@ def estimate_component(
     h = t_exp / 2.0
     segments = _segment_count(max(len(stream_c), len(stream_a)))
     with _worker(_threaded_pair(len(stream_c), len(stream_a))) as pool:
-        args = (f_seed, delta_f, segments)
-        moments_a = pool.submit(_offset_moments, stream_a, *args) if pool else None
-        m_c = _offset_moments(stream_c, *args)
-        m_a = moments_a.result() if pool else _offset_moments(stream_a, *args)
+        m_c, m_a = _side_by_side(
+            pool, lambda s: _offset_moments(s, f_seed, delta_f, segments), (stream_c, stream_a)
+        )
     refined = f_seed > delta_f
     f_hat = f_seed
     if refined:

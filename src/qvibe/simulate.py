@@ -12,7 +12,8 @@ run's two streams are drawn together, the second on a worker thread,
 when each expects more than _PAIR_THREAD_EVENTS candidates and both
 together stay within the draw cap (see ``_simulate_run``); that one rule,
 ``_threaded_pair``, also gives the scan and the refinement of a stream
-pair their second thread (``qvibe.estimate``).
+pair their second thread (``qvibe.estimate``), and the writes and reads
+of a pair's two files (``qvibe.cli``), each site through ``_side_by_side``.
 
 Two detection channels are supported:
 
@@ -344,8 +345,11 @@ class TimestampStream:
             if ticks[0] < 0:
                 raise ConfigError("ticks must be non-negative")
             # np.diff would wrap across the int64 range; a comparison cannot.
-            if np.any(ticks[1:] < ticks[:-1]):
-                raise ConfigError("ticks must be sorted ascending")
+            # A block at a time, so the check holds no mask of every tick.
+            for lo in range(0, ticks.size - 1, _FLUX_BLOCK):
+                block = ticks[lo : lo + _FLUX_BLOCK + 1]
+                if (block[1:] < block[:-1]).any():
+                    raise ConfigError("ticks must be sorted ascending")
             if ticks[-1] * self.tick_duration >= self.t_exp:
                 raise ConfigError("ticks must fall inside [0, t_exp)")
 
@@ -705,7 +709,13 @@ def _mark_campaign_worker() -> None:
 # sittings) lost at 20k-25k events, went either way at 30k-45k and won from
 # 50k on (7.7 against 8.1 ms at 50k, 33.9 against 36.6 ms at 250k); one
 # refinement (best of 7) 2.5 against 3.1 ms at 20k, 5.0 against 4.8 ms at
-# 35k and 7.5 against 5.9 ms at 95k.
+# 35k and 7.5 against 5.9 ms at 95k. The CLI writes and reads a pair's two
+# files by the same rule (``qvibe.cli``): a text pair (medians of 120,
+# two sittings) was written in 3.6 against 2.9 ms at 50k events a stream
+# and 4.7-5.1 against 3.7-4.2 ms at 95k, and read in 5.3-6.0 against
+# 3.9-4.0 and 6.3-6.8 against 4.7-5.1 ms; a binary pair was written in
+# 0.54 against 0.54 and 0.86-1.05 against 0.73-0.84 ms, but read in
+# 0.28-0.31 against 0.53-0.55 and 0.40-0.45 against 0.63-0.73 ms.
 _PAIR_THREAD_EVENTS = 50_000
 
 
@@ -723,6 +733,23 @@ def _worker(wanted: bool):
     return contextlib.nullcontext()
 
 
+def _side_by_side(pool, func, items: Sequence):
+    """Yield func(x) for x in items, in order; given a one-worker ``pool``, the last
+    item's call runs there while the caller runs the others.
+
+    Each call works on its own data, so the results are the serial ones bit
+    for bit. Each result is yielded once the calls before it are done, and an
+    error is raised where the serial loop would raise it: the caller's calls
+    come first in item order, and the worker's error only after them.
+    """
+    if pool is None:
+        yield from map(func, items)
+        return
+    last = pool.submit(func, items[-1])
+    yield from map(func, items[:-1])
+    yield last.result()
+
+
 def _simulate_run(run_type, fluxes, fringe, signal, channel, t_exp, seed, tick):
     """Draw ``fluxes(fringe, signal, channel)`` as ``run_type(stream_1, stream_2)``.
 
@@ -733,24 +760,25 @@ def _simulate_run(run_type, fluxes, fringe, signal, channel, t_exp, seed, tick):
     module global at call time, so a stand-in put there sees every draw. When
     ``_threaded_pair`` holds for the two expected candidate counts and they
     add up to at most _MAX_CANDIDATES, stream 2 is drawn on a worker thread
-    while the caller draws stream 1; each draw reads only its own generator,
-    so the streams are the serial ones bit for bit, and a refused draw raises
-    the same error. The pool is closed before the run returns or raises.
+    while the caller draws stream 1 (``_side_by_side``); each draw reads only
+    its own generator, so the streams are the serial ones bit for bit, and a
+    refused draw raises the same error. The pool is closed before the run
+    returns or raises.
     """
     fx = fluxes(fringe, signal, channel)
     _check_draws(fx, t_exp)
     seq_1, seq_2 = np.random.SeedSequence(seed).spawn(2)
     tag_1, tag_2 = fringe.stream_tags
-    draw_2 = (fx.flux_2, fx.bound_2, t_exp, np.random.default_rng(seq_2), tick, tag_2, fx.range_2)
+    draws = [
+        (fx.flux_1, fx.bound_1, t_exp, np.random.default_rng(seq_1), tick, tag_1, fx.range_1),
+        (fx.flux_2, fx.bound_2, t_exp, np.random.default_rng(seq_2), tick, tag_2, fx.range_2),
+    ]
     candidates = (fx.bound_1 * t_exp, fx.bound_2 * t_exp)
     concurrent = _threaded_pair(*candidates) and sum(candidates) <= _MAX_CANDIDATES
     with _worker(concurrent) as pool:
-        stream_2 = pool.submit(sample_inhomogeneous_poisson, *draw_2) if pool else None
-        stream_1 = sample_inhomogeneous_poisson(
-            fx.flux_1, fx.bound_1, t_exp, np.random.default_rng(seq_1), tick, tag_1, fx.range_1
+        return run_type(
+            *_side_by_side(pool, lambda draw: sample_inhomogeneous_poisson(*draw), draws)
         )
-        stream_2 = stream_2.result() if pool else sample_inhomogeneous_poisson(*draw_2)
-    return run_type(stream_1, stream_2)
 
 
 def simulate_quantum_run(

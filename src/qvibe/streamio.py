@@ -17,17 +17,26 @@ each 1 to 19 ASCII digits (at most 2^63 - 1) ended by LF or CRLF; the last
 may lack its line end. After them only ASCII whitespace may follow. This
 is the grammar the writer emits and the only one read: a sign, an
 underscore or a blank inside a tick line, or a bare CR line end, is a
-``StreamFormatError``. Both directions work on chunks of
-``_CHUNK_LINES`` lines with numpy array operations. The reader finds the
-line ends once and refuses as a single pass over the whole body would: the
-first line that is not 1 to 19 digits, then too few lines, then trailing
-data, then the first tick past the int64 range.
+``StreamFormatError``. Both directions work with numpy array operations
+on about ``_CHUNK_LINES`` lines at a time. The writer formats chunks of
+that many ticks. The reader reads the header from at most _HEADER_BYTES
+bytes, then the body in pieces of 16 * _CHUNK_LINES bytes, finding each
+piece's line ends as it is read and carrying a line the piece leaves
+unfinished, a CR at its end among them, into the next (``_parse_ticks``).
+It holds the ticks, 8 bytes a line, and one piece's buffers: about twice
+the piece's bytes and 36 bytes a line of it, 2.6 MiB for 10-digit ticks
+and 8.5 MiB at most, for lines of one digit. It refuses as a single pass
+over the whole body would: the first line that is not 1 to 19 digits,
+then too few lines, then trailing data, then the first tick past the
+int64 range. A refusal quotes at most the first _QUOTE_BYTES bytes of
+the header or tick line it names.
 
 Binary stream format: a 32-byte header (magic ``qvibe-ts``, version byte,
 tag byte, reserved padding, then tick duration and exposure as
 little-endian float64 seconds) followed by the ticks as little-endian
-uint64. The event count is implied by the file size. A read stream's ticks
-are a read-only view of the file's bytes.
+uint64. The event count is implied by the file size. The body is read
+into one read-only int64 array that the stream owns, checked for the
+int64 range _CHUNK_LINES ticks at a time, so a read holds 8 bytes a tick.
 
 Ground truth is written as JSON from the signal a run played and its
 geometry factor: the waveform component list, the operating delay, and g.
@@ -37,6 +46,7 @@ The package never reads it back.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from pathlib import Path
@@ -60,13 +70,20 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _BIN_HEADER = struct.Struct("<8sBB6sdd")
 _BIN_MAGIC = b"qvibe-ts"
 _BIN_VERSION = 1
+_INT64_MAX = np.iinfo(np.int64).max
+# A text header is read from at most _HEADER_BYTES bytes, and a refusal
+# quotes at most _QUOTE_BYTES bytes of a header or tick line.
+_HEADER_BYTES = 4096
+_QUOTE_BYTES = 80
 
-# Both text directions work _CHUNK_LINES lines at a time, so that a chunk's
-# buffers stay in cache. A write then a read of n sorted 10-digit ticks,
-# timed on 2 cores, medians interleaved, at chunks of 2^13, 2^15, 2^17 lines
-# and unchunked: n = 95k (the README quick start) 5.7 + 8.4, 4.9 + 7.0,
-# 7.8 + 10.3 and 8.1 + 10.3 ms; n = 1M 48 + 64, 30 + 50, 40 + 58 and
-# 59 + 85 ms.
+# Both text directions work about _CHUNK_LINES lines at a time, so that a
+# chunk's buffers stay in cache: the writer formats _CHUNK_LINES ticks at a
+# time, and the reader reads pieces of 16 * _CHUNK_LINES bytes, 47,662
+# lines of 10 digits. A write then a read of n sorted 10-digit ticks,
+# timed on 2 cores, medians interleaved over two sittings, at chunks of
+# 2^13, 2^15 and 2^17 lines: n = 95k (the README quick start) 3.5 + 3.5,
+# 2.8 + 3.2 and 2.7 + 3.6 ms; n = 1M 34-37 + 36-41, 27-31 + 30-38 and
+# 29-34 + 36-40 ms.
 _CHUNK_LINES = 1 << 15
 
 
@@ -113,69 +130,105 @@ def _format_ticks(ticks: np.ndarray) -> Iterator[np.ndarray]:
 
 def read_stream_text(path: str | Path) -> TimestampStream:
     path = Path(path)
-    raw = path.read_bytes()
-    if b"\r" in raw:
-        raw = raw.replace(b"\r\n", b"\n")
-    head_end = raw.find(b"\n")
-    if head_end < 0:
-        head_end = len(raw)
-    header = raw[:head_end].decode("utf-8", "replace")
-    fields = header.split()
-    if (
-        len(fields) != 6
-        or fields[0] != _TEXT_MAGIC
-        or fields[1] != _TEXT_VERSION
-        or "\r" in header  # a bare CR ends no line and separates no field
-    ):
-        raise StreamFormatError(f"{path}: bad header {header!r}")
-    tag = fields[2]
-    if tag not in STREAM_TAGS:
-        raise StreamFormatError(f"{path}: unknown tag {tag!r}")
-    try:
-        float(fields[3])  # a float literal: Decimal alone would take "_1.0" and "1._"
-        tick_duration = float(Decimal(fields[3]).scaleb(-12, _EXACT))
-        t_exp = float(fields[4])
-        count = int(fields[5])
-    except (ValueError, ArithmeticError):
-        raise StreamFormatError(f"{path}: bad header numbers in {header!r}") from None
-    if count < 0:
-        raise StreamFormatError(f"{path}: negative tick count {count}")
-    body = np.frombuffer(raw, dtype=np.uint8, offset=min(head_end + 1, len(raw)))
-    ticks = _parse_ticks(path, body, count)
+    with path.open("rb") as fh:
+        line = fh.readline(_HEADER_BYTES + 1)
+        header_bytes = line[:-2] if line.endswith(b"\r\n") else line.removesuffix(b"\n")
+        header = header_bytes.decode("utf-8", "replace")
+        fields = header.split()
+        if (
+            len(line) > _HEADER_BYTES and not line.endswith(b"\n")
+            or len(fields) != 6
+            or fields[0] != _TEXT_MAGIC
+            or fields[1] != _TEXT_VERSION
+            or "\r" in header  # a bare CR ends no line and separates no field
+        ):
+            raise StreamFormatError(f"{path}: bad header {_quote(header_bytes)}")
+        tag = fields[2]
+        if tag not in STREAM_TAGS:
+            raise StreamFormatError(f"{path}: unknown tag {tag!r}")
+        try:
+            float(fields[3])  # a float literal: Decimal alone would take "_1.0" and "1._"
+            tick_duration = float(Decimal(fields[3]).scaleb(-12, _EXACT))
+            t_exp = float(fields[4])
+            count = int(fields[5])
+        except (ValueError, ArithmeticError):
+            raise StreamFormatError(
+                f"{path}: bad header numbers in {_quote(header_bytes)}"
+            ) from None
+        if count < 0:
+            raise StreamFormatError(f"{path}: negative tick count {count}")
+        ticks = _parse_ticks(path, fh, count, os.fstat(fh.fileno()).st_size - len(line))
     try:
         return TimestampStream(tag=tag, ticks=ticks, tick_duration=tick_duration, t_exp=t_exp)
     except ValueError as exc:
         raise StreamFormatError(f"{path}: {exc}") from None
 
 
-def _parse_ticks(path: Path, body: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` lines of ``body`` as int64 ticks.
+def _quote(line: bytes) -> str:
+    """``line`` decoded and quoted, or only its first _QUOTE_BYTES bytes and a mark if longer."""
+    quoted = repr(line[:_QUOTE_BYTES].decode("utf-8", "replace"))
+    if len(line) > _QUOTE_BYTES:
+        return f"{quoted} (the first {_QUOTE_BYTES} bytes of a longer line)"
+    return quoted
 
-    Error messages number lines from the top of the file, so the first tick
-    is line 2. The refusal is the first that applies of: the first line that
-    is not 1 to 19 digits, too few lines, trailing data, and the first tick
-    past the int64 range.
+
+def _parse_ticks(path: Path, fh, count: int, size: int) -> np.ndarray:
+    """The first ``count`` lines of the ``size`` bytes left in ``fh`` as int64 ticks.
+
+    The body is read a piece of 16 * _CHUNK_LINES bytes at a time into one
+    buffer, after the start of the line the piece before left unfinished,
+    and each piece's whole lines are decoded together. Error messages
+    number lines from the top of the file, so the first tick is line 2.
+    The refusal is the first that applies of: the first line that is not 1
+    to 19 digits, too few lines, trailing data, and the first tick past the
+    int64 range; each is raised as soon as the pieces read settle it, so a
+    line left unfinished is refused once it holds more than
+    _QUOTE_BYTES + 1 bytes (a CR may yet end it) and none is kept longer.
     """
-    ends = np.flatnonzero(body == ord("\n"))
-    if body.size and body[-1] != ord("\n"):
-        ends = np.append(ends, body.size)  # the last line lacks its line end
-    n = min(count, ends.size)
-    ends = ends[:n]
-    lengths = np.diff(ends, prepend=-1)
-    lengths -= 1
-    value = np.empty(n, dtype=np.uint64)
-    for lo in range(0, n, _CHUNK_LINES):
-        hi = lo + _CHUNK_LINES
-        _decode_chunk(path, body, ends[lo:hi], lengths[lo:hi], value[lo:hi], lo)
-    if n < count:
-        raise StreamFormatError(f"{path}: expected {count} ticks, file ends at {n}")
-    if body[int(ends[-1]) + 1 if n else 0 :].tobytes().strip():
-        raise StreamFormatError(f"{path}: trailing data after {count} ticks")
-    over = np.flatnonzero(value > np.iinfo(np.int64).max)
-    if over.size:
-        i = int(over[0])
+    # A tick line holds a digit and its LF, but the last may lack the LF.
+    value = np.empty(min(count, (size + 1) // 2), dtype=np.uint64)
+    piece = min(16 * _CHUNK_LINES, size)
+    buf = bytearray(_QUOTE_BYTES + 2 + piece)
+    view = memoryview(buf)
+    done, kept, over = 0, 0, None  # lines decoded, bytes carried, first tick past int64
+    while True:
+        got = fh.readinto(view[kept : kept + min(piece, size)])
+        size -= got
+        last = not got or not size
+        end = kept + got
+        # A CRLF split between pieces is whole here: the CR was carried.
+        data = view[:end] if buf.find(b"\r", 0, end) < 0 else buf[:end].replace(b"\r\n", b"\n")
+        body = np.frombuffer(data, dtype=np.uint8)
+        ends = np.flatnonzero(body == ord("\n"))[: count - done]
+        if last and ends.size < count - done and body.size and body[-1] != ord("\n"):
+            ends = np.append(ends, body.size)  # the last line lacks its line end
+        if ends.size:
+            lengths = np.diff(ends, prepend=-1)
+            lengths -= 1
+            out = value[done : done + ends.size]
+            _decode_chunk(path, body, ends, lengths, out, done)
+            if over is None and out.max() > _INT64_MAX:
+                over = done + int(np.argmax(out > _INT64_MAX))
+            done += ends.size
+        rest = body[int(ends[-1]) + 1 if ends.size else 0 :]
+        if done == count:
+            if rest.tobytes().strip():
+                raise StreamFormatError(f"{path}: trailing data after {count} ticks")
+            kept = 0
+        elif rest.size > _QUOTE_BYTES + 1:
+            raise StreamFormatError(
+                f"{path}: line {done + 2}: not an integer tick: {_quote(rest.tobytes())}"
+            )
+        else:
+            kept = rest.size
+            buf[:kept] = rest.tobytes()
+        if last:
+            break
+    if done < count:
+        raise StreamFormatError(f"{path}: expected {count} ticks, file ends at {done}")
+    if over is not None:
         raise StreamFormatError(
-            f"{path}: line {i + 2}: tick {int(value[i])} exceeds the int64 tick range"
+            f"{path}: line {over + 2}: tick {int(value[over])} exceeds the int64 tick range"
         )
     return value.view(np.int64)
 
@@ -241,8 +294,8 @@ def _raise_first_bad_line(
     region = body[start : ends[-1]]
     stray = np.flatnonzero(((region - ord("0")) > 9) & (region != ord("\n")))[:1]
     i = min(bad + np.searchsorted(ends, stray + start, side="right").tolist())
-    line = body[ends[i] - lengths[i] : ends[i]].tobytes().decode("utf-8", "replace")
-    raise StreamFormatError(f"{path}: line {first + i + 2}: not an integer tick: {line!r}")
+    line = body[ends[i] - lengths[i] : ends[i]].tobytes()
+    raise StreamFormatError(f"{path}: line {first + i + 2}: not an integer tick: {_quote(line)}")
 
 
 def write_stream_binary(stream: TimestampStream, path: str | Path) -> None:
@@ -263,32 +316,53 @@ def write_stream_binary(stream: TimestampStream, path: str | Path) -> None:
 
 def read_stream_binary(path: str | Path) -> TimestampStream:
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _BIN_HEADER.size:
-        raise StreamFormatError(f"{path}: truncated header")
-    magic, version, tag_code, _pad, tick_duration, t_exp = _BIN_HEADER.unpack_from(raw)
-    if magic != _BIN_MAGIC or version != _BIN_VERSION:
-        raise StreamFormatError(f"{path}: not a binary timestamp file")
-    if tag_code >= len(STREAM_TAGS):
-        raise StreamFormatError(f"{path}: unknown tag code {tag_code}")
-    body_size = len(raw) - _BIN_HEADER.size
-    if body_size % 8:
-        raise StreamFormatError(f"{path}: body length {body_size} is not a multiple of 8")
-    # Read-only views of the file's bytes: the stream owns no copy of them.
-    raw_ticks = np.frombuffer(raw, dtype="<u8", offset=_BIN_HEADER.size)
-    over = np.flatnonzero(raw_ticks > np.iinfo(np.int64).max)
-    if over.size:
-        i = int(over[0])
-        raise StreamFormatError(
-            f"{path}: tick {int(raw_ticks[i])} of event {i} exceeds the int64 tick range"
-        )
-    ticks = raw_ticks.view("<i8")
+    with path.open("rb") as fh:
+        head = fh.read(_BIN_HEADER.size)
+        if len(head) < _BIN_HEADER.size:
+            raise StreamFormatError(f"{path}: truncated header")
+        magic, version, tag_code, _pad, tick_duration, t_exp = _BIN_HEADER.unpack(head)
+        if magic != _BIN_MAGIC or version != _BIN_VERSION:
+            raise StreamFormatError(f"{path}: not a binary timestamp file")
+        if tag_code >= len(STREAM_TAGS):
+            raise StreamFormatError(f"{path}: unknown tag code {tag_code}")
+        body_size = os.fstat(fh.fileno()).st_size - _BIN_HEADER.size
+        if body_size % 8:
+            raise StreamFormatError(f"{path}: body length {body_size} is not a multiple of 8")
+        # Read straight into the stream's own array.
+        ticks = np.empty(body_size // 8, dtype="<i8")
+        if fh.readinto(ticks) != body_size:
+            raise StreamFormatError(f"{path}: file shrank while it was read")
+    ticks.flags.writeable = False
+    # A uint64 past the int64 range reads as a negative int64; the ticks are
+    # checked _CHUNK_LINES at a time, so the check holds no mask of them all.
+    for lo in range(0, ticks.size, _CHUNK_LINES):
+        piece = ticks[lo : lo + _CHUNK_LINES]
+        if piece.min() < 0:
+            i = lo + int(np.argmax(piece < 0))
+            raise StreamFormatError(
+                f"{path}: tick {int(ticks[i]) + 2**64} of event {i} exceeds the int64 tick range"
+            )
     try:
         return TimestampStream(
             tag=STREAM_TAGS[tag_code], ticks=ticks, tick_duration=tick_duration, t_exp=t_exp
         )
     except ValueError as exc:
         raise StreamFormatError(f"{path}: {exc}") from None
+
+
+def declared_events(path: str | Path) -> int:
+    """The events a stream file declares, from its first bytes and its size: a
+    text header's count or a binary body's ticks; 0 where it declares none."""
+    try:
+        with Path(path).open("rb") as fh:
+            head = fh.read(_HEADER_BYTES)
+            size = os.fstat(fh.fileno()).st_size
+    except OSError:
+        return 0
+    if head.startswith(_BIN_MAGIC + bytes([_BIN_VERSION])):
+        return (size - _BIN_HEADER.size) // 8
+    fields = head.split(b"\n", 1)[0].split()
+    return int(fields[5]) if len(fields) == 6 and fields[5].isdigit() else 0
 
 
 def read_stream(path: str | Path) -> TimestampStream:

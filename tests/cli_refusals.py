@@ -525,6 +525,17 @@ def _rows():
         for first, second in ((name, "good.txt"), ("good.txt", name)):
             yield R(f"estimate-{first}-{second}", f"estimate {first} {second}",
                     f"stream error: {name}: ...", good, code=3)
+    # A refusal quotes at most the first 80 bytes of a header or tick line:
+    # a 300 kB file with no line end, and a tick line of 300k digits.
+    cut = "(the first 80 bytes of a longer line)"
+    unended = "qvibe-ts v1 coincidence 100 1.0 1 " + "7" * 300_000
+    yield R("estimate-a-300kB-file-without-a-line-end", "estimate big.txt a.txt",
+            f"stream error: big.txt: bad header {unended[:80]!r} {cut}",
+            {"big.txt": unended, "a.txt": stream("anticoincidence")}, code=3)
+    yield R("estimate-a-300k-digit-tick", "estimate c.txt big.txt",
+            f"stream error: big.txt: line 2: not an integer tick: {'9' * 80!r} {cut}",
+            {"c.txt": stream("coincidence"),
+             "big.txt": "qvibe-ts v1 anticoincidence 100 1.0 1\n" + "9" * 300_000 + "\n"}, code=3)
     # Two event-free streams cannot set a detection threshold.
     yield R("estimate-empty-streams", "estimate e1.txt e2.txt -c tone.ini",
             "analysis error: cannot set a threshold from two empty streams...",

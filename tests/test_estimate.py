@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import qvibe.estimate
+from qvibe.cli import main as cli_main
 from qvibe.config import check_ratio, parse_config
 from qvibe.core import (
     ClassicalFringeSpec,
@@ -289,24 +290,45 @@ def test_an_exposure_with_no_finite_grid_spacing_is_refused():
         grid_spacing(3.3e-309)
 
 
-def test_scan_memory_at_the_grid_cap_stays_within_1_gib():
-    # The scan's peak grows with its bins. Measured on 2^16 bins at the
-    # smallest fold (20 table rows, as at the cap with few events) and
-    # scaled up, the cap stays within 1 GiB and twice the cap would not.
-    t_exp, m = 1.0, 1 << 16
+def test_scan_memory_at_the_grid_cap_stays_within_1_gib(monkeypatch):
+    # A scan's tracemalloc peak, fitted as a slope per bin plus a fixed part
+    # from two grid sizes, each scanned with its table built afresh and the
+    # grid transform binning one term a batch, as at the cap, where one
+    # term's row of 2^21 bins already exceeds _BATCH_BYTES. At the fold of
+    # m rounded up (20 table rows, as at the cap with few events) the fit
+    # reads about 240 bytes a bin: the cap stays within 1 GiB, and so would
+    # twice the cap, but not three times. At the fold below m (24 rows, the
+    # most), about 264 bytes a bin, its largest grid, 1.5 * 2^20 + 1 bins,
+    # stays within 1 GiB too.
+    t_exp = 1.0
     rng = np.random.default_rng(16)
     sc = stream_from_times(rng.uniform(0, t_exp, 1000), t_exp)
     sa = stream_from_times(rng.uniform(0, t_exp, 1000), t_exp, "anticoincidence")
-    f_max = (m - 0.5) * grid_spacing(t_exp)
-    assert _fold_size(m, 2000) == m
-    tracemalloc.start()
-    try:
-        spectrum = scan_spectrum(sc, sa, 1.0, f_max=f_max)
-        per_bin = tracemalloc.get_traced_memory()[1] / m
-    finally:
-        tracemalloc.stop()
-    assert spectrum.frequencies.size == m
-    assert per_bin * _MAX_GRID_BINS <= 1 << 30 < per_bin * 2 * _MAX_GRID_BINS, per_bin
+    monkeypatch.setattr(qvibe.estimate, "_BATCH_BYTES", 1)
+
+    def peak(m, n):
+        monkeypatch.setattr(qvibe.estimate, "_table", ((0, 0), None))
+        assert _fold_size(m, 2000) == n
+        tracemalloc.start()
+        try:
+            spectrum = scan_spectrum(sc, sa, 1.0, f_max=(m - 0.5) * grid_spacing(t_exp))
+            held = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spectrum.frequencies.size == m
+        return held
+
+    def fit(m_1, n_1, m_2, n_2):
+        """Bytes at m bins, on the line through the peaks at m_1 and m_2 bins."""
+        p_1, p_2 = peak(m_1, n_1), peak(m_2, n_2)
+        return lambda m: p_1 + (p_2 - p_1) / (m_2 - m_1) * (m - m_1)
+
+    gib = 1 << 30
+    rounded_up = fit(1 << 17, 1 << 17, 1 << 18, 1 << 18)
+    assert rounded_up(_MAX_GRID_BINS) <= gib, rounded_up(_MAX_GRID_BINS) / _MAX_GRID_BINS
+    assert rounded_up(2 * _MAX_GRID_BINS) <= gib < rounded_up(3 * _MAX_GRID_BINS)
+    below = fit(3 * 2**16 + 1, 1 << 17, 3 * 2**17 + 1, 1 << 18)
+    assert below(3 * 2**19 + 1) <= gib, below(3 * 2**19 + 1) / (3 * 2**19 + 1)
     assert frequency_grid(t_exp, (_MAX_GRID_BINS - 0.5) * grid_spacing(t_exp)).size == (
         _MAX_GRID_BINS
     )
@@ -855,8 +877,10 @@ def test_a_false_alarm_sized_exposure_starts_no_thread(monkeypatch):
     assert rec.tau_trace.size == 1000
 
 
-def test_the_draw_scan_and_refinement_share_one_thread_gate(monkeypatch, counting_pools):
-    # _threaded_pair is the one gate of all three sites: a pair whose smaller
+def test_the_draw_scan_and_refinement_share_one_thread_gate(
+    monkeypatch, counting_pools, tmp_path
+):
+    # _threaded_pair is the one gate of all five sites: a pair whose smaller
     # stream is exactly at _PAIR_THREAD_EVENTS (a draw: expects exactly that
     # many candidates) starts no worker, and with the gate one lower, one
     # more candidate or event than it, each site starts exactly one.
@@ -882,6 +906,22 @@ def test_the_draw_scan_and_refinement_share_one_thread_gate(monkeypatch, countin
                        (estimate_component, (*run, 1.0, 50.0))):
         assert workers(events, call, *args)[0] == []
         assert workers(events - 1, call, *args)[0] == [1]
+    # The pair's file writes (qvibe simulate, its draw stubbed to give this
+    # run) and reads (qvibe estimate, stopped after the reads), which take
+    # the reads' event counts from the text headers.
+    monkeypatch.setattr("qvibe.cli._simulate", lambda *args: run)
+
+    def no_analysis(*args, **kwargs):
+        raise AnalysisError("stopped after the reads")
+
+    monkeypatch.setattr("qvibe.cli.pipeline", no_analysis)
+    config = tmp_path / "tone.ini"
+    config.write_text("[signal]\nkind = pure_tone\nfrequency = 50 Hz\namplitude_pp = 20 nm\n")
+    files = [str(tmp_path / "out" / f"{s.tag}.txt") for s in run]
+    for argv, code in ((["simulate", "-c", str(config), "--out", str(tmp_path / "out")], 0),
+                       (["estimate", *files, "-c", str(config)], 4)):
+        assert workers(events, cli_main, argv) == ([], code)
+        assert workers(events - 1, cli_main, argv) == ([1], code)
 
 
 def test_group_detections_collapses_runs_and_skips_dc():

@@ -1,7 +1,9 @@
 import json
 import math
+import re
 import struct
 import tempfile
+import tracemalloc
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -430,3 +432,236 @@ def test_binary_read_stream_is_read_only_and_analyses_as_its_text_twin(tmp_path)
     assert text.detected and binary.detected
     assert text.spectrum.to_csv() == binary.spectrum.to_csv()
     assert text.reconstruction.to_json() == binary.reconstruction.to_json()
+
+
+# ----- the readers' pieces, and a pair's files side by side -----
+
+# The text reader's piece, in bytes, as 16 times the patched _CHUNK_LINES.
+PIECE_LINES = 16
+# A header whose exposure holds ticks of any digit count.
+WIDE = "qvibe-ts v1 coincidence 1.0 1e300"
+
+
+def test_the_text_reader_joins_a_line_split_between_pieces(tmp_path):
+    # 17-digit lines of 18 bytes in pieces of 16: every line but the first
+    # starts in one piece and ends in the next.
+    ticks = [10**16 + 7 * k for k in range(9)]
+    path = text_file(tmp_path, b"9\n" + b"".join(b"%d\n" % t for t in ticks), WIDE)
+    for chunk in (1, 2, 3):
+        with codec(chunk=chunk):
+            assert read_stream_text(path).ticks.tolist() == ticks, chunk
+
+
+def test_the_text_reader_joins_a_crlf_split_between_pieces(tmp_path):
+    # 15-digit lines ended by CRLF, 17 bytes: the first piece of 16 bytes
+    # ends on the first line's CR, and the second starts with its LF.
+    ticks = [10**14 + 3 * k for k in range(5)]
+    body = b"".join(b"%d\r\n" % t for t in ticks)
+    assert body[PIECE_LINES - 1 : PIECE_LINES + 1] == b"\r\n"
+    path = text_file(tmp_path, b"5\r\n" + body, WIDE)
+    with codec(chunk=1):
+        assert read_stream_text(path).ticks.tolist() == ticks
+    # A bare CR at a piece's end is still no line end, and is kept in the
+    # line it is refused in.
+    bare = bytearray(body)
+    bare[PIECE_LINES] = ord("7")
+    line = repr(bare[:34].replace(b"\r\n", b"").decode())
+    assert line == "'100000000000000\\r7100000000000003'"
+    with codec(chunk=1), pytest.raises(
+        StreamFormatError, match=f"line 2: not an integer tick: {re.escape(line)}$"
+    ):
+        read_stream_text(text_file(tmp_path, b"5\n" + bytes(bare), WIDE))
+
+
+def test_a_bad_line_in_a_later_piece_is_named_by_its_file_line(tmp_path):
+    lines = [b"%d" % (10**9 + k) for k in range(40)]
+    lines[30] = b"10000000x0"  # tick 31, line 32 of the file, in the 21st piece of 16 bytes
+    path = text_file(tmp_path, b"40\n" + b"\n".join(lines) + b"\n")
+    for chunk in (1, 2, 3, None):
+        with codec(chunk=chunk), pytest.raises(
+            StreamFormatError, match=r"line 32: not an integer tick: '10000000x0'$"
+        ):
+            read_stream_text(path)
+
+
+def test_trailing_data_in_a_later_piece_is_refused_before_an_earlier_overflow(tmp_path):
+    body = f"2\n{TOP + 1}\n5\n" + "\n" * 40 + "frog\n"
+    for chunk in (1, 2, None):
+        with codec(chunk=chunk), pytest.raises(
+            StreamFormatError, match=r"trailing data after 2 ticks$"
+        ):
+            read_stream_text(text_file(tmp_path, body))
+        with codec(chunk=chunk), pytest.raises(
+            StreamFormatError, match=r"line 2: tick 9223372036854775808 exceeds"
+        ):
+            read_stream_text(text_file(tmp_path, body.replace("frog", "")))
+
+
+def test_a_refusal_quotes_at_most_80_bytes_of_a_long_line(tmp_path):
+    cut = "(the first 80 bytes of a longer line)"
+    header = "qvibe-ts v1 coincidence 100.0 1.0 "
+    # A tick line of 300k digits, refused long before the reader reaches
+    # its end; a header with no line end, read no further than its first
+    # 4096 bytes; and a header whose count is not a number.
+    for body, message in [
+        ("1\n" + "9" * 300_000 + "\n", f"line 2: not an integer tick: '{'9' * 80}' {cut}"),
+        ("1 " + "7" * 300_000, f"bad header '{(header + '1 ' + '7' * 80)[:80]}' {cut}"),
+        ("1" + "x" * 100 + "\n",
+         f"bad header numbers in '{(header + '1' + 'x' * 80)[:80]}' {cut}"),
+    ]:
+        for chunk in (1, None):
+            with codec(chunk=chunk), pytest.raises(StreamFormatError) as refused:
+                read_stream_text(text_file(tmp_path, body))
+            assert str(refused.value) == f"{tmp_path / 's.txt'}: {message}"
+    # A line of exactly 80 bytes is quoted whole, even where a piece of 16
+    # bytes ends on its CR: the 81 bytes carried may yet end in a CRLF.
+    body = "1\n" * 6 + "12\n" + "5" * 80 + "\r\n"
+    assert body.index("\r") == 6 * PIECE_LINES - 1
+    for chunk in (1, 2, None):
+        with codec(chunk=chunk), pytest.raises(
+            StreamFormatError, match=f"line 9: not an integer tick: '{'5' * 80}'$"
+        ):
+            read_stream_text(text_file(tmp_path, "8\n" + body))
+
+
+def whole_file_ticks(path):
+    """The ticks of a stream file, parsed from its whole bytes at once."""
+    raw = path.read_bytes()
+    if raw.startswith(b"qvibe-ts\x01"):
+        return np.frombuffer(raw, dtype="<i8", offset=32)
+    return np.array([int(line) for line in raw.split(b"\n")[1:] if line], dtype=np.int64)
+
+
+@pytest.fixture
+def small_pair_on_a_worker(monkeypatch, counting_pools):
+    """The pair's I/O opens its worker for files of an event or more."""
+    monkeypatch.setattr("qvibe.simulate._PAIR_THREAD_EVENTS", 0)
+    return counting_pools
+
+
+def test_pieces_and_the_pair_worker_read_the_ticks_of_a_whole_file_parse(
+    tmp_path, capsys, small_pair_on_a_worker
+):
+    config = tmp_path / "tone.ini"
+    config.write_text("[signal]\nkind = pure_tone\nfrequency = 10 Hz\namplitude_pp = 20 nm\n"
+                      "[channel]\nrate_c = 19 kHz\nrate_a = 19 kHz\n[run]\nseed = 8\n"
+                      "[analysis]\nf_max = 200 Hz\n")
+    kept = []
+    outcomes = []
+    for flags, ext in (([], "txt"), (["--binary"], "bin")):
+        # Written side by side, as simulate draws them for this seed.
+        assert main(["simulate", "-c", str(config), "--out", str(tmp_path / ext), *flags]) == 0
+        assert small_pair_on_a_worker == [1, 1]  # the draw's worker, then the writes'
+        small_pair_on_a_worker.clear()
+        capsys.readouterr()
+        paths = [tmp_path / ext / f"{tag}.{ext}" for tag in ("coincidence", "anticoincidence")]
+        kept.append([whole_file_ticks(path).tobytes() for path in paths])
+        for chunk in (1, None):
+            with codec(chunk=chunk):
+                assert [read_stream(path).ticks.tobytes() for path in paths] == kept[-1]
+                outcomes.append((main(["estimate", *map(str, paths), "-c", str(config),
+                                       "--format", "json"]), capsys.readouterr().out))
+        # The reads' worker, then the scan's and each refinement's.
+        assert small_pair_on_a_worker[0] == 1 and len(small_pair_on_a_worker) >= 3
+        small_pair_on_a_worker.clear()
+    assert kept[0] == kept[1]  # the text and binary files hold the same ticks
+    assert outcomes[0][0] == 0 and '"f_hat": 10.' in outcomes[0][1]
+    assert all(outcome == outcomes[0] for outcome in outcomes)
+
+
+def pair_outcome(capsys, *files, flags=()):
+    """The exit code and stderr of ``qvibe estimate`` on ``files``."""
+    code = main(["estimate", *map(str, files), *flags])
+    return code, capsys.readouterr().err
+
+
+def test_side_by_side_reads_refuse_in_the_serial_order(tmp_path, capsys, monkeypatch,
+                                                       counting_pools):
+    # Stream 1 fails at its last line, stream 2 at its first, so on the
+    # worker stream 2 fails first; stream 1's refusal is still the one
+    # printed, and the tag check comes after both reads.
+    ticks = "".join(f"{10**9 + k}\n" for k in range(3000))
+    files = {
+        "late.txt": f"qvibe-ts v1 coincidence 100.0 1.0 3001\n{ticks}frog\n",
+        "c.txt": f"qvibe-ts v1 coincidence 100.0 1.0 3000\n{ticks}",
+        "early.txt": "qvibe-ts v1 anticoincidence 100.0 1.0 3000\nx\n",
+        "a.txt": f"qvibe-ts v1 anticoincidence 100.0 1.0 3000\n{ticks}",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    late, c, early, a = (tmp_path / name for name in files)
+    cases = [
+        ((late, early), 3, f"stream error: {late}: line 3002: not an integer tick: 'frog'\n"),
+        ((c, early), 3, f"stream error: {early}: line 2: not an integer tick: 'x'\n"),
+        ((a, c), 2, "config error: mode quantum reads streams tagged coincidence then"
+                    " anticoincidence, got anticoincidence then coincidence\n"),
+        ((a, early), 3, f"stream error: {early}: line 2: not an integer tick: 'x'\n"),
+    ]
+    for gate in (0, 3000):  # each pair on the worker, then each serially
+        monkeypatch.setattr("qvibe.simulate._PAIR_THREAD_EVENTS", gate)
+        for chunk in (1, None):
+            for files_, code, err in cases:
+                with codec(chunk=chunk):
+                    assert pair_outcome(capsys, *files_) == (code, err), (gate, chunk, files_)
+                assert counting_pools == ([1] if gate == 0 else []), (gate, files_)
+                counting_pools.clear()
+
+
+def test_side_by_side_writes_print_and_fail_in_the_serial_order(
+    tmp_path, capsys, small_pair_on_a_worker
+):
+    # An anticoincidence file that cannot be written (a directory of its
+    # name) is refused after the coincidence file's notice, as the serial
+    # loop refuses it.
+    config = tmp_path / "tone.ini"
+    config.write_text("[signal]\nkind = pure_tone\nfrequency = 10 Hz\namplitude_pp = 20 nm\n"
+                      "[channel]\nrate_c = 3 kHz\nrate_a = 3 kHz\n")
+    (tmp_path / "out" / "anticoincidence.txt").mkdir(parents=True)
+    assert main(["simulate", "-c", str(config), "--out", str(tmp_path / "out")]) == 3
+    out, err = capsys.readouterr()
+    assert re.fullmatch(rf"wrote {re.escape(str(tmp_path / 'out' / 'coincidence.txt'))}"
+                        r" \(\d+ events\)\n", out), out
+    assert err.startswith("io error: [Errno 21] Is a directory:"), err
+    assert small_pair_on_a_worker == [1, 1]
+
+
+# The text reader's piece (16 * _CHUNK_LINES bytes) holds at most twice its
+# bytes, in its buffer and one line-end mask, and 36 bytes a line of it.
+def piece_budget(line_bytes):
+    piece = 16 * streamio._CHUNK_LINES
+    return 2 * piece + 36 * (piece // line_bytes)
+
+
+@pytest.mark.parametrize("digits", [1, 10])
+def test_a_text_read_holds_its_ticks_and_one_piece(tmp_path, digits):
+    # 2M lines: 8 bytes a line are the ticks kept; the whole-file reader
+    # peaked at 35.9 bytes a line with 10-digit ticks.
+    n = 2_000_000
+    ticks = np.sort(np.random.default_rng(digits).integers(10 ** (digits - 1), 10**digits, n))
+    path = tmp_path / "s.txt"
+    write_stream_text(TimestampStream("coincidence", ticks, 1e-300, 1.0), path)
+    tracemalloc.start()
+    try:
+        back = read_stream_text(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.ticks.tobytes() == ticks.tobytes()
+    assert peak <= 8 * n + piece_budget(digits + 1), (peak / n, piece_budget(digits + 1))
+
+
+def test_a_binary_read_holds_its_ticks_alone(tmp_path):
+    # The ticks are read into one array the stream owns, and checked a
+    # block at a time (the file's bytes and a mask of every tick: 9.0 bytes a tick).
+    n = 2_000_000
+    ticks = np.sort(np.random.default_rng(3).integers(0, 10**10, n))
+    path = tmp_path / "s.bin"
+    write_stream_binary(TimestampStream("coincidence", ticks, 100e-12, 1.0), path)
+    tracemalloc.start()
+    try:
+        back = read_stream_binary(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.ticks.tobytes() == ticks.tobytes() and back.ticks.base is None
+    assert peak <= 8 * n + (1 << 18), peak / n
