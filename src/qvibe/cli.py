@@ -67,8 +67,8 @@ from .simulate import (
     DEFAULT_TICK, VibrationSignal, _side_by_side, _simulate, _threaded_pair, _worker,
 )
 from .streamio import (
-    declared_events,
     read_stream,
+    text_events,
     write_ground_truth,
     write_stream_binary,
     write_stream_text,
@@ -143,10 +143,11 @@ def cmd_estimate(args, cfg: Config) -> int:
     options = build_options(cfg)
     ratio = cfg.checked("analysis", "ratio", 1.0, ok=lambda r: 0 < r < math.inf,
                         need="must be positive and finite")  # refused before either read
-    # A long pair's files, by the counts their first bytes declare, are read
-    # side by side; stream 1's refusal comes first, as in the serial order.
+    # A long text pair's files, by the counts their headers declare, are read
+    # side by side; stream 1's refusal comes first, as in the serial order. A
+    # binary file is read in turn, its read being a copy of its ticks.
     paths = (args.stream1, args.stream2)
-    with _worker(_threaded_pair(*map(declared_events, paths))) as pool:
+    with _worker(_threaded_pair(*map(text_events, paths))) as pool:
         stream_1, stream_2 = _side_by_side(pool, read_stream, paths)
     tags = fringe.stream_tags
     if (stream_1.tag, stream_2.tag) != tags:

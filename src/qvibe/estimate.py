@@ -6,13 +6,14 @@ The pipeline works directly on event times, never on a rate histogram:
    and combine them as y_f = p_f(C) - ratio * p_f(A), which cancels the
    common mode (mean flux and accidental background); one grid transform
    folds both streams, in place, onto a power-of-two number of bins per
-   grid period, chosen by cost from the grid size and the event count:
-   the grid size rounded up or a larger power, or the one just below the
-   grid size while the series stays within its accuracy there, the grid
-   then reading each bin past the fold periodically, bin k as bin k minus
-   the fold; it bins their moments, combines them and takes one real FFT per
-   series term, a small grid's terms a group per call, whose mirror image
-   gives the bins above half the fold;
+   grid period, chosen by counted work from the grid size and the event
+   count alone, so the same on every machine: the grid size rounded up or
+   a larger power, or the one just below the grid size while the series
+   stays within its accuracy there, the grid then reading each bin past
+   the fold periodically, bin k as bin k minus the fold; it bins their
+   moments, combines them and takes one real FFT per series term, a small
+   grid's terms a group per call, whose mirror image gives the bins above
+   half the fold;
    each term's FFT is multiplied by its real row of series coefficients,
    and an odd term then by -i, before it is added; the series is the
    phasor's Taylor series economised onto Chebyshev polynomials, so it
@@ -231,10 +232,11 @@ def _project_grid(parts, t_exp: float, df: float, m: int, pool=None) -> np.ndarr
     w hold no times or weights afterwards; a caller that reads them again
     passes copies.
     Every grid phasor has period 1/df, so the events are folded onto n
-    bins per period, a power of two that ``_fold_size`` picks by cost from
-    m and the event count: m rounded up or above, or the power of two just
-    below m where the series stays accurate. For an event in bin c at
-    offset u in [-1/2, 1/2) bin widths from the bin centre,
+    bins per period, a power of two that ``_fold_size`` picks by counted
+    work from m and the event count alone: m rounded up or above, or the
+    power of two just below m where the series stays accurate. For an
+    event in bin c at offset u in [-1/2, 1/2) bin widths from the bin
+    centre,
 
         e^(-2j pi k df t) = e^(-2j pi k (c + 1/2) / n) sum_p c_kp u^p,
 
@@ -584,44 +586,17 @@ def _series_table(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-# Cost of one series term of _project_grid, in seconds: a fixed per-term
-# cost, one per event (the moment update and the segment bincounts) and one
-# per n log2 n (the rfft and the n-bin buffers). The last is one constant
-# up to 2^15 and one per fold from 2^16 on, as the rfft's buffers fill and
-# then leave the L2 cache; the 2^19 one serves every larger fold.
-# The constants are the last two lines ``tools/fold_costs.py --repeat 5``
-# printed in one sitting on 2 cores with Python 3.11 and numpy 2.4: a
-# relative least-squares fit to best-of-5 times of serial ``_grid_terms``
-# at every fold the rule weighs on the three benchmark grids (334 bins
-# with 2k and 190k events, 183,334 bins with 1M). 334 bins and 2k events
-# took 0.28 ms at n = 2^10 (14 terms) and 0.30 ms at 2^9 (17 terms,
-# mirrored); with 190k events 10.7 ms at 2^10, 5.35 ms at 2^14 (8 terms)
-# and 5.32 ms at 2^15 (7); 183,334 bins with 1M events 129 ms at 2^17
-# (23 terms), 143 ms at 2^18 (18) and 182 ms at 2^19 (14). A fold from
-# 2^17 is timed on the sweep grid alone, so its constant fits that grid's
-# time exactly, and the rule takes the fold timed fastest there. Sittings
-# scatter: two more fitted 9.1e-6 and 1.21e-5 a term, 3.53e-9 and 3.44e-9
-# an event; all three keep the benchmark folds, though two of them timed
-# 2^15 fastest on 334 bins with 190k events (within 1% of 2^14). Those
-# folds are pinned by test, so a refit keeps them or says why it moves
-# them. Only the ratios steer the choice. The fit predates grouped
-# transforms (``_term_group``), so it charges a small fold's terms their own
-# rfft calls, which they now share; a refit with grouped transforms moved
-# the false-alarm fold from 1024 to 512 and the quick-start fold from 16384
-# to 8192, which would change their spectra, so the constants stay.
-_TERM_S, _TERM_EVENT_S = 8.41e-06, 3.39e-09
-_TERM_FFT_S = (5.21e-10,) * 16 + (5.46e-10, 1e-09, 9.66e-10, 9.62e-10)  # by log2 n
+# Work of one series term of _project_grid, counted in events: one per event
+# (the moment update and the segment bincounts), _TERM_EVENTS for the term's
+# fixed work, and _FFT_EVENTS per n log2 n for its rfft and n-bin buffers.
+# BENCH_41.json times the folds this picks against its alternatives.
+_TERM_EVENTS, _FFT_EVENTS = 2_500, 0.18
 _MAX_COST_FOLD = 1 << 16
-
-def _fft_cost(n: int) -> float:
-    """The model's rfft and buffer cost of one term at fold n."""
-    log = n.bit_length() - 1
-    return _TERM_FFT_S[min(log, len(_TERM_FFT_S) - 1)] * n * log
 
 
 @functools.lru_cache(maxsize=256)
-def _fold_table(m: int) -> tuple[tuple[int, int, float], ...]:
-    """(n, terms(n), ``_fft_cost(n)``) for each fold weighed at m bins."""
+def _fold_table(m: int) -> tuple[tuple[int, int], ...]:
+    """(n, terms(n)) for each fold weighed at m bins."""
     smallest = 1 << (m - 1).bit_length()
     below = smallest // 2
     # Below m, theta = pi (m - 1) / n up to 3 pi / 2 keeps the table within 1e-14.
@@ -629,27 +604,32 @@ def _fold_table(m: int) -> tuple[tuple[int, int, float], ...]:
     folds.append(smallest)
     while folds[-1] < max(2 * smallest, _MAX_COST_FOLD):
         folds.append(2 * folds[-1])
-    return tuple((n, _economised_terms(math.pi * (m - 1) / n), _fft_cost(n)) for n in folds)
+    return tuple((n, _economised_terms(math.pi * (m - 1) / n)) for n in folds)
 
 
 def _fold_size(m: int, events: int) -> int:
     """Bins per grid period for an m-bin grid transform over ``events`` events.
 
     The power of two n from n_m / 2 to max(2 n_m, 2^16), n_m being m
-    rounded up to a power of two, that minimises
-    terms(n) * (_TERM_S + _TERM_EVENT_S * events + ``_fft_cost(n)``),
+    rounded up to a power of two, that minimises the counted work
+    terms(n) * (events + _TERM_EVENTS + _FFT_EVENTS * n log2 n),
     terms(n) being the economised series length at theta = pi (m - 1) / n
     (``_economised_terms``, the row count of ``_series_table``); of equal
-    costs the smaller fold wins. n_m / 2 lies below m and is weighed only
+    work the smaller fold wins. n_m / 2 lies below m and is weighed only
     where theta <= 3 pi / 2, m - 1 <= 1.5 n, which keeps the series within
     1e-14 (beyond it the table's rounding grows past that); the transform
-    then reads bin k >= n as bin k - n. A larger fold costs a longer rfft
+    then reads bin k >= n as bin k - n. A larger fold takes a longer rfft
     per term but needs fewer terms, which pays off when the events
-    outnumber the bins; the smallest folds pay off when the rfft dominates,
-    and the fold below m most where the rfft outgrows the cache.
+    outnumber the bins; the smaller folds pay off when the rfft dominates.
+    The rule depends on m and the event count alone, so a scan's fold, and
+    with it its rounding, is the same on every machine.
     """
-    per_term = _TERM_S + _TERM_EVENT_S * events
-    return min(_fold_table(m), key=lambda fold: fold[1] * (per_term + fold[2]))[0]
+
+    def work(fold):
+        n, terms = fold
+        return terms * (events + _TERM_EVENTS + _FFT_EVENTS * n * math.log2(n))
+
+    return min(_fold_table(m), key=work)[0]
 
 
 def _uniform_from_zero(freqs: np.ndarray) -> float | None:

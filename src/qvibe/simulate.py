@@ -12,8 +12,9 @@ run's two streams are drawn together, the second on a worker thread,
 when each expects more than _PAIR_THREAD_EVENTS candidates and both
 together stay within the draw cap (see ``_simulate_run``); that one rule,
 ``_threaded_pair``, also gives the scan and the refinement of a stream
-pair their second thread (``qvibe.estimate``), and the writes and reads
-of a pair's two files (``qvibe.cli``), each site through ``_side_by_side``.
+pair their second thread (``qvibe.estimate``), and the writes of a
+pair's two files and the reads of a text pair's (``qvibe.cli``), each
+site through ``_side_by_side``.
 
 Two detection channels are supported:
 
@@ -709,13 +710,16 @@ def _mark_campaign_worker() -> None:
 # sittings) lost at 20k-25k events, went either way at 30k-45k and won from
 # 50k on (7.7 against 8.1 ms at 50k, 33.9 against 36.6 ms at 250k); one
 # refinement (best of 7) 2.5 against 3.1 ms at 20k, 5.0 against 4.8 ms at
-# 35k and 7.5 against 5.9 ms at 95k. The CLI writes and reads a pair's two
-# files by the same rule (``qvibe.cli``): a text pair (medians of 120,
-# two sittings) was written in 3.6 against 2.9 ms at 50k events a stream
-# and 4.7-5.1 against 3.7-4.2 ms at 95k, and read in 5.3-6.0 against
-# 3.9-4.0 and 6.3-6.8 against 4.7-5.1 ms; a binary pair was written in
-# 0.54 against 0.54 and 0.86-1.05 against 0.73-0.84 ms, but read in
-# 0.28-0.31 against 0.53-0.55 and 0.40-0.45 against 0.63-0.73 ms.
+# 35k and 7.5 against 5.9 ms at 95k. The CLI writes a pair's two files by
+# the same rule, and reads a text pair's by it (``qvibe.cli``): a text pair
+# (medians of 120, two sittings) was written in 3.6 against 2.9 ms at 50k
+# events a stream and 4.7-5.1 against 3.7-4.2 ms at 95k, and read in
+# 5.3-6.0 against 3.9-4.0 and 6.3-6.8 against 4.7-5.1 ms; a binary pair
+# was written in 0.54 against 0.54 and 0.86-1.05 against 0.73-0.84 ms, but
+# read in 0.23 against 0.50-0.61 ms at 20k, 0.28-0.31 against 0.53-0.55 at
+# 50k and 0.40-0.45 against 0.63-0.73 ms at 95k, a copy of its ticks that
+# loses side by side at every size, so a pair with a binary file is read
+# in turn.
 _PAIR_THREAD_EVENTS = 50_000
 
 

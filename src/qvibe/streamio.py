@@ -350,29 +350,31 @@ def read_stream_binary(path: str | Path) -> TimestampStream:
         raise StreamFormatError(f"{path}: {exc}") from None
 
 
-def declared_events(path: str | Path) -> int:
-    """The events a stream file declares, from its first bytes and its size: a
-    text header's count or a binary body's ticks; 0 where it declares none."""
+def _is_binary(head: bytes) -> bool:
+    """Whether a stream file's first bytes open the binary format."""
+    return head.startswith(_BIN_MAGIC + bytes([_BIN_VERSION]))
+
+
+def text_events(path: str | Path) -> int:
+    """The events a text stream file's header declares; 0 for a binary file,
+    an unreadable one or one that declares none."""
     try:
         with Path(path).open("rb") as fh:
             head = fh.read(_HEADER_BYTES)
-            size = os.fstat(fh.fileno()).st_size
     except OSError:
         return 0
-    if head.startswith(_BIN_MAGIC + bytes([_BIN_VERSION])):
-        return (size - _BIN_HEADER.size) // 8
     fields = head.split(b"\n", 1)[0].split()
-    return int(fields[5]) if len(fields) == 6 and fields[5].isdigit() else 0
+    if _is_binary(head) or len(fields) != 6 or not fields[5].isdigit():
+        return 0
+    return int(fields[5])
 
 
 def read_stream(path: str | Path) -> TimestampStream:
     """Read either stream format, sniffing the magic bytes."""
     path = Path(path)
     with path.open("rb") as fh:
-        head = fh.read(len(_BIN_MAGIC) + 4)
-    if head.startswith(_BIN_MAGIC + bytes([_BIN_VERSION])):
-        return read_stream_binary(path)
-    return read_stream_text(path)
+        binary = _is_binary(fh.read(len(_BIN_MAGIC) + 1))
+    return read_stream_binary(path) if binary else read_stream_text(path)
 
 
 def write_ground_truth(signal: VibrationSignal, geometry: GeometryFactor, path: str | Path) -> None:

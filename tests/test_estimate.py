@@ -345,8 +345,8 @@ def test_fold_rule_stays_in_range_and_keeps_the_benchmark_folds():
         for events in (0, 2, 2_000, 190_000, 10**7):
             n = _fold_size(m, events)
             assert n & (n - 1) == 0 and lowest <= n <= max(2 * smallest, 1 << 16), (m, events)
-    assert [n for n, _, _ in _fold_table(183_334)] == [1 << 17, 1 << 18, 1 << 19]
-    assert [n for n, _, _ in _fold_table(4096)][0] == 4096  # 4095 / 2048 > 1.5
+    assert [n for n, _ in _fold_table(183_334)] == [1 << 17, 1 << 18, 1 << 19]
+    assert [n for n, _ in _fold_table(4096)][0] == 4096  # 4095 / 2048 > 1.5
     # Signal-free 1 s exposures (2k to 4k events on 334 bins) keep 2m rounded
     # up, so their spectra are unchanged; the 5 s sweep (1M events on 183,334
     # bins) takes the fold below m, where its rfft stays in cache; the
@@ -357,6 +357,17 @@ def test_fold_rule_stays_in_range_and_keeps_the_benchmark_folds():
     assert _fold_size(sweep, 1_000_000) == 1 << 17
     assert _economised_terms(math.pi * (sweep - 1) / (1 << 17)) == 23
     assert _fold_size(quick, 190_000) == 1 << 14
+
+
+def test_the_fold_never_narrows_as_the_events_grow():
+    # Each fold's work grows with the events at the rate of its term count,
+    # which falls as the fold widens, so a wider fold that wins at some
+    # count wins at every larger one.
+    counts = [0, *np.unique(np.logspace(0, 9, 400).astype(np.int64)).tolist()]
+    for m in (4, 5, 334, 1001, 4096, 40_000, 183_334):
+        folds = [_fold_size(m, events) for events in counts]
+        assert folds == sorted(folds), m
+    assert len({_fold_size(40_000, events) for events in counts}) > 1
 
 
 def _exact_economisation(kept, terms):
@@ -441,7 +452,7 @@ def test_series_table_is_the_taylor_recurrence_when_no_degree_is_dropped():
     # |u| <= 1/2, and the bin phase is e^(-i pi k / n).
     u = np.linspace(-0.5, 0.5, 257)
     for m in (4, 5, 334, 1001, 4096, 183_334):
-        for n, _, _ in _fold_table(m):
+        for n, _ in _fold_table(m):
             table, phase = _series_table(m, n)
             assert phase.tobytes() == np.exp((-1j * math.pi / n) * np.arange(m)).tobytes()
             k = np.linspace(0, m - 1, 64).astype(int)
@@ -808,8 +819,9 @@ def test_grouped_term_transforms_are_bitwise_one_term_at_a_time(monkeypatch):
     # _GROUP_BYTES. One row a group and every row of a batch in one group
     # must give the same bits, those of one bincount per part and term, with
     # and without a worker, on a grid with a mirrored tail (n/2 + 1 < m <= n),
-    # one folded below m (whose bins past n repeat) and the false-alarm grid,
-    # whose default groups hold all 14 of its terms.
+    # one folded below m (whose bins past n repeat) and the false-alarm grid
+    # at every fold the rule weighs there, from 256 to 2^16; at its fold,
+    # 1024, the default groups hold all 14 of its terms.
     t_exp = 1.0
     df = grid_spacing(t_exp)
     rng = np.random.default_rng(39)
@@ -820,7 +832,9 @@ def test_grouped_term_transforms_are_bitwise_one_term_at_a_time(monkeypatch):
     m_fa = frequency_grid(t_exp, 200.0).size
     assert _fold_size(m_fa, 3200) == 1024 and len(_series_table(m_fa, 1024)[0]) == 14
     assert qvibe.estimate._GROUP_BYTES // (16 * 513) >= 14
-    for m, n in ((1000, 1024), (700, 512), (m_fa, 1024)):
+    weighed = [n for n, _ in _fold_table(m_fa)]
+    assert weighed == [256 << k for k in range(9)]
+    for m, n in ((1000, 1024), (700, 512), *((m_fa, n) for n in weighed)):
         reference = _whole_part_transform(parts, t_exp, df, m, n).tobytes()
         for budget in (1, 1 << 30):
             monkeypatch.setattr("qvibe.estimate._GROUP_BYTES", budget)

@@ -238,8 +238,8 @@ def test_grid_transform_reads_the_periodic_bins_at_a_fold_below_the_grid(monkeyp
         parts.append((t, scale * window_weights(t, t_exp, "hann")))
     empty = (np.array([]), np.array([]))
     bound = 3 * n // 2 + 1
-    assert [f for f, _, _ in _fold_table(bound)][0] == n
-    assert [f for f, _, _ in _fold_table(bound + 1)][0] == 2 * n  # past the bound
+    assert [f for f, _ in _fold_table(bound)][0] == n
+    assert [f for f, _ in _fold_table(bound + 1)][0] == 2 * n  # past the bound
     assert _series_table(bound, n)[0].shape == (24, bound)
     monkeypatch.setattr("qvibe.estimate._fold_size", lambda m, events: n)
     for m in (n + 1, bound):

@@ -18,9 +18,11 @@ from qvibe import streamio
 from qvibe.cli import main
 from qvibe.config import parse_quantity
 from qvibe.core import GeometryFactor, PhotonPairSpec, quadrature_delay
-from qvibe.errors import ConfigError, StreamFormatError
+from qvibe.errors import AnalysisError, ConfigError, StreamFormatError
 from qvibe.estimate import AnalysisOptions, pipeline
-from qvibe.simulate import ChannelModel, TimestampStream, VibrationSignal, simulate_quantum_run
+from qvibe.simulate import (
+    _PAIR_THREAD_EVENTS, ChannelModel, TimestampStream, VibrationSignal, simulate_quantum_run,
+)
 from qvibe.streamio import (
     read_stream,
     read_stream_binary,
@@ -548,6 +550,7 @@ def test_pieces_and_the_pair_worker_read_the_ticks_of_a_whole_file_parse(
                       "[analysis]\nf_max = 200 Hz\n")
     kept = []
     outcomes = []
+    opened = {}
     for flags, ext in (([], "txt"), (["--binary"], "bin")):
         # Written side by side, as simulate draws them for this seed.
         assert main(["simulate", "-c", str(config), "--out", str(tmp_path / ext), *flags]) == 0
@@ -561,9 +564,11 @@ def test_pieces_and_the_pair_worker_read_the_ticks_of_a_whole_file_parse(
                 assert [read_stream(path).ticks.tobytes() for path in paths] == kept[-1]
                 outcomes.append((main(["estimate", *map(str, paths), "-c", str(config),
                                        "--format", "json"]), capsys.readouterr().out))
-        # The reads' worker, then the scan's and each refinement's.
-        assert small_pair_on_a_worker[0] == 1 and len(small_pair_on_a_worker) >= 3
+        # The scan's worker and each refinement's, after the reads' for text.
+        assert set(small_pair_on_a_worker) == {1} and len(small_pair_on_a_worker) >= 4
+        opened[ext] = len(small_pair_on_a_worker)
         small_pair_on_a_worker.clear()
+    assert opened["txt"] == opened["bin"] + 2  # a binary pair is read in turn
     assert kept[0] == kept[1]  # the text and binary files hold the same ticks
     assert outcomes[0][0] == 0 and '"f_hat": 10.' in outcomes[0][1]
     assert all(outcome == outcomes[0] for outcome in outcomes)
@@ -605,6 +610,30 @@ def test_side_by_side_reads_refuse_in_the_serial_order(tmp_path, capsys, monkeyp
                     assert pair_outcome(capsys, *files_) == (code, err), (gate, chunk, files_)
                 assert counting_pools == ([1] if gate == 0 else []), (gate, files_)
                 counting_pools.clear()
+
+
+def test_a_long_text_pair_is_read_on_a_worker_and_a_pair_with_a_binary_file_in_turn(
+    tmp_path, capsys, monkeypatch, counting_pools
+):
+    # At the package's gate, two text files of one event more than it each
+    # are read side by side; the same ticks in two binary files, or in one
+    # binary file beside a text one, are read in turn. The analysis stops
+    # after the reads, so the reads' pool is the only one counted.
+    def no_analysis(*args, **kwargs):
+        raise AnalysisError("stopped after the reads")
+
+    monkeypatch.setattr("qvibe.cli.pipeline", no_analysis)
+    events = _PAIR_THREAD_EVENTS + 1
+    for tag, seed in (("coincidence", 1), ("anticoincidence", 2)):
+        stream = make_stream(events, seed, tag)
+        write_stream_text(stream, tmp_path / f"{tag}.txt")
+        write_stream_binary(stream, tmp_path / f"{tag}.bin")
+    for c, a, opened in (("txt", "txt", [1]), ("bin", "bin", []), ("txt", "bin", []),
+                         ("bin", "txt", [])):
+        files = (tmp_path / f"coincidence.{c}", tmp_path / f"anticoincidence.{a}")
+        assert pair_outcome(capsys, *files) == (4, "analysis error: stopped after the reads\n")
+        assert counting_pools == opened, (c, a)
+        counting_pools.clear()
 
 
 def test_side_by_side_writes_print_and_fail_in_the_serial_order(
