@@ -279,6 +279,14 @@ class Config:
             return ConfigError(f"--{key.replace('_', '-')}: {message}")
         return ConfigError(f"{self.source}: [{section}] {key}: {message}")
 
+    def blame(self, section: str, key: str, check, *args):
+        """``check(*args)``; a ConfigError from it is raised again as
+        ``refusal`` names it, by ``[section] key``."""
+        try:
+            return check(*args)
+        except ConfigError as exc:
+            raise self.refusal(section, key, exc) from None
+
     def checked(self, section: str, key: str, default=_MISSING, *, ok, need: str, unit: str = ""):
         """``get(section, key, default)``, refused where ``ok`` rejects it, as
         ``<source>: <key> <need>, got <value><unit>`` (see ``refusal``)."""
@@ -478,16 +486,10 @@ def build_exposure(
     t_exp = cfg.checked(section, key, default, ok=lambda t: t > 0, need="must be positive",
                         unit=" s")
     tick = cfg.get("run", "tick", DEFAULT_TICK)
-    try:
-        _check_tick(tick, t_exp)
-    except ConfigError as exc:
-        where = ("run", "tick") if cfg.has("run", "tick") else (section, key)
-        raise cfg.refusal(*where, exc) from None
-    try:
-        grid_spacing(t_exp)
-        _check_draws(_fluxes(fringe, VibrationSignal(()), channel), t_exp)
-    except ConfigError as exc:
-        raise cfg.refusal(section, key, exc) from None
+    tick_key = ("run", "tick") if cfg.has("run", "tick") else (section, key)
+    cfg.blame(*tick_key, _check_tick, tick, t_exp)
+    cfg.blame(section, key, grid_spacing, t_exp)
+    cfg.blame(section, key, lambda: _check_draws(_fluxes(fringe, VibrationSignal(()), channel), t_exp))
     if signal is not None and not math.isfinite(2.0 * math.pi * signal.max_frequency * t_exp):
         freqs = {k: getattr(v, "frequency", v) for k, v in cfg.values["signal"].items()
                  if "frequency" in k or k.startswith("component_")}
@@ -599,10 +601,7 @@ def check_scan(cfg: Config, options: AnalysisOptions, t_exp: float) -> None:
     (``build_exposure`` refuses it by key), is refused as it is, by no key.
     """
     grid_spacing(t_exp)
-    try:
-        _grid_bins(t_exp, options.f_max)
-    except ConfigError as exc:
-        raise cfg.refusal("analysis", "f_max", exc) from None
+    cfg.blame("analysis", "f_max", _grid_bins, t_exp, options.f_max)
 
 
 def check_ratio(cfg: Config, ratio: float, stream_c: TimestampStream, stream_a: TimestampStream):
@@ -616,10 +615,8 @@ def check_ratio(cfg: Config, ratio: float, stream_c: TimestampStream, stream_a: 
     _check_pair(stream_c, stream_a, ratio)
     if len(stream_c) + ratio * ratio * len(stream_a) < math.inf:
         return
-    try:
-        detection_threshold(stream_c, stream_a, ratio, "hann", 0.5, 1)  # p_fa, bins: any valid
-    except ConfigError as exc:
-        raise cfg.refusal("analysis", "ratio", exc) from None
+    # p_fa 0.5 and 1 bin: any valid values
+    cfg.blame("analysis", "ratio", detection_threshold, stream_c, stream_a, ratio, "hann", 0.5, 1)
 
 
 def build_advantage(cfg: Config) -> AdvantageSetup:

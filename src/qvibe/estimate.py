@@ -427,7 +427,7 @@ def _grid_terms(folded, m: int, n: int, t_exp: float, pool) -> np.ndarray:
     half, top = n // 2 + 1, min(m, n)  # rfft bins, and the bins below the period
     group = min(len(batches[0]), _term_group(m, n))
     spectra = np.empty((group, max(m, half)), dtype=complex)
-    for terms, rows in zip(batches, _in_turn(binned, len(batches), len(folded), pool)):
+    for terms, rows in zip(batches, _in_turn(binned, len(batches), pool)):
         for g in range(0, len(terms), group):
             p = terms[g : g + group]
             spectrum = spectra[: len(p)]
@@ -453,20 +453,23 @@ def _term_group(m: int, n: int) -> int:
     return max(1, _GROUP_BYTES // (16 * max(m, n // 2 + 1)))
 
 
-def _in_turn(binned, batches: int, parts: int, pool):
+def _in_turn(binned, batches: int, pool):
     """Each batch's rows, ``binned(b)``, in turn. Given a pool, batch b + 1 is
     binned on its worker while the caller transforms batch b, and batch 0 is
     binned side by side: the last part's rows on the worker, into the second
-    buffer, the others' here, then added, (C + 0) + (A + 0) being C + A."""
+    buffer, the others' here, then added, (C + 0) + (A + 0) being C + A.
+
+    A pool comes with two parts and two batches at least: it is opened only
+    for two streams of over _PAIR_THREAD_EVENTS events each, so neither part
+    is empty, and ``_grid_terms`` then splits a last batch of one term off a
+    series of at least 4 terms, the fewest any grid of 4 bins or more takes.
+    """
     if pool is None:
         yield from map(binned, range(batches))
         return
-    if batches > 1 and parts > 1:
-        last = pool.submit(binned, 0, slice(-1, None), 1)
-        rows = binned(0, slice(-1), 0)
-        rows += last.result()
-    else:
-        rows = binned(0)
+    last = pool.submit(binned, 0, slice(-1, None), 1)
+    rows = binned(0, slice(-1), 0)
+    rows += last.result()
     for b in range(1, batches):
         ahead = pool.submit(binned, b)
         yield rows

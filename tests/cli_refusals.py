@@ -405,6 +405,10 @@ def _rows():
     yield R("simulate-seed-key-inf", "simulate -c tone.ini --out b",
             "config error: tone.ini:16: [run] seed: '1e999' is not a finite number",
             {"tone.ini": edit(QUICK_START, ("seed = 611", "seed = 1e999"))})
+    # An exponent past the exact unit scaling's +-10^18 is refused, not rounded to inf.
+    yield R("simulate-t_exp-exponent-out-of-range", "simulate -c tone.ini --out b",
+            "config error: tone.ini:15: [run] t_exp: '1e9999999999999999999 s' is out of range",
+            {"tone.ini": edit(QUICK_START, ("t_exp = 1 s", "t_exp = 1e9999999999999999999 s"))})
     yield R("trials-f_max-zero", "trials -c tone.ini --trials 2 --out out",
             f"{tone}[analysis] f_max: {F_MAX} 0.0",
             {"tone.ini": edit(QUICK_START, ("f_max = 200 Hz", "f_max = 0 Hz"))})

@@ -464,6 +464,18 @@ def test_cli_trials_writes_records(tmp_path, capsys):
         assert isinstance(rec["unrefined"], int) and rec["unrefined"] >= 0
 
 
+def test_cli_trials_prints_a_trial_that_detects_nothing(tmp_path, capsys):
+    # A 6 nm tone sits at the detection floor: of seeds 611 to 613 the second misses.
+    cfg = tmp_path / "tone.ini"
+    cfg.write_text(edit(QUICK_START, ("amplitude_pp = 20 nm", "amplitude_pp = 6 nm")))
+    assert main(["trials", "-c", str(cfg), "--trials", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" f_hat=")[0] for line in lines[:3]] == [
+        "trial seed=611", "trial seed=612 no detection", "trial seed=613"
+    ]
+    assert lines[-1] == "detection_rate=0.6666666666666666"
+
+
 def _child_env():
     """Environment for a fresh interpreter that imports this checkout's qvibe."""
     src = str(Path(qvibe.__file__).resolve().parents[1])

@@ -124,13 +124,22 @@ def test_single_center_event_projects_to_inverse_exposure():
         for f in (0.0, 10.0, 123.4):
             p = project_timestamps(stream, f, window)
             assert abs(p - 1.0 / t_exp) < 1e-12
+    with pytest.raises(ConfigError, match="unknown window 'hamming'"):
+        project_timestamps(stream, 1.0, "hamming")
 
 
-def test_empty_stream_projects_to_zero():
+def test_empty_stream_projects_to_zero(monkeypatch):
     stream = TimestampStream("coincidence", np.array([], dtype=np.int64), TICK, 1.0)
     assert project_timestamps(stream, 7.0) == 0j
     arr = project_timestamps(stream, np.array([0.0, 5.0, 10.0]))
     assert np.all(arr == 0j)
+    # A pair of empty streams on a scan grid leaves the grid transform no
+    # part, so it builds no series table.
+    monkeypatch.setattr("qvibe.estimate._series_table", None)
+    empty_a = TimestampStream("anticoincidence", np.array([], dtype=np.int64), TICK, 1.0)
+    grid = frequency_grid(1.0, 100.0)
+    spectrum = combined_spectrum(stream, empty_a, 1.0, grid)
+    assert spectrum.shape == grid.shape and not spectrum.any()
 
 
 def test_projection_linearity_under_merge():
@@ -673,12 +682,17 @@ def test_side_by_side_preparation_is_bitwise_the_serial_scan(
     # The README quick start's size: about 100k events a stream on its 334
     # bins, folded onto 2^14 bins with 8 series terms, one batch, which the
     # worker path splits into 7 + 1 terms after the worker has made A's
-    # times, weights and fold.
+    # times, weights and fold. The smallest grid the transform takes, 4
+    # bins, has the fewest terms any grid has, 4, split 3 + 1: a pooled
+    # scan always bins its first batch side by side and the rest in turn.
     events = sum(map(len, overlapped_pair))
-    n = _fold_size(334, events)
-    assert n == 1 << 14 and len(_series_table(334, n)[0]) == 8 <= _BATCH_BYTES // (8 * n)
-    scan = _threaded_scan_is_serial(monkeypatch, counting_pools, overlapped_pair, 1.1, 200.0)
-    assert scan.frequencies.size == 334
+    for f_max, bins, fold, terms in [(200.0, 334, 1 << 14, 8), (2.0, 4, 1 << 13, 4)]:
+        n = _fold_size(bins, events)
+        assert n == fold and len(_series_table(bins, n)[0]) == terms <= _BATCH_BYTES // (8 * n)
+        counting_pools.clear()
+        with monkeypatch.context() as patch:
+            scan = _threaded_scan_is_serial(patch, counting_pools, overlapped_pair, 1.1, f_max)
+        assert scan.frequencies.size == bins
 
 
 def test_a_scan_on_a_campaign_worker_opens_no_worker(overlapped_pair, counting_pools):

@@ -329,6 +329,14 @@ def test_advantage_experiment_smoke():
     assert out.classical_harmonics  # clean channel sees the wave too
 
 
+def test_an_advantage_half_that_detects_nothing_scores_zero():
+    # A 1 fm square wave is far below the detection floor of either channel.
+    setup = loss_advantage_setup(loss_values=(0.0,), target_pairs=20_000, amplitude_pp=1e-15)
+    (out,) = run_advantage_experiment(setup, base_seed=530)
+    assert (out.quantum_pp, out.quantum_harmonics) == (0.0, ())
+    assert (out.classical_pp, out.classical_harmonics) == (0.0, ())
+
+
 def test_each_advantage_half_is_analysed_at_its_own_channels_ratio():
     # Both channels have rate_c != rate_a. The quantum half reads its pair
     # streams at rate_c / rate_a = 2; the classical half reads its ports at 1,

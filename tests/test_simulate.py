@@ -55,6 +55,13 @@ def test_component_validation():
     SignalComponent(frequency=10.0, amplitude_pp=0.0)  # silent channel is fine
 
 
+def test_signal_keeps_its_components_as_a_tuple_and_refuses_an_infinite_offset():
+    components = [SignalComponent(10.0, 1e-9), SignalComponent(30.0, 2e-9)]
+    assert VibrationSignal(components).components == tuple(components)
+    with pytest.raises(ConfigError, match="dc_offset_delay must be finite"):
+        VibrationSignal(tuple(components), dc_offset_delay=math.inf)
+
+
 def test_pure_tone_waveform():
     sig = VibrationSignal.pure_tone(10.0, 20e-9, phase=0.3)
     assert sig.displacement(0.0) == pytest.approx(10e-9 * math.cos(0.3), rel=1e-12)
@@ -383,6 +390,11 @@ def test_sampler_rejects_bound_violation():
         sample_inhomogeneous_poisson(flat_flux(10.0), 5.0, 1.0, rng=1)
     with pytest.raises(ConfigError):
         sample_inhomogeneous_poisson(lambda t: 5.0 - 10 * t, 5.0, 1.0, rng=1)  # negative
+    # Refused before the draw, not by the stream the draw would make.
+    with pytest.raises(ConfigError, match="^bound must be positive$"):
+        sample_inhomogeneous_poisson(flat_flux(0.0), 0.0, 1.0, rng=1)
+    with pytest.raises(ConfigError, match="^t_exp must be positive$"):
+        sample_inhomogeneous_poisson(flat_flux(1.0), 1.0, 0.0, rng=1)
 
 
 def test_sampler_reads_the_flux_once_at_the_candidates():
